@@ -15,54 +15,52 @@ cargo test -q --offline --benches -p simsearch-bench
 cargo test -q --offline --bench ablation_lcp_reuse -p simsearch-bench
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Planner-parity gate: `--backend auto` (static and calibrated) must be
-# byte-identical to the V1 oracle scan under every executor × thread
-# count, the plan-decision counters must account for every query, and
-# top-k deepening — routed by its own cost curve — must match the
-# exhaustive V1 deepening for every count.
-cargo test -q --offline --test planner_parity
+# What the oracle suites inside `cargo test --workspace` above prove
+# (the root package is a workspace member, so every one of them has
+# already run — they are not re-invoked here):
+#   planner_parity      `--backend auto` (static and calibrated) is
+#                       byte-identical to the V1 oracle under every
+#                       executor × thread count, plan counters account
+#                       for every query, and top-k — routed by its own
+#                       cost curve — matches exhaustive V1 deepening.
+#   replan_oracle       live recalibration across a distribution shift
+#                       stays byte-identical while plan_epoch advances
+#                       once per converged phase; a restarted daemon
+#                       boots from persisted calibration unless the
+#                       dataset snapshot mismatches.
+#   calibration_props   (testkit) the calibration arithmetic's laws:
+#                       positivity, boundedness, scale invariance,
+#                       pooled fallback.
+#   shard_oracle        every shard count × partitioner × executor,
+#                       static and calibrated, threshold and top-k, is
+#                       byte-identical to the unsharded V1 oracle, and
+#                       per-shard counters account for every fan-out.
+#   live_oracle         any INSERT/DELETE/QUERY/TOPK/COMPACT
+#                       interleaving answers like a fresh V1 scan over
+#                       the survivors (shrinking on failure), unsharded
+#                       and on 1/2/4 hash-routed live shards.
+#   live_compaction     every compaction step — flush, tiered merge,
+#                       tombstone elision — is an atomic re-layout that
+#                       racing queries and concurrent per-shard
+#                       compactors never observe half-done.
+#   router_props        (testkit) the mutation router's laws: purity,
+#                       dense disjoint ids, delete-finds-inserter.
+#   v8_oracle           the Myers-block sweep — as an engine, as a
+#                       planner arm, pinned per shard — is
+#                       byte-identical to V1 on both alphabets.
+#   join_oracle         PASS-JOIN and MinJoin return the nested-loop
+#                       join's pair list pair-for-pair, including the
+#                       degenerate inputs.
 
-# Replan-oracle gate: live recalibration across a mid-run distribution
-# shift must keep every answer byte-identical to the V1 oracle while
-# plan_epoch advances once per converged phase; a restarted daemon must
-# boot from persisted calibration (epoch > 0) unless the dataset
-# snapshot mismatches, in which case it falls back to the static table.
-# The calibration arithmetic's laws (positivity, boundedness, scale
-# invariance, pooled fallback) gate separately as properties.
-cargo test -q --offline --test replan_oracle
-cargo test -q --offline -p simsearch-testkit --test calibration_props
-
-# Shard-equivalence gate: a sharded backend (every shard count ×
-# partitioner × executor, static and calibrated, threshold and top-k)
-# must be byte-identical to the unsharded V1 oracle, and per-shard
-# decision counters must account for every fanned-out query.
-cargo test -q --offline --test shard_oracle
-
-# Live-ingest gates: any interleaving of INSERT/DELETE/QUERY/TOPK/
-# COMPACT must answer exactly like a fresh V1 scan over the surviving
-# records (shrinking to a minimal interleaving on failure), under every
-# executor × thread count — for the unsharded engine AND every sharded
-# live composite (1/2/4 hash-routed shards); and every compaction step —
-# flush, tiered merge, tombstone elision — must be an atomic re-layout
-# that queries racing it (including per-shard compactors running
-# concurrently) can never observe half-done. The mutation router's laws
-# (purity, dense disjoint ids, delete-finds-inserter) gate separately.
-cargo test -q --offline --test live_oracle
-cargo test -q --offline --test live_compaction
-cargo test -q --offline -p simsearch-testkit --test router_props
-
-# V8 bit-parallel gate: the Myers-block sweep (as an engine, as a
-# planner arm under static and calibrated routing, and pinned per
-# shard) must be byte-identical to the V1 oracle under every executor
-# × thread count on both alphabets.
-cargo test -q --offline --test v8_oracle
-
-# Partition-join gate: PASS-JOIN and MinJoin must return the nested-loop
-# join's pair list pair-for-pair — on shrunk random corpora over both
-# alphabets, on fixed city/DNA presets under every executor × thread
-# count, and on the degenerate inputs (empty, singleton, all-identical,
-# k beyond the longest record).
-cargo test -q --offline --test join_oracle
+# The repo's benchmark is a package of its own (own workspace table,
+# own lock file) that reaches the crates through their public items
+# only, so a public-API break under crates/ must fail here rather than
+# in the benchmark driver: build and unit-test it against the
+# workspace, then run all four workloads in smoke mode (exit status
+# only).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --smoke --seconds 1 --seed 1 >/dev/null
 
 # Canonical benchmark snapshots (published by `cargo bench` via
 # testkit's publish_snapshot) must stay committed at the repo root.

@@ -4,7 +4,7 @@
 use simsearch_bench::experiments::{CITY_IDX_BEST_THREADS, CITY_SEQ_BEST_THREADS};
 use simsearch_bench::Scale;
 use simsearch_core::{
-    Backend, EngineKind, IdxVariant, SearchEngine, SeqVariant, ShardBy, ShardedBackend,
+    Backend, EngineKind, IdxVariant, Probe, SearchEngine, SeqVariant, ShardBy, ShardedBackend,
 };
 use simsearch_testkit::bench::Harness;
 
@@ -45,12 +45,12 @@ fn main() {
     // specialized to its own length band, fanned out under the same
     // thread budget (narrow bands let the shard-level length prune skip
     // non-intersecting shards).
-    let sharded_auto = ShardedBackend::calibrated_with(
+    let sharded_auto = ShardedBackend::with_probe(
         &preset.dataset,
         4,
         ShardBy::Len,
         CITY_IDX_BEST_THREADS,
-        &workload,
+        Probe::Workload(&workload),
     );
     sharded_auto.prepare();
     let mut group = h.group("fig6_city_best");

@@ -4,7 +4,7 @@
 use simsearch_bench::experiments::{DNA_IDX_BEST_THREADS, DNA_SEQ_BEST_THREADS};
 use simsearch_bench::Scale;
 use simsearch_core::{
-    Backend, EngineKind, IdxVariant, SearchEngine, SeqVariant, ShardBy, ShardedBackend,
+    Backend, EngineKind, IdxVariant, Probe, SearchEngine, SeqVariant, ShardBy, ShardedBackend,
 };
 use simsearch_testkit::bench::Harness;
 
@@ -47,12 +47,12 @@ fn main() {
     // the shard-level prune never fires — and the index arms' per-probe
     // cost (tree-top descent, q-gram extraction) does not shrink with
     // shard size, so each extra shard is a fixed per-query tax.
-    let sharded_auto = ShardedBackend::calibrated_with(
+    let sharded_auto = ShardedBackend::with_probe(
         &preset.dataset,
         2,
         ShardBy::Len,
         DNA_IDX_BEST_THREADS,
-        &workload,
+        Probe::Workload(&workload),
     );
     sharded_auto.prepare();
     let mut group = h.group("fig7_dna_best");

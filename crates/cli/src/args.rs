@@ -325,6 +325,32 @@ fn value<'a>(
     it.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
+/// `flag`'s value as an integer; a value that does not parse answers
+/// "`flag` needs `expected`".
+fn int_value<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    expected: &str,
+) -> Result<T, String> {
+    value(it, flag)?
+        .parse()
+        .map_err(|_| format!("{flag} needs {expected}"))
+}
+
+/// [`int_value`] that also refuses 0 ("`flag` needs a positive
+/// integer"). `expected` words the unparsable-value error, which
+/// `serve` has always phrased as "an integer".
+fn positive_value(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    expected: &str,
+) -> Result<usize, String> {
+    match int_value(it, flag, expected)? {
+        0 => Err(format!("{flag} needs a positive integer")),
+        n => Ok(n),
+    }
+}
+
 fn shard_by_value(v: &str) -> Result<ShardBy, String> {
     ShardBy::parse(v).ok_or_else(|| format!("unknown partitioner '{v}' (expected len or hash)"))
 }
@@ -344,19 +370,8 @@ fn parse_search(rest: &[String]) -> Result<SearchArgs, String> {
             "--queries" => queries = Some(PathBuf::from(value(&mut it, "--queries")?)),
             "--output" => output = Some(PathBuf::from(value(&mut it, "--output")?)),
             "--engine" | "--backend" => engine = EngineChoice::parse(value(&mut it, flag)?)?,
-            "--threads" => {
-                threads = value(&mut it, "--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs a positive integer".to_string())?;
-                if threads == 0 {
-                    return Err("--threads needs a positive integer".into());
-                }
-            }
-            "--shards" => {
-                shards = value(&mut it, "--shards")?
-                    .parse()
-                    .map_err(|_| "--shards needs a non-negative integer".to_string())?
-            }
+            "--threads" => threads = positive_value(&mut it, "--threads", "a positive integer")?,
+            "--shards" => shards = int_value(&mut it, "--shards", "a non-negative integer")?,
             "--shard-by" => shard_by = shard_by_value(value(&mut it, "--shard-by")?)?,
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -383,19 +398,8 @@ fn parse_explain(rest: &[String]) -> Result<ExplainArgs, String> {
         match flag.as_str() {
             "--data" => data = Some(PathBuf::from(value(&mut it, "--data")?)),
             "--queries" => queries = Some(PathBuf::from(value(&mut it, "--queries")?)),
-            "--threads" => {
-                threads = value(&mut it, "--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs a positive integer".to_string())?;
-                if threads == 0 {
-                    return Err("--threads needs a positive integer".into());
-                }
-            }
-            "--shards" => {
-                shards = value(&mut it, "--shards")?
-                    .parse()
-                    .map_err(|_| "--shards needs a non-negative integer".to_string())?
-            }
+            "--threads" => threads = positive_value(&mut it, "--threads", "a positive integer")?,
+            "--shards" => shards = int_value(&mut it, "--shards", "a non-negative integer")?,
             "--shard-by" => shard_by = shard_by_value(value(&mut it, "--shard-by")?)?,
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -419,13 +423,7 @@ fn parse_join(rest: &[String]) -> Result<JoinArgs, String> {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--data" => data = Some(PathBuf::from(value(&mut it, "--data")?)),
-            "--k" => {
-                k = Some(
-                    value(&mut it, "--k")?
-                        .parse()
-                        .map_err(|_| "--k needs an integer".to_string())?,
-                )
-            }
+            "--k" => k = Some(int_value(&mut it, "--k", "an integer")?),
             "--output" => output = Some(PathBuf::from(value(&mut it, "--output")?)),
             "--algo" => {
                 let v = value(&mut it, "--algo")?;
@@ -434,14 +432,7 @@ fn parse_join(rest: &[String]) -> Result<JoinArgs, String> {
                 }
                 algo = v.clone();
             }
-            "--threads" => {
-                threads = value(&mut it, "--threads")?
-                    .parse()
-                    .map_err(|_| "--threads needs a positive integer".to_string())?;
-                if threads == 0 {
-                    return Err("--threads needs a positive integer".into());
-                }
-            }
+            "--threads" => threads = positive_value(&mut it, "--threads", "a positive integer")?,
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -471,65 +462,36 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
     let mut memtable_cap = 1024usize;
     let mut replan_interval_ms = 1_000u64;
     let mut calibration = None;
-    let int = |v: &str, flag: &str| -> Result<u64, String> {
-        v.parse().map_err(|_| format!("{flag} needs an integer"))
-    };
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--data" | "--dataset" => data = Some(PathBuf::from(value(&mut it, "--data")?)),
             "--engine" | "--backend" => engine = EngineChoice::parse(value(&mut it, flag)?)?,
-            "--threads" => {
-                threads = int(value(&mut it, "--threads")?, "--threads")? as usize;
-                if threads == 0 {
-                    return Err("--threads needs a positive integer".into());
-                }
-            }
-            "--port" => {
-                port = value(&mut it, "--port")?
-                    .parse()
-                    .map_err(|_| "--port needs an integer in 0..=65535".to_string())?
-            }
+            "--threads" => threads = positive_value(&mut it, "--threads", "an integer")?,
+            "--port" => port = int_value(&mut it, "--port", "an integer in 0..=65535")?,
             "--port-file" => {
                 port_file = Some(PathBuf::from(value(&mut it, "--port-file")?))
             }
-            "--batch-size" => {
-                batch_size = int(value(&mut it, "--batch-size")?, "--batch-size")? as usize;
-                if batch_size == 0 {
-                    return Err("--batch-size needs a positive integer".into());
-                }
-            }
-            "--max-delay-ms" => {
-                max_delay_ms = int(value(&mut it, "--max-delay-ms")?, "--max-delay-ms")?
-            }
+            "--batch-size" => batch_size = positive_value(&mut it, "--batch-size", "an integer")?,
+            "--max-delay-ms" => max_delay_ms = int_value(&mut it, "--max-delay-ms", "an integer")?,
             "--queue-capacity" => {
-                queue_capacity =
-                    int(value(&mut it, "--queue-capacity")?, "--queue-capacity")? as usize;
-                if queue_capacity == 0 {
-                    return Err("--queue-capacity needs a positive integer".into());
-                }
+                queue_capacity = positive_value(&mut it, "--queue-capacity", "an integer")?
             }
-            "--deadline-ms" => {
-                deadline_ms = int(value(&mut it, "--deadline-ms")?, "--deadline-ms")?
-            }
-            "--shards" => shards = int(value(&mut it, "--shards")?, "--shards")? as usize,
+            "--deadline-ms" => deadline_ms = int_value(&mut it, "--deadline-ms", "an integer")?,
+            "--shards" => shards = int_value(&mut it, "--shards", "an integer")?,
             "--shard-by" => {
                 shard_by = shard_by_value(value(&mut it, "--shard-by")?)?;
                 shard_by_explicit = true;
             }
             "--live" => live = true,
             "--replan-interval-ms" => {
-                replan_interval_ms =
-                    int(value(&mut it, "--replan-interval-ms")?, "--replan-interval-ms")?
+                replan_interval_ms = int_value(&mut it, "--replan-interval-ms", "an integer")?
             }
             "--calibration" => {
                 calibration = Some(PathBuf::from(value(&mut it, "--calibration")?))
             }
             "--memtable-cap" => {
-                memtable_cap = int(value(&mut it, "--memtable-cap")?, "--memtable-cap")? as usize;
-                if memtable_cap == 0 {
-                    return Err("--memtable-cap needs a positive integer".into());
-                }
+                memtable_cap = positive_value(&mut it, "--memtable-cap", "an integer")?
             }
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -574,13 +536,7 @@ fn parse_client(rest: &[String]) -> Result<ClientArgs, String> {
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--host" => host = value(&mut it, "--host")?.clone(),
-            "--port" => {
-                port = Some(
-                    value(&mut it, "--port")?
-                        .parse()
-                        .map_err(|_| "--port needs an integer in 0..=65535".to_string())?,
-                )
-            }
+            "--port" => port = Some(int_value(&mut it, "--port", "an integer in 0..=65535")?),
             "--send" => send.push(value(&mut it, "--send")?.clone()),
             "--check-stats-json" => check_stats_json = true,
             other => return Err(format!("unknown flag '{other}'")),
@@ -614,25 +570,11 @@ fn parse_generate(rest: &[String]) -> Result<GenerateArgs, String> {
                 }
                 kind = Some(v.clone());
             }
-            "--count" => {
-                count = Some(
-                    value(&mut it, "--count")?
-                        .parse()
-                        .map_err(|_| "--count needs an integer".to_string())?,
-                )
-            }
-            "--seed" => {
-                seed = value(&mut it, "--seed")?
-                    .parse()
-                    .map_err(|_| "--seed needs an integer".to_string())?
-            }
+            "--count" => count = Some(int_value(&mut it, "--count", "an integer")?),
+            "--seed" => seed = int_value(&mut it, "--seed", "an integer")?,
             "--out" => out = Some(PathBuf::from(value(&mut it, "--out")?)),
             "--queries" => queries_out = Some(PathBuf::from(value(&mut it, "--queries")?)),
-            "--query-count" => {
-                query_count = value(&mut it, "--query-count")?
-                    .parse()
-                    .map_err(|_| "--query-count needs an integer".to_string())?
-            }
+            "--query-count" => query_count = int_value(&mut it, "--query-count", "an integer")?,
             other => return Err(format!("unknown flag '{other}'")),
         }
     }

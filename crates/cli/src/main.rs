@@ -11,11 +11,11 @@ use args::{
     USAGE,
 };
 use simsearch_core::{
-    experiment::time, AutoBackend, Backend, BackendChoice, EngineKind, IdxVariant, PlanDecision,
-    Planner, SearchEngine, SeqVariant, ShardedBackend, Strategy,
+    build_backend_with, experiment::time, AutoBackend, Backend, BackendChoice, EngineKind,
+    IdxVariant, PlanDecision, Planner, Probe, SeqVariant, ShardedBackend, Strategy,
 };
 use simsearch_data::{io, Alphabet, CityGenerator, DnaGenerator, MatchSet, WorkloadSpec};
-use simsearch_data::{Dataset, DatasetStats, StatsSnapshot, Workload, CITY_THRESHOLDS, DNA_THRESHOLDS};
+use simsearch_data::{Dataset, DatasetStats, StatsSnapshot, CITY_THRESHOLDS, DNA_THRESHOLDS};
 use std::io::Write as _;
 use std::process::ExitCode;
 
@@ -55,53 +55,46 @@ fn run_search(a: SearchArgs) -> Result<(), String> {
     let dataset = io::read_dataset(&a.data).map_err(|e| format!("reading {:?}: {e}", a.data))?;
     let workload =
         io::read_queries(&a.queries).map_err(|e| format!("reading {:?}: {e}", a.queries))?;
-    if a.shards >= 2 {
-        return run_search_sharded(&a, &dataset, &workload);
-    }
-    let strategy = if a.threads > 1 {
-        Strategy::FixedPool { threads: a.threads }
-    } else {
-        Strategy::Sequential
-    };
-    let kind = match a.engine {
-        EngineChoice::Scan => EngineKind::Scan(if a.threads > 1 {
-            SeqVariant::V6Pool { threads: a.threads }
-        } else {
-            SeqVariant::V4Flat
-        }),
-        EngineChoice::ScanBase => EngineKind::Scan(SeqVariant::V1Base),
-        EngineChoice::ScanSorted => EngineKind::Scan(SeqVariant::V7SortedPrefix),
-        EngineChoice::ScanBitParallel => EngineKind::Scan(SeqVariant::V8BitParallel),
-        EngineChoice::Trie => EngineKind::Index(IdxVariant::I1BaseTrie),
-        EngineChoice::Radix => EngineKind::Index(if a.threads > 1 {
-            IdxVariant::I3Pool { threads: a.threads }
-        } else {
-            IdxVariant::I2Compressed
-        }),
-        EngineChoice::Qgram => EngineKind::Qgram { q: 2, strategy },
-        EngineChoice::Buckets => EngineKind::Buckets { strategy },
-        EngineChoice::BkTree => EngineKind::Bk { strategy },
-        EngineChoice::Auto => EngineKind::Auto { threads: a.threads },
-    };
-    let (engine, build_time) = time(|| match a.engine {
-        // Auto: calibrate the planner with a probe drawn from the
-        // workload prefix (build-time cost, like index construction).
-        EngineChoice::Auto => {
-            let probe = workload.prefix(workload.len().min(16));
-            SearchEngine::build_auto(&dataset, a.threads, Some(&probe))
+    // Planner-driven engines calibrate with a probe drawn from the
+    // workload prefix (build-time cost, like index construction) —
+    // sharded, every shard against the same prefix, so per-shard
+    // routing reflects the real query mix. Fixed engines ignore it.
+    let probe = workload.prefix(workload.len().min(16));
+    let kind = if a.shards >= 2 {
+        EngineKind::Sharded {
+            shards: a.shards,
+            by: a.shard_by,
+            threads: a.threads,
         }
-        _ => SearchEngine::build(&dataset, kind),
+    } else {
+        engine_kind(a.engine, a.threads)
+    };
+    let (backend, build_time) = time(|| {
+        let backend: Box<dyn Backend + '_> = match shard_arm(a.engine) {
+            Some(arm) if a.shards >= 2 => Box::new(ShardedBackend::with_fixed_arm(
+                &dataset, a.shards, a.shard_by, a.threads, arm,
+            )),
+            _ => build_backend_with(&dataset, kind, Probe::Workload(&probe)),
+        };
+        backend.prepare();
+        backend
     });
-    let (results, query_time) = time(|| engine.run(&workload));
+    let (results, query_time) = time(|| backend.run_workload(&workload));
+    // Unsharded engines keep their paper-style kind label; a sharded
+    // composite names its own layout.
+    let name = if a.shards >= 2 {
+        backend.name()
+    } else {
+        kind.name()
+    };
     eprintln!(
-        "{}: {} records, {} queries; build {:.3}s, query {:.3}s",
-        engine.name(),
+        "{name}: {} records, {} queries; build {:.3}s, query {:.3}s",
         dataset.len(),
         workload.len(),
         build_time.as_secs_f64(),
         query_time.as_secs_f64()
     );
-    if let Some(counts) = engine.plan_counts() {
+    if let Some(counts) = backend.plan_counts() {
         let routed: Vec<String> = counts
             .iter()
             .filter(|(_, c)| *c > 0)
@@ -109,7 +102,45 @@ fn run_search(a: SearchArgs) -> Result<(), String> {
             .collect();
         eprintln!("plan decisions: {}", routed.join(" "));
     }
+    for (i, s) in backend.shard_stats().into_iter().flatten().enumerate() {
+        eprintln!(
+            "  shard s{i}: {} records, {} queries, {} matches",
+            s.records, s.queries, s.matches
+        );
+    }
     write_search_results(a.output.as_deref(), &results)
+}
+
+/// The one `EngineChoice → EngineKind` table. `threads > 1` selects the
+/// pooled rung or executor; the daemon passes 1 — its concurrency comes
+/// from the batch workers, so every choice maps to a single-threaded
+/// kernel (and it calibrates `auto` itself, with its default probe).
+fn engine_kind(choice: EngineChoice, threads: usize) -> EngineKind {
+    let strategy = if threads > 1 {
+        Strategy::FixedPool { threads }
+    } else {
+        Strategy::Sequential
+    };
+    match choice {
+        EngineChoice::Scan => EngineKind::Scan(if threads > 1 {
+            SeqVariant::V6Pool { threads }
+        } else {
+            SeqVariant::V4Flat
+        }),
+        EngineChoice::ScanBase => EngineKind::Scan(SeqVariant::V1Base),
+        EngineChoice::ScanSorted => EngineKind::Scan(SeqVariant::V7SortedPrefix),
+        EngineChoice::ScanBitParallel => EngineKind::Scan(SeqVariant::V8BitParallel),
+        EngineChoice::Trie => EngineKind::Index(IdxVariant::I1BaseTrie),
+        EngineChoice::Radix => EngineKind::Index(if threads > 1 {
+            IdxVariant::I3Pool { threads }
+        } else {
+            IdxVariant::I2Compressed
+        }),
+        EngineChoice::Qgram => EngineKind::Qgram { q: 2, strategy },
+        EngineChoice::Buckets => EngineKind::Buckets { strategy },
+        EngineChoice::BkTree => EngineKind::Bk { strategy },
+        EngineChoice::Auto => EngineKind::Auto { threads },
+    }
 }
 
 /// Maps an engine selector to the shard arm every shard runs, or `None`
@@ -129,49 +160,6 @@ fn shard_arm(choice: EngineChoice) -> Option<BackendChoice> {
         EngineChoice::Buckets => Some(BackendChoice::Buckets),
         EngineChoice::BkTree => Some(BackendChoice::BkTree),
     }
-}
-
-fn run_search_sharded(a: &SearchArgs, dataset: &Dataset, workload: &Workload) -> Result<(), String> {
-    let (backend, build_time) = time(|| {
-        let b = match shard_arm(a.engine) {
-            // Auto: every shard calibrates against the same workload
-            // prefix the unsharded path probes with, so per-shard
-            // routing reflects the real query mix.
-            None => {
-                let probe = workload.prefix(workload.len().min(16));
-                ShardedBackend::calibrated_with(dataset, a.shards, a.shard_by, a.threads, &probe)
-            }
-            Some(c) => ShardedBackend::with_fixed_arm(dataset, a.shards, a.shard_by, a.threads, c),
-        };
-        b.prepare();
-        b
-    });
-    let (results, query_time) = time(|| backend.run_workload(workload));
-    eprintln!(
-        "{}: {} records, {} queries; build {:.3}s, query {:.3}s",
-        backend.name(),
-        dataset.len(),
-        workload.len(),
-        build_time.as_secs_f64(),
-        query_time.as_secs_f64()
-    );
-    if let Some(counts) = backend.plan_counts() {
-        let routed: Vec<String> = counts
-            .iter()
-            .filter(|(_, c)| *c > 0)
-            .map(|(name, c)| format!("{name}={c}"))
-            .collect();
-        eprintln!("plan decisions: {}", routed.join(" "));
-    }
-    if let Some(stats) = backend.shard_stats() {
-        for (i, s) in stats.iter().enumerate() {
-            eprintln!(
-                "  shard s{i}: {} records, {} queries, {} matches",
-                s.records, s.queries, s.matches
-            );
-        }
-    }
-    write_search_results(a.output.as_deref(), &results)
 }
 
 fn write_search_results(
@@ -194,32 +182,6 @@ fn write_search_results(
         }
     }
     Ok(())
-}
-
-/// Engine selection for the daemon: concurrency comes from the batch
-/// workers, so every choice maps to a single-threaded kernel.
-fn serve_engine_kind(choice: EngineChoice) -> EngineKind {
-    match choice {
-        EngineChoice::Scan => EngineKind::Scan(SeqVariant::V4Flat),
-        EngineChoice::ScanBase => EngineKind::Scan(SeqVariant::V1Base),
-        EngineChoice::ScanSorted => EngineKind::Scan(SeqVariant::V7SortedPrefix),
-        EngineChoice::ScanBitParallel => EngineKind::Scan(SeqVariant::V8BitParallel),
-        EngineChoice::Trie => EngineKind::Index(IdxVariant::I1BaseTrie),
-        EngineChoice::Radix => EngineKind::Index(IdxVariant::I2Compressed),
-        EngineChoice::Qgram => EngineKind::Qgram {
-            q: 2,
-            strategy: Strategy::Sequential,
-        },
-        EngineChoice::Buckets => EngineKind::Buckets {
-            strategy: Strategy::Sequential,
-        },
-        EngineChoice::BkTree => EngineKind::Bk {
-            strategy: Strategy::Sequential,
-        },
-        // The serving layer calibrates the planner itself (see
-        // `ServedEngine::build`); per-query kernels stay sequential.
-        EngineChoice::Auto => EngineKind::Auto { threads: 1 },
-    }
 }
 
 fn run_serve(a: ServeArgs) -> Result<(), String> {
@@ -272,7 +234,7 @@ fn run_serve(a: ServeArgs) -> Result<(), String> {
             threads: 1,
         }
     } else {
-        serve_engine_kind(a.engine)
+        engine_kind(a.engine, 1)
     };
     let handle = simsearch_serve::spawn(dataset, kind, config)
         .map_err(|e| format!("binding 127.0.0.1:{}: {e}", a.port))?;
@@ -460,9 +422,12 @@ fn run_explain(a: ExplainArgs) -> Result<(), String> {
         let workload =
             io::read_queries(qpath).map_err(|e| format!("reading {qpath:?}: {e}"))?;
         let probe = workload.prefix(workload.len().min(16));
-        let (engine, build_time) =
-            time(|| SearchEngine::build_auto(&dataset, a.threads, Some(&probe)));
-        let (_, query_time) = time(|| engine.run(&workload));
+        let (auto, build_time) = time(|| {
+            let auto = AutoBackend::calibrated(&dataset, a.threads, &probe);
+            auto.prepare();
+            auto
+        });
+        let (_, query_time) = time(|| auto.run_workload(&workload));
         println!();
         println!(
             "calibrated routing of {} queries (build {:.3}s, query {:.3}s):",
@@ -470,28 +435,20 @@ fn run_explain(a: ExplainArgs) -> Result<(), String> {
             build_time.as_secs_f64(),
             query_time.as_secs_f64()
         );
-        for (name, count) in engine.plan_counts().unwrap_or_default() {
+        for (name, count) in auto.plan_counts() {
             println!("  {name:<12} {count}");
         }
-        explain_live_diff(&dataset, &workload, a.threads, &planner);
+        explain_live_diff(&auto, workload.len(), &planner);
     }
     Ok(())
 }
 
-/// The live-vs-static half of `explain`: replay the workload through a
-/// planner-driven backend with its observation grid recording, run one
-/// replan tick, and print every query class whose routing the measured
-/// multipliers changed — exactly what a serving daemon's first replan
-/// would do to the static table.
-fn explain_live_diff(dataset: &Dataset, workload: &Workload, threads: usize, statik: &Planner) {
-    let auto = AutoBackend::calibrated(
-        dataset,
-        threads,
-        &workload.prefix(workload.len().min(16)),
-    );
-    for q in &workload.queries {
-        let _ = auto.search_counting(&q.text, q.threshold);
-    }
+/// The live-vs-static half of `explain`: `auto` has just answered the
+/// workload with its observation grid recording; run one replan tick
+/// and print every query class whose routing the measured multipliers
+/// changed — exactly what a serving daemon's first replan would do to
+/// the static table.
+fn explain_live_diff(auto: &AutoBackend<'_>, replayed: usize, statik: &Planner) {
     println!();
     if !auto.replan() {
         println!(
@@ -511,15 +468,10 @@ fn explain_live_diff(dataset: &Dataset, workload: &Workload, threads: usize, sta
     println!(
         "live vs static plan after replaying {} queries: {} of {} \
          classes rerouted",
-        workload.len(),
+        replayed,
         changed.len(),
         statik.decisions().len()
     );
-    let len_label = |c: u8| match c {
-        0 => "short",
-        1 => "medium",
-        _ => "long",
-    };
     for (s, l) in changed {
         println!(
             "  {:<6} k={:<2} {} → {}",
@@ -535,13 +487,17 @@ fn explain_live_diff(dataset: &Dataset, workload: &Workload, threads: usize, sta
     }
 }
 
-/// One planner decision table, one row per query class.
-fn print_decision_table(snapshot: &StatsSnapshot, decisions: &[PlanDecision]) {
-    let len_label = |c: u8| match c {
+/// The row label of a planner length class.
+fn len_label(class: u8) -> &'static str {
+    match class {
         0 => "short",
         1 => "medium",
         _ => "long",
-    };
+    }
+}
+
+/// One planner decision table, one row per query class.
+fn print_decision_table(snapshot: &StatsSnapshot, decisions: &[PlanDecision]) {
     for decision in decisions {
         let repr = decision.class.representative_len(snapshot);
         let costs: Vec<String> = decision
@@ -569,20 +525,16 @@ fn explain_sharded(a: &ExplainArgs, dataset: &Dataset) -> Result<(), String> {
         }
         None => None,
     };
-    let backend = match &workload {
-        // With a workload on hand each shard's planner is calibrated
-        // against its prefix, matching what `search --shards` runs.
-        Some(w) => {
-            let probe = w.prefix(w.len().min(16));
-            ShardedBackend::calibrated_with(dataset, a.shards, a.shard_by, a.threads, &probe)
-        }
-        None => ShardedBackend::build(dataset, a.shards, a.shard_by, a.threads),
-    };
+    // With a workload on hand each shard's planner is calibrated
+    // against its prefix, matching what `search --shards` runs.
+    let prefix = workload.as_ref().map(|w| w.prefix(w.len().min(16)));
+    let probe = prefix.as_ref().map_or(Probe::Static, Probe::Workload);
+    let backend = ShardedBackend::with_probe(dataset, a.shards, a.shard_by, a.threads, probe);
     println!();
     println!(
         "sharded plan ({} shards, --shard-by {}):",
-        backend.shard_count(),
-        backend.shard_by().name()
+        a.shards,
+        a.shard_by.name()
     );
     for (i, diag) in backend.shard_diags().iter().enumerate() {
         let Some(plan) = &diag.plan else { continue };

@@ -1,31 +1,38 @@
-//! The unified `Backend` trait: one execution seam over every solution.
+//! The `Backend` trait: the one execution seam over every solution.
 //!
-//! Before this module, scan and index code paths were parallel
-//! universes — `SequentialScan` had one API, each index structure
-//! another, and every consumer (`SearchEngine`, the serving layer, the
-//! CLI, the benches) hard-wired its choice. [`Backend`] is the shared
-//! abstraction they all speak now: *prepare once, then answer
-//! threshold queries* — with provided methods for DP-cell counting,
-//! top-k deepening, workload execution under any executor, cost hints
-//! for the planner, and self-description for diagnostics.
+//! Scan rungs, index structures, the planner-routed [`AutoBackend`],
+//! the sharded composite and the live LSM engine all answer through
+//! [`Backend`]: *prepare once, then answer threshold queries*. What a
+//! consumer needs beyond that — DP-cell counting, top-k deepening,
+//! workload execution, and the capabilities only some engines have
+//! (replanning, calibration persistence, mutation) — are provided
+//! methods with no-op defaults, so the serving layer, the CLI and the
+//! benches hold one `dyn Backend` and never a typed side-handle.
 //!
-//! [`AutoBackend`] closes the loop: it consults a
-//! [`Planner`](crate::planner::Planner) per query and routes to the
-//! cheapest arm, counting every routing decision so serving metrics
-//! and bench JSON can report `plan_decisions`.
+//! [`AutoBackend`] is the one planner-routed type: it consults a
+//! [`Planner`] per query, routes to the cheapest arm, counts every
+//! routing decision and times every routed query so a replan tick can
+//! re-derive the decision table from live traffic. It holds its dataset
+//! borrowed (the unsharded engine) or owned (one shard of a
+//! [`crate::sharded::ShardedBackend`]).
 
+use crate::lsm::MutableBackend;
 use crate::planner::{
     static_cost, BackendChoice, CellSample, Observation, PlanDecision, Planner, QueryClass,
     MAX_K_CLASS, MIN_CELL_OBSERVATIONS, NUM_LEN_CLASSES,
 };
+use crate::sharded::ShardStats;
 use crate::topk;
 use simsearch_data::alphabet::{DNA_SYMBOLS, VOWEL_SYMBOLS};
-use simsearch_data::{Alphabet, Dataset, Match, MatchSet, StatsSnapshot, Workload};
+use simsearch_data::{
+    Alphabet, Dataset, Match, MatchSet, QueryRecord, SortedView, StatsSnapshot, Workload,
+};
 use simsearch_distance::KernelKind;
 use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter};
 use simsearch_index::{BkTree, LengthBuckets, QgramIndex, RadixTrie, SuffixIndex, Trie};
 use simsearch_parallel::{auto_strategy, run_queries, Strategy};
-use simsearch_scan::{SeqVariant, SequentialScan};
+use simsearch_scan::{v7_search_view, v8_search_view, SeqVariant, SequentialScan};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
@@ -60,86 +67,123 @@ pub struct PlanReport {
 
 /// One execution backend: prepare once, then answer threshold queries.
 ///
-/// Required methods are the per-query kernel ([`Backend::search`]), the
-/// planner hook ([`Backend::cost_hint`]) and self-description
-/// ([`Backend::diag`]). Everything else — cell counting, top-k
-/// deepening, workload execution — has defaults expressed in terms of
-/// those, which concrete backends override only when they can do
-/// better (the sorted scan counts DP cells; the scan rungs keep their
-/// paper-mandated scheduling).
+/// Required: the per-query kernel ([`Backend::search`]) and
+/// self-description ([`Backend::name`], [`Backend::diag`]). Everything
+/// else is provided. The capability hooks (`replan` … `as_mutable`)
+/// default to "this engine cannot do that", so a consumer calls them
+/// on any `dyn Backend` without knowing the concrete type; each method
+/// below names the caller that needs it.
 pub trait Backend: Send + Sync {
-    /// Human-readable name.
+    /// Human-readable name — bench labels, the CLI's report line and
+    /// per-shard `explain` headings.
     fn name(&self) -> String;
 
     /// Eagerly builds auxiliary state so the cost lands at build time,
-    /// not inside the first timed query. Idempotent; default no-op.
+    /// not inside the first timed query ([`crate::SearchEngine::build`]
+    /// and the daemon's startup call it). Idempotent; default no-op.
     fn prepare(&self) {}
 
-    /// Answers one threshold query.
+    /// Answers one threshold query — the seam every oracle compares.
     fn search(&self, query: &[u8], k: u32) -> MatchSet;
 
     /// Answers one query and reports DP cells computed, when the
-    /// backend counts them (0 otherwise).
+    /// backend counts them (0 otherwise) — the daemon's `QUERY` path,
+    /// feeding the `dp_cells` counter in `STATS`.
     fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
         (self.search(query, k), 0)
     }
 
     /// The `count` nearest records by iterative deepening (radius 0,
     /// then doubling, capped at `max_radius`), plus DP cells computed
-    /// across all probes.
+    /// across all probes — the daemon's `TOPK` path.
     fn search_top_k_with(
         &self,
         query: &[u8],
         count: usize,
         max_radius: u32,
     ) -> (Vec<Match>, u64) {
-        let mut cells = 0u64;
-        let matches = topk::search_top_k_with(
-            |radius| {
-                let (m, c) = self.search_counting(query, radius);
-                cells += c;
-                m
-            },
-            count,
-            max_radius,
-        );
-        (matches, cells)
+        deepen(|radius| self.search_counting(query, radius), count, max_radius)
     }
 
-    /// Estimated cost of one query under this backend, in the
-    /// planner's rough DP-cell units (lower is better).
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64;
-
-    /// Self-description for diagnostics and metrics.
+    /// Self-description for diagnostics: `explain` renders per-shard
+    /// decision tables from it, benches read structure sizes.
     fn diag(&self) -> BackendDiag;
 
     /// `(backend name, queries routed)` counters for planner-driven
     /// backends; `None` for fixed backends. Cheap (no decision-table
-    /// clone), so per-batch metrics publishing can call it freely.
+    /// clone): the daemon publishes it into `plan_decisions` after
+    /// every chunk, the CLI prints it after a search.
     fn plan_counts(&self) -> Option<Vec<(&'static str, u64)>> {
         None
     }
 
-    /// Per-shard lifetime statistics for sharded composites
-    /// ([`crate::sharded::ShardedBackend`]); `None` for single-arena
-    /// backends. Cheap (atomic loads), so per-batch metrics publishing
-    /// can call it freely.
-    fn shard_stats(&self) -> Option<Vec<crate::sharded::ShardStats>> {
+    /// Per-shard lifetime statistics for sharded composites; `None`
+    /// for single-arena backends. One read of each shard (atomic loads,
+    /// plus one lock per live shard): the daemon derives every
+    /// per-shard `STATS` entry from a single call per chunk.
+    fn shard_stats(&self) -> Option<Vec<ShardStats>> {
         None
     }
 
-    /// The executor [`Backend::run_workload`] uses by default.
+    /// One self-tuning tick: re-derives routing from the engine's own
+    /// live evidence and swaps it in atomically. Returns the number of
+    /// accepted swaps (summed over shards) — 0 for engines with nothing
+    /// to tune. The daemon's background replan loop calls it.
+    fn replan(&self) -> u64 {
+        0
+    }
+
+    /// Routing swaps since build (summed over shards): the daemon
+    /// mirrors it into `STATS` as `plan_epoch`.
+    fn plan_epoch(&self) -> u64 {
+        0
+    }
+
+    /// The current decision table of a single-planner engine, `None`
+    /// otherwise. Calibration persistence saves it at shutdown and
+    /// reads its snapshot and candidate set to validate a restore.
+    fn planner(&self) -> Option<Arc<Planner>> {
+        None
+    }
+
+    /// Atomically installs a replacement planner, bumping the plan
+    /// epoch; `false` when the engine has no planner or the candidate
+    /// sets differ. How a restarted daemon installs persisted
+    /// calibration.
+    fn set_planner(&self, _planner: Planner) -> bool {
+        false
+    }
+
+    /// Pooled observed nanoseconds per candidate arm of a
+    /// single-planner engine — the daemon's `arm_nanos` object in
+    /// `STATS`, the evidence the next replan derives multipliers from.
+    fn arm_nanos(&self) -> Option<Vec<(&'static str, u64)>> {
+        None
+    }
+
+    /// The engine's mutation surface when it accepts writes: the
+    /// daemon's `INSERT`/`DELETE` verbs and between-chunk compaction
+    /// reach it through here; `None` makes those verbs answer
+    /// "read-only" and refuses nothing else.
+    fn as_mutable(&self) -> Option<&dyn MutableBackend> {
+        None
+    }
+
+    /// The executor [`Backend::run_workload`]'s default uses: fixed
+    /// engines carry the scheduling their rung or flag prescribes.
     fn preferred_strategy(&self) -> Strategy {
         Strategy::Sequential
     }
 
-    /// Executes a whole workload (the quantity the paper times).
+    /// Executes a whole workload (the quantity the paper times) under
+    /// the engine's own scheduling — [`crate::SearchEngine::run`].
     fn run_workload(&self, workload: &Workload) -> Vec<MatchSet> {
         self.run_with_strategy(workload, self.preferred_strategy())
     }
 
     /// Executes a workload under an explicit executor, overriding the
-    /// backend's own scheduling. Results are identical to
+    /// backend's own scheduling (the executor ablations and the
+    /// benchmark's batch layer). Results are identical to
     /// [`Backend::run_workload`] for every strategy.
     fn run_with_strategy(&self, workload: &Workload, strategy: Strategy) -> Vec<MatchSet> {
         run_queries(strategy, workload.len(), |i| {
@@ -149,119 +193,111 @@ pub trait Backend: Send + Sync {
     }
 }
 
-/// Shared handles are backends too: an `Arc<T>` forwards every method
-/// (including the provided ones, so `T`'s overrides are never shadowed
-/// by the trait defaults). This is what lets a live engine be owned
-/// simultaneously by the serving layer's mutation path and a sharded
-/// composite's read fan-out without a bespoke wrapper per consumer.
-impl<T: Backend + ?Sized> Backend for std::sync::Arc<T> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
+/// Iterative deepening over any cell-counting threshold probe.
+fn deepen(
+    mut probe: impl FnMut(u32) -> (MatchSet, u64),
+    count: usize,
+    max_radius: u32,
+) -> (Vec<Match>, u64) {
+    let mut cells = 0u64;
+    let matches = topk::search_top_k_with(
+        |radius| {
+            let (m, c) = probe(radius);
+            cells += c;
+            m
+        },
+        count,
+        max_radius,
+    );
+    (matches, cells)
+}
 
-    fn prepare(&self) {
-        (**self).prepare()
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        (**self).search(query, k)
-    }
-
-    fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        (**self).search_counting(query, k)
-    }
-
-    fn search_top_k_with(
-        &self,
-        query: &[u8],
-        count: usize,
-        max_radius: u32,
-    ) -> (Vec<Match>, u64) {
-        (**self).search_top_k_with(query, count, max_radius)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        (**self).cost_hint(snapshot, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        (**self).diag()
-    }
-
-    fn plan_counts(&self) -> Option<Vec<(&'static str, u64)>> {
-        (**self).plan_counts()
-    }
-
-    fn shard_stats(&self) -> Option<Vec<crate::sharded::ShardStats>> {
-        (**self).shard_stats()
-    }
-
-    fn preferred_strategy(&self) -> Strategy {
-        (**self).preferred_strategy()
-    }
-
-    fn run_workload(&self, workload: &Workload) -> Vec<MatchSet> {
-        (**self).run_workload(workload)
-    }
-
-    fn run_with_strategy(&self, workload: &Workload, strategy: Strategy) -> Vec<MatchSet> {
-        (**self).run_with_strategy(workload, strategy)
+/// The frequency-filter alphabet that fits `dataset`: DNA symbols for
+/// DNA corpora, vowels otherwise (the paper's city-name choice).
+fn tracked_symbols(dataset: &Dataset) -> [u8; 5] {
+    let dna = Alphabet::dna();
+    if dataset.records().all(|r| dna.covers(r)) {
+        DNA_SYMBOLS
+    } else {
+        VOWEL_SYMBOLS
     }
 }
 
-/// A rung of the paper's sequential-scan ladder behind the trait.
+/// The standard filter chain for `dataset`: the length filter plus
+/// frequency vectors over [`tracked_symbols`].
+fn standard_chain(dataset: &Dataset) -> FilterChain {
+    FilterChain::new()
+        .push(LengthFilter::build(dataset))
+        .push(FrequencyFilter::build(dataset, tracked_symbols(dataset)))
+}
+
+/// What a [`ScanBackend`] sweeps with.
+#[derive(Clone, Copy)]
+enum Sweep {
+    /// A rung of the paper's ladder, under the rung's own scheduling.
+    Rung(SeqVariant),
+    /// The flat scan with an explicit kernel/executor pair (ablations).
+    Kernel(KernelKind, Strategy),
+}
+
+/// A sequential scan behind the trait: a rung of the paper's ladder
+/// (V7 and V8 included — they count DP cells through
+/// [`Backend::search_counting`]) or the flat scan with an explicit
+/// kernel/executor pair.
 pub struct ScanBackend<'a> {
     scan: SequentialScan<'a>,
-    variant: SeqVariant,
+    sweep: Sweep,
 }
 
 impl<'a> ScanBackend<'a> {
     /// Wraps a scan (possibly already prepared) at one rung.
     pub fn new(scan: SequentialScan<'a>, variant: SeqVariant) -> Self {
-        Self { scan, variant }
+        let sweep = Sweep::Rung(variant);
+        Self { scan, sweep }
+    }
+
+    /// Wraps a scan as the flat sweep with the given kernel and
+    /// executor.
+    pub fn with_kernel(scan: SequentialScan<'a>, kernel: KernelKind, strategy: Strategy) -> Self {
+        let sweep = Sweep::Kernel(kernel, strategy);
+        Self { scan, sweep }
     }
 }
 
 impl Backend for ScanBackend<'_> {
     fn name(&self) -> String {
-        format!("scan[{}]", self.variant.label())
+        match self.sweep {
+            Sweep::Rung(variant) => format!("scan[{}]", variant.label()),
+            Sweep::Kernel(kernel, strategy) => {
+                format!("scan[{}/{}]", kernel.name(), strategy.name())
+            }
+        }
     }
 
     fn prepare(&self) {
-        self.scan.prepare(self.variant);
+        if let Sweep::Rung(variant) = self.sweep {
+            self.scan.prepare(variant);
+        }
     }
 
     fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.scan.search_one(self.variant, query, k)
+        match self.sweep {
+            Sweep::Rung(variant) => self.scan.search_one(variant, query, k),
+            Sweep::Kernel(kernel, _) => self.scan.kernel_search(kernel, query, k),
+        }
     }
 
     fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        match self.variant {
-            SeqVariant::V7SortedPrefix => self.scan.v7_search(query, k),
-            SeqVariant::V8BitParallel => self.scan.v8_search(query, k),
+        match self.sweep {
+            Sweep::Rung(SeqVariant::V7SortedPrefix) => self.scan.v7_search(query, k),
+            Sweep::Rung(SeqVariant::V8BitParallel) => self.scan.v8_search(query, k),
             _ => (self.search(query, k), 0),
         }
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        let choice = match self.variant {
-            SeqVariant::V7SortedPrefix => BackendChoice::ScanSorted,
-            SeqVariant::V8BitParallel => BackendChoice::ScanBitParallel,
-            _ => BackendChoice::ScanFlat,
-        };
-        let base = static_cost(snapshot, choice, query_len, k);
-        match self.variant {
-            // The deliberately wasteful early rungs: no filters, naive
-            // full-matrix DP, per-comparison allocations.
-            SeqVariant::V1Base => base * 25.0,
-            SeqVariant::V2FastEd | SeqVariant::V3Borrowed => base * 4.0,
-            _ => base,
-        }
-    }
-
     fn diag(&self) -> BackendDiag {
-        let filters = match self.variant {
-            SeqVariant::V1Base => vec![],
+        let filters = match self.sweep {
+            Sweep::Rung(SeqVariant::V1Base) => vec![],
             _ => vec!["length"],
         };
         BackendDiag {
@@ -272,73 +308,14 @@ impl Backend for ScanBackend<'_> {
         }
     }
 
+    /// Each rung keeps exactly the scheduling the paper prescribes.
     fn preferred_strategy(&self) -> Strategy {
-        match self.variant {
-            SeqVariant::V5ThreadPerQuery => Strategy::ThreadPerQuery,
-            SeqVariant::V6Pool { threads } => Strategy::FixedPool { threads },
-            _ => Strategy::Sequential,
+        match self.sweep {
+            Sweep::Rung(SeqVariant::V5ThreadPerQuery) => Strategy::ThreadPerQuery,
+            Sweep::Rung(SeqVariant::V6Pool { threads }) => Strategy::FixedPool { threads },
+            Sweep::Rung(_) => Strategy::Sequential,
+            Sweep::Kernel(_, strategy) => strategy,
         }
-    }
-
-    fn run_workload(&self, workload: &Workload) -> Vec<MatchSet> {
-        // Delegate so each rung keeps exactly the scheduling the paper
-        // prescribes for it.
-        self.scan.run(self.variant, workload)
-    }
-}
-
-/// A flat scan with an explicit kernel/executor pair (ablations).
-pub struct KernelScanBackend<'a> {
-    scan: SequentialScan<'a>,
-    kernel: KernelKind,
-    strategy: Strategy,
-}
-
-impl<'a> KernelScanBackend<'a> {
-    /// Wraps a scan with the given kernel and executor.
-    pub fn new(scan: SequentialScan<'a>, kernel: KernelKind, strategy: Strategy) -> Self {
-        Self {
-            scan,
-            kernel,
-            strategy,
-        }
-    }
-}
-
-impl Backend for KernelScanBackend<'_> {
-    fn name(&self) -> String {
-        format!("scan[{}/{}]", self.kernel.name(), self.strategy.name())
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        let w = Workload {
-            queries: vec![simsearch_data::QueryRecord::new(query.to_vec(), k)],
-        };
-        self.scan
-            .run_with(self.kernel, Strategy::Sequential, &w)
-            .pop()
-            .expect("one query in, one result out")
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::ScanFlat, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: None,
-            filters: vec!["length"],
-            plan: None,
-        }
-    }
-
-    fn preferred_strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    fn run_with_strategy(&self, workload: &Workload, strategy: Strategy) -> Vec<MatchSet> {
-        self.scan.run_with(self.kernel, strategy, workload)
     }
 }
 
@@ -357,18 +334,9 @@ impl<'a> FilteredScanBackend<'a> {
     /// frequency vectors over DNA symbols (DNA corpora) or vowels (the
     /// paper's city-name choice).
     pub fn new(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        let dna = Alphabet::dna();
-        let tracked = if dataset.records().all(|r| dna.covers(r)) {
-            DNA_SYMBOLS
-        } else {
-            VOWEL_SYMBOLS
-        };
-        let chain = FilterChain::new()
-            .push(LengthFilter::build(dataset))
-            .push(FrequencyFilter::build(dataset, tracked));
         Self {
             scan: SequentialScan::new(dataset),
-            chain,
+            chain: standard_chain(dataset),
             strategy,
         }
     }
@@ -381,10 +349,6 @@ impl Backend for FilteredScanBackend<'_> {
 
     fn search(&self, query: &[u8], k: u32) -> MatchSet {
         self.scan.search_filtered(&self.chain, query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::ScanFlat, query_len, k)
     }
 
     fn diag(&self) -> BackendDiag {
@@ -405,408 +369,154 @@ impl Backend for FilteredScanBackend<'_> {
     }
 }
 
-/// The V7 sorted-prefix scan behind the trait, with DP-cell counting.
-pub struct SortedScanBackend<'a> {
-    scan: SequentialScan<'a>,
+/// One built index structure. Searches take the dataset at call time,
+/// so the same value serves a borrowing [`IndexBackend`] and a router
+/// that owns its dataset.
+enum Structure {
+    Trie(Trie),
+    Radix(RadixTrie),
+    Qgram(QgramIndex),
+    Buckets(LengthBuckets),
+    Suffix(SuffixIndex),
+    Bk(BkTree),
 }
 
-impl<'a> SortedScanBackend<'a> {
-    /// Wraps a scan; the sorted view is built by [`Backend::prepare`].
-    pub fn new(scan: SequentialScan<'a>) -> Self {
-        Self { scan }
-    }
-}
-
-impl Backend for SortedScanBackend<'_> {
-    fn name(&self) -> String {
-        "scan[sorted-prefix]".into()
-    }
-
-    fn prepare(&self) {
-        self.scan.prepare(SeqVariant::V7SortedPrefix);
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.scan.v7_search(query, k).0
-    }
-
-    fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        self.scan.v7_search(query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::ScanSorted, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: None,
-            filters: vec!["length"],
-            plan: None,
+impl Structure {
+    /// Modern-pruning search (the only mode the planner's arms use).
+    fn search(&self, dataset: &Dataset, query: &[u8], k: u32) -> MatchSet {
+        match self {
+            Structure::Trie(t) => t.search(query, k),
+            Structure::Radix(r) => r.search(query, k),
+            Structure::Qgram(q) => q.search(dataset, query, k),
+            Structure::Buckets(b) => b.search(dataset, query, k),
+            Structure::Suffix(s) => s.search(dataset, query, k),
+            Structure::Bk(t) => t.search(dataset, query, k),
         }
     }
 }
 
-/// The V8 bit-parallel sweep behind the trait: the sorted arena of V7,
-/// but with the DP column packed into Myers words and checkpointed at
-/// 64-cell block granularity, so resuming from the running LCP floor
-/// reuses whole words instead of scalar rows. DP-cell counts flow
-/// through [`Backend::search_counting`] in the same row-equivalent
-/// units V7 reports, keeping diagnostics comparable across rungs.
-pub struct BitParallelScanBackend<'a> {
-    scan: SequentialScan<'a>,
-}
-
-impl<'a> BitParallelScanBackend<'a> {
-    /// Wraps a scan; the sorted view is built by [`Backend::prepare`].
-    pub fn new(scan: SequentialScan<'a>) -> Self {
-        Self { scan }
-    }
-}
-
-impl Backend for BitParallelScanBackend<'_> {
-    fn name(&self) -> String {
-        "scan[bit-parallel]".into()
-    }
-
-    fn prepare(&self) {
-        self.scan.prepare(SeqVariant::V8BitParallel);
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.scan.v8_search(query, k).0
-    }
-
-    fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        self.scan.v8_search(query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::ScanBitParallel, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: None,
-            filters: vec!["length"],
-            plan: None,
-        }
-    }
-}
-
-/// The uncompressed prefix tree behind the trait.
-pub struct TrieBackend {
-    trie: Trie,
-    paper: bool,
-}
-
-impl TrieBackend {
-    /// Builds the trie; `paper` selects the paper's §4.1 pruning over
-    /// the modern banded descent.
-    pub fn build(dataset: &Dataset, paper: bool) -> Self {
-        Self {
-            trie: simsearch_index::trie::build(dataset),
-            paper,
-        }
-    }
-}
-
-impl Backend for TrieBackend {
-    fn name(&self) -> String {
-        format!(
-            "trie[{}]",
-            if self.paper { "paper" } else { "modern" }
-        )
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        if self.paper {
-            self.trie.search_paper(query, k)
-        } else {
-            self.trie.search(query, k)
-        }
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        let base = static_cost(snapshot, BackendChoice::Trie, query_len, k);
-        if self.paper {
-            base * 3.0 // full-width rows, prefix-condition-only pruning
-        } else {
-            base
-        }
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: Some((self.trie.node_count(), self.trie.memory_bytes())),
-            filters: vec!["length"],
-            plan: None,
-        }
-    }
-}
-
-/// The compressed (radix) tree behind the trait, optionally with
-/// frequency-vector annotations.
-pub struct RadixBackend {
-    radix: RadixTrie,
+/// Any of the workspace's index structures behind the trait: the
+/// paper's prefix trees (§4, with the paper's own pruning or the modern
+/// banded descent) and the baseline indexes (q-gram, length buckets,
+/// suffix array, BK-tree).
+pub struct IndexBackend<'a> {
+    dataset: &'a Dataset,
+    structure: Structure,
+    /// Prefix trees only: the paper's §4.1 pruning (full-width rows,
+    /// prefix condition) instead of the modern banded descent.
     paper: bool,
     strategy: Strategy,
-    freq: bool,
 }
 
-impl RadixBackend {
-    /// Builds the radix tree.
-    pub fn build(dataset: &Dataset, paper: bool, strategy: Strategy) -> Self {
+impl<'a> IndexBackend<'a> {
+    fn with(dataset: &'a Dataset, structure: Structure, paper: bool, strategy: Strategy) -> Self {
         Self {
-            radix: simsearch_index::radix::build(dataset),
+            dataset,
+            structure,
             paper,
             strategy,
-            freq: false,
         }
     }
 
-    /// Builds the radix tree with frequency vectors over the alphabet
-    /// that fits the data (§6 future work).
-    pub fn build_with_freq(dataset: &Dataset, strategy: Strategy) -> Self {
-        let dna = Alphabet::dna();
-        let tracked = if dataset.records().all(|r| dna.covers(r)) {
-            DNA_SYMBOLS
-        } else {
-            VOWEL_SYMBOLS
-        };
-        Self {
-            radix: simsearch_index::radix::build_with_freq(dataset, tracked),
-            paper: false,
-            strategy,
-            freq: true,
-        }
+    /// The uncompressed prefix tree; `paper` selects the paper's §4.1
+    /// pruning over the modern banded descent.
+    pub fn trie(dataset: &'a Dataset, paper: bool) -> Self {
+        let trie = simsearch_index::trie::build(dataset);
+        Self::with(dataset, Structure::Trie(trie), paper, Strategy::Sequential)
+    }
+
+    /// The compressed (radix) tree.
+    pub fn radix(dataset: &'a Dataset, paper: bool, strategy: Strategy) -> Self {
+        let radix = simsearch_index::radix::build(dataset);
+        Self::with(dataset, Structure::Radix(radix), paper, strategy)
+    }
+
+    /// The radix tree with frequency vectors over the alphabet that
+    /// fits the data (§6 future work).
+    pub fn radix_with_freq(dataset: &'a Dataset, strategy: Strategy) -> Self {
+        let radix = simsearch_index::radix::build_with_freq(dataset, tracked_symbols(dataset));
+        Self::with(dataset, Structure::Radix(radix), false, strategy)
+    }
+
+    /// The inverted q-gram index with gram size `q`.
+    pub fn qgram(dataset: &'a Dataset, q: usize, strategy: Strategy) -> Self {
+        let idx = QgramIndex::build(dataset, q);
+        Self::with(dataset, Structure::Qgram(idx), false, strategy)
+    }
+
+    /// The length-bucketed scan.
+    pub fn buckets(dataset: &'a Dataset, strategy: Strategy) -> Self {
+        let buckets = LengthBuckets::build(dataset);
+        Self::with(dataset, Structure::Buckets(buckets), false, strategy)
+    }
+
+    /// The suffix-array baseline.
+    pub fn suffix(dataset: &'a Dataset, strategy: Strategy) -> Self {
+        let idx = SuffixIndex::build(dataset);
+        Self::with(dataset, Structure::Suffix(idx), false, strategy)
+    }
+
+    /// The Burkhard–Keller metric tree.
+    pub fn bk(dataset: &'a Dataset, strategy: Strategy) -> Self {
+        let tree = BkTree::build(dataset);
+        Self::with(dataset, Structure::Bk(tree), false, strategy)
     }
 }
 
-impl Backend for RadixBackend {
+impl Backend for IndexBackend<'_> {
     fn name(&self) -> String {
-        let mode = if self.paper {
-            "paper"
-        } else if self.freq {
-            "freq"
-        } else {
-            "modern"
-        };
-        format!("radix[{mode}/{}]", self.strategy.name())
+        let strategy = self.strategy.name();
+        match &self.structure {
+            Structure::Trie(_) => {
+                format!("trie[{}]", if self.paper { "paper" } else { "modern" })
+            }
+            Structure::Radix(r) => {
+                let mode = if self.paper {
+                    "paper"
+                } else if r.has_freq_annotations() {
+                    "freq"
+                } else {
+                    "modern"
+                };
+                format!("radix[{mode}/{strategy}]")
+            }
+            Structure::Qgram(idx) => format!("qgram[q={}/{strategy}]", idx.q()),
+            Structure::Buckets(_) => format!("buckets[{strategy}]"),
+            Structure::Suffix(_) => format!("suffix-array[{strategy}]"),
+            Structure::Bk(_) => format!("bk-tree[{strategy}]"),
+        }
     }
 
     fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        if self.paper {
-            self.radix.search_paper(query, k)
-        } else {
-            self.radix.search(query, k)
-        }
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        let base = static_cost(snapshot, BackendChoice::Radix, query_len, k);
-        if self.paper {
-            base * 3.0
-        } else {
-            base
+        match &self.structure {
+            Structure::Trie(t) if self.paper => t.search_paper(query, k),
+            Structure::Radix(r) if self.paper => r.search_paper(query, k),
+            structure => structure.search(self.dataset, query, k),
         }
     }
 
     fn diag(&self) -> BackendDiag {
-        let mut filters = vec!["length"];
-        if self.freq {
-            filters.push("frequency");
-        }
+        let (structure, filters) = match &self.structure {
+            Structure::Trie(t) => ((t.node_count(), t.memory_bytes()), vec!["length"]),
+            Structure::Radix(r) => {
+                let mut filters = vec!["length"];
+                if r.has_freq_annotations() {
+                    filters.push("frequency");
+                }
+                ((r.node_count(), r.memory_bytes()), filters)
+            }
+            Structure::Qgram(idx) => (
+                (idx.distinct_grams(), idx.memory_bytes()),
+                vec!["qgram-count", "length"],
+            ),
+            Structure::Buckets(b) => ((b.bucket_count(), 0), vec!["length"]),
+            Structure::Suffix(s) => ((s.record_count(), s.memory_bytes()), vec!["length"]),
+            Structure::Bk(t) => ((t.node_count(), 0), vec!["triangle-inequality"]),
+        };
         BackendDiag {
             name: self.name(),
-            structure: Some((self.radix.node_count(), self.radix.memory_bytes())),
+            structure: Some(structure),
             filters,
-            plan: None,
-        }
-    }
-
-    fn preferred_strategy(&self) -> Strategy {
-        self.strategy
-    }
-}
-
-/// The inverted q-gram index behind the trait.
-pub struct QgramBackend<'a> {
-    dataset: &'a Dataset,
-    idx: QgramIndex,
-    q: usize,
-    strategy: Strategy,
-}
-
-impl<'a> QgramBackend<'a> {
-    /// Builds the index with gram size `q`.
-    pub fn build(dataset: &'a Dataset, q: usize, strategy: Strategy) -> Self {
-        Self {
-            dataset,
-            idx: QgramIndex::build(dataset, q),
-            q,
-            strategy,
-        }
-    }
-}
-
-impl Backend for QgramBackend<'_> {
-    fn name(&self) -> String {
-        format!("qgram[q={}/{}]", self.q, self.strategy.name())
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.idx.search(self.dataset, query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::Qgram, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: Some((self.idx.distinct_grams(), self.idx.memory_bytes())),
-            filters: vec!["qgram-count", "length"],
-            plan: None,
-        }
-    }
-
-    fn preferred_strategy(&self) -> Strategy {
-        self.strategy
-    }
-}
-
-/// The length-bucketed scan behind the trait.
-pub struct BucketsBackend<'a> {
-    dataset: &'a Dataset,
-    buckets: LengthBuckets,
-    strategy: Strategy,
-}
-
-impl<'a> BucketsBackend<'a> {
-    /// Builds the buckets.
-    pub fn build(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        Self {
-            dataset,
-            buckets: LengthBuckets::build(dataset),
-            strategy,
-        }
-    }
-}
-
-impl Backend for BucketsBackend<'_> {
-    fn name(&self) -> String {
-        format!("buckets[{}]", self.strategy.name())
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.buckets.search(self.dataset, query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::Buckets, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: Some((self.buckets.bucket_count(), 0)),
-            filters: vec!["length"],
-            plan: None,
-        }
-    }
-
-    fn preferred_strategy(&self) -> Strategy {
-        self.strategy
-    }
-}
-
-/// The suffix-array baseline behind the trait.
-pub struct SuffixBackend<'a> {
-    dataset: &'a Dataset,
-    idx: SuffixIndex,
-    strategy: Strategy,
-}
-
-impl<'a> SuffixBackend<'a> {
-    /// Builds the suffix index.
-    pub fn build(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        Self {
-            dataset,
-            idx: SuffixIndex::build(dataset),
-            strategy,
-        }
-    }
-}
-
-impl Backend for SuffixBackend<'_> {
-    fn name(&self) -> String {
-        format!("suffix-array[{}]", self.strategy.name())
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.idx.search(self.dataset, query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        // No dedicated model: approximate with the flat scan's shape.
-        static_cost(snapshot, BackendChoice::ScanFlat, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: Some((self.idx.record_count(), self.idx.memory_bytes())),
-            filters: vec!["length"],
-            plan: None,
-        }
-    }
-
-    fn preferred_strategy(&self) -> Strategy {
-        self.strategy
-    }
-}
-
-/// The Burkhard–Keller metric tree behind the trait.
-pub struct BkBackend<'a> {
-    dataset: &'a Dataset,
-    tree: BkTree,
-    strategy: Strategy,
-}
-
-impl<'a> BkBackend<'a> {
-    /// Builds the tree.
-    pub fn build(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        Self {
-            dataset,
-            tree: BkTree::build(dataset),
-            strategy,
-        }
-    }
-}
-
-impl Backend for BkBackend<'_> {
-    fn name(&self) -> String {
-        format!("bk-tree[{}]", self.strategy.name())
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.tree.search(self.dataset, query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::BkTree, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: Some((self.tree.node_count(), 0)),
-            filters: vec!["triangle-inequality"],
             plan: None,
         }
     }
@@ -858,15 +568,9 @@ pub struct ObservationGrid {
     topk: [AtomicCell; BackendChoice::COUNT],
 }
 
-impl Default for ObservationGrid {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ObservationGrid {
     /// An empty grid covering every query class.
-    pub fn new() -> Self {
+    fn new() -> Self {
         let rows = NUM_LEN_CLASSES * (MAX_K_CLASS as usize + 1);
         Self {
             cells: (0..rows)
@@ -933,9 +637,54 @@ impl ObservationGrid {
     }
 }
 
+/// How a planner-driven engine calibrates at build time — the third
+/// argument of [`crate::engine::build_backend_with`].
+#[derive(Debug, Clone, Copy)]
+pub enum Probe<'w> {
+    /// No probe: purely static, deterministic planning.
+    Static,
+    /// [`AutoBackend::default_probe`] drawn from the engine's own
+    /// records (each shard's own, when sharded) — long-lived consumers
+    /// with no workload in hand, i.e. the serving daemon.
+    Default,
+    /// The caller's workload (the CLI and the benches calibrate on a
+    /// prefix of the queries they are about to run).
+    Workload(&'w Workload),
+}
+
+impl<'w> Probe<'w> {
+    /// The probe workload for `dataset`; empty means static planning.
+    fn resolve(self, dataset: &Dataset) -> Cow<'w, Workload> {
+        match self {
+            Probe::Static => Cow::Owned(Workload::default()),
+            Probe::Default => Cow::Owned(AutoBackend::default_probe(dataset)),
+            Probe::Workload(w) => Cow::Borrowed(w),
+        }
+    }
+}
+
+/// One built candidate arm of the router. Every variant either owns its
+/// structure or (the two sorted-arena sweeps) reads the router's shared
+/// [`SortedView`]; all take the dataset at call time, which is what
+/// lets the router own its dataset without self-reference.
+enum Arm {
+    /// Flat scan through the unified filter chain.
+    ScanFlat(FilterChain),
+    /// V7 sorted-prefix scan over the router's sorted view.
+    ScanSorted,
+    /// V8 bit-parallel sweep over the same view.
+    ScanBitParallel,
+    /// An index structure (modern pruning; q = 2 for the q-gram index).
+    Index(Structure),
+}
+
 /// The planner-driven backend: consults a [`Planner`] per query and
 /// routes to the cheapest arm, counting every decision.
 ///
+/// The dataset is held borrowed ([`AutoBackend::new`],
+/// [`AutoBackend::calibrated`] — the unsharded engine) or owned
+/// ([`AutoBackend::owned`], [`AutoBackend::fixed`] — one shard of a
+/// [`crate::sharded::ShardedBackend`], the `'static` instantiation).
 /// Arms are built lazily (a candidate the decision table never picks
 /// costs nothing); [`Backend::prepare`] forces every *chosen* arm so
 /// no build lands inside a timed query. All arms return byte-identical
@@ -948,14 +697,19 @@ impl ObservationGrid {
 /// while queries are in flight: the hot path copies the decision out
 /// under a read lock and never holds it across an arm call. Every
 /// routed query is timed into an [`ObservationGrid`]; [`AutoBackend::replan`]
-/// closes the loop.
+/// closes the loop. Shards of a composite each own one of these, so a
+/// shard of short city names and a shard of long reads accumulate
+/// different evidence and replan to different tables.
 pub struct AutoBackend<'a> {
-    dataset: &'a Dataset,
+    dataset: Cow<'a, Dataset>,
     threads: usize,
     planner: RwLock<Arc<Planner>>,
     plan_epoch: AtomicU64,
     grid: ObservationGrid,
-    arms: [OnceLock<Box<dyn Backend + 'a>>; BackendChoice::COUNT],
+    /// The one sorted view (permutation + remapped arena + LCP) both
+    /// sorted-arena arms sweep.
+    sorted: OnceLock<SortedView>,
+    arms: [OnceLock<Arm>; BackendChoice::COUNT],
     counters: [AtomicU64; BackendChoice::COUNT],
 }
 
@@ -975,9 +729,7 @@ impl<'a> AutoBackend<'a> {
     /// Builds an auto backend with purely static (deterministic)
     /// planning over the default candidates.
     pub fn new(dataset: &'a Dataset, threads: usize) -> Self {
-        let snapshot = StatsSnapshot::compute(dataset);
-        let planner = Planner::new(snapshot, &Self::DEFAULT_CANDIDATES);
-        Self::with_planner(dataset, threads, planner)
+        Self::calibrated(dataset, threads, &Workload::default())
     }
 
     /// Builds an auto backend and calibrates the planner with a
@@ -987,29 +739,68 @@ impl<'a> AutoBackend<'a> {
     /// and excluded from query timing. An empty probe yields static
     /// planning.
     pub fn calibrated(dataset: &'a Dataset, threads: usize, probe: &Workload) -> Self {
-        let snapshot = StatsSnapshot::compute(dataset);
-        if probe.queries.is_empty() {
-            let planner = Planner::new(snapshot, &Self::DEFAULT_CANDIDATES);
-            return Self::with_planner(dataset, threads, planner);
-        }
-        let uncalibrated = Self::with_planner(
+        Self::build(
+            Cow::Borrowed(dataset),
+            threads,
+            &Self::DEFAULT_CANDIDATES,
+            probe,
+        )
+    }
+
+    /// [`AutoBackend::calibrated`] on the workload `probe` names — what
+    /// the engine factory calls.
+    pub fn with_probe(dataset: &'a Dataset, threads: usize, probe: Probe<'_>) -> Self {
+        Self::calibrated(dataset, threads, &probe.resolve(dataset))
+    }
+
+    /// The owned instantiation: the router takes its dataset with it
+    /// (a shard of a composite), calibrating as `probe` says.
+    pub fn owned(dataset: Dataset, probe: Probe<'_>) -> AutoBackend<'static> {
+        let probe = probe.resolve(&dataset);
+        AutoBackend::build(Cow::Owned(dataset), 1, &Self::DEFAULT_CANDIDATES, &probe)
+    }
+
+    /// An owned router with a single candidate: every query routes to
+    /// `choice` (pins a shard to one arm).
+    pub fn fixed(dataset: Dataset, choice: BackendChoice) -> AutoBackend<'static> {
+        AutoBackend::build(Cow::Owned(dataset), 1, &[choice], &Workload::default())
+    }
+
+    fn build(
+        dataset: Cow<'a, Dataset>,
+        threads: usize,
+        candidates: &[BackendChoice],
+        probe: &Workload,
+    ) -> Self {
+        let snapshot = StatsSnapshot::compute(&dataset);
+        let auto = Self {
             dataset,
             threads,
-            Planner::new(snapshot.clone(), &Self::DEFAULT_CANDIDATES),
-        );
+            planner: RwLock::new(Arc::new(Planner::new(snapshot.clone(), candidates))),
+            plan_epoch: AtomicU64::new(0),
+            grid: ObservationGrid::new(),
+            sorted: OnceLock::new(),
+            arms: std::array::from_fn(|_| OnceLock::new()),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+        };
+        if probe.queries.is_empty() {
+            return auto;
+        }
         let mut observations = Vec::new();
-        for &choice in &Self::DEFAULT_CANDIDATES {
-            let arm = uncalibrated.arm(choice);
+        for &choice in candidates {
             // One untimed pass warms lazy state (and caches), then two
             // timed per-query passes measure steady-state cost; the
             // planner groups the timings by query class, so the static
             // model's shape error is corrected class by class instead
-            // of with one arm-wide ratio.
-            let _ = arm.run_with_strategy(probe, Strategy::Sequential);
+            // of with one arm-wide ratio. The probes call the arm
+            // directly: routing counters and the grid stay untouched.
+            for q in &probe.queries {
+                let _ = auto.probe_arm(choice, &q.text, q.threshold);
+            }
             for _ in 0..2 {
                 for q in &probe.queries {
-                    let started = std::time::Instant::now();
-                    let _ = arm.search(&q.text, q.threshold);
+                    let started = Instant::now();
+                    let _ = auto.probe_arm(choice, &q.text, q.threshold);
                     observations.push(Observation {
                         choice,
                         query_len: q.text.len(),
@@ -1019,29 +810,14 @@ impl<'a> AutoBackend<'a> {
                 }
             }
         }
-        let planner =
-            Planner::with_observations(snapshot, &Self::DEFAULT_CANDIDATES, &observations);
-        // Keep the arms the probe already built. Build-time calibration
-        // is the epoch-0 baseline, not a replan — the epoch counts
-        // serving-time swaps only.
-        let auto = uncalibrated;
-        *auto.planner.write().expect("planner lock") = Arc::new(planner);
-        for counter in &auto.counters {
-            counter.store(0, Ordering::Relaxed);
-        }
+        // Build-time calibration is the epoch-0 baseline, not a replan
+        // — the epoch counts serving-time swaps only.
+        *auto.planner.write().expect("planner lock") = Arc::new(Planner::with_observations(
+            snapshot,
+            candidates,
+            &observations,
+        ));
         auto
-    }
-
-    fn with_planner(dataset: &'a Dataset, threads: usize, planner: Planner) -> Self {
-        Self {
-            dataset,
-            threads,
-            planner: RwLock::new(Arc::new(planner)),
-            plan_epoch: AtomicU64::new(0),
-            grid: ObservationGrid::new(),
-            arms: std::array::from_fn(|_| OnceLock::new()),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
     }
 
     /// The current planner (for `explain` and tests) — a cheap shared
@@ -1049,14 +825,6 @@ impl<'a> AutoBackend<'a> {
     /// table behind an existing handle.
     pub fn planner(&self) -> Arc<Planner> {
         self.planner.read().expect("planner lock").clone()
-    }
-
-    /// How many times the decision table has been swapped since build:
-    /// 0 until the first [`AutoBackend::set_planner`] /
-    /// [`AutoBackend::replan`], whether or not the build-time probe
-    /// calibrated the baseline.
-    pub fn plan_epoch(&self) -> u64 {
-        self.plan_epoch.load(Ordering::Relaxed)
     }
 
     /// The live latency registry this backend records into.
@@ -1075,24 +843,6 @@ impl<'a> AutoBackend<'a> {
             .collect()
     }
 
-    /// Atomically installs a replacement planner and bumps the plan
-    /// epoch. Refuses (returns `false`) when the candidate set differs
-    /// from the current one: counters, metrics label sets, and the
-    /// lazily built arms are all keyed by the candidate list fixed at
-    /// build time. This is how a restarted daemon installs persisted
-    /// calibration — which is why the epoch starts above 0 after a
-    /// successful restore.
-    pub fn set_planner(&self, planner: Planner) -> bool {
-        let mut slot = self.planner.write().expect("planner lock");
-        if planner.candidates() != slot.candidates() {
-            return false;
-        }
-        *slot = Arc::new(planner);
-        drop(slot);
-        self.plan_epoch.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
     /// One self-tuning tick: re-derives per-(arm, class) multipliers
     /// from the grid's live observations and swaps the fresh decision
     /// table in. Returns `false` without swapping when no cell has
@@ -1107,10 +857,7 @@ impl<'a> AutoBackend<'a> {
             &self.grid.topk_samples(),
             MIN_CELL_OBSERVATIONS,
         );
-        if !next.is_calibrated() {
-            return false;
-        }
-        self.set_planner(next)
+        next.is_calibrated() && self.set_planner(next)
     }
 
     /// A small deterministic probe workload drawn from the dataset
@@ -1128,10 +875,7 @@ impl<'a> AutoBackend<'a> {
             let k = (mean / 10).clamp(1, 8) as u32;
             for i in 0..count {
                 let id = (i * n / count) as u32;
-                queries.push(simsearch_data::QueryRecord::new(
-                    dataset.get(id).to_vec(),
-                    k,
-                ));
+                queries.push(QueryRecord::new(dataset.get(id).to_vec(), k));
             }
         }
         Workload { queries }
@@ -1147,61 +891,81 @@ impl<'a> AutoBackend<'a> {
             .collect()
     }
 
-    fn arm(&self, choice: BackendChoice) -> &dyn Backend {
-        self.arms[choice.index()]
-            .get_or_init(|| {
-                let arm: Box<dyn Backend + 'a> = match choice {
-                    BackendChoice::ScanFlat => Box::new(FilteredScanBackend::new(
-                        self.dataset,
-                        Strategy::Sequential,
-                    )),
-                    BackendChoice::ScanSorted => {
-                        Box::new(SortedScanBackend::new(SequentialScan::new(self.dataset)))
-                    }
-                    BackendChoice::ScanBitParallel => Box::new(BitParallelScanBackend::new(
-                        SequentialScan::new(self.dataset),
-                    )),
-                    BackendChoice::Trie => Box::new(TrieBackend::build(self.dataset, false)),
-                    BackendChoice::Radix => {
-                        Box::new(RadixBackend::build(self.dataset, false, Strategy::Sequential))
-                    }
-                    BackendChoice::Qgram => {
-                        Box::new(QgramBackend::build(self.dataset, 2, Strategy::Sequential))
-                    }
-                    BackendChoice::Buckets => {
-                        Box::new(BucketsBackend::build(self.dataset, Strategy::Sequential))
-                    }
-                    BackendChoice::BkTree => {
-                        Box::new(BkBackend::build(self.dataset, Strategy::Sequential))
-                    }
-                };
-                arm.prepare();
-                arm
-            })
-            .as_ref()
+    fn sorted_view(&self) -> &SortedView {
+        self.sorted.get_or_init(|| SortedView::build(&self.dataset))
+    }
+
+    fn arm(&self, choice: BackendChoice) -> &Arm {
+        self.arms[choice.index()].get_or_init(|| {
+            let dataset: &Dataset = &self.dataset;
+            match choice {
+                BackendChoice::ScanFlat => Arm::ScanFlat(standard_chain(dataset)),
+                BackendChoice::ScanSorted => {
+                    self.sorted_view();
+                    Arm::ScanSorted
+                }
+                BackendChoice::ScanBitParallel => {
+                    self.sorted_view();
+                    Arm::ScanBitParallel
+                }
+                BackendChoice::Trie => {
+                    Arm::Index(Structure::Trie(simsearch_index::trie::build(dataset)))
+                }
+                BackendChoice::Radix => {
+                    Arm::Index(Structure::Radix(simsearch_index::radix::build(dataset)))
+                }
+                BackendChoice::Qgram => Arm::Index(Structure::Qgram(QgramIndex::build(dataset, 2))),
+                BackendChoice::Buckets => {
+                    Arm::Index(Structure::Buckets(LengthBuckets::build(dataset)))
+                }
+                BackendChoice::BkTree => Arm::Index(Structure::Bk(BkTree::build(dataset))),
+            }
+        })
+    }
+
+    /// One threshold probe through `choice`'s arm (built on first use),
+    /// bypassing the planner, the counters and the grid.
+    fn probe_arm(&self, choice: BackendChoice, query: &[u8], k: u32) -> (MatchSet, u64) {
+        let dataset: &Dataset = &self.dataset;
+        match self.arm(choice) {
+            // `SequentialScan::new` allocates nothing (lazy internals),
+            // and `search_filtered` touches only the borrowed dataset —
+            // constructing one per call is free.
+            Arm::ScanFlat(chain) => (
+                SequentialScan::new(dataset).search_filtered(chain, query, k),
+                0,
+            ),
+            Arm::ScanSorted => v7_search_view(self.sorted_view(), query, k),
+            Arm::ScanBitParallel => v8_search_view(self.sorted_view(), query, k),
+            Arm::Index(structure) => (structure.search(dataset, query, k), 0),
+        }
     }
 }
 
 impl Backend for AutoBackend<'_> {
+    /// `auto[..]` when the dataset is borrowed, `shard-auto[..]` when
+    /// owned, `shard[<arm>]` for a one-candidate router.
     fn name(&self) -> String {
-        format!(
-            "auto[{}]",
-            if self.planner().is_calibrated() {
-                "calibrated"
-            } else {
-                "static"
-            }
-        )
+        let planner = self.planner();
+        if let [only] = planner.candidates() {
+            return format!("shard[{}]", only.name());
+        }
+        let family = match self.dataset {
+            Cow::Borrowed(_) => "auto",
+            Cow::Owned(_) => "shard-auto",
+        };
+        let mode = if planner.is_calibrated() {
+            "calibrated"
+        } else {
+            "static"
+        };
+        format!("{family}[{mode}]")
     }
 
     fn prepare(&self) {
         // Force every arm the decision table can actually pick.
-        let mut chosen: Vec<BackendChoice> = self
-            .planner()
-            .decisions()
-            .iter()
-            .map(|d| d.chosen)
-            .collect();
+        let mut chosen: Vec<BackendChoice> =
+            self.planner().decisions().iter().map(|d| d.chosen).collect();
         chosen.sort_by_key(|c| c.index());
         chosen.dedup();
         for choice in chosen {
@@ -1217,18 +981,39 @@ impl Backend for AutoBackend<'_> {
         // Copy the decision out under the read lock; never hold the
         // lock across the arm call, or a replan tick would stall behind
         // the slowest in-flight query.
-        let (chosen, class, predicted) = {
+        let (chosen, class, predicted, pruned) = {
             let planner = self.planner.read().expect("planner lock");
             let chosen = planner.decide(query.len(), k).chosen;
+            let snapshot = planner.snapshot();
+            // Dataset-level length prune: ed(q, x) ≥ ||q| − |x||, so
+            // when the dataset's entire length band lies outside
+            // |q| ± k no record can match and the arm probe is skipped.
+            // Under `ShardBy::Len` a shard's band is narrow, which
+            // turns a fan-out into a near-miss for most shards; over a
+            // whole dataset or a `ShardBy::Hash` shard the band is the
+            // full length range and this rarely fires. The routing
+            // counter below still ticks — the planner decided, the
+            // length bound answered.
+            let (ql, kk) = (query.len() as u64, u64::from(k));
+            let pruned = snapshot.records == 0
+                || ql + kk < u64::from(snapshot.min_len)
+                || ql.saturating_sub(kk) > u64::from(snapshot.max_len);
             (
                 chosen,
-                QueryClass::of(planner.snapshot(), query.len(), k),
-                static_cost(planner.snapshot(), chosen, query.len(), k),
+                QueryClass::of(snapshot, query.len(), k),
+                static_cost(snapshot, chosen, query.len(), k),
+                pruned,
             )
         };
         self.counters[chosen.index()].fetch_add(1, Ordering::Relaxed);
+        if pruned {
+            // The arm never ran, so nothing is recorded: a pruned query
+            // says nothing about the arm's cost curve, and folding its
+            // ~0 ns in would drag the multipliers toward zero.
+            return (MatchSet::default(), 0);
+        }
         let started = Instant::now();
-        let answer = self.arm(chosen).search_counting(query, k);
+        let answer = self.probe_arm(chosen, query, k);
         self.grid
             .record(class, chosen, started.elapsed().as_nanos() as u64, predicted);
         answer
@@ -1254,18 +1039,14 @@ impl Backend for AutoBackend<'_> {
         };
         self.counters[chosen.index()].fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let answer = self.arm(chosen).search_top_k_with(query, count, max_radius);
+        let answer = deepen(
+            |radius| self.probe_arm(chosen, query, radius),
+            count,
+            max_radius,
+        );
         self.grid
             .record_topk(chosen, started.elapsed().as_nanos() as u64, predicted);
         answer
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        self.planner()
-            .candidates()
-            .iter()
-            .map(|&c| static_cost(snapshot, c, query_len, k))
-            .fold(f64::INFINITY, f64::min)
     }
 
     fn diag(&self) -> BackendDiag {
@@ -1287,14 +1068,38 @@ impl Backend for AutoBackend<'_> {
         Some(AutoBackend::plan_counts(self))
     }
 
-    fn preferred_strategy(&self) -> Strategy {
-        if self.threads > 1 {
-            Strategy::FixedPool {
-                threads: self.threads,
-            }
-        } else {
-            Strategy::Sequential
+    fn replan(&self) -> u64 {
+        u64::from(AutoBackend::replan(self))
+    }
+
+    /// 0 until the first accepted [`Backend::set_planner`] /
+    /// [`AutoBackend::replan`], whether or not the build-time probe
+    /// calibrated the baseline.
+    fn plan_epoch(&self) -> u64 {
+        self.plan_epoch.load(Ordering::Relaxed)
+    }
+
+    fn planner(&self) -> Option<Arc<Planner>> {
+        Some(AutoBackend::planner(self))
+    }
+
+    /// Refuses a candidate set that differs from the current one:
+    /// counters, metrics label sets, and the lazily built arms are all
+    /// keyed by the candidate list fixed at build time. A successful
+    /// restore is why a restarted daemon's epoch starts above 0.
+    fn set_planner(&self, planner: Planner) -> bool {
+        let mut slot = self.planner.write().expect("planner lock");
+        if planner.candidates() != slot.candidates() {
+            return false;
         }
+        *slot = Arc::new(planner);
+        drop(slot);
+        self.plan_epoch.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    fn arm_nanos(&self) -> Option<Vec<(&'static str, u64)>> {
+        Some(self.observed_arm_nanos())
     }
 
     fn run_workload(&self, workload: &Workload) -> Vec<MatchSet> {
@@ -1305,7 +1110,6 @@ impl Backend for AutoBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simsearch_data::QueryRecord;
 
     fn dataset() -> Dataset {
         Dataset::from_records([
@@ -1337,18 +1141,26 @@ mod tests {
         let backends: Vec<Box<dyn Backend + '_>> = vec![
             Box::new(ScanBackend::new(SequentialScan::new(&ds), SeqVariant::V4Flat)),
             Box::new(FilteredScanBackend::new(&ds, Strategy::Sequential)),
-            Box::new(SortedScanBackend::new(SequentialScan::new(&ds))),
-            Box::new(BitParallelScanBackend::new(SequentialScan::new(&ds))),
-            Box::new(TrieBackend::build(&ds, true)),
-            Box::new(TrieBackend::build(&ds, false)),
-            Box::new(RadixBackend::build(&ds, false, Strategy::Sequential)),
-            Box::new(RadixBackend::build_with_freq(&ds, Strategy::Sequential)),
-            Box::new(QgramBackend::build(&ds, 2, Strategy::Sequential)),
-            Box::new(BucketsBackend::build(&ds, Strategy::Sequential)),
-            Box::new(SuffixBackend::build(&ds, Strategy::Sequential)),
-            Box::new(BkBackend::build(&ds, Strategy::Sequential)),
+            Box::new(ScanBackend::new(
+                SequentialScan::new(&ds),
+                SeqVariant::V7SortedPrefix,
+            )),
+            Box::new(ScanBackend::new(
+                SequentialScan::new(&ds),
+                SeqVariant::V8BitParallel,
+            )),
+            Box::new(IndexBackend::trie(&ds, true)),
+            Box::new(IndexBackend::trie(&ds, false)),
+            Box::new(IndexBackend::radix(&ds, false, Strategy::Sequential)),
+            Box::new(IndexBackend::radix_with_freq(&ds, Strategy::Sequential)),
+            Box::new(IndexBackend::qgram(&ds, 2, Strategy::Sequential)),
+            Box::new(IndexBackend::buckets(&ds, Strategy::Sequential)),
+            Box::new(IndexBackend::suffix(&ds, Strategy::Sequential)),
+            Box::new(IndexBackend::bk(&ds, Strategy::Sequential)),
             Box::new(AutoBackend::new(&ds, 1)),
             Box::new(AutoBackend::calibrated(&ds, 2, &w)),
+            Box::new(AutoBackend::owned(ds.clone(), Probe::Static)),
+            Box::new(AutoBackend::owned(ds.clone(), Probe::Workload(&w))),
         ];
         for b in &backends {
             b.prepare();
@@ -1366,6 +1178,39 @@ mod tests {
                     strategy.name()
                 );
             }
+        }
+        // The owned instantiation is the same router: identical static
+        // decision tables, answers and routing counts.
+        let borrowed = AutoBackend::new(&ds, 1);
+        let owned = AutoBackend::owned(ds.clone(), Probe::Static);
+        assert_eq!(borrowed.planner().decisions(), owned.planner().decisions());
+        for q in &w.queries {
+            assert_eq!(
+                borrowed.search_counting(&q.text, q.threshold),
+                owned.search_counting(&q.text, q.threshold)
+            );
+            assert_eq!(
+                borrowed.search_top_k_with(&q.text, 3, 8),
+                owned.search_top_k_with(&q.text, 3, 8)
+            );
+        }
+        assert_eq!(borrowed.plan_counts(), owned.plan_counts());
+    }
+
+    #[test]
+    fn a_one_candidate_router_is_named_after_its_arm() {
+        let ds = dataset();
+        let w = workload();
+        let expected = oracle(&ds, &w);
+        for choice in BackendChoice::ALL {
+            let fixed = AutoBackend::fixed(ds.clone(), choice);
+            assert_eq!(fixed.name(), format!("shard[{}]", choice.name()));
+            assert_eq!(fixed.run_workload(&w), expected, "{}", choice.name());
+            assert_eq!(
+                fixed.plan_counts(),
+                vec![(choice.name(), w.len() as u64)],
+                "every query routes to the only candidate"
+            );
         }
     }
 
@@ -1441,7 +1286,7 @@ mod tests {
     #[test]
     fn sorted_scan_counts_cells() {
         let ds = dataset();
-        let sorted = SortedScanBackend::new(SequentialScan::new(&ds));
+        let sorted = ScanBackend::new(SequentialScan::new(&ds), SeqVariant::V7SortedPrefix);
         sorted.prepare();
         let (_, cells) = sorted.search_counting(b"Berlin", 2);
         assert!(cells > 0);
@@ -1450,12 +1295,15 @@ mod tests {
     #[test]
     fn diag_reports_structures_and_filters() {
         let ds = dataset();
-        let radix = RadixBackend::build(&ds, false, Strategy::Sequential);
+        let radix = IndexBackend::radix(&ds, false, Strategy::Sequential);
         let d = radix.diag();
         assert!(d.structure.unwrap().0 > 1);
         assert_eq!(d.filters, vec!["length"]);
         assert!(d.plan.is_none());
+        let (nodes, bytes) = IndexBackend::trie(&ds, true).diag().structure.unwrap();
+        assert!(nodes > 1 && bytes > 0);
         let filtered = FilteredScanBackend::new(&ds, Strategy::Sequential);
         assert_eq!(filtered.diag().filters, vec!["length", "frequency"]);
+        assert!(filtered.diag().structure.is_none(), "scans own no structure");
     }
 }

@@ -1,17 +1,17 @@
 //! The unified search engine: every solution of the paper (and every
 //! extension) behind one build/search interface.
 //!
-//! Since the planner refactor the engine is a thin veneer over the
-//! [`Backend`](crate::backend::Backend) trait: `build` maps an
-//! [`EngineKind`] to one trait object, and every engine method
-//! delegates. Scan and index code paths are no longer parallel
-//! universes — the serving layer, the CLI, and the benches all run the
-//! same `Backend` methods the engine does.
+//! [`build_backend_with`] is the one factory: it maps an
+//! [`EngineKind`] (plus, for planner-driven kinds, a calibration
+//! [`Probe`]) to one [`Backend`] trait object, and the serving layer,
+//! the CLI and the benches all build through it. [`SearchEngine`] is
+//! the thin workload runner over that object — build, prepare, run —
+//! that the paper-protocol call sites use.
 
 use crate::backend::{
-    AutoBackend, Backend, BackendDiag, BkBackend, BucketsBackend, KernelScanBackend,
-    QgramBackend, RadixBackend, ScanBackend, SuffixBackend, TrieBackend,
+    AutoBackend, Backend, BackendDiag, IndexBackend, Probe, ScanBackend,
 };
+use crate::lsm::{LiveEngine, LsmConfig};
 use crate::sharded::{ShardBy, ShardedBackend};
 use simsearch_data::{Dataset, MatchSet, Workload};
 use simsearch_distance::KernelKind;
@@ -108,18 +108,15 @@ pub enum EngineKind {
     /// Planner-driven backend selection: a
     /// [`Planner`](crate::planner::Planner) built from the dataset's
     /// statistics routes each query to the cheapest candidate backend.
-    /// This variant plans statically (deterministically); use
-    /// [`SearchEngine::build_auto`] to add a calibration probe.
+    /// Calibrated as the factory's [`Probe`] says (static by default).
     Auto {
         /// Worker threads for workload execution (1 = sequential).
         threads: usize,
     },
     /// Partitioned execution: the dataset is split into shards, each
     /// with its own planner-driven backend over its own statistics;
-    /// queries fan out and per-shard results are k-way merged. This
-    /// variant plans each shard statically (deterministically); the
-    /// serving layer uses [`ShardedBackend::calibrated`] for measured
-    /// per-shard routing.
+    /// queries fan out and per-shard results are k-way merged. Every
+    /// shard calibrates as the factory's [`Probe`] says.
     Sharded {
         /// Number of shards (clamped to ≥ 1).
         shards: usize,
@@ -128,7 +125,7 @@ pub enum EngineKind {
         /// Worker threads for fan-out and workload execution.
         threads: usize,
     },
-    /// Live ingest: an LSM-shaped [`LiveEngine`](crate::lsm::LiveEngine)
+    /// Live ingest: an LSM-shaped [`LiveEngine`]
     /// (append-only memtable + tombstones in front of immutable V7
     /// segments) seeded from the dataset. Mutable — the serving
     /// layer's `--live` mode.
@@ -137,7 +134,7 @@ pub enum EngineKind {
         memtable_cap: usize,
     },
     /// Sharded live ingest: [`ShardedBackend::live`] — every shard a
-    /// [`LiveEngine`](crate::lsm::LiveEngine), inserts routed by
+    /// [`LiveEngine`], inserts routed by
     /// content hash from one global id space, deletes routed to the
     /// owning shard. The serving layer's `--live --shards N` mode.
     /// Validate with [`EngineKind::validate`] before building: the
@@ -157,7 +154,7 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Checks constraints that [`build_backend`] would otherwise panic
+    /// Checks constraints that [`build_backend_with`] would otherwise panic
     /// on — currently only [`EngineKind::ShardedLive`] has any (the
     /// `len` partitioner with ≥ 2 shards, a zero memtable cap, > 256
     /// shards). Callers that build from untrusted input (the CLI, the
@@ -172,12 +169,12 @@ impl EngineKind {
             } => {
                 // Probe-build on an empty dataset: `ShardedBackend::live`
                 // owns the real rules; this just runs them early.
-                crate::sharded::ShardedBackend::live(
+                ShardedBackend::live(
                     &Dataset::new(),
                     shards,
                     by,
                     threads,
-                    crate::lsm::LsmConfig { memtable_cap },
+                    LsmConfig { memtable_cap },
                 )
                 .map(|_| ())
             }
@@ -219,46 +216,51 @@ impl EngineKind {
     }
 }
 
-/// Maps an [`EngineKind`] to its trait-object backend (the single
-/// factory every consumer goes through).
-pub fn build_backend<'a>(dataset: &'a Dataset, kind: EngineKind) -> Box<dyn Backend + 'a> {
+/// The one factory: maps an [`EngineKind`] to its trait-object backend.
+/// `probe` says how the planner-driven kinds ([`EngineKind::Auto`],
+/// [`EngineKind::Sharded`]) calibrate; every other kind ignores it.
+pub fn build_backend_with<'a>(
+    dataset: &'a Dataset,
+    kind: EngineKind,
+    probe: Probe<'_>,
+) -> Box<dyn Backend + 'a> {
     match kind {
         EngineKind::Scan(v) => Box::new(ScanBackend::new(SequentialScan::new(dataset), v)),
-        EngineKind::ScanCustom { kernel, strategy } => Box::new(KernelScanBackend::new(
+        EngineKind::ScanCustom { kernel, strategy } => Box::new(ScanBackend::with_kernel(
             SequentialScan::new(dataset),
             kernel,
             strategy,
         )),
         EngineKind::Index(v) | EngineKind::IndexModern(v) => {
             let paper = matches!(kind, EngineKind::Index(_));
-            match v {
-                IdxVariant::I1BaseTrie => Box::new(TrieBackend::build(dataset, paper)),
+            Box::new(match v {
+                IdxVariant::I1BaseTrie => IndexBackend::trie(dataset, paper),
                 IdxVariant::I2Compressed => {
-                    Box::new(RadixBackend::build(dataset, paper, Strategy::Sequential))
+                    IndexBackend::radix(dataset, paper, Strategy::Sequential)
                 }
-                IdxVariant::I3Pool { threads } => Box::new(RadixBackend::build(
-                    dataset,
-                    paper,
-                    Strategy::FixedPool { threads },
-                )),
-            }
+                IdxVariant::I3Pool { threads } => {
+                    IndexBackend::radix(dataset, paper, Strategy::FixedPool { threads })
+                }
+            })
         }
         EngineKind::RadixFreq { strategy } => {
-            Box::new(RadixBackend::build_with_freq(dataset, strategy))
+            Box::new(IndexBackend::radix_with_freq(dataset, strategy))
         }
-        EngineKind::Qgram { q, strategy } => Box::new(QgramBackend::build(dataset, q, strategy)),
-        EngineKind::Buckets { strategy } => Box::new(BucketsBackend::build(dataset, strategy)),
-        EngineKind::Suffix { strategy } => Box::new(SuffixBackend::build(dataset, strategy)),
-        EngineKind::Bk { strategy } => Box::new(BkBackend::build(dataset, strategy)),
-        EngineKind::Auto { threads } => Box::new(AutoBackend::new(dataset, threads)),
+        EngineKind::Qgram { q, strategy } => Box::new(IndexBackend::qgram(dataset, q, strategy)),
+        EngineKind::Buckets { strategy } => Box::new(IndexBackend::buckets(dataset, strategy)),
+        EngineKind::Suffix { strategy } => Box::new(IndexBackend::suffix(dataset, strategy)),
+        EngineKind::Bk { strategy } => Box::new(IndexBackend::bk(dataset, strategy)),
+        EngineKind::Auto { threads } => Box::new(AutoBackend::with_probe(dataset, threads, probe)),
         EngineKind::Sharded {
             shards,
             by,
             threads,
-        } => Box::new(ShardedBackend::build(dataset, shards, by, threads)),
-        EngineKind::Live { memtable_cap } => Box::new(crate::lsm::LiveEngine::from_dataset(
+        } => Box::new(ShardedBackend::with_probe(
+            dataset, shards, by, threads, probe,
+        )),
+        EngineKind::Live { memtable_cap } => Box::new(LiveEngine::from_dataset(
             dataset,
-            crate::lsm::LsmConfig { memtable_cap },
+            LsmConfig { memtable_cap },
         )),
         EngineKind::ShardedLive {
             shards,
@@ -268,21 +270,20 @@ pub fn build_backend<'a>(dataset: &'a Dataset, kind: EngineKind) -> Box<dyn Back
         } => Box::new(
             // Panics on an invalid combination; run `EngineKind::validate`
             // first when the kind comes from untrusted input.
-            ShardedBackend::live(
-                dataset,
-                shards,
-                by,
-                threads,
-                crate::lsm::LsmConfig { memtable_cap },
-            )
-            .expect("invalid ShardedLive configuration (EngineKind::validate catches this)"),
+            ShardedBackend::live(dataset, shards, by, threads, LsmConfig { memtable_cap })
+                .expect("invalid ShardedLive configuration (EngineKind::validate catches this)"),
         ),
     }
 }
 
-/// A built search engine over one dataset.
+/// [`build_backend_with`] under static (deterministic) planning.
+pub fn build_backend<'a>(dataset: &'a Dataset, kind: EngineKind) -> Box<dyn Backend + 'a> {
+    build_backend_with(dataset, kind, Probe::Static)
+}
+
+/// A built and prepared backend plus the kind it was built from: the
+/// thin workload runner the benches and the paper-protocol tests use.
 pub struct SearchEngine<'a> {
-    dataset: &'a Dataset,
     kind: EngineKind,
     backend: Box<dyn Backend + 'a>,
 }
@@ -293,54 +294,28 @@ impl<'a> SearchEngine<'a> {
     /// the benchmarks — [`Backend::prepare`] runs now, so no auxiliary
     /// structure is built inside the first timed query).
     pub fn build(dataset: &'a Dataset, kind: EngineKind) -> Self {
-        let backend = build_backend(dataset, kind);
-        backend.prepare();
-        Self {
-            dataset,
-            kind,
-            backend,
-        }
+        Self::build_with(dataset, kind, Probe::Static)
     }
 
-    /// Builds a planner-driven engine, optionally calibrating the
-    /// planner with a micro-probe workload (run through every
-    /// candidate backend at build time — like index construction, the
-    /// cost is excluded from query timing). Without a probe this is
-    /// `build(dataset, EngineKind::Auto { threads })`.
+    /// [`SearchEngine::build`] with an explicit calibration probe for
+    /// the planner-driven kinds (run through every candidate arm at
+    /// build time — like index construction, the cost is excluded from
+    /// query timing).
+    fn build_with(dataset: &'a Dataset, kind: EngineKind, probe: Probe<'_>) -> Self {
+        let backend = build_backend_with(dataset, kind, probe);
+        backend.prepare();
+        Self { kind, backend }
+    }
+
+    /// Builds a planner-driven engine, calibrated on `probe` when one
+    /// is given and statically planned otherwise.
     pub fn build_auto(
         dataset: &'a Dataset,
         threads: usize,
         probe: Option<&Workload>,
     ) -> Self {
-        let backend: Box<dyn Backend + 'a> = match probe {
-            Some(p) => Box::new(AutoBackend::calibrated(dataset, threads, p)),
-            None => Box::new(AutoBackend::new(dataset, threads)),
-        };
-        backend.prepare();
-        Self {
-            dataset,
-            kind: EngineKind::Auto { threads },
-            backend,
-        }
-    }
-
-    /// Wraps a pre-built [`SequentialScan`] as a scan engine without
-    /// rebuilding its auxiliary structures — the serving layer's entry
-    /// point: the daemon calls [`SequentialScan::prepare`] once at
-    /// startup and every subsequent request reuses the prepared state
-    /// (owned copies, sorted view) across its whole lifetime.
-    ///
-    /// `prepare(variant)` is still invoked here (it is idempotent), so a
-    /// caller that forgot to prepare pays the cost now rather than in
-    /// the first query.
-    pub fn from_scan(scan: SequentialScan<'a>, variant: SeqVariant) -> Self {
-        scan.prepare(variant);
-        let dataset = scan.dataset();
-        Self {
-            dataset,
-            kind: EngineKind::Scan(variant),
-            backend: Box::new(ScanBackend::new(scan, variant)),
-        }
+        let probe = probe.map_or(Probe::Static, Probe::Workload);
+        Self::build_with(dataset, EngineKind::Auto { threads }, probe)
     }
 
     /// The engine's kind.
@@ -353,14 +328,9 @@ impl<'a> SearchEngine<'a> {
         self.kind.name()
     }
 
-    /// The dataset this engine searches.
-    pub fn dataset(&self) -> &Dataset {
-        self.dataset
-    }
-
-    /// The backend behind the engine (the serving layer and `explain`
-    /// reach trait-level methods — cell counting, top-k, diagnostics —
-    /// through this).
+    /// The backend behind the engine (`explain` and the top-k tests
+    /// reach trait-level methods — cell counting, top-k, the capability
+    /// hooks — through this).
     pub fn backend(&self) -> &dyn Backend {
         self.backend.as_ref()
     }
@@ -376,10 +346,8 @@ impl<'a> SearchEngine<'a> {
     }
 
     /// Executes a workload under an explicit executor, overriding
-    /// whatever scheduling the engine kind implies. The serving layer's
-    /// micro-batches go through here: the batch scheduler picks the
-    /// strategy per batch (sequential for tiny batches, pooled for
-    /// large ones) regardless of which rung answers the queries.
+    /// whatever scheduling the engine kind implies (the executor
+    /// ablations and the benchmark's batch layer).
     ///
     /// Results are identical to [`SearchEngine::run`] for every kind.
     pub fn run_with_strategy(&self, workload: &Workload, strategy: Strategy) -> Vec<MatchSet> {
@@ -390,12 +358,6 @@ impl<'a> SearchEngine<'a> {
     /// filter names, and — for auto engines — the recorded plan).
     pub fn diag(&self) -> BackendDiag {
         self.backend.diag()
-    }
-
-    /// Index-structure statistics, when the backend has a structure
-    /// (`(node or posting count, approximate bytes)`).
-    pub fn index_stats(&self) -> Option<(usize, usize)> {
-        self.backend.diag().structure
     }
 
     /// `(backend name, queries routed)` counters, when the engine is
@@ -530,32 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn from_scan_reuses_prepared_state_and_agrees() {
-        let ds = dataset();
-        let workload = Workload {
-            queries: vec![
-                QueryRecord::new("Berlin", 2),
-                QueryRecord::new("Ulm", 1),
-                QueryRecord::new("", 0),
-            ],
-        };
-        let reference = SearchEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
-        let expected = reference.run(&workload);
-        for v in [
-            SeqVariant::V4Flat,
-            SeqVariant::V7SortedPrefix,
-            SeqVariant::V1Base,
-        ] {
-            let scan = simsearch_scan::SequentialScan::new(&ds);
-            scan.prepare(v);
-            let engine = SearchEngine::from_scan(scan, v);
-            assert_eq!(engine.kind(), EngineKind::Scan(v));
-            assert_eq!(engine.run(&workload), expected, "variant {v:?}");
-            assert_eq!(engine.dataset().len(), ds.len());
-        }
-    }
-
-    #[test]
     fn run_with_strategy_matches_run_for_every_engine() {
         let ds = dataset();
         let workload = Workload {
@@ -586,14 +522,52 @@ mod tests {
     }
 
     #[test]
-    fn index_stats_present_only_for_structures() {
+    fn capability_hooks_follow_the_kind() {
         let ds = dataset();
-        let scan = SearchEngine::build(&ds, EngineKind::Scan(SeqVariant::V4Flat));
-        assert!(scan.index_stats().is_none());
-        let trie = SearchEngine::build(&ds, EngineKind::Index(IdxVariant::I1BaseTrie));
-        let (nodes, bytes) = trie.index_stats().unwrap();
-        assert!(nodes > 1);
-        assert!(bytes > 0);
+        for kind in all_kinds() {
+            let engine = SearchEngine::build(&ds, kind);
+            let backend = engine.backend();
+            let name = engine.name();
+            match kind {
+                EngineKind::Live { .. } | EngineKind::ShardedLive { .. } => {
+                    let writer = backend.as_mutable().expect("live kinds accept writes");
+                    let id = writer.insert(b"Ulmer");
+                    assert_eq!(id as usize, ds.len(), "{name}: ids continue after the seed");
+                    assert_eq!(backend.search(b"Ulmer", 0).ids(), vec![id], "{name}");
+                }
+                EngineKind::Auto { .. } | EngineKind::Sharded { .. } => {
+                    assert!(backend.as_mutable().is_none(), "{name}");
+                    assert_eq!(backend.replan(), 0, "{name}: thin grids refuse the swap");
+                    assert_eq!(backend.plan_epoch(), 0, "{name}");
+                    for _ in 0..crate::planner::MIN_CELL_OBSERVATIONS {
+                        for q in ["Berlin", "Ulm", "B"] {
+                            let _ = backend.search(q.as_bytes(), 1);
+                        }
+                    }
+                    // One tick swaps at most once per shard, and the
+                    // composite reports the sum over its shards.
+                    let swapped = backend.replan();
+                    let shards = match kind {
+                        EngineKind::Sharded { shards, .. } => shards as u64,
+                        _ => 1,
+                    };
+                    assert!((1..=shards).contains(&swapped), "{name}: {swapped}");
+                    assert_eq!(backend.plan_epoch(), swapped, "{name}");
+                    assert_eq!(
+                        backend.planner().is_some(),
+                        shards == 1 && matches!(kind, EngineKind::Auto { .. }),
+                        "{name}: only the single-planner engine hands its table out"
+                    );
+                }
+                _ => {
+                    assert_eq!(backend.replan(), 0, "{name}");
+                    assert_eq!(backend.plan_epoch(), 0, "{name}");
+                    assert!(backend.as_mutable().is_none(), "{name}");
+                    assert!(backend.planner().is_none(), "{name}");
+                    assert!(backend.arm_nanos().is_none(), "{name}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,19 +4,21 @@
 //! every solution the paper evaluates, plus the measurement and
 //! verification machinery its methodology prescribes.
 //!
-//! * [`backend`] — the unified [`backend::Backend`] trait: one
-//!   execution seam over every scan rung and index structure, plus the
-//!   planner-driven [`backend::AutoBackend`];
+//! * [`backend`] — the [`backend::Backend`] trait: the one execution
+//!   seam over every scan rung, index structure and composite, with
+//!   capability hooks (replan, calibration, mutation) defaulting to
+//!   no-ops, plus the one planner-routed type, [`backend::AutoBackend`];
 //! * [`planner`] — the adaptive [`planner::Planner`]: cost hints from
 //!   dataset statistics, one explainable [`planner::PlanDecision`] per
 //!   query class;
 //! * [`calibration`] — persistence bridge for measured cost models:
 //!   a calibrated [`planner::Planner`] round-trips through the index
 //!   dump's calibration section, invalidated on dataset drift;
-//! * [`engine`] — [`engine::SearchEngine`] builds and runs any solution:
-//!   each scan rung (§3), each index rung (§4), and the extension
-//!   engines (frequency-annotated radix tree, q-gram index, length
-//!   buckets);
+//! * [`engine`] — [`engine::build_backend_with`], the one factory from
+//!   an [`engine::EngineKind`] to a backend (each scan rung (§3), each
+//!   index rung (§4), the extension engines, the planner, shards, live
+//!   ingest), and [`engine::SearchEngine`], the thin workload runner
+//!   over it;
 //! * [`verify`] — cross-validation of engines against a reference
 //!   (§3.7 / §4.4 correctness methodology);
 //! * [`experiment`] — wall-clock measurement of 100/500/1,000-query
@@ -51,17 +53,17 @@ pub mod topk;
 pub mod verify;
 
 pub use backend::{
-    AutoBackend, Backend, BackendDiag, FilteredScanBackend, ObservationGrid, PlanReport,
-    QgramBackend, RadixBackend, SortedScanBackend,
+    AutoBackend, Backend, BackendDiag, FilteredScanBackend, IndexBackend, ObservationGrid,
+    PlanReport, Probe,
 };
 pub use calibration::{
     load_calibration, planner_from_record, planner_to_record, save_calibration,
 };
-pub use engine::{build_backend, EngineKind, IdxVariant, SearchEngine};
+pub use engine::{build_backend, build_backend_with, EngineKind, IdxVariant, SearchEngine};
 pub use lsm::{LiveEngine, LiveStats, LsmConfig, MutableBackend, SegmentArm};
 pub use sharded::{
-    merge_match_sets, partition_ids, remap_to_global, route_record, ShardAutoBackend, ShardBy,
-    ShardStats, ShardedBackend,
+    merge_match_sets, partition_ids, remap_to_global, route_record, ShardBy, ShardStats,
+    ShardedBackend,
 };
 pub use planner::{
     BackendChoice, CellSample, CostEstimate, Observation, PlanDecision, Planner, QueryClass,

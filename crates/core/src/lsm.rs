@@ -52,9 +52,8 @@
 //! remove the frozen prefix or restructure the segment list under it.
 
 use crate::backend::{Backend, BackendDiag};
-use crate::planner::{static_cost, BackendChoice};
 use crate::sharded::{merge_match_sets, remap_to_global};
-use simsearch_data::{Dataset, MatchSet, RecordId, SortedView, StatsSnapshot};
+use simsearch_data::{Dataset, MatchSet, RecordId, SortedView};
 use simsearch_scan::{flat_search_where, v7_search_view, v8_search_view};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -65,8 +64,9 @@ use std::sync::{Arc, Mutex, RwLock};
 ///
 /// [`LiveEngine`] is the primitive implementation; a
 /// [`crate::sharded::ShardedBackend`] built with live shards implements
-/// it too, routing each mutation to the owning shard. Consumers hold an
-/// `Arc<dyn MutableBackend>` and stay agnostic of the shard count.
+/// it too, routing each mutation to the owning shard. Consumers reach
+/// it through [`Backend::as_mutable`] and stay agnostic of the shard
+/// count.
 pub trait MutableBackend: Backend {
     /// Appends one record and returns its global id. Ids are assigned
     /// from one dense, monotone, never-reused space — across every
@@ -100,7 +100,7 @@ pub trait MutableBackend: Backend {
     /// engines. When `Some`, the entries sum field-wise to
     /// [`MutableBackend::live_stats`].
     fn live_shard_stats(&self) -> Option<Vec<LiveStats>> {
-        None
+        self.shard_stats()?.iter().map(|s| s.live).collect()
     }
 }
 
@@ -341,11 +341,6 @@ impl LiveEngine {
         }
         engine.inserts.store(seeded, Ordering::Relaxed);
         engine
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> LsmConfig {
-        self.cfg
     }
 
     /// Appends one record to the memtable and returns its global id.
@@ -606,15 +601,6 @@ impl LiveEngine {
         }
     }
 
-    /// Runs [`LiveEngine::maybe_compact`] until no step is due.
-    pub fn compact_to_quiescence(&self) -> u64 {
-        let mut steps = 0;
-        while self.maybe_compact() {
-            steps += 1;
-        }
-        steps
-    }
-
     /// The kernel segments currently answer with.
     pub fn segment_arm(&self) -> SegmentArm {
         SegmentArm::from_u8(self.plan.load(Ordering::Relaxed))
@@ -694,12 +680,6 @@ impl Backend for LiveEngine {
         self.search_snapshot(query, k)
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        // The bulk of the data lives in sorted segments; the memtable
-        // rides on top as a small flat surcharge.
-        static_cost(snapshot, BackendChoice::ScanSorted, query_len, k)
-    }
-
     fn diag(&self) -> BackendDiag {
         let stats = self.stats();
         let inner = self.inner.read().expect("lsm lock");
@@ -716,6 +696,18 @@ impl Backend for LiveEngine {
             plan: None,
         }
     }
+
+    fn replan(&self) -> u64 {
+        u64::from(LiveEngine::replan(self))
+    }
+
+    fn plan_epoch(&self) -> u64 {
+        LiveEngine::plan_epoch(self)
+    }
+
+    fn as_mutable(&self) -> Option<&dyn MutableBackend> {
+        Some(self)
+    }
 }
 
 impl MutableBackend for LiveEngine {
@@ -729,10 +721,6 @@ impl MutableBackend for LiveEngine {
 
     fn maybe_compact(&self) -> bool {
         LiveEngine::maybe_compact(self)
-    }
-
-    fn compact_to_quiescence(&self) -> u64 {
-        LiveEngine::compact_to_quiescence(self)
     }
 
     fn live_stats(&self) -> LiveStats {

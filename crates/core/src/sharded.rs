@@ -4,9 +4,10 @@
 //! arena; production datasets outgrow one arena. This module partitions
 //! a dataset into `S` shards ([`ShardBy::Len`] length bands or
 //! [`ShardBy::Hash`] content hashing), gives each shard its own
-//! [`Backend`] — a [`ShardAutoBackend`], a planner-driven router that
-//! *owns* its shard and calibrates against that shard's own
-//! [`StatsSnapshot`] — fans each query out across shards via
+//! [`Backend`] — the owned instantiation of [`AutoBackend`], the
+//! planner-driven router, which takes its shard with it and calibrates
+//! against that shard's own statistics — fans each query out across
+//! shards via
 //! `simsearch_parallel`, and unions the per-shard [`MatchSet`]s with a
 //! k-way merge ([`merge_match_sets`]) after remapping shard-local ids
 //! back to global ids ([`remap_to_global`]).
@@ -18,29 +19,20 @@
 //! increasing, so a remapped shard-local result is already a sorted run
 //! and the union is a classic k-way merge of disjoint sorted lists.
 
-use crate::backend::{AutoBackend, Backend, BackendDiag, ObservationGrid, PlanReport};
+use crate::backend::{AutoBackend, Backend, BackendDiag, Probe};
 use crate::lsm::{LiveEngine, LiveStats, LsmConfig, MutableBackend};
-use crate::planner::{
-    static_cost, BackendChoice, Observation, Planner, QueryClass, MIN_CELL_OBSERVATIONS,
-};
-use simsearch_data::alphabet::{DNA_SYMBOLS, VOWEL_SYMBOLS};
-use simsearch_data::{
-    Alphabet, Dataset, Match, MatchSet, RecordId, SortedView, StatsSnapshot, Workload,
-};
-use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter};
-use simsearch_index::{BkTree, LengthBuckets, QgramIndex, RadixTrie, Trie};
+use crate::planner::BackendChoice;
+use simsearch_data::{Dataset, Match, MatchSet, RecordId, Workload};
 use simsearch_parallel::{auto_strategy, run_queries, Strategy};
-use simsearch_scan::{v7_search_view, v8_search_view, SequentialScan};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Instant;
+use std::sync::Mutex;
 
 /// How records are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardBy {
     /// Contiguous length bands: records sorted by `(length, id)` and cut
     /// into `S` equal chunks, so each shard holds a narrow length range
-    /// and its planner sees a genuinely different [`StatsSnapshot`].
+    /// and its planner sees a genuinely different statistics snapshot.
     Len,
     /// FNV-1a content hash modulo `S`: statistically uniform shards with
     /// near-identical snapshots (the load-balancing choice).
@@ -169,380 +161,60 @@ pub fn merge_match_sets(parts: &[MatchSet]) -> MatchSet {
     MatchSet::from_unsorted(out)
 }
 
-/// One candidate execution arm over an *owned* shard dataset.
-///
-/// Unlike the borrowing arms in [`crate::backend`], every variant here
-/// either owns its structure outright or takes the dataset as a
-/// call-time argument — which is what lets a shard own its dataset and
-/// its backend in one struct without self-reference.
-enum ShardArm {
-    /// Flat scan through the unified filter chain.
-    ScanFlat(FilterChain),
-    /// V7 sorted-prefix scan over an owned sorted view.
-    ScanSorted(SortedView),
-    /// V8 bit-parallel sweep over an owned sorted view.
-    ScanBitParallel(SortedView),
-    /// Uncompressed prefix tree (modern pruning).
-    Trie(Trie),
-    /// Compressed (radix) tree (modern pruning).
-    Radix(RadixTrie),
-    /// Inverted q-gram index (q = 2, the planner's choice).
-    Qgram(QgramIndex),
-    /// Length-bucketed scan.
-    Buckets(LengthBuckets),
-    /// Burkhard–Keller metric tree.
-    Bk(BkTree),
+/// What a shard searches with, and with it how its result ids map back
+/// to the global id space.
+enum ShardEngine {
+    /// Frozen shard: an owned planner-routed backend answering in
+    /// shard-local ids; local id `i` ↔ `globals[i]`, the strictly
+    /// increasing table [`partition_ids`] produced.
+    Frozen {
+        router: Box<AutoBackend<'static>>,
+        globals: Vec<RecordId>,
+    },
+    /// Live shard: the engine was seeded with this shard's slice of the
+    /// global space and every insert carries a centrally allocated id,
+    /// so it answers in global ids already.
+    Live(LiveEngine),
 }
 
-impl ShardArm {
-    fn build(dataset: &Dataset, choice: BackendChoice) -> Self {
-        match choice {
-            BackendChoice::ScanFlat => {
-                let dna = Alphabet::dna();
-                let tracked = if dataset.records().all(|r| dna.covers(r)) {
-                    DNA_SYMBOLS
-                } else {
-                    VOWEL_SYMBOLS
-                };
-                ShardArm::ScanFlat(
-                    FilterChain::new()
-                        .push(LengthFilter::build(dataset))
-                        .push(FrequencyFilter::build(dataset, tracked)),
-                )
-            }
-            BackendChoice::ScanSorted => ShardArm::ScanSorted(SortedView::build(dataset)),
-            BackendChoice::ScanBitParallel => {
-                ShardArm::ScanBitParallel(SortedView::build(dataset))
-            }
-            BackendChoice::Trie => ShardArm::Trie(simsearch_index::trie::build(dataset)),
-            BackendChoice::Radix => ShardArm::Radix(simsearch_index::radix::build(dataset)),
-            BackendChoice::Qgram => ShardArm::Qgram(QgramIndex::build(dataset, 2)),
-            BackendChoice::Buckets => ShardArm::Buckets(LengthBuckets::build(dataset)),
-            BackendChoice::BkTree => ShardArm::Bk(BkTree::build(dataset)),
-        }
-    }
-
-    fn search_counting(&self, dataset: &Dataset, query: &[u8], k: u32) -> (MatchSet, u64) {
-        match self {
-            // `SequentialScan::new` allocates nothing (lazy internals),
-            // and `search_filtered` touches only the borrowed dataset —
-            // constructing one per call is free.
-            ShardArm::ScanFlat(chain) => (
-                SequentialScan::new(dataset).search_filtered(chain, query, k),
-                0,
-            ),
-            ShardArm::ScanSorted(sv) => v7_search_view(sv, query, k),
-            ShardArm::ScanBitParallel(sv) => v8_search_view(sv, query, k),
-            ShardArm::Trie(t) => (t.search(query, k), 0),
-            ShardArm::Radix(r) => (r.search(query, k), 0),
-            ShardArm::Qgram(q) => (q.search(dataset, query, k), 0),
-            ShardArm::Buckets(b) => (b.search(dataset, query, k), 0),
-            ShardArm::Bk(t) => (t.search(dataset, query, k), 0),
-        }
-    }
-}
-
-/// A planner-driven backend that *owns* its (shard) dataset.
-///
-/// The sharded composite needs `Box<dyn Backend>` per shard, and the
-/// borrowing [`AutoBackend`] cannot outlive a dataset owned by a
-/// sibling field — so this is its owned twin: same candidate set, same
-/// decision table, same calibration protocol, but every arm is an
-/// owned [`ShardArm`]. Also usable stand-alone with a single fixed
-/// candidate ([`ShardAutoBackend::fixed`]) to pin a shard to one arm.
-/// Like [`AutoBackend`], the planner lives behind an `RwLock<Arc<..>>`
-/// so a replan tick can swap each shard's decision table independently
-/// while its queries are in flight, and every routed probe is timed
-/// into the shard's own [`ObservationGrid`] — a memtable-heavy shard
-/// and a freshly-flushed neighbour accumulate different evidence and
-/// replan to different tables.
-pub struct ShardAutoBackend {
-    dataset: Dataset,
-    planner: RwLock<Arc<Planner>>,
-    plan_epoch: AtomicU64,
-    grid: ObservationGrid,
-    arms: [OnceLock<ShardArm>; BackendChoice::COUNT],
-    counters: [AtomicU64; BackendChoice::COUNT],
-}
-
-impl ShardAutoBackend {
-    /// Builds with purely static (deterministic) planning over
-    /// [`AutoBackend::DEFAULT_CANDIDATES`].
-    pub fn new(dataset: Dataset) -> Self {
-        let snapshot = StatsSnapshot::compute(&dataset);
-        let planner = Planner::new(snapshot, &AutoBackend::DEFAULT_CANDIDATES);
-        Self::with_planner(dataset, planner)
-    }
-
-    /// Builds with a single fixed arm: the planner has one candidate,
-    /// so every query routes to `choice`.
-    pub fn fixed(dataset: Dataset, choice: BackendChoice) -> Self {
-        let snapshot = StatsSnapshot::compute(&dataset);
-        let planner = Planner::new(snapshot, &[choice]);
-        Self::with_planner(dataset, planner)
-    }
-
-    /// Builds and calibrates against `probe` with the same protocol as
-    /// [`AutoBackend::calibrated`]: one untimed warm pass per arm, then
-    /// two timed per-query passes feeding [`Observation`]s grouped by
-    /// query class. An empty probe yields static planning.
-    pub fn calibrated(dataset: Dataset, probe: &Workload) -> Self {
-        let auto = Self::new(dataset);
-        if probe.queries.is_empty() {
-            return auto;
-        }
-        let mut observations = Vec::new();
-        for &choice in &AutoBackend::DEFAULT_CANDIDATES {
-            let arm = auto.arm(choice);
-            for q in &probe.queries {
-                let _ = arm.search_counting(&auto.dataset, &q.text, q.threshold);
-            }
-            for _ in 0..2 {
-                for q in &probe.queries {
-                    let started = std::time::Instant::now();
-                    let _ = arm.search_counting(&auto.dataset, &q.text, q.threshold);
-                    observations.push(Observation {
-                        choice,
-                        query_len: q.text.len(),
-                        k: q.threshold,
-                        nanos: started.elapsed().as_nanos() as f64,
-                    });
-                }
-            }
-        }
-        let calibrated = Planner::with_observations(
-            auto.planner().snapshot().clone(),
-            &AutoBackend::DEFAULT_CANDIDATES,
-            &observations,
-        );
-        // Build-time calibration is the epoch-0 baseline, not a replan.
-        *auto.planner.write().expect("planner lock") = Arc::new(calibrated);
-        for counter in &auto.counters {
-            counter.store(0, Ordering::Relaxed);
-        }
-        auto
-    }
-
-    fn with_planner(dataset: Dataset, planner: Planner) -> Self {
-        Self {
-            dataset,
-            planner: RwLock::new(Arc::new(planner)),
-            plan_epoch: AtomicU64::new(0),
-            grid: ObservationGrid::new(),
-            arms: std::array::from_fn(|_| OnceLock::new()),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// The shard's current planner (per-shard `explain`) — a shared
-    /// handle; replans swap the slot, never mutate behind it.
-    pub fn planner(&self) -> Arc<Planner> {
-        self.planner.read().expect("planner lock").clone()
-    }
-
-    /// Decision-table swaps since build (0 until the first replan).
-    pub fn plan_epoch(&self) -> u64 {
-        self.plan_epoch.load(Ordering::Relaxed)
-    }
-
-    /// The shard's live latency registry.
-    pub fn observations(&self) -> &ObservationGrid {
-        &self.grid
-    }
-
-    /// Atomically installs a replacement planner and bumps the epoch;
-    /// refuses a different candidate set (counters and metrics label
-    /// sets are fixed at build). Same contract as
-    /// [`AutoBackend::set_planner`].
-    pub fn set_planner(&self, planner: Planner) -> bool {
-        let mut slot = self.planner.write().expect("planner lock");
-        if planner.candidates() != slot.candidates() {
-            return false;
-        }
-        *slot = Arc::new(planner);
-        drop(slot);
-        self.plan_epoch.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// One self-tuning tick over *this shard's* observations — the
-    /// per-shard twin of [`AutoBackend::replan`]. Returns `false`
-    /// without swapping when no cell has reached
-    /// [`MIN_CELL_OBSERVATIONS`].
-    pub fn replan(&self) -> bool {
-        let current = self.planner();
-        let next = Planner::with_class_samples(
-            current.snapshot().clone(),
-            current.candidates(),
-            &self.grid.class_samples(),
-            &self.grid.topk_samples(),
-            MIN_CELL_OBSERVATIONS,
-        );
-        if !next.is_calibrated() {
-            return false;
-        }
-        self.set_planner(next)
-    }
-
-    /// The owned shard dataset.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
-    }
-
-    fn arm(&self, choice: BackendChoice) -> &ShardArm {
-        self.arms[choice.index()].get_or_init(|| ShardArm::build(&self.dataset, choice))
-    }
-
-    fn counts_vec(&self) -> Vec<(&'static str, u64)> {
-        self.planner()
-            .candidates()
-            .iter()
-            .map(|&c| (c.name(), self.counters[c.index()].load(Ordering::Relaxed)))
-            .collect()
-    }
-}
-
-impl Backend for ShardAutoBackend {
-    fn name(&self) -> String {
-        let planner = self.planner();
-        if let [only] = planner.candidates() {
-            format!("shard[{}]", only.name())
-        } else if planner.is_calibrated() {
-            "shard-auto[calibrated]".into()
-        } else {
-            "shard-auto[static]".into()
-        }
-    }
-
-    fn prepare(&self) {
-        let mut chosen: Vec<BackendChoice> =
-            self.planner().decisions().iter().map(|d| d.chosen).collect();
-        chosen.sort_by_key(|c| c.index());
-        chosen.dedup();
-        for choice in chosen {
-            self.arm(choice);
-        }
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.search_counting(query, k).0
-    }
-
-    fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        // Copy the decision out under the read lock (never held across
-        // the arm probe — a replan swap must not wait on a slow query).
-        let (chosen, class, predicted, pruned) = {
-            let planner = self.planner.read().expect("planner lock");
-            let chosen = planner.decide(query.len(), k).chosen;
-            let snapshot = planner.snapshot();
-            // Shard-level length prune: ed(q, x) ≥ ||q| − |x||, so when
-            // the shard's entire length band lies outside |q| ± k no
-            // record can match and the arm probe is skipped. Under
-            // `ShardBy::Len` the bands are narrow, which turns a
-            // fan-out into a near-miss for most shards; under
-            // `ShardBy::Hash` the band is the full length range and
-            // this never fires. The routing counter below still ticks —
-            // the planner decided, the length bound answered.
-            let (ql, kk) = (query.len() as u64, u64::from(k));
-            let pruned = snapshot.records == 0
-                || ql + kk < u64::from(snapshot.min_len)
-                || ql.saturating_sub(kk) > u64::from(snapshot.max_len);
-            (
-                chosen,
-                QueryClass::of(snapshot, query.len(), k),
-                static_cost(snapshot, chosen, query.len(), k),
-                pruned,
-            )
-        };
-        self.counters[chosen.index()].fetch_add(1, Ordering::Relaxed);
-        if pruned {
-            // The arm never ran, so nothing is recorded: a pruned query
-            // says nothing about the arm's cost curve, and folding its
-            // ~0 ns in would drag the shard's multipliers toward zero.
-            return (MatchSet::default(), 0);
-        }
-        let started = Instant::now();
-        let answer = self.arm(chosen).search_counting(&self.dataset, query, k);
-        self.grid
-            .record(class, chosen, started.elapsed().as_nanos() as u64, predicted);
-        answer
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        self.planner()
-            .candidates()
-            .iter()
-            .map(|&c| static_cost(snapshot, c, query_len, k))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        let planner = self.planner();
-        BackendDiag {
-            name: self.name(),
-            structure: None,
-            filters: vec!["length", "frequency"],
-            plan: Some(PlanReport {
-                snapshot: planner.snapshot().clone(),
-                decisions: planner.decisions().to_vec(),
-                counts: self.counts_vec(),
-                calibrated: planner.is_calibrated(),
-            }),
-        }
-    }
-
-    fn plan_counts(&self) -> Option<Vec<(&'static str, u64)>> {
-        Some(self.counts_vec())
-    }
-}
-
-/// How a shard's result ids map back to the global id space.
-enum ShardIds {
-    /// Frozen shard: local id `i` ↔ `table[i]`, the strictly increasing
-    /// table [`partition_ids`] produced.
-    Table(Vec<RecordId>),
-    /// Live shard: the backend already answers in global ids (its
-    /// [`LiveEngine`] was seeded with this shard's slice of the global
-    /// space and every insert carries a centrally allocated id), so the
-    /// remap is the identity.
-    Global,
-}
-
-/// One shard: an owned backend plus the mapping from its local ids back
-/// to global ids, the mutation handle when the shard is live, and
-/// lifetime counters for serving metrics.
+/// One shard: its engine plus lifetime counters for serving metrics.
 struct Shard {
-    backend: Box<dyn Backend>,
-    ids: ShardIds,
-    /// The shard's engine as a mutation target; `None` for frozen
-    /// shards. Shares the allocation with `backend`.
-    live: Option<Arc<LiveEngine>>,
-    /// The shard's planner-driven backend as a replan target; `None`
-    /// for live shards (which replan through their [`LiveEngine`]).
-    /// Shares the allocation with `backend`.
-    auto: Option<Arc<ShardAutoBackend>>,
+    engine: ShardEngine,
     queries: AtomicU64,
     matches: AtomicU64,
 }
 
 impl Shard {
-    /// Remaps a shard-local result to global ids. The output is sorted
-    /// by id either way: frozen tables are strictly increasing, and
-    /// live shards answer in global ids already.
-    fn remap(&self, local: &MatchSet) -> MatchSet {
-        match &self.ids {
-            ShardIds::Table(globals) => remap_to_global(local, globals),
-            ShardIds::Global => local.clone(),
+    fn new(engine: ShardEngine) -> Self {
+        Self {
+            engine,
+            queries: AtomicU64::new(0),
+            matches: AtomicU64::new(0),
         }
     }
 
-    /// Records this shard currently holds (live count for live shards).
-    fn records(&self) -> usize {
-        match (&self.ids, &self.live) {
-            (ShardIds::Table(globals), _) => globals.len(),
-            (ShardIds::Global, Some(engine)) => engine.stats().live_records,
-            (ShardIds::Global, None) => 0,
+    /// The shard's engine behind the trait (capability hooks, diag).
+    fn backend(&self) -> &dyn Backend {
+        match &self.engine {
+            ShardEngine::Frozen { router, .. } => router.as_ref(),
+            ShardEngine::Live(engine) => engine,
         }
+    }
+
+    /// One counted probe, answered in global ids. The output is sorted
+    /// by id either way: frozen tables are strictly increasing, and
+    /// live shards answer in global ids already.
+    fn probe(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
+        let (found, cells) = match &self.engine {
+            ShardEngine::Frozen { router, globals } => {
+                let (local, cells) = router.search_counting(query, k);
+                (remap_to_global(&local, globals), cells)
+            }
+            ShardEngine::Live(engine) => engine.search_counting(query, k),
+        };
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.matches.fetch_add(found.len() as u64, Ordering::Relaxed);
+        (found, cells)
     }
 }
 
@@ -597,42 +269,34 @@ pub struct ShardedBackend {
 }
 
 impl ShardedBackend {
-    /// Partitions `dataset` and gives every shard a statically planned
-    /// [`ShardAutoBackend`] (deterministic; what
-    /// [`crate::engine::build_backend`] uses).
-    pub fn build(dataset: &Dataset, shards: usize, by: ShardBy, threads: usize) -> Self {
-        Self::assemble(dataset, shards, by, threads, ShardAutoBackend::new)
-    }
-
-    /// Like [`ShardedBackend::build`], but each shard calibrates its
-    /// own planner against a probe drawn from that shard's records
-    /// ([`AutoBackend::default_probe`]), so routing reflects per-shard
-    /// measured costs (the serving daemon's choice).
-    pub fn calibrated(dataset: &Dataset, shards: usize, by: ShardBy, threads: usize) -> Self {
-        Self::assemble(dataset, shards, by, threads, |sub| {
-            let probe = AutoBackend::default_probe(&sub);
-            ShardAutoBackend::calibrated(sub, &probe)
-        })
-    }
-
-    /// Like [`ShardedBackend::calibrated`], but every shard calibrates
-    /// against the *same* caller-supplied probe workload — the choice
-    /// when the real workload is in hand (the CLI and the benches),
-    /// mirroring [`crate::SearchEngine::build_auto`] with a probe. A
-    /// synthetic per-shard probe measures each arm on queries drawn
-    /// from the shard's own records; real queries can have a different
-    /// length × threshold mix, and the per-class winner differs with
-    /// them.
-    pub fn calibrated_with(
+    /// Partitions `dataset` and gives every shard its own owned
+    /// [`AutoBackend`], calibrated as `probe` says: [`Probe::Static`]
+    /// plans deterministically, [`Probe::Default`] probes each shard
+    /// with queries drawn from that shard's own records (the serving
+    /// daemon), [`Probe::Workload`] probes every shard with the same
+    /// caller-supplied queries (the CLI and the benches — real queries
+    /// can have a different length × threshold mix than a shard's
+    /// records, and the per-class winner differs with them).
+    pub fn with_probe(
         dataset: &Dataset,
         shards: usize,
         by: ShardBy,
         threads: usize,
-        probe: &Workload,
+        probe: Probe<'_>,
     ) -> Self {
         Self::assemble(dataset, shards, by, threads, |sub| {
-            ShardAutoBackend::calibrated(sub, probe)
+            AutoBackend::owned(sub, probe)
         })
+    }
+
+    /// [`ShardedBackend::with_probe`] with static planning.
+    pub fn build(dataset: &Dataset, shards: usize, by: ShardBy, threads: usize) -> Self {
+        Self::with_probe(dataset, shards, by, threads, Probe::Static)
+    }
+
+    /// [`ShardedBackend::with_probe`] with each shard's default probe.
+    pub fn calibrated(dataset: &Dataset, shards: usize, by: ShardBy, threads: usize) -> Self {
+        Self::with_probe(dataset, shards, by, threads, Probe::Default)
     }
 
     /// Pins every shard to one fixed arm (`choice`).
@@ -643,8 +307,8 @@ impl ShardedBackend {
         threads: usize,
         choice: BackendChoice,
     ) -> Self {
-        Self::assemble(dataset, shards, by, threads, move |sub| {
-            ShardAutoBackend::fixed(sub, choice)
+        Self::assemble(dataset, shards, by, threads, |sub| {
+            AutoBackend::fixed(sub, choice)
         })
     }
 
@@ -653,24 +317,13 @@ impl ShardedBackend {
         shards: usize,
         by: ShardBy,
         threads: usize,
-        make: impl Fn(Dataset) -> ShardAutoBackend,
+        make: impl Fn(Dataset) -> AutoBackend<'static>,
     ) -> Self {
         let shards = partition_ids(dataset, shards, by)
             .into_iter()
             .map(|globals| {
-                let sub = materialize(dataset, &globals);
-                // One allocation, two handles: the erased `Box<dyn
-                // Backend>` for the query fan-out and the typed `Arc`
-                // the replan tick reaches each shard's planner through.
-                let auto = Arc::new(make(sub));
-                Shard {
-                    backend: Box::new(Arc::clone(&auto)),
-                    ids: ShardIds::Table(globals),
-                    live: None,
-                    auto: Some(auto),
-                    queries: AtomicU64::new(0),
-                    matches: AtomicU64::new(0),
-                }
+                let router = Box::new(make(materialize(dataset, &globals)));
+                Shard::new(ShardEngine::Frozen { router, globals })
             })
             .collect();
         Self {
@@ -737,15 +390,9 @@ impl ShardedBackend {
         let shards = parts
             .into_iter()
             .map(|(data, globals)| {
-                let engine = Arc::new(LiveEngine::seeded(data, globals, next_id, cfg));
-                Shard {
-                    backend: Box::new(Arc::clone(&engine)),
-                    ids: ShardIds::Global,
-                    live: Some(engine),
-                    auto: None,
-                    queries: AtomicU64::new(0),
-                    matches: AtomicU64::new(0),
-                }
+                Shard::new(ShardEngine::Live(LiveEngine::seeded(
+                    data, globals, next_id, cfg,
+                )))
             })
             .collect();
         Ok(Self {
@@ -757,12 +404,6 @@ impl ShardedBackend {
                 state: Mutex::new(RouterState { next_id, owner }),
             }),
         })
-    }
-
-    /// Whether this composite was built with live shards (and therefore
-    /// honours the [`MutableBackend`] surface).
-    pub fn is_live(&self) -> bool {
-        self.router.is_some()
     }
 
     /// The shard physically holding `id`, when this is a live composite
@@ -781,10 +422,10 @@ impl ShardedBackend {
     }
 
     fn live_shard(&self, index: usize) -> &LiveEngine {
-        self.shards[index]
-            .live
-            .as_ref()
-            .expect("live composites hold only live shards")
+        match &self.shards[index].engine {
+            ShardEngine::Live(engine) => engine,
+            ShardEngine::Frozen { .. } => unreachable!("live composites hold only live shards"),
+        }
     }
 
     /// One compaction step on one shard, for per-shard compactor
@@ -797,65 +438,18 @@ impl ShardedBackend {
         self.live_shard(index).maybe_compact()
     }
 
-    /// One self-tuning tick across every shard, each against its own
-    /// evidence: frozen shards re-derive their planner from their own
-    /// [`ObservationGrid`], live shards re-read their own `LiveStats`
-    /// gauges and re-pick their segment arm — so a freshly-flushed
-    /// shard can prefer its V7/V8 segments while a memtable-heavy
-    /// neighbour stays on the flat scan. Returns how many shards
-    /// actually changed plan this tick.
-    pub fn replan(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let swapped = match (&shard.auto, &shard.live) {
-                    (Some(auto), _) => auto.replan(),
-                    (None, Some(engine)) => engine.replan(),
-                    (None, None) => false,
-                };
-                usize::from(swapped)
-            })
-            .sum()
-    }
-
-    /// Total decision-table swaps across all shards since build.
-    pub fn plan_epoch(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| match (&shard.auto, &shard.live) {
-                (Some(auto), _) => auto.plan_epoch(),
-                (None, Some(engine)) => engine.plan_epoch(),
-                (None, None) => 0,
-            })
-            .sum()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partitioner this composite was built with.
-    pub fn shard_by(&self) -> ShardBy {
-        self.by
-    }
-
     /// Every shard backend's self-description, in shard order (the
     /// CLI's `explain` renders per-shard snapshots and decision tables
     /// from these).
     pub fn shard_diags(&self) -> Vec<BackendDiag> {
-        self.shards.iter().map(|s| s.backend.diag()).collect()
+        self.shards.iter().map(|s| s.backend().diag()).collect()
     }
 
     /// One query against every shard under `strategy`, returning the
     /// merged global result and total DP cells.
     fn fan_out(&self, query: &[u8], k: u32, strategy: Strategy) -> (MatchSet, u64) {
         let parts = run_queries(strategy, self.shards.len(), |i| {
-            let shard = &self.shards[i];
-            let (local, cells) = shard.backend.search_counting(query, k);
-            shard.queries.fetch_add(1, Ordering::Relaxed);
-            shard.matches.fetch_add(local.len() as u64, Ordering::Relaxed);
-            (shard.remap(&local), cells)
+            self.shards[i].probe(query, k)
         });
         let cells = parts.iter().map(|(_, c)| c).sum();
         let sets: Vec<MatchSet> = parts.into_iter().map(|(s, _)| s).collect();
@@ -878,7 +472,7 @@ impl Backend for ShardedBackend {
 
     fn prepare(&self) {
         for shard in &self.shards {
-            shard.backend.prepare();
+            shard.backend().prepare();
         }
     }
 
@@ -893,15 +487,6 @@ impl Backend for ShardedBackend {
         self.fan_out(query, k, auto_strategy(self.shards.len(), self.threads))
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        // Shards run concurrently: the critical path is the costliest
-        // shard, not the sum.
-        self.shards
-            .iter()
-            .map(|s| s.backend.cost_hint(snapshot, query_len, k))
-            .fold(0.0, f64::max)
-    }
-
     fn diag(&self) -> BackendDiag {
         BackendDiag {
             name: self.name(),
@@ -912,38 +497,62 @@ impl Backend for ShardedBackend {
     }
 
     fn plan_counts(&self) -> Option<Vec<(&'static str, u64)>> {
-        // Cross-shard aggregate per arm name; per-shard breakdowns come
-        // from `shard_stats`.
-        let mut agg: Vec<(&'static str, u64)> = Vec::new();
-        let mut any = false;
-        for shard in &self.shards {
-            if let Some(counts) = shard.backend.plan_counts() {
-                any = true;
-                for (name, c) in counts {
-                    if let Some(entry) = agg.iter_mut().find(|(n, _)| *n == name) {
-                        entry.1 += c;
-                    } else {
-                        agg.push((name, c));
-                    }
-                }
+        // Cross-shard aggregate per arm (per-shard breakdowns come from
+        // `shard_stats`). Every shard of one composite is built by the
+        // same constructor, so all report the same arms in the same
+        // order; live shards report none.
+        let mut per_shard = self.shards.iter().filter_map(|s| s.backend().plan_counts());
+        let mut total = per_shard.next()?;
+        for counts in per_shard {
+            for (slot, (_, routed)) in total.iter_mut().zip(counts) {
+                slot.1 += routed;
             }
         }
-        any.then_some(agg)
+        Some(total)
     }
 
     fn shard_stats(&self) -> Option<Vec<ShardStats>> {
         Some(
             self.shards
                 .iter()
-                .map(|s| ShardStats {
-                    records: s.records(),
-                    queries: s.queries.load(Ordering::Relaxed),
-                    matches: s.matches.load(Ordering::Relaxed),
-                    plan_counts: s.backend.plan_counts(),
-                    live: s.live.as_ref().map(|engine| engine.stats()),
+                .map(|s| {
+                    // One read of the shard: a live shard's record
+                    // count comes from the same stats snapshot.
+                    let (records, live) = match &s.engine {
+                        ShardEngine::Frozen { globals, .. } => (globals.len(), None),
+                        ShardEngine::Live(engine) => {
+                            let stats = engine.stats();
+                            (stats.live_records, Some(stats))
+                        }
+                    };
+                    ShardStats {
+                        records,
+                        queries: s.queries.load(Ordering::Relaxed),
+                        matches: s.matches.load(Ordering::Relaxed),
+                        plan_counts: s.backend().plan_counts(),
+                        live,
+                    }
                 })
                 .collect(),
         )
+    }
+
+    /// One tick across every shard, each against its own evidence:
+    /// frozen shards re-derive their planner from their own
+    /// observation grid, live shards re-read their own gauges and
+    /// re-pick their segment arm — so a freshly-flushed shard can
+    /// prefer its V7/V8 segments while a memtable-heavy neighbour stays
+    /// on the flat scan.
+    fn replan(&self) -> u64 {
+        self.shards.iter().map(|s| s.backend().replan()).sum()
+    }
+
+    fn plan_epoch(&self) -> u64 {
+        self.shards.iter().map(|s| s.backend().plan_epoch()).sum()
+    }
+
+    fn as_mutable(&self) -> Option<&dyn MutableBackend> {
+        self.router.as_ref().map(|_| self as &dyn MutableBackend)
     }
 
     fn preferred_strategy(&self) -> Strategy {
@@ -975,12 +584,8 @@ impl Backend for ShardedBackend {
         // themselves stay sequential.
         if s > 1 && pool > 1 && nq < pool * 4 {
             let mut parts = run_queries(strategy, nq * s, |i| {
-                let shard = &self.shards[i / nq];
                 let q = &workload.queries[i % nq];
-                let (local, _) = shard.backend.search_counting(&q.text, q.threshold);
-                shard.queries.fetch_add(1, Ordering::Relaxed);
-                shard.matches.fetch_add(local.len() as u64, Ordering::Relaxed);
-                shard.remap(&local)
+                self.shards[i / nq].probe(&q.text, q.threshold).0
             });
             return (0..nq)
                 .map(|qi| {
@@ -1002,8 +607,9 @@ impl Backend for ShardedBackend {
 }
 
 /// The mutation surface of a live composite. Every method panics on a
-/// frozen composite (one not built via [`ShardedBackend::live`]) — the
-/// serving layer only reaches for this handle on `--live` engines.
+/// frozen composite (one not built via [`ShardedBackend::live`]) —
+/// [`Backend::as_mutable`] hands this surface out for live composites
+/// only.
 impl MutableBackend for ShardedBackend {
     fn insert(&self, record: &[u8]) -> RecordId {
         let router = self.router();
@@ -1052,22 +658,13 @@ impl MutableBackend for ShardedBackend {
         }
         total
     }
-
-    fn live_shard_stats(&self) -> Option<Vec<LiveStats>> {
-        self.router.as_ref()?;
-        Some(
-            (0..self.shards.len())
-                .map(|i| self.live_shard(i).stats())
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use simsearch_data::QueryRecord;
-    use simsearch_scan::SeqVariant;
+    use simsearch_scan::{SeqVariant, SequentialScan};
 
     fn dataset() -> Dataset {
         Dataset::from_records([

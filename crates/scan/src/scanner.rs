@@ -309,8 +309,9 @@ impl<'a> SequentialScan<'a> {
         })
     }
 
-    /// Flat scan with a selectable kernel (ablation extension).
-    fn kernel_search(&self, kernel: KernelKind, query: &[u8], k: u32) -> MatchSet {
+    /// Flat scan with a selectable kernel (ablation extension): one
+    /// query of [`SequentialScan::run_with`].
+    pub fn kernel_search(&self, kernel: KernelKind, query: &[u8], k: u32) -> MatchSet {
         let mut out = Vec::new();
         let n = self.dataset.len() as u32;
         match kernel {

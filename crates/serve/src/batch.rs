@@ -26,6 +26,7 @@
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use simsearch_core::MutableBackend;
 use simsearch_parallel::{chunk_ranges, SubmissionQueue};
 
 use crate::engine::ServedEngine;
@@ -165,47 +166,40 @@ pub(crate) fn worker_loop(
     cfg: &BatchConfig,
     metrics: &Metrics,
 ) {
+    // The mutation surface, resolved once per worker: `INSERT` and
+    // `DELETE` stay one virtual call each.
+    let writer = engine.writer();
     while let Some(chunk) = exec.pop() {
         for pending in chunk.items {
-            let response = execute_one(
-                pending.work,
-                &pending.text,
-                pending.admitted,
-                &pending.reply,
-                engine,
-                cfg,
-                metrics,
-            );
+            let response = execute_one(&pending, engine, writer, cfg, metrics);
             metrics
                 .latency_ns
                 .observe(pending.admitted.elapsed().as_nanos() as u64);
             let _ = pending.reply.send(response);
         }
-        // Planner-driven engines: refresh the per-backend routing
-        // counters (and per-shard breakdowns) after each chunk so
-        // `STATS` stays near-live.
-        engine.publish_plan(metrics);
         // Live engines: compaction rides the worker threads — one step
         // between chunks keeps the memtable bounded without a dedicated
         // compaction thread, and the gate inside the engine serialises
-        // concurrent workers. Then refresh the structural gauges.
-        if engine.is_live() {
-            engine.maybe_compact();
-            engine.publish_live(metrics);
+        // concurrent workers.
+        if let Some(writer) = writer {
+            writer.maybe_compact();
         }
+        // Refresh the routing counters (with per-shard breakdowns) and
+        // the live engines' structural gauges after each chunk so
+        // `STATS` stays near-live.
+        engine.publish(metrics);
     }
 }
 
 fn execute_one(
-    work: Work,
-    text: &[u8],
-    admitted: Instant,
-    reply: &mpsc::Sender<Response>,
+    pending: &Pending,
     engine: &ServedEngine<'_>,
+    writer: Option<&dyn MutableBackend>,
     cfg: &BatchConfig,
     metrics: &Metrics,
 ) -> Response {
-    if admitted.elapsed() > cfg.deadline {
+    let (text, reply) = (&pending.text[..], &pending.reply);
+    if pending.admitted.elapsed() > cfg.deadline {
         metrics.dropped_timeout.inc();
         return Response::Timeout;
     }
@@ -215,7 +209,7 @@ fn execute_one(
     let read_only = || {
         Response::Error("engine is read-only (start simsearchd with --live)".into())
     };
-    let (response, cells) = match work {
+    let (response, cells) = match pending.work {
         Work::Query { k } => {
             let (matches, cells) = engine.search(text, k);
             (matches_response(&matches), cells)
@@ -224,12 +218,12 @@ fn execute_one(
             let (matches, cells) = engine.topk(text, count as usize, cfg.topk_max_radius);
             (Response::Matches(matches), cells)
         }
-        Work::Insert => match engine.insert(text) {
-            Some(id) => (Response::Inserted(id), 0),
+        Work::Insert => match writer {
+            Some(w) => (Response::Inserted(w.insert(text)), 0),
             None => (read_only(), 0),
         },
-        Work::Delete { id } => match engine.delete(id) {
-            Some(existed) => (Response::Deleted { existed }, 0),
+        Work::Delete { id } => match writer {
+            Some(w) => (Response::Deleted { existed: w.delete(id) }, 0),
             None => (read_only(), 0),
         },
         Work::Join { k, algo } => match engine.join(k, algo) {

@@ -1,143 +1,57 @@
 //! The daemon-side engine wrapper: one prepared backend, shared by
 //! every request for the server's whole lifetime.
 //!
-//! Since the planner refactor this is a thin shell over the
-//! [`Backend`] trait: `build` maps the configured [`EngineKind`] to
-//! one trait object (calibrating the planner when the kind is
-//! `Auto`), prepares it once at startup, and every request reuses the
-//! prepared state. DP-cell counting and top-k deepening are trait
-//! methods now, so the V7 scan needs no special case — any backend
-//! that counts cells feeds the metrics registry's `dp_cells` counter,
-//! and planner-driven backends expose their `plan_decisions` counters
-//! through [`ServedEngine::plan_counts`].
+//! A thin shell over the [`Backend`] trait: `build` hands the
+//! configured [`EngineKind`] to the one engine factory (calibrating
+//! planner-driven kinds with their default probe), prepares the result
+//! once at startup, and every request reuses the prepared state. Every
+//! capability — DP-cell counting, top-k deepening, replanning,
+//! calibration persistence, mutation — is a trait method with a no-op
+//! default, so the wrapper holds exactly one engine and never asks what
+//! kind it is.
 
 use crate::metrics::Metrics;
 use crate::protocol::JoinAlgo;
 use simsearch_core::{
-    build_backend, calibration, min_join_with_stats, pass_join_with_stats, AutoBackend, Backend,
-    EngineKind, JoinPair, JoinStats, LiveEngine, LsmConfig, MinJoinConfig, MutableBackend,
-    ShardedBackend, Strategy,
+    build_backend_with, calibration, min_join_with_stats, pass_join_with_stats, Backend,
+    EngineKind, JoinPair, JoinStats, LiveStats, MinJoinConfig, MutableBackend, Probe, Strategy,
 };
 use simsearch_data::{Dataset, Match, MatchSet};
 use std::path::Path;
-use std::sync::Arc;
 
 /// The engine a running `simsearchd` answers with.
 pub(crate) struct ServedEngine<'a> {
+    /// The one engine: every verb and every tick goes through this
+    /// trait object and its capability hooks.
     backend: Box<dyn Backend + 'a>,
-    /// Typed handle to the planner-driven unsharded engine, for the
-    /// replan tick and calibration persistence. The same `Arc` sits in
-    /// `backend` (read path); `None` for every other kind.
-    auto: Option<Arc<AutoBackend<'a>>>,
-    /// Typed handle to a sharded composite (frozen or live) — the
-    /// replan tick fans out to every shard through it.
-    sharded: Option<Arc<ShardedBackend>>,
-    /// Typed handle to the unsharded live engine, whose replan flips
-    /// the segment arm between V7 and V8.
-    live_engine: Option<Arc<LiveEngine>>,
-    /// Set when the engine is mutable: the mutation surface
-    /// (`INSERT`/`DELETE`, compaction) reaches the same engine the read
-    /// path queries — an unsharded [`LiveEngine`] or a sharded-live
-    /// composite, behind one trait. `None` for every frozen engine.
-    live: Option<Arc<dyn MutableBackend>>,
     /// The frozen seed dataset — `JOIN` runs over this. Live engines
     /// refuse `JOIN` (the dataset shifts under the join), so the field
     /// staying at the seed is never observable there.
     dataset: &'a Dataset,
     name: String,
-    records: usize,
 }
 
 impl<'a> ServedEngine<'a> {
-    /// Builds (and prepares) the backend once, at server startup. For
-    /// `EngineKind::Auto` the planner is calibrated with a micro-probe
-    /// drawn from the dataset ([`AutoBackend::default_probe`]) — build
-    /// cost, like index construction, lands here and not in the first
-    /// request.
+    /// Builds (and prepares) the backend once, at server startup.
+    /// Planner-driven kinds calibrate with a micro-probe drawn from the
+    /// dataset (each shard from its own records) — build cost, like
+    /// index construction, lands here and not in the first request.
+    /// `spawn` and the CLI validate the kind before reaching this.
     pub fn build(dataset: &'a Dataset, kind: EngineKind) -> Self {
-        let mut live = None;
-        let mut auto = None;
-        let mut sharded = None;
-        let mut live_engine = None;
-        let backend: Box<dyn Backend + 'a> = match kind {
-            EngineKind::Auto { threads } => {
-                let engine = Arc::new(AutoBackend::calibrated(
-                    dataset,
-                    threads,
-                    &AutoBackend::default_probe(dataset),
-                ));
-                auto = Some(Arc::clone(&engine));
-                Box::new(engine)
-            }
-            // A served sharded engine calibrates every shard's planner
-            // against that shard's own records at startup.
-            EngineKind::Sharded {
-                shards,
-                by,
-                threads,
-            } => {
-                let composite = Arc::new(ShardedBackend::calibrated(dataset, shards, by, threads));
-                sharded = Some(Arc::clone(&composite));
-                Box::new(composite)
-            }
-            // Live engines are shared between the read path (this
-            // backend slot) and the mutation surface — the same `Arc`
-            // serves both, `Backend` on one side and `MutableBackend`
-            // on the other.
-            EngineKind::Live { memtable_cap } => {
-                let engine = Arc::new(LiveEngine::from_dataset(
-                    dataset,
-                    LsmConfig { memtable_cap },
-                ));
-                live = Some(engine.clone() as Arc<dyn MutableBackend>);
-                live_engine = Some(Arc::clone(&engine));
-                Box::new(engine)
-            }
-            EngineKind::ShardedLive {
-                shards,
-                by,
-                threads,
-                memtable_cap,
-            } => {
-                // `spawn` and the CLI validate the kind before reaching
-                // this; a panic here means a caller skipped validation.
-                let composite = Arc::new(
-                    ShardedBackend::live(dataset, shards, by, threads, LsmConfig { memtable_cap })
-                        .expect("EngineKind::validate rejects invalid sharded-live configs"),
-                );
-                live = Some(composite.clone() as Arc<dyn MutableBackend>);
-                sharded = Some(Arc::clone(&composite));
-                Box::new(composite)
-            }
-            other => build_backend(dataset, other),
-        };
+        let backend = build_backend_with(dataset, kind, Probe::Default);
         backend.prepare();
         Self {
             backend,
-            auto,
-            sharded,
-            live_engine,
-            live,
             dataset,
             name: kind.name(),
-            records: dataset.len(),
         }
     }
 
-    /// Whether this engine accepts `INSERT`/`DELETE`.
-    pub fn is_live(&self) -> bool {
-        self.live.is_some()
-    }
-
-    /// Appends a record on a live engine; `None` on read-only engines.
-    pub fn insert(&self, record: &[u8]) -> Option<u32> {
-        self.live.as_ref().map(|l| l.insert(record))
-    }
-
-    /// Tombstones a record on a live engine; `None` on read-only
-    /// engines, `Some(existed)` otherwise.
-    pub fn delete(&self, id: u32) -> Option<bool> {
-        self.live.as_ref().map(|l| l.delete(id))
+    /// The mutation surface (`INSERT`/`DELETE`, compaction) when the
+    /// engine is live; `None` on read-only engines. Each batch worker
+    /// resolves it once.
+    pub fn writer(&self) -> Option<&dyn MutableBackend> {
+        self.backend.as_mutable()
     }
 
     /// Self-joins the frozen dataset within distance `k`; `None` on
@@ -146,7 +60,7 @@ impl<'a> ServedEngine<'a> {
     /// concurrency from the batch workers rather than nesting a pool
     /// per request.
     pub fn join(&self, k: u32, algo: JoinAlgo) -> Option<(Vec<JoinPair>, JoinStats)> {
-        if self.live.is_some() {
+        if self.writer().is_some() {
             return None;
         }
         Some(match algo {
@@ -160,47 +74,6 @@ impl<'a> ServedEngine<'a> {
         })
     }
 
-    /// Runs one compaction step on a live engine when one is due.
-    /// Called by the batch workers between chunks — compaction rides
-    /// the worker threads, no dedicated compaction thread needed.
-    pub fn maybe_compact(&self) -> bool {
-        self.live.as_ref().is_some_and(|l| l.maybe_compact())
-    }
-
-    /// Publishes the live engine's structural state into the metrics
-    /// registry (no-op for frozen engines). Called beside
-    /// [`ServedEngine::publish_plan`] after every executed chunk. The
-    /// aggregate gauges are sums over shards (for sharded-live engines),
-    /// so the per-shard `live_shards` entries sum to them by
-    /// construction.
-    pub fn publish_live(&self, metrics: &Metrics) {
-        if let Some(live) = &self.live {
-            let stats = live.live_stats();
-            metrics.memtable_len.set(stats.memtable_len);
-            metrics.segments.set(stats.segments);
-            metrics.tombstones.set(stats.tombstones);
-            metrics.compactions.set(stats.compactions);
-            metrics.inserts.set(stats.inserts);
-            metrics.deletes.set(stats.deletes);
-            if let Some(per_shard) = live.live_shard_stats() {
-                let labelled: Vec<(String, u64)> = per_shard
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(i, s)| {
-                        [
-                            (format!("s{i}.memtable_len"), s.memtable_len as u64),
-                            (format!("s{i}.segments"), s.segments as u64),
-                            (format!("s{i}.tombstones"), s.tombstones as u64),
-                        ]
-                    })
-                    .collect();
-                let refs: Vec<(&str, u64)> =
-                    labelled.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-                metrics.live_shards.publish(&refs);
-            }
-        }
-    }
-
     /// Engine label for `STATS`.
     pub fn name(&self) -> &str {
         &self.name
@@ -208,7 +81,7 @@ impl<'a> ServedEngine<'a> {
 
     /// Dataset size for `STATS`.
     pub fn records(&self) -> usize {
-        self.records
+        self.dataset.len()
     }
 
     /// Threshold search: all records within `k`, plus the DP cells the
@@ -224,8 +97,7 @@ impl<'a> ServedEngine<'a> {
     }
 
     /// `(backend name, queries routed)` counters when the engine is
-    /// planner-driven (`None` otherwise). The batch workers publish
-    /// these into the metrics registry after every chunk.
+    /// planner-driven (`None` otherwise).
     pub fn plan_counts(&self) -> Option<Vec<(&'static str, u64)>> {
         self.backend.plan_counts()
     }
@@ -240,32 +112,14 @@ impl<'a> ServedEngine<'a> {
     /// move to its V7/V8 segments while a memtable-heavy neighbour
     /// keeps the flat scan.
     pub fn replan(&self) -> u64 {
-        if let Some(auto) = &self.auto {
-            return u64::from(auto.replan());
-        }
-        if let Some(sharded) = &self.sharded {
-            return sharded.replan() as u64;
-        }
-        if let Some(engine) = &self.live_engine {
-            return u64::from(engine.replan());
-        }
-        0
+        self.backend.replan()
     }
 
     /// The engine's plan epoch: 0 until the first accepted swap, then
     /// +1 per swap (summed over shards for sharded engines). A restart
     /// that installs persisted calibration starts above 0.
     pub fn plan_epoch(&self) -> u64 {
-        if let Some(auto) = &self.auto {
-            return auto.plan_epoch();
-        }
-        if let Some(sharded) = &self.sharded {
-            return sharded.plan_epoch();
-        }
-        if let Some(engine) = &self.live_engine {
-            return engine.plan_epoch();
-        }
-        0
+        self.backend.plan_epoch()
     }
 
     /// Restores persisted calibration into the planner (unsharded
@@ -275,12 +129,11 @@ impl<'a> ServedEngine<'a> {
     /// or unreadable, or the persisted snapshot mismatches the dataset
     /// being served (stale calibration must not route today's data).
     pub fn install_calibration(&self, path: &Path) -> bool {
-        let Some(auto) = &self.auto else {
+        let Some(current) = self.backend.planner() else {
             return false;
         };
-        let current = auto.planner();
         match calibration::load_calibration(path, current.snapshot(), current.candidates()) {
-            Some(restored) => auto.set_planner(restored),
+            Some(restored) => self.backend.set_planner(restored),
             None => false,
         }
     }
@@ -292,10 +145,10 @@ impl<'a> ServedEngine<'a> {
     /// # Errors
     /// Any underlying I/O error from writing the dump.
     pub fn save_calibration(&self, path: &Path) -> std::io::Result<bool> {
-        let Some(auto) = &self.auto else {
+        let Some(planner) = self.backend.planner() else {
             return Ok(false);
         };
-        calibration::save_calibration(path, self.dataset, &auto.planner())?;
+        calibration::save_calibration(path, self.dataset, &planner)?;
         Ok(true)
     }
 
@@ -305,43 +158,76 @@ impl<'a> ServedEngine<'a> {
     /// its multipliers from.
     pub fn publish_replan(&self, metrics: &Metrics) {
         metrics.plan_epoch.set(self.plan_epoch());
-        if let Some(auto) = &self.auto {
-            metrics.arm_nanos.publish(&auto.observed_arm_nanos());
+        if let Some(nanos) = self.backend.arm_nanos() {
+            metrics.arm_nanos.publish(&nanos);
         }
     }
 
-    /// Publishes the engine's routing state into the metrics registry:
-    /// `plan_decisions` gets the cross-shard aggregate per arm plus one
-    /// `s{i}.{arm}` entry per shard and arm (sharded engines), and
-    /// `shard_matches` gets per-shard cumulative match counts. Called
-    /// by the batch workers after every executed chunk.
-    pub fn publish_plan(&self, metrics: &Metrics) {
+    /// Mirrors the engine's routing and structural state into the
+    /// metrics registry; the batch workers call it after every executed
+    /// chunk. `plan_decisions` gets the cross-shard aggregate per arm
+    /// plus one `s{i}.{arm}` entry per shard and arm, `shard_matches`
+    /// per-shard cumulative match counts, and live engines their LSM
+    /// gauges (aggregate, plus `s{i}.*` per shard — the aggregates are
+    /// sums over shards, so the per-shard entries sum to them by
+    /// construction). Each shard is read once, and the label strings
+    /// are built by the first call only — later calls store values.
+    pub fn publish(&self, metrics: &Metrics) {
         let shards = self.backend.shard_stats();
-        if let Some(counts) = self.plan_counts() {
-            match &shards {
-                Some(stats) => {
-                    let mut labelled: Vec<(String, u64)> =
-                        counts.iter().map(|&(n, c)| (n.to_string(), c)).collect();
-                    for (i, s) in stats.iter().enumerate() {
-                        for (n, c) in s.plan_counts.iter().flatten() {
-                            labelled.push((format!("s{i}.{n}"), *c));
-                        }
+        let per_shard = shards.as_deref().unwrap_or_default();
+        if let Some(total) = self.plan_counts() {
+            let shard_counts = |i: usize| per_shard[i].plan_counts.iter().flatten();
+            metrics.plan_decisions.publish_values(
+                || {
+                    let mut labels: Vec<String> =
+                        total.iter().map(|(arm, _)| arm.to_string()).collect();
+                    for i in 0..per_shard.len() {
+                        labels.extend(shard_counts(i).map(|(arm, _)| format!("s{i}.{arm}")));
                     }
-                    let refs: Vec<(&str, u64)> =
-                        labelled.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-                    metrics.plan_decisions.publish(&refs);
-                }
-                None => metrics.plan_decisions.publish(&counts),
-            }
+                    labels
+                },
+                total
+                    .iter()
+                    .map(|&(_, routed)| routed)
+                    .chain((0..per_shard.len()).flat_map(|i| shard_counts(i).map(|&(_, c)| c))),
+            );
         }
-        if let Some(stats) = shards {
-            let labelled: Vec<(String, u64)> = stats
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (format!("s{i}"), s.matches))
-                .collect();
-            let refs: Vec<(&str, u64)> = labelled.iter().map(|(n, c)| (n.as_str(), *c)).collect();
-            metrics.shard_matches.publish(&refs);
+        if shards.is_some() {
+            metrics.shard_matches.publish_values(
+                || (0..per_shard.len()).map(|i| format!("s{i}")).collect(),
+                per_shard.iter().map(|s| s.matches),
+            );
+        }
+        let Some(writer) = self.writer() else {
+            return;
+        };
+        let live_shards = || per_shard.iter().filter_map(|s| s.live.as_ref());
+        let stats = match shards {
+            Some(_) => live_shards().fold(LiveStats::default(), |mut sum, s| {
+                sum.accumulate(s);
+                sum
+            }),
+            None => writer.live_stats(),
+        };
+        metrics.memtable_len.set(stats.memtable_len);
+        metrics.segments.set(stats.segments);
+        metrics.tombstones.set(stats.tombstones);
+        metrics.compactions.set(stats.compactions);
+        metrics.inserts.set(stats.inserts);
+        metrics.deletes.set(stats.deletes);
+        if shards.is_some() {
+            metrics.live_shards.publish_values(
+                || {
+                    (0..per_shard.len())
+                        .flat_map(|i| {
+                            ["memtable_len", "segments", "tombstones"]
+                                .map(|gauge| format!("s{i}.{gauge}"))
+                        })
+                        .collect()
+                },
+                live_shards()
+                    .flat_map(|s| [s.memtable_len as u64, s.segments as u64, s.tombstones as u64]),
+            );
         }
     }
 }
@@ -518,13 +404,10 @@ mod tests {
     fn live_engine_accepts_mutations_and_frozen_engines_refuse() {
         let ds = dataset();
         let frozen = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V4Flat));
-        assert!(!frozen.is_live());
-        assert!(frozen.insert(b"x").is_none());
-        assert!(frozen.delete(0).is_none());
-        assert!(!frozen.maybe_compact());
+        assert!(frozen.writer().is_none());
 
         let live = ServedEngine::build(&ds, EngineKind::Live { memtable_cap: 2 });
-        assert!(live.is_live());
+        let writer = live.writer().expect("live engines accept writes");
         // Seeded reads agree with the reference engine.
         let reference = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
         for q in ["Berlin", "Urm", ""] {
@@ -534,19 +417,19 @@ mod tests {
                 assert_eq!(got, want, "q={q} k={k}");
             }
         }
-        let id = live.insert("Bärlin".as_bytes()).unwrap();
+        let id = writer.insert("Bärlin".as_bytes());
         assert_eq!(id as usize, ds.len(), "ids continue after the seed");
-        assert_eq!(live.delete(id), Some(true));
-        assert_eq!(live.delete(id), Some(false));
+        assert!(writer.delete(id));
+        assert!(!writer.delete(id));
 
         let metrics = Metrics::new();
-        live.publish_live(&metrics);
+        live.publish(&metrics);
         assert_eq!(metrics.segments.get(), 1, "seed flushed to one segment");
         assert_eq!(metrics.inserts.get(), ds.len() as u64 + 1);
         assert_eq!(metrics.deletes.get(), 1);
         // Frozen engines leave the live gauges untouched.
         let frozen_metrics = Metrics::new();
-        frozen.publish_live(&frozen_metrics);
+        frozen.publish(&frozen_metrics);
         assert_eq!(frozen_metrics.segments.get(), 0);
     }
 
@@ -584,7 +467,7 @@ mod tests {
             }
         }
         let metrics = Metrics::new();
-        sharded.publish_plan(&metrics);
+        sharded.publish(&metrics);
         let decisions = metrics.plan_decisions.snapshot();
         assert!(
             decisions.iter().any(|(n, _)| n.starts_with("s0.")),
@@ -607,7 +490,7 @@ mod tests {
                 memtable_cap: 2,
             },
         );
-        assert!(engine.is_live());
+        let writer = engine.writer().expect("sharded-live engines accept writes");
         assert!(engine.join(1, JoinAlgo::Pass).is_none(), "live refuses JOIN");
         // Seeded reads agree with the reference engine.
         let reference = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
@@ -619,17 +502,17 @@ mod tests {
             }
         }
         // Mutations route across shards from one global id space.
-        let id = engine.insert("Bärlin".as_bytes()).unwrap();
+        let id = writer.insert("Bärlin".as_bytes());
         assert_eq!(id as usize, ds.len(), "ids continue after the seed");
-        let id2 = engine.insert(b"Ulmen").unwrap();
+        let id2 = writer.insert(b"Ulmen");
         assert_eq!(id2, id + 1);
-        assert_eq!(engine.delete(id), Some(true));
-        assert_eq!(engine.delete(id), Some(false));
+        assert!(writer.delete(id));
+        assert!(!writer.delete(id));
         let (got, _) = engine.search(b"Ulmen", 0);
         assert_eq!(got.ids(), vec![id2]);
 
         let metrics = Metrics::new();
-        engine.publish_live(&metrics);
+        engine.publish(&metrics);
         assert_eq!(metrics.inserts.get(), ds.len() as u64 + 2);
         assert_eq!(metrics.deletes.get(), 1);
         let per_shard = metrics.live_shards.snapshot();

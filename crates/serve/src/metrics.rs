@@ -193,14 +193,29 @@ impl PlanCounters {
     /// The first call fixes the label set; later calls overwrite the
     /// matching slots by position (the engine reports a stable order).
     pub fn publish(&self, counts: &[(&str, u64)]) {
+        self.publish_values(
+            || counts.iter().map(|(name, _)| name.to_string()).collect(),
+            counts.iter().map(|&(_, value)| value),
+        );
+    }
+
+    /// [`PlanCounters::publish`] for callers whose labels are costly to
+    /// build (per-shard `s{i}.{arm}` strings): `labels` runs on the
+    /// first call only, every later call just stores `values` by
+    /// position.
+    pub fn publish_values(
+        &self,
+        labels: impl FnOnce() -> Vec<String>,
+        values: impl IntoIterator<Item = u64>,
+    ) {
         let slots = self.slots.get_or_init(|| {
-            counts
-                .iter()
-                .map(|(name, _)| (name.to_string(), AtomicU64::new(0)))
+            labels()
+                .into_iter()
+                .map(|name| (name, AtomicU64::new(0)))
                 .collect()
         });
-        for ((_, slot), (_, value)) in slots.iter().zip(counts) {
-            slot.store(*value, Ordering::Relaxed);
+        for ((_, slot), value) in slots.iter().zip(values) {
+            slot.store(value, Ordering::Relaxed);
         }
     }
 

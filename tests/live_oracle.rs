@@ -101,15 +101,6 @@ fn build_backend_owned(data: Dataset) -> Box<dyn Backend + 'static> {
             build_backend(&self.data, EngineKind::Scan(SeqVariant::V1Base))
                 .search_counting(query, k)
         }
-        fn cost_hint(
-            &self,
-            snapshot: &simsearch_data::StatsSnapshot,
-            query_len: usize,
-            k: u32,
-        ) -> f64 {
-            build_backend(&self.data, EngineKind::Scan(SeqVariant::V1Base))
-                .cost_hint(snapshot, query_len, k)
-        }
         fn diag(&self) -> simsearch_core::BackendDiag {
             build_backend(&self.data, EngineKind::Scan(SeqVariant::V1Base)).diag()
         }
