@@ -78,17 +78,42 @@ done
 # require the drain to finish within a timeout.
 SIMSEARCH=./target/release/simsearch
 smoke_dir=$(mktemp -d)
-trap 'rm -rf "$smoke_dir"' EXIT
+serve_pid=
+# A failed assertion exits under `set -e`: take the daemon down with it.
+trap '[ -z "$serve_pid" ] || kill "$serve_pid" 2>/dev/null || true; rm -rf "$smoke_dir"' EXIT
+
+# boot_daemon <serve args…>: start simsearchd on an ephemeral port and
+# wait (≤ 10 s) for it to publish the port; sets $serve_pid and $port.
+boot_daemon() {
+    rm -f "$smoke_dir/port"
+    "$SIMSEARCH" serve "$@" --port 0 --port-file "$smoke_dir/port" &
+    serve_pid=$!
+    i=0
+    while [ ! -s "$smoke_dir/port" ] && [ "$i" -lt 100 ]; do
+        i=$((i + 1)); sleep 0.1
+    done
+    test -s "$smoke_dir/port"
+    port=$(cat "$smoke_dir/port")
+}
+
+# drain_daemon: SHUTDOWN the daemon booted last and require the drain to
+# finish within 10 s with a clean exit status.
+drain_daemon() {
+    "$SIMSEARCH" client --port "$port" --send 'SHUTDOWN' | grep -qx 'OK bye'
+    i=0
+    while kill -0 "$serve_pid" 2>/dev/null && [ "$i" -lt 100 ]; do
+        i=$((i + 1)); sleep 0.1
+    done
+    if kill -0 "$serve_pid" 2>/dev/null; then
+        echo "simsearchd failed to drain within 10s" >&2
+        exit 1
+    fi
+    wait "$serve_pid"
+    serve_pid=
+}
+
 "$SIMSEARCH" generate --kind city --count 2000 --seed 7 --out "$smoke_dir/city.data"
-"$SIMSEARCH" serve --data "$smoke_dir/city.data" --port 0 \
-    --port-file "$smoke_dir/port" &
-serve_pid=$!
-i=0
-while [ ! -s "$smoke_dir/port" ] && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-test -s "$smoke_dir/port"
-port=$(cat "$smoke_dir/port")
+boot_daemon --data "$smoke_dir/city.data"
 "$SIMSEARCH" client --port "$port" --send 'HEALTH' | grep -qx 'OK healthy'
 "$SIMSEARCH" client --port "$port" --send 'QUERY 2 Berlin' | grep -q '^OK '
 "$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS' \
@@ -101,37 +126,18 @@ echo "$join_out" | grep -q '^OK join [1-9]'
 echo "$join_out" | grep -q '^OK pairs '
 "$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS' \
     | grep -q '"join_pairs_emitted": [1-9]'
-"$SIMSEARCH" client --port "$port" --send 'SHUTDOWN' | grep -qx 'OK bye'
-i=0
-while kill -0 "$serve_pid" 2>/dev/null && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    kill "$serve_pid"
-    echo "simsearchd failed to drain within 10s" >&2
-    exit 1
-fi
-wait "$serve_pid"
+drain_daemon
 
 # Auto-backend serve smoke: a planner-driven daemon must route queries,
 # report per-backend plan_decisions counters through STATS (still valid
 # JSON per the in-house validator), accept a background replan tick
 # once the observation grid converges, and persist the calibrated table
 # at shutdown.
-rm -f "$smoke_dir/port"
-"$SIMSEARCH" serve --data "$smoke_dir/city.data" --backend auto --port 0 \
-    --replan-interval-ms 50 --calibration "$smoke_dir/calib.idx" \
-    --port-file "$smoke_dir/port" &
-serve_pid=$!
-i=0
-while [ ! -s "$smoke_dir/port" ] && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-test -s "$smoke_dir/port"
-port=$(cat "$smoke_dir/port")
+boot_daemon --data "$smoke_dir/city.data" --backend auto \
+    --replan-interval-ms 50 --calibration "$smoke_dir/calib.idx"
 "$SIMSEARCH" client --port "$port" --send 'QUERY 2 Berlin' | grep -q '^OK '
-# Second query: the counters are published after each executed chunk,
-# so by the time this reply arrives the first chunk's counts are live.
+# Second query: the counters are published after each executed request,
+# so by the time this reply arrives the first query's counts are live.
 "$SIMSEARCH" client --port "$port" --send 'QUERY 1 Ulm' | grep -q '^OK '
 "$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS' \
     | grep -q '"plan_decisions": {.*": [1-9]'
@@ -146,124 +152,49 @@ sleep 0.3
 stats=$("$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS')
 echo "$stats" | grep -q '"replans": [1-9]'
 echo "$stats" | grep -q '"plan_epoch": [1-9]'
-"$SIMSEARCH" client --port "$port" --send 'SHUTDOWN' | grep -qx 'OK bye'
-i=0
-while kill -0 "$serve_pid" 2>/dev/null && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    kill "$serve_pid"
-    echo "simsearchd (auto) failed to drain within 10s" >&2
-    exit 1
-fi
-wait "$serve_pid"
+drain_daemon
 test -s "$smoke_dir/calib.idx"
 
 # Restarted auto daemon: same dataset + the calibration file just
 # persisted — the measured table is restored before the first request,
 # so STATS shows plan_epoch > 0 from frame one.
-rm -f "$smoke_dir/port"
-"$SIMSEARCH" serve --data "$smoke_dir/city.data" --backend auto --port 0 \
-    --calibration "$smoke_dir/calib.idx" --port-file "$smoke_dir/port" &
-serve_pid=$!
-i=0
-while [ ! -s "$smoke_dir/port" ] && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-test -s "$smoke_dir/port"
-port=$(cat "$smoke_dir/port")
+boot_daemon --data "$smoke_dir/city.data" --backend auto \
+    --calibration "$smoke_dir/calib.idx"
 "$SIMSEARCH" client --port "$port" --send 'QUERY 2 Berlin' | grep -q '^OK '
 stats=$("$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS')
 echo "$stats" | grep -q '"replans": [1-9]'
 echo "$stats" | grep -q '"plan_epoch": [1-9]'
-"$SIMSEARCH" client --port "$port" --send 'SHUTDOWN' | grep -qx 'OK bye'
-i=0
-while kill -0 "$serve_pid" 2>/dev/null && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    kill "$serve_pid"
-    echo "simsearchd (auto restart) failed to drain within 10s" >&2
-    exit 1
-fi
-wait "$serve_pid"
+drain_daemon
 
 # Bit-parallel routing smoke: on DNA-length queries at high k the auto
 # planner must route to the V8 arm, and STATS must show a nonzero
 # scan-bitparallel plan_decisions counter (still valid JSON).
 "$SIMSEARCH" generate --kind dna --count 500 --seed 7 --out "$smoke_dir/dna.data"
-rm -f "$smoke_dir/port"
-"$SIMSEARCH" serve --data "$smoke_dir/dna.data" --backend auto --port 0 \
-    --port-file "$smoke_dir/port" &
-serve_pid=$!
-i=0
-while [ ! -s "$smoke_dir/port" ] && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-test -s "$smoke_dir/port"
-port=$(cat "$smoke_dir/port")
+boot_daemon --data "$smoke_dir/dna.data" --backend auto
 dna_q=$(head -n 1 "$smoke_dir/dna.data")
 "$SIMSEARCH" client --port "$port" --send "QUERY 16 $dna_q" | grep -q '^OK '
 "$SIMSEARCH" client --port "$port" --send "QUERY 16 $dna_q" | grep -q '^OK '
 "$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS' \
     | grep -q '"scan-bitparallel": [1-9]'
-"$SIMSEARCH" client --port "$port" --send 'SHUTDOWN' | grep -qx 'OK bye'
-i=0
-while kill -0 "$serve_pid" 2>/dev/null && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    kill "$serve_pid"
-    echo "simsearchd (dna auto) failed to drain within 10s" >&2
-    exit 1
-fi
-wait "$serve_pid"
+drain_daemon
 
 # Sharded serve smoke: a --shards 4 daemon calibrates one planner per
 # shard and STATS must carry per-shard plan_decisions ("s<i>.<arm>"
 # keys) and per-shard match counters, still as valid JSON.
-rm -f "$smoke_dir/port"
-"$SIMSEARCH" serve --data "$smoke_dir/city.data" --shards 4 --shard-by len \
-    --port 0 --port-file "$smoke_dir/port" &
-serve_pid=$!
-i=0
-while [ ! -s "$smoke_dir/port" ] && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-test -s "$smoke_dir/port"
-port=$(cat "$smoke_dir/port")
+boot_daemon --data "$smoke_dir/city.data" --shards 4 --shard-by len
 "$SIMSEARCH" client --port "$port" --send 'QUERY 2 Berlin' | grep -q '^OK '
 "$SIMSEARCH" client --port "$port" --send 'QUERY 1 Ulm' | grep -q '^OK '
 stats=$("$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS')
 echo "$stats" | grep -q '"s0\.'
 echo "$stats" | grep -q '"s3\.'
 echo "$stats" | grep -q '"shard_matches": {"s0": '
-"$SIMSEARCH" client --port "$port" --send 'SHUTDOWN' | grep -qx 'OK bye'
-i=0
-while kill -0 "$serve_pid" 2>/dev/null && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    kill "$serve_pid"
-    echo "simsearchd (sharded) failed to drain within 10s" >&2
-    exit 1
-fi
-wait "$serve_pid"
+drain_daemon
 
 # Live-ingest serve smoke: a --live daemon accepts INSERT/DELETE over
 # the wire, the mutations are immediately visible to QUERY, and STATS
 # carries the LSM gauges (memtable_len / segments / compactions), still
 # as valid JSON.
-rm -f "$smoke_dir/port"
-"$SIMSEARCH" serve --data "$smoke_dir/city.data" --live --memtable-cap 64 \
-    --port 0 --port-file "$smoke_dir/port" &
-serve_pid=$!
-i=0
-while [ ! -s "$smoke_dir/port" ] && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-test -s "$smoke_dir/port"
-port=$(cat "$smoke_dir/port")
+boot_daemon --data "$smoke_dir/city.data" --live --memtable-cap 64
 # The record uses bytes (#, digits) outside the city generator's
 # alphabet, so the exact-match query can only ever hit the insert.
 "$SIMSEARCH" client --port "$port" --send 'INSERT zz#live-smoke-9' | grep -qx 'OK id=2000'
@@ -275,17 +206,7 @@ stats=$("$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS')
 echo "$stats" | grep -q '"memtable_len"'
 echo "$stats" | grep -q '"segments"'
 echo "$stats" | grep -q '"compactions"'
-"$SIMSEARCH" client --port "$port" --send 'SHUTDOWN' | grep -qx 'OK bye'
-i=0
-while kill -0 "$serve_pid" 2>/dev/null && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    kill "$serve_pid"
-    echo "simsearchd (live) failed to drain within 10s" >&2
-    exit 1
-fi
-wait "$serve_pid"
+drain_daemon
 
 # Sharded-live serve smoke: --live composes with --shards — 4 hash-
 # routed LiveEngine shards behind one daemon. INSERT routes to one
@@ -293,16 +214,8 @@ wait "$serve_pid"
 # the inserting shard, and STATS carries per-shard LSM gauges
 # ("s<i>.memtable_len" keys) alongside the aggregates, still as valid
 # JSON per the in-house validator.
-rm -f "$smoke_dir/port"
-"$SIMSEARCH" serve --data "$smoke_dir/city.data" --live --shards 4 \
-    --memtable-cap 64 --port 0 --port-file "$smoke_dir/port" &
-serve_pid=$!
-i=0
-while [ ! -s "$smoke_dir/port" ] && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-test -s "$smoke_dir/port"
-port=$(cat "$smoke_dir/port")
+boot_daemon --data "$smoke_dir/city.data" --live --shards 4 \
+    --memtable-cap 64
 "$SIMSEARCH" client --port "$port" --send 'INSERT zz#live-smoke-9' | grep -qx 'OK id=2000'
 "$SIMSEARCH" client --port "$port" --send 'QUERY 0 zz#live-smoke-9' | grep -qx 'OK 1 2000:0'
 "$SIMSEARCH" client --port "$port" --send 'DELETE 2000' | grep -qx 'OK deleted'
@@ -325,17 +238,7 @@ echo "$stats" | grep -q '"s3\.memtable_len"'
 echo "$stats" | grep -q '"memtable_len"'
 echo "$stats" | grep -q '"replans": '
 echo "$stats" | grep -q '"plan_epoch": '
-"$SIMSEARCH" client --port "$port" --send 'SHUTDOWN' | grep -qx 'OK bye'
-i=0
-while kill -0 "$serve_pid" 2>/dev/null && [ "$i" -lt 100 ]; do
-    i=$((i + 1)); sleep 0.1
-done
-if kill -0 "$serve_pid" 2>/dev/null; then
-    kill "$serve_pid"
-    echo "simsearchd (sharded live) failed to drain within 10s" >&2
-    exit 1
-fi
-wait "$serve_pid"
+drain_daemon
 
 # A len partitioner cannot route live inserts: the daemon must refuse
 # to boot, with a message naming the fix, before binding a port.

@@ -61,7 +61,7 @@ pub struct ServeArgs {
     /// Engine selector (default: scan-sorted, the V7 kernel — it also
     /// feeds the `dp_cells` counter in `STATS`).
     pub engine: EngineChoice,
-    /// Engine worker threads executing micro-batch chunks.
+    /// Engine worker threads popping the admission queue.
     pub threads: usize,
     /// Port on loopback; 0 (the default) binds an ephemeral port, and
     /// the server prints the actually-bound one on startup.
@@ -69,10 +69,6 @@ pub struct ServeArgs {
     /// When set, the actually-bound port is also written to this file
     /// (so scripts can find an ephemeral port without parsing stdout).
     pub port_file: Option<PathBuf>,
-    /// Micro-batch size cap.
-    pub batch_size: usize,
-    /// Micro-batch max coalescing delay, milliseconds.
-    pub max_delay_ms: u64,
     /// Admission-queue capacity (full queue answers `BUSY`).
     pub queue_capacity: usize,
     /// Per-request deadline, milliseconds (exceeded ⇒ `TIMEOUT`).
@@ -229,8 +225,7 @@ USAGE:
                  [--algo sorted|index|nested|pass|minjoin] [--threads N]
   simsearch verify --results FILE --expected FILE
   simsearch serve --data FILE [--backend NAME] [--threads N] [--port P]
-                  [--port-file FILE] [--batch-size N] [--max-delay-ms N]
-                  [--queue-capacity N] [--deadline-ms N]
+                  [--port-file FILE] [--queue-capacity N] [--deadline-ms N]
                   [--shards N] [--shard-by len|hash]
                   [--live] [--memtable-cap N]
                   [--replan-interval-ms N] [--calibration FILE]
@@ -451,8 +446,6 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
     let mut threads = 4usize;
     let mut port = 0u16;
     let mut port_file = None;
-    let mut batch_size = 64usize;
-    let mut max_delay_ms = 1u64;
     let mut queue_capacity = 1024usize;
     let mut deadline_ms = 10_000u64;
     let mut shards = 0usize;
@@ -472,8 +465,6 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
             "--port-file" => {
                 port_file = Some(PathBuf::from(value(&mut it, "--port-file")?))
             }
-            "--batch-size" => batch_size = positive_value(&mut it, "--batch-size", "an integer")?,
-            "--max-delay-ms" => max_delay_ms = int_value(&mut it, "--max-delay-ms", "an integer")?,
             "--queue-capacity" => {
                 queue_capacity = positive_value(&mut it, "--queue-capacity", "an integer")?
             }
@@ -514,8 +505,6 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
         threads,
         port,
         port_file,
-        batch_size,
-        max_delay_ms,
         queue_capacity,
         deadline_ms,
         shards,
@@ -674,7 +663,6 @@ mod tests {
                 assert_eq!(s.engine, EngineChoice::ScanSorted);
                 assert_eq!(s.port, 0, "ephemeral port is the default");
                 assert_eq!(s.threads, 4);
-                assert_eq!(s.batch_size, 64);
                 assert!(s.port_file.is_none());
                 assert!(!s.live, "read-only by default");
                 assert_eq!(s.memtable_cap, 1024);
@@ -764,8 +752,8 @@ mod tests {
     fn parses_serve_with_every_flag() {
         let cmd = parse(&v(&[
             "serve", "--dataset", "d.txt", "--engine", "radix", "--threads", "2",
-            "--port", "9999", "--port-file", "p.txt", "--batch-size", "8",
-            "--max-delay-ms", "5", "--queue-capacity", "32", "--deadline-ms", "250",
+            "--port", "9999", "--port-file", "p.txt", "--queue-capacity", "32",
+            "--deadline-ms", "250",
         ]))
         .unwrap();
         match cmd {
@@ -775,8 +763,6 @@ mod tests {
                 assert_eq!(s.threads, 2);
                 assert_eq!(s.port, 9999);
                 assert_eq!(s.port_file, Some(PathBuf::from("p.txt")));
-                assert_eq!(s.batch_size, 8);
-                assert_eq!(s.max_delay_ms, 5);
                 assert_eq!(s.queue_capacity, 32);
                 assert_eq!(s.deadline_ms, 250);
             }
@@ -806,7 +792,13 @@ mod tests {
     fn serve_and_client_reject_bad_input() {
         assert!(parse(&v(&["serve"])).is_err()); // missing --data
         assert!(parse(&v(&["serve", "--data", "d", "--threads", "0"])).is_err());
-        assert!(parse(&v(&["serve", "--data", "d", "--batch-size", "0"])).is_err());
+        // `serve` has no coalescing knobs: workers pop the admission queue.
+        for gone in ["--batch-size", "--max-delay-ms"] {
+            assert_eq!(
+                parse(&v(&["serve", "--data", "d", gone, "8"])).unwrap_err(),
+                format!("unknown flag '{gone}'")
+            );
+        }
         assert!(parse(&v(&["serve", "--data", "d", "--port", "70000"])).is_err());
         assert!(parse(&v(&["serve", "--data", "d", "--engine", "warp"])).is_err());
         assert!(parse(&v(&["client", "--port", "1"])).is_err()); // no --send

@@ -113,7 +113,7 @@ fn run_search(a: SearchArgs) -> Result<(), String> {
 
 /// The one `EngineChoice → EngineKind` table. `threads > 1` selects the
 /// pooled rung or executor; the daemon passes 1 — its concurrency comes
-/// from the batch workers, so every choice maps to a single-threaded
+/// from the engine workers, so every choice maps to a single-threaded
 /// kernel (and it calibrates `auto` itself, with its default probe).
 fn engine_kind(choice: EngineChoice, threads: usize) -> EngineKind {
     let strategy = if threads > 1 {
@@ -202,8 +202,6 @@ fn run_serve(a: ServeArgs) -> Result<(), String> {
         calibration_path: a.calibration.clone(),
         batch: simsearch_serve::BatchConfig {
             threads: a.threads,
-            batch_size: a.batch_size,
-            max_delay: Duration::from_millis(a.max_delay_ms),
             queue_capacity: a.queue_capacity,
             deadline: Duration::from_millis(a.deadline_ms),
             ..simsearch_serve::BatchConfig::default()
@@ -212,7 +210,7 @@ fn run_serve(a: ServeArgs) -> Result<(), String> {
     };
     let records = dataset.len();
     // Sharded serving: per-shard calibrated planners, sequential
-    // per-query fan-out (batch workers supply the concurrency).
+    // per-query fan-out (engine workers supply the concurrency).
     // Live serving: the dataset seeds a mutable LSM engine and the
     // daemon accepts INSERT/DELETE. Both together compose: hash-routed
     // LiveEngine shards with per-shard flush and compaction.

@@ -575,9 +575,9 @@ impl Backend for ShardedBackend {
             } => threads,
             Strategy::Sequential | Strategy::ThreadPerQuery => 0,
         };
-        // Scarce-query regime (micro-batches, small benchmark
-        // workloads): too few queries for a pool to balance when one of
-        // them is expensive, so flatten the shard × query product into
+        // Scarce-query regime (small benchmark workloads): too few
+        // queries for a pool to balance when one of them is
+        // expensive, so flatten the shard × query product into
         // the executor — shard-major, so one query's S probes land in S
         // different chunks of a static partition — and merge per query
         // afterwards. Still a single level of parallelism: the probes

@@ -3,7 +3,7 @@
 //! Every executor in this crate so far ([`crate::run_fixed_pool`],
 //! [`crate::run_work_queue`], …) spawns its threads per call — fine for
 //! one-shot workload measurements, wasteful for a long-lived server that
-//! answers micro-batches continuously. [`WorkerPool`] spawns its threads
+//! answers requests continuously. [`WorkerPool`] spawns its threads
 //! once; work arrives through a [`SubmissionQueue`] and the threads stay
 //! parked on a condvar between jobs.
 //!
@@ -54,7 +54,6 @@ pub struct SubmissionQueue<J> {
     state: Mutex<QueueState<J>>,
     capacity: usize,
     available: Condvar,
-    space: Condvar,
 }
 
 impl<J> SubmissionQueue<J> {
@@ -72,7 +71,6 @@ impl<J> SubmissionQueue<J> {
             }),
             capacity,
             available: Condvar::new(),
-            space: Condvar::new(),
         }
     }
 
@@ -92,71 +90,18 @@ impl<J> SubmissionQueue<J> {
         Ok(())
     }
 
-    /// Admits a job, blocking while the queue is full. Returns the job
-    /// back only when the queue is closed. This is how a *downstream*
-    /// stage propagates backpressure upstream: the batch scheduler
-    /// blocks here when the execution workers are saturated, the
-    /// admission queue fills behind it, and new clients see `BUSY`.
-    pub fn push_wait(&self, job: J) -> Result<(), PushError<J>> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            if state.closed {
-                return Err(PushError::Closed(job));
-            }
-            if state.jobs.len() < self.capacity {
-                state.jobs.push_back(job);
-                drop(state);
-                self.available.notify_one();
-                return Ok(());
-            }
-            state = self.space.wait(state).expect("queue poisoned");
-        }
-    }
-
     /// Blocks until a job is available and returns it; returns `None`
     /// once the queue is closed and fully drained.
     pub fn pop(&self) -> Option<J> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
             if let Some(job) = state.jobs.pop_front() {
-                drop(state);
-                self.space.notify_one();
                 return Some(job);
             }
             if state.closed {
                 return None;
             }
             state = self.available.wait(state).expect("queue poisoned");
-        }
-    }
-
-    /// Like [`SubmissionQueue::pop`], but gives up at `deadline` —
-    /// `None` then means "nothing arrived in time *or* the queue is
-    /// closed and drained"; callers that need to distinguish follow up
-    /// with a blocking [`SubmissionQueue::pop`]. The batch scheduler
-    /// uses this to flush a partial micro-batch when the max-delay
-    /// timer expires before the batch fills.
-    pub fn pop_deadline(&self, deadline: std::time::Instant) -> Option<J> {
-        let mut state = self.state.lock().expect("queue poisoned");
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                drop(state);
-                self.space.notify_one();
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            let now = std::time::Instant::now();
-            let remaining = deadline.checked_duration_since(now)?;
-            let (guard, timeout) = self
-                .available
-                .wait_timeout(state, remaining)
-                .expect("queue poisoned");
-            state = guard;
-            if timeout.timed_out() && state.jobs.is_empty() {
-                return None;
-            }
         }
     }
 
@@ -175,7 +120,6 @@ impl<J> SubmissionQueue<J> {
     pub fn close(&self) {
         self.state.lock().expect("queue poisoned").closed = true;
         self.available.notify_all();
-        self.space.notify_all();
     }
 
     /// True once [`SubmissionQueue::close`] has been called.
@@ -358,47 +302,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         queue.push(42).unwrap();
         assert_eq!(consumer.join().unwrap(), Some(42));
-    }
-
-    #[test]
-    fn push_wait_blocks_until_space_then_admits() {
-        let queue: Arc<SubmissionQueue<u32>> = Arc::new(SubmissionQueue::bounded(1));
-        queue.push(1).unwrap();
-        let q = Arc::clone(&queue);
-        let producer = std::thread::spawn(move || q.push_wait(2));
-        std::thread::sleep(Duration::from_millis(10));
-        // The producer is blocked; free a slot and it must complete.
-        assert_eq!(queue.pop(), Some(1));
-        assert_eq!(producer.join().unwrap(), Ok(()));
-        assert_eq!(queue.pop(), Some(2));
-    }
-
-    #[test]
-    fn push_wait_unblocks_on_close() {
-        let queue: Arc<SubmissionQueue<u32>> = Arc::new(SubmissionQueue::bounded(1));
-        queue.push(1).unwrap();
-        let q = Arc::clone(&queue);
-        let producer = std::thread::spawn(move || q.push_wait(2));
-        std::thread::sleep(Duration::from_millis(10));
-        queue.close();
-        assert_eq!(producer.join().unwrap(), Err(PushError::Closed(2)));
-    }
-
-    #[test]
-    fn pop_deadline_times_out_on_empty_queue() {
-        let queue: SubmissionQueue<u32> = SubmissionQueue::bounded(4);
-        let start = std::time::Instant::now();
-        let got = queue.pop_deadline(start + Duration::from_millis(20));
-        assert_eq!(got, None);
-        assert!(start.elapsed() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn pop_deadline_returns_queued_job_immediately() {
-        let queue: SubmissionQueue<u32> = SubmissionQueue::bounded(4);
-        queue.push(9).unwrap();
-        let got = queue.pop_deadline(std::time::Instant::now() + Duration::from_secs(5));
-        assert_eq!(got, Some(9));
     }
 
     #[test]

@@ -1,48 +1,37 @@
-//! The micro-batch scheduler: coalesces concurrent in-flight requests
-//! and fans each batch out over the shared engine workers.
+//! The engine workers: each pops the admission queue directly and
+//! executes one request at a time.
 //!
-//! The pipeline is three stages, each a bounded [`SubmissionQueue`]:
+//! The pipeline is two stages around one bounded [`SubmissionQueue`]:
 //!
 //! ```text
-//! conn handlers ──push──▶ admission ──▶ scheduler ──push_wait──▶ exec ──▶ workers
-//!                 (BUSY on full)        (coalesce)   (blocks =         (per-chunk
-//!                                                    backpressure)      execution)
+//! conn handlers ──push──▶ admission ──pop──▶ engine workers
+//!                 (BUSY on full)             (execute, reply, compact, publish)
 //! ```
 //!
-//! The scheduler takes one request, then keeps pulling until either the
-//! batch reaches [`BatchConfig::batch_size`] or [`BatchConfig::max_delay`]
-//! has passed since the batch opened — so a lone request never waits
-//! longer than `max_delay`, and a burst amortizes scheduling across a
-//! full batch. Each batch is split into contiguous per-worker chunks via
-//! [`chunk_ranges`], the same partitioner the offline executors use.
+//! The queue is the whole schedule: whichever worker is free takes the
+//! oldest request, so a slow request occupies one worker and nothing
+//! queues behind it while another worker idles. No timer, sleep or
+//! second queue sits between admission and execution.
 //!
-//! Backpressure is intentional and explicit: the scheduler's push into
-//! the exec queue *blocks* when every worker is busy, which stops it
-//! draining the admission queue, which fills, which makes connection
-//! handlers answer `BUSY` instead of queueing unboundedly. Nothing in
-//! the chain waits forever on a full queue except the scheduler, and the
-//! scheduler's wait is bounded by the workers finishing their chunks.
+//! Backpressure is the queue's bound: while every worker is busy the
+//! queue fills, and connection handlers answer `BUSY` instead of
+//! queueing unboundedly. Nothing in the chain blocks on a full queue.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use simsearch_core::MutableBackend;
-use simsearch_parallel::{chunk_ranges, SubmissionQueue};
+use simsearch_parallel::SubmissionQueue;
 
 use crate::engine::ServedEngine;
 use crate::metrics::Metrics;
 use crate::protocol::{matches_response, JoinAlgo, Response, JOIN_CHUNK_PAIRS};
 
-/// Tuning for the scheduler and the engine workers.
+/// Tuning for admission and the engine workers.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Engine worker threads executing batch chunks.
+    /// Engine worker threads popping the admission queue.
     pub threads: usize,
-    /// Flush a batch once it holds this many requests.
-    pub batch_size: usize,
-    /// Flush a partial batch once the oldest request has waited this
-    /// long in the scheduler.
-    pub max_delay: Duration,
     /// Admission queue capacity; a full queue answers `BUSY`.
     pub queue_capacity: usize,
     /// Per-request deadline, measured from admission. A request still
@@ -61,8 +50,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         Self {
             threads: 4,
-            batch_size: 64,
-            max_delay: Duration::from_millis(1),
             queue_capacity: 1024,
             deadline: Duration::from_secs(10),
             topk_max_radius: 64,
@@ -114,54 +101,11 @@ pub(crate) struct Pending {
     pub reply: mpsc::Sender<Response>,
 }
 
-/// A contiguous slice of one batch, executed by one worker.
-pub(crate) struct Chunk {
-    pub items: Vec<Pending>,
-}
-
-/// The scheduler loop: runs until the admission queue is closed *and*
-/// drained, so a graceful shutdown answers everything already admitted.
-pub(crate) fn scheduler_loop(
-    admission: &SubmissionQueue<Pending>,
-    exec: &SubmissionQueue<Chunk>,
-    cfg: &BatchConfig,
-    metrics: &Metrics,
-) {
-    while let Some(first) = admission.pop() {
-        let flush_at = Instant::now() + cfg.max_delay;
-        let mut batch = vec![first];
-        while batch.len() < cfg.batch_size {
-            match admission.pop_deadline(flush_at) {
-                Some(pending) => batch.push(pending),
-                None => break, // max_delay elapsed (or queue closed+dry)
-            }
-        }
-        metrics.queue_depth.set(admission.len());
-        metrics.batches.inc();
-        metrics.batch_size.observe(batch.len() as u64);
-
-        let workers = cfg.threads.max(1);
-        let mut items = batch.into_iter();
-        for range in chunk_ranges(items.len(), workers) {
-            let chunk = Chunk {
-                items: items.by_ref().take(range.len()).collect(),
-            };
-            // Blocking push: this is where backpressure originates.
-            if let Err(refused) = exec.push_wait(chunk) {
-                // Exec queue closed under us — only possible if shutdown
-                // ordering is violated; answer rather than drop silently.
-                for p in refused.into_inner().items {
-                    let _ = p.reply.send(Response::Error("server shutting down".into()));
-                }
-            }
-        }
-    }
-}
-
-/// One engine worker: executes chunks until the exec queue is closed
-/// and drained.
+/// One engine worker: pops and executes admitted requests until the
+/// admission queue is closed *and* drained, so a graceful shutdown
+/// answers everything already admitted.
 pub(crate) fn worker_loop(
-    exec: &SubmissionQueue<Chunk>,
+    admission: &SubmissionQueue<Pending>,
     engine: &ServedEngine<'_>,
     cfg: &BatchConfig,
     metrics: &Metrics,
@@ -169,23 +113,27 @@ pub(crate) fn worker_loop(
     // The mutation surface, resolved once per worker: `INSERT` and
     // `DELETE` stay one virtual call each.
     let writer = engine.writer();
-    while let Some(chunk) = exec.pop() {
-        for pending in chunk.items {
-            let response = execute_one(&pending, engine, writer, cfg, metrics);
-            metrics
-                .latency_ns
-                .observe(pending.admitted.elapsed().as_nanos() as u64);
-            let _ = pending.reply.send(response);
-        }
+    loop {
+        // Sampled at every dequeue, the terminal one included, so a
+        // drained daemon reports depth 0.
+        let next = admission.pop();
+        metrics.queue_depth.set(admission.len());
+        let Some(pending) = next else { break };
+        metrics.batches.inc();
+        let response = execute_one(&pending, engine, writer, cfg, metrics);
+        metrics
+            .latency_ns
+            .observe(pending.admitted.elapsed().as_nanos() as u64);
+        let _ = pending.reply.send(response);
         // Live engines: compaction rides the worker threads — one step
-        // between chunks keeps the memtable bounded without a dedicated
-        // compaction thread, and the gate inside the engine serialises
-        // concurrent workers.
+        // between requests keeps the memtable bounded without a
+        // dedicated compaction thread, and the gate inside the engine
+        // serialises concurrent workers.
         if let Some(writer) = writer {
             writer.maybe_compact();
         }
         // Refresh the routing counters (with per-shard breakdowns) and
-        // the live engines' structural gauges after each chunk so
+        // the live engines' structural gauges after each request so
         // `STATS` stays near-live.
         engine.publish(metrics);
     }
@@ -282,24 +230,24 @@ mod tests {
     use simsearch_data::Dataset;
     use simsearch_scan::SeqVariant;
 
-    fn harness(cfg: &BatchConfig, requests: Vec<Pending>) {
+    /// Pre-queues `requests`, closes admission and drains it through
+    /// `cfg.threads` workers; returns once every worker has exited.
+    fn harness(cfg: &BatchConfig, requests: Vec<Pending>) -> Metrics {
         let ds = Dataset::from_records(["Berlin", "Bern", "Bonn", "Ulm"]);
         let engine = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
         let metrics = Metrics::new();
         let admission: SubmissionQueue<Pending> =
             SubmissionQueue::bounded(cfg.queue_capacity.max(requests.len()));
-        let exec: SubmissionQueue<Chunk> = SubmissionQueue::bounded(cfg.threads.max(1) * 2);
         for p in requests {
             admission.push(p).map_err(|_| "admission full").unwrap();
         }
         admission.close();
         std::thread::scope(|s| {
-            let sched = s.spawn(|| scheduler_loop(&admission, &exec, cfg, &metrics));
-            let worker = s.spawn(|| worker_loop(&exec, &engine, cfg, &metrics));
-            sched.join().unwrap();
-            exec.close();
-            worker.join().unwrap();
+            for _ in 0..cfg.threads {
+                s.spawn(|| worker_loop(&admission, &engine, cfg, &metrics));
+            }
         });
+        metrics
     }
 
     fn pending(text: &str, k: u32) -> (Pending, mpsc::Receiver<Response>) {
@@ -316,10 +264,9 @@ mod tests {
     }
 
     #[test]
-    fn drained_scheduler_answers_every_admitted_request() {
+    fn drained_workers_answer_every_admitted_request() {
         let cfg = BatchConfig {
             threads: 2,
-            batch_size: 3,
             ..BatchConfig::default()
         };
         let mut rxs = Vec::new();
@@ -405,39 +352,20 @@ mod tests {
     }
 
     #[test]
-    fn batches_coalesce_up_to_batch_size() {
+    fn every_dequeue_is_counted_once_and_the_drained_queue_reads_empty() {
+        const N: u64 = 8;
         let cfg = BatchConfig {
-            threads: 1,
-            batch_size: 4,
-            max_delay: Duration::from_millis(20),
+            threads: 3,
             ..BatchConfig::default()
         };
-        let ds = Dataset::from_records(["Berlin", "Bern"]);
-        let engine = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
-        let metrics = Metrics::new();
-        let admission: SubmissionQueue<Pending> = SubmissionQueue::bounded(64);
-        let exec: SubmissionQueue<Chunk> = SubmissionQueue::bounded(2);
-        let mut rxs = Vec::new();
-        for _ in 0..8 {
-            let (p, rx) = pending("Bern", 0);
-            admission.push(p).map_err(|_| "full").unwrap();
-            rxs.push(rx);
-        }
-        admission.close();
-        std::thread::scope(|s| {
-            let sched = s.spawn(|| scheduler_loop(&admission, &exec, &cfg, &metrics));
-            let worker = s.spawn(|| worker_loop(&exec, &engine, &cfg, &metrics));
-            sched.join().unwrap();
-            exec.close();
-            worker.join().unwrap();
-        });
+        let (reqs, rxs): (Vec<_>, Vec<_>) = (0..N).map(|_| pending("Bern", 0)).unzip();
+        let metrics = harness(&cfg, reqs);
         for rx in rxs {
-            assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok());
+            assert!(rx.try_recv().is_ok(), "replied before its worker exited");
         }
-        // 8 pre-queued requests, batch_size 4: exactly two full batches.
-        assert_eq!(metrics.batches.get(), 2);
-        assert_eq!(metrics.batch_size.max(), 4);
-        assert_eq!(metrics.batch_size.count(), 2);
-        assert_eq!(metrics.replied_ok.get(), 8);
+        assert_eq!(metrics.batches.get(), N);
+        assert_eq!(metrics.latency_ns.count(), N);
+        assert_eq!(metrics.replied_ok.get(), N);
+        assert_eq!(metrics.queue_depth.get(), 0);
     }
 }

@@ -48,7 +48,7 @@ impl<'a> ServedEngine<'a> {
     }
 
     /// The mutation surface (`INSERT`/`DELETE`, compaction) when the
-    /// engine is live; `None` on read-only engines. Each batch worker
+    /// engine is live; `None` on read-only engines. Each engine worker
     /// resolves it once.
     pub fn writer(&self) -> Option<&dyn MutableBackend> {
         self.backend.as_mutable()
@@ -57,7 +57,7 @@ impl<'a> ServedEngine<'a> {
     /// Self-joins the frozen dataset within distance `k`; `None` on
     /// live engines, whose dataset can shift mid-join. Runs
     /// sequentially — like the search kernels, a served join draws its
-    /// concurrency from the batch workers rather than nesting a pool
+    /// concurrency from the engine workers rather than nesting a pool
     /// per request.
     pub fn join(&self, k: u32, algo: JoinAlgo) -> Option<(Vec<JoinPair>, JoinStats)> {
         if self.writer().is_some() {
@@ -164,8 +164,8 @@ impl<'a> ServedEngine<'a> {
     }
 
     /// Mirrors the engine's routing and structural state into the
-    /// metrics registry; the batch workers call it after every executed
-    /// chunk. `plan_decisions` gets the cross-shard aggregate per arm
+    /// metrics registry; the engine workers call it after every executed
+    /// request. `plan_decisions` gets the cross-shard aggregate per arm
     /// plus one `s{i}.{arm}` entry per shard and arm, `shard_matches`
     /// per-shard cumulative match counts, and live engines their LSM
     /// gauges (aggregate, plus `s{i}.*` per shard — the aggregates are

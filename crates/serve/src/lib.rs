@@ -1,13 +1,14 @@
 //! `simsearchd`: a std-only query service over the similarity-search
-//! engines — wire protocol, micro-batch scheduler, admission control,
-//! and a metrics registry.
+//! engines — wire protocol, admission control, engine workers, and a
+//! metrics registry.
 //!
 //! The offline crates answer "how fast is one scan over one workload";
 //! this crate answers "what does the scan look like as a *service*":
-//! a long-lived process that prepares its engine once, coalesces
-//! concurrent queries into micro-batches, refuses load it cannot carry
-//! (`BUSY`, never a hang), and reports latency histograms through
-//! `STATS` in the same JSON shape the testkit bench harness emits.
+//! a long-lived process that prepares its engine once, hands each
+//! admitted request to the next free engine worker, refuses load it
+//! cannot carry (`BUSY`, never a hang), and reports latency histograms
+//! through `STATS` in the same JSON shape the testkit bench harness
+//! emits.
 //!
 //! Start a server and talk to it:
 //!

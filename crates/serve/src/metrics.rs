@@ -67,7 +67,7 @@ const SUB: usize = 1 << SUB_BITS; // 16
 const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
 /// A fixed-size log-linear histogram over `u64` values (latencies in
-/// nanoseconds, batch sizes, queue depths — any non-negative quantity).
+/// nanoseconds, queue depths — any non-negative quantity).
 ///
 /// `observe` is three relaxed atomic RMWs; `quantile` walks at most
 /// [`BUCKETS`] counters. Quantiles are upper bounds of the hit bucket,
@@ -241,8 +241,8 @@ impl PlanCounters {
 /// The registry: every metric `simsearchd` exposes through `STATS`.
 ///
 /// Field groups mirror the request lifecycle: admission (accepted /
-/// rejected / queue depth), scheduling (batches, batch size), execution
-/// (latency, DP cells), and replies by outcome.
+/// rejected / queue depth), execution (dequeues, latency, DP cells),
+/// and replies by outcome.
 #[derive(Default)]
 pub struct Metrics {
     /// Requests admitted to the queue (QUERY/TOPK only).
@@ -255,11 +255,9 @@ pub struct Metrics {
     pub replied_error: Counter,
     /// Successful `OK` match replies.
     pub replied_ok: Counter,
-    /// Micro-batches executed.
+    /// Requests dequeued by the engine workers (one tick per dequeue).
     pub batches: Counter,
-    /// Queries per micro-batch.
-    pub batch_size: Histogram,
-    /// Admission-queue depth sampled at each scheduler pass.
+    /// Admission-queue depth sampled by the workers at each dequeue.
     pub queue_depth: Gauge,
     /// End-to-end request latency (admission to reply), nanoseconds.
     pub latency_ns: Histogram,
@@ -269,7 +267,7 @@ pub struct Metrics {
     /// Client connections accepted.
     pub connections: Counter,
     /// Queries routed per backend by the adaptive planner (empty for
-    /// fixed-backend engines; published by the batch workers). Sharded
+    /// fixed-backend engines; published by the engine workers). Sharded
     /// engines add one `s{i}.{arm}` entry per shard and arm beside the
     /// cross-shard aggregates.
     pub plan_decisions: PlanCounters,
@@ -334,93 +332,75 @@ impl Metrics {
     /// extended with a `counters` object for the non-histogram metrics.
     /// Readers of the bench schema can consume the subset unchanged.
     pub fn stats_json(&self, engine: &str, dataset: &str, records: usize, started: Instant) -> String {
-        let hist = |name: &str, h: &Histogram| {
-            format!(
-                "{{\"name\": \"{name}\", \"iters\": 1, \"samples\": {}, \
-                 \"min_ns\": {}, \"mean_ns\": {}, \"median_ns\": {}, \
-                 \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
-                h.count(),
-                h.quantile(0.0),
-                h.mean(),
-                h.quantile(0.5),
-                h.quantile(0.95),
-                h.quantile(0.99),
-                h.max(),
-            )
-        };
+        let h = &self.latency_ns;
+        let latency = format!(
+            "{{\"name\": \"request_latency\", \"iters\": 1, \"samples\": {}, \
+             \"min_ns\": {}, \"mean_ns\": {}, \"median_ns\": {}, \
+             \"p95_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}}}",
+            h.count(),
+            h.quantile(0.0),
+            h.mean(),
+            h.quantile(0.5),
+            h.quantile(0.95),
+            h.quantile(0.99),
+            h.max(),
+        );
+        let counters = [
+            ("requests_admitted", self.requests_admitted.get()),
+            ("rejected_busy", self.rejected_busy.get()),
+            ("dropped_timeout", self.dropped_timeout.get()),
+            ("replied_error", self.replied_error.get()),
+            ("replied_ok", self.replied_ok.get()),
+            ("batches", self.batches.get()),
+            ("queue_depth", self.queue_depth.get() as u64),
+            ("dp_cells", self.dp_cells.get()),
+            ("connections", self.connections.get()),
+            ("uptime_ms", started.elapsed().as_millis() as u64),
+            ("memtable_len", self.memtable_len.get() as u64),
+            ("segments", self.segments.get() as u64),
+            ("tombstones", self.tombstones.get() as u64),
+            ("compactions", self.compactions.get()),
+            ("inserts", self.inserts.get()),
+            ("deletes", self.deletes.get()),
+            ("replans", self.replans.get()),
+            ("plan_epoch", self.plan_epoch.get()),
+            ("joins", self.joins.get()),
+            ("join_pairs_emitted", self.join_pairs_emitted.get()),
+            ("join_candidates_verified", self.join_candidates_verified.get()),
+            ("join_seg_buckets", self.join_seg_buckets.get() as u64),
+            ("join_seg_postings", self.join_seg_postings.get() as u64),
+        ];
+        let labelled = [
+            ("plan_decisions", &self.plan_decisions),
+            ("arm_nanos", &self.arm_nanos),
+            ("shard_matches", &self.shard_matches),
+            ("live_shards", &self.live_shards),
+        ]
+        .map(|(name, map)| format!("\"{name}\": {{{}}}", json_fields(map.snapshot())));
         format!(
             "{{\"schema\": \"{}\", \"group\": \"simsearchd\", \
              \"workload\": {{\"dataset\": \"{}\", \"records\": {records}, \
              \"queries\": {}, \"thresholds\": \"engine={}\"}}, \
-             \"results\": [{}, {}], \
-             \"counters\": {{\"requests_admitted\": {}, \"rejected_busy\": {}, \
-             \"dropped_timeout\": {}, \"replied_error\": {}, \"replied_ok\": {}, \
-             \"batches\": {}, \"queue_depth\": {}, \"dp_cells\": {}, \
-             \"connections\": {}, \"uptime_ms\": {}, \
-             \"memtable_len\": {}, \"segments\": {}, \"tombstones\": {}, \
-             \"compactions\": {}, \"inserts\": {}, \"deletes\": {}, \
-             \"replans\": {}, \"plan_epoch\": {}, \
-             \"joins\": {}, \"join_pairs_emitted\": {}, \
-             \"join_candidates_verified\": {}, \"join_seg_buckets\": {}, \
-             \"join_seg_postings\": {}, \
-             \"plan_decisions\": {{{}}}, \"arm_nanos\": {{{}}}, \
-             \"shard_matches\": {{{}}}, \
-             \"live_shards\": {{{}}}}}}}",
+             \"results\": [{latency}], \
+             \"counters\": {{{}, {}}}}}",
             crate::STATS_SCHEMA,
             json_escape(dataset),
             self.requests_admitted.get(),
             json_escape(engine),
-            hist("request_latency", &self.latency_ns),
-            hist("batch_size", &self.batch_size),
-            self.requests_admitted.get(),
-            self.rejected_busy.get(),
-            self.dropped_timeout.get(),
-            self.replied_error.get(),
-            self.replied_ok.get(),
-            self.batches.get(),
-            self.queue_depth.get(),
-            self.dp_cells.get(),
-            self.connections.get(),
-            started.elapsed().as_millis(),
-            self.memtable_len.get(),
-            self.segments.get(),
-            self.tombstones.get(),
-            self.compactions.get(),
-            self.inserts.get(),
-            self.deletes.get(),
-            self.replans.get(),
-            self.plan_epoch.get(),
-            self.joins.get(),
-            self.join_pairs_emitted.get(),
-            self.join_candidates_verified.get(),
-            self.join_seg_buckets.get(),
-            self.join_seg_postings.get(),
-            self.plan_decisions
-                .snapshot()
-                .iter()
-                .map(|(name, count)| format!("\"{}\": {count}", json_escape(name)))
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.arm_nanos
-                .snapshot()
-                .iter()
-                .map(|(name, count)| format!("\"{}\": {count}", json_escape(name)))
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.shard_matches
-                .snapshot()
-                .iter()
-                .map(|(name, count)| format!("\"{}\": {count}", json_escape(name)))
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.live_shards
-                .snapshot()
-                .iter()
-                .map(|(name, count)| format!("\"{}\": {count}", json_escape(name)))
-                .collect::<Vec<_>>()
-                .join(", "),
+            json_fields(counters),
+            labelled.join(", "),
         )
     }
+}
+
+/// Renders `"name": value, …` — the inside of a JSON object of
+/// integers, in the given order.
+fn json_fields<N: AsRef<str>>(fields: impl IntoIterator<Item = (N, u64)>) -> String {
+    fields
+        .into_iter()
+        .map(|(name, value)| format!("\"{}\": {value}", json_escape(name.as_ref())))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 fn json_escape(s: &str) -> String {
@@ -522,7 +502,6 @@ mod tests {
         let m = Metrics::new();
         m.latency_ns.observe(1_000);
         m.latency_ns.observe(2_000);
-        m.batch_size.observe(2);
         m.batches.inc();
         m.replied_ok.add(2);
         let json = m.stats_json("scan[x) Sorted-prefix scan]", "city", 1234, Instant::now());
@@ -532,7 +511,6 @@ mod tests {
             "\"group\": \"simsearchd\"",
             "\"records\": 1234",
             "\"request_latency\"",
-            "\"batch_size\"",
             "\"replied_ok\": 2",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");

@@ -6,24 +6,24 @@
 //!
 //! ```text
 //! spawn() thread ─ run() ─ thread::scope
-//!   ├── engine workers (scoped; borrow the prepared ServedEngine)
-//!   ├── scheduler      (scoped; coalesces micro-batches)
+//!   ├── engine workers (scoped; borrow the prepared ServedEngine, pop
+//!   │                   the admission queue)
+//!   ├── replan tick    (scoped; optional)
 //!   ├── accept loop    (the run() thread itself; non-blocking + poll)
 //!   └── WorkerPool     (connection handlers; all state Arc-shared)
 //! ```
 //!
 //! The engine borrows the dataset, so its workers are *scoped* threads;
 //! connection handlers only touch `'static` shared state (streams,
-//! queues, metrics) and therefore run on the reusable
+//! the queue, metrics) and therefore run on the reusable
 //! [`WorkerPool`] from the parallel crate.
 //!
 //! Shutdown ordering is the load-bearing part: a `SHUTDOWN` frame (or
 //! [`ServerHandle::request_shutdown`]) sets the flag; the accept loop
 //! stops; connection handlers notice the flag at their next read
 //! timeout and return; the connection pool joins; only then is the
-//! admission queue closed, so the scheduler drains every admitted
-//! request, the exec queue closes after it, and the engine workers
-//! drain the remaining chunks. Every admitted request is answered.
+//! admission queue closed, so the engine workers drain every admitted
+//! request before they exit. Every admitted request is answered.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,7 +36,7 @@ use simsearch_core::EngineKind;
 use simsearch_data::Dataset;
 use simsearch_parallel::{PushError, SubmissionQueue, WorkerPool};
 
-use crate::batch::{scheduler_loop, worker_loop, BatchConfig, Chunk, Pending, Work};
+use crate::batch::{worker_loop, BatchConfig, Pending, Work};
 use crate::engine::ServedEngine;
 use crate::metrics::Metrics;
 use crate::protocol::{encode_response, parse_request, ProtocolError, Request, Response, MAX_LINE_BYTES};
@@ -66,7 +66,7 @@ pub struct ServerConfig {
     /// served dataset — and rewritten with the final calibrated state
     /// at shutdown. `None` disables persistence.
     pub calibration_path: Option<PathBuf>,
-    /// The batch scheduler and engine-worker tuning.
+    /// Admission-queue and engine-worker tuning.
     pub batch: BatchConfig,
 }
 
@@ -140,9 +140,16 @@ impl Drop for ServerHandle {
 pub fn spawn(dataset: Dataset, kind: EngineKind, config: ServerConfig) -> std::io::Result<ServerHandle> {
     // Fail before the thread spawns (and before the listener binds):
     // an invalid kind — e.g. sharded-live with the `len` partitioner —
-    // would otherwise panic on the server thread.
-    kind.validate()
-        .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?;
+    // or a zero-sized queue or handler pool would otherwise panic on
+    // the server thread.
+    let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
+    kind.validate().map_err(invalid)?;
+    if config.batch.queue_capacity == 0 {
+        return Err(invalid("queue_capacity must be at least 1".into()));
+    }
+    if config.conn_threads == 0 {
+        return Err(invalid("conn_threads must be at least 1".into()));
+    }
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -197,7 +204,6 @@ fn run(
         }
     }
     engine.publish_replan(metrics);
-    let exec: SubmissionQueue<Chunk> = SubmissionQueue::bounded(config.batch.threads.max(1) * 2);
     let shared = Arc::new(Shared {
         admission: SubmissionQueue::bounded(config.batch.queue_capacity),
         metrics: Arc::clone(metrics),
@@ -215,14 +221,8 @@ fn run(
 
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..config.batch.threads.max(1))
-            .map(|_| scope.spawn(|| worker_loop(&exec, &engine, &config.batch, metrics)))
+            .map(|_| scope.spawn(|| worker_loop(&shared.admission, &engine, &config.batch, metrics)))
             .collect();
-        let scheduler = {
-            let shared = Arc::clone(&shared);
-            let exec = &exec;
-            let batch = &config.batch;
-            scope.spawn(move || scheduler_loop(&shared.admission, exec, batch, &shared.metrics))
-        };
         // The self-tuning tick: scoped like the workers (it borrows the
         // engine), polling the shutdown flag between short sleeps so a
         // long interval never delays the drain.
@@ -257,8 +257,6 @@ fn run(
         // Drain in dependency order; see the module docs.
         conn_pool.shutdown();
         shared.admission.close();
-        scheduler.join().expect("scheduler panicked");
-        exec.close();
         for worker in workers {
             worker.join().expect("engine worker panicked");
         }
@@ -314,13 +312,13 @@ enum FrameRead {
     Closed,
 }
 
-/// Accumulates one LF-terminated line into `line`, surviving read
-/// timeouts (they are the shutdown-poll mechanism) and bounding memory
-/// at [`MAX_LINE_BYTES`] even for hostile streams.
-fn read_frame(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>, shutdown: &AtomicBool) -> FrameRead {
+/// `fill_buf` that rides out read timeouts (they are the shutdown-poll
+/// mechanism): the buffered bytes — empty at EOF — or `None` once
+/// shutdown was requested or the socket errored.
+fn fill_buf_polling<'a>(reader: &'a mut BufReader<TcpStream>, shutdown: &AtomicBool) -> Option<&'a [u8]> {
     loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
+        match reader.fill_buf() {
+            Ok(_) => return Some(reader.buffer()),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -330,11 +328,20 @@ fn read_frame(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>, shutdown: &
                 ) =>
             {
                 if shutdown.load(Ordering::Acquire) {
-                    return FrameRead::Closed;
+                    return None;
                 }
-                continue;
             }
-            Err(_) => return FrameRead::Closed,
+            Err(_) => return None,
+        }
+    }
+}
+
+/// Accumulates one LF-terminated line into `line`, bounding memory at
+/// [`MAX_LINE_BYTES`] even for hostile streams.
+fn read_frame(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>, shutdown: &AtomicBool) -> FrameRead {
+    loop {
+        let Some(buf) = fill_buf_polling(reader, shutdown) else {
+            return FrameRead::Closed;
         };
         if buf.is_empty() {
             // EOF; a partial unterminated line is still a frame.
@@ -365,24 +372,7 @@ fn read_frame(reader: &mut BufReader<TcpStream>, line: &mut Vec<u8>, shutdown: &
 /// cap, whichever first) without storing it.
 fn drain_line(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) {
     let mut discarded = 0usize;
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(buf) => buf,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-            Err(_) => return,
-        };
+    while let Some(buf) = fill_buf_polling(reader, shutdown) {
         if buf.is_empty() {
             return; // EOF
         }
@@ -429,53 +419,52 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 return; // framing lost: close
             }
         }
-        let response = match parse_request(&line) {
+        let written = match parse_request(&line) {
             Err(e) => {
                 shared.metrics.replied_error.inc();
-                Response::Error(e.to_string())
+                write_frame(&mut writer, &Response::Error(e.to_string()))
             }
-            Ok(Request::Health) => Response::Healthy,
-            Ok(Request::Stats) => Response::Stats(shared.metrics.stats_json(
-                &shared.engine_name,
-                &shared.dataset_label,
-                shared.records,
-                shared.started,
-            )),
+            Ok(Request::Health) => write_frame(&mut writer, &Response::Healthy),
+            Ok(Request::Stats) => write_frame(
+                &mut writer,
+                &Response::Stats(shared.metrics.stats_json(
+                    &shared.engine_name,
+                    &shared.dataset_label,
+                    shared.records,
+                    shared.started,
+                )),
+            ),
             Ok(Request::Shutdown) => {
                 let _ = write_frame(&mut writer, &Response::Bye);
                 shared.shutdown.store(true, Ordering::Release);
                 return;
             }
-            Ok(Request::Query { k, text }) => enqueue_and_wait(shared, Work::Query { k }, text),
+            // Queries, mutations and joins ride the same admission
+            // queue: they are ordered with each other, inherit admission
+            // control (BUSY) and deadlines (TIMEOUT), and a read-only
+            // engine answers a mutation with ERR from the worker.
+            Ok(Request::Query { k, text }) => serve(shared, Work::Query { k }, text, &mut writer),
             Ok(Request::TopK { count, text }) => {
-                enqueue_and_wait(shared, Work::TopK { count }, text)
+                serve(shared, Work::TopK { count }, text, &mut writer)
             }
-            // Mutations ride the same admission/batch/worker pipeline as
-            // queries: they are ordered with the queries around them,
-            // inherit admission control (BUSY) and deadlines (TIMEOUT),
-            // and a read-only engine answers ERR from the worker.
-            Ok(Request::Insert { text }) => enqueue_and_wait(shared, Work::Insert, text),
+            Ok(Request::Insert { text }) => serve(shared, Work::Insert, text, &mut writer),
             Ok(Request::Delete { id }) => {
-                enqueue_and_wait(shared, Work::Delete { id }, Vec::new())
+                serve(shared, Work::Delete { id }, Vec::new(), &mut writer)
             }
-            // JOIN replies span several frames; stream them as they
-            // arrive instead of collecting one Response.
             Ok(Request::Join { k, algo }) => {
-                if enqueue_join_and_stream(shared, k, algo, &mut writer).is_err() {
-                    return; // client hung up
-                }
-                continue;
+                serve(shared, Work::Join { k, algo }, Vec::new(), &mut writer)
             }
         };
-        if write_frame(&mut writer, &response).is_err() {
+        if written.is_err() {
             return; // client hung up
         }
     }
 }
 
-/// Admission control: non-blocking push (full queue ⇒ immediate `BUSY`),
-/// then wait for the worker's reply on a private channel.
-fn enqueue_and_wait(shared: &Shared, work: Work, text: Vec<u8>) -> Response {
+/// Admission control: non-blocking push (full queue ⇒ immediate `BUSY`).
+/// `Ok` is the private channel the worker replies on; `Err` is the
+/// refusal to send instead.
+fn admit(shared: &Shared, work: Work, text: Vec<u8>) -> Result<mpsc::Receiver<Response>, Response> {
     let (reply, receiver) = mpsc::channel();
     let pending = Pending {
         work,
@@ -486,73 +475,46 @@ fn enqueue_and_wait(shared: &Shared, work: Work, text: Vec<u8>) -> Response {
     match shared.admission.push(pending) {
         Ok(()) => {
             shared.metrics.requests_admitted.inc();
-            match receiver.recv_timeout(shared.reply_timeout) {
-                Ok(response) => response,
-                Err(_) => Response::Error("reply channel broken".into()),
-            }
+            Ok(receiver)
         }
         Err(PushError::Full(_)) => {
             shared.metrics.rejected_busy.inc();
-            Response::Busy
+            Err(Response::Busy)
         }
-        Err(PushError::Closed(_)) => Response::Error("server shutting down".into()),
+        Err(PushError::Closed(_)) => Err(Response::Error("server shutting down".into())),
     }
 }
 
-/// `JOIN` through the same admission queue, but the reply is a stream:
-/// the worker sends `OK join <total>` followed by `OK pairs` chunks
-/// over the pending's channel, and this forwards each frame to the
-/// socket as it lands. Any non-header first frame (`BUSY`, `TIMEOUT`,
-/// `ERR`) is terminal, exactly like a single-frame reply.
-fn enqueue_join_and_stream(
-    shared: &Shared,
-    k: u32,
-    algo: crate::protocol::JoinAlgo,
-    writer: &mut BufWriter<TcpStream>,
-) -> std::io::Result<()> {
-    let (reply, receiver) = mpsc::channel();
-    let pending = Pending {
-        work: Work::Join { k, algo },
-        text: Vec::new(),
-        admitted: Instant::now(),
-        reply,
+/// Admits one request and forwards the worker's reply frames to the
+/// socket as they land, until a terminal one: a `JOIN` streams
+/// `OK join <total>` then `OK pairs` chunks and ends at the header of
+/// an empty join or at the chunk that completes `total`; every other
+/// frame (`OK` matches, `BUSY`, `TIMEOUT`, `ERR`) is a stream of one.
+fn serve(shared: &Shared, work: Work, text: Vec<u8>, writer: &mut BufWriter<TcpStream>) -> std::io::Result<()> {
+    let receiver = match admit(shared, work, text) {
+        Ok(receiver) => receiver,
+        Err(refusal) => return write_frame(writer, &refusal),
     };
-    match shared.admission.push(pending) {
-        Ok(()) => {
-            shared.metrics.requests_admitted.inc();
-            let mut expected: Option<u64> = None;
-            let mut streamed = 0u64;
-            loop {
-                let frame = match receiver.recv_timeout(shared.reply_timeout) {
-                    Ok(frame) => frame,
-                    Err(_) => {
-                        return write_frame(writer, &Response::Error("reply channel broken".into()))
-                    }
-                };
-                let done = match &frame {
-                    Response::JoinHeader { total } => {
-                        expected = Some(*total);
-                        *total == 0
-                    }
-                    Response::JoinPairs(pairs) => {
-                        streamed += pairs.len() as u64;
-                        expected.is_some_and(|total| streamed >= total)
-                    }
-                    // BUSY / TIMEOUT / ERR: single-frame refusal.
-                    _ => true,
-                };
-                write_frame(writer, &frame)?;
-                if done {
-                    return Ok(());
-                }
+    let mut expected: Option<u64> = None;
+    let mut streamed = 0u64;
+    loop {
+        let frame = receiver
+            .recv_timeout(shared.reply_timeout)
+            .unwrap_or_else(|_| Response::Error("reply channel broken".into()));
+        let done = match &frame {
+            Response::JoinHeader { total } => {
+                expected = Some(*total);
+                *total == 0
             }
-        }
-        Err(PushError::Full(_)) => {
-            shared.metrics.rejected_busy.inc();
-            write_frame(writer, &Response::Busy)
-        }
-        Err(PushError::Closed(_)) => {
-            write_frame(writer, &Response::Error("server shutting down".into()))
+            Response::JoinPairs(pairs) => {
+                streamed += pairs.len() as u64;
+                expected.is_some_and(|total| streamed >= total)
+            }
+            _ => true,
+        };
+        write_frame(writer, &frame)?;
+        if done {
+            return Ok(());
         }
     }
 }

@@ -21,7 +21,6 @@ fn saturated_config(exec_delay_ms: u64, deadline_ms: u64, queue_capacity: usize)
     ServerConfig {
         batch: BatchConfig {
             threads: 1,
-            batch_size: 1,
             queue_capacity,
             deadline: Duration::from_millis(deadline_ms),
             exec_delay: Duration::from_millis(exec_delay_ms),
@@ -130,4 +129,29 @@ fn expired_requests_answer_timeout() {
     assert!(timeouts > 0, "queued-past-deadline requests must TIMEOUT");
     assert!(server.metrics().dropped_timeout.get() as usize >= timeouts);
     server.shutdown();
+}
+
+/// A config the server thread could only panic on — a zero-capacity
+/// queue, an empty handler pool — is refused by `spawn` itself, before
+/// it binds: the port stays held by this test, and the error is the
+/// validation's `InvalidInput`, not the bind's `AddrInUse`.
+#[test]
+fn zero_sized_configs_are_rejected_before_anything_is_bound() {
+    let held = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("hold a port");
+    let port = held.local_addr().expect("held address").port();
+    let no_queue = ServerConfig {
+        port,
+        ..saturated_config(0, 10_000, 0)
+    };
+    let no_handlers = ServerConfig {
+        port,
+        conn_threads: 0,
+        ..ServerConfig::default()
+    };
+    for config in [no_queue, no_handlers] {
+        let err = simsearch_serve::spawn(tiny_dataset(), EngineKind::Scan(SeqVariant::V4Flat), config)
+            .err()
+            .expect("spawn must refuse the config");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    }
 }

@@ -41,7 +41,7 @@ fn oracle(preset: &presets::Preset, take: usize) -> Vec<Expected> {
 
 /// The tentpole acceptance test: 1,000 city + DNA queries, eight
 /// concurrent client threads, every reply byte-identical to the V1
-/// oracle — through the batching scheduler, not around it.
+/// oracle — through the admission queue and the engine workers.
 #[test]
 fn concurrent_clients_match_the_v1_oracle_byte_for_byte() {
     // 1,000 queries total; the DNA share is smaller because its V1
@@ -59,10 +59,6 @@ fn concurrent_clients_match_the_v1_oracle_byte_for_byte() {
                 dataset_label: label.into(),
                 batch: BatchConfig {
                     threads: 3,
-                    batch_size: 16,
-                    // A slightly wider coalescing window makes batches
-                    // of >1 from four lockstep clients deterministic.
-                    max_delay: Duration::from_millis(2),
                     ..BatchConfig::default()
                 },
                 ..ServerConfig::default()
@@ -92,15 +88,13 @@ fn concurrent_clients_match_the_v1_oracle_byte_for_byte() {
             }
         });
         // The acceptance criterion: after real traffic, STATS carries
-        // non-zero batch and latency histograms — and parses as JSON.
+        // a non-zero latency histogram — and parses as JSON.
         let mut client = server.client();
         let json = client.stats_json().expect("stats");
         simsearch_serve::json::validate(&json).expect("STATS must be valid JSON");
         assert!(json.contains("\"schema\": \"simsearch-bench-v2\""), "{json}");
         let m = server.metrics();
         assert!(m.latency_ns.count() >= take as u64, "latency histogram populated");
-        assert!(m.batch_size.count() > 0, "batch histogram populated");
-        assert!(m.batch_size.max() > 1, "micro-batching actually coalesced");
         assert!(m.dp_cells.get() > 0, "V7 DP-cell diagnostics flow through");
         assert_eq!(m.requests_admitted.get(), take as u64);
         assert_eq!(m.replied_ok.get(), take as u64);
@@ -143,7 +137,6 @@ fn shutdown_drains_admitted_requests() {
         ServerConfig {
             batch: BatchConfig {
                 threads: 1,
-                batch_size: 1,
                 queue_capacity: 16,
                 exec_delay: Duration::from_millis(30),
                 ..BatchConfig::default()
