@@ -241,9 +241,13 @@ pub fn static_cost(
             // sort share as ScanSorted, then each surviving candidate
             // costs one block-column advance per unshared byte. A word
             // advance is branch-free straight-line ALU — about one
-            // scalar cell of wall clock despite representing 64 cells —
-            // and, unlike every banded arm, the per-byte cost does not
-            // grow with `k`: this is the arm that wins long strings and
+            // scalar cell of wall clock despite representing 64 cells.
+            // `q × blocks` words per candidate is an upper bound: the
+            // kernel stops at the column where the decisive diagonal
+            // passes `k` (a few columns on a small alphabet, more as `k`
+            // grows) and advances only the blocks inside the k-band
+            // (almost always one). Deliberately left uncalibrated — see
+            // ROADMAP item 1. Still the arm that wins long strings and
             // high thresholds, where `band` blows the others up.
             const WORD_EQ: f64 = 1.0;
             let blocks = (q / 64.0).ceil().max(1.0);

@@ -9,7 +9,7 @@
 //! candidates. Patterns longer than 64 bytes use the blocked variant in
 //! [`crate::myers_block`].
 
-use crate::myers_block::{score_is_dead, PatternError};
+use crate::myers_block::{diagonal_rise, PatternError};
 
 /// A query compiled for bit-parallel distance computation
 /// (pattern length ≤ 64).
@@ -91,38 +91,35 @@ impl Myers64 {
     }
 
     /// Computes whether `ed(pattern, text) ≤ k`, returning the distance
-    /// when it is. Aborts as soon as the score can no longer descend back
-    /// to `k` within the remaining text (the score changes by at most one
-    /// per text byte).
+    /// when it is. Follows the decisive diagonal `D[j+Δ][j]`, `Δ = m − n`
+    /// (see [`crate::myers_block`]): its values never decrease, so the
+    /// comparison stops the moment one exceeds `k`.
     pub fn within(&self, text: &[u8], k: u32) -> Option<u32> {
         if self.m.abs_diff(text.len() as u32) > k {
             return None;
         }
         let mut pv = !0u64;
         let mut mv = 0u64;
-        let mut score = self.m;
-        let n = text.len();
+        let delta = self.m as isize - text.len() as isize;
+        let mut score = delta.unsigned_abs() as u32;
         for (j, &c) in text.iter().enumerate() {
             let eq = self.peq[c as usize];
             let xv = eq | mv;
             let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
+            // `j + Δ` is the row the diagonal leaves in this column
+            // (negative: not entered yet).
+            score += diagonal_rise(xh | mv, j as isize + delta);
+            if score > k {
+                return None;
+            }
             let ph = mv | !(xh | pv);
             let mh = pv & xh;
-            if ph & self.last != 0 {
-                score += 1;
-            }
-            if mh & self.last != 0 {
-                score -= 1;
-            }
             let ph = (ph << 1) | 1;
             let mh = mh << 1;
             pv = mh | !(xv | ph);
             mv = ph & xv;
-            if score_is_dead(score as i64, k, n - 1 - j) {
-                return None;
-            }
         }
-        (score <= k).then_some(score)
+        Some(score)
     }
 }
 

@@ -3,9 +3,18 @@
 //!
 //! The pattern's DP column is split across ⌈m/64⌉ words ("blocks"); each
 //! text byte advances every block, with the horizontal delta at each
-//! block's top bit carried into the next block. The score is tracked at
-//! the last pattern position. Used for DNA reads (≈100 bytes), where
-//! [`crate::myers::Myers64`] does not fit.
+//! block's top bit carried into the next block. Used for DNA reads
+//! (≈100 bytes), where [`crate::myers::Myers64`] does not fit.
+//!
+//! The score is tracked along the *decisive diagonal* — the one through
+//! `D[m][n]`, i.e. cells `D[j+Δ][j]` with `Δ = m − n` — rather than along
+//! the bottom row. [`advance_block`] reports the diagonal-zero vector
+//! `D0` (bit `i` set iff `D[i+1][j+1] = D[i][j]`), so one step down the
+//! diagonal costs one shift-and-mask: `s += 1 − bit_{j+Δ}(D0)`, starting
+//! from `|Δ|` at the column where the diagonal enters the matrix. Values
+//! on a diagonal never decrease (the paper's §3.2, eqs. (6)/(7)), so a
+//! bounded run stops the moment `s > k`, and `s` at the last column *is*
+//! the distance.
 
 const W: usize = 64;
 
@@ -42,16 +51,6 @@ impl std::fmt::Display for PatternError {
 
 impl std::error::Error for PatternError {}
 
-/// The early-exit bound shared by every bit-parallel engine (single-word
-/// `within`, blocked `run`, and the resumable stack kernel): the score at
-/// the last pattern row changes by at most one per text byte, so once it
-/// exceeds `k` by more than the number of unread bytes it can never
-/// descend back to `k`.
-#[inline]
-pub(crate) fn score_is_dead(score: i64, k: u32, remaining: usize) -> bool {
-    score > k as i64 + remaining as i64
-}
-
 /// A query compiled for blocked bit-parallel distance computation.
 #[derive(Clone)]
 pub struct MyersBlock {
@@ -61,8 +60,6 @@ pub struct MyersBlock {
     blocks: usize,
     /// Pattern length.
     m: usize,
-    /// Mask of the last pattern position within the last block.
-    last: u64,
 }
 
 /// Per-block vertical state.
@@ -70,6 +67,12 @@ pub struct MyersBlock {
 pub(crate) struct BlockState {
     pub(crate) pv: u64,
     pub(crate) mv: u64,
+}
+
+impl BlockState {
+    /// The DP column of the empty text prefix, `D[i][0] = i`: every
+    /// vertical delta is `+1`.
+    pub(crate) const INITIAL: Self = Self { pv: !0, mv: 0 };
 }
 
 impl MyersBlock {
@@ -86,12 +89,7 @@ impl MyersBlock {
         for (i, &c) in pattern.iter().enumerate() {
             peq[(i / W) * 256 + c as usize] |= 1 << (i % W);
         }
-        Ok(Self {
-            peq,
-            blocks,
-            m,
-            last: 1 << ((m - 1) % W),
-        })
+        Ok(Self { peq, blocks, m })
     }
 
     /// Compiles `pattern`. Returns `None` if it is empty
@@ -119,41 +117,34 @@ impl MyersBlock {
         self.run(text, Some(k))
     }
 
+    /// Walks the decisive diagonal from where it enters the matrix to
+    /// `D[m][n]`; with a threshold, stops as soon as it exceeds `k`.
     fn run(&self, text: &[u8], k: Option<u32>) -> Option<u32> {
-        let mut state = vec![BlockState { pv: !0u64, mv: 0 }; self.blocks];
-        let mut score = self.m as i64;
-        let n = text.len();
+        let mut state = vec![BlockState::INITIAL; self.blocks];
+        let delta = self.m as isize - text.len() as isize;
+        // D[Δ][0] = Δ, or D[0][−Δ] = −Δ when the text is the longer one.
+        let mut score = delta.unsigned_abs() as u32;
         for (j, &c) in text.iter().enumerate() {
+            // Row the diagonal leaves in this column (negative: not
+            // entered yet).
+            let row = j as isize + delta;
             // Horizontal input into block 0 is +1: D[0][j] = j.
             let mut hin: i32 = 1;
             for (b, st) in state.iter_mut().enumerate() {
                 let eq = self.peq[b * 256 + c as usize];
                 let adv = advance_block(st.pv, st.mv, eq, hin);
-                if b == self.blocks - 1 {
-                    // Track the score at the pattern's last position
-                    // (pre-shift horizontal deltas, as in the single-word
-                    // algorithm); `hout` would watch bit 63 instead.
-                    if adv.ph_pre & self.last != 0 {
-                        score += 1;
-                    } else if adv.mh_pre & self.last != 0 {
-                        score -= 1;
-                    }
+                if b as isize == row >> 6 {
+                    score += diagonal_rise(adv.d0, row);
                 }
                 st.pv = adv.pv;
                 st.mv = adv.mv;
                 hin = adv.hout;
             }
-            if let Some(k) = k {
-                if score_is_dead(score, k, n - 1 - j) {
-                    return None;
-                }
+            if k.is_some_and(|k| score > k) {
+                return None;
             }
         }
-        let score = score as u32;
-        match k {
-            Some(k) if score > k => None,
-            _ => Some(score),
-        }
+        Some(score)
     }
 }
 
@@ -166,11 +157,10 @@ pub(crate) struct Advance {
     pub(crate) pv: u64,
     /// New vertical-negative state.
     pub(crate) mv: u64,
-    /// Horizontal-positive deltas *before* the shift (bit `i` = column
-    /// delta at pattern row `i`); used for score tracking.
-    pub(crate) ph_pre: u64,
-    /// Horizontal-negative deltas before the shift.
-    pub(crate) mh_pre: u64,
+    /// Diagonal-zero vector: bit `i` is set iff `D[i+1][j+1] = D[i][j]`
+    /// (the other possibility being `+1`); used for score tracking along
+    /// the decisive diagonal.
+    pub(crate) d0: u64,
 }
 
 /// Advances one 64-bit block by one text character.
@@ -198,9 +188,16 @@ pub(crate) fn advance_block(pv: u64, mv: u64, mut eq: u64, hin: i32) -> Advance 
         hout,
         pv: mh | !(xv | ph),
         mv: ph & xv,
-        ph_pre,
-        mh_pre,
+        d0: xh | mv,
     }
+}
+
+/// How much the decisive diagonal rises on its step out of `row`, given
+/// the `D0` word of that row's block: 0 or 1, and 0 while `row < 0` (the
+/// diagonal has not entered the matrix yet).
+#[inline]
+pub(crate) fn diagonal_rise(d0: u64, row: isize) -> u32 {
+    u32::from(row >= 0) & !(d0 >> (row & 63)) as u32
 }
 
 impl std::fmt::Debug for MyersBlock {

@@ -1,30 +1,46 @@
 //! Resumable blocked bit-parallel edit distance for sorted-prefix
 //! scans — [`crate::row_stack::RowStackKernel`]'s discipline applied to
-//! Myers words instead of scalar rows.
+//! Myers words instead of scalar rows, cut off by the paper's own abort
+//! rule and scheduled as a k-band of lazily activated blocks.
 //!
-//! The row stack resumes a scalar DP at the LCP between adjacent sorted
-//! candidates, recomputing only suffix *rows*. [`MyersStackKernel`] does
-//! the same at 64-cell block granularity: the query's `Peq` match masks
-//! are compiled once, and for every text position the kernel checkpoints
-//! all ⌈m/64⌉ block states (`pv`/`mv`) plus the running score at the
-//! last pattern row. Resuming at `shared_prefix` truncates the
-//! checkpoint stack and re-advances only the candidate's unshared
-//! suffix — one [`crate::myers_block::advance_block`] call per block per
-//! byte, i.e. 64 DP cells per word operation, on top of the LCP reuse
-//! that already skips the shared prefix entirely.
+//! **Resume.** The query's `Peq` match masks are compiled once, and for
+//! every candidate prefix the next record may share, the kernel
+//! checkpoints the ⌈m/64⌉ block states (`pv`/`mv`) of that DP column.
+//! Resuming at `shared_prefix` truncates the checkpoint stack and
+//! re-advances only the candidate's unshared suffix. The checkpoint at
+//! depth `d` is a pure function of the candidate's first `d` bytes (and
+//! of `k`), so any candidate sharing those bytes may adopt it verbatim;
+//! an abort leaves a shorter but still valid stack, and future resumes
+//! are clamped to the surviving depth.
 //!
-//! Soundness of the resume is the same range-minimum argument as the
-//! scalar stack: the checkpoint at depth `d` is a pure function of the
-//! candidate's first `d` bytes, so any candidate sharing those bytes may
-//! adopt it verbatim. Early aborts (score out of reach of `k`) leave a
-//! shorter but still valid stack — future resumes are clamped to the
-//! surviving depth, which only shrinks the reuse, never corrupts it.
+//! **Abort rule: the decisive diagonal.** With `Δ = m − n`, the diagonal
+//! `D[j+Δ][j]` ends in `D[m][n]`, and `D[i+1][j+1] ∈ {D[i][j],
+//! D[i][j]+1}`, so its values never decrease (the paper's §3.2, eqs.
+//! (6)/(7)): the candidate is dead as soon as one exceeds `k`, and the
+//! value at `j = n` is the distance. One step costs one bit of
+//! [`crate::myers_block::advance_block`]'s `D0` vector. At a resume depth
+//! `d` the value needs no stored score: `D[0][d] = d`, and the vertical
+//! deltas of the checkpointed column sum to `D[d+Δ][d] = d +
+//! popcount(pv & low) − popcount(mv & low)` over its lowest `d+Δ` bits —
+//! so a candidate that shares an already-dead prefix with its
+//! predecessor is rejected from the checkpoint with no word advanced.
 //!
-//! Like the scalar kernel, the words advanced and cells represented are
-//! counted so diagnostics can compare word-level and cell-level work
-//! across scan variants.
+//! **Work schedule: a k-band of lazy blocks.** A cell with `D ≤ k` has
+//! `|i − j| ≤ k`, so the byte at position `p` (column `p+1`) advances
+//! only blocks `0 ..= (p+k)/64`; the others keep the initial column
+//! (`pv = !0`, `mv = 0`: `+1` per row below the last computed one), an
+//! upper bound on their true values. Every cell with `D ≤ k` is reached
+//! by a path of cells `≤ k`, all inside the band, so banded and exact
+//! values agree wherever it matters (Ukkonen's band at block
+//! granularity). The schedule depends on the position and on `k` only —
+//! never on the candidate's length — which is what keeps a checkpoint
+//! adoptable by the next candidate whatever its length.
+//!
+//! Words advanced, words adopted from the stack and the DP cells the
+//! advanced bytes represent are counted so diagnostics can compare
+//! word-level and cell-level work across scan variants.
 
-use crate::myers_block::{advance_block, score_is_dead, BlockState};
+use crate::myers_block::{advance_block, diagonal_rise, BlockState};
 
 const W: usize = 64;
 
@@ -55,19 +71,15 @@ pub struct MyersStackKernel {
     blocks: usize,
     /// Query length.
     m: usize,
-    /// Mask of the last pattern position within the last block.
-    last: u64,
     k: u32,
-    /// Checkpoint stack: `states[d * blocks + b]` is block `b`'s
-    /// vertical state after `d` candidate bytes; depth 0 (the empty
-    /// prefix, `pv = !0`, `mv = 0`) occupies the first `blocks` slots.
+    /// DP columns: `states[d * blocks + b]` is block `b`'s vertical
+    /// state after `d` candidate bytes. Column 0 is the empty prefix
+    /// ([`BlockState::INITIAL`]), and blocks the band has not reached
+    /// yet hold that state too. Columns `0 ..= depth` are the checkpoint
+    /// stack; whatever lies above is scratch for the candidate in hand.
     states: Vec<BlockState>,
-    /// `scores[d]`: the DP score at the last pattern row after `d`
-    /// candidate bytes; `scores[0] = m`.
-    scores: Vec<i64>,
-    /// One column of scratch state for the unstacked tail of a bounded
-    /// resume ([`MyersStackKernel::resume_bounded`]).
-    scratch: Vec<BlockState>,
+    /// Number of candidate bytes checkpointed in `states`.
+    depth: usize,
     words: u64,
     cells: u64,
     reused: u64,
@@ -81,11 +93,9 @@ impl MyersStackKernel {
             peq: Vec::new(),
             blocks: 0,
             m: 0,
-            last: 0,
             k: 0,
             states: Vec::new(),
-            scores: Vec::new(),
-            scratch: Vec::new(),
+            depth: 0,
             words: 0,
             cells: 0,
             reused: 0,
@@ -105,12 +115,9 @@ impl MyersStackKernel {
         for (i, &c) in query.iter().enumerate() {
             self.peq[c as usize * self.blocks + i / W] |= 1 << (i % W);
         }
-        self.last = if self.m == 0 { 0 } else { 1 << ((self.m - 1) % W) };
         self.states.clear();
-        self.states
-            .resize(self.blocks, BlockState { pv: !0u64, mv: 0 });
-        self.scores.clear();
-        self.scores.push(self.m as i64);
+        self.states.resize(self.blocks, BlockState::INITIAL);
+        self.depth = 0;
         self.words = 0;
         self.cells = 0;
         self.reused = 0;
@@ -134,17 +141,20 @@ impl MyersStackKernel {
     /// Current stack depth (number of candidate bytes whose block
     /// states are checkpointed).
     pub fn depth(&self) -> usize {
-        self.scores.len() - 1
+        self.depth
     }
 
-    /// 64-bit words advanced since the last [`MyersStackKernel::reset`]
-    /// (`blocks` per candidate byte actually processed).
+    /// 64-bit words advanced since the last [`MyersStackKernel::reset`]:
+    /// one per block inside the k-band per candidate byte processed, so
+    /// at most — and for multi-block queries usually well below —
+    /// `blocks` per byte.
     pub fn words_advanced(&self) -> u64 {
         self.words
     }
 
-    /// DP cells represented by the advanced words (`m` per candidate
-    /// byte) — the scalar-kernel-comparable work figure.
+    /// DP cells represented by the advanced bytes (`m` per candidate
+    /// byte, whatever the band skipped) — the scalar-kernel-comparable
+    /// work figure.
     pub fn cells_computed(&self) -> u64 {
         self.cells
     }
@@ -161,9 +171,8 @@ impl MyersStackKernel {
     /// `shared_prefix` must not exceed the true common prefix between
     /// `candidate` and the previous candidate this kernel processed
     /// (pass `0` to restart from scratch, e.g. at a chunk boundary).
-    /// Aborts as soon as the score can no longer descend back to `k`
-    /// within the remaining bytes; the surviving (shorter) stack stays
-    /// valid for the next resume.
+    /// Aborts as soon as the decisive diagonal exceeds `k`; the
+    /// surviving (shorter) stack stays valid for the next resume.
     pub fn resume(&mut self, candidate: &[u8], shared_prefix: usize) -> Option<u32> {
         self.resume_bounded(candidate, shared_prefix, usize::MAX)
     }
@@ -176,7 +185,7 @@ impl MyersStackKernel {
     /// more than that many bytes (the running LCP minimum only shrinks).
     /// Passing that lookahead as `keep_limit` lets the kernel checkpoint
     /// only the reusable prefix and advance the candidate's tail in a
-    /// single scratch column — register-resident, no per-byte stores —
+    /// single column that is dropped afterwards — no per-byte pushes —
     /// which collapses the stack-maintenance cost on low-LCP data (DNA
     /// reads share a handful of bytes out of ~100). Correctness is
     /// unaffected: the surviving stack is a prefix of the full one, and
@@ -187,126 +196,124 @@ impl MyersStackKernel {
         shared_prefix: usize,
         keep_limit: usize,
     ) -> Option<u32> {
+        let n = candidate.len();
         if self.m == 0 {
             // No bit-parallel form: the distance is trivially |candidate|.
-            let d = candidate.len() as u32;
+            let d = n as u32;
             return (d <= self.k).then_some(d);
         }
-        let keep = shared_prefix.min(self.depth()).min(candidate.len());
-        self.truncate(keep);
+        // Backtrack: columns past the shared prefix belong to the
+        // previous candidate.
+        let keep = shared_prefix.min(self.depth).min(n);
+        self.depth = keep;
         self.reused += (keep * self.blocks) as u64;
-        let n = candidate.len();
-        let mut score = self.scores[keep];
-        // The checkpointed score alone may already put k out of reach of
-        // the remaining bytes — the stack analog of a dead prefix.
-        if score_is_dead(score, self.k, n - keep) {
+        let delta = self.m as isize - n as isize;
+        if delta.unsigned_abs() > self.k as usize {
             return None;
         }
+        // The decisive diagonal's value at column `keep`, read off the
+        // checkpoint; before the diagonal enters the matrix (Δ < 0,
+        // column −Δ, row 0) its entry value −Δ ≤ k stands in.
+        let mut score = match usize::try_from(keep as isize + delta) {
+            Ok(row) => self.checkpointed_score(row),
+            Err(_) => delta.unsigned_abs() as u32,
+        };
+        // A dead shared prefix: rejected with no word advanced.
+        if score > self.k {
+            return None;
+        }
+        let (blocks, k) = (self.blocks, self.k);
+        if self.states.len() < (n + 1) * blocks {
+            self.states.resize((n + 1) * blocks, BlockState::INITIAL);
+        }
+        let mut pos = keep;
         // Checkpointed phase: columns the next resume may adopt.
         let ckpt_end = keep_limit.min(n);
-        let mut pos = keep;
-        let mut alive = true;
-        if pos < ckpt_end {
-            self.states.reserve((ckpt_end - pos) * self.blocks);
-            self.scores.reserve(ckpt_end - pos);
-            while pos < ckpt_end {
-                score = self.push(candidate[pos], score);
+        while pos < ckpt_end && score <= k {
+            score += self.advance_column(candidate[pos], pos, delta);
+            pos += 1;
+        }
+        self.depth = pos;
+        // Unstacked tail: nothing past `keep_limit` is ever resumed.
+        // While the band covers block 0 alone — the whole tail of most
+        // candidates — the column is one word and stays in registers:
+        // the sweep is bound by the pv → pv dependency chain, which a
+        // store and reload per byte would lengthen.
+        let one_word_end = if blocks == 1 {
+            n
+        } else {
+            n.min(W.saturating_sub(k as usize))
+        };
+        if pos < one_word_end && score <= k {
+            let start = pos;
+            let BlockState { mut pv, mut mv } = self.states[pos * blocks];
+            while pos < one_word_end && score <= k {
+                let adv = advance_block(pv, mv, self.peq[candidate[pos] as usize * blocks], 1);
+                (pv, mv) = (adv.pv, adv.mv);
+                score += diagonal_rise(adv.d0, pos as isize + delta);
                 pos += 1;
-                if score_is_dead(score, self.k, n - pos) {
-                    alive = false;
-                    break;
-                }
             }
+            self.words += (pos - start) as u64;
+            // Hand the column over to the blocked loop below.
+            self.states[pos * blocks..][..blocks].fill(BlockState::INITIAL);
+            self.states[pos * blocks] = BlockState { pv, mv };
         }
-        let mut advanced = (pos - keep) as u64;
-        // Unstacked tail: nothing past `keep_limit` is ever resumed, so
-        // the remaining bytes advance one scratch column in place.
-        if alive && pos < n {
-            let base = self.states.len() - self.blocks;
-            self.scratch.clear();
-            self.scratch.extend_from_slice(&self.states[base..]);
-            for (j, &c) in candidate[pos..].iter().enumerate() {
-                score = self.advance_scratch(c, score);
-                advanced += 1;
-                if score_is_dead(score, self.k, n - pos - j - 1) {
-                    alive = false;
-                    break;
-                }
-            }
+        while pos < n && score <= k {
+            score += self.advance_column(candidate[pos], pos, delta);
+            pos += 1;
         }
-        // One batched counter update per candidate, not per byte.
-        self.words += advanced * self.blocks as u64;
-        self.cells += advanced * self.m as u64;
-        (alive && score <= self.k as i64).then_some(score as u32)
+        self.cells += ((pos - keep) * self.m) as u64;
+        (score <= k).then_some(score)
     }
 
-    /// Backtracks to stack depth `depth` (a no-op when already there).
-    fn truncate(&mut self, depth: usize) {
-        debug_assert!(depth <= self.depth());
-        self.scores.truncate(depth + 1);
-        self.states.truncate((depth + 1) * self.blocks);
-    }
-
-    /// Advances every block by candidate byte `c`, checkpointing the new
-    /// column; takes the caller's running score (kept in a register
-    /// across the candidate instead of re-read from the stack) and
-    /// returns the new score at the last pattern row.
-    ///
-    /// The last block is peeled out of the carry-chain loop so the score
-    /// update runs once per byte, branch-free.
+    /// Computes DP column `pos + 1` from column `pos` for candidate byte
+    /// `c`, advancing (and counting) only the blocks inside the k-band.
+    /// Returns how much the decisive diagonal `D[j+Δ][j]` rises on its
+    /// step out of column `pos`.
     #[inline]
-    fn push(&mut self, c: u8, score: i64) -> i64 {
+    fn advance_column(&mut self, c: u8, pos: usize, delta: isize) -> u32 {
         let blocks = self.blocks;
-        debug_assert!(blocks > 0, "push requires a non-empty query");
-        let base = self.states.len() - blocks;
-        let pbase = c as usize * blocks;
+        let (below, above) = self.states.split_at_mut((pos + 1) * blocks);
+        let (from, to) = (&below[pos * blocks..], &mut above[..blocks]);
+        let peq = &self.peq[c as usize * blocks..][..blocks];
+        let active = blocks.min((pos + self.k as usize) / W + 1);
+        let row = pos as isize + delta;
+        debug_assert!(
+            row >> 6 < active as isize,
+            "the diagonal lies inside the band"
+        );
         // Horizontal input into block 0 is +1: D[0][j] = j.
         let mut hin: i32 = 1;
-        for b in 0..blocks - 1 {
-            let st = self.states[base + b];
-            let adv = advance_block(st.pv, st.mv, self.peq[pbase + b], hin);
-            self.states.push(BlockState {
-                pv: adv.pv,
-                mv: adv.mv,
-            });
-            hin = adv.hout;
-        }
-        let st = self.states[base + blocks - 1];
-        let adv = advance_block(st.pv, st.mv, self.peq[pbase + blocks - 1], hin);
-        self.states.push(BlockState {
-            pv: adv.pv,
-            mv: adv.mv,
-        });
-        let score = score + i64::from(adv.ph_pre & self.last != 0)
-            - i64::from(adv.mh_pre & self.last != 0);
-        self.scores.push(score);
-        score
-    }
-
-    /// Advances the scratch column by candidate byte `c` in place (the
-    /// unstacked tail of a bounded resume); returns the new score at the
-    /// last pattern row.
-    #[inline]
-    fn advance_scratch(&mut self, c: u8, score: i64) -> i64 {
-        let blocks = self.blocks;
-        let pbase = c as usize * blocks;
-        let mut hin: i32 = 1;
-        for b in 0..blocks - 1 {
-            let st = self.scratch[b];
-            let adv = advance_block(st.pv, st.mv, self.peq[pbase + b], hin);
-            self.scratch[b] = BlockState {
+        let mut d0 = 0;
+        for b in 0..active {
+            let adv = advance_block(from[b].pv, from[b].mv, peq[b], hin);
+            to[b] = BlockState {
                 pv: adv.pv,
                 mv: adv.mv,
             };
             hin = adv.hout;
+            if b as isize == row >> 6 {
+                d0 = adv.d0;
+            }
         }
-        let st = self.scratch[blocks - 1];
-        let adv = advance_block(st.pv, st.mv, self.peq[pbase + blocks - 1], hin);
-        self.scratch[blocks - 1] = BlockState {
-            pv: adv.pv,
-            mv: adv.mv,
-        };
-        score + i64::from(adv.ph_pre & self.last != 0) - i64::from(adv.mh_pre & self.last != 0)
+        to[active..].fill(BlockState::INITIAL);
+        self.words += active as u64;
+        diagonal_rise(d0, row)
+    }
+
+    /// `D[row][depth]` read off the top checkpoint: `D[0][depth] = depth`
+    /// plus the column's lowest `row` vertical deltas.
+    fn checkpointed_score(&self, row: usize) -> u32 {
+        debug_assert!(row <= self.m);
+        let column = &self.states[self.depth * self.blocks..];
+        let (mut up, mut down) = (self.depth as u32, 0u32);
+        for (b, st) in column[..row.div_ceil(W)].iter().enumerate() {
+            // This block's rows below `row`: all 64, or the remainder.
+            let low = !0u64 >> (W - (row - b * W).min(W));
+            up += (st.pv & low).count_ones();
+            down += (st.mv & low).count_ones();
+        }
+        up - down
     }
 }
 
@@ -400,14 +407,23 @@ mod tests {
     #[test]
     fn candidate_shorter_than_stack_depth() {
         // "Berlingen" then its own prefix "Berlin": resume must pop to
-        // the candidate's full length and read the stacked score.
-        let mut dp = MyersStackKernel::new(b"Berlin", 2);
-        dp.resume(b"Berlingen", 0);
+        // the candidate's full length and read the answer off the
+        // checkpointed column.
+        let mut dp = MyersStackKernel::new(b"Berlin", 3);
+        assert_eq!(dp.resume(b"Berlingen", 0), Some(3));
+        assert_eq!(dp.depth(), 9);
         let words_before = dp.words_advanced();
         assert_eq!(dp.resume(b"Berlin", 6), Some(0));
         assert_eq!(dp.depth(), 6);
         // The whole candidate came from the stack: no new words.
         assert_eq!(dp.words_advanced(), words_before);
+        // At k = 2 "Berlingen" is out of reach by length alone: nothing
+        // is advanced or stacked, so its prefix starts from scratch.
+        let mut dp = MyersStackKernel::new(b"Berlin", 2);
+        assert_eq!(dp.resume(b"Berlingen", 0), None);
+        assert_eq!((dp.depth(), dp.words_advanced()), (0, 0));
+        assert_eq!(dp.resume(b"Berlin", 6), Some(0));
+        assert_eq!(dp.words_advanced(), 6);
     }
 
     #[test]
@@ -431,12 +447,15 @@ mod tests {
         let q = vec![b'A'; 8];
         let mut dp = MyersStackKernel::new(&q, 1);
         assert_eq!(dp.resume(b"TTTTTTTT", 0), None);
-        let words_after_first = dp.words_advanced();
-        // Shares the surviving dead prefix; same length, so the
-        // checkpointed score is already out of reach.
-        let depth = dp.depth();
-        assert_eq!(dp.resume(&vec![b'T'; depth], depth), None);
-        assert_eq!(dp.words_advanced(), words_after_first);
+        // The diagonal passed k at column 2, and there the sweep stopped.
+        assert_eq!((dp.depth(), dp.words_advanced()), (2, 2));
+        // Same length, sharing the dead prefix: the checkpointed column
+        // already puts the diagonal past k, so no word is advanced.
+        assert_eq!(dp.resume(b"TTAAAAAA", 2), None);
+        assert_eq!((dp.depth(), dp.words_advanced()), (2, 2));
+        // Sharing only the live part of it, the candidate is swept.
+        assert_eq!(dp.resume(b"TAAAAAAA", 1), Some(1));
+        assert_eq!(dp.words_advanced(), 2 + 7);
     }
 
     #[test]

@@ -30,7 +30,8 @@ pub struct SequentialScan<'a> {
     /// Owned per-record copies, as the paper's base implementation holds
     /// (a container of string objects). Used by rungs V1–V3.
     owned: OnceLock<Vec<Vec<u8>>>,
-    /// Lexicographically sorted view with LCP array. Used by rung V7.
+    /// Lexicographically sorted view with LCP array. Used by rungs V7
+    /// and V8.
     sorted: OnceLock<SortedView>,
 }
 
@@ -643,6 +644,40 @@ mod tests {
             reuse.words_advanced()
         );
         assert!(reuse.words_reused() > 0);
+    }
+
+    #[test]
+    fn v8_work_budget_on_dna_reads() {
+        // Counts only, no clocks. On a 4-letter alphabet the decisive
+        // diagonal passes k = 8 after a handful of columns (0.16 × Σ n/2
+        // on this set; a bottom-row abort test reads 0.86 × of it), and
+        // the k-band almost never reaches the reads' second block.
+        use simsearch_data::{Alphabet, DnaGenerator, WorkloadSpec};
+        let ds = DnaGenerator::new(16).genome_len(10_000).generate(2_000);
+        let alphabet = Alphabet::from_corpus(ds.records());
+        let workload = WorkloadSpec::new(&[8], 20, 17).generate(&ds, &alphabet);
+        let sv = SortedView::build(&ds);
+        let (mut bytes, mut words, mut half_reads) = (0u64, 0u64, 0u64);
+        for q in &workload.queries {
+            let mut dp = MyersStackKernel::new(&q.text, 8);
+            assert_eq!(dp.blocks(), 2, "reads of ≈100 bases span two blocks");
+            v8_scan_view_range(&sv, &mut dp, &q.text, 8, 0..sv.len());
+            bytes += dp.cells_computed() / q.text.len() as u64;
+            words += dp.words_advanced();
+            half_reads += (0..sv.len())
+                .map(|pos| sv.record_len(pos))
+                .filter(|n| n.abs_diff(q.text.len()) <= 8)
+                .map(|n| n as u64 / 2)
+                .sum::<u64>();
+        }
+        assert!(
+            3 * bytes <= half_reads,
+            "{bytes} candidate bytes advanced against a budget of {half_reads} / 3"
+        );
+        assert!(
+            words < 2 * bytes,
+            "{words} words for {bytes} bytes: no block was skipped"
+        );
     }
 
     #[test]
