@@ -8,11 +8,14 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-# The bit-parallel kernels are shift/mask/popcount arithmetic whose edge
-# cases (`1 << 64`, `row % 64` at a block seam) panic under the dev
-# profile's overflow checks but wrap silently in the release codegen the
-# daemon and the benchmark run, so their oracles must hold there too.
-cargo test -q --offline --release -p simsearch-distance -p simsearch-scan
+# The bit-parallel kernels and the sorted view's sliced candidate
+# selection are shift/mask/popcount arithmetic whose edge cases
+# (`1 << 64`, `row % 64` at a block seam, `!0 << (start - base)` and
+# `!0 >> (base + 64 - end)` at a range's first and last word) panic under
+# the dev profile's overflow checks but wrap silently in the release
+# codegen the daemon and the benchmark run, so their oracles must hold
+# there too.
+cargo test -q --offline --release -p simsearch-data -p simsearch-distance -p simsearch-scan
 # Bench binaries run in single-iteration smoke mode under `cargo test`
 # (no --bench flag), keeping every bench code path compile- and
 # run-checked without measuring.

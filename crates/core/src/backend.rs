@@ -905,7 +905,7 @@ impl<'a> AutoBackend<'a> {
                     Arm::ScanSorted
                 }
                 BackendChoice::ScanBitParallel => {
-                    self.sorted_view();
+                    self.sorted_view().prepare_signature();
                     Arm::ScanBitParallel
                 }
                 BackendChoice::Trie => {
@@ -1212,6 +1212,22 @@ mod tests {
                 "every query routes to the only candidate"
             );
         }
+    }
+
+    #[test]
+    fn prepare_builds_the_signature_for_the_bitparallel_arm_only() {
+        let ds = dataset();
+        let w = workload();
+        let v8 = AutoBackend::fixed(ds.clone(), BackendChoice::ScanBitParallel);
+        v8.prepare();
+        assert!(
+            v8.sorted_view().signature_bytes() > 0,
+            "no build is left for the first served query"
+        );
+        let v7 = AutoBackend::fixed(ds, BackendChoice::ScanSorted);
+        v7.prepare();
+        v7.run_workload(&w);
+        assert_eq!(v7.sorted_view().signature_bytes(), 0);
     }
 
     #[test]

@@ -46,7 +46,10 @@ pub enum BackendChoice {
     /// Sorted-prefix scan (V7): LCP-resumable DP over the sorted arena.
     ScanSorted,
     /// Bit-parallel sweep (V8): Myers blocks over the sorted arena,
-    /// resumed at the LCP floor; cost is per word, independent of `k`.
+    /// resumed at the LCP floor, on the candidates the view's length
+    /// filter and occupancy signature leave. Cost grows with `k` twice
+    /// over: more candidates survive, and each lives more columns before
+    /// its decisive diagonal passes `k`.
     ScanBitParallel,
     /// Uncompressed prefix tree with modern pruning.
     Trie,
@@ -246,9 +249,12 @@ pub fn static_cost(
             // kernel stops at the column where the decisive diagonal
             // passes `k` (a few columns on a small alphabet, more as `k`
             // grows) and advances only the blocks inside the k-band
-            // (almost always one). Deliberately left uncalibrated — see
-            // ROADMAP item 1. Still the arm that wins long strings and
-            // high thresholds, where `band` blows the others up.
+            // (almost always one). On a large alphabet `cand` is an upper
+            // bound too: the view's occupancy signature hands the kernel
+            // a few percent of the length filter's survivors.
+            // Deliberately left uncalibrated — see ROADMAP item 1. Still
+            // the arm that wins long strings and high thresholds, where
+            // `band` blows the others up.
             const WORD_EQ: f64 = 1.0;
             let blocks = (q / 64.0).ceil().max(1.0);
             n * (PROBE + 2.0) + cand * (1.0 - shared) * q.max(1.0) * blocks * WORD_EQ

@@ -1,9 +1,13 @@
 //! Property tests for [`SortedView`]: the permutation is a bijection,
 //! the LCP array is exact, and id translation round-trips — the
-//! invariants the V7 sorted-prefix scan's correctness rests on.
+//! invariants the V7 sorted-prefix scan's correctness rests on — and
+//! candidate selection is sound: no record within `k` of the query is
+//! filtered out, whatever the alphabet, the range or the threshold.
 
 use simsearch_data::{Dataset, SortedView};
-use simsearch_testkit::{check, gen, prop_assert, prop_assert_eq, Config, Gen};
+use simsearch_distance::levenshtein;
+use simsearch_testkit::{check, gen, prop_assert, prop_assert_eq, Config, Gen, TestResult};
+use std::ops::Range;
 
 const SEED: u64 = 0x0050_47ED;
 
@@ -97,4 +101,167 @@ fn build_is_deterministic() {
             Ok(())
         },
     );
+}
+
+/// The thresholds every candidate property runs at: the served ones, one
+/// past a short query's bucket count, the counter's last width (63) and
+/// the first ones past it.
+const THRESHOLDS: [u32; 9] = [0, 1, 2, 3, 5, 16, 63, 64, 70];
+
+/// Runs candidate selection over `range` and checks everything a sweep
+/// relies on: positions strictly ascending and inside the range, `shared`
+/// the exact common prefix with the previous candidate (the minimum of
+/// `lcp` over the gap), and no record within `k` of `query` left out.
+fn check_candidates(sv: &SortedView, query: &[u8], k: u32, range: Range<usize>) -> TestResult {
+    let mut visited: Vec<(usize, usize)> = Vec::new();
+    sv.for_each_candidate(query, k, range.clone(), |pos, shared| {
+        visited.push((pos, shared))
+    });
+    let mut last: Option<usize> = None;
+    for &(pos, shared) in &visited {
+        prop_assert!(range.contains(&pos), "{} outside {:?}", pos, range);
+        let expected = match last {
+            None => 0,
+            Some(prev) => {
+                prop_assert!(prev < pos, "{} visited after {}", pos, prev);
+                let (a, b) = (sv.get(prev), sv.get(pos));
+                let exact = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+                prop_assert_eq!((prev + 1..=pos).map(|p| sv.lcp(p)).min(), Some(exact));
+                exact
+            }
+        };
+        prop_assert_eq!(shared, expected, "resume depth at {} after {:?}", pos, last);
+        last = Some(pos);
+    }
+    for pos in range {
+        if levenshtein(query, sv.get(pos)) <= k {
+            prop_assert!(
+                visited.iter().any(|&(p, _)| p == pos),
+                "{:?} is within {} of {:?} but was filtered out",
+                sv.get(pos),
+                k,
+                query
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `(corpus, (a record, the query mutated from it, _))` over one
+/// alphabet: short names with a few records of 60–70 and 200 bytes, so
+/// the wide thresholds have something to admit.
+#[allow(clippy::type_complexity)]
+fn sweep_case(alphabet: &'static [u8]) -> Gen<(Vec<Vec<u8>>, (Vec<u8>, Vec<u8>, usize))> {
+    let word = gen::weighted(vec![
+        (12, gen::bytes_from(alphabet, 0..14)),
+        (2, gen::bytes_from(alphabet, 60..70)),
+        (1, gen::bytes_from(alphabet, 200..201)),
+    ]);
+    gen::zip(
+        gen::vec_of(word.clone(), 0..140),
+        gen::mutated(word, 0..4, alphabet),
+    )
+}
+
+fn candidates_are_sound_over(name: &str, alphabet: &'static [u8]) {
+    check(
+        name,
+        Config::cases(60).seed(SEED),
+        &sweep_case(alphabet),
+        |(words, (source, query, _))| {
+            // View sizes on both sides of a 64-position word seam.
+            for size in [0, 1, 63, 64, 65, 129, words.len() + 1] {
+                let mut records: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
+                records.truncate(size.saturating_sub(1));
+                if size > 0 {
+                    records.push(source);
+                }
+                let sv = SortedView::build(&Dataset::from_records(&records));
+                let n = sv.len();
+                for k in THRESHOLDS {
+                    check_candidates(&sv, query, k, 0..n)?;
+                    // Range starts and ends inside a word.
+                    check_candidates(&sv, query, k, n / 3..n - n / 4)?;
+                    check_candidates(&sv, query, k, n.min(61)..n.min(67))?;
+                }
+                check_candidates(&sv, b"", 1, 0..n)?;
+                check_candidates(&sv, &source[..source.len().min(1)], 2, 0..n)?;
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn candidates_are_sound_on_dna() {
+    candidates_are_sound_over("candidates_are_sound_on_dna", gen::DNA);
+}
+
+#[test]
+fn candidates_are_sound_on_city_names() {
+    candidates_are_sound_over("candidates_are_sound_on_city_names", gen::NAMES);
+}
+
+#[test]
+fn candidates_are_sound_on_200_symbols() {
+    candidates_are_sound_over("candidates_are_sound_on_200_symbols", &gen::WIDE);
+}
+
+#[test]
+fn bytes_sharing_a_bucket_never_cost_a_match() {
+    // `A` and `c` hash to one bucket, as do `C` and `e`: the signature
+    // cannot tell "AAAA" from "cccc", which may cost the filter a
+    // rejection but never a match. The other symbols give the view enough
+    // buckets to carry a signature at all.
+    let ds = Dataset::from_records([
+        "AAAA", "cccc", "AcAc", "CeCe", "eeee", "CCCC", "AAAe", "bdfghijk", "lmnoprst",
+    ]);
+    let sv = SortedView::build(&ds);
+    sv.prepare_signature();
+    assert!(sv.signature_bytes() > 0);
+    for query in ["AAAA", "cccc", "cAcA", "eCeC", "AAAC", ""] {
+        for k in 0..6 {
+            check_candidates(&sv, query.as_bytes(), k, 0..sv.len()).unwrap();
+        }
+    }
+    // At k = 0 the colliding records survive the filter (same buckets,
+    // same length) and the records over other buckets do not.
+    let mut visited = Vec::new();
+    sv.for_each_candidate(b"AAAA", 0, 0..sv.len(), |pos, _| visited.push(sv.get(pos)));
+    assert_eq!(visited, [b"AAAA", b"AcAc", b"cccc"]);
+}
+
+#[test]
+fn resume_depth_is_exact_on_both_sides_of_the_gap_switch() {
+    // Three candidates for "xyzxyz1" at k = 1, separated by 7 and then
+    // by 8 filtered-out records (gaps of 8 and 9 positions): the first
+    // gap folds the `lcp` column, the second compares the two records.
+    let mut records: Vec<String> = Vec::new();
+    for (candidate, fillers) in [("xyzxyz1", 7), ("xyzxyz3", 8), ("xyzxyz5", 0)] {
+        records.push(candidate.into());
+        records.extend((0..fillers).map(|i| format!("{candidate}_abcdefg{i}")));
+    }
+    let sv = SortedView::build(&Dataset::from_records(&records));
+    let mut visited = Vec::new();
+    sv.for_each_candidate(b"xyzxyz1", 1, 0..sv.len(), |pos, shared| {
+        visited.push((pos, shared))
+    });
+    assert_eq!(visited, [(0, 0), (8, 6), (17, 6)]);
+    check_candidates(&sv, b"xyzxyz1", 1, 0..sv.len()).unwrap();
+}
+
+#[test]
+fn the_signature_is_built_on_first_use_and_never_over_a_tiny_alphabet() {
+    let city = SortedView::build(&Dataset::from_records(
+        gen::NAMES.chunks(3).map(<[u8]>::to_vec).collect::<Vec<_>>(),
+    ));
+    assert_eq!(city.signature_bytes(), 0, "nothing is built with the view");
+    city.for_each_candidate(b"abc", 1, 0..city.len(), |_, _| {});
+    // One word a plane: 64 buckets, and set sizes 1 to 3.
+    assert_eq!(city.signature_bytes(), (64 + 3) * 8);
+    // Five symbols occupy five buckets: no planes, now or later.
+    let dna = SortedView::build(&Dataset::from_records(["ACGT", "NNNN", "ACGN"]));
+    dna.prepare_signature();
+    dna.for_each_candidate(b"ACGT", 1, 0..dna.len(), |_, _| {});
+    assert_eq!(dna.signature_bytes(), 0);
 }

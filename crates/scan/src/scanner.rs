@@ -36,8 +36,9 @@ pub struct SequentialScan<'a> {
 }
 
 impl<'a> SequentialScan<'a> {
-    /// Borrows a dataset. No auxiliary structure is built yet — V4+ scans
-    /// never touch the owned copies, and only V7 sorts.
+    /// Borrows a dataset. No auxiliary structure is built yet — V4–V6
+    /// scans touch neither the owned copies nor the sorted view, which V7
+    /// and V8 share.
     pub fn new(dataset: &'a Dataset) -> Self {
         Self {
             dataset,
@@ -53,16 +54,18 @@ impl<'a> SequentialScan<'a> {
     }
 
     /// Eagerly builds whatever auxiliary structure `variant` needs
-    /// (owned copies for V1–V3, the sorted view for V7/V8), so the cost
-    /// is excluded from query timing. Idempotent.
+    /// (owned copies for V1–V3, the sorted view for V7/V8, the view's
+    /// occupancy signature for V8), so the cost is excluded from query
+    /// timing. Idempotent.
     pub fn prepare(&self, variant: SeqVariant) {
         match variant {
             SeqVariant::V1Base | SeqVariant::V2FastEd | SeqVariant::V3Borrowed => {
                 self.owned();
             }
-            SeqVariant::V7SortedPrefix | SeqVariant::V8BitParallel => {
+            SeqVariant::V7SortedPrefix => {
                 self.sorted_view();
             }
+            SeqVariant::V8BitParallel => self.sorted_view().prepare_signature(),
             _ => {}
         }
     }
@@ -441,13 +444,13 @@ pub fn v8_search_view(sv: &SortedView, query: &[u8], k: u32) -> (MatchSet, u64) 
 /// The V8 inner loop over one contiguous range of sorted positions in
 /// `sv`.
 ///
-/// The length filter streams the view's dense structure-of-arrays
-/// lengths column ([`SortedView::lengths`]) so runs of filtered-out
-/// records cost one packed cache line per 16 candidates, and `stack_lcp`
-/// carries the minimum LCP seen since the last record the kernel
-/// actually processed — records skipped by the length filter still
-/// constrain how much of the block stack the next record may reuse (the
-/// same LCP range-minimum discipline as the scalar V7 loop).
+/// The kernel only sees the survivors of the view's candidate selection
+/// ([`SortedView::for_each_candidate`]: the length filter and, over a
+/// large enough alphabet, the bit-sliced occupancy signature), each with
+/// its exact shared prefix with the previous survivor — records the
+/// filters skipped still constrain how much of the block stack the next
+/// one may reuse (the same LCP range-minimum discipline as the scalar V7
+/// loop).
 pub fn v8_scan_view_range(
     sv: &SortedView,
     dp: &mut MyersStackKernel,
@@ -456,29 +459,17 @@ pub fn v8_scan_view_range(
     range: Range<usize>,
 ) -> Vec<Match> {
     let mut out = Vec::new();
-    let start = range.start;
     let end = range.end;
-    let lens = &sv.lengths()[range.clone()];
-    let qlen = query.len();
-    // The first record in a range restarts from the empty checkpoint.
-    let mut stack_lcp = 0usize;
-    for (i, pos) in range.enumerate() {
-        if pos > start {
-            stack_lcp = stack_lcp.min(sv.lcp(pos));
-        }
-        if (lens[i] as usize).abs_diff(qlen) > k as usize {
-            continue;
-        }
+    sv.for_each_candidate(query, k, range, |pos, shared| {
         // Lookahead bound: no later record in this range can resume
         // deeper than the next record's LCP (the running minimum only
         // shrinks), so the kernel checkpoints only that many columns
         // and runs the candidate's tail unstacked.
         let keep_limit = if pos + 1 < end { sv.lcp(pos + 1) } else { 0 };
-        if let Some(d) = dp.resume_bounded(sv.get(pos), stack_lcp, keep_limit) {
+        if let Some(d) = dp.resume_bounded(sv.get(pos), shared, keep_limit) {
             out.push(Match::new(sv.original_id(pos), d));
         }
-        stack_lcp = usize::MAX;
-    }
+    });
     out
 }
 
@@ -549,6 +540,14 @@ mod tests {
         scan.prepare(SeqVariant::V7SortedPrefix);
         assert!(scan.sorted.get().is_some());
         assert!(scan.owned.get().is_none());
+        scan.search_one(SeqVariant::V7SortedPrefix, b"Berlin", 1);
+        assert_eq!(
+            scan.sorted_view().signature_bytes(),
+            0,
+            "V7 must not build the occupancy signature"
+        );
+        scan.prepare(SeqVariant::V8BitParallel);
+        assert!(scan.sorted_view().signature_bytes() > 0);
         scan.prepare(SeqVariant::V1Base);
         assert!(scan.owned.get().is_some());
     }
@@ -621,6 +620,64 @@ mod tests {
         }
     }
 
+    /// `count` seeded records over `alphabet` — short names, a few of
+    /// 60–70 bytes and of every length in `probe_lens` — and queries of
+    /// exactly those lengths: random ones, and records with a few edits.
+    fn corpus_and_queries(
+        alphabet: &'static [u8],
+        count: usize,
+        probe_lens: &[usize],
+    ) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+        use simsearch_testkit::gen;
+        let mut rng = simsearch_data::Xoshiro256::seed_from_u64(0x5167 + alphabet.len() as u64);
+        let exactly = |len: usize| gen::bytes_from(alphabet, len..len + 1);
+        let word = gen::weighted(vec![
+            (12, gen::bytes_from(alphabet, 0..14)),
+            (1, gen::bytes_from(alphabet, 60..70)),
+        ]);
+        let mut records: Vec<Vec<u8>> = (0..count).map(|_| word.sample(&mut rng)).collect();
+        let mut queries = Vec::new();
+        for (at, &len) in probe_lens.iter().enumerate() {
+            queries.push(exactly(len).sample(&mut rng));
+            let (record, query, _) = gen::mutated(exactly(len), 0..4, alphabet).sample(&mut rng);
+            // Spread over the corpus, so every view size below keeps some.
+            records[at * 7 % count] = record;
+            queries.push(query);
+        }
+        (records, queries)
+    }
+
+    #[test]
+    fn v8_equals_the_flat_scan_for_every_alphabet_size_and_threshold() {
+        // Through the signature (city, 200 symbols) and around it (DNA):
+        // an empty query, thresholds at and past a query's bucket count,
+        // at the sliced counter's last width (63) and past it, views on
+        // both sides of a 64-position word seam, and chunked sweeps whose
+        // range starts and ends fall inside a word.
+        use simsearch_testkit::gen;
+        for alphabet in [gen::DNA, gen::NAMES, &gen::WIDE] {
+            let (records, queries) = corpus_and_queries(alphabet, 320, &[0, 1, 63, 64, 65, 200]);
+            for size in [0, 1, 63, 64, 65, 129, 320] {
+                let ds = Dataset::from_records(&records[..size]);
+                let scan = SequentialScan::new(&ds);
+                for q in &queries {
+                    for k in [0, 1, 2, 3, 5, 16, 63, 64, 70] {
+                        let expected = scan.flat_search(q, k);
+                        let context = format!("{} symbols, {size} records, k={k}", alphabet.len());
+                        assert_eq!(scan.v8_search(q, k).0, expected, "{context} q={q:?}");
+                        for chunks in [3, 7, 65] {
+                            assert_eq!(
+                                scan.v8_search_parallel(q, k, Strategy::Sequential, chunks),
+                                expected,
+                                "{context} chunks={chunks} q={q:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn v8_reuses_words_across_shared_prefixes() {
         // Records with long shared prefixes: block resume must advance
@@ -678,6 +735,83 @@ mod tests {
             words < 2 * bytes,
             "{words} words for {bytes} bytes: no block was skipped"
         );
+    }
+
+    /// The sweep with the length filter alone, every survivor handed to
+    /// the kernel — what `v8_scan_view_range` does where the view carries
+    /// no signature, spelled out as the work budgets' yardstick. Returns
+    /// the number of candidates.
+    fn length_filtered_sweep(
+        sv: &SortedView,
+        dp: &mut MyersStackKernel,
+        query: &[u8],
+        k: u32,
+    ) -> u64 {
+        let (mut shared, mut candidates) = (0usize, 0);
+        for pos in 0..sv.len() {
+            shared = shared.min(sv.lcp(pos));
+            if sv.record_len(pos).abs_diff(query.len()) > k as usize {
+                continue;
+            }
+            let keep_limit = if pos + 1 < sv.len() { sv.lcp(pos + 1) } else { 0 };
+            dp.resume_bounded(sv.get(pos), shared, keep_limit);
+            shared = usize::MAX;
+            candidates += 1;
+        }
+        candidates
+    }
+
+    #[test]
+    fn v8_work_budget_on_city_names() {
+        // Counts only, no clocks. Over ≈ 60 symbols the occupancy
+        // signature leaves the kernel a sliver of what the length filter
+        // admits (0.26 % at k = 2 and 1.4 % at k = 3 on 400,000 names).
+        use simsearch_data::{Alphabet, CityGenerator, WorkloadSpec};
+        let ds = CityGenerator::new(16).generate(20_000);
+        let alphabet = Alphabet::from_corpus(ds.records());
+        let workload = WorkloadSpec::new(&[2, 3], 40, 17).generate(&ds, &alphabet);
+        let sv = SortedView::build(&ds);
+        for k in [2, 3] {
+            let (mut reached, mut admitted, mut cells, mut unfiltered_cells) = (0u64, 0, 0, 0);
+            for q in workload.queries.iter().filter(|q| q.threshold == k) {
+                let mut dp = MyersStackKernel::new(&q.text, k);
+                v8_scan_view_range(&sv, &mut dp, &q.text, k, 0..sv.len());
+                cells += dp.cells_computed();
+                sv.for_each_candidate(&q.text, k, 0..sv.len(), |_, _| reached += 1);
+                dp.reset(&q.text, k);
+                admitted += length_filtered_sweep(&sv, &mut dp, &q.text, k);
+                unfiltered_cells += dp.cells_computed();
+            }
+            assert!(
+                20 * reached <= admitted,
+                "k={k}: {reached} of {admitted} length survivors reached the kernel"
+            );
+            assert!(
+                10 * cells <= unfiltered_cells,
+                "k={k}: {cells} cells against {unfiltered_cells} without the signature"
+            );
+        }
+    }
+
+    #[test]
+    fn v8_work_on_dna_reads_is_what_the_length_filter_alone_gives() {
+        // Five symbols carry no signature: the sweep must not merely
+        // agree with the unfiltered one, it must do the same work.
+        use simsearch_data::{Alphabet, DnaGenerator, WorkloadSpec};
+        let ds = DnaGenerator::new(16).genome_len(10_000).generate(2_000);
+        let alphabet = Alphabet::from_corpus(ds.records());
+        let workload = WorkloadSpec::new(&[0, 4, 8, 16], 20, 17).generate(&ds, &alphabet);
+        let sv = SortedView::build(&ds);
+        for q in &workload.queries {
+            let mut dp = MyersStackKernel::new(&q.text, q.threshold);
+            v8_scan_view_range(&sv, &mut dp, &q.text, q.threshold, 0..sv.len());
+            let mut unfiltered = MyersStackKernel::new(&q.text, q.threshold);
+            length_filtered_sweep(&sv, &mut unfiltered, &q.text, q.threshold);
+            assert!(unfiltered.words_advanced() > 0);
+            assert_eq!(dp.words_advanced(), unfiltered.words_advanced());
+            assert_eq!(dp.cells_computed(), unfiltered.cells_computed());
+        }
+        assert_eq!(sv.signature_bytes(), 0);
     }
 
     #[test]

@@ -13,6 +13,19 @@ pub const DNA: &[u8] = b"ACGNT";
 /// A small, collision-rich city-like alphabet: property tests over few
 /// symbols hit shared prefixes and near-duplicates far more often.
 pub const CITY: &[u8] = b"abcdAB -";
+/// 34 name-like symbols: few enough for shared prefixes, enough to
+/// occupy more than a handful of the sorted view's 64 hash buckets.
+pub const NAMES: &[u8] = b"abcdefghijklmnoprstuvwyz ACJLBDEN-";
+/// The byte values below 200: three or four to each of those buckets.
+pub static WIDE: [u8; 200] = {
+    let mut symbols = [0u8; 200];
+    let mut i = 0;
+    while i < 200 {
+        symbols[i] = i as u8;
+        i += 1;
+    }
+    symbols
+};
 
 /// A generator: a reusable sampling function from PRNG state to values.
 pub struct Gen<T> {
