@@ -1,7 +1,7 @@
 //! Command-line argument parsing (hand-rolled; the workspace keeps its
 //! dependency set to the algorithmic essentials).
 
-use simsearch_core::ShardBy;
+use simsearch_core::{BackendChoice, EngineKind, IdxVariant, SeqVariant, ShardBy, Strategy};
 use std::path::PathBuf;
 
 /// Parsed command line.
@@ -89,10 +89,6 @@ pub struct ServeArgs {
     /// Self-tuning replan cadence in milliseconds; 0 disables the
     /// background tick (default 1000).
     pub replan_interval_ms: u64,
-    /// Persisted-calibration file: restored at startup (ignored when
-    /// the embedded snapshot mismatches the dataset) and rewritten at
-    /// shutdown. Only unsharded `--backend auto` daemons persist.
-    pub calibration: Option<PathBuf>,
 }
 
 /// Arguments of the `client` subcommand.
@@ -171,23 +167,112 @@ pub enum EngineChoice {
     Auto,
 }
 
+/// One row per engine the CLI can name: the spelling `USAGE` and the
+/// "expected …" error list, the other spellings `--backend` accepts,
+/// the selector they parse to, the arm every shard runs under
+/// `--shards N` (`None`: each shard calibrates its own planner), and the
+/// [`EngineKind`] an unsharded run builds for a thread count.
+type EngineRow = (
+    &'static str,
+    &'static [&'static str],
+    EngineChoice,
+    Option<BackendChoice>,
+    fn(usize) -> EngineKind,
+);
+
+/// The executor a `threads`-wide run schedules its workload on.
+pub fn pool(threads: usize) -> Strategy {
+    if threads > 1 {
+        Strategy::FixedPool { threads }
+    } else {
+        Strategy::Sequential
+    }
+}
+
+/// The one engine-name table, in the order `USAGE` lists the names.
+/// `scan` and `scan-base` share the flat shard arm — shard-local
+/// scheduling is the sharded backend's job, and the naive rung exists
+/// only as an unsharded baseline.
+static ENGINES: [EngineRow; 10] = [
+    ("auto", &[], EngineChoice::Auto, None, |threads| EngineKind::Auto { threads }),
+    ("scan", &[], EngineChoice::Scan, Some(BackendChoice::ScanFlat), |threads| {
+        EngineKind::Scan(if threads > 1 {
+            SeqVariant::V6Pool { threads }
+        } else {
+            SeqVariant::V4Flat
+        })
+    }),
+    ("scan-base", &[], EngineChoice::ScanBase, Some(BackendChoice::ScanFlat), |_| {
+        EngineKind::Scan(SeqVariant::V1Base)
+    }),
+    ("scan-sorted", &[], EngineChoice::ScanSorted, Some(BackendChoice::ScanSorted), |_| {
+        EngineKind::Scan(SeqVariant::V7SortedPrefix)
+    }),
+    (
+        "scan-bitparallel",
+        &["scan-bit-parallel"],
+        EngineChoice::ScanBitParallel,
+        Some(BackendChoice::ScanBitParallel),
+        |_| EngineKind::Scan(SeqVariant::V8BitParallel),
+    ),
+    ("trie", &[], EngineChoice::Trie, Some(BackendChoice::Trie), |_| {
+        EngineKind::Index(IdxVariant::I1BaseTrie)
+    }),
+    ("radix", &[], EngineChoice::Radix, Some(BackendChoice::Radix), |threads| {
+        EngineKind::Index(if threads > 1 {
+            IdxVariant::I3Pool { threads }
+        } else {
+            IdxVariant::I2Compressed
+        })
+    }),
+    ("qgram", &[], EngineChoice::Qgram, Some(BackendChoice::Qgram), |threads| {
+        EngineKind::Qgram { q: 2, strategy: pool(threads) }
+    }),
+    ("buckets", &[], EngineChoice::Buckets, Some(BackendChoice::Buckets), |threads| {
+        EngineKind::Buckets { strategy: pool(threads) }
+    }),
+    ("bktree", &["bk-tree"], EngineChoice::BkTree, Some(BackendChoice::BkTree), |threads| {
+        EngineKind::Bk { strategy: pool(threads) }
+    }),
+];
+
+/// The table's primary names joined by `sep`, in table order.
+fn engine_names(sep: &str) -> String {
+    let names: Vec<&str> = ENGINES.iter().map(|&(name, ..)| name).collect();
+    names.join(sep)
+}
+
 impl EngineChoice {
     fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "scan" => Ok(Self::Scan),
-            "scan-base" => Ok(Self::ScanBase),
-            "scan-sorted" => Ok(Self::ScanSorted),
-            "scan-bitparallel" | "scan-bit-parallel" => Ok(Self::ScanBitParallel),
-            "trie" => Ok(Self::Trie),
-            "radix" => Ok(Self::Radix),
-            "qgram" => Ok(Self::Qgram),
-            "buckets" => Ok(Self::Buckets),
-            "bktree" | "bk-tree" => Ok(Self::BkTree),
-            "auto" => Ok(Self::Auto),
-            other => Err(format!(
-                "unknown engine '{other}' (expected auto, scan, scan-base, scan-sorted, scan-bitparallel, trie, radix, qgram, buckets, bktree)"
-            )),
-        }
+        ENGINES
+            .iter()
+            .find(|(name, aliases, ..)| *name == s || aliases.contains(&s))
+            .map(|&(_, _, choice, ..)| choice)
+            .ok_or_else(|| format!("unknown engine '{s}' (expected {})", engine_names(", ")))
+    }
+
+    fn row(self) -> &'static EngineRow {
+        ENGINES
+            .iter()
+            .find(|&&(_, _, choice, ..)| choice == self)
+            .expect("every EngineChoice has a row in ENGINES")
+    }
+
+    /// The arm every shard runs under `--shards N`, or `None` for
+    /// `auto` (each shard then calibrates its own planner).
+    pub fn shard_arm(self) -> Option<BackendChoice> {
+        let &(.., arm, _) = self.row();
+        arm
+    }
+
+    /// The unsharded engine for this selector. `threads > 1` selects
+    /// the pooled rung or executor; the daemon passes 1 — its
+    /// concurrency comes from the engine workers, so every choice maps
+    /// to a single-threaded kernel (and it calibrates `auto` itself,
+    /// with its default probe).
+    pub fn engine_kind(self, threads: usize) -> EngineKind {
+        let &(.., kind) = self.row();
+        kind(threads)
     }
 }
 
@@ -208,13 +293,18 @@ pub struct GenerateArgs {
     pub query_count: usize,
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// Usage text: [`USAGE`] with the engine list filled in from
+/// [`ENGINES`].
+pub fn usage() -> String {
+    USAGE.replace("{engines}", &engine_names("|"))
+}
+
+const USAGE: &str = "\
 simsearch — string similarity search (EDBT 2013 reproduction)
 
 USAGE:
   simsearch search --data FILE --queries FILE [--output FILE]
-                   [--backend auto|scan|scan-base|scan-sorted|scan-bitparallel|trie|radix|qgram|buckets|bktree]
+                   [--backend {engines}]
                    [--threads N] [--shards N] [--shard-by len|hash]
   simsearch explain --data FILE [--queries FILE] [--threads N]
                     [--shards N] [--shard-by len|hash]
@@ -228,7 +318,7 @@ USAGE:
                   [--port-file FILE] [--queue-capacity N] [--deadline-ms N]
                   [--shards N] [--shard-by len|hash]
                   [--live] [--memtable-cap N]
-                  [--replan-interval-ms N] [--calibration FILE]
+                  [--replan-interval-ms N]
   simsearch client --port P [--host H] --send FRAME [--send FRAME ...]
                    [--check-stats-json]
   simsearch help
@@ -261,10 +351,7 @@ bands shift as the dataset grows, so `len` cannot route inserts).
 The daemon self-tunes: every --replan-interval-ms (default 1000; 0
 disables) a background tick re-derives per-(arm, class) cost
 multipliers from the live latency histograms and swaps a fresh decision
-table into the engine; STATS reports `replans` and `plan_epoch`. With
---calibration FILE an unsharded `--backend auto` daemon restores the
-persisted table at startup (ignored when the dataset changed) and
-rewrites the file at shutdown.
+table into the engine; STATS reports `replans` and `plan_epoch`.
 ";
 
 /// Parses an argument vector (without the program name).
@@ -454,7 +541,6 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
     let mut live = false;
     let mut memtable_cap = 1024usize;
     let mut replan_interval_ms = 1_000u64;
-    let mut calibration = None;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
@@ -477,9 +563,6 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
             "--live" => live = true,
             "--replan-interval-ms" => {
                 replan_interval_ms = int_value(&mut it, "--replan-interval-ms", "an integer")?
-            }
-            "--calibration" => {
-                calibration = Some(PathBuf::from(value(&mut it, "--calibration")?))
             }
             "--memtable-cap" => {
                 memtable_cap = positive_value(&mut it, "--memtable-cap", "an integer")?
@@ -512,7 +595,6 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
         live,
         memtable_cap,
         replan_interval_ms,
-        calibration,
     })
 }
 
@@ -667,7 +749,6 @@ mod tests {
                 assert!(!s.live, "read-only by default");
                 assert_eq!(s.memtable_cap, 1024);
                 assert_eq!(s.replan_interval_ms, 1_000, "self-tuning is on by default");
-                assert!(s.calibration.is_none());
             }
             other => panic!("wrong parse: {other:?}"),
         }
@@ -676,22 +757,17 @@ mod tests {
     #[test]
     fn parses_serve_replan_flags() {
         let cmd = parse(&v(&[
-            "serve", "--data", "d", "--backend", "auto",
-            "--replan-interval-ms", "250", "--calibration", "c.idx",
+            "serve", "--data", "d", "--backend", "auto", "--replan-interval-ms", "250",
         ]))
         .unwrap();
         match cmd {
-            Command::Serve(s) => {
-                assert_eq!(s.replan_interval_ms, 250);
-                assert_eq!(s.calibration, Some(PathBuf::from("c.idx")));
-            }
+            Command::Serve(s) => assert_eq!(s.replan_interval_ms, 250),
             other => panic!("wrong parse: {other:?}"),
         }
         // 0 disables the tick; still a valid parse.
         let cmd = parse(&v(&["serve", "--data", "d", "--replan-interval-ms", "0"])).unwrap();
         assert!(matches!(cmd, Command::Serve(s) if s.replan_interval_ms == 0));
         assert!(parse(&v(&["serve", "--data", "d", "--replan-interval-ms", "soon"])).is_err());
-        assert!(parse(&v(&["serve", "--data", "d", "--calibration"])).is_err());
     }
 
     #[test]
@@ -855,6 +931,36 @@ mod tests {
         ]))
         .unwrap();
         assert!(matches!(cmd, Command::Search(a) if a.engine == EngineChoice::BkTree));
+    }
+
+    #[test]
+    fn every_engine_row_parses_and_is_listed() {
+        let expected = EngineChoice::parse("warp").unwrap_err();
+        let listed: Vec<&str> = expected
+            .split_once("(expected ")
+            .and_then(|(_, rest)| rest.strip_suffix(')'))
+            .expect("the error lists the engines")
+            .split(", ")
+            .collect();
+        let usage = usage();
+        let flag = usage
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("[--backend ")?.strip_suffix(']'))
+            .expect("USAGE lists the engines");
+        assert_eq!(flag.split('|').collect::<Vec<_>>(), listed);
+        assert_eq!(listed.len(), ENGINES.len());
+        for (&(name, aliases, choice, arm, kind), listed) in ENGINES.iter().zip(listed) {
+            assert_eq!(name, listed, "table order is the listed order");
+            for spelling in aliases.iter().chain([&name]) {
+                assert_eq!(EngineChoice::parse(spelling), Ok(choice), "{spelling}");
+            }
+            // Lookups by selector land on the selector's own row.
+            assert_eq!(choice.shard_arm(), arm, "{name}");
+            assert_eq!(arm.is_none(), choice == EngineChoice::Auto, "{name}");
+            for threads in [1, 4] {
+                assert_eq!(choice.engine_kind(threads), kind(threads), "{name}");
+            }
+        }
     }
 
     #[test]

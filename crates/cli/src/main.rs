@@ -6,13 +6,10 @@
 
 mod args;
 
-use args::{
-    ClientArgs, Command, EngineChoice, ExplainArgs, GenerateArgs, JoinArgs, SearchArgs, ServeArgs,
-    USAGE,
-};
+use args::{ClientArgs, Command, ExplainArgs, GenerateArgs, JoinArgs, SearchArgs, ServeArgs};
 use simsearch_core::{
-    build_backend_with, experiment::time, AutoBackend, Backend, BackendChoice, EngineKind,
-    IdxVariant, PlanDecision, Planner, Probe, SeqVariant, ShardedBackend, Strategy,
+    build_backend_with, experiment::time, AutoBackend, Backend, EngineKind, PlanDecision, Planner,
+    Probe, ShardedBackend,
 };
 use simsearch_data::{io, Alphabet, CityGenerator, DnaGenerator, MatchSet, WorkloadSpec};
 use simsearch_data::{Dataset, DatasetStats, StatsSnapshot, CITY_THRESHOLDS, DNA_THRESHOLDS};
@@ -24,13 +21,13 @@ fn main() -> ExitCode {
     let command = match args::parse(&argv) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", args::usage());
             return ExitCode::FAILURE;
         }
     };
     let result = match command {
         Command::Help => {
-            print!("{USAGE}");
+            print!("{}", args::usage());
             Ok(())
         }
         Command::Search(a) => run_search(a),
@@ -67,10 +64,10 @@ fn run_search(a: SearchArgs) -> Result<(), String> {
             threads: a.threads,
         }
     } else {
-        engine_kind(a.engine, a.threads)
+        a.engine.engine_kind(a.threads)
     };
     let (backend, build_time) = time(|| {
-        let backend: Box<dyn Backend + '_> = match shard_arm(a.engine) {
+        let backend: Box<dyn Backend + '_> = match a.engine.shard_arm() {
             Some(arm) if a.shards >= 2 => Box::new(ShardedBackend::with_fixed_arm(
                 &dataset, a.shards, a.shard_by, a.threads, arm,
             )),
@@ -111,57 +108,6 @@ fn run_search(a: SearchArgs) -> Result<(), String> {
     write_search_results(a.output.as_deref(), &results)
 }
 
-/// The one `EngineChoice → EngineKind` table. `threads > 1` selects the
-/// pooled rung or executor; the daemon passes 1 — its concurrency comes
-/// from the engine workers, so every choice maps to a single-threaded
-/// kernel (and it calibrates `auto` itself, with its default probe).
-fn engine_kind(choice: EngineChoice, threads: usize) -> EngineKind {
-    let strategy = if threads > 1 {
-        Strategy::FixedPool { threads }
-    } else {
-        Strategy::Sequential
-    };
-    match choice {
-        EngineChoice::Scan => EngineKind::Scan(if threads > 1 {
-            SeqVariant::V6Pool { threads }
-        } else {
-            SeqVariant::V4Flat
-        }),
-        EngineChoice::ScanBase => EngineKind::Scan(SeqVariant::V1Base),
-        EngineChoice::ScanSorted => EngineKind::Scan(SeqVariant::V7SortedPrefix),
-        EngineChoice::ScanBitParallel => EngineKind::Scan(SeqVariant::V8BitParallel),
-        EngineChoice::Trie => EngineKind::Index(IdxVariant::I1BaseTrie),
-        EngineChoice::Radix => EngineKind::Index(if threads > 1 {
-            IdxVariant::I3Pool { threads }
-        } else {
-            IdxVariant::I2Compressed
-        }),
-        EngineChoice::Qgram => EngineKind::Qgram { q: 2, strategy },
-        EngineChoice::Buckets => EngineKind::Buckets { strategy },
-        EngineChoice::BkTree => EngineKind::Bk { strategy },
-        EngineChoice::Auto => EngineKind::Auto { threads },
-    }
-}
-
-/// Maps an engine selector to the shard arm every shard runs, or `None`
-/// for `auto` (each shard then calibrates its own planner). `scan` and
-/// `scan-base` both map to the flat scan arm — shard-local scheduling
-/// is the sharded backend's job, and the naive rung exists only as an
-/// unsharded baseline.
-fn shard_arm(choice: EngineChoice) -> Option<BackendChoice> {
-    match choice {
-        EngineChoice::Auto => None,
-        EngineChoice::Scan | EngineChoice::ScanBase => Some(BackendChoice::ScanFlat),
-        EngineChoice::ScanSorted => Some(BackendChoice::ScanSorted),
-        EngineChoice::ScanBitParallel => Some(BackendChoice::ScanBitParallel),
-        EngineChoice::Trie => Some(BackendChoice::Trie),
-        EngineChoice::Radix => Some(BackendChoice::Radix),
-        EngineChoice::Qgram => Some(BackendChoice::Qgram),
-        EngineChoice::Buckets => Some(BackendChoice::Buckets),
-        EngineChoice::BkTree => Some(BackendChoice::BkTree),
-    }
-}
-
 fn write_search_results(
     output: Option<&std::path::Path>,
     results: &[MatchSet],
@@ -199,7 +145,6 @@ fn run_serve(a: ServeArgs) -> Result<(), String> {
         // a scoped background thread inside the daemon.
         replan_interval: (a.replan_interval_ms > 0)
             .then(|| Duration::from_millis(a.replan_interval_ms)),
-        calibration_path: a.calibration.clone(),
         batch: simsearch_serve::BatchConfig {
             threads: a.threads,
             queue_capacity: a.queue_capacity,
@@ -232,7 +177,7 @@ fn run_serve(a: ServeArgs) -> Result<(), String> {
             threads: 1,
         }
     } else {
-        engine_kind(a.engine, 1)
+        a.engine.engine_kind(1)
     };
     let handle = simsearch_serve::spawn(dataset, kind, config)
         .map_err(|e| format!("binding 127.0.0.1:{}: {e}", a.port))?;
@@ -323,11 +268,7 @@ fn run_join(j: JoinArgs) -> Result<(), String> {
     use simsearch_core::join::{index_join, nested_loop_join, parallel_sorted_join};
     use simsearch_core::{parallel_min_join, parallel_pass_join};
     let dataset = io::read_dataset(&j.data).map_err(|e| format!("reading {:?}: {e}", j.data))?;
-    let strategy = if j.threads > 1 {
-        Strategy::FixedPool { threads: j.threads }
-    } else {
-        Strategy::Sequential
-    };
+    let strategy = args::pool(j.threads);
     let (pairs, wall) = time(|| match j.algo.as_str() {
         "nested" => nested_loop_join(&dataset, j.k),
         "index" => index_join(&dataset, j.k),

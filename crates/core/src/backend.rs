@@ -5,9 +5,9 @@
 //! [`Backend`]: *prepare once, then answer threshold queries*. What a
 //! consumer needs beyond that — DP-cell counting, top-k deepening,
 //! workload execution, and the capabilities only some engines have
-//! (replanning, calibration persistence, mutation) — are provided
-//! methods with no-op defaults, so the serving layer, the CLI and the
-//! benches hold one `dyn Backend` and never a typed side-handle.
+//! (replanning, mutation) — are provided methods with no-op defaults,
+//! so the serving layer, the CLI and the benches hold one `dyn Backend`
+//! and never a typed side-handle.
 //!
 //! [`AutoBackend`] is the one planner-routed type: it consults a
 //! [`Planner`] per query, routes to the cheapest arm, counts every
@@ -137,21 +137,6 @@ pub trait Backend: Send + Sync {
     /// mirrors it into `STATS` as `plan_epoch`.
     fn plan_epoch(&self) -> u64 {
         0
-    }
-
-    /// The current decision table of a single-planner engine, `None`
-    /// otherwise. Calibration persistence saves it at shutdown and
-    /// reads its snapshot and candidate set to validate a restore.
-    fn planner(&self) -> Option<Arc<Planner>> {
-        None
-    }
-
-    /// Atomically installs a replacement planner, bumping the plan
-    /// epoch; `false` when the engine has no planner or the candidate
-    /// sets differ. How a restarted daemon installs persisted
-    /// calibration.
-    fn set_planner(&self, _planner: Planner) -> bool {
-        false
     }
 
     /// Pooled observed nanoseconds per candidate arm of a
@@ -857,7 +842,19 @@ impl<'a> AutoBackend<'a> {
             &self.grid.topk_samples(),
             MIN_CELL_OBSERVATIONS,
         );
-        next.is_calibrated() && self.set_planner(next)
+        let accepted = next.is_calibrated();
+        if accepted {
+            self.set_planner(next);
+        }
+        accepted
+    }
+
+    /// Atomically swaps `planner` in and bumps the plan epoch. The
+    /// candidate set never changes: [`AutoBackend::replan`] rebuilds
+    /// from the current table's own candidates.
+    fn set_planner(&self, planner: Planner) {
+        *self.planner.write().expect("planner lock") = Arc::new(planner);
+        self.plan_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A small deterministic probe workload drawn from the dataset
@@ -1072,30 +1069,10 @@ impl Backend for AutoBackend<'_> {
         u64::from(AutoBackend::replan(self))
     }
 
-    /// 0 until the first accepted [`Backend::set_planner`] /
-    /// [`AutoBackend::replan`], whether or not the build-time probe
-    /// calibrated the baseline.
+    /// 0 until the first accepted [`AutoBackend::replan`], whether or
+    /// not the build-time probe calibrated the baseline.
     fn plan_epoch(&self) -> u64 {
         self.plan_epoch.load(Ordering::Relaxed)
-    }
-
-    fn planner(&self) -> Option<Arc<Planner>> {
-        Some(AutoBackend::planner(self))
-    }
-
-    /// Refuses a candidate set that differs from the current one:
-    /// counters, metrics label sets, and the lazily built arms are all
-    /// keyed by the candidate list fixed at build time. A successful
-    /// restore is why a restarted daemon's epoch starts above 0.
-    fn set_planner(&self, planner: Planner) -> bool {
-        let mut slot = self.planner.write().expect("planner lock");
-        if planner.candidates() != slot.candidates() {
-            return false;
-        }
-        *slot = Arc::new(planner);
-        drop(slot);
-        self.plan_epoch.fetch_add(1, Ordering::Relaxed);
-        true
     }
 
     fn arm_nanos(&self) -> Option<Vec<(&'static str, u64)>> {
@@ -1273,19 +1250,6 @@ mod tests {
         assert_eq!(auto.run_workload(&w), expected, "replanned routing stays exact");
         let nanos: u64 = auto.observed_arm_nanos().iter().map(|(_, n)| n).sum();
         assert!(nanos > 0, "routed queries are timed into the grid");
-    }
-
-    #[test]
-    fn set_planner_refuses_a_different_candidate_set() {
-        let ds = dataset();
-        let auto = AutoBackend::new(&ds, 1);
-        let snap = auto.planner().snapshot().clone();
-        let foreign = Planner::new(snap.clone(), &BackendChoice::ALL);
-        assert!(!auto.set_planner(foreign), "candidate sets are fixed at build");
-        assert_eq!(auto.plan_epoch(), 0);
-        let same = Planner::new(snap, &AutoBackend::DEFAULT_CANDIDATES);
-        assert!(auto.set_planner(same));
-        assert_eq!(auto.plan_epoch(), 1);
     }
 
     #[test]

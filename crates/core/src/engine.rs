@@ -126,7 +126,7 @@ pub enum EngineKind {
         threads: usize,
     },
     /// Live ingest: an LSM-shaped [`LiveEngine`]
-    /// (append-only memtable + tombstones in front of immutable V7
+    /// (append-only memtable + tombstones in front of immutable sorted
     /// segments) seeded from the dataset. Mutable — the serving
     /// layer's `--live` mode.
     Live {
@@ -274,11 +274,6 @@ pub fn build_backend_with<'a>(
                 .expect("invalid ShardedLive configuration (EngineKind::validate catches this)"),
         ),
     }
-}
-
-/// [`build_backend_with`] under static (deterministic) planning.
-pub fn build_backend<'a>(dataset: &'a Dataset, kind: EngineKind) -> Box<dyn Backend + 'a> {
-    build_backend_with(dataset, kind, Probe::Static)
 }
 
 /// A built and prepared backend plus the kind it was built from: the
@@ -534,6 +529,8 @@ mod tests {
                     let id = writer.insert(b"Ulmer");
                     assert_eq!(id as usize, ds.len(), "{name}: ids continue after the seed");
                     assert_eq!(backend.search(b"Ulmer", 0).ids(), vec![id], "{name}");
+                    assert_eq!(backend.replan(), 0, "{name}: segments pick their arm at build");
+                    assert_eq!(backend.plan_epoch(), 0, "{name}");
                 }
                 EngineKind::Auto { .. } | EngineKind::Sharded { .. } => {
                     assert!(backend.as_mutable().is_none(), "{name}");
@@ -554,16 +551,15 @@ mod tests {
                     assert!((1..=shards).contains(&swapped), "{name}: {swapped}");
                     assert_eq!(backend.plan_epoch(), swapped, "{name}");
                     assert_eq!(
-                        backend.planner().is_some(),
-                        shards == 1 && matches!(kind, EngineKind::Auto { .. }),
-                        "{name}: only the single-planner engine hands its table out"
+                        backend.arm_nanos().is_some(),
+                        matches!(kind, EngineKind::Auto { .. }),
+                        "{name}: only the single-planner engine pools arm latencies"
                     );
                 }
                 _ => {
                     assert_eq!(backend.replan(), 0, "{name}");
                     assert_eq!(backend.plan_epoch(), 0, "{name}");
                     assert!(backend.as_mutable().is_none(), "{name}");
-                    assert!(backend.planner().is_none(), "{name}");
                     assert!(backend.arm_nanos().is_none(), "{name}");
                 }
             }

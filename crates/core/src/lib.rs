@@ -6,14 +6,11 @@
 //!
 //! * [`backend`] — the [`backend::Backend`] trait: the one execution
 //!   seam over every scan rung, index structure and composite, with
-//!   capability hooks (replan, calibration, mutation) defaulting to
-//!   no-ops, plus the one planner-routed type, [`backend::AutoBackend`];
+//!   capability hooks (replan, mutation) defaulting to no-ops, plus
+//!   the one planner-routed type, [`backend::AutoBackend`];
 //! * [`planner`] — the adaptive [`planner::Planner`]: cost hints from
 //!   dataset statistics, one explainable [`planner::PlanDecision`] per
 //!   query class;
-//! * [`calibration`] — persistence bridge for measured cost models:
-//!   a calibrated [`planner::Planner`] round-trips through the index
-//!   dump's calibration section, invalidated on dataset drift;
 //! * [`engine`] — [`engine::build_backend_with`], the one factory from
 //!   an [`engine::EngineKind`] to a backend (each scan rung (§3), each
 //!   index rung (§4), the extension engines, the planner, shards, live
@@ -32,14 +29,13 @@
 //!   partitioning for long records;
 //! * [`topk`] — nearest-neighbour search by iterative deepening;
 //! * [`lsm`] — live ingest: [`lsm::LiveEngine`] puts an append-only
-//!   memtable and tombstone set in front of immutable V7 segments, so
+//!   memtable and tombstone set in front of immutable sorted segments, so
 //!   the frozen-dataset machinery serves a mutable workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod calibration;
 pub mod engine;
 pub mod experiment;
 pub mod join;
@@ -56,11 +52,8 @@ pub use backend::{
     AutoBackend, Backend, BackendDiag, FilteredScanBackend, IndexBackend, ObservationGrid,
     PlanReport, Probe,
 };
-pub use calibration::{
-    load_calibration, planner_from_record, planner_to_record, save_calibration,
-};
-pub use engine::{build_backend, build_backend_with, EngineKind, IdxVariant, SearchEngine};
-pub use lsm::{LiveEngine, LiveStats, LsmConfig, MutableBackend, SegmentArm};
+pub use engine::{build_backend_with, EngineKind, IdxVariant, SearchEngine};
+pub use lsm::{LiveEngine, LiveStats, LsmConfig, MutableBackend};
 pub use sharded::{
     merge_match_sets, partition_ids, remap_to_global, route_record, ShardBy, ShardStats,
     ShardedBackend,

@@ -10,9 +10,11 @@
 //!   makes an unsorted append-only **memtable** the natural write
 //!   buffer ([`simsearch_scan::flat_search_where`], a V1-style scan
 //!   that masks tombstoned slots);
-//! * the V7 sorted-prefix scan is the best frozen-set reader, so
+//! * the sorted-arena sweeps are the best frozen-set readers, so
 //!   flushed records live in immutable **segments**, each a prepared
-//!   [`SortedView`] searched by [`simsearch_scan::v7_search_view`];
+//!   [`SortedView`] searched by the kernel its record lengths call for
+//!   ([`simsearch_scan::v7_search_view`] for short records,
+//!   [`simsearch_scan::v8_search_view`] for long ones);
 //! * reads union memtable-first results across segments with the
 //!   sharded executor's k-way [`merge_match_sets`] over disjoint,
 //!   strictly-increasing global-id tables ([`remap_to_global`]).
@@ -56,7 +58,7 @@ use crate::sharded::{merge_match_sets, remap_to_global};
 use simsearch_data::{Dataset, MatchSet, RecordId, SortedView};
 use simsearch_scan::{flat_search_where, v7_search_view, v8_search_view};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// The mutation seam: what a serving layer (or a sharded composite)
@@ -119,49 +121,47 @@ impl Default for LsmConfig {
     }
 }
 
-/// The kernel a live engine's segments answer with. Both arms read the
-/// same prepared [`SortedView`] and return byte-identical results (the
-/// `v8_oracle` gate), so switching is a pure performance decision —
-/// which is what lets [`LiveEngine::replan`] re-pick the arm from the
-/// engine's own gauges while queries are in flight.
+/// The kernel a segment answers with, fixed when the segment is built.
+/// Both arms read the same prepared [`SortedView`] and return
+/// byte-identical results (the `v8_oracle` gate), so the choice is a
+/// pure performance decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentArm {
-    /// V7 LCP-resumable row-stack DP — the default; its banded
-    /// early-abort wins short strings and low thresholds.
+enum SegmentArm {
+    /// V7 LCP-resumable row-stack DP — its banded early-abort wins
+    /// short strings and low thresholds.
     Sorted,
     /// V8 Myers bit-parallel sweep — 64 DP cells a word, where the
-    /// banded DP's row grows with `k`; picked once segments dominate and
-    /// records are long.
+    /// banded DP's row grows with `k`.
     BitParallel,
 }
 
 impl SegmentArm {
-    /// Stable short name (`STATS`, `explain`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SegmentArm::Sorted => "scan-sorted",
-            SegmentArm::BitParallel => "scan-bitparallel",
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        if v == 1 {
+    /// The arm for a segment whose records average `mean_len` bytes.
+    fn for_mean_len(mean_len: usize) -> Self {
+        // Long records go to the Myers sweep: a typical record spans at
+        // least one full 64-cell word, the regime where the banded DP's
+        // row count grows with `k`. Short records stay on V7 *on
+        // purpose*, although V8's candidate selection
+        // (`SortedView::for_each_candidate`) now makes it several times
+        // faster on city names: a segment only V7 sweeps never builds
+        // the occupancy signature, and moving city segments over took
+        // `city_live_mix` `peak_rss_mb` 26.5 → 34.1 MB (+28.7 % against
+        // a 10 % bound) — not the signature (< 1 MB) but 3.5× as many
+        // operations fitting the benchmark's window, each leaving
+        // inserted records, shadow-set entries and latency samples
+        // behind. The rule changes once that workload's resident set no
+        // longer scales with its throughput (see ROADMAP).
+        if mean_len >= 64 {
             SegmentArm::BitParallel
         } else {
             SegmentArm::Sorted
         }
     }
-
-    fn as_u8(self) -> u8 {
-        match self {
-            SegmentArm::Sorted => 0,
-            SegmentArm::BitParallel => 1,
-        }
-    }
 }
 
-/// One immutable sorted segment: a prepared V7 [`SortedView`] plus the
-/// strictly-increasing table mapping its local ids to global ids.
+/// One immutable sorted segment: a prepared [`SortedView`], the kernel
+/// that sweeps it, and the strictly-increasing table mapping its local
+/// ids to global ids.
 struct Segment {
     /// The segment's records, local ids `0..n` in ascending global-id
     /// order (so `globals` is strictly increasing and remapping a local
@@ -171,6 +171,9 @@ struct Segment {
     view: SortedView,
     /// Local id `i` ↔ global id `globals[i]`.
     globals: Vec<RecordId>,
+    /// The kernel this segment answers with, from its own mean record
+    /// length.
+    arm: SegmentArm,
 }
 
 impl Segment {
@@ -184,10 +187,16 @@ impl Segment {
             return None;
         }
         let view = SortedView::build(&data);
+        let arm = SegmentArm::for_mean_len(data.arena_len() / globals.len());
+        if arm == SegmentArm::BitParallel {
+            // Built with the segment, not inside its first query.
+            view.prepare_signature();
+        }
         Some(Arc::new(Self {
             data,
             view,
             globals,
+            arm,
         }))
     }
 
@@ -196,11 +205,11 @@ impl Segment {
         usize::BITS - 1 - self.globals.len().leading_zeros()
     }
 
-    /// Search with the engine's current arm, remapped to global ids
+    /// Search with the segment's arm, remapped to global ids
     /// (tombstones are the caller's concern — they filter *after*
     /// remapping).
-    fn search(&self, arm: SegmentArm, query: &[u8], k: u32) -> (MatchSet, u64) {
-        let (local, cells) = match arm {
+    fn search(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
+        let (local, cells) = match self.arm {
             SegmentArm::Sorted => v7_search_view(&self.view, query, k),
             SegmentArm::BitParallel => v8_search_view(&self.view, query, k),
         };
@@ -271,11 +280,6 @@ pub struct LiveEngine {
     cfg: LsmConfig,
     /// Serialises compaction's plan→build→swap sequence.
     compact_gate: Mutex<()>,
-    /// The segment kernel ([`SegmentArm`] as a byte), swapped by
-    /// [`LiveEngine::replan`]; reads are one relaxed load per query.
-    plan: AtomicU8,
-    /// Arm swaps since build.
-    plan_epoch: AtomicU64,
     compactions: AtomicU64,
     inserts: AtomicU64,
     deletes: AtomicU64,
@@ -294,8 +298,6 @@ impl LiveEngine {
             }),
             cfg,
             compact_gate: Mutex::new(()),
-            plan: AtomicU8::new(SegmentArm::Sorted.as_u8()),
-            plan_epoch: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
@@ -304,7 +306,7 @@ impl LiveEngine {
 
     /// Seeds an engine from a frozen dataset: record `i` gets global id
     /// `i`, and the whole load is flushed into one prepared segment so
-    /// serving starts on the V7 path rather than a giant memtable.
+    /// serving starts on the sorted sweep rather than a giant memtable.
     pub fn from_dataset(dataset: &Dataset, cfg: LsmConfig) -> Self {
         let globals: Vec<RecordId> = (0..dataset.len() as u32).collect();
         let next_id = dataset.len() as u32;
@@ -397,12 +399,11 @@ impl LiveEngine {
     }
 
     /// One consistent threshold search across the memtable and every
-    /// segment: flat scan over live memtable slots, V7 over each
-    /// segment, tombstone filtering, then the k-way merge. The read
+    /// segment: flat scan over live memtable slots, each segment's own
+    /// kernel, tombstone filtering, then the k-way merge. The read
     /// lock is held across the whole union, so the result reflects one
     /// atomic `(memtable, segments, tombstones)` snapshot.
     fn search_snapshot(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        let arm = self.segment_arm();
         let inner = self.inner.read().expect("lsm lock");
         let mut parts = Vec::with_capacity(inner.segments.len() + 1);
         // Memtable first: tombstones mask slots before the kernel runs.
@@ -412,7 +413,7 @@ impl LiveEngine {
         parts.push(remap_to_global(&mem_local, &inner.mem_ids));
         let mut cells = 0u64;
         for segment in &inner.segments {
-            let (remapped, segment_cells) = segment.search(arm, query, k);
+            let (remapped, segment_cells) = segment.search(query, k);
             cells += segment_cells;
             // Segments hold tombstoned records until compaction elides
             // them; filter after remapping to global ids.
@@ -601,79 +602,6 @@ impl LiveEngine {
             }
         }
     }
-
-    /// The kernel segments currently answer with.
-    pub fn segment_arm(&self) -> SegmentArm {
-        SegmentArm::from_u8(self.plan.load(Ordering::Relaxed))
-    }
-
-    /// Arm swaps since build (0 until the first effective replan).
-    pub fn plan_epoch(&self) -> u64 {
-        self.plan_epoch.load(Ordering::Relaxed)
-    }
-
-    /// One self-tuning tick against this engine's *own* gauges: re-picks
-    /// the segment kernel from the current memtable/segment shape and
-    /// swaps it atomically (a relaxed byte store — in-flight queries
-    /// finish on the arm they loaded). Returns whether the arm changed.
-    ///
-    /// The rule mirrors the planner's V7-vs-V8 crossover, scoped to one
-    /// shard's gauges: the bit-parallel sweep is preferred only when
-    /// the segments dominate the read path (a freshly-flushed or
-    /// compacted shard) *and* the per-word sweep undercuts the banded
-    /// DP at the shard's own mean record length — a memtable-heavy
-    /// neighbour keeps V7 under its flat-scan-dominated mix. Deletes
-    /// shift `live_records` and compactions shift the segment/memtable
-    /// split, so the decision genuinely drifts with churn.
-    pub fn replan(&self) -> bool {
-        let (memtable_len, segment_records, segment_bytes) = {
-            let inner = self.inner.read().expect("lsm lock");
-            let records: usize = inner.segments.iter().map(|s| s.globals.len()).sum();
-            let bytes: usize = inner.segments.iter().map(|s| s.data.arena_len()).sum();
-            (inner.mem_ids.len(), records, bytes)
-        };
-        let next = Self::preferred_arm(memtable_len, segment_records, segment_bytes);
-        let previous = self.plan.swap(next.as_u8(), Ordering::Relaxed);
-        let changed = previous != next.as_u8();
-        if changed {
-            self.plan_epoch.fetch_add(1, Ordering::Relaxed);
-        }
-        changed
-    }
-
-    /// The deterministic arm rule behind [`LiveEngine::replan`] —
-    /// a pure function of the gauges, so tests can pin the crossover.
-    fn preferred_arm(
-        memtable_len: usize,
-        segment_records: usize,
-        segment_bytes: usize,
-    ) -> SegmentArm {
-        // Segments must dominate the read path before a segment-kernel
-        // switch can pay for itself (hysteresis against flapping on a
-        // half-filled memtable).
-        if segment_records == 0 || segment_records < 4 * memtable_len {
-            return SegmentArm::Sorted;
-        }
-        // Long records go to the Myers sweep: a typical record spans at
-        // least one full 64-cell word, the regime where the banded DP's
-        // row count grows with `k`. Short records stay on V7 *on
-        // purpose*, although V8's candidate selection
-        // (`SortedView::for_each_candidate`) now makes it several times
-        // faster on city names: a segment only V7 sweeps never builds
-        // the occupancy signature, and moving city segments over took
-        // `city_live_mix` `peak_rss_mb` 26.5 → 34.1 MB (+28.7 % against
-        // a 10 % bound) — not the signature (< 1 MB) but 3.5× as many
-        // operations fitting the benchmark's window, each leaving
-        // inserted records, shadow-set entries and latency samples
-        // behind. The rule changes once that workload's resident set no
-        // longer scales with its throughput (see ROADMAP).
-        let mean = segment_bytes / segment_records;
-        if mean >= 64 {
-            SegmentArm::BitParallel
-        } else {
-            SegmentArm::Sorted
-        }
-    }
 }
 
 impl Backend for LiveEngine {
@@ -706,14 +634,6 @@ impl Backend for LiveEngine {
         }
     }
 
-    fn replan(&self) -> u64 {
-        u64::from(LiveEngine::replan(self))
-    }
-
-    fn plan_epoch(&self) -> u64 {
-        LiveEngine::plan_epoch(self)
-    }
-
     fn as_mutable(&self) -> Option<&dyn MutableBackend> {
         Some(self)
     }
@@ -740,7 +660,8 @@ impl MutableBackend for LiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{build_backend, EngineKind};
+    use crate::backend::Probe;
+    use crate::engine::{build_backend_with, EngineKind};
     use simsearch_data::Match;
     use simsearch_scan::SeqVariant;
 
@@ -749,7 +670,7 @@ mod tests {
     fn oracle(survivors: &[(RecordId, Vec<u8>)], query: &[u8], k: u32) -> MatchSet {
         let data = Dataset::from_records(survivors.iter().map(|(_, r)| r.as_slice()));
         let globals: Vec<RecordId> = survivors.iter().map(|(id, _)| *id).collect();
-        let v1 = build_backend(&data, EngineKind::Scan(SeqVariant::V1Base));
+        let v1 = build_backend_with(&data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
         remap_to_global(&v1.search(query, k), &globals)
     }
 
@@ -790,7 +711,7 @@ mod tests {
     fn seeded_engine_matches_its_source_dataset() {
         let data = Dataset::from_records(["Berlin", "Bern", "", "Ulm", "Bonn"]);
         let engine = LiveEngine::from_dataset(&data, LsmConfig::default());
-        let v1 = build_backend(&data, EngineKind::Scan(SeqVariant::V1Base));
+        let v1 = build_backend_with(&data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
         for q in ["Bern", "", "Urm"] {
             for k in 0..4 {
                 assert_eq!(
@@ -863,53 +784,60 @@ mod tests {
     }
 
     #[test]
-    fn replan_prefers_bitparallel_only_when_segments_dominate_long_records() {
-        // Long DNA-like records, all flushed: segments dominate and the
-        // per-word sweep undercuts the banded DP — the arm flips once
-        // (epoch 1) and answers stay oracle-identical.
-        let long: Vec<Vec<u8>> = (0..6)
-            .map(|i| {
-                (0..200u32)
-                    .map(|j| b"ACGT"[((i * 7 + j) % 4) as usize])
-                    .collect()
-            })
+    fn a_segment_picks_its_kernel_from_its_own_record_lengths() {
+        // Long records over a wide alphabet: every flushed or merged
+        // segment takes the bit-parallel arm — and builds its signature
+        // — at build time, with no tick in between.
+        let long: Vec<Vec<u8>> = (0..9u32)
+            .map(|i| (0..100u32).map(|j| b'a' + ((i * 7 + j * 3) % 26) as u8).collect())
             .collect();
-        let engine = LiveEngine::new(LsmConfig { memtable_cap: 6 });
+        let engine = LiveEngine::new(LsmConfig { memtable_cap: 4 });
         let mut survivors = Vec::new();
-        for r in &long {
+        let agrees = |engine: &LiveEngine, survivors: &[(RecordId, Vec<u8>)], stage: &str| {
+            for q in [&long[0][..80], &long[5][..], &long[8][10..]] {
+                for k in [0, 4, 16, 30] {
+                    assert_eq!(engine.search(q, k), oracle(survivors, q, k), "{stage} k={k}");
+                }
+            }
+        };
+        for r in &long[..8] {
             let id = engine.insert(r);
             survivors.push((id, r.clone()));
+            if engine.stats().memtable_len == 4 {
+                assert!(engine.maybe_compact(), "flush at cap");
+            }
         }
-        assert!(engine.maybe_compact(), "flush all six");
-        assert_eq!(engine.segment_arm(), SegmentArm::Sorted, "default arm");
-        assert!(engine.replan(), "flushed long records flip to V8");
-        assert_eq!(engine.segment_arm(), SegmentArm::BitParallel);
-        assert_eq!(engine.plan_epoch(), 1);
-        assert!(!engine.replan(), "stable gauges, no second flip");
-        let q = &long[0][..150];
-        for k in [0, 4, 16] {
-            assert_eq!(engine.search(q, k), oracle(&survivors, q, k), "k={k}");
+        {
+            let inner = engine.inner.read().expect("live lock");
+            assert_eq!(inner.segments.len(), 2, "two flushes, nothing merged yet");
+            for s in &inner.segments {
+                assert_eq!(s.arm, SegmentArm::BitParallel);
+                assert!(s.view.signature_bytes() > 0, "no build left for the first query");
+            }
         }
+        let id = engine.insert(&long[8]);
+        survivors.push((id, long[8].clone()));
+        assert!(engine.delete(2), "tombstone a segment record");
+        survivors.retain(|(id, _)| *id != 2);
+        agrees(&engine, &survivors, "two segments + memtable");
+        assert_eq!(engine.compact_to_quiescence(), 1, "the same-tier pair merges");
+        {
+            let inner = engine.inner.read().expect("live lock");
+            assert_eq!(inner.segments.len(), 1);
+            assert_eq!(inner.segments[0].arm, SegmentArm::BitParallel);
+        }
+        agrees(&engine, &survivors, "merged");
 
-        // A memtable-heavy engine with the same records stays on V7.
-        let heavy = LiveEngine::new(LsmConfig { memtable_cap: 1024 });
-        for r in &long {
-            heavy.insert(r);
-        }
-        assert!(!heavy.replan(), "memtable-heavy shard keeps the flat mix");
-        assert_eq!(heavy.segment_arm(), SegmentArm::Sorted);
-
-        // Short city-like records never flip even when fully flushed.
+        // Short city-like records stay on V7 even when fully flushed,
+        // and a segment only V7 sweeps never builds V8's signature.
         let city = LiveEngine::new(LsmConfig { memtable_cap: 4 });
         for w in [&b"Berlin"[..], b"Bern", b"Bonn", b"Ulm"] {
             city.insert(w);
         }
         assert!(city.maybe_compact());
-        assert!(!city.replan(), "short records stay on the banded DP");
-        assert_eq!(city.plan_epoch(), 0);
-        // And a segment only V7 sweeps never builds V8's signature.
         assert_eq!(city.search(b"Bern", 1).len(), 1);
         let inner = city.inner.read().expect("live lock");
+        assert!(inner.segments.iter().all(|s| s.arm == SegmentArm::Sorted));
         assert!(inner.segments.iter().all(|s| s.view.signature_bytes() == 0));
     }
 
@@ -926,7 +854,7 @@ mod tests {
         survivors.retain(|(id, _)| *id != 2);
         let data = Dataset::from_records(survivors.iter().map(|(_, r)| r.as_slice()));
         let globals: Vec<RecordId> = survivors.iter().map(|(id, _)| *id).collect();
-        let v1 = build_backend(&data, EngineKind::Scan(SeqVariant::V1Base));
+        let v1 = build_backend_with(&data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
         for k in [1usize, 3, 10] {
             let (want_local, _) = v1.search_top_k_with(b"Bern", k, 16);
             let want: Vec<Match> = want_local

@@ -541,36 +541,6 @@ impl Planner {
         )
     }
 
-    /// Rebuilds a planner from persisted multiplier rows (the
-    /// calibration section of the index file). Returns `None` — never
-    /// panics — when the shape or values are off: wrong row count, a
-    /// non-finite or non-positive multiplier, or an empty candidate
-    /// set. Loaders treat `None` as "fall back to the static table".
-    pub fn from_calibrated_rows(
-        snapshot: StatsSnapshot,
-        candidates: &[BackendChoice],
-        class_multipliers: Vec<[f64; BackendChoice::COUNT]>,
-        topk_multipliers: [f64; BackendChoice::COUNT],
-    ) -> Option<Self> {
-        let rows = NUM_LEN_CLASSES * (MAX_K_CLASS as usize + 1);
-        if candidates.is_empty() || class_multipliers.len() != rows {
-            return None;
-        }
-        let ok = |m: f64| m.is_finite() && m > 0.0;
-        if !class_multipliers.iter().flatten().copied().all(ok)
-            || !topk_multipliers.iter().copied().all(ok)
-        {
-            return None;
-        }
-        Some(Self::from_rows(
-            snapshot,
-            candidates,
-            class_multipliers,
-            topk_multipliers,
-            true,
-        ))
-    }
-
     fn from_rows(
         snapshot: StatsSnapshot,
         candidates: &[BackendChoice],
@@ -632,8 +602,7 @@ impl Planner {
         &self.table[QueryClass::of(&self.snapshot, query_len, k).table_index()]
     }
 
-    /// The per-class multiplier rows, in [`QueryClass::all`] order —
-    /// the calibration state the persistence layer serializes.
+    /// The per-class multiplier rows, in [`QueryClass::all`] order.
     pub fn class_multipliers(&self) -> &[[f64; BackendChoice::COUNT]] {
         &self.class_multipliers
     }
@@ -1066,53 +1035,6 @@ mod tests {
             planner.decide(6, 2).chosen,
             "threshold table must not piggyback on the top-k curve"
         );
-    }
-
-    #[test]
-    fn calibrated_rows_round_trip_and_reject_bad_shapes() {
-        let snap = snapshot_of(&["aaaa", "aaab", "aabb", "abbb"]);
-        let rows = NUM_LEN_CLASSES * (MAX_K_CLASS as usize + 1);
-        let mut cells = vec![[CellSample::default(); BackendChoice::COUNT]; rows];
-        cells[QueryClass::of(&snap, 4, 1).table_index()]
-            [BackendChoice::ScanFlat.index()] = cell(9_000, 9_000, 9);
-        let original = Planner::with_class_samples(
-            snap.clone(),
-            &BackendChoice::ALL,
-            &cells,
-            &[CellSample::default(); BackendChoice::COUNT],
-            8,
-        );
-        let rebuilt = Planner::from_calibrated_rows(
-            snap.clone(),
-            &BackendChoice::ALL,
-            original.class_multipliers().to_vec(),
-            *original.topk_multipliers(),
-        )
-        .expect("valid rows reconstruct");
-        assert_eq!(original.decisions(), rebuilt.decisions());
-        assert!(Planner::from_calibrated_rows(
-            snap.clone(),
-            &BackendChoice::ALL,
-            vec![[1.0; BackendChoice::COUNT]; 3],
-            [1.0; BackendChoice::COUNT],
-        )
-        .is_none());
-        let mut bad = vec![[1.0; BackendChoice::COUNT]; rows];
-        bad[0][0] = f64::NAN;
-        assert!(Planner::from_calibrated_rows(
-            snap.clone(),
-            &BackendChoice::ALL,
-            bad,
-            [1.0; BackendChoice::COUNT],
-        )
-        .is_none());
-        assert!(Planner::from_calibrated_rows(
-            snap,
-            &[],
-            vec![[1.0; BackendChoice::COUNT]; rows],
-            [1.0; BackendChoice::COUNT],
-        )
-        .is_none());
     }
 
     #[test]

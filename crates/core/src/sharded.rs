@@ -289,16 +289,6 @@ impl ShardedBackend {
         })
     }
 
-    /// [`ShardedBackend::with_probe`] with static planning.
-    pub fn build(dataset: &Dataset, shards: usize, by: ShardBy, threads: usize) -> Self {
-        Self::with_probe(dataset, shards, by, threads, Probe::Static)
-    }
-
-    /// [`ShardedBackend::with_probe`] with each shard's default probe.
-    pub fn calibrated(dataset: &Dataset, shards: usize, by: ShardBy, threads: usize) -> Self {
-        Self::with_probe(dataset, shards, by, threads, Probe::Default)
-    }
-
     /// Pins every shard to one fixed arm (`choice`).
     pub fn with_fixed_arm(
         dataset: &Dataset,
@@ -537,12 +527,9 @@ impl Backend for ShardedBackend {
         )
     }
 
-    /// One tick across every shard, each against its own evidence:
-    /// frozen shards re-derive their planner from their own
-    /// observation grid, live shards re-read their own gauges and
-    /// re-pick their segment arm — so a freshly-flushed shard can
-    /// prefer its V7/V8 segments while a memtable-heavy neighbour stays
-    /// on the flat scan.
+    /// One tick across every shard: each frozen shard re-derives its
+    /// planner from its own observation grid. Live shards have nothing
+    /// to tick — a segment picks its kernel when it is built.
     fn replan(&self) -> u64 {
         self.shards.iter().map(|s| s.backend().replan()).sum()
     }
@@ -711,7 +698,7 @@ mod tests {
         let expected = oracle(&ds, &w);
         for by in [ShardBy::Len, ShardBy::Hash] {
             for s in [1, 2, 3, 8, 32] {
-                let backend = ShardedBackend::build(&ds, s, by, 2);
+                let backend = ShardedBackend::with_probe(&ds, s, by, 2, Probe::Static);
                 backend.prepare();
                 assert_eq!(backend.run_workload(&w), expected, "{by:?} s={s}");
                 for strategy in [
@@ -735,7 +722,7 @@ mod tests {
         let ds = dataset();
         let w = workload();
         let expected = oracle(&ds, &w);
-        let calibrated = ShardedBackend::calibrated(&ds, 3, ShardBy::Len, 1);
+        let calibrated = ShardedBackend::with_probe(&ds, 3, ShardBy::Len, 1, Probe::Default);
         assert_eq!(calibrated.run_workload(&w), expected);
         for choice in BackendChoice::ALL {
             let fixed = ShardedBackend::with_fixed_arm(&ds, 3, ShardBy::Hash, 1, choice);
@@ -747,7 +734,7 @@ mod tests {
     fn shard_stats_count_queries_and_matches() {
         let ds = dataset();
         let w = workload();
-        let backend = ShardedBackend::build(&ds, 3, ShardBy::Len, 1);
+        let backend = ShardedBackend::with_probe(&ds, 3, ShardBy::Len, 1, Probe::Static);
         let _ = backend.run_workload(&w);
         let stats = Backend::shard_stats(&backend).expect("sharded reports shard stats");
         assert_eq!(stats.len(), 3);
@@ -790,7 +777,7 @@ mod tests {
     #[test]
     fn topk_matches_unsharded_deepening() {
         let ds = dataset();
-        let sharded = ShardedBackend::build(&ds, 3, ShardBy::Len, 1);
+        let sharded = ShardedBackend::with_probe(&ds, 3, ShardBy::Len, 1, Probe::Static);
         let flat = crate::backend::ScanBackend::new(SequentialScan::new(&ds), SeqVariant::V4Flat);
         for count in [1, 3, 20] {
             let (a, _) = sharded.search_top_k_with(b"Berlim", count, 8);

@@ -51,20 +51,17 @@ impl std::fmt::Display for DatasetStats {
     }
 }
 
-/// Binary-layout version of [`StatsSnapshot`] (bumped on layout change).
-pub const SNAPSHOT_VERSION: u8 = 1;
-
 /// Upper bound on the number of length-histogram buckets a snapshot
-/// stores (and on what [`StatsSnapshot::read_from`] accepts).
+/// stores.
 const MAX_BUCKETS: usize = 512;
 
 /// A deterministic, integer-only summary of a dataset — the planner's
-/// input and the payload persisted alongside saved indexes.
+/// input.
 ///
 /// Unlike [`DatasetStats`] (a float-bearing report type), a snapshot is
-/// `Eq`/`Hash`, round-trips exactly through its binary encoding, and
-/// carries a bucketed string-length distribution so the planner can
-/// estimate length-filter survivor counts without the dataset in hand.
+/// `Eq`/`Hash` and carries a bucketed string-length distribution so the
+/// planner can estimate length-filter survivor counts without the
+/// dataset in hand.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StatsSnapshot {
     /// Number of records.
@@ -132,72 +129,6 @@ impl StatsSnapshot {
             return 0;
         }
         self.len_buckets[lo..=hi].iter().sum()
-    }
-
-    /// Serializes the snapshot (little-endian, versioned).
-    pub fn write_to<W: std::io::Write>(&self, out: &mut W) -> std::io::Result<()> {
-        out.write_all(&[SNAPSHOT_VERSION])?;
-        out.write_all(&self.records.to_le_bytes())?;
-        out.write_all(&self.symbols.to_le_bytes())?;
-        out.write_all(&self.min_len.to_le_bytes())?;
-        out.write_all(&self.max_len.to_le_bytes())?;
-        out.write_all(&self.total_bytes.to_le_bytes())?;
-        out.write_all(&self.bucket_width.to_le_bytes())?;
-        out.write_all(&(self.len_buckets.len() as u32).to_le_bytes())?;
-        for b in &self.len_buckets {
-            out.write_all(&b.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a snapshot written by [`StatsSnapshot::write_to`].
-    /// Returns [`std::io::ErrorKind::InvalidData`] on a version or
-    /// bounds mismatch — never panics on corrupt input.
-    pub fn read_from<R: std::io::Read>(input: &mut R) -> std::io::Result<Self> {
-        fn bad(msg: &str) -> std::io::Error {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
-        }
-        let mut byte = [0u8; 1];
-        input.read_exact(&mut byte)?;
-        if byte[0] != SNAPSHOT_VERSION {
-            return Err(bad("unsupported stats snapshot version"));
-        }
-        let mut u64buf = [0u8; 8];
-        let mut u32buf = [0u8; 4];
-        let read_u64 = |input: &mut R, buf: &mut [u8; 8]| -> std::io::Result<u64> {
-            input.read_exact(buf)?;
-            Ok(u64::from_le_bytes(*buf))
-        };
-        let read_u32 = |input: &mut R, buf: &mut [u8; 4]| -> std::io::Result<u32> {
-            input.read_exact(buf)?;
-            Ok(u32::from_le_bytes(*buf))
-        };
-        let records = read_u64(input, &mut u64buf)?;
-        let symbols = read_u32(input, &mut u32buf)?;
-        let min_len = read_u32(input, &mut u32buf)?;
-        let max_len = read_u32(input, &mut u32buf)?;
-        let total_bytes = read_u64(input, &mut u64buf)?;
-        let bucket_width = read_u32(input, &mut u32buf)?;
-        if bucket_width == 0 {
-            return Err(bad("stats snapshot bucket width of zero"));
-        }
-        let buckets = read_u32(input, &mut u32buf)? as usize;
-        if buckets > MAX_BUCKETS {
-            return Err(bad("stats snapshot bucket count out of bounds"));
-        }
-        let mut len_buckets = Vec::with_capacity(buckets);
-        for _ in 0..buckets {
-            len_buckets.push(read_u64(input, &mut u64buf)?);
-        }
-        Ok(Self {
-            records,
-            symbols,
-            min_len,
-            max_len,
-            total_bytes,
-            bucket_width,
-            len_buckets,
-        })
     }
 }
 
@@ -280,40 +211,6 @@ mod tests {
             }
         }
         assert_eq!(snap.length_survivors(2, 1), 3); // bb, a, ccc
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_binary_encoding() {
-        let ds = Dataset::from_records(["Berlin", "Bern", "", "Bonn"]);
-        let snap = StatsSnapshot::compute(&ds);
-        let mut buf = Vec::new();
-        snap.write_to(&mut buf).unwrap();
-        let back = StatsSnapshot::read_from(&mut buf.as_slice()).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn snapshot_read_rejects_garbage_without_panicking() {
-        for cut in 0..16 {
-            let garbage = vec![0xFFu8; cut];
-            let err = StatsSnapshot::read_from(&mut garbage.as_slice());
-            assert!(err.is_err(), "cut={cut}");
-        }
-        // Wrong version byte.
-        let ds = Dataset::from_records(["x"]);
-        let mut buf = Vec::new();
-        StatsSnapshot::compute(&ds).write_to(&mut buf).unwrap();
-        buf[0] = 0xEE;
-        let err = StatsSnapshot::read_from(&mut buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        // Absurd bucket count.
-        let mut truncated = Vec::new();
-        StatsSnapshot::compute(&ds).write_to(&mut truncated).unwrap();
-        // version(1) + records(8) + symbols/min/max(12) + total(8) + width(4)
-        let count_at = 33;
-        truncated[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = StatsSnapshot::read_from(&mut truncated.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

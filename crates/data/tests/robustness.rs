@@ -54,46 +54,3 @@ fn read_queries_never_panics() {
         },
     );
 }
-
-#[test]
-fn load_radix_never_panics_on_garbage() {
-    check(
-        "load_radix_never_panics_on_garbage",
-        Config::default().seed(SEED),
-        &gen::bytes_any(0..400),
-        |bytes| {
-            let path = tmp();
-            std::fs::write(&path, bytes).unwrap();
-            let _ = simsearch_index::load_radix(&path);
-            std::fs::remove_file(&path).unwrap();
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn load_radix_never_panics_on_truncations() {
-    check(
-        "load_radix_never_panics_on_truncations",
-        Config::default().seed(SEED),
-        &gen::zip(gen::usize_in(1..6), gen::usize_in(0..200)),
-        |(n_records, cut)| {
-            // A valid file truncated at an arbitrary point must error, not
-            // panic.
-            let records: Vec<String> = (0..*n_records).map(|i| format!("rec{i}")).collect();
-            let ds = simsearch_data::Dataset::from_records(&records);
-            let trie = simsearch_index::radix::build(&ds);
-            let path = tmp();
-            simsearch_index::save_radix(&path, &trie).unwrap();
-            let bytes = std::fs::read(&path).unwrap();
-            let cut = (*cut).min(bytes.len());
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            let result = simsearch_index::load_radix(&path);
-            std::fs::remove_file(&path).unwrap();
-            if cut < bytes.len() {
-                prop_assert!(result.is_err(), "truncated file parsed successfully");
-            }
-            Ok(())
-        },
-    );
-}

@@ -25,7 +25,6 @@
 
 pub mod bktree;
 pub mod length_bucket;
-pub mod persist;
 pub mod qgram;
 pub mod radix;
 pub mod suffix;
@@ -33,10 +32,6 @@ pub mod trace;
 pub mod trie;
 
 pub use bktree::BkTree;
-pub use persist::{
-    load_radix, load_radix_full, load_radix_with_stats, save_radix, save_radix_with_calibration,
-    save_radix_with_stats, CalibrationRecord, PersistError,
-};
 pub use length_bucket::LengthBuckets;
 pub use qgram::QgramIndex;
 pub use radix::RadixTrie;

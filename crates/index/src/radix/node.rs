@@ -16,9 +16,6 @@ pub type NodeId = u32;
 /// The arena index of the root node.
 pub const ROOT: NodeId = 0;
 
-/// A per-node frequency-vector interval `(component-min, component-max)`.
-pub type FreqBox = (FreqVector, FreqVector);
-
 /// One radix-trie node. The edge *leading into* the node carries a label
 /// (empty for the root); children are keyed by their label's first byte.
 #[derive(Debug, Clone)]
@@ -56,30 +53,6 @@ impl RadixNode {
     /// Maximal record length below (and at) this node.
     pub fn max_len(&self) -> u32 {
         self.max_len
-    }
-
-    /// `(start, len)` of the incoming edge label in the label arena.
-    pub fn label_range(&self) -> (u32, u32) {
-        (self.label_start, self.label_len)
-    }
-
-    /// Reassembles a node from its raw parts (persistence support).
-    pub fn from_parts(
-        label_start: u32,
-        label_len: u32,
-        children: Vec<(u8, NodeId)>,
-        records: Vec<simsearch_data::RecordId>,
-        min_len: u32,
-        max_len: u32,
-    ) -> Self {
-        Self {
-            label_start,
-            label_len,
-            children,
-            records,
-            min_len,
-            max_len,
-        }
     }
 }
 
@@ -133,46 +106,6 @@ impl RadixTrie {
     pub fn label(&self, node: &RadixNode) -> &[u8] {
         let s = node.label_start as usize;
         &self.labels[s..s + node.label_len as usize]
-    }
-
-    /// The shared edge-label arena.
-    pub fn labels(&self) -> &[u8] {
-        &self.labels
-    }
-
-    /// Frequency annotation parts, if present (persistence support).
-    pub fn freq_parts(&self) -> Option<([u8; 5], &[FreqBox])> {
-        match (&self.freq_tracked, &self.freq_boxes) {
-            (Some(t), Some(b)) => Some((*t, b.as_slice())),
-            _ => None,
-        }
-    }
-
-    /// Reassembles a tree from its raw parts (persistence support).
-    ///
-    /// # Panics
-    /// Panics if `nodes` is empty or `freq` boxes do not cover every node.
-    pub fn from_parts(
-        nodes: Vec<RadixNode>,
-        labels: Vec<u8>,
-        record_count: usize,
-        freq: Option<([u8; 5], Vec<FreqBox>)>,
-    ) -> Self {
-        assert!(!nodes.is_empty(), "a radix tree has at least a root");
-        let (freq_tracked, freq_boxes) = match freq {
-            Some((t, b)) => {
-                assert_eq!(b.len(), nodes.len(), "one frequency box per node");
-                (Some(t), Some(b))
-            }
-            None => (None, None),
-        };
-        Self {
-            nodes,
-            labels,
-            record_count,
-            freq_boxes,
-            freq_tracked,
-        }
     }
 
     /// Approximate heap footprint in bytes.

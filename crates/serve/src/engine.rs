@@ -5,19 +5,17 @@
 //! configured [`EngineKind`] to the one engine factory (calibrating
 //! planner-driven kinds with their default probe), prepares the result
 //! once at startup, and every request reuses the prepared state. Every
-//! capability — DP-cell counting, top-k deepening, replanning,
-//! calibration persistence, mutation — is a trait method with a no-op
-//! default, so the wrapper holds exactly one engine and never asks what
-//! kind it is.
+//! capability — DP-cell counting, top-k deepening, replanning, mutation
+//! — is a trait method with a no-op default, so the wrapper holds
+//! exactly one engine and never asks what kind it is.
 
 use crate::metrics::Metrics;
 use crate::protocol::JoinAlgo;
 use simsearch_core::{
-    build_backend_with, calibration, min_join_with_stats, pass_join_with_stats, Backend,
-    EngineKind, JoinPair, JoinStats, LiveStats, MinJoinConfig, MutableBackend, Probe, Strategy,
+    build_backend_with, min_join_with_stats, pass_join_with_stats, Backend, EngineKind, JoinPair,
+    JoinStats, LiveStats, MinJoinConfig, MutableBackend, Probe, Strategy,
 };
 use simsearch_data::{Dataset, Match, MatchSet};
-use std::path::Path;
 
 /// The engine a running `simsearchd` answers with.
 pub(crate) struct ServedEngine<'a> {
@@ -105,51 +103,18 @@ impl<'a> ServedEngine<'a> {
     /// One self-tuning tick: re-derives the decision tables from the
     /// live observation grids and swaps them in atomically. Returns the
     /// number of accepted swaps — 0 when the engine has no tunable
-    /// planner, when the grids are still too thin
-    /// ([`simsearch_core::MIN_CELL_OBSERVATIONS`]), or when nothing
-    /// changed (a live engine's segment arm only counts when it flips).
-    /// Sharded engines tick every shard, so a freshly flushed shard can
-    /// move to its V7/V8 segments while a memtable-heavy neighbour
-    /// keeps the flat scan.
+    /// planner (live engines included: a segment picks its kernel when
+    /// it is built) or when the grids are still too thin
+    /// ([`simsearch_core::MIN_CELL_OBSERVATIONS`]). Sharded engines tick
+    /// every shard.
     pub fn replan(&self) -> u64 {
         self.backend.replan()
     }
 
     /// The engine's plan epoch: 0 until the first accepted swap, then
-    /// +1 per swap (summed over shards for sharded engines). A restart
-    /// that installs persisted calibration starts above 0.
+    /// +1 per swap (summed over shards for sharded engines).
     pub fn plan_epoch(&self) -> u64 {
         self.backend.plan_epoch()
-    }
-
-    /// Restores persisted calibration into the planner (unsharded
-    /// planner engines only) and swaps it in, bumping the plan epoch
-    /// above 0. Returns `false` — leaving the static table in place —
-    /// when the engine is not an unsharded `auto`, the file is missing
-    /// or unreadable, or the persisted snapshot mismatches the dataset
-    /// being served (stale calibration must not route today's data).
-    pub fn install_calibration(&self, path: &Path) -> bool {
-        let Some(current) = self.backend.planner() else {
-            return false;
-        };
-        match calibration::load_calibration(path, current.snapshot(), current.candidates()) {
-            Some(restored) => self.backend.set_planner(restored),
-            None => false,
-        }
-    }
-
-    /// Persists the current calibrated planner next to a freshly built
-    /// radix index (unsharded planner engines only). `Ok(false)` when
-    /// the engine has nothing to persist.
-    ///
-    /// # Errors
-    /// Any underlying I/O error from writing the dump.
-    pub fn save_calibration(&self, path: &Path) -> std::io::Result<bool> {
-        let Some(planner) = self.backend.planner() else {
-            return Ok(false);
-        };
-        calibration::save_calibration(path, self.dataset, &planner)?;
-        Ok(true)
     }
 
     /// Mirrors the replanning state into the metrics registry: the
@@ -341,39 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn calibration_persists_across_an_engine_rebuild() {
-        let ds = dataset();
-        let path = std::env::temp_dir().join(format!(
-            "simsearch-served-calib-{}",
-            std::process::id()
-        ));
-        {
-            let auto = ServedEngine::build(&ds, EngineKind::Auto { threads: 1 });
-            for _ in 0..simsearch_core::MIN_CELL_OBSERVATIONS {
-                let _ = auto.search(b"Berlin", 1);
-            }
-            assert_eq!(auto.replan(), 1);
-            assert!(auto.save_calibration(&path).unwrap());
-        }
-        // The "restarted daemon": a fresh engine over the same dataset
-        // installs yesterday's calibration, starting above epoch 0.
-        let restarted = ServedEngine::build(&ds, EngineKind::Auto { threads: 1 });
-        assert!(restarted.install_calibration(&path));
-        assert!(restarted.plan_epoch() > 0, "restored swap counts as an epoch");
-        // A daemon serving *different* data refuses the stale file.
-        let other = Dataset::from_records(["ACGT", "ACGA", "TTTT"]);
-        let mismatched = ServedEngine::build(&other, EngineKind::Auto { threads: 1 });
-        assert!(!mismatched.install_calibration(&path));
-        assert_eq!(mismatched.plan_epoch(), 0, "fallback keeps the static table");
-        std::fs::remove_file(&path).unwrap();
-        // Frozen engines have nothing to persist.
-        let fixed = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V4Flat));
-        assert!(!fixed.save_calibration(&path).unwrap());
-        assert!(!path.exists());
-    }
-
-    #[test]
-    fn sharded_and_live_engines_replan_per_shard() {
+    fn sharded_engines_replan_per_shard_and_live_engines_do_not() {
         let ds = dataset();
         let sharded = ServedEngine::build(
             &ds,
@@ -392,12 +325,11 @@ mod tests {
         assert!(swapped > 0, "observed shards accept the swap");
         assert_eq!(sharded.plan_epoch(), swapped);
 
-        // An unsharded live engine replans its segment arm; with the
-        // whole seed still in one fresh flush of short city strings the
-        // preferred arm stays the sorted scan — no epoch bump.
+        // A live engine has nothing to tick: each segment picked its
+        // kernel when it was built.
         let live = ServedEngine::build(&ds, EngineKind::Live { memtable_cap: 2 });
-        let _ = live.replan();
-        assert_eq!(live.plan_epoch(), 0, "short records keep the V7 arm");
+        assert_eq!(live.replan(), 0);
+        assert_eq!(live.plan_epoch(), 0);
     }
 
     #[test]

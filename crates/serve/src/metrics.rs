@@ -296,8 +296,7 @@ pub struct Metrics {
     /// engine (ticks that found too few observations don't count).
     pub replans: Counter,
     /// The engine's current plan epoch: 0 until the first swap, +1 per
-    /// accepted swap; a restart that installs persisted calibration
-    /// starts above 0. Mirrored from the engine via [`Counter::set`].
+    /// accepted swap. Mirrored from the engine via [`Counter::set`].
     pub plan_epoch: Counter,
     /// Cumulative measured wall-clock nanoseconds per routed arm, from
     /// the engine's observation grid (empty for fixed-backend engines).

@@ -27,7 +27,6 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -61,11 +60,6 @@ pub struct ServerConfig {
     /// DESIGN §16). `None` disables the tick; engines without a
     /// tunable planner ignore it.
     pub replan_interval: Option<Duration>,
-    /// Persisted-calibration path (a v3 radix dump). Restored at
-    /// startup — ignored when the embedded snapshot mismatches the
-    /// served dataset — and rewritten with the final calibrated state
-    /// at shutdown. `None` disables persistence.
-    pub calibration_path: Option<PathBuf>,
     /// Admission-queue and engine-worker tuning.
     pub batch: BatchConfig,
 }
@@ -78,7 +72,6 @@ impl Default for ServerConfig {
             conn_threads: 16,
             read_timeout: Duration::from_millis(50),
             replan_interval: None,
-            calibration_path: None,
             batch: BatchConfig::default(),
         }
     }
@@ -194,15 +187,6 @@ fn run(
     shutdown: &Arc<AtomicBool>,
 ) {
     let engine = ServedEngine::build(dataset, kind);
-    // Restore yesterday's measured routing before the first request:
-    // the install swaps the persisted table in (epoch > 0), or falls
-    // back silently to the static one when the file is missing, stale,
-    // or foreign. Either way STATS shows the truth from frame one.
-    if let Some(path) = &config.calibration_path {
-        if engine.install_calibration(path) {
-            metrics.replans.inc();
-        }
-    }
     engine.publish_replan(metrics);
     let shared = Arc::new(Shared {
         admission: SubmissionQueue::bounded(config.batch.queue_capacity),
@@ -264,13 +248,6 @@ fn run(
             replanner.join().expect("replan tick panicked");
         }
     });
-
-    // Persist the final calibrated state so the next daemon starts from
-    // today's measured costs. Best-effort: a full disk must not turn a
-    // clean drain into a crash.
-    if let Some(path) = &config.calibration_path {
-        let _ = engine.save_calibration(path);
-    }
 }
 
 /// The background self-tuning loop: every `interval`, re-derive the

@@ -4,9 +4,8 @@
 //!
 //! Four laws, over synthetic latency histograms:
 //!
-//! 1. **Positivity** — every derived multiplier is finite and > 0, so a
-//!    replanned table can always be persisted and reloaded
-//!    (`Planner::from_calibrated_rows` rejects anything else).
+//! 1. **Positivity** — every derived multiplier is finite and > 0, so
+//!    every cost a replanned table compares is a positive finite number.
 //! 2. **Boundedness** — a multiplier never exceeds the total observed
 //!    nanoseconds (each query contributes ≥ 1 predicted unit), so one
 //!    absurd cell cannot produce an unrepresentable cost.

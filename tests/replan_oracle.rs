@@ -2,25 +2,15 @@
 //! live recalibration must never change an answer, and it must keep
 //! adapting as the query distribution shifts.
 //!
-//! Two layers:
-//!
-//! 1. **Distribution shift** — one engine serves a workload whose class
-//!    mix flips mid-run (short city strings, then long DNA-like reads).
-//!    Each phase ends with a replan tick; the tick must be *accepted*
-//!    (the observation grid converged: `plan_epoch` advances), the
-//!    per-arm routing counters must account for every routed query, and
-//!    the replanned table must stay byte-identical to the V1 oracle
-//!    under every executor × thread count {1, 4, 8}.
-//! 2. **Restart** — a served daemon persists its calibration at
-//!    shutdown; a restarted daemon over the same dataset boots with
-//!    `plan_epoch > 0` (yesterday's table restored), while a daemon over
-//!    *different* data silently falls back to the static table.
+//! **Distribution shift** — one engine serves a workload whose class
+//! mix flips mid-run (short city strings, then long DNA-like reads).
+//! Each phase ends with a replan tick; the tick must be *accepted*
+//! (the observation grid converged: `plan_epoch` advances), the
+//! per-arm routing counters must account for every routed query, and
+//! the replanned table must stay byte-identical to the V1 oracle
+//! under every executor × thread count {1, 4, 8}.
 
-use std::time::{Duration, Instant};
-
-use simsearch_core::{
-    AutoBackend, Backend, EngineKind, SeqVariant, Strategy, MIN_CELL_OBSERVATIONS,
-};
+use simsearch_core::{AutoBackend, Backend, EngineKind, SeqVariant, Strategy};
 use simsearch_data::{Alphabet, CityGenerator, Dataset, DnaGenerator, Workload, WorkloadSpec};
 
 fn all_strategies() -> Vec<Strategy> {
@@ -104,94 +94,5 @@ fn replanning_converges_across_a_distribution_shift() {
             "replanned auto under {}",
             strategy.name()
         );
-    }
-}
-
-mod served {
-    use super::*;
-    use simsearch_serve::ServerConfig;
-    use simsearch_testkit::loopback::Loopback;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("simsearch-replan-{}-{name}", std::process::id()))
-    }
-
-    /// A served daemon replans live, persists calibration at shutdown,
-    /// and a restarted daemon over the same dataset boots with
-    /// `plan_epoch > 0` — while a mismatched dataset falls back cleanly.
-    #[test]
-    fn restarted_daemon_loads_persisted_calibration() {
-        let dataset = CityGenerator::new(0x5E12_7A27).generate(250);
-        let path = tmp("calib");
-        let _ = std::fs::remove_file(&path);
-        let config = || ServerConfig {
-            replan_interval: Some(Duration::from_millis(20)),
-            calibration_path: Some(path.clone()),
-            ..ServerConfig::default()
-        };
-
-        // First life: enough identical traffic to converge one grid
-        // cell, then wait for the background tick to accept a swap.
-        {
-            let server = Loopback::spawn(
-                dataset.clone(),
-                EngineKind::Auto { threads: 1 },
-                config(),
-            );
-            let mut client = server.client();
-            for _ in 0..MIN_CELL_OBSERVATIONS * 4 {
-                client.query(b"Berlin", 2).expect("query");
-            }
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while server.metrics().replans.get() == 0 {
-                assert!(
-                    Instant::now() < deadline,
-                    "replan tick never accepted a swap"
-                );
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            assert!(server.metrics().plan_epoch.get() > 0);
-            server.shutdown(); // persists the calibrated table
-        }
-        assert!(path.exists(), "shutdown saved the calibration dump");
-
-        // Second life: same dataset, same file — the static table is
-        // replaced before the first request, so STATS shows a restore.
-        {
-            let server = Loopback::spawn(
-                dataset.clone(),
-                EngineKind::Auto { threads: 1 },
-                config(),
-            );
-            // The install runs in the server thread before it answers
-            // requests; a connected client proves startup finished.
-            let mut client = server.client();
-            assert!(client.health().expect("health"));
-            assert!(
-                server.metrics().plan_epoch.get() > 0,
-                "restored calibration counts as a swap at startup"
-            );
-            assert!(server.metrics().replans.get() >= 1);
-            let json = client.stats_json().expect("stats");
-            assert!(json.contains("\"replans\": "), "{json}");
-            assert!(!json.contains("\"plan_epoch\": 0"), "{json}");
-            server.shutdown();
-        }
-
-        // A daemon serving different data refuses the stale file and
-        // keeps serving on the static table — fallback, not an error.
-        {
-            let other = DnaGenerator::new(0xD7A_0001).genome_len(800).generate(60);
-            let server = Loopback::spawn(other, EngineKind::Auto { threads: 1 }, config());
-            assert_eq!(
-                server.metrics().plan_epoch.get(),
-                0,
-                "snapshot mismatch falls back to the static table"
-            );
-            let mut client = server.client();
-            assert!(client.health().expect("health"), "fallback still serves");
-            server.shutdown();
-        }
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,8 +12,8 @@
 //! per-arm decision counters sum to exactly the workload size.
 
 use simsearch_core::{
-    build_backend, Backend, EngineKind, SearchEngine, SeqVariant, ShardBy, ShardedBackend,
-    Strategy,
+    build_backend_with, Backend, EngineKind, Probe, SearchEngine, SeqVariant, ShardBy,
+    ShardedBackend, Strategy,
 };
 use simsearch_data::{Alphabet, Dataset, CityGenerator, DnaGenerator, MatchSet, WorkloadSpec};
 
@@ -58,7 +58,7 @@ fn sharded_matches_the_v1_oracle_for_every_configuration() {
             for by in PARTITIONERS {
                 // threads = 4 exercises the shard-level fan-out path for
                 // S ≥ 4 and the sequential path below it.
-                let backend = ShardedBackend::build(&dataset, shards, by, 4);
+                let backend = ShardedBackend::with_probe(&dataset, shards, by, 4, Probe::Static);
                 backend.prepare();
                 for strategy in all_strategies() {
                     assert_eq!(
@@ -81,7 +81,7 @@ fn calibrated_sharded_matches_the_v1_oracle() {
         let oracle = SearchEngine::build(&dataset, EngineKind::Scan(SeqVariant::V1Base));
         let baseline = oracle.run(&workload);
         for by in PARTITIONERS {
-            let backend = ShardedBackend::calibrated(&dataset, 3, by, 1);
+            let backend = ShardedBackend::with_probe(&dataset, 3, by, 1, Probe::Default);
             backend.prepare();
             for strategy in [
                 Strategy::Sequential,
@@ -105,7 +105,7 @@ fn per_shard_decision_counters_sum_to_the_workload() {
     for (name, dataset) in presets() {
         let workload = workload_for(&dataset);
         let shards = 3usize;
-        let backend = ShardedBackend::build(&dataset, shards, ShardBy::Len, 1);
+        let backend = ShardedBackend::with_probe(&dataset, shards, ShardBy::Len, 1, Probe::Static);
         let results = backend.run_workload(&workload);
         let expected_matches: u64 = results.iter().map(|m| m.len() as u64).sum();
         let stats = backend.shard_stats().expect("sharded backends report shard stats");
@@ -141,11 +141,11 @@ fn per_shard_decision_counters_sum_to_the_workload() {
 #[test]
 fn sharded_topk_matches_unsharded_for_every_k() {
     for (name, dataset) in presets() {
-        let unsharded = build_backend(&dataset, EngineKind::Scan(SeqVariant::V4Flat));
+        let unsharded = build_backend_with(&dataset, EngineKind::Scan(SeqVariant::V4Flat), Probe::Static);
         let workload = workload_for(&dataset);
         for shards in [3usize, 8] {
             for by in PARTITIONERS {
-                let backend = ShardedBackend::build(&dataset, shards, by, 1);
+                let backend = ShardedBackend::with_probe(&dataset, shards, by, 1, Probe::Static);
                 backend.prepare();
                 for q in workload.queries.iter().take(40) {
                     for k in [1usize, 10, 100] {
@@ -178,7 +178,7 @@ fn topk_k_exceeding_single_shard_capacity_is_exercised() {
     // shard" claim is vacuous.
     let (_, dataset) = presets().remove(0);
     let workload = workload_for(&dataset);
-    let backend = ShardedBackend::build(&dataset, 8, ShardBy::Len, 1);
+    let backend = ShardedBackend::with_probe(&dataset, 8, ShardBy::Len, 1, Probe::Static);
     let per_shard_cap = dataset.len().div_ceil(8);
     let mut exercised = false;
     for q in workload.queries.iter().take(40) {
@@ -199,9 +199,9 @@ fn empty_and_oversharded_datasets_answer_like_the_oracle() {
     // S > |X|: five records, eight shards — some shards are empty and
     // the fan-out must still union correctly.
     let dataset = Dataset::from_records(["Berlin", "Bern", "", "Ulm", "Bonn"]);
-    let oracle = build_backend(&dataset, EngineKind::Scan(SeqVariant::V1Base));
+    let oracle = build_backend_with(&dataset, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
     for by in PARTITIONERS {
-        let backend = ShardedBackend::build(&dataset, 8, by, 2);
+        let backend = ShardedBackend::with_probe(&dataset, 8, by, 2, Probe::Static);
         for q in ["Bern", "", "Urm"] {
             for k in 0..4 {
                 assert_eq!(
@@ -215,6 +215,6 @@ fn empty_and_oversharded_datasets_answer_like_the_oracle() {
     }
     // The degenerate empty dataset: every shard empty, every answer empty.
     let empty = Dataset::from_records(Vec::<&[u8]>::new());
-    let backend = ShardedBackend::build(&empty, 3, ShardBy::Hash, 1);
+    let backend = ShardedBackend::with_probe(&empty, 3, ShardBy::Hash, 1, Probe::Static);
     assert_eq!(backend.search(b"anything", 3), MatchSet::default());
 }
