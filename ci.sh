@@ -168,10 +168,20 @@ drain_daemon
 
 # Bit-parallel routing smoke: on DNA-length queries at high k the auto
 # planner must route to the V8 arm, and STATS must show a nonzero
-# scan-bitparallel plan_decisions counter (still valid JSON).
-"$SIMSEARCH" generate --kind dna --count 500 --seed 7 --out "$smoke_dir/dna.data"
+# scan-bitparallel plan_decisions counter (still valid JSON). The
+# build-time calibration race gives every arm a share of time, not of
+# queries: `explain` must report at least one timed probe query for each
+# of the five arms, however slow, and a k = 0 query — the row the probe
+# measures for every arm — must find at least the record itself.
+"$SIMSEARCH" generate --kind dna --count 500 --seed 7 --out "$smoke_dir/dna.data" \
+    --queries "$smoke_dir/dna.q" --query-count 16
+explained=$("$SIMSEARCH" explain --data "$smoke_dir/dna.data" --queries "$smoke_dir/dna.q")
+for arm in scan-flat scan-sorted scan-bitparallel radix qgram; do
+    echo "$explained" | grep -q "^  probe: $arm  *[1-9]"
+done
 boot_daemon --data "$smoke_dir/dna.data" --backend auto
 dna_q=$(head -n 1 "$smoke_dir/dna.data")
+"$SIMSEARCH" client --port "$port" --send "QUERY 0 $dna_q" | grep -q '^OK [1-9]'
 "$SIMSEARCH" client --port "$port" --send "QUERY 16 $dna_q" | grep -q '^OK '
 "$SIMSEARCH" client --port "$port" --send "QUERY 16 $dna_q" | grep -q '^OK '
 "$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS' \

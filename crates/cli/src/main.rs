@@ -374,6 +374,15 @@ fn run_explain(a: ExplainArgs) -> Result<(), String> {
             build_time.as_secs_f64(),
             query_time.as_secs_f64()
         );
+        // The build-time race: an arm far off the best got few timings,
+        // so its multipliers are coarse — and do not need to be finer.
+        let plan = auto.diag().plan.expect("auto reports its plan");
+        for (name, seen, nanos) in plan.probe {
+            println!(
+                "  probe: {name:<16} {seen} timed in {:.3} ms",
+                nanos as f64 / 1e6
+            );
+        }
         for (name, count) in auto.plan_counts() {
             println!("  {name:<12} {count}");
         }

@@ -63,6 +63,11 @@ pub struct PlanReport {
     pub counts: Vec<(&'static str, u64)>,
     /// Whether a micro-calibration probe scaled the hints.
     pub calibrated: bool,
+    /// `(backend name, timed observations, their summed nanoseconds)`
+    /// per candidate from the build-time probe's fair-share race — which
+    /// arms' multipliers rest on two timings and which on two full
+    /// passes. All zero under static planning.
+    pub probe: Vec<(&'static str, u64, u64)>,
 }
 
 /// One execution backend: prepare once, then answer threshold queries.
@@ -696,6 +701,56 @@ pub struct AutoBackend<'a> {
     sorted: OnceLock<SortedView>,
     arms: [OnceLock<Arm>; BackendChoice::COUNT],
     counters: [AtomicU64; BackendChoice::COUNT],
+    /// `(timed observations, summed nanoseconds)` each arm got in the
+    /// build-time probe's race; fixed once `build` returns.
+    probed: [(u64, u64); BackendChoice::COUNT],
+}
+
+/// The calibration race: which arm answers which probe query, and how
+/// often. `answer(arm, query)` runs probe query `query` through arm
+/// `arm` and returns the wall-clock nanoseconds it took; the result is
+/// every *timed* `(arm, query, nanos)`, in the order they ran.
+///
+/// Each arm first answers query 0 untimed (building the arm, warming its
+/// lazy state and the caches). Then the arm that has used the least time
+/// so far — ties to the one with fewer observations, then to the earlier
+/// arm — answers its next query, cycling through the probe from query 0,
+/// until one arm has been through the probe twice. Arms get equal
+/// *time*, not equal queries: the race costs about `arms ×` the fastest
+/// arm's two passes (an arm only ever runs while it is not ahead of that
+/// one, so it overshoots by at most one query), an arm within 2× of the
+/// best still gets half the observations, and an arm 20× off gets two.
+/// That is as much precision as routing needs — how slow a losing arm is
+/// only matters when it is close to winning. Every arm ends with at
+/// least one observation, because an arm with none ties at zero time
+/// and has the fewest.
+fn fair_share_race(
+    arms: usize,
+    queries: usize,
+    mut answer: impl FnMut(usize, usize) -> u64,
+) -> Vec<(usize, usize, u64)> {
+    let mut timed = Vec::new();
+    if arms == 0 || queries == 0 {
+        return timed;
+    }
+    for arm in 0..arms {
+        answer(arm, 0);
+    }
+    let mut used = vec![0u64; arms];
+    let mut seen = vec![0usize; arms];
+    loop {
+        let arm = (0..arms)
+            .min_by_key(|&arm| (used[arm], seen[arm]))
+            .expect("at least one arm");
+        let query = seen[arm] % queries;
+        let nanos = answer(arm, query);
+        timed.push((arm, query, nanos));
+        used[arm] += nanos;
+        seen[arm] += 1;
+        if seen[arm] == 2 * queries {
+            return timed;
+        }
+    }
 }
 
 impl<'a> AutoBackend<'a> {
@@ -718,11 +773,11 @@ impl<'a> AutoBackend<'a> {
     }
 
     /// Builds an auto backend and calibrates the planner with a
-    /// micro-probe: every candidate arm is built, the probe workload
-    /// runs through each, and measured time scales that arm's cost
-    /// hints. Like index construction, the probe is paid at build time
-    /// and excluded from query timing. An empty probe yields static
-    /// planning.
+    /// micro-probe: every candidate arm is built, the arms race through
+    /// the probe workload on equal shares of time (`fair_share_race`),
+    /// and measured time scales each arm's cost hints. Like index
+    /// construction, the probe is paid at build time and excluded from
+    /// query timing. An empty probe yields static planning.
     pub fn calibrated(dataset: &'a Dataset, threads: usize, probe: &Workload) -> Self {
         Self::build(
             Cow::Borrowed(dataset),
@@ -758,7 +813,7 @@ impl<'a> AutoBackend<'a> {
         probe: &Workload,
     ) -> Self {
         let snapshot = StatsSnapshot::compute(&dataset);
-        let auto = Self {
+        let mut auto = Self {
             dataset,
             threads,
             planner: RwLock::new(Arc::new(Planner::new(snapshot.clone(), candidates))),
@@ -767,33 +822,33 @@ impl<'a> AutoBackend<'a> {
             sorted: OnceLock::new(),
             arms: std::array::from_fn(|_| OnceLock::new()),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            probed: [(0, 0); BackendChoice::COUNT],
         };
         if probe.queries.is_empty() {
             return auto;
         }
-        let mut observations = Vec::new();
-        for &choice in candidates {
-            // One untimed pass warms lazy state (and caches), then two
-            // timed per-query passes measure steady-state cost; the
-            // planner groups the timings by query class, so the static
-            // model's shape error is corrected class by class instead
-            // of with one arm-wide ratio. The probes call the arm
-            // directly: routing counters and the grid stay untouched.
-            for q in &probe.queries {
-                let _ = auto.probe_arm(choice, &q.text, q.threshold);
-            }
-            for _ in 0..2 {
-                for q in &probe.queries {
-                    let started = Instant::now();
-                    let _ = auto.probe_arm(choice, &q.text, q.threshold);
-                    observations.push(Observation {
-                        choice,
-                        query_len: q.text.len(),
-                        k: q.threshold,
-                        nanos: started.elapsed().as_nanos() as f64,
-                    });
-                }
-            }
+        // The planner groups the timings by query class, so the static
+        // model's shape error is corrected class by class instead of
+        // with one arm-wide ratio. The probes call the arm directly:
+        // routing counters and the grid stay untouched.
+        let race = fair_share_race(candidates.len(), probe.queries.len(), |arm, query| {
+            let q = &probe.queries[query];
+            let started = Instant::now();
+            let _ = auto.probe_arm(candidates[arm], &q.text, q.threshold);
+            started.elapsed().as_nanos() as u64
+        });
+        let mut observations = Vec::with_capacity(race.len());
+        for (arm, query, nanos) in race {
+            let (choice, q) = (candidates[arm], &probe.queries[query]);
+            let (seen, used) = &mut auto.probed[choice.index()];
+            *seen += 1;
+            *used += nanos;
+            observations.push(Observation {
+                choice,
+                query_len: q.text.len(),
+                k: q.threshold,
+                nanos: nanos as f64,
+            });
         }
         // Build-time calibration is the epoch-0 baseline, not a replan
         // — the epoch counts serving-time swaps only.
@@ -858,11 +913,15 @@ impl<'a> AutoBackend<'a> {
     }
 
     /// A small deterministic probe workload drawn from the dataset
-    /// itself: up to 16 evenly spaced records, each queried at a
-    /// threshold scaled to the mean length (≈10%, clamped to 1..=8) —
-    /// the shape of the paper's §5 protocol, which queries with
-    /// (mutated) records. Long-lived consumers with no workload in
-    /// hand (the serving daemon) calibrate with this.
+    /// itself: up to 16 evenly spaced records, queried alternately at
+    /// threshold 0 and at a threshold scaled to the mean length (≈10%,
+    /// clamped to 1..=8) — the shape of the paper's §5 protocol, which
+    /// queries with (mutated) records. Threshold 0 is the one class
+    /// where the index beats the scan by a wide margin and every arm's
+    /// cheapest, so its row of the decision table is measured for every
+    /// arm; every other threshold is extrapolated from the arm's pooled
+    /// ratio. Long-lived consumers with no workload in hand (the
+    /// serving daemon) calibrate with this.
     pub fn default_probe(dataset: &Dataset) -> Workload {
         let n = dataset.len();
         let mut queries = Vec::new();
@@ -872,7 +931,8 @@ impl<'a> AutoBackend<'a> {
             let k = (mean / 10).clamp(1, 8) as u32;
             for i in 0..count {
                 let id = (i * n / count) as u32;
-                queries.push(QueryRecord::new(dataset.get(id).to_vec(), k));
+                let threshold = if i.is_multiple_of(2) { 0 } else { k };
+                queries.push(QueryRecord::new(dataset.get(id).to_vec(), threshold));
             }
         }
         Workload { queries }
@@ -1057,6 +1117,14 @@ impl Backend for AutoBackend<'_> {
                 decisions: planner.decisions().to_vec(),
                 counts: self.plan_counts(),
                 calibrated: planner.is_calibrated(),
+                probe: planner
+                    .candidates()
+                    .iter()
+                    .map(|&c| {
+                        let (seen, used) = self.probed[c.index()];
+                        (c.name(), seen, used)
+                    })
+                    .collect(),
             }),
         }
     }
@@ -1205,6 +1273,144 @@ mod tests {
         v7.prepare();
         v7.run_workload(&w);
         assert_eq!(v7.sorted_view().signature_bytes(), 0);
+    }
+
+    /// Runs the race over synthetic costs (`cost(arm, query)`; an arm's
+    /// first call, the untimed one, costs `WARMUP` instead) and returns
+    /// per arm `(observations, summed nanoseconds)` plus the call count.
+    fn race(
+        arms: usize,
+        queries: usize,
+        cost: impl Fn(usize, usize) -> u64,
+    ) -> (Vec<(u64, u64)>, usize) {
+        const WARMUP: u64 = 1 << 40;
+        let mut calls = vec![0usize; arms];
+        let timed = fair_share_race(arms, queries, |arm, query| {
+            calls[arm] += 1;
+            if calls[arm] == 1 {
+                assert_eq!(query, 0, "the warm-up is the first probe query");
+                return WARMUP;
+            }
+            cost(arm, query)
+        });
+        let mut per_arm = vec![(0u64, 0u64); arms];
+        let mut next = vec![0usize; arms];
+        for (arm, query, nanos) in timed {
+            assert_eq!(query, next[arm] % queries, "each arm walks the probe in order");
+            next[arm] += 1;
+            assert!(nanos < WARMUP, "the untimed first query is never recorded");
+            per_arm[arm].0 += 1;
+            per_arm[arm].1 += nanos;
+        }
+        (per_arm, calls.iter().sum())
+    }
+
+    #[test]
+    fn the_race_gives_every_arm_the_fastest_arms_time() {
+        // Arms 10×, 1.5×, 1×, 20× and 2× the fastest's cost; odd queries
+        // (the probe's k > 0 half) cost four times the even ones.
+        let slowdown = [10.0, 1.5, 1.0, 20.0, 2.0];
+        let (arms, queries) = (slowdown.len(), 16);
+        let cost = |arm: usize, query: usize| {
+            (slowdown[arm] * if query.is_multiple_of(2) { 1_000.0 } else { 4_000.0 }) as u64
+        };
+        let (per_arm, calls) = race(arms, queries, cost);
+        let (fastest_seen, fastest_total) = per_arm[2];
+        assert_eq!(fastest_seen, 2 * queries as u64, "the fastest arm ran the probe twice");
+        for (arm, &(seen, total)) in per_arm.iter().enumerate() {
+            // Equal time: an arm `s×` slower gets a `1/s` share of the
+            // fastest's observations (half at 2×, three at 10×), give or
+            // take the query it was in when the race ended — never none.
+            let share = (fastest_seen as f64 / slowdown[arm]) as u64;
+            assert!(
+                seen >= 1 && (share..=share + 1).contains(&seen),
+                "arm {arm}: {seen} observations, expected about {share}"
+            );
+            assert!(
+                total <= fastest_total + cost(arm, 1),
+                "arm {arm} used {total} ns against the fastest's {fastest_total}"
+            );
+        }
+        assert_eq!(per_arm[3].0, 2, "20× off: two timings, one per threshold");
+        let spent: u64 = per_arm.iter().map(|&(_, total)| total).sum();
+        let overshoot: u64 = (0..arms).map(|arm| cost(arm, 1)).sum();
+        assert!(spent <= arms as u64 * fastest_total + overshoot);
+        let observations: u64 = per_arm.iter().map(|&(seen, _)| seen).sum();
+        assert_eq!(calls as u64, observations + arms as u64, "one warm-up call per arm");
+    }
+
+    #[test]
+    fn the_race_observes_every_arm_whatever_the_costs() {
+        for flat in [0u64, 7] {
+            let (per_arm, _) = race(5, 16, |_, _| flat);
+            // Equal costs degenerate to round-robin in candidate order.
+            assert_eq!(per_arm[0], (32, 32 * flat));
+            assert!(per_arm.iter().all(|&(seen, _)| seen == 31 || seen == 32));
+        }
+        // An arm slower than the whole race still gets its one timing,
+        // and a one-query probe stops at two.
+        let (per_arm, _) = race(3, 1, |arm, _| if arm == 1 { 1 << 30 } else { 5 });
+        assert_eq!(per_arm, vec![(2, 10), (1, 1 << 30), (1, 5)]);
+        // One candidate: nothing to share, two passes.
+        assert_eq!(race(1, 4, |_, _| 3).0, vec![(8, 24)]);
+        // No probe, or no arm: nothing runs, not even a warm-up.
+        assert_eq!(race(5, 0, |_, _| 1), (vec![(0, 0); 5], 0));
+        assert_eq!(race(0, 16, |_, _| 1), (vec![], 0));
+    }
+
+    #[test]
+    fn the_build_time_probe_is_reported_per_arm() {
+        let ds = dataset();
+        let w = workload();
+        let auto = AutoBackend::calibrated(&ds, 1, &w);
+        let plan = auto.diag().plan.expect("auto reports its plan");
+        assert!(plan.calibrated);
+        let names: Vec<&str> = plan.probe.iter().map(|&(name, ..)| name).collect();
+        let candidates: Vec<&str> =
+            AutoBackend::DEFAULT_CANDIDATES.iter().map(|c| c.name()).collect();
+        assert_eq!(names, candidates);
+        assert!(plan.probe.iter().all(|&(_, seen, _)| seen >= 1));
+        assert!(
+            plan.probe.iter().any(|&(_, seen, _)| seen == 2 * w.len() as u64),
+            "one arm went through the probe twice: {:?}",
+            plan.probe
+        );
+        assert_eq!(auto.observations().total(), 0, "the probe bypasses the grid");
+        assert!(auto.plan_counts().iter().all(|&(_, routed)| routed == 0));
+        // Static planning and a one-candidate router probe nothing and
+        // build no arm before `prepare`, as before the race.
+        let statik = AutoBackend::owned(ds.clone(), Probe::Static);
+        let fixed = AutoBackend::fixed(ds.clone(), BackendChoice::Radix);
+        for (auto, candidates) in [(&statik, 5), (&fixed, 1)] {
+            let plan = auto.diag().plan.expect("plan");
+            assert!(!plan.calibrated);
+            assert_eq!(plan.probe.len(), candidates);
+            assert!(plan.probe.iter().all(|&(_, seen, nanos)| seen == 0 && nanos == 0));
+            assert!(auto.arms.iter().all(|arm| arm.get().is_none()));
+        }
+        assert_eq!(
+            statik.planner().decisions(),
+            Planner::new(StatsSnapshot::compute(&ds), &AutoBackend::DEFAULT_CANDIDATES).decisions()
+        );
+    }
+
+    #[test]
+    fn the_default_probe_measures_k0_and_one_scaled_threshold() {
+        use crate::presets;
+        for (preset, k) in [(presets::city(4_000), 1), (presets::dna(2_000), 8)] {
+            let ds = &preset.dataset;
+            let probe = AutoBackend::default_probe(ds);
+            assert_eq!(probe.len(), 16);
+            for (i, q) in probe.queries.iter().enumerate() {
+                let id = (i * ds.len() / 16) as u32;
+                assert_eq!(q.text, ds.get(id), "evenly spaced records");
+                assert_eq!(q.threshold, if i.is_multiple_of(2) { 0 } else { k });
+            }
+        }
+        // Fewer records than probe slots: one query per record.
+        let probe = AutoBackend::default_probe(&dataset());
+        assert_eq!(probe.len(), dataset().len());
+        assert!(AutoBackend::default_probe(&Dataset::new()).queries.is_empty());
     }
 
     #[test]

@@ -859,6 +859,66 @@ mod tests {
     }
 
     #[test]
+    fn a_measured_k0_row_routes_exact_match_to_the_index() {
+        // The shape `AutoBackend::default_probe` yields on both served
+        // workloads: two thresholds, 0 and k. The trie is fast at 0 and
+        // slow at k, V8 the reverse, the other arms slow at both — and a
+        // slow arm may have one timing per threshold. The k = 0 row must
+        // rest on its own cells, not on ratios pooled with k's timings.
+        let snap = StatsSnapshot::compute(&presets::city(4_000).dataset);
+        let arms = [
+            BackendChoice::ScanFlat,
+            BackendChoice::ScanSorted,
+            BackendChoice::ScanBitParallel,
+            BackendChoice::Radix,
+            BackendChoice::Qgram,
+        ];
+        let len = snap.mean_len() as usize;
+        let timing = |choice, k: u32| match (choice, k) {
+            (BackendChoice::Radix, 0) => 40_000.0,
+            (BackendChoice::Radix, _) => 450_000.0,
+            (BackendChoice::ScanBitParallel, 0) => 90_000.0,
+            (BackendChoice::ScanBitParallel, _) => 130_000.0,
+            (_, 0) => 1_000_000.0,
+            _ => 2_500_000.0,
+        };
+        let mut observations = Vec::new();
+        for &choice in &arms {
+            let fast = matches!(choice, BackendChoice::Radix | BackendChoice::ScanBitParallel);
+            for k in [0, 1] {
+                for _ in 0..if fast { 8 } else { 1 } {
+                    observations.push(Observation {
+                        choice,
+                        query_len: len,
+                        k,
+                        nanos: timing(choice, k),
+                    });
+                }
+            }
+        }
+        let planner = Planner::with_observations(snap.clone(), &arms, &observations);
+        assert_eq!(planner.decide(len, 0).chosen, BackendChoice::Radix);
+        for k in 1..=MAX_K_CLASS {
+            assert_eq!(
+                planner.decide(len, k).chosen,
+                BackendChoice::ScanBitParallel,
+                "k = {k}"
+            );
+        }
+        let row = |k| planner.class_multipliers()[QueryClass::of(&snap, len, k).table_index()];
+        for &choice in &arms {
+            let own = timing(choice, 0) / static_cost(&snap, choice, len, 0).max(1.0);
+            let (at_k0, pooled) = (row(0)[choice.index()], row(2)[choice.index()]);
+            assert!(
+                (at_k0 - own).abs() <= own * 1e-12,
+                "{}: k = 0 multiplier {at_k0} is not its own cell's {own}",
+                choice.name()
+            );
+            assert_ne!(at_k0, pooled, "{}: k = 2 is extrapolated", choice.name());
+        }
+    }
+
+    #[test]
     fn unprobed_classes_fall_back_to_the_global_ratio() {
         // Only k=1 is probed, and the probe makes the static winner
         // look 10^6× slower than measured reality makes the other arm.

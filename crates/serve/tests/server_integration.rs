@@ -3,7 +3,7 @@
 //! against the V1 reference scan.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use simsearch_core::{presets, EngineKind};
 use simsearch_scan::{SeqVariant, SequentialScan};
@@ -155,9 +155,14 @@ fn shutdown_drains_admitted_requests() {
             })
         })
         .collect();
-    // Let every query reach the admission queue while the single slow
-    // worker is busy, then shut down: the drain must answer them all.
-    std::thread::sleep(Duration::from_millis(60));
+    // Wait (≤ 10 s) until every query has been admitted — the single
+    // slow worker needs 150 ms for them, so most are still queued — then
+    // shut down: the drain must answer them all.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().requests_admitted.get() < 5 {
+        assert!(Instant::now() < deadline, "five queries were not admitted within 10s");
+        std::thread::yield_now();
+    }
     server.shutdown(); // sends SHUTDOWN, joins all server threads
     for c in clients {
         let reply = c.join().expect("client thread");
