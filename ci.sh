@@ -11,10 +11,10 @@ cargo test -q --offline --workspace
 # The bit-parallel kernels and the sorted view's sliced candidate
 # selection are shift/mask/popcount arithmetic whose edge cases
 # (`1 << 64`, `row % 64` at a block seam, `!0 << (start - base)` and
-# `!0 >> (base + 64 - end)` at a range's first and last word) panic under
-# the dev profile's overflow checks but wrap silently in the release
-# codegen the daemon and the benchmark run, so their oracles must hold
-# there too.
+# `!0 >> (base + 64 - end)` at a range's first and last word, the segment
+# postings' `position << fp_bits | fingerprint` packing) panic under the
+# dev profile's overflow checks but wrap silently in the release codegen
+# the daemon and the benchmark run, so their oracles must hold there too.
 cargo test -q --offline --release -p simsearch-data -p simsearch-distance -p simsearch-scan
 # Bench binaries run in single-iteration smoke mode under `cargo test`
 # (no --bench flag), keeping every bench code path compile- and
@@ -75,6 +75,14 @@ for snapshot in BENCH_fig6_city_best.json BENCH_fig7_dna_best.json \
     BENCH_ablation_bitparallel_city.json BENCH_ablation_bitparallel_dna.json \
     BENCH_ablation_join_city.json; do
     test -f "$snapshot"
+done
+# The bit-parallel snapshots count what candidate selection does before
+# the kernel runs (the occupancy planes on city names, the segment
+# postings on DNA): records the length filter admits, and how many of
+# them reach the kernel.
+for snapshot in BENCH_ablation_bitparallel_city.json BENCH_ablation_bitparallel_dna.json; do
+    grep -q '"length_admitted": [1-9]' "$snapshot"
+    grep -q '"v8_candidates": [1-9]' "$snapshot"
 done
 
 # Serving-layer smoke test, fully offline: boot simsearchd on an
@@ -187,6 +195,36 @@ dna_q=$(head -n 1 "$smoke_dir/dna.data")
 "$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS' \
     | grep -q '"scan-bitparallel": [1-9]'
 drain_daemon
+
+# Segment-postings smoke: a V8 daemon on the generated reads answers one
+# query per threshold of the DNA cycle through the postings (k = 0 takes
+# the equal range) and one at k = 17 through the length-filter fallback;
+# each reply's id list must be the V1 scan's on the same input, byte for
+# byte.
+boot_daemon --data "$smoke_dir/dna.data" --backend scan-bitparallel
+: >"$smoke_dir/postings.q"
+: >"$smoke_dir/postings.replies"
+i=0
+for k in 0 4 8 16 17; do
+    i=$((i + 1))
+    q=$(sed -n "${i}p" "$smoke_dir/dna.q" | cut -f 1)
+    printf '%s\t%s\n' "$q" "$k" >>"$smoke_dir/postings.q"
+    "$SIMSEARCH" client --port "$port" --send "QUERY $k $q" >>"$smoke_dir/postings.replies"
+done
+drain_daemon
+grep -q '^OK [1-9]' "$smoke_dir/postings.replies"
+# "OK <n> <id>:<d> …" → the results-file line "<query>: <id>,<id>…".
+awk '{
+    line = (NR - 1) ":"
+    for (f = 3; f <= NF; f++) {
+        split($f, hit, ":")
+        line = line (f == 3 ? " " : ",") hit[1]
+    }
+    print line
+}' "$smoke_dir/postings.replies" >"$smoke_dir/postings.served"
+"$SIMSEARCH" search --data "$smoke_dir/dna.data" --queries "$smoke_dir/postings.q" \
+    --backend scan-base --output "$smoke_dir/postings.expected"
+cmp "$smoke_dir/postings.served" "$smoke_dir/postings.expected"
 
 # Sharded serve smoke: a --shards 4 daemon calibrates one planner per
 # shard and STATS must carry per-shard plan_decisions ("s<i>.<arm>"

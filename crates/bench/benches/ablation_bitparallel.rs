@@ -12,7 +12,10 @@
 //! words-vs-cells accounting of one full workload pass: V7's scalar DP
 //! cells against V8's words advanced / words reused / row-equivalent
 //! cells — the word-level work collapse is the point of the rung, and
-//! wall-clock alone cannot show it.
+//! wall-clock alone cannot show it — and with what candidate selection
+//! does before the kernel runs: `length_admitted` records pass the
+//! length filter, `v8_candidates` of them reach the kernel (the
+//! occupancy planes on city names, the segment postings on DNA).
 
 use simsearch_bench::Scale;
 use simsearch_core::{EngineKind, KernelKind, SearchEngine, SeqVariant, Strategy};
@@ -50,7 +53,12 @@ fn main() {
         let sv = SortedView::build(&preset.dataset);
         let mut v7_cells = 0u64;
         let (mut v8_words, mut v8_reused, mut v8_cells) = (0u64, 0u64, 0u64);
+        let (mut length_admitted, mut v8_candidates) = (0u64, 0u64);
         for q in &workload.queries {
+            length_admitted += (0..sv.len())
+                .filter(|&pos| sv.record_len(pos).abs_diff(q.text.len()) <= q.threshold as usize)
+                .count() as u64;
+            sv.for_each_candidate(&q.text, q.threshold, 0..sv.len(), |_, _| v8_candidates += 1);
             v7_cells += v7_search_view(&sv, &q.text, q.threshold).1;
             let mut dp = MyersStackKernel::new(&q.text, q.threshold);
             let _ = v8_scan_view_range(&sv, &mut dp, &q.text, q.threshold, 0..sv.len());
@@ -66,6 +74,8 @@ fn main() {
             ("v8_words_advanced", v8_words),
             ("v8_words_reused", v8_reused),
             ("v8_cells_equivalent", v8_cells),
+            ("length_admitted", length_admitted),
+            ("v8_candidates", v8_candidates),
         ]);
         group.bench("v7_sorted_prefix", || v7.run(&workload));
         group.bench("myers_restart", || myers_restart.run(&workload));

@@ -88,6 +88,15 @@ pub trait Backend: Send + Sync {
     /// and the daemon's startup call it). Idempotent; default no-op.
     fn prepare(&self) {}
 
+    /// Frees what the engine built and its current routing never uses —
+    /// a calibration race builds every candidate arm to time it, and on
+    /// 50,000 reads the three arms its table never picks are 33 of the
+    /// engine's 42 MB. For a host that will never call
+    /// [`Backend::replan`] (a daemon without the self-tuning tick): the
+    /// table is then fixed for life, and whatever else asks for a
+    /// released arm builds it again on first use. Default no-op.
+    fn release_unrouted(&mut self) {}
+
     /// Answers one threshold query — the seam every oracle compares.
     fn search(&self, query: &[u8], k: u32) -> MatchSet;
 
@@ -676,8 +685,10 @@ enum Arm {
 /// ([`AutoBackend::owned`], [`AutoBackend::fixed`] — one shard of a
 /// [`crate::sharded::ShardedBackend`], the `'static` instantiation).
 /// Arms are built lazily (a candidate the decision table never picks
-/// costs nothing); [`Backend::prepare`] forces every *chosen* arm so
-/// no build lands inside a timed query. All arms return byte-identical
+/// costs nothing — until the calibration race builds every arm to time
+/// it; [`Backend::release_unrouted`] gives those back);
+/// [`Backend::prepare`] forces every *chosen* arm so no build lands
+/// inside a timed query. All arms return byte-identical
 /// results (the workspace's cross-variant oracles), so routing is a
 /// pure performance decision — correctness does not depend on the
 /// planner.
@@ -1030,6 +1041,15 @@ impl Backend for AutoBackend<'_> {
         }
     }
 
+    fn release_unrouted(&mut self) {
+        let planner = self.planner();
+        for choice in planner.candidates() {
+            if planner.decisions().iter().all(|d| d.chosen != *choice) {
+                self.arms[choice.index()].take();
+            }
+        }
+    }
+
     fn search(&self, query: &[u8], k: u32) -> MatchSet {
         self.search_counting(query, k).0
     }
@@ -1273,6 +1293,41 @@ mod tests {
         v7.prepare();
         v7.run_workload(&w);
         assert_eq!(v7.sorted_view().signature_bytes(), 0);
+    }
+
+    #[test]
+    fn release_unrouted_keeps_the_arms_the_table_routes_to() {
+        let ds = dataset();
+        let w = workload();
+        let mut auto = AutoBackend::calibrated(&ds, 1, &AutoBackend::default_probe(&ds));
+        let built = |auto: &AutoBackend<'_>, choice: BackendChoice| {
+            auto.arms[choice.index()].get().is_some()
+        };
+        for choice in AutoBackend::DEFAULT_CANDIDATES {
+            assert!(built(&auto, choice), "the race builds {}", choice.name());
+        }
+        auto.release_unrouted();
+        let routed: Vec<BackendChoice> = auto
+            .planner()
+            .decisions()
+            .iter()
+            .map(|d| d.chosen)
+            .collect();
+        for choice in AutoBackend::DEFAULT_CANDIDATES {
+            assert_eq!(
+                built(&auto, choice),
+                routed.contains(&choice),
+                "{}",
+                choice.name()
+            );
+        }
+        // A released arm is built again by whoever asks for it first.
+        assert_eq!(auto.run_workload(&w), oracle(&ds, &w));
+        for choice in AutoBackend::DEFAULT_CANDIDATES {
+            let (matches, _) = auto.probe_arm(choice, b"Berlin", 1);
+            assert_eq!(matches, auto.search(b"Berlin", 1), "{}", choice.name());
+            assert!(built(&auto, choice));
+        }
     }
 
     /// Runs the race over synthetic costs (`cost(arm, query)`; an arm's

@@ -27,6 +27,9 @@
 
 use std::collections::HashMap;
 
+// One partition function for the join's segment index and the sorted
+// view's segment postings: it lives beside the view.
+pub use simsearch_data::even_partitions;
 use simsearch_data::{Dataset, RecordId};
 use simsearch_distance::ed_within_banded_with;
 use simsearch_parallel::{chunk_ranges, run_queries, Strategy};
@@ -51,28 +54,6 @@ pub struct JoinStats {
     /// partition index (MinJoin's short-string pool; always 0 for
     /// PASS-JOIN).
     pub fallback_records: u64,
-}
-
-/// The even-partition scheme of PASS-JOIN: a string of length `len`
-/// split into exactly `k + 1` contiguous segments whose lengths differ
-/// by at most one. The first segments take the floor length and the
-/// last `len mod (k + 1)` take the ceiling, so the split is a pure
-/// function of `(len, k)` — both sides of a join derive identical
-/// segment positions without coordination. Zero-length segments are
-/// legal (they appear when `len ≤ k`). Returns `(start, len)` per
-/// segment.
-pub fn even_partitions(len: usize, k: u32) -> Vec<(usize, usize)> {
-    let parts = k as usize + 1;
-    let base = len / parts;
-    let longer = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let seg = if i < parts - longer { base } else { base + 1 };
-        out.push((start, seg));
-        start += seg;
-    }
-    out
 }
 
 /// Inverted segment index: `(record length, segment position, segment
@@ -452,24 +433,6 @@ mod tests {
         Dataset::from_records([
             "Berlin", "Bern", "Bonn", "Born", "Ulm", "Ulmen", "Köln", "Bern",
         ])
-    }
-
-    #[test]
-    fn even_partitions_tile_the_string() {
-        for len in 0..40 {
-            for k in 0..6 {
-                let parts = even_partitions(len, k);
-                assert_eq!(parts.len(), k as usize + 1);
-                let mut cursor = 0;
-                for (start, seg) in &parts {
-                    assert_eq!(*start, cursor);
-                    cursor += seg;
-                }
-                assert_eq!(cursor, len);
-                let floor = len / (k as usize + 1);
-                assert!(parts.iter().all(|&(_, s)| s == floor || s == floor + 1));
-            }
-        }
     }
 
     #[test]

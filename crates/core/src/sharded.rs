@@ -466,6 +466,14 @@ impl Backend for ShardedBackend {
         }
     }
 
+    fn release_unrouted(&mut self) {
+        for shard in &mut self.shards {
+            if let ShardEngine::Frozen { router, .. } = &mut shard.engine {
+                router.release_unrouted();
+            }
+        }
+    }
+
     fn search(&self, query: &[u8], k: u32) -> MatchSet {
         self.search_counting(query, k).0
     }

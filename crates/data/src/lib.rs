@@ -19,7 +19,10 @@
 //!   filter crate and as trie annotations);
 //! * [`packed`] — 3-bit DNA dictionary compression (paper §6 future work);
 //! * [`sorted`] — lexicographically sorted arena view with an LCP array
-//!   (the V7 sorted-prefix scan's preprocessing);
+//!   (the V7 sorted-prefix scan's preprocessing) and the candidate
+//!   selection of the V8 sweep;
+//! * [`partition`] — PASS-JOIN's even partition, shared by the view's
+//!   segment postings and the similarity join;
 //! * [`rng`] — the self-contained deterministic PRNG behind it all.
 //!
 //! Strings are treated as byte sequences throughout, mirroring the
@@ -35,6 +38,7 @@ pub mod generate;
 pub mod io;
 pub mod matches;
 pub mod packed;
+pub mod partition;
 pub mod rng;
 pub mod sorted;
 pub mod stats;
@@ -43,9 +47,10 @@ pub mod workload;
 pub use alphabet::Alphabet;
 pub use dataset::{Dataset, RecordId};
 pub use freq::FreqVector;
-pub use matches::{Match, MatchSet};
 pub use generate::{CityGenerator, DnaGenerator};
+pub use matches::{Match, MatchSet};
 pub use packed::{PackedDataset, PackedSeq};
+pub use partition::{even_partition, even_partitions};
 pub use rng::Xoshiro256;
 pub use sorted::SortedView;
 pub use stats::{DatasetStats, StatsSnapshot};

@@ -25,8 +25,18 @@
 //! differences for 64 records at a time with a few word operations per
 //! plane — its own ≈ 9 bucket planes and `k + 1` size planes — and no
 //! per-record popcount.
+//!
+//! Over a tiny alphabet (DNA) every record occupies every bucket and the
+//! planes are not built; what the same lazy cell builds there instead is
+//! PASS-JOIN's pigeonhole partition used for search: every record long
+//! enough is cut into [`SEGMENTS`] even segments, and `ed(q, x) ≤ k`
+//! leaves at least `SEGMENTS − k` of them verbatim in the query, each
+//! within a shift the edits around it allow. The segments are kept as
+//! hashed, fingerprinted postings ([`SegmentPostings`]) and only the
+//! records collecting that many hits reach the kernel.
 
 use crate::dataset::{Dataset, RecordId};
+use crate::partition::even_partition;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -148,6 +158,270 @@ impl Signature {
     }
 }
 
+/// The largest threshold the segment postings serve — the paper's
+/// largest DNA threshold (Table I). Past it a sweep runs the length
+/// filter alone.
+const SEGMENT_TAU: u32 = 16;
+
+/// Segments a record is cut into: `τ + 1`, so `k ≤ τ` edits leave at
+/// least `SEGMENTS − k` of them untouched.
+const SEGMENTS: usize = SEGMENT_TAU as usize + 1;
+
+/// FNV-1a over the bytes of one segment (or query substring).
+#[inline]
+fn hash_bytes(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The hash of the posting key `(record length, ordinal, segment
+/// bytes)`, avalanched so that its high bits (the bucket) and its low
+/// bits (the fingerprint) are independent.
+#[inline]
+fn segment_key(len: usize, ordinal: usize, bytes_hash: u64) -> u64 {
+    let tag = (len as u64) << 5 | ordinal as u64;
+    let mut h = bytes_hash ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h = (h ^ h >> 33).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h = (h ^ h >> 33).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ h >> 33
+}
+
+/// PASS-JOIN's segment index over a sorted view, for search: every
+/// record of at least [`SEGMENTS`] bytes is cut into `SEGMENTS` even
+/// segments ([`even_partition`]) and each segment is a posting under the
+/// key `(record length, ordinal, bytes)`.
+///
+/// The layout is a CSR over hash buckets, not a map: the key is hashed
+/// into `2^⌈log₂ 2n⌉` buckets and each `u32` posting packs the sorted
+/// position (high `⌈log₂ n⌉` bits) with a fingerprint of the same hash
+/// in the spare low bits — 16 of them on 50,000 reads. The fingerprint
+/// is what makes plain buckets usable: 565k distinct keys share 131k
+/// buckets on that set, and without it every key in a bucket answers for
+/// every other (k = 16 survivors 4,968 → 33,013 when this was sized). A `HashMap` keyed by
+/// the segment bytes is exact, but builds 16× slower and probes 3×
+/// slower. Collisions that get past the fingerprint only ever *add*
+/// hits, so the filter stays sound: it may over-admit, the kernel decides.
+#[derive(Clone, Debug)]
+struct SegmentPostings {
+    /// Bucket `b` is `postings[starts[b]..starts[b + 1]]`, ascending in
+    /// sorted position.
+    starts: Vec<u32>,
+    /// `position << fp_bits | fingerprint`.
+    postings: Vec<u32>,
+    /// `64 − log₂(buckets)`: the bucket is the hash's high bits.
+    bucket_shift: u32,
+    /// Low bits of a posting (and of the hash) that are fingerprint.
+    fp_bits: u32,
+    /// Sorted positions of the records too short to cut, ascending: they
+    /// have no postings and pass on length alone.
+    short: Vec<u32>,
+    /// Lengths of the shortest and longest record that was cut: no other
+    /// length is worth probing.
+    cut_lens: (usize, usize),
+}
+
+impl SegmentPostings {
+    /// Cuts every record of at least `SEGMENTS` bytes, or returns `None`
+    /// when none is that long (or the postings would overflow `u32`
+    /// offsets). A counting sort — count, prefix-sum, fill in ascending
+    /// position — with `starts` as the only working memory.
+    /// `max_fp_bits` caps the fingerprint width (tests force 0).
+    fn build(sorted: &Dataset, max_fp_bits: u32) -> Option<Self> {
+        let n = sorted.len();
+        let cut = |record: &[u8]| record.len() >= SEGMENTS;
+        let short: Vec<u32> = (0..n as u32)
+            .filter(|&pos| sorted.record_len(pos) < SEGMENTS)
+            .collect();
+        let cut_lens = sorted
+            .records()
+            .map(<[u8]>::len)
+            .filter(|&len| len >= SEGMENTS)
+            .fold(None, |lens, len| match lens {
+                None => Some((len, len)),
+                Some((lo, hi)) => Some((len.min(lo), len.max(hi))),
+            })?;
+        let total = u32::try_from((n - short.len()).checked_mul(SEGMENTS)?).ok()?;
+        // Positions are below `n ≤ 2^32`; at least one bit of them, so
+        // that `fp_bits < 32` and the shifts below are in range.
+        let pos_bits = (u64::BITS - (n as u64 - 1).leading_zeros()).max(1);
+        let fp_bits = u32::BITS.saturating_sub(pos_bits).min(max_fp_bits);
+        let fp_mask = (1u32 << fp_bits) - 1;
+        let bucket_bits = (2 * n).next_power_of_two().trailing_zeros();
+        let bucket_shift = u64::BITS - bucket_bits;
+        // Calls `each(position, key hash)` for every segment of every cut
+        // record, in ascending position.
+        let for_each_segment = |each: &mut dyn FnMut(usize, u64)| {
+            for (pos, record) in sorted.records().enumerate().filter(|(_, r)| cut(r)) {
+                for ordinal in 0..SEGMENTS {
+                    let (start, len) = even_partition(record.len(), SEGMENT_TAU, ordinal);
+                    let bytes = hash_bytes(&record[start..start + len]);
+                    each(pos, segment_key(record.len(), ordinal, bytes));
+                }
+            }
+        };
+        // Bucket `b` is counted two slots up, so that after the prefix
+        // sum slot `b + 1` is its start and serves as its fill cursor;
+        // the fill leaves every cursor on the next bucket's start, which
+        // is the CSR shifted down by one slot.
+        let mut starts = vec![0u32; (1usize << bucket_bits) + 2];
+        for_each_segment(&mut |_, key| starts[(key >> bucket_shift) as usize + 2] += 1);
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut postings = vec![0u32; total as usize];
+        for_each_segment(&mut |pos, key| {
+            let cursor = &mut starts[(key >> bucket_shift) as usize + 1];
+            postings[*cursor as usize] = (pos as u32) << fp_bits | key as u32 & fp_mask;
+            *cursor += 1;
+        });
+        starts.pop();
+        Some(Self {
+            starts,
+            postings,
+            bucket_shift,
+            fp_bits,
+            short,
+            cut_lens,
+        })
+    }
+
+    /// Heap bytes held.
+    fn bytes(&self) -> usize {
+        (self.starts.len() + self.postings.len() + self.short.len()) * 4
+    }
+
+    /// Marks, in `marks` (bit `pos − 64 ⌊range.start / 64⌋`), every
+    /// position in `range` the pigeonhole cannot rule out of
+    /// `ed(query, record) ≤ k`, for `1 ≤ k ≤ SEGMENT_TAU`: the records
+    /// too short to cut, and those with at least `SEGMENTS − k` segment
+    /// hits.
+    ///
+    /// Charge each edit of an optimal alignment to the segment of the
+    /// record `x` (length `l`) it falls in. A segment no edit touches, at
+    /// `p` in `x`, sits verbatim at `p + s` in the query, where `|s|` is
+    /// at most the edits before it and `|(|q| − l) − s|` at most those
+    /// after it — so `|s| + |(|q| − l) − s| ≤ k`. At least `SEGMENTS − k`
+    /// untouched segments moreover have no more edits before them than
+    /// segments before them, and likewise after (walk `edits before −
+    /// segments before` along the record: it starts at 0, ends below
+    /// `k − τ`, and only an untouched segment steps it down, by one — so
+    /// every level from 0 to `k − τ` is left by one; DESIGN §13). Ordinal
+    /// `i` is therefore probed at the shifts with `|s| ≤ i`, `|(|q| − l)
+    /// − s| ≤ τ − i` and `|s| + |(|q| − l) − s| ≤ k` only: PASS-JOIN's
+    /// multi-match-aware windows, for every `k ≤ τ`. A repeated substring
+    /// or a collision adds hits, never removes one.
+    fn mark(&self, query: &[u8], k: u32, range: &Range<usize>, marks: &mut [u64]) {
+        let (qlen, k_len) = (query.len(), k as usize);
+        let need = (SEGMENTS - k_len) as u8;
+        let first = range.start / LANES * LANES;
+        let mut set = |pos: usize| marks[(pos - first) / LANES] |= 1 << (pos % LANES);
+        let at = self
+            .short
+            .partition_point(|&pos| (pos as usize) < range.start);
+        self.short[at..]
+            .iter()
+            .map(|&pos| pos as usize)
+            .take_while(|&pos| pos < range.end)
+            .for_each(&mut set);
+        let lens =
+            qlen.saturating_sub(k_len).max(self.cut_lens.0)..=(qlen + k_len).min(self.cut_lens.1);
+        if lens.is_empty() {
+            return;
+        }
+        // Hashes of every query substring of each segment length in play,
+        // once: `sub[(len − shortest) * stride + start]`.
+        let shortest = lens.start() / SEGMENTS;
+        let longest = lens.end().div_ceil(SEGMENTS).min(qlen);
+        let stride = qlen + 1;
+        let mut sub = vec![0u64; (longest + 1).saturating_sub(shortest) * stride];
+        for len in shortest..=longest {
+            for (start, window) in query.windows(len).enumerate() {
+                sub[(len - shortest) * stride + start] = hash_bytes(window);
+            }
+        }
+        // Hits per position, counted up to `need` only (a position can
+        // collect hundreds); with one hit needed the mark is the count.
+        let mut hits = vec![0u8; if need > 1 { range.len() } else { 0 }];
+        let fp_mask = (1u32 << self.fp_bits) - 1;
+        let mut keys: Vec<u64> = Vec::with_capacity(SEGMENTS * SEGMENTS);
+        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(SEGMENTS * SEGMENTS);
+        for l in lens {
+            // Shifts with `|s| + |delta − s| ≤ k`: between 0 and `delta`
+            // for free, `slack` further on either side.
+            let delta = qlen as isize - l as isize;
+            let slack = ((k_len - delta.unsigned_abs()) / 2) as isize;
+            let (lo, hi) = (delta.min(0) - slack, delta.max(0) + slack);
+            keys.clear();
+            for ordinal in 0..SEGMENTS {
+                let (p, len) = even_partition(l, SEGMENT_TAU, ordinal);
+                if len > qlen {
+                    continue;
+                }
+                let row = &sub[(len - shortest) * stride..][..=qlen - len];
+                let (before, after) = (ordinal as isize, (SEGMENTS - 1 - ordinal) as isize);
+                let lo = lo.max(-before).max(delta - after);
+                let hi = hi.min(before).min(delta + after);
+                let from = (p as isize + lo).max(0) as usize;
+                let to = ((p as isize + hi).max(-1) + 1) as usize;
+                // Two shifts of one segment with the same key (the query
+                // repeats itself) are one lookup and at most one hit.
+                let mine = keys.len();
+                for &bytes in row.iter().take(to).skip(from) {
+                    let key = segment_key(l, ordinal, bytes);
+                    if !keys[mine..].contains(&key) {
+                        keys.push(key);
+                    }
+                }
+            }
+            spans.clear();
+            spans.extend(keys.iter().map(|&key| {
+                let b = (key >> self.bucket_shift) as usize;
+                (self.starts[b], self.starts[b + 1])
+            }));
+            for (&(from, to), &key) in spans.iter().zip(&keys) {
+                for &posting in &self.postings[from as usize..to as usize] {
+                    let pos = (posting >> self.fp_bits) as usize;
+                    if (posting ^ key as u32) & fp_mask != 0 || !range.contains(&pos) {
+                        continue;
+                    }
+                    if need > 1 {
+                        let count = &mut hits[pos - range.start];
+                        *count += u8::from(*count < need);
+                        if *count < need {
+                            continue;
+                        }
+                    }
+                    set(pos);
+                }
+            }
+        }
+    }
+}
+
+/// What a view's lazy cell holds once a V8 sweep has asked for it: the
+/// one selection aid its data supports. A property of the data, decided
+/// once at build time.
+#[derive(Clone, Debug)]
+enum Selection {
+    /// A large enough alphabet: the bit-sliced occupancy signature.
+    Planes(Signature),
+    /// A tiny alphabet ([`TINY_ALPHABET_BUCKETS`]) and records long
+    /// enough to cut: the segment postings.
+    Postings(SegmentPostings),
+    /// Neither: the length filter alone.
+    LengthOnly,
+}
+
+impl Selection {
+    fn build(sorted: &Dataset) -> Self {
+        if let Some(signature) = Signature::build(sorted) {
+            return Self::Planes(signature);
+        }
+        SegmentPostings::build(sorted, u32::BITS).map_or(Self::LengthOnly, Self::Postings)
+    }
+}
+
 /// A dataset re-ordered lexicographically, with adjacency metadata.
 ///
 /// Positions (`0..len()`) address records in *sorted* order; every match
@@ -180,14 +454,14 @@ pub struct SortedView {
     /// length-filter sweep touches 16 records per cache line instead of
     /// striding through the (twice as wide) offsets table.
     lens: Vec<u32>,
-    /// The occupancy signature: unset until the first V8 use (a view
-    /// only V7 sweeps never pays for it), `None` over a tiny alphabet.
+    /// The selection aid — occupancy planes or segment postings: unset
+    /// until the first V8 use (a view only V7 sweeps never pays for it).
     /// Boxed to keep the cell out of the view itself: a `&SortedView`
     /// with interior mutability inline is no longer read-only to the
     /// optimiser, which then reloads every column's address inside the
     /// sweeps' per-record loops (V7 read 4–6 % slower at k ≤ 1 that way;
     /// boxed, its machine code is the parent commit's).
-    signature: Box<OnceLock<Option<Signature>>>,
+    selection: Box<OnceLock<Selection>>,
 }
 
 /// Longest common prefix length of two byte strings.
@@ -219,7 +493,7 @@ impl SortedView {
             perm,
             lcp,
             lens,
-            signature: Box::default(),
+            selection: Box::default(),
         }
     }
 
@@ -265,27 +539,56 @@ impl SortedView {
         &self.perm
     }
 
-    /// Builds the occupancy signature now rather than inside the first
-    /// [`SortedView::for_each_candidate`] call — what an engine that will
-    /// sweep this view with V8 calls at build time. Idempotent; costs a
-    /// scan of the arena and allocates nothing over a tiny alphabet.
+    /// Builds the view's selection aid — the occupancy signature, or over
+    /// a tiny alphabet the segment postings — now rather than inside the
+    /// first [`SortedView::for_each_candidate`] call: what an engine that
+    /// will sweep this view with V8 calls at build time. Idempotent; costs
+    /// a scan of the arena and allocates nothing where neither applies.
     pub fn prepare_signature(&self) {
-        self.signature();
+        self.selection();
     }
 
-    fn signature(&self) -> Option<&Signature> {
-        self.signature
-            .get_or_init(|| Signature::build(&self.sorted))
-            .as_ref()
+    fn selection(&self) -> &Selection {
+        self.selection
+            .get_or_init(|| Selection::build(&self.sorted))
     }
 
     /// Heap bytes the occupancy signature holds right now: 0 until the
     /// first V8 use of this view, and for good over a tiny alphabet.
     pub fn signature_bytes(&self) -> usize {
-        match self.signature.get() {
-            Some(Some(sig)) => sig.planes.len() * 8,
+        match self.selection.get() {
+            Some(Selection::Planes(sig)) => sig.planes.len() * 8,
             _ => 0,
         }
+    }
+
+    /// Heap bytes the segment postings hold right now: 0 until the first
+    /// V8 use of this view, and for good where the view carries a
+    /// signature or no record is long enough to cut.
+    pub fn postings_bytes(&self) -> usize {
+        match self.selection.get() {
+            Some(Selection::Postings(postings)) => postings.bytes(),
+            _ => 0,
+        }
+    }
+
+    /// The positions in `range` whose records equal `query`: two binary
+    /// searches over the sorted arena (duplicates are adjacent).
+    fn equal_range(&self, query: &[u8], range: Range<usize>) -> Range<usize> {
+        // First position in `lo..hi` whose record is not `below`.
+        let bound = |mut lo: usize, mut hi: usize, below: fn(&[u8], &[u8]) -> bool| {
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if below(self.get(mid), query) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            lo
+        };
+        let lo = bound(range.start, range.end, |record, query| record < query);
+        lo..bound(lo, range.end, |record, query| record <= query)
     }
 
     /// Candidate selection for a sorted-arena sweep: calls
@@ -296,10 +599,13 @@ impl SortedView {
     /// first) — the minimum of `lcp` over the positions skipped in
     /// between, which is all a resumable kernel may adopt.
     ///
+    /// At `k = 0` the range is first narrowed to the query's equal range.
     /// Every record visited passes the length filter, and — where the
-    /// view carries a signature (built here on first use; see the module
-    /// docs) — lacks at most `k` of the query's buckets and occupies at
-    /// most `k` the query does not.
+    /// view carries a selection aid (built here on first use; see the
+    /// module docs) — either lacks at most `k` of the query's buckets and
+    /// occupies at most `k` the query does not, or, for `k` from 1 to
+    /// [`SEGMENT_TAU`], is too short to cut or shares at least
+    /// `SEGMENTS − k` of its segments with the query.
     pub fn for_each_candidate(
         &self,
         query: &[u8],
@@ -307,52 +613,17 @@ impl SortedView {
         range: Range<usize>,
         mut visit: impl FnMut(usize, usize),
     ) {
+        let range = if k == 0 {
+            self.equal_range(query, range)
+        } else {
+            range
+        };
         let (start, end) = (range.start, range.end);
         let (qlen, k_len) = (query.len(), k as usize);
-        // Both set differences are at most 64, so a wider threshold
-        // rejects nothing (and builds nothing).
-        let Some(sig) = (k_len < BUCKETS).then(|| self.signature()).flatten() else {
-            // `shared` carries the minimum LCP since the last visited
-            // record: the first in a range restarts from nothing.
-            let mut shared = 0usize;
-            for pos in range {
-                if pos > start {
-                    shared = shared.min(self.lcp(pos));
-                }
-                if (self.lens[pos] as usize).abs_diff(qlen) <= k_len {
-                    visit(pos, shared);
-                    shared = usize::MAX;
-                }
-            }
-            return;
-        };
-        let query_set = bucket_set(query);
-        // The size planes that count against a record: `|S(x)| ≥ v` for
-        // `v` from `|S(q)| + 1`, as many as are stored and can matter.
-        let larger = BUCKETS + query_set.count_ones() as usize;
-        let larger = larger..(sig.planes.len() / sig.words).min(larger + k_len + 1);
-        // `k < 64` here, so the counter needs at most six planes.
-        let survivors = [
-            Signature::survivors::<0>,
-            Signature::survivors::<1>,
-            Signature::survivors::<2>,
-            Signature::survivors::<3>,
-            Signature::survivors::<4>,
-            Signature::survivors::<5>,
-            Signature::survivors::<6>,
-        ][(u32::BITS - k.leading_zeros()) as usize];
+        // Hands the lanes of `alive` (positions `base..base + 64`) that
+        // pass the length filter to `visit`, in ascending order.
         let mut last: Option<usize> = None;
-        for w in start / LANES..end.div_ceil(LANES) {
-            let base = w * LANES;
-            // Lanes of this word inside the range.
-            let mut alive = !0u64;
-            if base < start {
-                alive &= !0 << (start - base);
-            }
-            if base + LANES > end {
-                alive &= !0 >> (base + LANES - end);
-            }
-            alive = survivors(sig, w, query_set, larger.clone(), k, alive);
+        let mut visit_word = |base: usize, mut alive: u64| {
             while alive != 0 {
                 let pos = base + alive.trailing_zeros() as usize;
                 alive &= alive - 1;
@@ -370,6 +641,62 @@ impl SortedView {
                 visit(pos, shared);
                 last = Some(pos);
             }
+        };
+        // Both set differences are at most 64, so a wider threshold
+        // rejects nothing (and builds nothing).
+        let sig = match (k_len < BUCKETS).then(|| self.selection()) {
+            Some(Selection::Planes(sig)) => sig,
+            Some(Selection::Postings(postings)) if (1..=SEGMENT_TAU).contains(&k) => {
+                let words = start / LANES..end.div_ceil(LANES);
+                let mut marks = vec![0u64; words.len()];
+                postings.mark(query, k, &range, &mut marks);
+                for (w, &alive) in words.zip(&marks) {
+                    visit_word(w * LANES, alive);
+                }
+                return;
+            }
+            _ => {
+                // `shared` carries the minimum LCP since the last visited
+                // record: the first in a range restarts from nothing.
+                let mut shared = 0usize;
+                for pos in range {
+                    if pos > start {
+                        shared = shared.min(self.lcp(pos));
+                    }
+                    if (self.lens[pos] as usize).abs_diff(qlen) <= k_len {
+                        visit(pos, shared);
+                        shared = usize::MAX;
+                    }
+                }
+                return;
+            }
+        };
+        let query_set = bucket_set(query);
+        // The size planes that count against a record: `|S(x)| ≥ v` for
+        // `v` from `|S(q)| + 1`, as many as are stored and can matter.
+        let larger = BUCKETS + query_set.count_ones() as usize;
+        let larger = larger..(sig.planes.len() / sig.words).min(larger + k_len + 1);
+        // `k < 64` here, so the counter needs at most six planes.
+        let survivors = [
+            Signature::survivors::<0>,
+            Signature::survivors::<1>,
+            Signature::survivors::<2>,
+            Signature::survivors::<3>,
+            Signature::survivors::<4>,
+            Signature::survivors::<5>,
+            Signature::survivors::<6>,
+        ][(u32::BITS - k.leading_zeros()) as usize];
+        for w in start / LANES..end.div_ceil(LANES) {
+            let base = w * LANES;
+            // Lanes of this word inside the range.
+            let mut alive = !0u64;
+            if base < start {
+                alive &= !0 << (start - base);
+            }
+            if base + LANES > end {
+                alive &= !0 >> (base + LANES - end);
+            }
+            visit_word(base, survivors(sig, w, query_set, larger.clone(), k, alive));
         }
     }
 
@@ -462,7 +789,9 @@ mod tests {
             0,
             "nothing is built before the first use"
         );
-        let sig = sv.signature().expect("ten digits and 26 letters");
+        let Selection::Planes(sig) = sv.selection() else {
+            panic!("ten digits and 26 letters carry a signature");
+        };
         assert_eq!(sig.words, 3);
         let bit = |plane: usize, pos: usize| sig.planes[plane * 3 + pos / 64] >> (pos % 64) & 1;
         let mut largest = 0;
@@ -484,6 +813,52 @@ mod tests {
         );
         assert!((0..64 + largest).all(|plane| sig.planes[plane * 3 + 2] >> 2 == 0));
         assert_eq!(sv.signature_bytes(), sig.planes.len() * 8);
+    }
+
+    #[test]
+    fn a_narrower_fingerprint_only_adds_visits() {
+        // The fingerprint is what keeps a bucket's keys apart: with none
+        // of it left every key in a bucket answers for every other, which
+        // may cost rejections and never a visit.
+        use simsearch_testkit::{check, gen, prop_assert, Config};
+        let visits = |sv: &SortedView, query: &[u8], k: u32| {
+            let mut visited = Vec::new();
+            sv.for_each_candidate(query, k, 0..sv.len(), |pos, _| visited.push(pos));
+            visited
+        };
+        check(
+            "a_narrower_fingerprint_only_adds_visits",
+            Config::cases(60).seed(0x0050_47ED),
+            &gen::zip(
+                gen::vec_of(gen::dna_string(17..60), 1..80),
+                gen::mutated(gen::dna_string(17..60), 0..9, gen::DNA),
+            ),
+            |(words, (source, query, _))| {
+                let mut records: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
+                records.push(source);
+                let ds = Dataset::from_records(&records);
+                let full = SortedView::build(&ds);
+                let bare = SortedView::build(&ds);
+                let postings = SegmentPostings::build(&bare.sorted, 0).expect("records to cut");
+                prop_assert!(postings.fp_bits == 0);
+                prop_assert!(bare.selection.set(Selection::Postings(postings)).is_ok());
+                for k in [1, 4, 8, 12, 16] {
+                    let (tight, loose) = (visits(&full, query, k), visits(&bare, query, k));
+                    prop_assert!(
+                        tight.iter().all(|pos| loose.binary_search(pos).is_ok()),
+                        "k = {}: {:?} visited, {:?} without the fingerprint",
+                        k,
+                        tight,
+                        loose
+                    );
+                }
+                let Selection::Postings(with) = full.selection() else {
+                    return Err("a DNA view carries postings".into());
+                };
+                prop_assert!(with.fp_bits >= 24, "{} records leave 24 bits", full.len());
+                Ok(())
+            },
+        );
     }
 
     #[test]

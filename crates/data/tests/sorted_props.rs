@@ -2,11 +2,16 @@
 //! the LCP array is exact, and id translation round-trips — the
 //! invariants the V7 sorted-prefix scan's correctness rests on — and
 //! candidate selection is sound: no record within `k` of the query is
-//! filtered out, whatever the alphabet, the range or the threshold.
+//! filtered out, whatever the alphabet, the range or the threshold —
+//! by the occupancy planes over a large alphabet, by the segment
+//! postings over a tiny one, by the equal range at `k = 0`.
 
-use simsearch_data::{Dataset, SortedView};
+use simsearch_data::generate::apply_random_edits;
+use simsearch_data::{Alphabet, Dataset, SortedView};
 use simsearch_distance::levenshtein;
-use simsearch_testkit::{check, gen, prop_assert, prop_assert_eq, Config, Gen, TestResult};
+use simsearch_testkit::{
+    check, gen, prop_assert, prop_assert_eq, Config, Gen, TestResult, Xoshiro256,
+};
 use std::ops::Range;
 
 const SEED: u64 = 0x0050_47ED;
@@ -224,11 +229,12 @@ fn bytes_sharing_a_bucket_never_cost_a_match() {
             check_candidates(&sv, query.as_bytes(), k, 0..sv.len()).unwrap();
         }
     }
-    // At k = 0 the colliding records survive the filter (same buckets,
-    // same length) and the records over other buckets do not.
+    // At k = 0 the equal range answers before the signature is asked:
+    // the colliding records (same buckets, same length) would survive
+    // the planes, and are not visited.
     let mut visited = Vec::new();
     sv.for_each_candidate(b"AAAA", 0, 0..sv.len(), |pos, _| visited.push(sv.get(pos)));
-    assert_eq!(visited, [b"AAAA", b"AcAc", b"cccc"]);
+    assert_eq!(visited, [b"AAAA"]);
 }
 
 #[test]
@@ -264,4 +270,232 @@ fn the_signature_is_built_on_first_use_and_never_over_a_tiny_alphabet() {
     dna.prepare_signature();
     dna.for_each_candidate(b"ACGT", 1, 0..dna.len(), |_, _| {});
     assert_eq!(dna.signature_bytes(), 0);
+}
+
+/// What a sweep visits with the length filter alone — the parent
+/// commit's selection over a view without planes.
+fn length_admitted(sv: &SortedView, query: &[u8], k: u32, range: Range<usize>) -> Vec<usize> {
+    range
+        .filter(|&pos| sv.record_len(pos).abs_diff(query.len()) <= k as usize)
+        .collect()
+}
+
+fn visited(sv: &SortedView, query: &[u8], k: u32, range: Range<usize>) -> Vec<usize> {
+    let mut visited = Vec::new();
+    sv.for_each_candidate(query, k, range, |pos, _| visited.push(pos));
+    visited
+}
+
+/// A random string over `alphabet` of a length in `len`.
+fn random_string(rng: &mut Xoshiro256, alphabet: &[u8], len: Range<usize>) -> Vec<u8> {
+    let len = len.start + rng.index(len.end - len.start);
+    (0..len).map(|_| *rng.choose(alphabet)).collect()
+}
+
+/// `(records, queries with thresholds, two range cuts)`: reads of
+/// 0..=140 symbols off one 300-symbol genome, so that they overlap as
+/// sequencing reads do — with records too short to cut, records of
+/// exactly 17 (one-symbol segments), duplicates, empty strings and
+/// unrelated strings mixed in — and queries that are a record with at
+/// most `k` edits, spread out or in one burst (every edit inside one
+/// segment: the case the shift windows are tightest on), or unrelated;
+/// `k` from 0 to 20.
+#[allow(clippy::type_complexity)]
+fn reads_case(alphabet: &'static [u8]) -> Gen<(Vec<Vec<u8>>, Vec<(Vec<u8>, u32)>, (usize, usize))> {
+    Gen::new(move |rng| {
+        let symbols = Alphabet::new(alphabet);
+        let genome = random_string(rng, alphabet, 300..301);
+        let mut records: Vec<Vec<u8>> = Vec::new();
+        for _ in 0..rng.index(100) {
+            let record = match rng.index(10) {
+                0 => random_string(rng, alphabet, 0..17),
+                1 => random_string(rng, alphabet, 0..141),
+                2 if !records.is_empty() => rng.choose(&records).clone(),
+                kind => {
+                    let len = if kind == 3 { 17 } else { 17 + rng.index(124) };
+                    let start = rng.index(genome.len() - len + 1);
+                    let errors = rng.index(3);
+                    apply_random_edits(rng, &genome[start..start + len], errors, &symbols)
+                }
+            };
+            records.push(record);
+        }
+        let mut queries = Vec::new();
+        for _ in 0..6 {
+            let k = rng.index(21);
+            let mut query = match records.is_empty() {
+                true => Vec::new(),
+                false => rng.choose(&records).clone(),
+            };
+            match rng.index(4) {
+                0 => query = random_string(rng, alphabet, 0..141),
+                1 => {
+                    // A burst: `k` symbols inserted or deleted at one place.
+                    let at = rng.index(query.len() + 1);
+                    if rng.chance(0.5) {
+                        let burst = random_string(rng, alphabet, k..k + 1);
+                        query.splice(at..at, burst);
+                    } else {
+                        query.drain(at..query.len().min(at + k));
+                    }
+                }
+                _ => {
+                    let edits = rng.index(k + 1);
+                    query = apply_random_edits(rng, &query, edits, &symbols);
+                }
+            }
+            queries.push((query, k as u32));
+        }
+        (records, queries, (rng.index(101), rng.index(101)))
+    })
+}
+
+fn segment_postings_are_sound_over(name: &str, alphabet: &'static [u8]) {
+    check(
+        name,
+        Config::cases(48).seed(SEED),
+        &reads_case(alphabet),
+        |(records, queries, (a, b))| {
+            let sv = SortedView::build(&Dataset::from_records(records));
+            let n = sv.len();
+            let (a, b) = (a % (n + 1), b % (n + 1));
+            for (query, k) in queries {
+                for range in [0..n, a.min(b)..a.max(b)] {
+                    // Soundness, ascending order and exact resume depths.
+                    check_candidates(&sv, query, *k, range.clone())?;
+                    // Past the postings' threshold: the length filter's
+                    // visits, exactly.
+                    if *k > 16 {
+                        prop_assert_eq!(
+                            visited(&sv, query, *k, range.clone()),
+                            length_admitted(&sv, query, *k, range)
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(
+                sv.signature_bytes(),
+                0,
+                "no planes over {} symbols",
+                alphabet.len()
+            );
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn segment_postings_are_sound_on_acgt() {
+    segment_postings_are_sound_over("segment_postings_are_sound_on_acgt", b"ACGT");
+}
+
+#[test]
+fn segment_postings_are_sound_on_acgnt() {
+    segment_postings_are_sound_over("segment_postings_are_sound_on_acgnt", gen::DNA);
+}
+
+/// The bucket a byte hashes to in the occupancy signature.
+fn bucket_set(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0, |set, &b| {
+        set | 1 << (u32::from(b).wrapping_mul(0x9E37_79B1) >> 26)
+    })
+}
+
+#[test]
+fn views_with_planes_visit_what_the_signature_admits() {
+    // The planes branch spelled out per record — length, buckets lacked,
+    // buckets in excess — is what the parent commit visits; at k = 0,
+    // inside the equal range.
+    check(
+        "views_with_planes_visit_what_the_signature_admits",
+        Config::cases(40).seed(SEED),
+        &sweep_case(gen::NAMES),
+        |(words, (source, query, _))| {
+            let mut records: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
+            records.push(source);
+            records.extend(gen::NAMES.chunks(3));
+            let sv = SortedView::build(&Dataset::from_records(&records));
+            let n = sv.len();
+            for k in [0u32, 1, 2, 3, 16, 17, 63] {
+                for range in [0..n, n / 3..n - n / 4] {
+                    let expected: Vec<usize> = range
+                        .clone()
+                        .filter(|&pos| {
+                            let (q, x) = (bucket_set(query), bucket_set(sv.get(pos)));
+                            sv.record_len(pos).abs_diff(query.len()) <= k as usize
+                                && (q & !x).count_ones().max((x & !q).count_ones()) <= k
+                                && (k > 0 || sv.get(pos) == query.as_slice())
+                        })
+                        .collect();
+                    prop_assert_eq!(visited(&sv, query, k, range), expected, "k = {}", k);
+                }
+            }
+            prop_assert!(sv.signature_bytes() > 0);
+            prop_assert_eq!(sv.postings_bytes(), 0, "a view with planes cuts no record");
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn exact_match_is_the_equal_range() {
+    // k = 0 against a linear scan: duplicates, the empty string, queries
+    // below the first and above the last record, and sub-ranges that cut
+    // the equal range — over planes, postings and neither.
+    check(
+        "exact_match_is_the_equal_range",
+        Config::cases(60).seed(SEED),
+        &gen::zip(
+            gen::one_of(vec![
+                gen::vec_of(gen::bytes_from(b"ab", 0..4), 0..60),
+                gen::vec_of(gen::bytes_from(gen::NAMES, 0..6), 0..60),
+                gen::vec_of(gen::bytes_from(b"AC", 16..20), 0..60),
+            ]),
+            gen::bytes_from(b"abAC", 0..4),
+        ),
+        |(words, stranger)| {
+            let sv = SortedView::build(&Dataset::from_records(words));
+            let n = sv.len();
+            let mut queries: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
+            queries.extend([b"".as_slice(), b"\x00", b"\xFF\xFF", stranger.as_slice()]);
+            for query in queries {
+                for range in [0..n, 0..n / 2, n / 2..n, n / 3..n - n / 3, n..n] {
+                    let equal: Vec<usize> =
+                        range.clone().filter(|&pos| sv.get(pos) == query).collect();
+                    prop_assert_eq!(visited(&sv, query, 0, range.clone()), equal);
+                    check_candidates(&sv, query, 0, range)?;
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn one_selection_aid_a_view_and_its_bytes_are_accounted() {
+    let city = SortedView::build(&Dataset::from_records(
+        gen::NAMES.chunks(3).map(<[u8]>::to_vec).collect::<Vec<_>>(),
+    ));
+    // 40 reads of 100 symbols, 3 of 16 (too short to cut), 2 empty.
+    let mut rng = Xoshiro256::seed_from_u64(SEED);
+    let mut reads: Vec<Vec<u8>> = (0..40)
+        .map(|_| random_string(&mut rng, gen::DNA, 100..101))
+        .collect();
+    reads.extend((0..3).map(|_| random_string(&mut rng, gen::DNA, 16..17)));
+    reads.extend([Vec::new(), Vec::new()]);
+    let dna = SortedView::build(&Dataset::from_records(&reads));
+    assert_eq!(dna.postings_bytes(), 0, "nothing is built with the view");
+    for view in [&city, &dna] {
+        view.for_each_candidate(b"ACGT", 1, 0..view.len(), |_, _| {});
+    }
+    assert!(city.signature_bytes() > 0);
+    assert_eq!(city.postings_bytes(), 0, "a city view cuts no record");
+    assert_eq!(dna.signature_bytes(), 0, "a DNA view stores no planes");
+    // 45 records hash into 2^⌈log₂ 90⌉ = 128 buckets (129 offsets), 40
+    // are cut into 17 postings each and 5 are listed as short.
+    assert_eq!(dna.postings_bytes(), (129 + 40 * 17 + 5) * 4);
+    // Records all shorter than 17: nothing to cut, nothing built.
+    let short = SortedView::build(&Dataset::from_records(["ACGT", "ACGTACGTACGTACGT", ""]));
+    short.prepare_signature();
+    assert_eq!((short.signature_bytes(), short.postings_bytes()), (0, 0));
 }

@@ -708,17 +708,20 @@ mod tests {
         // Counts only, no clocks. On a 4-letter alphabet the decisive
         // diagonal passes k = 8 after a handful of columns (0.16 × Σ n/2
         // on this set; a bottom-row abort test reads 0.86 × of it), and
-        // the k-band almost never reaches the reads' second block.
+        // the k-band almost never reaches the reads' second block — both
+        // measured on what the length filter admits, since the segment
+        // postings leave the kernel next to nothing to reject.
         use simsearch_data::{Alphabet, DnaGenerator, WorkloadSpec};
         let ds = DnaGenerator::new(16).genome_len(10_000).generate(2_000);
         let alphabet = Alphabet::from_corpus(ds.records());
         let workload = WorkloadSpec::new(&[8], 20, 17).generate(&ds, &alphabet);
         let sv = SortedView::build(&ds);
         let (mut bytes, mut words, mut half_reads) = (0u64, 0u64, 0u64);
+        let (mut reached, mut admitted) = (0u64, 0u64);
         for q in &workload.queries {
             let mut dp = MyersStackKernel::new(&q.text, 8);
             assert_eq!(dp.blocks(), 2, "reads of ≈100 bases span two blocks");
-            v8_scan_view_range(&sv, &mut dp, &q.text, 8, 0..sv.len());
+            admitted += length_filtered_sweep(&sv, &mut dp, &q.text, 8);
             bytes += dp.cells_computed() / q.text.len() as u64;
             words += dp.words_advanced();
             half_reads += (0..sv.len())
@@ -726,6 +729,7 @@ mod tests {
                 .filter(|n| n.abs_diff(q.text.len()) <= 8)
                 .map(|n| n as u64 / 2)
                 .sum::<u64>();
+            sv.for_each_candidate(&q.text, 8, 0..sv.len(), |_, _| reached += 1);
         }
         assert!(
             3 * bytes <= half_reads,
@@ -734,6 +738,10 @@ mod tests {
         assert!(
             words < 2 * bytes,
             "{words} words for {bytes} bytes: no block was skipped"
+        );
+        assert!(
+            100 * reached <= admitted,
+            "{reached} of {admitted} length survivors reached the kernel"
         );
     }
 
@@ -794,13 +802,15 @@ mod tests {
     }
 
     #[test]
-    fn v8_work_on_dna_reads_is_what_the_length_filter_alone_gives() {
-        // Five symbols carry no signature: the sweep must not merely
-        // agree with the unfiltered one, it must do the same work.
+    fn v8_falls_back_to_the_length_filter_past_the_postings() {
+        // Five symbols carry no planes, and past k = 16 the segment
+        // postings do not apply: there the sweep must not merely agree
+        // with the unfiltered one, it must do the same work. Inside the
+        // cycle it does less.
         use simsearch_data::{Alphabet, DnaGenerator, WorkloadSpec};
         let ds = DnaGenerator::new(16).genome_len(10_000).generate(2_000);
         let alphabet = Alphabet::from_corpus(ds.records());
-        let workload = WorkloadSpec::new(&[0, 4, 8, 16], 20, 17).generate(&ds, &alphabet);
+        let workload = WorkloadSpec::new(&[4, 8, 16, 17, 24], 20, 17).generate(&ds, &alphabet);
         let sv = SortedView::build(&ds);
         for q in &workload.queries {
             let mut dp = MyersStackKernel::new(&q.text, q.threshold);
@@ -808,10 +818,15 @@ mod tests {
             let mut unfiltered = MyersStackKernel::new(&q.text, q.threshold);
             length_filtered_sweep(&sv, &mut unfiltered, &q.text, q.threshold);
             assert!(unfiltered.words_advanced() > 0);
-            assert_eq!(dp.words_advanced(), unfiltered.words_advanced());
-            assert_eq!(dp.cells_computed(), unfiltered.cells_computed());
+            if q.threshold > 16 {
+                assert_eq!(dp.words_advanced(), unfiltered.words_advanced());
+                assert_eq!(dp.cells_computed(), unfiltered.cells_computed());
+            } else {
+                assert!(2 * dp.words_advanced() <= unfiltered.words_advanced());
+            }
         }
         assert_eq!(sv.signature_bytes(), 0);
+        assert!(sv.postings_bytes() > 0);
     }
 
     #[test]

@@ -45,6 +45,13 @@ impl<'a> ServedEngine<'a> {
         }
     }
 
+    /// Gives back what calibration built and the routing it produced
+    /// never uses ([`Backend::release_unrouted`]) — for a daemon whose
+    /// configuration has no self-tuning tick.
+    pub fn release_unrouted(&mut self) {
+        self.backend.release_unrouted();
+    }
+
     /// The mutation surface (`INSERT`/`DELETE`, compaction) when the
     /// engine is live; `None` on read-only engines. Each engine worker
     /// resolves it once.

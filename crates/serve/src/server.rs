@@ -186,7 +186,12 @@ fn run(
     metrics: &Arc<Metrics>,
     shutdown: &Arc<AtomicBool>,
 ) {
-    let engine = ServedEngine::build(dataset, kind);
+    let mut engine = ServedEngine::build(dataset, kind);
+    if config.replan_interval.is_none() {
+        // No tick will ever swap the build-time table: the arms it does
+        // not route to are the larger part of a calibrated engine.
+        engine.release_unrouted();
+    }
     engine.publish_replan(metrics);
     let shared = Arc::new(Shared {
         admission: SubmissionQueue::bounded(config.batch.queue_capacity),

@@ -18,8 +18,38 @@
 
 use simsearch_core::{Backend, LiveEngine, LsmConfig, MutableBackend, ShardBy, ShardedBackend};
 use simsearch_data::Dataset;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// What a race must have seen before it may stop: reader observations
+/// (summed over the readers) and completed compaction steps (summed over
+/// the compactors).
+const RACE_OBSERVATIONS: u64 = 64;
+const RACE_STEPS: u64 = 4;
+
+/// The race's stopping rule, counted rather than timed: raises `stop`
+/// once the readers have made [`RACE_OBSERVATIONS`] observations *and*
+/// the compactors have completed [`RACE_STEPS`] steps. The deadline only
+/// bounds a stall, and says what stalled.
+fn stop_once_raced(stop: &AtomicBool, observations: &AtomicU64, steps: &AtomicU64) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let (seen, done) = (
+            observations.load(Ordering::Relaxed),
+            steps.load(Ordering::Relaxed),
+        );
+        if seen >= RACE_OBSERVATIONS && done >= RACE_STEPS {
+            break;
+        }
+        if Instant::now() > deadline {
+            stop.store(true, Ordering::Relaxed);
+            panic!("the race stalled at {seen} observations and {done} compaction steps");
+        }
+        std::thread::yield_now();
+    }
+    stop.store(true, Ordering::Relaxed);
+}
 
 #[test]
 fn a_flush_moves_the_frozen_prefix_and_elides_memtable_tombstones() {
@@ -146,6 +176,7 @@ fn queries_racing_compaction_see_atomic_snapshots() {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
+    let (observations, steps) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     let mut handles = Vec::new();
 
     // Churn: long records (len 40 — no probe is within distance 2 of
@@ -171,9 +202,12 @@ fn queries_racing_compaction_see_atomic_snapshots() {
     {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
+        let steps = Arc::clone(&steps);
         handles.push(std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                engine.maybe_compact();
+                if engine.maybe_compact() {
+                    steps.fetch_add(1, Ordering::Relaxed);
+                }
                 std::thread::yield_now();
             }
         }));
@@ -184,8 +218,8 @@ fn queries_racing_compaction_see_atomic_snapshots() {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
         let probes = probes.clone();
+        let observations = Arc::clone(&observations);
         readers.push(std::thread::spawn(move || {
-            let mut observations = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 for (q, k, expected) in &probes {
                     let got = engine.search(q, *k);
@@ -199,27 +233,20 @@ fn queries_racing_compaction_see_atomic_snapshots() {
                     // unsorted partial unions.
                     let ids = got.ids();
                     assert!(ids.windows(2).all(|w| w[0] < w[1]));
-                    observations += 1;
+                    observations.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            observations
         }));
     }
 
-    std::thread::sleep(std::time::Duration::from_millis(400));
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().expect("churn/compactor thread");
+    stop_once_raced(&stop, &observations, &steps);
+    for h in handles.into_iter().chain(readers) {
+        h.join().expect("churn, compactor or reader thread");
     }
-    let total: u64 = readers
-        .into_iter()
-        .map(|r| r.join().expect("reader thread"))
-        .sum();
-    assert!(total > 0, "readers observed at least one snapshot");
     // The race actually exercised compaction: the engine moved records
     // through segments while the readers watched.
     let stats = engine.stats();
-    assert!(stats.compactions > 0, "compaction ran during the race: {stats:?}");
+    assert!(stats.compactions >= RACE_STEPS, "compaction ran during the race: {stats:?}");
 
     // After the dust settles the visible corpus is intact: drain the
     // remaining churn records and compare against a quiesced engine.
@@ -269,6 +296,7 @@ fn sharded_queries_race_per_shard_compactors() {
     }
 
     let stop = Arc::new(AtomicBool::new(false));
+    let (observations, steps) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
     let mut handles = Vec::new();
 
     // Churn: long records cycle insert → delete across all shards,
@@ -297,9 +325,12 @@ fn sharded_queries_race_per_shard_compactors() {
     for shard in 0..4 {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
+        let steps = Arc::clone(&steps);
         handles.push(std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                engine.compact_shard(shard);
+                if engine.compact_shard(shard) {
+                    steps.fetch_add(1, Ordering::Relaxed);
+                }
                 std::thread::yield_now();
             }
         }));
@@ -309,8 +340,8 @@ fn sharded_queries_race_per_shard_compactors() {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);
         let probes = probes.clone();
+        let observations = Arc::clone(&observations);
         readers.push(std::thread::spawn(move || {
-            let mut observations = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 for (q, k, expected) in &probes {
                     let got = engine.search(q, *k);
@@ -322,25 +353,18 @@ fn sharded_queries_race_per_shard_compactors() {
                     );
                     let ids = got.ids();
                     assert!(ids.windows(2).all(|w| w[0] < w[1]));
-                    observations += 1;
+                    observations.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            observations
         }));
     }
 
-    std::thread::sleep(std::time::Duration::from_millis(400));
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().expect("churn/compactor thread");
+    stop_once_raced(&stop, &observations, &steps);
+    for h in handles.into_iter().chain(readers) {
+        h.join().expect("churn, compactor or reader thread");
     }
-    let total: u64 = readers
-        .into_iter()
-        .map(|r| r.join().expect("reader thread"))
-        .sum();
-    assert!(total > 0, "readers observed at least one snapshot");
     let stats = engine.live_stats();
-    assert!(stats.compactions > 0, "compaction ran during the race: {stats:?}");
+    assert!(stats.compactions >= RACE_STEPS, "compaction ran during the race: {stats:?}");
 
     engine.compact_to_quiescence();
     for (q, k, expected) in &probes {
