@@ -16,6 +16,12 @@ cargo test -q --offline --workspace
 # dev profile's overflow checks but wrap silently in the release codegen
 # the daemon and the benchmark run, so their oracles must hold there too.
 cargo test -q --offline --release -p simsearch-data -p simsearch-distance -p simsearch-scan
+# A bench file without a [[bench]] entry is a bench that silently never
+# runs (and an entry without a file fails only when someone asks for
+# it): the two lists must be the same set.
+bench_files=$(ls crates/bench/benches/*.rs | sed 's|.*/||; s|\.rs$||' | sort)
+bench_entries=$(sed -n '/^\[\[bench\]\]/{n;s/^name = "\(.*\)"$/\1/p;}' crates/bench/Cargo.toml | sort)
+test "$bench_files" = "$bench_entries"
 # Bench binaries run in single-iteration smoke mode under `cargo test`
 # (no --bench flag), keeping every bench code path compile- and
 # run-checked without measuring.
@@ -54,9 +60,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 #   v8_oracle           the Myers-block sweep — as an engine, as a
 #                       planner arm, pinned per shard — is
 #                       byte-identical to V1 on both alphabets.
-#   join_oracle         PASS-JOIN and MinJoin return the nested-loop
-#                       join's pair list pair-for-pair, including the
-#                       degenerate inputs.
+#   join_oracle         PASS-JOIN — the one partition join, under every
+#                       executor × thread count — returns the
+#                       nested-loop join's pair list pair-for-pair,
+#                       including the degenerate inputs.
 
 # The repo's benchmark is a package of its own (own workspace table,
 # own lock file) that reaches the crates through their public items
@@ -84,6 +91,13 @@ for snapshot in BENCH_ablation_bitparallel_city.json BENCH_ablation_bitparallel_
     grep -q '"length_admitted": [1-9]' "$snapshot"
     grep -q '"v8_candidates": [1-9]' "$snapshot"
 done
+# The join snapshot is the three-rung-plus-PASS bench's: no counter or
+# row of the retired MinJoin rung may survive a republish (`min_ns` is
+# every row's fastest sample and stays).
+if grep -Eq '"min_(join|candidates_verified|fallback_records)"' BENCH_ablation_join_city.json; then
+    echo "BENCH_ablation_join_city.json still carries a MinJoin entry" >&2
+    exit 1
+fi
 
 # Serving-layer smoke test, fully offline: boot simsearchd on an
 # ephemeral loopback port, probe HEALTH, run one query, check that

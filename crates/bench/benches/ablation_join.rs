@@ -1,21 +1,19 @@
 //! Ablation: similarity self-join strategies on the city-names profile
-//! (the venue's join competition track). Four rungs at k = 1:
+//! (the venue's join competition track). Three rungs at k = 1:
 //!
 //! * `nested_loop` — every unordered pair through the banded kernel;
 //! * `length_sorted` — sort by length, verify only inside the ±k
 //!   length window;
 //! * `pass_join` — PASS-JOIN: even k+1 partitions, inverted segment
-//!   index, substring-selection probing;
-//! * `min_join` — MinJoin: local-hash-minima anchors with the
-//!   length-window pool fallback for short records.
+//!   index, substring-selection probing.
 //!
 //! The committed JSON carries a `counters` object with the candidate
-//! accounting of one PASS-JOIN and one MinJoin run — how far each
-//! filter stack cuts below the quadratic pair count is the point of
-//! the rung, and wall-clock alone cannot show it.
+//! accounting of one PASS-JOIN run — how far the filter stack cuts
+//! below the quadratic pair count is the point of the rung, and
+//! wall-clock alone cannot show it.
 
 use simsearch_core::join::{nested_loop_join, sorted_join};
-use simsearch_core::{min_join_with_stats, pass_join_with_stats, presets, Strategy};
+use simsearch_core::{pass_join_with_stats, presets, Strategy};
 use simsearch_testkit::bench::Harness;
 
 fn main() {
@@ -25,10 +23,9 @@ fn main() {
     let preset = presets::city(records);
     let ds = &preset.dataset;
     let k = 1;
-    // One accounting pass outside the timed loop: candidate counts and
-    // segment-index shape for both partition-based rungs.
+    // One accounting pass outside the timed loop: candidate count and
+    // segment-index shape.
     let (pass_pairs, pass_stats) = pass_join_with_stats(ds, k, Strategy::Sequential);
-    let (_, min_stats) = min_join_with_stats(ds, k, Strategy::Sequential, Default::default());
     let quadratic = (ds.len() as u64) * (ds.len() as u64 - 1) / 2;
     let mut group = h.group("ablation_join_city");
     group.set_workload("city", ds.len(), 0, "1");
@@ -38,16 +35,11 @@ fn main() {
         ("pass_candidates_verified", pass_stats.candidates_verified),
         ("pass_seg_buckets", pass_stats.seg_buckets),
         ("pass_seg_postings", pass_stats.seg_postings),
-        ("min_candidates_verified", min_stats.candidates_verified),
-        ("min_fallback_records", min_stats.fallback_records),
     ]);
     group.bench("nested_loop", || nested_loop_join(ds, k));
     group.bench("length_sorted", || sorted_join(ds, k));
     group.bench("pass_join", || {
         pass_join_with_stats(ds, k, Strategy::Sequential).0
-    });
-    group.bench("min_join", || {
-        min_join_with_stats(ds, k, Strategy::Sequential, Default::default()).0
     });
     group.finish();
     h.publish_snapshot("ablation_join_city");

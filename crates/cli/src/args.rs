@@ -113,11 +113,10 @@ pub struct JoinArgs {
     pub k: u32,
     /// Output file; stdout when absent.
     pub output: Option<PathBuf>,
-    /// Join algorithm: "sorted" (default), "index", "nested", "pass"
-    /// (partition-based PASS-JOIN) or "minjoin" (content-defined
-    /// partitions).
+    /// Join algorithm: "pass" (partition-based PASS-JOIN, the
+    /// default), "sorted", "index" or "nested".
     pub algo: String,
-    /// Pool threads (sorted, pass and minjoin).
+    /// Pool threads (sorted and pass).
     pub threads: usize,
 }
 
@@ -155,14 +154,10 @@ pub enum EngineChoice {
     Radix,
     /// Inverted q-gram index.
     Qgram,
-    /// Length-bucketed scan.
-    Buckets,
     /// LCP-resumable scan over the sorted arena (rung 7).
     ScanSorted,
     /// Bit-parallel Myers sweep over the sorted arena (rung 8).
     ScanBitParallel,
-    /// BK-tree metric index baseline.
-    BkTree,
     /// Adaptive planner: route each query to the cheapest backend.
     Auto,
 }
@@ -193,7 +188,7 @@ pub fn pool(threads: usize) -> Strategy {
 /// `scan` and `scan-base` share the flat shard arm — shard-local
 /// scheduling is the sharded backend's job, and the naive rung exists
 /// only as an unsharded baseline.
-static ENGINES: [EngineRow; 10] = [
+static ENGINES: [EngineRow; 8] = [
     ("auto", &[], EngineChoice::Auto, None, |threads| EngineKind::Auto { threads }),
     ("scan", &[], EngineChoice::Scan, Some(BackendChoice::ScanFlat), |threads| {
         EngineKind::Scan(if threads > 1 {
@@ -227,12 +222,6 @@ static ENGINES: [EngineRow; 10] = [
     }),
     ("qgram", &[], EngineChoice::Qgram, Some(BackendChoice::Qgram), |threads| {
         EngineKind::Qgram { q: 2, strategy: pool(threads) }
-    }),
-    ("buckets", &[], EngineChoice::Buckets, Some(BackendChoice::Buckets), |threads| {
-        EngineKind::Buckets { strategy: pool(threads) }
-    }),
-    ("bktree", &["bk-tree"], EngineChoice::BkTree, Some(BackendChoice::BkTree), |threads| {
-        EngineKind::Bk { strategy: pool(threads) }
     }),
 ];
 
@@ -312,7 +301,7 @@ USAGE:
                      [--queries FILE] [--query-count N]
   simsearch stats --data FILE
   simsearch join --data FILE --k N [--output FILE]
-                 [--algo sorted|index|nested|pass|minjoin] [--threads N]
+                 [--algo pass|sorted|index|nested] [--threads N]
   simsearch verify --results FILE --expected FILE
   simsearch serve --data FILE [--backend NAME] [--threads N] [--port P]
                   [--port-file FILE] [--queue-capacity N] [--deadline-ms N]
@@ -334,7 +323,7 @@ content hash (`--shard-by hash`) — each shard plans independently, and
 queries fan out across shards with a k-way result merge.
 
 The serve daemon speaks a line protocol on loopback TCP:
-  QUERY <k> <text> | TOPK <n> <text> | JOIN <k> [pass|minjoin]
+  QUERY <k> <text> | TOPK <n> <text> | JOIN <k> [pass]
   | INSERT <text> | DELETE <id> | STATS | HEALTH | SHUTDOWN
 With --port 0 (the default) it binds an ephemeral port and prints the
 actually-bound address on stdout before accepting connections.
@@ -499,7 +488,7 @@ fn parse_join(rest: &[String]) -> Result<JoinArgs, String> {
     let mut data = None;
     let mut k = None;
     let mut output = None;
-    let mut algo = "sorted".to_string();
+    let mut algo = "pass".to_string();
     let mut threads = 1usize;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
@@ -509,7 +498,7 @@ fn parse_join(rest: &[String]) -> Result<JoinArgs, String> {
             "--output" => output = Some(PathBuf::from(value(&mut it, "--output")?)),
             "--algo" => {
                 let v = value(&mut it, "--algo")?;
-                if !["sorted", "index", "nested", "pass", "minjoin"].contains(&v.as_str()) {
+                if !["pass", "sorted", "index", "nested"].contains(&v.as_str()) {
                     return Err(format!("unknown join algorithm '{v}'"));
                 }
                 algo = v.clone();
@@ -724,7 +713,12 @@ mod tests {
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        for algo in ["sorted", "nested", "pass", "minjoin"] {
+        let cmd = parse(&v(&["join", "--data", "d", "--k", "1"])).unwrap();
+        assert!(
+            matches!(cmd, Command::Join(j) if j.algo == "pass"),
+            "the default"
+        );
+        for algo in ["sorted", "nested", "pass"] {
             let cmd = parse(&v(&["join", "--data", "d", "--k", "1", "--algo", algo])).unwrap();
             match cmd {
                 Command::Join(j) => assert_eq!(j.algo, algo),
@@ -733,7 +727,9 @@ mod tests {
         }
         let cmd = parse(&v(&["verify", "--results", "a", "--expected", "b"])).unwrap();
         assert!(matches!(cmd, Command::Verify { .. }));
-        assert!(parse(&v(&["join", "--data", "d", "--k", "1", "--algo", "quantum"])).is_err());
+        for algo in ["quantum", "minjoin"] {
+            assert!(parse(&v(&["join", "--data", "d", "--k", "1", "--algo", algo])).is_err());
+        }
         assert!(parse(&v(&["verify", "--results", "a"])).is_err());
     }
 
@@ -920,17 +916,6 @@ mod tests {
             Command::Search(a) => assert_eq!(a.engine, EngineChoice::Auto),
             other => panic!("wrong parse: {other:?}"),
         }
-        let cmd = parse(&v(&["serve", "--data", "d", "--backend", "bktree"])).unwrap();
-        match cmd {
-            Command::Serve(s) => assert_eq!(s.engine, EngineChoice::BkTree),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        // "bk-tree" spelling is accepted too.
-        let cmd = parse(&v(&[
-            "search", "--data", "d", "--queries", "q", "--engine", "bk-tree",
-        ]))
-        .unwrap();
-        assert!(matches!(cmd, Command::Search(a) if a.engine == EngineChoice::BkTree));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use simsearch_data::{
 };
 use simsearch_distance::KernelKind;
 use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter};
-use simsearch_index::{BkTree, LengthBuckets, QgramIndex, RadixTrie, SuffixIndex, Trie};
+use simsearch_index::{QgramIndex, RadixTrie, Trie};
 use simsearch_parallel::{auto_strategy, run_queries, Strategy};
 use simsearch_scan::{v7_search_view, v8_search_view, SeqVariant, SequentialScan};
 use std::borrow::Cow;
@@ -375,9 +375,6 @@ enum Structure {
     Trie(Trie),
     Radix(RadixTrie),
     Qgram(QgramIndex),
-    Buckets(LengthBuckets),
-    Suffix(SuffixIndex),
-    Bk(BkTree),
 }
 
 impl Structure {
@@ -387,17 +384,13 @@ impl Structure {
             Structure::Trie(t) => t.search(query, k),
             Structure::Radix(r) => r.search(query, k),
             Structure::Qgram(q) => q.search(dataset, query, k),
-            Structure::Buckets(b) => b.search(dataset, query, k),
-            Structure::Suffix(s) => s.search(dataset, query, k),
-            Structure::Bk(t) => t.search(dataset, query, k),
         }
     }
 }
 
 /// Any of the workspace's index structures behind the trait: the
 /// paper's prefix trees (§4, with the paper's own pruning or the modern
-/// banded descent) and the baseline indexes (q-gram, length buckets,
-/// suffix array, BK-tree).
+/// banded descent) and the q-gram baseline.
 pub struct IndexBackend<'a> {
     dataset: &'a Dataset,
     structure: Structure,
@@ -430,35 +423,10 @@ impl<'a> IndexBackend<'a> {
         Self::with(dataset, Structure::Radix(radix), paper, strategy)
     }
 
-    /// The radix tree with frequency vectors over the alphabet that
-    /// fits the data (§6 future work).
-    pub fn radix_with_freq(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        let radix = simsearch_index::radix::build_with_freq(dataset, tracked_symbols(dataset));
-        Self::with(dataset, Structure::Radix(radix), false, strategy)
-    }
-
     /// The inverted q-gram index with gram size `q`.
     pub fn qgram(dataset: &'a Dataset, q: usize, strategy: Strategy) -> Self {
         let idx = QgramIndex::build(dataset, q);
         Self::with(dataset, Structure::Qgram(idx), false, strategy)
-    }
-
-    /// The length-bucketed scan.
-    pub fn buckets(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        let buckets = LengthBuckets::build(dataset);
-        Self::with(dataset, Structure::Buckets(buckets), false, strategy)
-    }
-
-    /// The suffix-array baseline.
-    pub fn suffix(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        let idx = SuffixIndex::build(dataset);
-        Self::with(dataset, Structure::Suffix(idx), false, strategy)
-    }
-
-    /// The Burkhard–Keller metric tree.
-    pub fn bk(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        let tree = BkTree::build(dataset);
-        Self::with(dataset, Structure::Bk(tree), false, strategy)
     }
 }
 
@@ -469,20 +437,11 @@ impl Backend for IndexBackend<'_> {
             Structure::Trie(_) => {
                 format!("trie[{}]", if self.paper { "paper" } else { "modern" })
             }
-            Structure::Radix(r) => {
-                let mode = if self.paper {
-                    "paper"
-                } else if r.has_freq_annotations() {
-                    "freq"
-                } else {
-                    "modern"
-                };
+            Structure::Radix(_) => {
+                let mode = if self.paper { "paper" } else { "modern" };
                 format!("radix[{mode}/{strategy}]")
             }
             Structure::Qgram(idx) => format!("qgram[q={}/{strategy}]", idx.q()),
-            Structure::Buckets(_) => format!("buckets[{strategy}]"),
-            Structure::Suffix(_) => format!("suffix-array[{strategy}]"),
-            Structure::Bk(_) => format!("bk-tree[{strategy}]"),
         }
     }
 
@@ -497,20 +456,11 @@ impl Backend for IndexBackend<'_> {
     fn diag(&self) -> BackendDiag {
         let (structure, filters) = match &self.structure {
             Structure::Trie(t) => ((t.node_count(), t.memory_bytes()), vec!["length"]),
-            Structure::Radix(r) => {
-                let mut filters = vec!["length"];
-                if r.has_freq_annotations() {
-                    filters.push("frequency");
-                }
-                ((r.node_count(), r.memory_bytes()), filters)
-            }
+            Structure::Radix(r) => ((r.node_count(), r.memory_bytes()), vec!["length"]),
             Structure::Qgram(idx) => (
                 (idx.distinct_grams(), idx.memory_bytes()),
                 vec!["qgram-count", "length"],
             ),
-            Structure::Buckets(b) => ((b.bucket_count(), 0), vec!["length"]),
-            Structure::Suffix(s) => ((s.record_count(), s.memory_bytes()), vec!["length"]),
-            Structure::Bk(t) => ((t.node_count(), 0), vec!["triangle-inequality"]),
         };
         BackendDiag {
             name: self.name(),
@@ -766,9 +716,8 @@ fn fair_share_race(
 
 impl<'a> AutoBackend<'a> {
     /// The default candidate set: the backends with distinct asymptotic
-    /// profiles and sub-quadratic build cost (the BK-tree's build —
-    /// one full distance per insert — rules it out at scale, and the
-    /// bucketed scan duplicates the flat scan's profile).
+    /// profiles (the uncompressed trie duplicates the radix tree's, at
+    /// a higher per-node cost).
     pub const DEFAULT_CANDIDATES: [BackendChoice; 5] = [
         BackendChoice::ScanFlat,
         BackendChoice::ScanSorted,
@@ -983,10 +932,6 @@ impl<'a> AutoBackend<'a> {
                     Arm::Index(Structure::Radix(simsearch_index::radix::build(dataset)))
                 }
                 BackendChoice::Qgram => Arm::Index(Structure::Qgram(QgramIndex::build(dataset, 2))),
-                BackendChoice::Buckets => {
-                    Arm::Index(Structure::Buckets(LengthBuckets::build(dataset)))
-                }
-                BackendChoice::BkTree => Arm::Index(Structure::Bk(BkTree::build(dataset))),
             }
         })
     }
@@ -1217,11 +1162,7 @@ mod tests {
             Box::new(IndexBackend::trie(&ds, true)),
             Box::new(IndexBackend::trie(&ds, false)),
             Box::new(IndexBackend::radix(&ds, false, Strategy::Sequential)),
-            Box::new(IndexBackend::radix_with_freq(&ds, Strategy::Sequential)),
             Box::new(IndexBackend::qgram(&ds, 2, Strategy::Sequential)),
-            Box::new(IndexBackend::buckets(&ds, Strategy::Sequential)),
-            Box::new(IndexBackend::suffix(&ds, Strategy::Sequential)),
-            Box::new(IndexBackend::bk(&ds, Strategy::Sequential)),
             Box::new(AutoBackend::new(&ds, 1)),
             Box::new(AutoBackend::calibrated(&ds, 2, &w)),
             Box::new(AutoBackend::owned(ds.clone(), Probe::Static)),

@@ -76,32 +76,10 @@ pub enum EngineKind {
     /// row-minimum lemma, mid-edge abandonment) — an extension whose
     /// effect the `ablation_pruning` benchmark measures.
     IndexModern(IdxVariant),
-    /// Radix tree with frequency-vector annotations (§6 future work).
-    /// Tracks DNA symbols when the dataset is DNA, vowels otherwise.
-    RadixFreq {
-        /// Workload executor.
-        strategy: Strategy,
-    },
     /// Inverted q-gram index baseline.
     Qgram {
         /// Gram size.
         q: usize,
-        /// Workload executor.
-        strategy: Strategy,
-    },
-    /// Length-bucketed scan (§6 "sorting" future work).
-    Buckets {
-        /// Workload executor.
-        strategy: Strategy,
-    },
-    /// Suffix array with query partitioning (related work §2.3,
-    /// Navarro et al.).
-    Suffix {
-        /// Workload executor.
-        strategy: Strategy,
-    },
-    /// BK-tree metric index (Burkhard–Keller baseline).
-    Bk {
         /// Workload executor.
         strategy: Strategy,
     },
@@ -191,11 +169,7 @@ impl EngineKind {
             }
             EngineKind::Index(v) => format!("index[{}]", v.label()),
             EngineKind::IndexModern(v) => format!("index-modern[{}]", v.label()),
-            EngineKind::RadixFreq { strategy } => format!("index[freq/{}]", strategy.name()),
             EngineKind::Qgram { q, strategy } => format!("qgram[q={q}/{}]", strategy.name()),
-            EngineKind::Buckets { strategy } => format!("buckets[{}]", strategy.name()),
-            EngineKind::Suffix { strategy } => format!("suffix-array[{}]", strategy.name()),
-            EngineKind::Bk { strategy } => format!("bk-tree[{}]", strategy.name()),
             EngineKind::Auto { threads } => format!("auto[threads={threads}]"),
             EngineKind::Sharded {
                 shards,
@@ -243,13 +217,7 @@ pub fn build_backend_with<'a>(
                 }
             })
         }
-        EngineKind::RadixFreq { strategy } => {
-            Box::new(IndexBackend::radix_with_freq(dataset, strategy))
-        }
         EngineKind::Qgram { q, strategy } => Box::new(IndexBackend::qgram(dataset, q, strategy)),
-        EngineKind::Buckets { strategy } => Box::new(IndexBackend::buckets(dataset, strategy)),
-        EngineKind::Suffix { strategy } => Box::new(IndexBackend::suffix(dataset, strategy)),
-        EngineKind::Bk { strategy } => Box::new(IndexBackend::bk(dataset, strategy)),
         EngineKind::Auto { threads } => Box::new(AutoBackend::with_probe(dataset, threads, probe)),
         EngineKind::Sharded {
             shards,
@@ -390,20 +358,8 @@ mod tests {
             EngineKind::IndexModern(IdxVariant::I1BaseTrie),
             EngineKind::IndexModern(IdxVariant::I2Compressed),
             EngineKind::IndexModern(IdxVariant::I3Pool { threads: 2 }),
-            EngineKind::RadixFreq {
-                strategy: Strategy::Sequential,
-            },
             EngineKind::Qgram {
                 q: 2,
-                strategy: Strategy::Sequential,
-            },
-            EngineKind::Buckets {
-                strategy: Strategy::Sequential,
-            },
-            EngineKind::Suffix {
-                strategy: Strategy::Sequential,
-            },
-            EngineKind::Bk {
                 strategy: Strategy::Sequential,
             },
             EngineKind::Auto { threads: 1 },

@@ -209,7 +209,7 @@ pub fn cross_nested_loop_join(left: &Dataset, right: &Dataset, k: u32) -> Vec<Cr
 }
 
 /// Record ids sorted by (length, id).
-pub(crate) fn length_order(dataset: &Dataset) -> Vec<RecordId> {
+fn length_order(dataset: &Dataset) -> Vec<RecordId> {
     let mut order: Vec<RecordId> = (0..dataset.len() as u32).collect();
     order.sort_unstable_by_key(|&i| (dataset.record_len(i), i));
     order

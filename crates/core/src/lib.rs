@@ -13,7 +13,7 @@
 //!   query class;
 //! * [`engine`] — [`engine::build_backend_with`], the one factory from
 //!   an [`engine::EngineKind`] to a backend (each scan rung (§3), each
-//!   index rung (§4), the extension engines, the planner, shards, live
+//!   index rung (§4), the q-gram baseline, the planner, shards, live
 //!   ingest), and [`engine::SearchEngine`], the thin workload runner
 //!   over it;
 //! * [`verify`] — cross-validation of engines against a reference
@@ -25,8 +25,7 @@
 //! * [`join`] — the similarity self-join (the venue's other competition
 //!   track), scan- and index-based;
 //! * [`passjoin`] — the sub-quadratic join tier: exact PASS-JOIN over
-//!   an inverted segment index, plus MinJoin's content-defined
-//!   partitioning for long records;
+//!   an inverted segment index;
 //! * [`topk`] — nearest-neighbour search by iterative deepening;
 //! * [`lsm`] — live ingest: [`lsm::LiveEngine`] puts an append-only
 //!   memtable and tombstone set in front of immutable sorted segments, so
@@ -64,8 +63,7 @@ pub use planner::{
 };
 pub use join::{CrossPair, JoinPair};
 pub use passjoin::{
-    even_partitions, min_join, min_join_partitions, min_join_with_stats, parallel_min_join,
-    parallel_pass_join, pass_join, pass_join_with_stats, JoinStats, MinJoinConfig,
+    even_partitions, parallel_pass_join, pass_join, pass_join_with_stats, JoinStats,
 };
 pub use topk::{search_top_k, search_top_k_with};
 pub use experiment::{

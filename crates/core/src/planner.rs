@@ -57,24 +57,18 @@ pub enum BackendChoice {
     Radix,
     /// Inverted q-gram index (count filter + verification).
     Qgram,
-    /// Length-bucketed scan.
-    Buckets,
-    /// Burkhard–Keller metric tree.
-    BkTree,
 }
 
 impl BackendChoice {
     /// Every choice, in a fixed order (ties in the cost model resolve
     /// to the earlier entry).
-    pub const ALL: [BackendChoice; 8] = [
+    pub const ALL: [BackendChoice; 6] = [
         BackendChoice::ScanFlat,
         BackendChoice::ScanSorted,
         BackendChoice::ScanBitParallel,
         BackendChoice::Trie,
         BackendChoice::Radix,
         BackendChoice::Qgram,
-        BackendChoice::Buckets,
-        BackendChoice::BkTree,
     ];
 
     /// Number of distinct choices.
@@ -89,14 +83,14 @@ impl BackendChoice {
             BackendChoice::Trie => "trie",
             BackendChoice::Radix => "radix",
             BackendChoice::Qgram => "qgram",
-            BackendChoice::Buckets => "buckets",
-            BackendChoice::BkTree => "bktree",
         }
     }
 
-    /// Dense index into per-choice arrays.
+    /// Dense index into per-choice arrays: the variant's position in
+    /// [`BackendChoice::ALL`], which lists the variants in declaration
+    /// order.
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&c| c == self).expect("listed in ALL")
+        self as usize
     }
 }
 
@@ -237,7 +231,6 @@ pub fn static_cost(
     const HOP_TRIE: f64 = 48.0;
     match choice {
         BackendChoice::ScanFlat => n * PROBE + cand * verify,
-        BackendChoice::Buckets => n * PROBE * 0.5 + cand * verify,
         BackendChoice::ScanSorted => n * (PROBE + 2.0) + cand * verify * (1.0 - shared),
         BackendChoice::ScanBitParallel => {
             // Myers word sweep over the sorted arena: the same one-time
@@ -276,13 +269,6 @@ pub fn static_cost(
                 ((2.0 * k as f64 + 1.0) / grams_in_query).max(0.05)
             };
             merge + cand * sel * verify
-        }
-        BackendChoice::BkTree => {
-            // Full-width distance per visited node; triangle-inequality
-            // pruning decays toward a linear visit as k grows vs. the
-            // string length.
-            let exponent = (0.7 + 0.3 * (2.0 * k as f64 + 1.0) / mean).min(1.0);
-            n.powf(exponent) * ((q + 1.0) * (mean + 1.0) + 4.0)
         }
     }
 }
@@ -744,6 +730,16 @@ mod tests {
 
     fn snapshot_of(records: &[&str]) -> StatsSnapshot {
         StatsSnapshot::compute(&Dataset::from_records(records.iter().copied()))
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        // `index()` is a cast of the discriminant, so the enum's
+        // declaration order and the table's order must be the same list.
+        assert_eq!(BackendChoice::ALL.len(), BackendChoice::COUNT);
+        for (i, choice) in BackendChoice::ALL.into_iter().enumerate() {
+            assert_eq!(choice.index(), i, "{}", choice.name());
+        }
     }
 
     #[test]

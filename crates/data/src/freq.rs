@@ -68,49 +68,6 @@ impl FreqVector {
         let len_diff = self.total().abs_diff(other.total());
         l1.div_ceil(2).max(len_diff)
     }
-
-    /// Component-wise maximum (used to aggregate subtree bounds in index
-    /// nodes).
-    pub fn component_max(&self, other: &Self) -> Self {
-        let mut counts = [0u32; TRACKED + 1];
-        for (c, (a, b)) in counts
-            .iter_mut()
-            .zip(self.counts.iter().zip(other.counts.iter()))
-        {
-            *c = (*a).max(*b);
-        }
-        Self { counts }
-    }
-
-    /// Component-wise minimum.
-    pub fn component_min(&self, other: &Self) -> Self {
-        let mut counts = [0u32; TRACKED + 1];
-        for (c, (a, b)) in counts
-            .iter_mut()
-            .zip(self.counts.iter().zip(other.counts.iter()))
-        {
-            *c = (*a).min(*b);
-        }
-        Self { counts }
-    }
-}
-
-/// Lower bound on the edit distance between a string with vector `q` and
-/// *any* string whose vector lies component-wise in `[lo, hi]`.
-///
-/// Each component contributes its distance from the interval; the sum is an
-/// L1 distance to the nearest point of the box, and halving it (rounded up)
-/// is sound by the same argument as [`FreqVector::ed_lower_bound`].
-pub fn box_lower_bound(q: &FreqVector, lo: &FreqVector, hi: &FreqVector) -> u32 {
-    let mut l1 = 0u32;
-    for ((&v, &lo), &hi) in q.counts.iter().zip(lo.counts.iter()).zip(hi.counts.iter()) {
-        if v < lo {
-            l1 += lo - v;
-        } else if v > hi {
-            l1 += v - hi;
-        }
-    }
-    l1.div_ceil(2)
 }
 
 #[cfg(test)]
@@ -152,35 +109,5 @@ mod tests {
         let a = FreqVector::compute(b"AA", &DNA_SYMBOLS);
         let b = FreqVector::compute(b"AAAAAA", &DNA_SYMBOLS);
         assert_eq!(a.ed_lower_bound(&b), 4);
-    }
-
-    #[test]
-    fn component_min_max() {
-        let a = FreqVector::compute(b"AACG", &DNA_SYMBOLS);
-        let b = FreqVector::compute(b"CGTT", &DNA_SYMBOLS);
-        let mx = a.component_max(&b);
-        let mn = a.component_min(&b);
-        assert_eq!(mx.counts, [2, 1, 1, 0, 2, 0]);
-        assert_eq!(mn.counts, [0, 1, 1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn box_bound_is_zero_inside_the_box() {
-        let a = FreqVector::compute(b"AACG", &DNA_SYMBOLS);
-        assert_eq!(box_lower_bound(&a, &a, &a), 0);
-        let lo = FreqVector::default();
-        let hi = FreqVector {
-            counts: [9; TRACKED + 1],
-        };
-        assert_eq!(box_lower_bound(&a, &lo, &hi), 0);
-    }
-
-    #[test]
-    fn box_bound_counts_distance_to_box() {
-        let q = FreqVector::compute(b"AAAA", &DNA_SYMBOLS); // A=4
-        let lo = FreqVector::compute(b"C", &DNA_SYMBOLS); // C=1
-        let hi = FreqVector::compute(b"CC", &DNA_SYMBOLS); // C=2
-        // A: 4 vs [0,0] -> 4; C: 0 vs [1,2] -> 1; total L1 ≥ 5 -> bound 3.
-        assert_eq!(box_lower_bound(&q, &lo, &hi), 3);
     }
 }

@@ -16,7 +16,7 @@
 //!   paper's threshold cycles;
 //! * [`io`] — competition-format file readers/writers;
 //! * [`freq`] — frequency vectors (paper §6 future work, used by the
-//!   filter crate and as trie annotations);
+//!   filter crate);
 //! * [`packed`] — 3-bit DNA dictionary compression (paper §6 future work);
 //! * [`sorted`] — lexicographically sorted arena view with an LCP array
 //!   (the V7 sorted-prefix scan's preprocessing) and the candidate

@@ -19,10 +19,7 @@
 //! | [`row_stack`] | resumable row-stack (LCP reuse, counting) | sorted-prefix scan (rung V7) |
 //! | [`myers_stack`] | resumable blocked bit-parallel (LCP reuse at word granularity) | bit-parallel sweep (rung V8) |
 //! | [`prefix_bound`] | length-interval bounds | trie pruning (§4.1, eqs. (9)/(10)) |
-//! | [`hamming`], [`damerau`] | alternative measures | PETER parity / typo modelling |
-//! | [`alignment`] | edit-script traceback | library feature |
 //! | [`counted`] | cost-counting kernel variants | diagnostics |
-//! | [`semi_global`] | substring (Sellers / Myers search) | read-mapping extension |
 //! | [`packed`] | banded DP over 3-bit DNA | paper §6 dictionary compression |
 //!
 //! [`BoundedKernel`] packages the three scan-grade bounded kernels behind
@@ -32,13 +29,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alignment;
 pub mod banded;
 pub mod counted;
-pub mod damerau;
 pub mod early_abort;
 pub mod full;
-pub mod hamming;
 pub mod incremental;
 pub mod matrix;
 pub mod myers;
@@ -47,10 +41,8 @@ pub mod myers_stack;
 pub mod packed;
 pub mod prefix_bound;
 pub mod row_stack;
-pub mod semi_global;
 pub mod two_row;
 
-pub use alignment::{apply_script, edit_script, EditStep};
 pub use banded::{ed_within_banded, ed_within_banded_with};
 pub use early_abort::{ed_within_early_abort, ed_within_early_abort_with};
 pub use full::{levenshtein, levenshtein_full_with, levenshtein_naive_alloc};
@@ -60,7 +52,6 @@ pub use myers::Myers64;
 pub use myers_block::{MyersAny, MyersBlock, PatternError};
 pub use myers_stack::MyersStackKernel;
 pub use row_stack::{RowStackKernel, RowStackMode};
-pub use semi_global::{substring_distance, substring_within, SubstringMatch};
 
 /// Selects which bounded-distance kernel a scan uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -59,11 +59,6 @@ impl Myers64 {
         self.m as usize
     }
 
-    /// Match mask of byte `c` (bit `i` set iff `pattern[i] == c`).
-    pub(crate) fn peq(&self, c: u8) -> u64 {
-        self.peq[c as usize]
-    }
-
     /// Computes `ed(pattern, text)` exactly.
     pub fn distance(&self, text: &[u8]) -> u32 {
         let mut pv = !0u64;

@@ -5,10 +5,8 @@
 use simsearch_data::generate::edits::apply_random_edits;
 use simsearch_distance::{
     banded::ed_within_banded,
-    damerau::damerau_osa,
     early_abort::ed_within_early_abort,
     full::{levenshtein, levenshtein_naive_alloc},
-    hamming::hamming,
     incremental::IncrementalDp,
     myers_block::{MyersAny, MyersBlock},
     myers_stack::MyersStackKernel,
@@ -610,36 +608,6 @@ fn max_length_is_upper_bound() {
 }
 
 #[test]
-fn hamming_upper_bounds_levenshtein() {
-    check(
-        "hamming_upper_bounds_levenshtein",
-        Config::default(),
-        &byte_string(),
-        |x| {
-            // Build an equal-length y by mutating x.
-            let y: Vec<u8> = x.iter().map(|&b| b.wrapping_add(1)).collect();
-            if let Some(h) = hamming(x, &y) {
-                prop_assert!(levenshtein(x, &y) <= h);
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn damerau_never_exceeds_levenshtein() {
-    check(
-        "damerau_never_exceeds_levenshtein",
-        Config::default(),
-        &gen::zip(small_string(), small_string()),
-        |(x, y)| {
-            prop_assert!(damerau_osa(x, y) <= levenshtein(x, y));
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn single_edit_distance_is_at_most_one() {
     check(
         "single_edit_distance_is_at_most_one",
@@ -654,75 +622,6 @@ fn single_edit_distance_is_at_most_one() {
                 y[p] = *b;
             }
             prop_assert!(levenshtein(x, &y) <= 1);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn edit_scripts_are_minimal_and_correct() {
-    check(
-        "edit_scripts_are_minimal_and_correct",
-        Config::default(),
-        &gen::zip(byte_string(), byte_string()),
-        |(x, y)| {
-            let (steps, d) = simsearch_distance::edit_script(x, y);
-            prop_assert_eq!(d, levenshtein(x, y));
-            let cost: u32 = steps.iter().map(simsearch_distance::EditStep::cost).sum();
-            prop_assert_eq!(cost, d);
-            prop_assert_eq!(&simsearch_distance::apply_script(x, &steps), y);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn substring_distance_never_exceeds_global() {
-    check(
-        "substring_distance_never_exceeds_global",
-        Config::default(),
-        &gen::zip(dna_string(), dna_string()),
-        |(x, y)| {
-            let sub = simsearch_distance::substring_distance(x, y).distance;
-            prop_assert!(sub <= levenshtein(x, y));
-            // And never exceeds the pattern length (aligning to the empty
-            // substring).
-            prop_assert!(sub <= x.len() as u32);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn substring_myers_agrees_with_dp() {
-    check(
-        "substring_myers_agrees_with_dp",
-        Config::default(),
-        &gen::zip(gen::dna_string(0..60), dna_string()),
-        |(x, y)| {
-            prop_assert_eq!(
-                simsearch_distance::semi_global::substring_distance_myers(x, y),
-                simsearch_distance::substring_distance(x, y)
-            );
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn planted_occurrence_is_found() {
-    check(
-        "planted_occurrence_is_found",
-        Config::default(),
-        &gen::zip3(gen::bytes_from(b"ACGT", 1..20), dna_string(), dna_string()),
-        |(needle, prefix, suffix)| {
-            let mut text = prefix.clone();
-            text.extend_from_slice(needle);
-            text.extend_from_slice(suffix);
-            prop_assert_eq!(
-                simsearch_distance::substring_distance(needle, &text).distance,
-                0
-            );
             Ok(())
         },
     );

@@ -11,8 +11,6 @@
 //! * [`frequency::FrequencyFilter`] — the paper's §6 frequency vectors;
 //! * [`qgram::QgramFilter`] — the classical q-gram count filter
 //!   (related-work technique, used by the q-gram index baseline);
-//! * [`positional::PositionalQgramFilter`] — the position-windowed
-//!   strengthening of the count filter;
 //! * [`chain::FilterChain`] — conjunctive composition.
 
 #![forbid(unsafe_code)]
@@ -21,13 +19,11 @@
 pub mod chain;
 pub mod frequency;
 pub mod length;
-pub mod positional;
 pub mod qgram;
 
 pub use chain::{FilterChain, PreparedChain};
 pub use frequency::FrequencyFilter;
 pub use length::LengthFilter;
-pub use positional::PositionalQgramFilter;
 pub use qgram::QgramFilter;
 
 use simsearch_data::RecordId;

@@ -104,56 +104,3 @@ fn full_chain_is_sound() {
         },
     );
 }
-
-#[test]
-fn positional_qgram_filter_is_sound() {
-    use simsearch_filters::positional::{collect_positional_profile, PositionalQgramFilter};
-    check(
-        "positional_qgram_filter_is_sound",
-        Config::default().seed(SEED),
-        &gen::zip4(corpus(), query(), gen::u32_in(0..6), gen::usize_in(1..5)),
-        |(words, query, k, q)| {
-            let ds = Dataset::from_records(words);
-            let f = PositionalQgramFilter::build(&ds, *q);
-            let mut profile = Vec::new();
-            collect_positional_profile(query, *q, &mut profile);
-            for (id, w) in words.iter().enumerate() {
-                if levenshtein(query, w) <= *k {
-                    prop_assert!(
-                        f.admits(&profile, query.len(), id as u32, *k),
-                        "q={q} query={query:?} w={w:?}"
-                    );
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn positional_never_admits_more_than_plain() {
-    use simsearch_filters::positional::{collect_positional_profile, PositionalQgramFilter};
-    use simsearch_filters::qgram::collect_profile;
-    check(
-        "positional_never_admits_more_than_plain",
-        Config::default().seed(SEED),
-        &gen::zip3(corpus(), query(), gen::u32_in(0..5)),
-        |(words, query, k)| {
-            let ds = Dataset::from_records(words);
-            let plain = QgramFilter::build(&ds, 2);
-            let pos = PositionalQgramFilter::build(&ds, 2);
-            let mut pp = Vec::new();
-            collect_profile(query, 2, &mut pp);
-            let mut qp = Vec::new();
-            collect_positional_profile(query, 2, &mut qp);
-            for id in 0..words.len() as u32 {
-                // Positional is a strict strengthening: whenever it admits,
-                // the plain filter admits too.
-                if pos.admits(&qp, query.len(), id, *k) {
-                    prop_assert!(plain.admits(&pp, query.len(), id, *k));
-                }
-            }
-            Ok(())
-        },
-    );
-}

@@ -8,21 +8,10 @@
 //! one labelled edge; branching happens only where the group splits.
 
 use super::node::{NodeId, RadixNode, RadixTrie, ROOT};
-use simsearch_data::freq::FreqVector;
 use simsearch_data::{Dataset, RecordId};
 
 /// Builds the compressed prefix tree for `dataset`.
 pub fn build(dataset: &Dataset) -> RadixTrie {
-    build_inner(dataset, None)
-}
-
-/// Builds the compressed prefix tree with per-node frequency-vector
-/// boxes for the given tracked symbol set (paper §6 future work).
-pub fn build_with_freq(dataset: &Dataset, tracked: [u8; 5]) -> RadixTrie {
-    build_inner(dataset, Some(tracked))
-}
-
-fn build_inner(dataset: &Dataset, tracked: Option<[u8; 5]>) -> RadixTrie {
     // Sort record ids by their bytes; groups become contiguous ranges.
     let mut order: Vec<RecordId> = (0..dataset.len() as u32).collect();
     order.sort_unstable_by(|&a, &b| dataset.get(a).cmp(dataset.get(b)));
@@ -38,23 +27,12 @@ fn build_inner(dataset: &Dataset, tracked: Option<[u8; 5]>) -> RadixTrie {
         }],
         labels: Vec::new(),
         record_count: dataset.len(),
-        freq_boxes: None,
-        freq_tracked: tracked,
     };
     if dataset.is_empty() {
         trie.nodes[0].min_len = 0;
-        if tracked.is_some() {
-            trie.freq_boxes = Some(vec![(FreqVector::default(), FreqVector::default())]);
-        }
         return trie;
     }
     fill_node(&mut trie, dataset, ROOT, &order, 0);
-    if let Some(tracked) = tracked {
-        let mut boxes =
-            vec![(FreqVector::default(), FreqVector::default()); trie.nodes.len()];
-        compute_freq_boxes(&trie, dataset, &tracked, ROOT, &mut boxes);
-        trie.freq_boxes = Some(boxes);
-    }
     trie
 }
 
@@ -122,31 +100,6 @@ fn fill_node(
         trie.nodes[node as usize].children.push((b, child));
         fill_node(trie, dataset, child, sub, lcp);
     }
-}
-
-fn compute_freq_boxes(
-    trie: &RadixTrie,
-    dataset: &Dataset,
-    tracked: &[u8; 5],
-    node: NodeId,
-    boxes: &mut Vec<(FreqVector, FreqVector)>,
-) {
-    let n = trie.node(node);
-    let mut lo: Option<FreqVector> = None;
-    let mut hi = FreqVector::default();
-    for &id in &n.records {
-        let v = FreqVector::compute(dataset.get(id), tracked);
-        lo = Some(lo.map_or(v, |l| l.component_min(&v)));
-        hi = hi.component_max(&v);
-    }
-    let children: Vec<NodeId> = n.children.iter().map(|&(_, c)| c).collect();
-    for c in children {
-        compute_freq_boxes(trie, dataset, tracked, c, boxes);
-        let (clo, chi) = boxes[c as usize];
-        lo = Some(lo.map_or(clo, |l| l.component_min(&clo)));
-        hi = hi.component_max(&chi);
-    }
-    boxes[node as usize] = (lo.unwrap_or_default(), hi);
 }
 
 #[cfg(test)]
@@ -224,19 +177,5 @@ mod tests {
         let radix = build(&ds);
         // root -> "ab" (terminal for 0) -> "cd" (terminal for 1).
         assert_eq!(radix.node_count(), 3);
-    }
-
-    #[test]
-    fn freq_boxes_bound_subtrees() {
-        let ds = Dataset::from_records(["AAAA", "AATT", "TTTT"]);
-        let radix = build_with_freq(&ds, *b"ACGNT");
-        assert!(radix.has_freq_annotations());
-        let boxes = radix.freq_boxes.as_ref().unwrap();
-        let (lo, hi) = &boxes[ROOT as usize];
-        // A-count ranges over 0..=4, T-count over 0..=4.
-        assert_eq!(lo.counts[0], 0);
-        assert_eq!(hi.counts[0], 4);
-        assert_eq!(lo.counts[4], 0);
-        assert_eq!(hi.counts[4], 4);
     }
 }

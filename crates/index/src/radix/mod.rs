@@ -5,5 +5,5 @@ mod builder;
 mod node;
 mod search;
 
-pub use builder::{build, build_with_freq};
+pub use builder::build;
 pub use node::{NodeId, RadixNode, RadixTrie, ROOT};

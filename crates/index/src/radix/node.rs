@@ -7,7 +7,6 @@
 //! collapse into one labelled edge (Figure 4: Berlin/Bern/Ulm shrinks
 //! from 11 nodes to 5).
 
-use simsearch_data::freq::FreqVector;
 use simsearch_data::RecordId;
 
 /// Index of a node within the radix arena.
@@ -73,12 +72,6 @@ pub struct RadixTrie {
     pub(crate) nodes: Vec<RadixNode>,
     pub(crate) labels: Vec<u8>,
     pub(crate) record_count: usize,
-    /// Optional per-node frequency-vector boxes `(component-min,
-    /// component-max)` over the subtree's records — the paper's §6
-    /// "frequency vectors" future work as an index annotation.
-    pub(crate) freq_boxes: Option<Vec<(FreqVector, FreqVector)>>,
-    /// The tracked symbol set for `freq_boxes`.
-    pub(crate) freq_tracked: Option<[u8; 5]>,
 }
 
 impl RadixTrie {
@@ -90,11 +83,6 @@ impl RadixTrie {
     /// Number of indexed records.
     pub fn record_count(&self) -> usize {
         self.record_count
-    }
-
-    /// Whether frequency-vector pruning is enabled.
-    pub fn has_freq_annotations(&self) -> bool {
-        self.freq_boxes.is_some()
     }
 
     /// Borrows a node.
@@ -120,9 +108,5 @@ impl RadixTrie {
                         + n.records.len() * std::mem::size_of::<RecordId>()
                 })
                 .sum::<usize>()
-            + self
-                .freq_boxes
-                .as_ref()
-                .map_or(0, |b| b.len() * std::mem::size_of::<(FreqVector, FreqVector)>())
     }
 }

@@ -11,7 +11,6 @@
 
 use super::node::{NodeId, RadixTrie, ROOT};
 use crate::trace::SearchTrace;
-use simsearch_data::freq::{box_lower_bound, FreqVector};
 use simsearch_data::{Match, MatchSet};
 use simsearch_distance::prefix_bound::{completion_tolerance, length_interval_bound};
 use simsearch_distance::IncrementalDp;
@@ -28,19 +27,9 @@ impl RadixTrie {
     /// [`RadixTrie::search`] with work counters.
     pub fn search_traced(&self, query: &[u8], k: u32) -> (MatchSet, SearchTrace) {
         let mut dp = IncrementalDp::new(query, k);
-        let query_freq = self
-            .freq_tracked
-            .map(|tracked| FreqVector::compute(query, &tracked));
         let mut out = Vec::new();
         let mut trace = SearchTrace::default();
-        self.descend(
-            ROOT,
-            query.len(),
-            query_freq.as_ref(),
-            &mut dp,
-            &mut out,
-            &mut trace,
-        );
+        self.descend(ROOT, query.len(), &mut dp, &mut out, &mut trace);
         (MatchSet::from_unsorted(out), trace)
     }
 
@@ -115,7 +104,6 @@ impl RadixTrie {
         &self,
         node: NodeId,
         qlen: usize,
-        query_freq: Option<&FreqVector>,
         dp: &mut IncrementalDp,
         out: &mut Vec<Match>,
         trace: &mut SearchTrace,
@@ -135,13 +123,6 @@ impl RadixTrie {
                 trace.subtrees_pruned += 1;
                 continue;
             }
-            if let (Some(qf), Some(boxes)) = (query_freq, self.freq_boxes.as_ref()) {
-                let (lo, hi) = &boxes[child as usize];
-                if box_lower_bound(qf, lo, hi) > dp.threshold() {
-                    trace.subtrees_pruned += 1;
-                    continue;
-                }
-            }
             let depth_before = dp.depth();
             let mut alive = true;
             for &b in self.label(c) {
@@ -153,7 +134,7 @@ impl RadixTrie {
                 }
             }
             if alive {
-                self.descend(child, qlen, query_freq, dp, out, trace);
+                self.descend(child, qlen, dp, out, trace);
             } else {
                 trace.subtrees_pruned += 1;
             }
@@ -165,7 +146,7 @@ impl RadixTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radix::{build, build_with_freq};
+    use crate::radix::build;
     use simsearch_data::Dataset;
     use simsearch_distance::levenshtein;
 
@@ -208,23 +189,6 @@ mod tests {
                 assert_eq!(
                     radix.search(q.as_bytes(), k),
                     trie.search(q.as_bytes(), k),
-                    "q={q} k={k}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn freq_annotated_search_is_identical() {
-        let words = ["AAAA", "AATT", "TTTT", "ACGT", "AAGT", "AC"];
-        let ds = Dataset::from_records(words);
-        let plain = build(&ds);
-        let annotated = build_with_freq(&ds, *b"ACGNT");
-        for q in ["AAAA", "TTTT", "ACG", "GG", ""] {
-            for k in 0..5 {
-                assert_eq!(
-                    annotated.search(q.as_bytes(), k),
-                    plain.search(q.as_bytes(), k),
                     "q={q} k={k}"
                 );
             }

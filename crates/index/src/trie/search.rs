@@ -57,45 +57,6 @@ impl Trie {
         (MatchSet::from_unsorted(out), trace)
     }
 
-    /// Returns every record at *Hamming* distance ≤ `k` from `query` —
-    /// the second measure PETER supports (paper §2.3). Only records of
-    /// the query's exact length qualify; the descent tracks the mismatch
-    /// budget and uses the stored min/max lengths to skip subtrees that
-    /// cannot contain a record of the right length.
-    pub fn search_hamming(&self, query: &[u8], k: u32) -> MatchSet {
-        let mut out = Vec::new();
-        self.descend_hamming(ROOT, query, k, 0, 0, &mut out);
-        MatchSet::from_unsorted(out)
-    }
-
-    fn descend_hamming(
-        &self,
-        node: NodeId,
-        query: &[u8],
-        k: u32,
-        depth: usize,
-        mismatches: u32,
-        out: &mut Vec<Match>,
-    ) {
-        let n = self.node(node);
-        if depth == query.len() {
-            // Records terminating here have exactly the query's length.
-            out.extend(n.records.iter().map(|&id| Match::new(id, mismatches)));
-            return;
-        }
-        for &(b, child) in &n.children {
-            let c = self.node(child);
-            if (c.min_len as usize) > query.len() || (c.max_len as usize) < query.len() {
-                continue;
-            }
-            let mm = mismatches + u32::from(b != query[depth]);
-            if mm > k {
-                continue;
-            }
-            self.descend_hamming(child, query, k, depth + 1, mm, out);
-        }
-    }
-
     fn descend(
         &self,
         node: NodeId,

@@ -19,15 +19,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod measure;
 pub mod scanner;
-pub mod substring;
 pub mod variant;
 
-pub use measure::{measure_scan, Measure};
 pub use scanner::{
     flat_search_where, v7_scan_view_range, v7_search_view, v8_scan_view_range, v8_search_view,
     SequentialScan,
 };
-pub use substring::{substring_scan, substring_scan_myers, SubstringHit};
 pub use variant::SeqVariant;

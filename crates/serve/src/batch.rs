@@ -25,7 +25,7 @@ use simsearch_parallel::SubmissionQueue;
 
 use crate::engine::ServedEngine;
 use crate::metrics::Metrics;
-use crate::protocol::{matches_response, JoinAlgo, Response, JOIN_CHUNK_PAIRS};
+use crate::protocol::{matches_response, Response, JOIN_CHUNK_PAIRS};
 
 /// Tuning for admission and the engine workers.
 #[derive(Debug, Clone)]
@@ -83,8 +83,6 @@ pub(crate) enum Work {
     Join {
         /// Join distance threshold.
         k: u32,
-        /// Which partition algorithm serves the join.
-        algo: JoinAlgo,
     },
 }
 
@@ -174,7 +172,7 @@ fn execute_one(
             Some(w) => (Response::Deleted { existed: w.delete(id) }, 0),
             None => (read_only(), 0),
         },
-        Work::Join { k, algo } => match engine.join(k, algo) {
+        Work::Join { k } => match engine.join(k) {
             Some((pairs, stats)) => {
                 metrics.joins.inc();
                 metrics.join_pairs_emitted.add(stats.pairs_emitted);
@@ -309,10 +307,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         // k=2 catches Berlin~Bern and Bern~Bonn in the harness corpus.
         let p = Pending {
-            work: Work::Join {
-                k: 2,
-                algo: JoinAlgo::Pass,
-            },
+            work: Work::Join { k: 2 },
             text: Vec::new(),
             admitted: Instant::now(),
             reply: tx,
@@ -335,10 +330,7 @@ mod tests {
         // An empty result is the header alone.
         let (tx, rx) = mpsc::channel();
         let p = Pending {
-            work: Work::Join {
-                k: 0,
-                algo: JoinAlgo::MinJoin,
-            },
+            work: Work::Join { k: 0 },
             text: Vec::new(),
             admitted: Instant::now(),
             reply: tx,

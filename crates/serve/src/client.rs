@@ -8,9 +8,7 @@ use std::time::{Duration, Instant};
 use simsearch_core::JoinPair;
 use simsearch_data::Match;
 
-use crate::protocol::{
-    encode_request, parse_response, JoinAlgo, Request, Response, MAX_LINE_BYTES,
-};
+use crate::protocol::{encode_request, parse_response, Request, Response, MAX_LINE_BYTES};
 
 /// A connected `simsearchd` client.
 pub struct Client {
@@ -110,11 +108,11 @@ impl Client {
         }
     }
 
-    /// `JOIN <k> <algo>`, unwrapped to the full pair list: reads the
+    /// `JOIN <k>`, unwrapped to the full pair list: reads the
     /// `OK join <total>` header, then drains `OK pairs` chunk frames
     /// until `total` pairs have arrived.
-    pub fn join(&mut self, k: u32, algo: JoinAlgo) -> std::io::Result<Vec<JoinPair>> {
-        let total = match self.request(&Request::Join { k, algo })? {
+    pub fn join(&mut self, k: u32) -> std::io::Result<Vec<JoinPair>> {
+        let total = match self.request(&Request::Join { k })? {
             Response::JoinHeader { total } => total,
             other => return Err(bad_data(format!("expected join header, got {other:?}"))),
         };

@@ -10,10 +10,9 @@
 //! exactly one engine and never asks what kind it is.
 
 use crate::metrics::Metrics;
-use crate::protocol::JoinAlgo;
 use simsearch_core::{
-    build_backend_with, min_join_with_stats, pass_join_with_stats, Backend, EngineKind, JoinPair,
-    JoinStats, LiveStats, MinJoinConfig, MutableBackend, Probe, Strategy,
+    build_backend_with, pass_join_with_stats, Backend, EngineKind, JoinPair, JoinStats, LiveStats,
+    MutableBackend, Probe, Strategy,
 };
 use simsearch_data::{Dataset, Match, MatchSet};
 
@@ -64,19 +63,11 @@ impl<'a> ServedEngine<'a> {
     /// sequentially — like the search kernels, a served join draws its
     /// concurrency from the engine workers rather than nesting a pool
     /// per request.
-    pub fn join(&self, k: u32, algo: JoinAlgo) -> Option<(Vec<JoinPair>, JoinStats)> {
+    pub fn join(&self, k: u32) -> Option<(Vec<JoinPair>, JoinStats)> {
         if self.writer().is_some() {
             return None;
         }
-        Some(match algo {
-            JoinAlgo::Pass => pass_join_with_stats(self.dataset, k, Strategy::Sequential),
-            JoinAlgo::MinJoin => min_join_with_stats(
-                self.dataset,
-                k,
-                Strategy::Sequential,
-                MinJoinConfig::default(),
-            ),
-        })
+        Some(pass_join_with_stats(self.dataset, k, Strategy::Sequential))
     }
 
     /// Engine label for `STATS`.
@@ -377,13 +368,11 @@ mod tests {
         let ds = dataset();
         let frozen = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
         let reference = simsearch_core::join::nested_loop_join(&ds, 2);
-        for algo in [JoinAlgo::Pass, JoinAlgo::MinJoin] {
-            let (pairs, stats) = frozen.join(2, algo).expect("frozen engines join");
-            assert_eq!(pairs, reference, "{algo:?}");
-            assert_eq!(stats.pairs_emitted, pairs.len() as u64);
-        }
+        let (pairs, stats) = frozen.join(2).expect("frozen engines join");
+        assert_eq!(pairs, reference);
+        assert_eq!(stats.pairs_emitted, pairs.len() as u64);
         let live = ServedEngine::build(&ds, EngineKind::Live { memtable_cap: 4 });
-        assert!(live.join(1, JoinAlgo::Pass).is_none());
+        assert!(live.join(1).is_none());
     }
 
     #[test]
@@ -430,7 +419,7 @@ mod tests {
             },
         );
         let writer = engine.writer().expect("sharded-live engines accept writes");
-        assert!(engine.join(1, JoinAlgo::Pass).is_none(), "live refuses JOIN");
+        assert!(engine.join(1).is_none(), "live refuses JOIN");
         // Seeded reads agree with the reference engine.
         let reference = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
         for q in ["Berlin", "Urm", ""] {

@@ -47,7 +47,6 @@ pub mod server;
 pub use batch::BatchConfig;
 pub use client::Client;
 pub use metrics::Metrics;
-pub use protocol::JoinAlgo;
 pub use server::{spawn, ServerConfig, ServerHandle};
 
 /// Schema tag of the `STATS` JSON document — deliberately the testkit

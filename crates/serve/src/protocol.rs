@@ -6,14 +6,13 @@
 //! ```text
 //! request  = "QUERY" SP integer SP text      ; all records within k
 //!          / "TOPK"  SP integer SP text      ; the count nearest records
-//!          / "JOIN" SP integer [SP algo]     ; self-join, stream all pairs
+//!          / "JOIN" SP integer [SP "pass"]   ; self-join, stream all pairs
 //!          / "INSERT" SP text                ; append a record (live mode)
 //!          / "DELETE" SP integer             ; tombstone a record (live mode)
 //!          / "STATS"                         ; metrics snapshot (JSON)
 //!          / "HEALTH"                        ; liveness probe
 //!          / "SHUTDOWN"                      ; drain and exit
 //! text     = *OCTET                          ; no LF, no CR
-//! algo     = "pass" / "minjoin"              ; default "pass"
 //!
 //! response = "OK" SP payload
 //!          / "BUSY"                          ; admission queue full
@@ -58,36 +57,6 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// under [`MAX_LINE_BYTES`].
 pub const JOIN_CHUNK_PAIRS: usize = 1_000;
 
-/// Which partition join serves a `JOIN` request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinAlgo {
-    /// Exact PASS-JOIN over the even-partition segment index (the
-    /// default).
-    #[default]
-    Pass,
-    /// MinJoin: content-defined partitions for long records, exact
-    /// length-window fallback for short ones.
-    MinJoin,
-}
-
-impl JoinAlgo {
-    /// The wire token (`JOIN <k> <token>`).
-    pub fn token(self) -> &'static str {
-        match self {
-            JoinAlgo::Pass => "pass",
-            JoinAlgo::MinJoin => "minjoin",
-        }
-    }
-
-    fn parse(token: &[u8]) -> Option<Self> {
-        match token {
-            b"pass" => Some(JoinAlgo::Pass),
-            b"minjoin" => Some(JoinAlgo::MinJoin),
-            _ => None,
-        }
-    }
-}
-
 /// A client→server frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -105,13 +74,11 @@ pub enum Request {
         /// Query string.
         text: Vec<u8>,
     },
-    /// `JOIN <k> [algo]`: every record pair within edit distance `k`,
-    /// streamed as a header frame plus pair chunks.
+    /// `JOIN <k> [pass]`: every record pair within edit distance `k`
+    /// (PASS-JOIN), streamed as a header frame plus pair chunks.
     Join {
         /// Join distance threshold.
         k: u32,
-        /// Partition algorithm serving the join.
-        algo: JoinAlgo,
     },
     /// `INSERT <text>`: append a record to a live engine; the reply
     /// carries the assigned global id.
@@ -208,7 +175,7 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "{verb} requires '{expected}'")
             }
             ProtocolError::UnknownAlgo(a) => {
-                write!(f, "unknown join algorithm '{a}' (expected pass or minjoin)")
+                write!(f, "unknown join algorithm '{a}' (expected pass)")
             }
             ProtocolError::BadByte => write!(f, "frame contains CR/LF"),
         }
@@ -274,22 +241,24 @@ pub fn parse_request(line: &[u8]) -> Result<Request, ProtocolError> {
     }
     if let Some(rest) = line.strip_prefix(b"JOIN ") {
         // `JOIN <k>` is self-delimiting (unlike QUERY, whose text may
-        // be empty), so the algo token is genuinely optional.
-        let (num, algo) = match rest.iter().position(|&b| b == b' ') {
+        // be empty), so the algorithm token is genuinely optional.
+        let num = match rest.iter().position(|&b| b == b' ') {
             Some(sep) => {
-                let (num, token) = rest.split_at(sep);
-                let algo = JoinAlgo::parse(&token[1..]).ok_or_else(|| {
-                    ProtocolError::UnknownAlgo(String::from_utf8_lossy(&token[1..]).into_owned())
-                })?;
-                (num, algo)
+                let algo = &rest[sep + 1..];
+                if algo != b"pass" {
+                    return Err(ProtocolError::UnknownAlgo(
+                        String::from_utf8_lossy(algo).into_owned(),
+                    ));
+                }
+                &rest[..sep]
             }
-            None => (rest, JoinAlgo::default()),
+            None => rest,
         };
         let k = std::str::from_utf8(num)
             .ok()
             .and_then(|s| s.parse::<u32>().ok())
             .ok_or_else(|| ProtocolError::BadInteger(String::from_utf8_lossy(num).into_owned()))?;
-        return Ok(Request::Join { k, algo });
+        return Ok(Request::Join { k });
     }
     if let Some(text) = line.strip_prefix(b"INSERT ") {
         // The whole remainder is the record — it may be empty and may
@@ -310,7 +279,7 @@ pub fn parse_request(line: &[u8]) -> Result<Request, ProtocolError> {
     match line {
         b"INSERT" => return Err(ProtocolError::MissingArg("INSERT", "<text>")),
         b"DELETE" => return Err(ProtocolError::MissingArg("DELETE", "<id>")),
-        b"JOIN" => return Err(ProtocolError::MissingArg("JOIN", "<k> [pass|minjoin]")),
+        b"JOIN" => return Err(ProtocolError::MissingArg("JOIN", "<k> [pass]")),
         _ => {}
     }
     let verb = line.split(|&b| b == b' ').next().unwrap_or(line);
@@ -346,7 +315,7 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             out.extend_from_slice(text);
             out
         }
-        Request::Join { k, algo } => format!("JOIN {k} {}", algo.token()).into_bytes(),
+        Request::Join { k } => format!("JOIN {k}").into_bytes(),
         Request::Delete { id } => format!("DELETE {id}").into_bytes(),
         Request::Stats => b"STATS".to_vec(),
         Request::Health => b"HEALTH".to_vec(),
@@ -549,14 +518,8 @@ mod tests {
             Request::Insert { text: Vec::new() }, // empty record is legal
             Request::Delete { id: 0 },
             Request::Delete { id: u32::MAX },
-            Request::Join {
-                k: 1,
-                algo: JoinAlgo::Pass,
-            },
-            Request::Join {
-                k: u32::MAX,
-                algo: JoinAlgo::MinJoin,
-            },
+            Request::Join { k: 1 },
+            Request::Join { k: u32::MAX },
             Request::Stats,
             Request::Health,
             Request::Shutdown,
@@ -661,23 +624,20 @@ mod tests {
 
     #[test]
     fn join_requests_parse_with_and_without_algo() {
-        assert_eq!(
-            parse_request(b"JOIN 2"),
-            Ok(Request::Join {
-                k: 2,
-                algo: JoinAlgo::Pass,
-            })
-        );
-        assert_eq!(
-            parse_request(b"JOIN 0 minjoin"),
-            Ok(Request::Join {
-                k: 0,
-                algo: JoinAlgo::MinJoin,
-            })
-        );
-        let err = parse_request(b"JOIN 1 quantum").unwrap_err();
-        assert_eq!(err, ProtocolError::UnknownAlgo("quantum".into()));
-        assert!(err.to_string().contains("minjoin"));
+        // `JOIN <k> pass` is the one kept spelling of the algorithm
+        // token: both forms are the same request.
+        let join = Request::Join { k: 1 };
+        assert_eq!(parse_request(b"JOIN 1"), Ok(join.clone()));
+        assert_eq!(parse_request(b"JOIN 1 pass"), Ok(join.clone()));
+        assert_eq!(parse_request(&encode_request(&join)), Ok(join));
+        for other in ["minjoin", "quantum"] {
+            let err = parse_request(format!("JOIN 1 {other}").as_bytes()).unwrap_err();
+            assert_eq!(err, ProtocolError::UnknownAlgo(other.into()));
+            assert_eq!(
+                err.to_string(),
+                format!("unknown join algorithm '{other}' (expected pass)")
+            );
+        }
     }
 
     #[test]
@@ -706,7 +666,7 @@ mod tests {
         let err = parse_request(b"NOPE").unwrap_err();
         assert!(err.to_string().contains("JOIN"));
         let err = parse_request(b"JOIN").unwrap_err();
-        assert_eq!(err, ProtocolError::MissingArg("JOIN", "<k> [pass|minjoin]"));
+        assert_eq!(err, ProtocolError::MissingArg("JOIN", "<k> [pass]"));
     }
 
     #[test]

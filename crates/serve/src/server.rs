@@ -433,8 +433,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Ok(Request::Delete { id }) => {
                 serve(shared, Work::Delete { id }, Vec::new(), &mut writer)
             }
-            Ok(Request::Join { k, algo }) => {
-                serve(shared, Work::Join { k, algo }, Vec::new(), &mut writer)
+            Ok(Request::Join { k }) => {
+                serve(shared, Work::Join { k }, Vec::new(), &mut writer)
             }
         };
         if written.is_err() {

@@ -455,20 +455,14 @@ fn sharded_queries_stay_byte_identical_under_cross_shard_churn() {
 
 #[test]
 fn join_requests_round_trip() {
-    // JOIN carries any u32 threshold and one of the two algorithm
-    // tokens; encode→parse must be the identity, like every verb.
-    let cases = gen::zip(gen::u32_in(0..u32::MAX), gen::u32_in(0..2));
+    // JOIN carries any u32 threshold; encode→parse must be the
+    // identity, like every verb.
     check(
         "join_requests_round_trip",
         Config::default(),
-        &cases,
-        |(k, which): &(u32, u32)| -> TestResult {
-            let algo = if *which == 0 {
-                simsearch_serve::JoinAlgo::Pass
-            } else {
-                simsearch_serve::JoinAlgo::MinJoin
-            };
-            let request = Request::Join { k: *k, algo };
+        &gen::u32_in(0..u32::MAX),
+        |k: &u32| -> TestResult {
+            let request = Request::Join { k: *k };
             prop_assert_eq!(parse_request(&encode_request(&request)), Ok(request));
             Ok(())
         },
@@ -519,6 +513,7 @@ fn malformed_join_frames_get_err_replies() {
         b"JOIN -1",            // signs are not part of the grammar
         b"JOIN 99999999999999999999", // u32 overflow
         b"JOIN 1 quantum",     // unknown algorithm
+        b"JOIN 1 minjoin",     // retired algorithm: unknown like any other
         b"JOIN 1 PASS",        // algorithm tokens are case-sensitive
         b"JOIN 1 pass extra",  // trailing junk after the algorithm
         b"join 1",             // verbs are case-sensitive
@@ -534,7 +529,7 @@ fn malformed_join_frames_get_err_replies() {
     }
     // The connection survived all of it: a real join streams, and both
     // spellings (defaulted and explicit algorithm) agree.
-    let pairs = client.join(2, simsearch_serve::JoinAlgo::Pass).expect("join");
+    let pairs = client.join(2).expect("join");
     assert!(!pairs.is_empty(), "Bern/Bonn/Born are within distance 2");
     let frames = drain_join_stream(&mut client, b"JOIN 2");
     assert!(frames[0].starts_with(b"OK join "), "defaulted algo streams too");
@@ -600,7 +595,7 @@ fn join_streams_stay_byte_identical_under_concurrent_joins() {
             )
             .expect("rival client");
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let pairs = c.join(2, simsearch_serve::JoinAlgo::MinJoin).expect("rival join");
+                let pairs = c.join(2).expect("rival join");
                 assert!(!pairs.is_empty());
             }
         })

@@ -180,26 +180,19 @@ pub fn assert_all_kernels_agree(query: &[u8], candidate: &[u8], k: u32) -> TestR
 }
 
 /// The engine lineup [`assert_scan_index_equal`] cross-validates: the
-/// remaining scan rung plus one engine from every index family, paper
-/// and modern pruning both represented.
+/// base scan rung, both sorted-arena sweeps (V8 is the arm that serves
+/// every class on both served workloads) and one engine from every
+/// index family, paper and modern pruning both represented.
 fn challenger_kinds() -> Vec<EngineKind> {
     vec![
         EngineKind::Scan(SeqVariant::V1Base),
         EngineKind::Scan(SeqVariant::V7SortedPrefix),
+        EngineKind::Scan(SeqVariant::V8BitParallel),
         EngineKind::Index(IdxVariant::I1BaseTrie),
         EngineKind::Index(IdxVariant::I2Compressed),
         EngineKind::IndexModern(IdxVariant::I2Compressed),
         EngineKind::Qgram {
             q: 2,
-            strategy: Strategy::Sequential,
-        },
-        EngineKind::Buckets {
-            strategy: Strategy::Sequential,
-        },
-        EngineKind::Suffix {
-            strategy: Strategy::Sequential,
-        },
-        EngineKind::Bk {
             strategy: Strategy::Sequential,
         },
     ]
@@ -210,9 +203,8 @@ fn challenger_kinds() -> Vec<EngineKind> {
 ///
 /// The reference is the paper's final scan rung
 /// ([`SeqVariant::V4Flat`]); challenged against it are the base scan,
-/// the V7 sorted-prefix scan, both trie rungs (paper and modern
-/// pruning), the q-gram index, length buckets, the suffix-array engine,
-/// and the BK-tree.
+/// the V7 sorted-prefix scan, the V8 bit-parallel sweep, both trie
+/// rungs (paper and modern pruning) and the q-gram index.
 pub fn assert_scan_index_equal(dataset: &Dataset, workload: &Workload) -> TestResult {
     let reference = SearchEngine::build(dataset, EngineKind::Scan(SeqVariant::V4Flat));
     let challengers: Vec<_> = challenger_kinds()

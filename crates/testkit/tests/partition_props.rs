@@ -1,13 +1,12 @@
-//! Property tests for the partition schemes behind the similarity join
-//! (`simsearch_core::passjoin`): PASS-JOIN's even k+1 split and
-//! MinJoin's local-hash-minima segmentation.
+//! Property tests for the partition scheme behind the similarity join
+//! (`simsearch_core::passjoin`) and the sorted view's segment postings:
+//! PASS-JOIN's even k+1 split.
 //!
-//! The partitioners' contract is purely structural — segments tile the
-//! string — plus the shape each filter stack relies on: even splits
-//! differ in length by at most one, and MinJoin partitions are a
-//! deterministic function of `(bytes, q, w, seed)`.
+//! The partitioner's contract is purely structural — segments tile the
+//! string — plus the shape the filter stack relies on: even splits
+//! differ in length by at most one.
 
-use simsearch_core::{even_partitions, min_join_partitions, MinJoinConfig};
+use simsearch_core::even_partitions;
 use simsearch_testkit::{check, gen, prop_assert, prop_assert_eq, Config};
 
 /// Segments must tile `[0, len)`: contiguous, in order, covering.
@@ -49,71 +48,6 @@ fn even_partitions_split_into_k_plus_one_near_equal_parts() {
                     "floor-sized segments precede ceil-sized ones"
                 );
             }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn min_join_partitions_tile_and_are_seed_deterministic() {
-    let record_and_shape = gen::zip3(
-        gen::bytes_from(b"ACGTab", 0..120),
-        gen::usize_in(1..5),  // q
-        gen::usize_in(1..10), // w
-    );
-    check(
-        "min_join_partitions_shape",
-        Config::cases(512).seed(0x9A55_0002),
-        &record_and_shape,
-        |(record, q, w)| {
-            let cfg = MinJoinConfig {
-                q: *q,
-                w: *w,
-                ..MinJoinConfig::default()
-            };
-            let parts = min_join_partitions(record, cfg);
-            prop_assert!(!parts.is_empty(), "at least one segment, always");
-            assert_tiles(&parts, record.len())?;
-            // Deterministic under a fixed seed: same inputs, same split.
-            prop_assert_eq!(
-                min_join_partitions(record, cfg),
-                parts,
-                "partitioning is a pure function of (bytes, q, w, seed)"
-            );
-            // Anchors are strict local minima over a ±w window, so
-            // consecutive anchors sit more than w apart. The first
-            // boundary is the start of the string, not an anchor: the
-            // first anchor merely respects the window margin (p ≥ w).
-            if parts.len() > 1 {
-                prop_assert!(
-                    parts[1].0 >= *w,
-                    "first anchor {} inside the leading margin w={w}",
-                    parts[1].0
-                );
-            }
-            for pair in parts[1..].windows(2) {
-                prop_assert!(
-                    pair[1].0 - pair[0].0 > *w,
-                    "consecutive anchors {} and {} within the window w={w}",
-                    pair[0].0,
-                    pair[1].0
-                );
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn min_join_partitions_respect_the_default_config_too() {
-    check(
-        "min_join_default_config",
-        Config::cases(256).seed(0x9A55_0003),
-        &gen::city_string(0..80),
-        |record| {
-            let parts = min_join_partitions(record, MinJoinConfig::default());
-            prop_assert!(!parts.is_empty());
-            assert_tiles(&parts, record.len())?;
             Ok(())
         },
     );

@@ -58,21 +58,4 @@ fn main() {
         "index needs {:.0}% of the scan's time (paper Figure 7 verdict: index wins on DNA)",
         100.0 * idx_time.as_secs_f64() / scan_time.as_secs_f64()
     );
-
-    // Read mapping: find the reads *containing* a 40-base probe with up
-    // to 2 errors (semi-global / substring search).
-    let probe: Vec<u8> = preset.dataset.get(7)[20..60].to_vec();
-    let (hits, t) = time(|| simsearch::scan::substring_scan_myers(&preset.dataset, &probe, 2));
-    println!(
-        "\nread mapping: 40-base probe with ≤2 errors is contained in {} of {} reads ({:.1} ms)",
-        hits.len(),
-        preset.dataset.len(),
-        t.as_secs_f64() * 1e3
-    );
-    for h in hits.iter().take(4) {
-        println!(
-            "  read #{:<5} distance {} ending at offset {}",
-            h.id, h.best.distance, h.best.end
-        );
-    }
 }

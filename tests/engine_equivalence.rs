@@ -22,9 +22,6 @@ fn all_engine_kinds() -> Vec<EngineKind> {
         kinds.push(EngineKind::Index(v));
         kinds.push(EngineKind::IndexModern(v));
     }
-    kinds.push(EngineKind::RadixFreq {
-        strategy: Strategy::Sequential,
-    });
     kinds.push(EngineKind::Qgram {
         q: 2,
         strategy: Strategy::Sequential,
@@ -32,15 +29,6 @@ fn all_engine_kinds() -> Vec<EngineKind> {
     kinds.push(EngineKind::Qgram {
         q: 3,
         strategy: Strategy::Adaptive { max_threads: 2 },
-    });
-    kinds.push(EngineKind::Buckets {
-        strategy: Strategy::FixedPool { threads: 2 },
-    });
-    kinds.push(EngineKind::Suffix {
-        strategy: Strategy::Sequential,
-    });
-    kinds.push(EngineKind::Bk {
-        strategy: Strategy::Sequential,
     });
     kinds
 }

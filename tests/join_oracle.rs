@@ -1,5 +1,5 @@
-//! The partition-join oracle gate: PASS-JOIN and MinJoin return the
-//! nested-loop join's pair list everywhere they can be reached.
+//! The partition-join oracle gate: PASS-JOIN returns the nested-loop
+//! join's pair list everywhere it can be reached.
 //!
 //! Three layers:
 //!
@@ -12,9 +12,7 @@
 //!    all-identical corpus, and k at or beyond the longest record.
 
 use simsearch_core::join::nested_loop_join;
-use simsearch_core::{
-    min_join, parallel_min_join, parallel_pass_join, pass_join, Strategy,
-};
+use simsearch_core::{parallel_pass_join, pass_join, Strategy};
 use simsearch_data::{CityGenerator, Dataset, DnaGenerator};
 use simsearch_testkit::{check, gen, prop_assert_eq, Config, Gen};
 
@@ -55,13 +53,8 @@ fn partition_joins_match_nested_loop_on_random_corpora() {
                 let ds = Dataset::from_records(words);
                 let reference = nested_loop_join(&ds, *k);
                 prop_assert_eq!(pass_join(&ds, *k), reference.clone());
-                prop_assert_eq!(min_join(&ds, *k), reference.clone());
                 prop_assert_eq!(
                     parallel_pass_join(&ds, *k, Strategy::WorkQueue { threads: 3 }),
-                    reference.clone()
-                );
-                prop_assert_eq!(
-                    parallel_min_join(&ds, *k, Strategy::WorkQueue { threads: 3 }),
                     reference
                 );
                 Ok(())
@@ -80,12 +73,6 @@ fn partition_joins_match_nested_loop_under_every_executor() {
                     parallel_pass_join(&dataset, k, strategy),
                     reference,
                     "{name} PASS-JOIN k={k} under {}",
-                    strategy.name()
-                );
-                assert_eq!(
-                    parallel_min_join(&dataset, k, strategy),
-                    reference,
-                    "{name} MinJoin k={k} under {}",
                     strategy.name()
                 );
             }
@@ -110,7 +97,6 @@ fn degenerate_inputs_match_the_oracle() {
         for k in [0, 1, 9] {
             let reference = nested_loop_join(ds, k);
             assert_eq!(pass_join(ds, k), reference, "{name} PASS-JOIN k={k}");
-            assert_eq!(min_join(ds, k), reference, "{name} MinJoin k={k}");
         }
     }
     assert_eq!(

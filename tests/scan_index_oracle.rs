@@ -4,8 +4,7 @@
 //! Two layers:
 //!
 //! 1. **Structure level** — every index structure (trie, radix trie,
-//!    frequency-annotated radix, q-gram index, length buckets, suffix
-//!    array, BK-tree) returns exactly the brute-force result set on
+//!    q-gram index) returns exactly the brute-force result set on
 //!    random corpora, in both paper and modern pruning modes.
 //! 2. **Workload level** — on generated city and DNA datasets, the best
 //!    sequential scan and every index engine return identical match sets
@@ -16,7 +15,7 @@ use simsearch_data::{
     Alphabet, CityGenerator, Dataset, DnaGenerator, Match, MatchSet, WorkloadSpec,
 };
 use simsearch_distance::levenshtein;
-use simsearch_index::{qgram::SearchScratch, LengthBuckets, QgramIndex, RadixTrie, Trie};
+use simsearch_index::{qgram::SearchScratch, QgramIndex, RadixTrie, Trie};
 use simsearch_testkit::{
     assert_scan_index_equal, check, gen, prop_assert, prop_assert_eq, Config, Gen,
 };
@@ -78,21 +77,6 @@ fn radix_equals_brute_force() {
 }
 
 #[test]
-fn radix_with_freq_equals_brute_force() {
-    check(
-        "radix_with_freq_equals_brute_force",
-        Config::default().seed(SEED),
-        &scenario(),
-        |(words, q, k)| {
-            let ds = Dataset::from_records(words);
-            let radix = simsearch_index::radix::build_with_freq(&ds, *b"ABabc");
-            prop_assert_eq!(radix.search(q, *k), brute_force(&ds, q, *k));
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn qgram_equals_brute_force() {
     check(
         "qgram_equals_brute_force",
@@ -106,51 +90,6 @@ fn qgram_equals_brute_force() {
                 idx.search_with(&ds, q, *k, &mut scratch),
                 brute_force(&ds, q, *k)
             );
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn length_buckets_equal_brute_force() {
-    check(
-        "length_buckets_equal_brute_force",
-        Config::default().seed(SEED),
-        &scenario(),
-        |(words, q, k)| {
-            let ds = Dataset::from_records(words);
-            let buckets = LengthBuckets::build(&ds);
-            prop_assert_eq!(buckets.search(&ds, q, *k), brute_force(&ds, q, *k));
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn suffix_index_equals_brute_force() {
-    check(
-        "suffix_index_equals_brute_force",
-        Config::default().seed(SEED),
-        &scenario(),
-        |(words, q, k)| {
-            let ds = Dataset::from_records(words);
-            let idx = simsearch_index::SuffixIndex::build(&ds);
-            prop_assert_eq!(idx.search(&ds, q, *k), brute_force(&ds, q, *k));
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn bktree_equals_brute_force() {
-    check(
-        "bktree_equals_brute_force",
-        Config::default().seed(SEED),
-        &scenario(),
-        |(words, q, k)| {
-            let ds = Dataset::from_records(words);
-            let tree = simsearch_index::BkTree::build(&ds);
-            prop_assert_eq!(tree.search(&ds, q, *k), brute_force(&ds, q, *k));
             Ok(())
         },
     );
@@ -217,26 +156,6 @@ fn paper_and_modern_modes_agree() {
             prop_assert_eq!(radix.search_paper(q, *k), radix.search(q, *k));
             let trie = simsearch_index::trie::build(&ds);
             prop_assert_eq!(trie.search_paper(q, *k), trie.search(q, *k));
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn trie_hamming_equals_brute_force() {
-    use simsearch_distance::hamming::hamming_within;
-    check(
-        "trie_hamming_equals_brute_force",
-        Config::default().seed(SEED),
-        &scenario(),
-        |(words, q, k)| {
-            let ds = Dataset::from_records(words);
-            let trie = simsearch_index::trie::build(&ds);
-            let expected: MatchSet = ds
-                .iter()
-                .filter_map(|(id, r)| hamming_within(q, r, *k).map(|d| Match::new(id, d)))
-                .collect();
-            prop_assert_eq!(trie.search_hamming(q, *k), expected);
             Ok(())
         },
     );
