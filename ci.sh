@@ -154,6 +154,15 @@ echo "$join_out" | grep -q '^OK join [1-9]'
 echo "$join_out" | grep -q '^OK pairs '
 "$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS' \
     | grep -q '"join_pairs_emitted": [1-9]'
+# No idle tier: a daemon that has answered its clients is main,
+# `simsearchd` and the replan tick — connection handlers exist only
+# while their connection does (slack of one for a client mid-disconnect)
+# — nobody is left waiting for a permit, and `batches` is exactly the
+# two requests that ran on the engine (the QUERY and the JOIN).
+[ "$(ls /proc/$serve_pid/task | wc -l)" -le 4 ]
+stats=$("$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS')
+echo "$stats" | grep -q '"queue_depth": 0,'
+echo "$stats" | grep -q '"batches": 2,'
 drain_daemon
 
 # Auto-backend serve smoke: a planner-driven daemon must route queries,

@@ -61,7 +61,8 @@ pub struct ServeArgs {
     /// Engine selector (default: scan-sorted, the V7 kernel — it also
     /// feeds the `dp_cells` counter in `STATS`).
     pub engine: EngineChoice,
-    /// Engine worker threads popping the admission queue.
+    /// Execution permits: how many requests run on the engine at once
+    /// (each on the connection handler that read it).
     pub threads: usize,
     /// Port on loopback; 0 (the default) binds an ephemeral port, and
     /// the server prints the actually-bound one on startup.
@@ -69,7 +70,10 @@ pub struct ServeArgs {
     /// When set, the actually-bound port is also written to this file
     /// (so scripts can find an ephemeral port without parsing stdout).
     pub port_file: Option<PathBuf>,
-    /// Admission-queue capacity (full queue answers `BUSY`).
+    /// How many connection handlers may wait for a permit before the
+    /// next is answered `BUSY`. The daemon runs 16 handlers with one
+    /// request in flight each, so at most `16 − threads` ever wait: a
+    /// larger value (the default 1024 included) never binds.
     pub queue_capacity: usize,
     /// Per-request deadline, milliseconds (exceeded ⇒ `TIMEOUT`).
     pub deadline_ms: u64,
@@ -256,7 +260,7 @@ impl EngineChoice {
 
     /// The unsharded engine for this selector. `threads > 1` selects
     /// the pooled rung or executor; the daemon passes 1 — its
-    /// concurrency comes from the engine workers, so every choice maps
+    /// concurrency comes from its connection handlers, so every choice maps
     /// to a single-threaded kernel (and it calibrates `auto` itself,
     /// with its default probe).
     pub fn engine_kind(self, threads: usize) -> EngineKind {
@@ -327,6 +331,14 @@ The serve daemon speaks a line protocol on loopback TCP:
   | INSERT <text> | DELETE <id> | STATS | HEALTH | SHUTDOWN
 With --port 0 (the default) it binds an ephemeral port and prints the
 actually-bound address on stdout before accepting connections.
+
+Each of at most 16 connections has its own handler thread, which runs
+its requests on the engine itself under one of --threads permits
+(default 4). While every permit is out, up to --queue-capacity handlers
+wait for one and the next request is answered BUSY at once; a request
+still waiting at --deadline-ms answers TIMEOUT. A handler has one
+request in flight, so at most 16 − threads can ever wait: any larger
+--queue-capacity (the default 1024 included) never binds.
 
 With --live the dataset seeds a mutable LSM engine (memtable + sorted
 segments) and the daemon accepts INSERT/DELETE; --memtable-cap sets the
@@ -864,7 +876,7 @@ mod tests {
     fn serve_and_client_reject_bad_input() {
         assert!(parse(&v(&["serve"])).is_err()); // missing --data
         assert!(parse(&v(&["serve", "--data", "d", "--threads", "0"])).is_err());
-        // `serve` has no coalescing knobs: workers pop the admission queue.
+        // `serve` has no coalescing knobs: a handler executes what it read.
         for gone in ["--batch-size", "--max-delay-ms"] {
             assert_eq!(
                 parse(&v(&["serve", "--data", "d", gone, "8"])).unwrap_err(),

@@ -155,7 +155,7 @@ fn run_serve(a: ServeArgs) -> Result<(), String> {
     };
     let records = dataset.len();
     // Sharded serving: per-shard calibrated planners, sequential
-    // per-query fan-out (engine workers supply the concurrency).
+    // per-query fan-out (connection handlers supply the concurrency).
     // Live serving: the dataset seeds a mutable LSM engine and the
     // daemon accepts INSERT/DELETE. Both together compose: hash-routed
     // LiveEngine shards with per-shard flush and compaction.

@@ -9,9 +9,10 @@
 //!
 //! * [`length::LengthFilter`] — the paper's §3.2 length filter, eq. (5);
 //! * [`frequency::FrequencyFilter`] — the paper's §6 frequency vectors;
-//! * [`qgram::QgramFilter`] — the classical q-gram count filter
-//!   (related-work technique, used by the q-gram index baseline);
 //! * [`chain::FilterChain`] — conjunctive composition.
+//!
+//! [`qgram::collect_profile`] is the q-gram profile the q-gram index
+//! baseline builds its postings and probes from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +25,6 @@ pub mod qgram;
 pub use chain::{FilterChain, PreparedChain};
 pub use frequency::FrequencyFilter;
 pub use length::LengthFilter;
-pub use qgram::QgramFilter;
 
 use simsearch_data::RecordId;
 

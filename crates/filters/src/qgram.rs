@@ -1,74 +1,13 @@
-//! Q-gram count filter.
+//! Q-gram profiles.
 //!
 //! A classical companion to the techniques in the paper's related work:
 //! one edit operation destroys at most `q` of a string's overlapping
 //! q-grams, so if `ed(x, y) ≤ k` then the multiset of q-grams shared by
-//! `x` and `y` has size at least `(|x| − q + 1) − k·q`. When the shared
-//! count falls below that, the candidate is rejected without any DP.
-//! Strings shorter than `q` make the bound vacuous and are always
-//! admitted.
-//!
-//! Each record's q-grams are precomputed as a *sorted* list of integer
-//! codes (a q-gram of up to 8 bytes packs into a `u64`), so the shared
-//! count is a linear merge.
-
-use crate::{DynFilter, PreparedFilter};
-use simsearch_data::{Dataset, RecordId};
-
-/// Per-dataset q-gram profile table.
-#[derive(Debug, Clone)]
-pub struct QgramFilter {
-    q: usize,
-    /// Concatenated sorted q-gram codes of all records.
-    grams: Vec<u64>,
-    /// `offsets[i]..offsets[i+1]` delimits record `i`'s profile.
-    offsets: Vec<u32>,
-}
-
-impl QgramFilter {
-    /// Builds profiles with gram size `q` (1 ≤ q ≤ 8).
-    ///
-    /// # Panics
-    /// Panics if `q` is 0 or greater than 8.
-    pub fn build(dataset: &Dataset, q: usize) -> Self {
-        assert!((1..=8).contains(&q), "q must be in 1..=8");
-        let mut grams = Vec::new();
-        let mut offsets = Vec::with_capacity(dataset.len() + 1);
-        offsets.push(0);
-        let mut profile = Vec::new();
-        for (_, record) in dataset.iter() {
-            profile.clear();
-            collect_profile(record, q, &mut profile);
-            grams.extend_from_slice(&profile);
-            offsets.push(grams.len() as u32);
-        }
-        Self { q, grams, offsets }
-    }
-
-    /// The gram size.
-    pub fn q(&self) -> usize {
-        self.q
-    }
-
-    /// Sorted profile of record `id`.
-    pub fn profile_of(&self, id: RecordId) -> &[u64] {
-        let i = id as usize;
-        &self.grams[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// Whether record `id` can be within distance `k` of a query with the
-    /// given sorted profile and byte length.
-    pub fn admits(&self, query_profile: &[u64], query_len: usize, id: RecordId, k: u32) -> bool {
-        // Required shared grams: (|x| − q + 1) − k·q, from the query side.
-        let total = query_len as i64 - self.q as i64 + 1;
-        let required = total - (k as i64) * (self.q as i64);
-        if required <= 0 {
-            return true;
-        }
-        let shared = sorted_multiset_intersection(query_profile, self.profile_of(id));
-        shared as i64 >= required
-    }
-}
+//! `x` and `y` has size at least `(|x| − q + 1) − k·q`. The q-gram index
+//! baseline counts shared grams through its postings; this module holds
+//! the profile both sides of that count are built from: a q-gram of up
+//! to 8 bytes packs into a `u64`, and a profile is the *sorted* list of
+//! a string's codes.
 
 /// Packs each overlapping window of `q` bytes into a big-endian `u64`
 /// code and sorts the result (multiset semantics).
@@ -87,58 +26,9 @@ pub fn collect_profile(s: &[u8], q: usize, out: &mut Vec<u64>) {
     out.sort_unstable();
 }
 
-/// Size of the multiset intersection of two sorted slices.
-fn sorted_multiset_intersection(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
-/// Prepared per-query state: the query's sorted profile.
-pub struct PreparedQgram<'a> {
-    filter: &'a QgramFilter,
-    profile: Vec<u64>,
-    query_len: usize,
-    k: u32,
-}
-
-impl DynFilter for QgramFilter {
-    fn name(&self) -> &'static str {
-        "qgram"
-    }
-
-    fn prepare<'a>(&'a self, query: &[u8], k: u32) -> Box<dyn PreparedFilter + 'a> {
-        let mut profile = Vec::new();
-        collect_profile(query, self.q, &mut profile);
-        Box::new(PreparedQgram {
-            filter: self,
-            profile,
-            query_len: query.len(),
-            k,
-        })
-    }
-}
-
-impl PreparedFilter for PreparedQgram<'_> {
-    fn admits(&self, id: RecordId) -> bool {
-        self.filter.admits(&self.profile, self.query_len, id, self.k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simsearch_distance::levenshtein;
 
     #[test]
     fn profile_is_sorted_multiset() {
@@ -148,65 +38,8 @@ mod tests {
         assert_eq!(p.len(), 3);
         assert!(p.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(p[0], p[1]);
-    }
-
-    #[test]
-    fn short_strings_are_always_admitted() {
-        let ds = Dataset::from_records(["a", "zz"]);
-        let f = QgramFilter::build(&ds, 3);
-        let mut p = Vec::new();
+        // A string shorter than q has no grams, and `out` is reset.
         collect_profile(b"xy", 3, &mut p);
-        assert!(f.admits(&p, 2, 0, 0));
-        assert!(f.admits(&p, 2, 1, 0));
-    }
-
-    #[test]
-    fn rejects_dissimilar_strings() {
-        let ds = Dataset::from_records(["AAAAAAAAAA", "TTTTTTTTTT"]);
-        let f = QgramFilter::build(&ds, 2);
-        let mut p = Vec::new();
-        collect_profile(b"AAAAAAAAAA", 2, &mut p);
-        assert!(f.admits(&p, 10, 0, 0));
-        // 10-byte query, q=2: needs 9 − 2k shared grams; record 1 shares 0.
-        assert!(!f.admits(&p, 10, 1, 4));
-    }
-
-    #[test]
-    fn never_rejects_a_true_match() {
-        let words = ["AGGCGT", "AGAGT", "Berlin", "Bern", "Bärlin", "", "x"];
-        let ds = Dataset::from_records(words);
-        for q in 1..=4usize {
-            let f = QgramFilter::build(&ds, q);
-            for query in words {
-                let mut profile = Vec::new();
-                collect_profile(query.as_bytes(), q, &mut profile);
-                for (id, w) in words.iter().enumerate() {
-                    let d = levenshtein(query.as_bytes(), w.as_bytes());
-                    for k in 0..6 {
-                        if d <= k {
-                            assert!(
-                                f.admits(&profile, query.len(), id as RecordId, k),
-                                "q={q}: rejected true match {query} ~ {w} (d={d}, k={k})"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dyn_interface_matches_direct() {
-        let ds = Dataset::from_records(["AAAAAAAAAA", "TTTTTTTTTT"]);
-        let f = QgramFilter::build(&ds, 2);
-        let p = f.prepare(b"AAAAAAAAAA", 1);
-        assert!(p.admits(0));
-        assert!(!p.admits(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "q must be in 1..=8")]
-    fn oversized_q_panics() {
-        QgramFilter::build(&Dataset::new(), 9);
+        assert!(p.is_empty());
     }
 }

@@ -4,7 +4,7 @@
 use simsearch_data::alphabet::{DNA_SYMBOLS, VOWEL_SYMBOLS};
 use simsearch_data::Dataset;
 use simsearch_distance::levenshtein;
-use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter, QgramFilter};
+use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter};
 use simsearch_testkit::{check, gen, prop_assert, Config, Gen};
 
 const ALPHABET: &[u8] = b"ACGNTE";
@@ -63,26 +63,6 @@ fn frequency_filter_is_sound() {
 }
 
 #[test]
-fn qgram_filter_is_sound() {
-    check(
-        "qgram_filter_is_sound",
-        Config::default().seed(SEED),
-        &gen::zip4(corpus(), query(), gen::u32_in(0..6), gen::usize_in(1..5)),
-        |(words, query, k, q)| {
-            let ds = Dataset::from_records(words);
-            let f = QgramFilter::build(&ds, *q);
-            let p = simsearch_filters::DynFilter::prepare(&f, query, *k);
-            for (id, w) in words.iter().enumerate() {
-                if levenshtein(query, w) <= *k {
-                    prop_assert!(p.admits(id as u32), "q={q} query={query:?} w={w:?}");
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn full_chain_is_sound() {
     check(
         "full_chain_is_sound",
@@ -92,8 +72,7 @@ fn full_chain_is_sound() {
             let ds = Dataset::from_records(words);
             let chain = FilterChain::new()
                 .push(LengthFilter::build(&ds))
-                .push(FrequencyFilter::build(&ds, DNA_SYMBOLS))
-                .push(QgramFilter::build(&ds, 2));
+                .push(FrequencyFilter::build(&ds, DNA_SYMBOLS));
             let p = chain.prepare(query, *k);
             for (id, w) in words.iter().enumerate() {
                 if levenshtein(query, w) <= *k {

@@ -15,10 +15,8 @@
 //! distribution of queries") and is used in ablation benchmarks.
 //!
 //! All of the above spawn threads per call, which suits one-shot workload
-//! measurements. The serving layer instead keeps a persistent
-//! [`pool::WorkerPool`] fed by a bounded [`pool::SubmissionQueue`] —
-//! spawn once, submit continuously, reject (never block) when full, and
-//! join every thread on shutdown.
+//! measurements; the serving layer runs each request on the connection
+//! handler that read it and uses none of them.
 //!
 //! All executors run a read-only job function `Fn(usize) -> T` over job
 //! indices `0..n` and return the results in job order, so callers observe
@@ -32,7 +30,6 @@
 pub mod adaptive;
 pub mod fixed_pool;
 pub mod per_query;
-pub mod pool;
 pub mod work_queue;
 
 pub use adaptive::{
@@ -41,7 +38,6 @@ pub use adaptive::{
 };
 pub use fixed_pool::run_fixed_pool;
 pub use per_query::run_thread_per_query;
-pub use pool::{PushError, SubmissionQueue, WorkerPool};
 pub use work_queue::run_work_queue;
 
 /// How a batch of independent query jobs is executed.

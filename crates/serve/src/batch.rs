@@ -1,48 +1,49 @@
-//! The engine workers: each pops the admission queue directly and
-//! executes one request at a time.
-//!
-//! The pipeline is two stages around one bounded [`SubmissionQueue`]:
+//! Admission and execution: the connection handler that parsed a
+//! request executes it itself, under one of `threads` permits.
 //!
 //! ```text
-//! conn handlers ──push──▶ admission ──pop──▶ engine workers
-//!                 (BUSY on full)             (execute, reply, compact, publish)
+//! conn handler ──admit──▶ execute_one ──drop permit──▶ write the reply
+//!            (BUSY / TIMEOUT)
 //! ```
 //!
-//! The queue is the whole schedule: whichever worker is free takes the
-//! oldest request, so a slow request occupies one worker and nothing
-//! queues behind it while another worker idles. No timer, sleep or
-//! second queue sits between admission and execution.
+//! `Permits` is the whole schedule: a counting semaphore that bounds
+//! engine CPU at `threads` concurrent requests. No thread, queue, timer
+//! or channel sits between the socket and the engine, so a request never
+//! changes threads.
 //!
-//! Backpressure is the queue's bound: while every worker is busy the
-//! queue fills, and connection handlers answer `BUSY` instead of
-//! queueing unboundedly. Nothing in the chain blocks on a full queue.
+//! Backpressure is the bound on waiters: while every permit is out, at
+//! most `queue_capacity` handlers wait for one and the next is answered
+//! `BUSY` at once; a handler still waiting at its request's deadline
+//! answers `TIMEOUT` then. A permit covers engine work only, never
+//! socket I/O, so a slow reader pins its own handler and nothing else.
 
-use std::sync::mpsc;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use simsearch_core::MutableBackend;
-use simsearch_parallel::SubmissionQueue;
 
 use crate::engine::ServedEngine;
 use crate::metrics::Metrics;
 use crate::protocol::{matches_response, Response, JOIN_CHUNK_PAIRS};
 
-/// Tuning for admission and the engine workers.
+/// Tuning for admission and execution.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Engine worker threads popping the admission queue.
+    /// Execution permits: how many requests run on the engine at once.
     pub threads: usize,
-    /// Admission queue capacity; a full queue answers `BUSY`.
+    /// How many connection handlers may wait for a permit; the next one
+    /// is answered `BUSY`. A handler has one request in flight, so at
+    /// most `conn_threads − threads` can ever wait and a larger value
+    /// (the default included) never binds.
     pub queue_capacity: usize,
     /// Per-request deadline, measured from admission. A request still
-    /// unexecuted past its deadline is dropped with `TIMEOUT` instead of
-    /// occupying a worker.
+    /// waiting for a permit at its deadline is dropped with `TIMEOUT`
+    /// instead of executing.
     pub deadline: Duration,
     /// Radius cap for `TOPK`'s iterative deepening.
     pub topk_max_radius: u32,
-    /// Fault-injection: extra busy-wait per executed request. Zero in
-    /// production; tests use it to hold workers busy deterministically
-    /// so admission control (`BUSY`, `TIMEOUT`) can be exercised.
+    /// Fault-injection: extra sleep per executed request, under its
+    /// permit. Zero in production; tests use it to hold permits
+    /// deterministically so admission control (`BUSY`, `TIMEOUT`) can
+    /// be exercised.
     pub exec_delay: Duration,
 }
 
@@ -70,8 +71,7 @@ pub(crate) enum Work {
         /// How many records.
         count: u32,
     },
-    /// Append the request text as a record (live engines only; the
-    /// pending's `text` carries the record bytes).
+    /// Append the request text as a record (live engines only).
     Insert,
     /// Tombstone record `id` (live engines only).
     Delete {
@@ -86,92 +86,167 @@ pub(crate) enum Work {
     },
 }
 
-/// One admitted request waiting for execution.
-pub(crate) struct Pending {
-    pub work: Work,
-    pub text: Vec<u8>,
-    /// When the request entered the admission queue; deadlines and the
-    /// latency histogram both measure from here.
-    pub admitted: Instant,
-    /// Where the worker delivers the reply. The receiving connection
-    /// handler may have vanished (client hung up); delivery failure is
-    /// silently fine.
-    pub reply: mpsc::Sender<Response>,
+/// A counting semaphore with a bounded set of waiters.
+pub(crate) struct Permits {
+    state: Mutex<PermitState>,
+    freed: Condvar,
+    max_waiting: usize,
 }
 
-/// One engine worker: pops and executes admitted requests until the
-/// admission queue is closed *and* drained, so a graceful shutdown
-/// answers everything already admitted.
-pub(crate) fn worker_loop(
-    admission: &SubmissionQueue<Pending>,
+struct PermitState {
+    free: usize,
+    waiting: usize,
+}
+
+/// One held permit; dropping it frees the slot, so a handler that
+/// unwinds mid-request cannot leak it.
+pub(crate) struct Permit<'a>(&'a Permits);
+
+impl Permits {
+    /// `free` permits; at most `max_waiting` callers of
+    /// [`Permits::admit`] wait for one at a time.
+    pub fn new(free: usize, max_waiting: usize) -> Self {
+        Self {
+            state: Mutex::new(PermitState { free, waiting: 0 }),
+            freed: Condvar::new(),
+            max_waiting,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PermitState> {
+        // Every update leaves both counters valid, so a poisoned lock
+        // (a panic elsewhere while it was held) is safe to reuse — and
+        // `Permit::drop` must not panic.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn take(&self, mut state: MutexGuard<'_, PermitState>) -> Permit<'_> {
+        state.free -= 1;
+        Permit(self)
+    }
+
+    /// Admission control for one request: `Err(BUSY)` at once when no
+    /// permit is free and `max_waiting` callers already wait,
+    /// `Err(TIMEOUT)` once `deadline` has passed without a permit, and
+    /// the permit otherwise. Counts the outcome and keeps
+    /// `queue_depth` equal to the number of waiters.
+    pub fn admit(&self, deadline: Instant, metrics: &Metrics) -> Result<Permit<'_>, Response> {
+        let mut state = self.lock();
+        if state.free == 0 && state.waiting >= self.max_waiting {
+            metrics.rejected_busy.inc();
+            return Err(Response::Busy);
+        }
+        metrics.requests_admitted.inc();
+        state.waiting += 1;
+        let expired = loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || state.free > 0 {
+                break left.is_zero();
+            }
+            metrics.queue_depth.set(state.waiting);
+            state = self
+                .freed
+                .wait_timeout(state, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        };
+        state.waiting -= 1;
+        metrics.queue_depth.set(state.waiting);
+        if expired {
+            if state.free > 0 {
+                // The wake-up that found this waiter expired belongs to
+                // the next one.
+                self.freed.notify_one();
+            }
+            metrics.dropped_timeout.inc();
+            return Err(Response::Timeout);
+        }
+        Ok(self.take(state))
+    }
+
+    /// Waits for a permit without bound and without counting as a
+    /// waiter — for engine work that is not a request (compaction).
+    pub fn acquire(&self) -> Permit<'_> {
+        let mut state = self.lock();
+        while state.free == 0 {
+            state = self
+                .freed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.take(state)
+    }
+
+    /// The permit if one is free right now.
+    pub fn try_acquire(&self) -> Option<Permit<'_>> {
+        let state = self.lock();
+        (state.free > 0).then(|| self.take(state))
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.lock().free += 1;
+        self.0.freed.notify_one();
+    }
+}
+
+/// Admits one request and executes it on the calling thread. `Ok` is
+/// the reply frames, in order, produced under a permit that is already
+/// released — the caller writes them; `Err` is the refusal (`BUSY` or
+/// `TIMEOUT`) to write instead of executing.
+pub(crate) fn run_request(
+    work: &Work,
+    text: &[u8],
+    permits: &Permits,
     engine: &ServedEngine<'_>,
     cfg: &BatchConfig,
     metrics: &Metrics,
-) {
-    // The mutation surface, resolved once per worker: `INSERT` and
-    // `DELETE` stay one virtual call each.
-    let writer = engine.writer();
-    loop {
-        // Sampled at every dequeue, the terminal one included, so a
-        // drained daemon reports depth 0.
-        let next = admission.pop();
-        metrics.queue_depth.set(admission.len());
-        let Some(pending) = next else { break };
-        metrics.batches.inc();
-        let response = execute_one(&pending, engine, writer, cfg, metrics);
-        metrics
-            .latency_ns
-            .observe(pending.admitted.elapsed().as_nanos() as u64);
-        let _ = pending.reply.send(response);
-        // Live engines: compaction rides the worker threads — one step
-        // between requests keeps the memtable bounded without a
-        // dedicated compaction thread, and the gate inside the engine
-        // serialises concurrent workers.
-        if let Some(writer) = writer {
-            writer.maybe_compact();
-        }
-        // Refresh the routing counters (with per-shard breakdowns) and
-        // the live engines' structural gauges after each request so
-        // `STATS` stays near-live.
-        engine.publish(metrics);
-    }
+) -> Result<Vec<Response>, Response> {
+    // Deadlines and the latency histogram both measure from here.
+    let admitted = Instant::now();
+    let _permit = permits.admit(admitted + cfg.deadline, metrics)?;
+    metrics.batches.inc();
+    let frames = execute_one(work, text, engine, cfg, metrics);
+    metrics
+        .latency_ns
+        .observe(admitted.elapsed().as_nanos() as u64);
+    Ok(frames)
 }
 
 fn execute_one(
-    pending: &Pending,
+    work: &Work,
+    text: &[u8],
     engine: &ServedEngine<'_>,
-    writer: Option<&dyn MutableBackend>,
     cfg: &BatchConfig,
     metrics: &Metrics,
-) -> Response {
-    let (text, reply) = (&pending.text[..], &pending.reply);
-    if pending.admitted.elapsed() > cfg.deadline {
-        metrics.dropped_timeout.inc();
-        return Response::Timeout;
-    }
+) -> Vec<Response> {
     if !cfg.exec_delay.is_zero() {
         std::thread::sleep(cfg.exec_delay);
     }
-    let read_only = || {
-        Response::Error("engine is read-only (start simsearchd with --live)".into())
-    };
-    let (response, cells) = match pending.work {
+    let read_only = || Response::Error("engine is read-only (start simsearchd with --live)".into());
+    let mut cells = 0;
+    let frames = match *work {
         Work::Query { k } => {
-            let (matches, cells) = engine.search(text, k);
-            (matches_response(&matches), cells)
+            let (matches, counted) = engine.search(text, k);
+            cells = counted;
+            vec![matches_response(&matches)]
         }
         Work::TopK { count } => {
-            let (matches, cells) = engine.topk(text, count as usize, cfg.topk_max_radius);
-            (Response::Matches(matches), cells)
+            let (matches, counted) = engine.topk(text, count as usize, cfg.topk_max_radius);
+            cells = counted;
+            vec![Response::Matches(matches)]
         }
-        Work::Insert => match writer {
-            Some(w) => (Response::Inserted(w.insert(text)), 0),
-            None => (read_only(), 0),
-        },
-        Work::Delete { id } => match writer {
-            Some(w) => (Response::Deleted { existed: w.delete(id) }, 0),
-            None => (read_only(), 0),
-        },
+        Work::Insert => vec![match engine.writer() {
+            Some(w) => Response::Inserted(w.insert(text)),
+            None => read_only(),
+        }],
+        Work::Delete { id } => vec![match engine.writer() {
+            Some(w) => Response::Deleted {
+                existed: w.delete(id),
+            },
+            None => read_only(),
+        }],
         Work::Join { k } => match engine.join(k) {
             Some((pairs, stats)) => {
                 metrics.joins.inc();
@@ -181,44 +256,28 @@ fn execute_one(
                     .add(stats.candidates_verified);
                 metrics.join_seg_buckets.set(stats.seg_buckets as usize);
                 metrics.join_seg_postings.set(stats.seg_postings as usize);
-                // Stream the reply: header plus all-but-the-last chunk
-                // go straight out through the pending's channel (it is
-                // unbounded, so this never blocks a worker); the final
-                // frame returns through the normal path so latency and
-                // ok/error accounting see exactly one response per
-                // request.
-                if pairs.is_empty() {
-                    (Response::JoinHeader { total: 0 }, 0)
-                } else {
-                    let _ = reply.send(Response::JoinHeader {
-                        total: pairs.len() as u64,
-                    });
-                    let mut chunks = pairs.chunks(JOIN_CHUNK_PAIRS).peekable();
-                    let mut last = Vec::new();
-                    while let Some(chunk) = chunks.next() {
-                        if chunks.peek().is_some() {
-                            let _ = reply.send(Response::JoinPairs(chunk.to_vec()));
-                        } else {
-                            last = chunk.to_vec();
-                        }
-                    }
-                    (Response::JoinPairs(last), 0)
-                }
+                // `OK join <total>`, then the pairs in chunks; an empty
+                // join is the header alone.
+                let header = Response::JoinHeader {
+                    total: pairs.len() as u64,
+                };
+                let chunks = pairs.chunks(JOIN_CHUNK_PAIRS);
+                std::iter::once(header)
+                    .chain(chunks.map(|chunk| Response::JoinPairs(chunk.to_vec())))
+                    .collect()
             }
-            None => (
-                Response::Error(
-                    "JOIN requires a frozen dataset (not servable on a --live engine)".into(),
-                ),
-                0,
-            ),
+            None => vec![Response::Error(
+                "JOIN requires a frozen dataset (not servable on a --live engine)".into(),
+            )],
         },
     };
     metrics.dp_cells.add(cells);
-    match &response {
-        Response::Error(_) => metrics.replied_error.inc(),
+    // One outcome per request, however many frames its reply spans.
+    match frames.last() {
+        Some(Response::Error(_)) => metrics.replied_error.inc(),
         _ => metrics.replied_ok.inc(),
     }
-    response
+    frames
 }
 
 #[cfg(test)]
@@ -228,136 +287,193 @@ mod tests {
     use simsearch_data::Dataset;
     use simsearch_scan::SeqVariant;
 
-    /// Pre-queues `requests`, closes admission and drains it through
-    /// `cfg.threads` workers; returns once every worker has exited.
-    fn harness(cfg: &BatchConfig, requests: Vec<Pending>) -> Metrics {
-        let ds = Dataset::from_records(["Berlin", "Bern", "Bonn", "Ulm"]);
-        let engine = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
-        let metrics = Metrics::new();
-        let admission: SubmissionQueue<Pending> =
-            SubmissionQueue::bounded(cfg.queue_capacity.max(requests.len()));
-        for p in requests {
-            admission.push(p).map_err(|_| "admission full").unwrap();
-        }
-        admission.close();
-        std::thread::scope(|s| {
-            for _ in 0..cfg.threads {
-                s.spawn(|| worker_loop(&admission, &engine, cfg, &metrics));
-            }
-        });
-        metrics
-    }
-
-    fn pending(text: &str, k: u32) -> (Pending, mpsc::Receiver<Response>) {
-        let (tx, rx) = mpsc::channel();
-        (
-            Pending {
-                work: Work::Query { k },
-                text: text.as_bytes().to_vec(),
-                admitted: Instant::now(),
-                reply: tx,
-            },
-            rx,
-        )
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(3600)
     }
 
     #[test]
-    fn drained_workers_answer_every_admitted_request() {
+    fn free_permits_are_handed_out_and_the_next_waiter_is_busy() {
+        let metrics = Metrics::new();
+        let permits = Permits::new(2, 0);
+        let first = permits.admit(far(), &metrics).expect("first permit");
+        let _second = permits.admit(far(), &metrics).expect("second permit");
+        assert!(permits.try_acquire().is_none());
+        // No permit free and no room to wait: waiter `max_waiting + 1`.
+        assert_eq!(permits.admit(far(), &metrics).err(), Some(Response::Busy));
+        assert_eq!(metrics.requests_admitted.get(), 2);
+        assert_eq!(metrics.rejected_busy.get(), 1);
+        drop(first);
+        assert!(
+            permits.admit(far(), &metrics).is_ok(),
+            "a dropped permit is free again"
+        );
+        assert_eq!(metrics.queue_depth.get(), 0);
+    }
+
+    #[test]
+    fn a_passed_deadline_is_timeout_and_leaves_no_waiter() {
+        let metrics = Metrics::new();
+        let permits = Permits::new(1, 1);
+        let now = Instant::now();
+        // Expired is expired, with a permit free or without.
+        assert_eq!(permits.admit(now, &metrics).err(), Some(Response::Timeout));
+        let _held = permits.acquire();
+        assert_eq!(permits.admit(now, &metrics).err(), Some(Response::Timeout));
+        assert_eq!(metrics.dropped_timeout.get(), 2);
+        assert_eq!(
+            metrics.requests_admitted.get(),
+            2,
+            "TIMEOUT is not a refusal"
+        );
+        assert_eq!(metrics.queue_depth.get(), 0);
+        assert_eq!(permits.lock().waiting, 0);
+    }
+
+    #[test]
+    fn a_waiter_gets_the_permit_its_holder_drops() {
+        let metrics = Metrics::new();
+        let permits = Permits::new(1, 1);
+        let held = permits.acquire();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| permits.admit(far(), &metrics).is_ok());
+            // The waiter is provably parked on the condvar (or about to
+            // re-check under the lock) once it counts as waiting.
+            while permits.lock().waiting == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(permits.admit(far(), &metrics).err(), Some(Response::Busy));
+            drop(held);
+            assert!(waiter.join().expect("waiter thread"));
+        });
+        assert_eq!(metrics.queue_depth.get(), 0);
+        assert!(
+            permits.try_acquire().is_some(),
+            "the waiter's permit came back"
+        );
+    }
+
+    #[test]
+    fn a_panicking_holder_frees_its_permit() {
+        let permits = Permits::new(1, 0);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _permit = permits.acquire();
+                panic!("handler died mid-request");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(permits.try_acquire().is_some());
+    }
+
+    /// Runs each request through `run_request` on a thread of its own,
+    /// all sharing `cfg.threads` permits the way connection handlers do;
+    /// replies come back in request order.
+    fn harness(
+        cfg: &BatchConfig,
+        requests: &[(Work, &str)],
+    ) -> (Metrics, Vec<Result<Vec<Response>, Response>>) {
+        let ds = Dataset::from_records(["Berlin", "Bern", "Bonn", "Ulm"]);
+        let engine = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
+        let metrics = Metrics::new();
+        let permits = Permits::new(cfg.threads, cfg.queue_capacity);
+        let replies = std::thread::scope(|s| {
+            let handles: Vec<_> = requests
+                .iter()
+                .map(|(work, text)| {
+                    let (permits, engine, metrics) = (&permits, &engine, &metrics);
+                    s.spawn(move || {
+                        run_request(work, text.as_bytes(), permits, engine, cfg, metrics)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("caller thread"))
+                .collect()
+        });
+        (metrics, replies)
+    }
+
+    #[test]
+    fn every_admitted_request_is_answered_and_counted_once() {
+        const N: u64 = 10;
         let cfg = BatchConfig {
             threads: 2,
             ..BatchConfig::default()
         };
-        let mut rxs = Vec::new();
-        let mut reqs = Vec::new();
-        for i in 0..10 {
-            let (p, rx) = pending(if i % 2 == 0 { "Berlin" } else { "Ulm" }, 1);
-            reqs.push(p);
-            rxs.push(rx);
+        let requests: Vec<_> = (0..N)
+            .map(|i| {
+                (
+                    Work::Query { k: 1 },
+                    if i % 2 == 0 { "Berlin" } else { "Ulm" },
+                )
+            })
+            .collect();
+        let (metrics, replies) = harness(&cfg, &requests);
+        assert_eq!(replies.len() as u64, N);
+        for reply in &replies {
+            assert!(
+                matches!(reply.as_deref(), Ok([Response::Matches(_)])),
+                "{reply:?}"
+            );
         }
-        harness(&cfg, reqs);
-        for rx in rxs {
-            let resp = rx.recv_timeout(Duration::from_secs(5)).expect("a reply");
-            assert!(matches!(resp, Response::Matches(_)), "{resp:?}");
-        }
+        assert_eq!(metrics.requests_admitted.get(), N);
+        assert_eq!(metrics.batches.get(), N);
+        assert_eq!(metrics.latency_ns.count(), N);
+        assert_eq!(metrics.replied_ok.get(), N);
+        assert_eq!(metrics.queue_depth.get(), 0);
     }
 
     #[test]
     fn expired_requests_get_timeout_not_execution() {
         let cfg = BatchConfig {
             threads: 1,
-            deadline: Duration::from_millis(1),
+            // Already passed by the time admission looks at it.
+            deadline: Duration::ZERO,
             ..BatchConfig::default()
         };
-        let (mut p, rx) = pending("Berlin", 1);
-        // Backdate the admission so the deadline has already passed.
-        p.admitted = Instant::now() - Duration::from_millis(50);
-        harness(&cfg, vec![p]);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            Response::Timeout
-        );
+        let (metrics, replies) = harness(&cfg, &[(Work::Query { k: 1 }, "Berlin")]);
+        assert_eq!(replies, [Err(Response::Timeout)]);
+        assert_eq!(metrics.dropped_timeout.get(), 1);
+        assert_eq!(metrics.batches.get(), 0, "never reached the engine");
+        assert_eq!(metrics.replied_ok.get(), 0);
     }
 
     #[test]
-    fn join_work_streams_header_then_chunks() {
+    fn join_work_yields_header_then_chunks() {
         let cfg = BatchConfig {
             threads: 1,
             ..BatchConfig::default()
         };
-        let (tx, rx) = mpsc::channel();
-        // k=2 catches Berlin~Bern and Bern~Bonn in the harness corpus.
-        let p = Pending {
-            work: Work::Join { k: 2 },
-            text: Vec::new(),
-            admitted: Instant::now(),
-            reply: tx,
-        };
-        harness(&cfg, vec![p]);
-        let total = match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Response::JoinHeader { total } => total,
-            other => panic!("expected join header, got {other:?}"),
-        };
-        assert!(total >= 2, "total={total}");
-        let mut streamed = 0u64;
-        while streamed < total {
-            match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-                Response::JoinPairs(chunk) => streamed += chunk.len() as u64,
-                other => panic!("expected pairs, got {other:?}"),
-            }
-        }
-        assert_eq!(streamed, total);
-
-        // An empty result is the header alone.
-        let (tx, rx) = mpsc::channel();
-        let p = Pending {
-            work: Work::Join { k: 0 },
-            text: Vec::new(),
-            admitted: Instant::now(),
-            reply: tx,
-        };
-        harness(&cfg, vec![p]);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap(),
-            Response::JoinHeader { total: 0 }
+        // k=2 catches Berlin~Bern and Bern~Bonn in the harness corpus;
+        // k=0 finds nothing.
+        let (metrics, mut replies) = harness(
+            &cfg,
+            &[(Work::Join { k: 2 }, ""), (Work::Join { k: 0 }, "")],
         );
-        assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
-    }
-
-    #[test]
-    fn every_dequeue_is_counted_once_and_the_drained_queue_reads_empty() {
-        const N: u64 = 8;
-        let cfg = BatchConfig {
-            threads: 3,
-            ..BatchConfig::default()
+        let empty = replies.pop().unwrap().expect("executed");
+        assert_eq!(
+            empty,
+            [Response::JoinHeader { total: 0 }],
+            "the header alone"
+        );
+        let frames = replies.pop().unwrap().expect("executed");
+        let Some((Response::JoinHeader { total }, chunks)) = frames.split_first() else {
+            panic!("expected a join header first, got {frames:?}");
         };
-        let (reqs, rxs): (Vec<_>, Vec<_>) = (0..N).map(|_| pending("Bern", 0)).unzip();
-        let metrics = harness(&cfg, reqs);
-        for rx in rxs {
-            assert!(rx.try_recv().is_ok(), "replied before its worker exited");
-        }
-        assert_eq!(metrics.batches.get(), N);
-        assert_eq!(metrics.latency_ns.count(), N);
-        assert_eq!(metrics.replied_ok.get(), N);
-        assert_eq!(metrics.queue_depth.get(), 0);
+        assert!(*total >= 2, "total={total}");
+        let streamed: u64 = chunks
+            .iter()
+            .map(|frame| match frame {
+                Response::JoinPairs(chunk) => chunk.len() as u64,
+                other => panic!("expected pairs, got {other:?}"),
+            })
+            .sum();
+        assert_eq!(streamed, *total);
+        assert_eq!(
+            metrics.replied_ok.get(),
+            2,
+            "one outcome per join, not per frame"
+        );
     }
 }

@@ -52,8 +52,7 @@ impl<'a> ServedEngine<'a> {
     }
 
     /// The mutation surface (`INSERT`/`DELETE`, compaction) when the
-    /// engine is live; `None` on read-only engines. Each engine worker
-    /// resolves it once.
+    /// engine is live; `None` on read-only engines.
     pub fn writer(&self) -> Option<&dyn MutableBackend> {
         self.backend.as_mutable()
     }
@@ -61,8 +60,8 @@ impl<'a> ServedEngine<'a> {
     /// Self-joins the frozen dataset within distance `k`; `None` on
     /// live engines, whose dataset can shift mid-join. Runs
     /// sequentially — like the search kernels, a served join draws its
-    /// concurrency from the engine workers rather than nesting a pool
-    /// per request.
+    /// concurrency from the connection handlers rather than nesting a
+    /// pool per request.
     pub fn join(&self, k: u32) -> Option<(Vec<JoinPair>, JoinStats)> {
         if self.writer().is_some() {
             return None;
@@ -127,8 +126,8 @@ impl<'a> ServedEngine<'a> {
     }
 
     /// Mirrors the engine's routing and structural state into the
-    /// metrics registry; the engine workers call it after every executed
-    /// request. `plan_decisions` gets the cross-shard aggregate per arm
+    /// metrics registry; the connection handlers call it after every
+    /// executed request. `plan_decisions` gets the cross-shard aggregate per arm
     /// plus one `s{i}.{arm}` entry per shard and arm, `shard_matches`
     /// per-shard cumulative match counts, and live engines their LSM
     /// gauges (aggregate, plus `s{i}.*` per shard — the aggregates are

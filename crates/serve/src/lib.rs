@@ -1,12 +1,12 @@
 //! `simsearchd`: a std-only query service over the similarity-search
-//! engines — wire protocol, admission control, engine workers, and a
-//! metrics registry.
+//! engines — wire protocol, admission control, and a metrics registry.
 //!
 //! The offline crates answer "how fast is one scan over one workload";
 //! this crate answers "what does the scan look like as a *service*":
-//! a long-lived process that prepares its engine once, hands each
-//! admitted request to the next free engine worker, refuses load it
-//! cannot carry (`BUSY`, never a hang), and reports latency histograms
+//! a long-lived process that prepares its engine once, runs each
+//! admitted request on the connection handler that read it (under one
+//! of a fixed number of execution permits), refuses load it cannot
+//! carry (`BUSY`, never a hang), and reports latency histograms
 //! through `STATS` in the same JSON shape the testkit bench harness
 //! emits.
 //!

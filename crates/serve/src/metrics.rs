@@ -4,7 +4,7 @@
 //!
 //! Everything on the hot path is a relaxed atomic operation — one
 //! `fetch_add` per counter bump, three per histogram observation — so
-//! recording a metric never takes a lock and never blocks a worker.
+//! recording a metric never takes a lock and never blocks a handler.
 //! Snapshots are taken while traffic continues; they are internally
 //! *approximately* consistent (counters may be a few events apart),
 //! which is the standard contract for serving metrics.
@@ -177,9 +177,9 @@ impl Histogram {
 /// The label set (backend names, in planner-candidate order) is fixed
 /// at first publish and never changes afterwards, so the slots can be
 /// `OnceLock`-initialised once and updated with plain relaxed stores:
-/// the engine workers *overwrite* each slot with the engine's own
+/// the connection handlers *overwrite* each slot with the engine's own
 /// monotone counter value rather than accumulating deltas, which makes
-/// publishing idempotent and race-free across workers (the counters
+/// publishing idempotent and race-free across handlers (the counters
 /// only ever grow, so any interleaving of stores leaves a value that
 /// was true at some recent instant — the standard serving-metrics
 /// contract).
@@ -241,23 +241,27 @@ impl PlanCounters {
 /// The registry: every metric `simsearchd` exposes through `STATS`.
 ///
 /// Field groups mirror the request lifecycle: admission (accepted /
-/// rejected / queue depth), execution (dequeues, latency, DP cells),
-/// and replies by outcome.
+/// rejected / waiting for a permit), execution (count, latency, DP
+/// cells), and replies by outcome.
 #[derive(Default)]
 pub struct Metrics {
-    /// Requests admitted to the queue (QUERY/TOPK only).
+    /// Requests admitted, i.e. not refused `BUSY` (every verb that runs
+    /// on the engine: QUERY, TOPK, INSERT, DELETE, JOIN).
     pub requests_admitted: Counter,
-    /// Requests rejected with `BUSY` (queue full).
+    /// Requests rejected with `BUSY` (too many handlers already waiting
+    /// for a permit), plus connections closed over the `conn_threads`
+    /// cap.
     pub rejected_busy: Counter,
-    /// Requests dropped with `TIMEOUT` (deadline exceeded in queue).
+    /// Requests dropped with `TIMEOUT` (deadline passed while waiting
+    /// for a permit).
     pub dropped_timeout: Counter,
     /// Malformed or unservable frames answered with `ERR`.
     pub replied_error: Counter,
     /// Successful `OK` match replies.
     pub replied_ok: Counter,
-    /// Requests dequeued by the engine workers (one tick per dequeue).
+    /// Requests executed (one tick per request that got its permit).
     pub batches: Counter,
-    /// Admission-queue depth sampled by the workers at each dequeue.
+    /// Connection handlers waiting for an execution permit right now.
     pub queue_depth: Gauge,
     /// End-to-end request latency (admission to reply), nanoseconds.
     pub latency_ns: Histogram,
@@ -267,7 +271,7 @@ pub struct Metrics {
     /// Client connections accepted.
     pub connections: Counter,
     /// Queries routed per backend by the adaptive planner (empty for
-    /// fixed-backend engines; published by the engine workers). Sharded
+    /// fixed-backend engines; published after each request). Sharded
     /// engines add one `s{i}.{arm}` entry per shard and arm beside the
     /// cross-shard aggregates.
     pub plan_decisions: PlanCounters,

@@ -15,7 +15,7 @@
 //! text     = *OCTET                          ; no LF, no CR
 //!
 //! response = "OK" SP payload
-//!          / "BUSY"                          ; admission queue full
+//!          / "BUSY"                          ; too many requests waiting
 //!          / "TIMEOUT"                       ; per-request deadline hit
 //!          / "ERR" SP message
 //! payload  = "healthy" / "bye" / matches / json
@@ -96,7 +96,7 @@ pub enum Request {
     Stats,
     /// `HEALTH`: liveness probe.
     Health,
-    /// `SHUTDOWN`: stop accepting, drain queued requests, exit.
+    /// `SHUTDOWN`: stop accepting, answer admitted requests, exit.
     Shutdown,
 }
 
@@ -105,7 +105,8 @@ pub enum Request {
 pub enum Response {
     /// `OK <n> id:d,id:d,…`: the matches of a `QUERY`/`TOPK`.
     Matches(Vec<Match>),
-    /// `BUSY`: the bounded admission queue is full — retry later.
+    /// `BUSY`: every execution permit is out and the bounded set of
+    /// waiters is full — retry later.
     Busy,
     /// `TIMEOUT`: the request waited past its deadline and was dropped.
     Timeout,

@@ -6,36 +6,34 @@
 //!
 //! ```text
 //! spawn() thread ─ run() ─ thread::scope
-//!   ├── engine workers (scoped; borrow the prepared ServedEngine, pop
-//!   │                   the admission queue)
-//!   ├── replan tick    (scoped; optional)
 //!   ├── accept loop    (the run() thread itself; non-blocking + poll)
-//!   └── WorkerPool     (connection handlers; all state Arc-shared)
+//!   ├── replan tick    (scoped; optional)
+//!   └── conn handlers  (scoped; one per live connection, at most
+//!                       `conn_threads`; each executes its own requests)
 //! ```
 //!
-//! The engine borrows the dataset, so its workers are *scoped* threads;
-//! connection handlers only touch `'static` shared state (streams,
-//! the queue, metrics) and therefore run on the reusable
-//! [`WorkerPool`] from the parallel crate.
+//! The engine borrows the dataset, so everything that touches it is a
+//! *scoped* thread. A handler reads a frame, takes one of the
+//! `batch.threads` execution permits, runs the request on the engine
+//! itself, gives the permit back and only then writes the reply (see
+//! [`crate::batch`]) — an idle daemon is the accept loop and the tick.
 //!
-//! Shutdown ordering is the load-bearing part: a `SHUTDOWN` frame (or
-//! [`ServerHandle::request_shutdown`]) sets the flag; the accept loop
-//! stops; connection handlers notice the flag at their next read
-//! timeout and return; the connection pool joins; only then is the
-//! admission queue closed, so the engine workers drain every admitted
-//! request before they exit. Every admitted request is answered.
+//! Shutdown: a `SHUTDOWN` frame (or [`ServerHandle::request_shutdown`])
+//! sets the flag; the accept loop stops; each handler finishes the
+//! request it is executing, writes its reply, and returns at its next
+//! read timeout; the scope joins them. Every admitted request is
+//! answered.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use simsearch_core::EngineKind;
 use simsearch_data::Dataset;
-use simsearch_parallel::{PushError, SubmissionQueue, WorkerPool};
 
-use crate::batch::{worker_loop, BatchConfig, Pending, Work};
+use crate::batch::{run_request, BatchConfig, Permits, Work};
 use crate::engine::ServedEngine;
 use crate::metrics::Metrics;
 use crate::protocol::{encode_response, parse_request, ProtocolError, Request, Response, MAX_LINE_BYTES};
@@ -49,7 +47,8 @@ pub struct ServerConfig {
     /// Label for the dataset in `STATS` output.
     pub dataset_label: String,
     /// Connection-handler threads. Each persistent connection occupies
-    /// one handler, so this bounds concurrent clients.
+    /// one handler, so this bounds concurrent clients: a connection over
+    /// the cap is closed at once.
     pub conn_threads: usize,
     /// Socket read timeout; doubles as the shutdown-poll interval for
     /// idle connections.
@@ -60,7 +59,7 @@ pub struct ServerConfig {
     /// DESIGN §16). `None` disables the tick; engines without a
     /// tunable planner ignore it.
     pub replan_interval: Option<Duration>,
-    /// Admission-queue and engine-worker tuning.
+    /// Admission and execution tuning.
     pub batch: BatchConfig,
 }
 
@@ -133,8 +132,9 @@ impl Drop for ServerHandle {
 pub fn spawn(dataset: Dataset, kind: EngineKind, config: ServerConfig) -> std::io::Result<ServerHandle> {
     // Fail before the thread spawns (and before the listener binds):
     // an invalid kind — e.g. sharded-live with the `len` partitioner —
-    // or a zero-sized queue or handler pool would otherwise panic on
-    // the server thread.
+    // would panic on the server thread, and a daemon that lets nobody
+    // wait or nobody connect is a misconfiguration its first client
+    // should not be the one to discover.
     let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
     kind.validate().map_err(invalid)?;
     if config.batch.queue_capacity == 0 {
@@ -162,20 +162,15 @@ pub fn spawn(dataset: Dataset, kind: EngineKind, config: ServerConfig) -> std::i
     })
 }
 
-/// Shared per-server state every connection handler needs; `'static`
-/// so handlers can run on the [`WorkerPool`].
-struct Shared {
-    admission: SubmissionQueue<Pending>,
-    metrics: Arc<Metrics>,
-    shutdown: Arc<AtomicBool>,
-    engine_name: String,
-    dataset_label: String,
-    records: usize,
+/// Per-server state every connection handler borrows.
+struct Shared<'a> {
+    engine: &'a ServedEngine<'a>,
+    /// The `batch.threads` execution permits.
+    permits: Permits,
+    config: &'a ServerConfig,
+    metrics: &'a Metrics,
+    shutdown: &'a AtomicBool,
     started: Instant,
-    read_timeout: Duration,
-    /// Worst-case wait for a reply after admission; generous so a
-    /// handler never abandons a request the workers will still answer.
-    reply_timeout: Duration,
 }
 
 fn run(
@@ -183,8 +178,8 @@ fn run(
     dataset: &Dataset,
     kind: EngineKind,
     config: &ServerConfig,
-    metrics: &Arc<Metrics>,
-    shutdown: &Arc<AtomicBool>,
+    metrics: &Metrics,
+    shutdown: &AtomicBool,
 ) {
     let mut engine = ServedEngine::build(dataset, kind);
     if config.replan_interval.is_none() {
@@ -193,47 +188,42 @@ fn run(
         engine.release_unrouted();
     }
     engine.publish_replan(metrics);
-    let shared = Arc::new(Shared {
-        admission: SubmissionQueue::bounded(config.batch.queue_capacity),
-        metrics: Arc::clone(metrics),
-        shutdown: Arc::clone(shutdown),
-        engine_name: engine.name().to_string(),
-        dataset_label: config.dataset_label.clone(),
-        records: engine.records(),
+    let shared = &Shared {
+        engine: &engine,
+        permits: Permits::new(config.batch.threads.max(1), config.batch.queue_capacity),
+        config,
+        metrics,
+        shutdown,
         started: Instant::now(),
-        read_timeout: config.read_timeout,
-        reply_timeout: config.batch.deadline.saturating_mul(2) + Duration::from_secs(30),
-    });
+    };
+    // One slot per live connection; a handler gives its slot back when
+    // it returns, or unwinds.
+    let conn_slots = Permits::new(config.conn_threads, 0);
     listener
         .set_nonblocking(true)
         .expect("nonblocking accept is required for shutdown polling");
 
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..config.batch.threads.max(1))
-            .map(|_| scope.spawn(|| worker_loop(&shared.admission, &engine, &config.batch, metrics)))
-            .collect();
-        // The self-tuning tick: scoped like the workers (it borrows the
-        // engine), polling the shutdown flag between short sleeps so a
-        // long interval never delays the drain.
-        let replanner = config
-            .replan_interval
-            .map(|interval| {
-                let engine = &engine;
-                scope.spawn(move || replan_loop(engine, interval, metrics, shutdown))
-            });
-
-        let mut conn_pool = WorkerPool::new(config.conn_threads, config.conn_threads * 4);
+        // The self-tuning tick polls the shutdown flag between short
+        // sleeps, so a long interval never delays the drain.
+        if let Some(interval) = config.replan_interval {
+            scope.spawn(move || replan_loop(shared.engine, interval, metrics, shutdown));
+        }
         while !shutdown.load(Ordering::Acquire) {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     metrics.connections.inc();
-                    let shared = Arc::clone(&shared);
-                    let admitted = conn_pool.submit(move || handle_connection(stream, &shared));
-                    if admitted.is_err() {
-                        // Handler pool saturated: the stream drops with
-                        // the rejected closure, which the client sees as
-                        // EOF — a refusal, never a hang. Count it.
-                        metrics.rejected_busy.inc();
+                    match conn_slots.try_acquire() {
+                        Some(slot) => {
+                            scope.spawn(move || {
+                                let _slot = slot;
+                                handle_connection(stream, shared)
+                            });
+                        }
+                        // Every handler is taken: the stream drops here,
+                        // which the client sees as EOF — a refusal, never
+                        // a hang. Count it.
+                        None => metrics.rejected_busy.inc(),
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -242,16 +232,7 @@ fn run(
                 Err(_) => break,
             }
         }
-
-        // Drain in dependency order; see the module docs.
-        conn_pool.shutdown();
-        shared.admission.close();
-        for worker in workers {
-            worker.join().expect("engine worker panicked");
-        }
-        if let Some(replanner) = replanner {
-            replanner.join().expect("replan tick panicked");
-        }
+        // The scope joins the handlers and the tick; see the module docs.
     });
 }
 
@@ -374,8 +355,8 @@ fn write_frame(writer: &mut BufWriter<TcpStream>, response: &Response) -> std::i
     writer.flush()
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(shared.read_timeout));
+fn handle_connection(stream: TcpStream, shared: &Shared<'_>) {
+    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -385,7 +366,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     let mut line: Vec<u8> = Vec::new();
     loop {
         line.clear();
-        match read_frame(&mut reader, &mut line, &shared.shutdown) {
+        match read_frame(&mut reader, &mut line, shared.shutdown) {
             FrameRead::Frame => {}
             FrameRead::Eof | FrameRead::Closed => return,
             FrameRead::TooLong => {
@@ -397,7 +378,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 // Consume the rest of the oversized line before closing:
                 // a close with unread bytes resets the socket, which can
                 // destroy the ERR reply still in flight to the client.
-                drain_line(&mut reader, &shared.shutdown);
+                drain_line(&mut reader, shared.shutdown);
                 return; // framing lost: close
             }
         }
@@ -410,9 +391,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             Ok(Request::Stats) => write_frame(
                 &mut writer,
                 &Response::Stats(shared.metrics.stats_json(
-                    &shared.engine_name,
-                    &shared.dataset_label,
-                    shared.records,
+                    shared.engine.name(),
+                    &shared.config.dataset_label,
+                    shared.engine.records(),
                     shared.started,
                 )),
             ),
@@ -421,21 +402,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 shared.shutdown.store(true, Ordering::Release);
                 return;
             }
-            // Queries, mutations and joins ride the same admission
-            // queue: they are ordered with each other, inherit admission
-            // control (BUSY) and deadlines (TIMEOUT), and a read-only
-            // engine answers a mutation with ERR from the worker.
-            Ok(Request::Query { k, text }) => serve(shared, Work::Query { k }, text, &mut writer),
+            // Queries, mutations and joins share the execution permits:
+            // all inherit admission control (BUSY) and deadlines
+            // (TIMEOUT), and a read-only engine answers a mutation with
+            // ERR from under its permit.
+            Ok(Request::Query { k, text }) => serve(shared, Work::Query { k }, &text, &mut writer),
             Ok(Request::TopK { count, text }) => {
-                serve(shared, Work::TopK { count }, text, &mut writer)
+                serve(shared, Work::TopK { count }, &text, &mut writer)
             }
-            Ok(Request::Insert { text }) => serve(shared, Work::Insert, text, &mut writer),
-            Ok(Request::Delete { id }) => {
-                serve(shared, Work::Delete { id }, Vec::new(), &mut writer)
-            }
-            Ok(Request::Join { k }) => {
-                serve(shared, Work::Join { k }, Vec::new(), &mut writer)
-            }
+            Ok(Request::Insert { text }) => serve(shared, Work::Insert, &text, &mut writer),
+            Ok(Request::Delete { id }) => serve(shared, Work::Delete { id }, &[], &mut writer),
+            Ok(Request::Join { k }) => serve(shared, Work::Join { k }, &[], &mut writer),
         };
         if written.is_err() {
             return; // client hung up
@@ -443,60 +420,43 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Admission control: non-blocking push (full queue ⇒ immediate `BUSY`).
-/// `Ok` is the private channel the worker replies on; `Err` is the
-/// refusal to send instead.
-fn admit(shared: &Shared, work: Work, text: Vec<u8>) -> Result<mpsc::Receiver<Response>, Response> {
-    let (reply, receiver) = mpsc::channel();
-    let pending = Pending {
-        work,
-        text,
-        admitted: Instant::now(),
-        reply,
-    };
-    match shared.admission.push(pending) {
-        Ok(()) => {
-            shared.metrics.requests_admitted.inc();
-            Ok(receiver)
-        }
-        Err(PushError::Full(_)) => {
-            shared.metrics.rejected_busy.inc();
-            Err(Response::Busy)
-        }
-        Err(PushError::Closed(_)) => Err(Response::Error("server shutting down".into())),
-    }
-}
-
-/// Admits one request and forwards the worker's reply frames to the
-/// socket as they land, until a terminal one: a `JOIN` streams
-/// `OK join <total>` then `OK pairs` chunks and ends at the header of
-/// an empty join or at the chunk that completes `total`; every other
-/// frame (`OK` matches, `BUSY`, `TIMEOUT`, `ERR`) is a stream of one.
-fn serve(shared: &Shared, work: Work, text: Vec<u8>, writer: &mut BufWriter<TcpStream>) -> std::io::Result<()> {
-    let receiver = match admit(shared, work, text) {
-        Ok(receiver) => receiver,
+/// Admits and executes one request on this handler's thread, then —
+/// holding no permit — writes the reply: `BUSY` or `TIMEOUT` if
+/// admission refused it, else its frames in order (a `JOIN` is
+/// `OK join <total>` then `OK pairs` chunks; every other reply is one
+/// frame).
+fn serve(
+    shared: &Shared<'_>,
+    work: Work,
+    text: &[u8],
+    writer: &mut BufWriter<TcpStream>,
+) -> std::io::Result<()> {
+    let Shared {
+        engine,
+        permits,
+        config,
+        metrics,
+        ..
+    } = shared;
+    let frames = match run_request(&work, text, permits, engine, &config.batch, metrics) {
+        Ok(frames) => frames,
         Err(refusal) => return write_frame(writer, &refusal),
     };
-    let mut expected: Option<u64> = None;
-    let mut streamed = 0u64;
-    loop {
-        let frame = receiver
-            .recv_timeout(shared.reply_timeout)
-            .unwrap_or_else(|_| Response::Error("reply channel broken".into()));
-        let done = match &frame {
-            Response::JoinHeader { total } => {
-                expected = Some(*total);
-                *total == 0
-            }
-            Response::JoinPairs(pairs) => {
-                streamed += pairs.len() as u64;
-                expected.is_some_and(|total| streamed >= total)
-            }
-            _ => true,
-        };
-        write_frame(writer, &frame)?;
-        if done {
-            return Ok(());
-        }
+    let written = frames
+        .iter()
+        .try_for_each(|frame| write_frame(writer, frame));
+    // Live engines: compaction rides the handlers — one step after each
+    // reply, under a permit of its own so engine CPU stays bounded by
+    // `threads`, keeps the memtable bounded without a dedicated
+    // compaction thread; the gate inside the engine serialises
+    // concurrent steps.
+    if let Some(live) = engine.writer() {
+        let _permit = permits.acquire();
+        live.maybe_compact();
     }
+    // Refresh the routing counters (with per-shard breakdowns) and the
+    // live engines' structural gauges after each request so `STATS`
+    // stays near-live.
+    engine.publish(metrics);
+    written
 }

@@ -4,7 +4,9 @@
 //! deterministic with the `exec_delay` fault-injection knob — the
 //! single worker is provably busy while the other requests arrive.
 
-use std::time::Duration;
+use std::io::Write;
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use simsearch_core::EngineKind;
 use simsearch_data::Dataset;
@@ -154,4 +156,79 @@ fn zero_sized_configs_are_rejected_before_anything_is_bound() {
             .expect("spawn must refuse the config");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     }
+}
+
+/// A permit covers engine work, never socket I/O: with one permit, a
+/// client that requests ≈ 10 MB of matches and never reads them pins
+/// its own handler in `write`, and the next client is still served.
+#[test]
+fn a_slow_reader_never_holds_a_permit() {
+    let server = Loopback::spawn(
+        Dataset::from_records(std::iter::repeat_n("a", 1_200_000)),
+        EngineKind::Scan(SeqVariant::V4Flat),
+        saturated_config(0, 10_000, 8),
+    );
+    let mut slow = TcpStream::connect(server.addr()).expect("connect");
+    slow.write_all(b"QUERY 0 a\n").expect("send");
+    // Once it is executed and counted, its handler only writes.
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while server.metrics().replied_ok.get() == 0 {
+        assert!(
+            Instant::now() < give_up,
+            "the large query executes within 10s"
+        );
+        std::thread::yield_now();
+    }
+    let mut client = server.client();
+    assert_eq!(
+        client.query(b"b", 0).expect("a reply, not a hang"),
+        Response::Matches(Vec::new())
+    );
+    // Hanging up fails the blocked write, so the drain is not held up.
+    drop(slow);
+    server.shutdown();
+}
+
+/// A connection over `conn_threads` is closed at once — EOF, not a
+/// hang, and counted — and a handler that ends frees its slot.
+#[test]
+fn the_connection_cap_refuses_at_once_and_recovers() {
+    let server = Loopback::spawn(
+        tiny_dataset(),
+        EngineKind::Scan(SeqVariant::V4Flat),
+        ServerConfig {
+            conn_threads: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = server.addr();
+    let mut first = server.client();
+    assert!(first
+        .health()
+        .expect("the one handler serves the first client"));
+    let mut second =
+        simsearch_serve::Client::connect(addr).expect("the listener still completes TCP connects");
+    assert!(second.health().is_err(), "over the cap: closed, not served");
+    assert_eq!(server.metrics().rejected_busy.get(), 1);
+    // The first handler frees its slot when it reads EOF; a connect that
+    // races it is refused like the second, so retry until one is served.
+    drop(first);
+    let give_up = Instant::now() + Duration::from_secs(10);
+    let mut third = loop {
+        let mut client =
+            simsearch_serve::Client::connect_retry(addr, Duration::from_secs(5)).expect("connect");
+        if let Ok(reply) = client.query(b"Bern", 1) {
+            assert!(matches!(reply, Response::Matches(_)), "{reply:?}");
+            break client;
+        }
+        assert!(
+            Instant::now() < give_up,
+            "the freed slot serves a client within 10s"
+        );
+        std::thread::yield_now();
+    };
+    // The harness's own SHUTDOWN connection would find the one slot
+    // taken: ask over the connection that holds it.
+    third.shutdown().expect("bye");
+    server.shutdown();
 }
