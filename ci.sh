@@ -35,8 +35,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 #   planner_parity      `--backend auto` (static and calibrated) is
 #                       byte-identical to the V1 oracle under every
 #                       executor × thread count, plan counters account
-#                       for every query, and top-k — routed by its own
-#                       cost curve — matches exhaustive V1 deepening.
+#                       for every query, and top-k — each radius routed
+#                       by the same table — matches exhaustive V1
+#                       deepening.
 #   replan_oracle       live recalibration across a distribution shift
 #                       stays byte-identical while plan_epoch advances
 #                       once per converged phase.
@@ -217,6 +218,24 @@ dna_q=$(head -n 1 "$smoke_dir/dna.data")
 "$SIMSEARCH" client --port "$port" --send "QUERY 16 $dna_q" | grep -q '^OK '
 "$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS' \
     | grep -q '"scan-bitparallel": [1-9]'
+# A TOPK is a series of threshold probes (radius 0, 1, 2, 4, …), each
+# routed by the decision table and counted like a QUERY: over three
+# TOPKs on one connection (a handler publishes its counters before it
+# reads the next frame) `plan_decisions` grows by the probes, not by the
+# three requests. The replies are compared with the V8 daemon's below.
+q1=$(sed -n 1p "$smoke_dir/dna.q" | cut -f 1)
+q2=$(sed -n 2p "$smoke_dir/dna.q" | cut -f 1)
+q3=$(sed -n 3p "$smoke_dir/dna.q" | cut -f 1)
+topk=$("$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS' \
+    --send "TOPK 3 $q1" --send "TOPK 3 $q2" --send "TOPK 3 $q3" --send 'STATS')
+# plan_total <n>: Σ plan_decisions in the STATS reply on line <n>.
+plan_total() {
+    echo "$topk" | sed -n "${1}p" | sed 's/.*"plan_decisions": {\([^}]*\)}.*/\1/' \
+        | tr ',' '\n' | awk -F': ' '{ total += $2 } END { print total + 0 }'
+}
+[ $(($(plan_total 5) - $(plan_total 1))) -gt 3 ]
+echo "$topk" | sed -n '2,4p' >"$smoke_dir/topk.auto"
+grep -c '^OK 3 ' "$smoke_dir/topk.auto" | grep -qx 3
 drain_daemon
 
 # Segment-postings smoke: a V8 daemon on the generated reads answers one
@@ -234,7 +253,10 @@ for k in 0 4 8 16 17; do
     printf '%s\t%s\n' "$q" "$k" >>"$smoke_dir/postings.q"
     "$SIMSEARCH" client --port "$port" --send "QUERY $k $q" >>"$smoke_dir/postings.replies"
 done
+"$SIMSEARCH" client --port "$port" \
+    --send "TOPK 3 $q1" --send "TOPK 3 $q2" --send "TOPK 3 $q3" >"$smoke_dir/topk.v8"
 drain_daemon
+cmp "$smoke_dir/topk.auto" "$smoke_dir/topk.v8"
 grep -q '^OK [1-9]' "$smoke_dir/postings.replies"
 # "OK <n> <id>:<d> …" → the results-file line "<query>: <id>,<id>…".
 awk '{

@@ -63,25 +63,183 @@ pub fn table1(city: &Preset, dna: &Preset) -> Table {
     t
 }
 
-/// Tables II and VI: scan thread-count sweep (rung 6 at 4/8/16/32
-/// threads).
-pub fn seq_threads_table(preset: &Preset, counts: &[usize], title: &str) -> Table {
+/// One engine of a paper table: the id the bench files its timings
+/// under, the row label the rendered table prints, and the engine.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row {
+    /// Bench id within the table's group.
+    pub id: String,
+    /// Row label in the rendered table.
+    pub label: String,
+    /// The engine to build.
+    pub kind: EngineKind,
+}
+
+/// Which engines a paper table compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rows {
+    /// Tables II/VI: scan rung 6 at each of [`THREAD_SWEEP`].
+    SeqThreads,
+    /// Tables III/VII: the six-rung scan ladder (rung 6 at `pool`
+    /// threads) plus the V7 and V8 extension rows.
+    SeqLadder {
+        /// Pool threads of rung 6.
+        pool: usize,
+    },
+    /// Tables IV/VIII: the compressed tree at each of [`THREAD_SWEEP`].
+    /// The sweep isolates thread-management behaviour, so it runs on the
+    /// fast modern-pruning descent; the prune modes themselves are
+    /// compared in the ladder tables and figures.
+    IdxThreads,
+    /// Tables V/IX: the three-rung index ladder with the paper's §4.1
+    /// pruning (rung 3 at `pool` threads), plus two extension rows: the
+    /// same structures under modern pruning (banded rows + row-minimum
+    /// lemma).
+    IdxLadder {
+        /// Pool threads of rung 3.
+        pool: usize,
+    },
+}
+
+impl Rows {
+    /// The rows, in table order.
+    pub fn rows(self) -> Vec<Row> {
+        let sweep = |kind: fn(usize) -> EngineKind| {
+            THREAD_SWEEP
+                .iter()
+                .map(|&threads| Row {
+                    id: threads.to_string(),
+                    label: format!("{threads} threads"),
+                    kind: kind(threads),
+                })
+                .collect()
+        };
+        let row = |id: String, label: String, kind| Row { id, label, kind };
+        match self {
+            Rows::SeqThreads => sweep(|threads| EngineKind::Scan(SeqVariant::V6Pool { threads })),
+            Rows::IdxThreads => {
+                sweep(|threads| EngineKind::IndexModern(IdxVariant::I3Pool { threads }))
+            }
+            Rows::SeqLadder { pool } => SeqVariant::ladder_extended(pool)
+                .into_iter()
+                .zip(1..)
+                .map(|(variant, rung)| {
+                    let id = match variant {
+                        SeqVariant::V7SortedPrefix => "ext_v7".to_string(),
+                        SeqVariant::V8BitParallel => "ext_v8".to_string(),
+                        _ => format!("rung{rung}"),
+                    };
+                    row(id, variant.label(), EngineKind::Scan(variant))
+                })
+                .collect(),
+            Rows::IdxLadder { pool } => {
+                let mut rows: Vec<Row> = IdxVariant::ladder(pool)
+                    .into_iter()
+                    .zip(1..)
+                    .map(|(variant, rung)| {
+                        row(
+                            format!("rung{rung}"),
+                            variant.label(),
+                            EngineKind::Index(variant),
+                        )
+                    })
+                    .collect();
+                for (id, label, variant) in [
+                    (
+                        "ext_modern_pruning",
+                        "x) Compression + modern pruning",
+                        IdxVariant::I2Compressed,
+                    ),
+                    (
+                        "ext_modern_pool",
+                        "x) Modern pruning + parallelism",
+                        IdxVariant::I3Pool { threads: pool },
+                    ),
+                ] {
+                    rows.push(row(
+                        id.into(),
+                        label.into(),
+                        EngineKind::IndexModern(variant),
+                    ));
+                }
+                rows
+            }
+        }
+    }
+}
+
+/// One of the paper's Tables II–IX as the `paper_tables` bench runs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PaperTable {
+    /// Bench group name — `BENCH_<group>.json`.
+    pub group: &'static str,
+    /// DNA reads (`true`) or city names.
+    pub dna: bool,
+    /// Workload prefix the bench times.
+    pub queries: usize,
+    /// The engines compared; the `reproduce` drivers below render the
+    /// same rows at their own scale.
+    pub rows: Rows,
+}
+
+/// Tables II–IX. The ladders' pool rungs run at the thread count the
+/// paper found best for that table's dataset and family.
+#[rustfmt::skip] // one table a line
+pub const PAPER_TABLES: [PaperTable; 8] = [
+    table("table2_city_seq_threads", false, 50, Rows::SeqThreads),
+    table("table3_city_seq_ladder", false, 30, Rows::SeqLadder { pool: CITY_SEQ_BEST_THREADS }),
+    table("table4_city_idx_threads", false, 50, Rows::IdxThreads),
+    table("table5_city_idx_ladder", false, 30, Rows::IdxLadder { pool: CITY_IDX_BEST_THREADS }),
+    table("table6_dna_seq_threads", true, 30, Rows::SeqThreads),
+    table("table7_dna_seq_ladder", true, 20, Rows::SeqLadder { pool: DNA_SEQ_BEST_THREADS }),
+    table("table8_dna_idx_threads", true, 30, Rows::IdxThreads),
+    table("table9_dna_idx_ladder", true, 10, Rows::IdxLadder { pool: DNA_IDX_BEST_THREADS }),
+];
+
+const fn table(group: &'static str, dna: bool, queries: usize, rows: Rows) -> PaperTable {
+    PaperTable {
+        group,
+        dna,
+        queries,
+        rows,
+    }
+}
+
+/// Renders `rows` timed over the workload prefixes in `counts`.
+/// `naive_stride > 1` subsamples the naive scan rung and extrapolates
+/// (labelled), as the paper itself only estimates that rung on DNA.
+fn measured_table(
+    preset: &Preset,
+    counts: &[usize],
+    title: &str,
+    rows: Rows,
+    naive_stride: usize,
+) -> Table {
     let mut t = table_with_counts(title, counts);
-    for threads in THREAD_SWEEP {
-        let engine = SearchEngine::build(
-            &preset.dataset,
-            EngineKind::Scan(SeqVariant::V6Pool { threads }),
-        );
-        let ms = measure_prefixes(&engine, &preset.workload, counts);
-        t.push_measurements(format!("{threads} threads"), &ms);
+    for row in rows.rows() {
+        let engine = SearchEngine::build(&preset.dataset, row.kind);
+        if row.kind == EngineKind::Scan(SeqVariant::V1Base) && naive_stride > 1 {
+            let ms: Vec<Measurement> = counts
+                .iter()
+                .map(|&n| measure_extrapolated(&engine, &preset.workload, n, naive_stride))
+                .collect();
+            let label = format!("{} [extrapolated 1/{naive_stride}]", row.label);
+            t.push_measurements(label, &ms);
+        } else {
+            let ms = measure_prefixes(&engine, &preset.workload, counts);
+            t.push_measurements(row.label, &ms);
+        }
     }
     t
 }
 
-/// Tables III and VII: the six-rung scan ladder plus the V7
-/// sorted-prefix extension row. `naive_stride > 1` subsamples rung 1 and
-/// extrapolates (labelled), as the paper itself only estimates the naive
-/// DNA rung.
+/// Tables II and VI: scan thread-count sweep ([`Rows::SeqThreads`]).
+pub fn seq_threads_table(preset: &Preset, counts: &[usize], title: &str) -> Table {
+    measured_table(preset, counts, title, Rows::SeqThreads, 1)
+}
+
+/// Tables III and VII: the scan ladder ([`Rows::SeqLadder`]), rung 1
+/// subsampled by `naive_stride`.
 pub fn seq_ladder_table(
     preset: &Preset,
     counts: &[usize],
@@ -89,74 +247,24 @@ pub fn seq_ladder_table(
     naive_stride: usize,
     title: &str,
 ) -> Table {
-    let mut t = table_with_counts(title, counts);
-    for variant in SeqVariant::ladder_extended(pool_threads) {
-        let engine = SearchEngine::build(&preset.dataset, EngineKind::Scan(variant));
-        let subsample = variant == SeqVariant::V1Base && naive_stride > 1;
-        let ms: Vec<Measurement> = if subsample {
-            counts
-                .iter()
-                .map(|&n| measure_extrapolated(&engine, &preset.workload, n, naive_stride))
-                .collect()
-        } else {
-            measure_prefixes(&engine, &preset.workload, counts)
-        };
-        let label = if subsample {
-            format!("{} [extrapolated 1/{naive_stride}]", variant.label())
-        } else {
-            variant.label()
-        };
-        t.push_measurements(label, &ms);
-    }
-    t
+    let rows = Rows::SeqLadder { pool: pool_threads };
+    measured_table(preset, counts, title, rows, naive_stride)
 }
 
-/// Tables IV and VIII: index thread-count sweep (compressed tree under a
-/// pool of 4/8/16/32 threads). The sweep isolates thread-management
-/// behaviour, so it runs on the fast modern-pruning descent; the prune
-/// modes themselves are compared in the ladder tables and figures.
+/// Tables IV and VIII: index thread-count sweep ([`Rows::IdxThreads`]).
 pub fn idx_threads_table(preset: &Preset, counts: &[usize], title: &str) -> Table {
-    let mut t = table_with_counts(title, counts);
-    for threads in THREAD_SWEEP {
-        let engine = SearchEngine::build(
-            &preset.dataset,
-            EngineKind::IndexModern(IdxVariant::I3Pool { threads }),
-        );
-        let ms = measure_prefixes(&engine, &preset.workload, counts);
-        t.push_measurements(format!("{threads} threads"), &ms);
-    }
-    t
+    measured_table(preset, counts, title, Rows::IdxThreads, 1)
 }
 
-/// Tables V and IX: the three-rung index ladder with the paper's §4.1
-/// pruning, plus two extension rows showing the same structures under
-/// modern pruning (banded rows + row-minimum lemma).
+/// Tables V and IX: the index ladder ([`Rows::IdxLadder`]).
 pub fn idx_ladder_table(
     preset: &Preset,
     counts: &[usize],
     pool_threads: usize,
     title: &str,
 ) -> Table {
-    let mut t = table_with_counts(title, counts);
-    for variant in IdxVariant::ladder(pool_threads) {
-        let engine = SearchEngine::build(&preset.dataset, EngineKind::Index(variant));
-        let ms = measure_prefixes(&engine, &preset.workload, counts);
-        t.push_measurements(variant.label(), &ms);
-    }
-    for (label, variant) in [
-        ("x) Compression + modern pruning", IdxVariant::I2Compressed),
-        (
-            "x) Modern pruning + parallelism",
-            IdxVariant::I3Pool {
-                threads: pool_threads,
-            },
-        ),
-    ] {
-        let engine = SearchEngine::build(&preset.dataset, EngineKind::IndexModern(variant));
-        let ms = measure_prefixes(&engine, &preset.workload, counts);
-        t.push_measurements(label, &ms);
-    }
-    t
+    let rows = Rows::IdxLadder { pool: pool_threads };
+    measured_table(preset, counts, title, rows, 1)
 }
 
 /// Figure 4: compression effect on node counts — the worked example plus
@@ -481,6 +589,32 @@ mod tests {
         let idx = idx_ladder_table(&city, &counts, 2, "T");
         // 3 paper rungs + 2 modern-pruning extension rows.
         assert_eq!(idx.rows.len(), 5);
+    }
+
+    #[test]
+    fn paper_tables_keep_their_bench_ids() {
+        // `BENCH_table*.json` trajectories are keyed by these.
+        let ids = |rows: Rows| -> Vec<String> { rows.rows().into_iter().map(|r| r.id).collect() };
+        assert_eq!(ids(Rows::SeqThreads), ["4", "8", "16", "32"]);
+        assert_eq!(ids(Rows::IdxThreads), ids(Rows::SeqThreads));
+        assert_eq!(
+            ids(Rows::SeqLadder { pool: 8 }),
+            ["rung1", "rung2", "rung3", "rung4", "rung5", "rung6", "ext_v7", "ext_v8"]
+        );
+        assert_eq!(
+            ids(Rows::IdxLadder { pool: 8 }),
+            [
+                "rung1",
+                "rung2",
+                "rung3",
+                "ext_modern_pruning",
+                "ext_modern_pool"
+            ]
+        );
+        let groups: Vec<&str> = PAPER_TABLES.iter().map(|t| t.group).collect();
+        for (number, group) in (2..).zip(groups) {
+            assert!(group.starts_with(&format!("table{number}_")), "{group}");
+        }
     }
 
     #[test]

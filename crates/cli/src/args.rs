@@ -2,6 +2,7 @@
 //! dependency set to the algorithmic essentials).
 
 use simsearch_core::{BackendChoice, EngineKind, IdxVariant, SeqVariant, ShardBy, Strategy};
+use std::ffi::{OsStr, OsString};
 use std::path::PathBuf;
 
 /// Parsed command line.
@@ -102,8 +103,9 @@ pub struct ClientArgs {
     pub host: String,
     /// Server port.
     pub port: u16,
-    /// Frames to send, in order; each reply is printed on its own line.
-    pub send: Vec<String>,
+    /// Frames to send, in order, as the bytes they arrived in (records
+    /// are not UTF-8 in general); each reply is printed on its own line.
+    pub send: Vec<Vec<u8>>,
     /// Validate every `OK {…}` reply as JSON; exit non-zero otherwise.
     pub check_stats_json: bool,
 }
@@ -356,16 +358,23 @@ table into the engine; STATS reports `replans` and `plan_epoch`.
 ";
 
 /// Parses an argument vector (without the program name).
-pub fn parse(args: &[String]) -> Result<Command, String> {
+pub fn parse(args: &[OsString]) -> Result<Command, String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    match cmd.as_str() {
+    if cmd == "client" {
+        return parse_client(rest).map(Command::Client);
+    }
+    let rest: Vec<String> = rest
+        .iter()
+        .map(|arg| text(arg).map(str::to_owned))
+        .collect::<Result<_, _>>()?;
+    let rest = &rest[..];
+    match text(cmd)? {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "search" => parse_search(rest).map(Command::Search),
         "explain" => parse_explain(rest).map(Command::Explain),
         "serve" => parse_serve(rest).map(Command::Serve),
-        "client" => parse_client(rest).map(Command::Client),
         "generate" => parse_generate(rest).map(Command::Generate),
         "join" => parse_join(rest).map(Command::Join),
         "verify" => {
@@ -401,11 +410,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
 }
 
-fn value<'a>(
-    it: &mut std::slice::Iter<'a, String>,
-    flag: &str,
-) -> Result<&'a String, String> {
+fn value<'a, T>(it: &mut std::slice::Iter<'a, T>, flag: &str) -> Result<&'a T, String> {
     it.next().ok_or_else(|| format!("{flag} needs a value"))
+}
+
+/// An argument as text: everything but a `client --send` frame must be
+/// valid UTF-8.
+fn text(arg: &OsStr) -> Result<&str, String> {
+    arg.to_str()
+        .ok_or_else(|| format!("argument {arg:?} is not valid UTF-8"))
 }
 
 /// `flag`'s value as an integer; a value that does not parse answers
@@ -599,17 +612,20 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
     })
 }
 
-fn parse_client(rest: &[String]) -> Result<ClientArgs, String> {
+fn parse_client(rest: &[OsString]) -> Result<ClientArgs, String> {
     let mut host = "127.0.0.1".to_string();
     let mut port = None;
     let mut send = Vec::new();
     let mut check_stats_json = false;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--host" => host = value(&mut it, "--host")?.clone(),
-            "--port" => port = Some(int_value(&mut it, "--port", "an integer in 0..=65535")?),
-            "--send" => send.push(value(&mut it, "--send")?.clone()),
+        match text(flag)? {
+            "--host" => host = text(value(&mut it, "--host")?)?.to_owned(),
+            "--port" => {
+                let value = text(value(&mut it, "--port")?)?;
+                port = Some(value.parse().map_err(|_| "--port needs an integer in 0..=65535")?);
+            }
+            "--send" => send.push(value(&mut it, "--send")?.as_encoded_bytes().to_vec()),
             "--check-stats-json" => check_stats_json = true,
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -664,8 +680,8 @@ fn parse_generate(rest: &[String]) -> Result<GenerateArgs, String> {
 mod tests {
     use super::*;
 
-    fn v(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
+    fn v(args: &[&str]) -> Vec<OsString> {
+        args.iter().map(OsString::from).collect()
     }
 
     #[test]
@@ -865,10 +881,29 @@ mod tests {
             Command::Client(c) => {
                 assert_eq!(c.host, "127.0.0.1");
                 assert_eq!(c.port, 4100);
-                assert_eq!(c.send, vec!["HEALTH".to_string(), "QUERY 2 Berlin".to_string()]);
+                assert_eq!(c.send, vec![b"HEALTH".to_vec(), b"QUERY 2 Berlin".to_vec()]);
                 assert!(c.check_stats_json);
             }
             other => panic!("wrong parse: {other:?}"),
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn only_a_send_frame_may_be_other_than_utf8() {
+        use std::os::unix::ffi::OsStringExt;
+        let latin1 = OsString::from_vec(b"QUERY 0 M\xfcnchen".to_vec());
+        let mut args = v(&["client", "--port", "1", "--send"]);
+        args.push(latin1.clone());
+        match parse(&args).unwrap() {
+            Command::Client(c) => assert_eq!(c.send, vec![b"QUERY 0 M\xfcnchen".to_vec()]),
+            other => panic!("wrong parse: {other:?}"),
+        }
+        for before in [&["client", "--host"][..], &["search", "--data"], &[]] {
+            let mut args = v(before);
+            args.push(latin1.clone());
+            let err = parse(&args).unwrap_err();
+            assert!(err.ends_with("is not valid UTF-8"), "{err}");
         }
     }
 

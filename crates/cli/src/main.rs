@@ -17,7 +17,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let argv: Vec<std::ffi::OsString> = std::env::args_os().skip(1).collect();
     let command = match args::parse(&argv) {
         Ok(c) => c,
         Err(e) => {
@@ -201,9 +201,10 @@ fn run_serve(a: ServeArgs) -> Result<(), String> {
 fn run_client(a: ClientArgs) -> Result<(), String> {
     let mut client = simsearch_serve::Client::connect((a.host.as_str(), a.port))
         .map_err(|e| format!("connecting to {}:{}: {e}", a.host, a.port))?;
-    for frame in &a.send {
+    for bytes in &a.send {
+        let frame = String::from_utf8_lossy(bytes);
         let reply = client
-            .send_raw(frame.as_bytes())
+            .send_raw(bytes)
             .map_err(|e| format!("sending {frame:?}: {e}"))?;
         let line = String::from_utf8_lossy(&reply).into_owned();
         if a.check_stats_json {

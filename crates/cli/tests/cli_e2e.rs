@@ -109,3 +109,63 @@ fn verify_detects_divergence() {
     std::fs::remove_file(&a).unwrap();
     std::fs::remove_file(&b).unwrap();
 }
+
+/// `client --send` frames are bytes: a Latin-1 record (what generated
+/// city names contain) goes to the daemon as it is and finds itself.
+#[cfg(unix)]
+#[test]
+fn a_latin1_frame_round_trips_through_a_loopback_daemon() {
+    use std::ffi::OsString;
+    use std::os::unix::ffi::OsStringExt;
+    // Not `tmpdir()`: the round-trip test removes that directory whole.
+    let dir = tmpdir().with_extension("daemon");
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("latin1.data");
+    let port_file = dir.join("latin1.port");
+    std::fs::write(&data, b"Berlin\nM\xfcnchen\nK\xf6ln\n").unwrap();
+    let mut daemon = bin()
+        .args(["serve", "--data", data.to_str().unwrap(), "--port", "0"])
+        .args(["--port-file", port_file.to_str().unwrap()])
+        .spawn()
+        .expect("spawn serve");
+    let started = std::time::Instant::now();
+    let port = loop {
+        // The daemon writes the file only once it listens.
+        match std::fs::read_to_string(&port_file) {
+            Ok(port) if port.ends_with('\n') => break port.trim().to_string(),
+            _ if started.elapsed().as_secs() >= 30 => {
+                daemon.kill().unwrap();
+                panic!("daemon never published its port");
+            }
+            _ => std::thread::sleep(std::time::Duration::from_millis(20)),
+        }
+    };
+    let client = |flag: &str, value: &[u8]| {
+        bin()
+            .args(["client", "--port", &port, flag])
+            .arg(OsString::from_vec(value.to_vec()))
+            .output()
+            .expect("spawn client")
+    };
+    // Every exchange first, the assertions after the daemon is down.
+    let found = client("--send", b"QUERY 0 M\xfcnchen");
+    let refused = client("--host", b"M\xfcnchen");
+    let bye = client("--send", b"SHUTDOWN");
+    assert!(daemon.wait().expect("daemon exits").success());
+    assert_eq!(bye.stdout, b"OK bye\n");
+    assert!(
+        found.status.success(),
+        "{}",
+        String::from_utf8_lossy(&found.stderr)
+    );
+    assert_eq!(found.stdout, b"OK 1 1:0\n");
+    // Anywhere else a non-UTF-8 argument is a usage error, not a panic.
+    assert_eq!(refused.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("is not valid UTF-8") && stderr.contains("USAGE"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

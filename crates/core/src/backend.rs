@@ -3,9 +3,9 @@
 //! Scan rungs, index structures, the planner-routed [`AutoBackend`],
 //! the sharded composite and the live LSM engine all answer through
 //! [`Backend`]: *prepare once, then answer threshold queries*. What a
-//! consumer needs beyond that — DP-cell counting, top-k deepening,
-//! workload execution, and the capabilities only some engines have
-//! (replanning, mutation) — are provided methods with no-op defaults,
+//! consumer needs beyond that — DP-cell counting, workload execution,
+//! and the capabilities only some engines have (replanning, mutation) —
+//! are provided methods with no-op defaults,
 //! so the serving layer, the CLI and the benches hold one `dyn Backend`
 //! and never a typed side-handle.
 //!
@@ -22,10 +22,9 @@ use crate::planner::{
     MAX_K_CLASS, MIN_CELL_OBSERVATIONS, NUM_LEN_CLASSES,
 };
 use crate::sharded::ShardStats;
-use crate::topk;
 use simsearch_data::alphabet::{DNA_SYMBOLS, VOWEL_SYMBOLS};
 use simsearch_data::{
-    Alphabet, Dataset, Match, MatchSet, QueryRecord, SortedView, StatsSnapshot, Workload,
+    Alphabet, Dataset, MatchSet, QueryRecord, SortedView, StatsSnapshot, Workload,
 };
 use simsearch_distance::KernelKind;
 use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter};
@@ -93,8 +92,9 @@ pub trait Backend: Send + Sync {
     /// 50,000 reads the three arms its table never picks are 33 of the
     /// engine's 42 MB. For a host that will never call
     /// [`Backend::replan`] (a daemon without the self-tuning tick): the
-    /// table is then fixed for life, and whatever else asks for a
-    /// released arm builds it again on first use. Default no-op.
+    /// table is then fixed for life and every request — a `TOPK`'s
+    /// radii included — is routed by it, so only a replan can ask for a
+    /// released arm again. Default no-op.
     fn release_unrouted(&mut self) {}
 
     /// Answers one threshold query — the seam every oracle compares.
@@ -102,21 +102,10 @@ pub trait Backend: Send + Sync {
 
     /// Answers one query and reports DP cells computed, when the
     /// backend counts them (0 otherwise) — the daemon's `QUERY` path,
-    /// feeding the `dp_cells` counter in `STATS`.
+    /// feeding the `dp_cells` counter in `STATS`, and the probe every
+    /// `TOPK` radius goes through ([`crate::topk::search_top_k_with`]).
     fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
         (self.search(query, k), 0)
-    }
-
-    /// The `count` nearest records by iterative deepening (radius 0,
-    /// then doubling, capped at `max_radius`), plus DP cells computed
-    /// across all probes — the daemon's `TOPK` path.
-    fn search_top_k_with(
-        &self,
-        query: &[u8],
-        count: usize,
-        max_radius: u32,
-    ) -> (Vec<Match>, u64) {
-        deepen(|radius| self.search_counting(query, radius), count, max_radius)
     }
 
     /// Self-description for diagnostics: `explain` renders per-shard
@@ -190,25 +179,6 @@ pub trait Backend: Send + Sync {
             self.search(&q.text, q.threshold)
         })
     }
-}
-
-/// Iterative deepening over any cell-counting threshold probe.
-fn deepen(
-    mut probe: impl FnMut(u32) -> (MatchSet, u64),
-    count: usize,
-    max_radius: u32,
-) -> (Vec<Match>, u64) {
-    let mut cells = 0u64;
-    let matches = topk::search_top_k_with(
-        |radius| {
-            let (m, c) = probe(radius);
-            cells += c;
-            m
-        },
-        count,
-        max_radius,
-    );
-    (matches, cells)
 }
 
 /// The frequency-filter alphabet that fits `dataset`: DNA symbols for
@@ -504,9 +474,9 @@ impl AtomicCell {
 }
 
 /// The live latency registry the self-tuning loop closes over: one
-/// accumulation cell per `(query class, arm)` plus one pooled top-k
-/// cell per arm. Routed backends record `(measured nanos, statically
-/// predicted units)` here on every query; a replan tick snapshots the
+/// accumulation cell per `(query class, arm)`. Routed backends record
+/// `(measured nanos, statically predicted units)` here on every
+/// threshold query — a top-k's radii included; a replan tick snapshots the
 /// grid and hands it to [`Planner::with_class_samples`] to re-derive
 /// the multipliers from serving traffic instead of the one-shot
 /// build-time probe. All counters are relaxed atomics — recording
@@ -514,7 +484,6 @@ impl AtomicCell {
 /// folds a query into this tick or the next.
 pub struct ObservationGrid {
     cells: Vec<[AtomicCell; BackendChoice::COUNT]>,
-    topk: [AtomicCell; BackendChoice::COUNT],
 }
 
 impl ObservationGrid {
@@ -525,7 +494,6 @@ impl ObservationGrid {
             cells: (0..rows)
                 .map(|_| std::array::from_fn(|_| AtomicCell::default()))
                 .collect(),
-            topk: std::array::from_fn(|_| AtomicCell::default()),
         }
     }
 
@@ -540,11 +508,6 @@ impl ObservationGrid {
         self.cells[class.table_index()][choice.index()].record(nanos, predicted);
     }
 
-    /// Records one full top-k deepening run.
-    pub fn record_topk(&self, choice: BackendChoice, nanos: u64, predicted: f64) {
-        self.topk[choice.index()].record(nanos, predicted);
-    }
-
     /// Snapshot of every class cell, in table order — the shape
     /// [`Planner::with_class_samples`] consumes.
     pub fn class_samples(&self) -> Vec<[CellSample; BackendChoice::COUNT]> {
@@ -554,34 +517,24 @@ impl ObservationGrid {
             .collect()
     }
 
-    /// Snapshot of the per-arm top-k cells.
-    pub fn topk_samples(&self) -> [CellSample; BackendChoice::COUNT] {
-        std::array::from_fn(|i| self.topk[i].snapshot())
-    }
-
-    /// Total queries recorded (threshold + top-k).
+    /// Total threshold queries recorded.
     pub fn total(&self) -> u64 {
-        let classes: u64 = self
-            .cells
+        self.cells
             .iter()
             .flat_map(|row| row.iter())
             .map(|c| c.count.load(Ordering::Relaxed))
-            .sum();
-        let topk: u64 = self.topk.iter().map(|c| c.count.load(Ordering::Relaxed)).sum();
-        classes + topk
+            .sum()
     }
 
-    /// Pooled observed nanoseconds per arm (threshold + top-k), in
-    /// [`BackendChoice::ALL`] order — what the serving layer mirrors
-    /// into `STATS` as the per-arm latency registry.
+    /// Pooled observed nanoseconds per arm, in [`BackendChoice::ALL`]
+    /// order — what the serving layer mirrors into `STATS` as the
+    /// per-arm latency registry.
     pub fn arm_nanos(&self) -> [u64; BackendChoice::COUNT] {
         std::array::from_fn(|i| {
-            let classes: u64 = self
-                .cells
+            self.cells
                 .iter()
                 .map(|row| row[i].nanos.load(Ordering::Relaxed))
-                .sum();
-            classes + self.topk[i].nanos.load(Ordering::Relaxed)
+                .sum()
         })
     }
 }
@@ -854,7 +807,6 @@ impl<'a> AutoBackend<'a> {
             current.snapshot().clone(),
             current.candidates(),
             &self.grid.class_samples(),
-            &self.grid.topk_samples(),
             MIN_CELL_OBSERVATIONS,
         );
         let accepted = next.is_calibrated();
@@ -1041,36 +993,6 @@ impl Backend for AutoBackend<'_> {
         answer
     }
 
-    fn search_top_k_with(
-        &self,
-        query: &[u8],
-        count: usize,
-        max_radius: u32,
-    ) -> (Vec<Match>, u64) {
-        // Top-k routes on its own curve: the whole deepening run goes
-        // to the arm whose *summed* schedule cost is smallest, instead
-        // of re-deciding per radius on the threshold table (whose
-        // multipliers describe single probes, not re-entrant series).
-        let (chosen, predicted) = {
-            let planner = self.planner.read().expect("planner lock");
-            let chosen = planner.decide_topk(query.len(), count, max_radius).chosen;
-            (
-                chosen,
-                planner.topk_static_units(chosen, query.len(), count, max_radius),
-            )
-        };
-        self.counters[chosen.index()].fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let answer = deepen(
-            |radius| self.probe_arm(chosen, query, radius),
-            count,
-            max_radius,
-        );
-        self.grid
-            .record_topk(chosen, started.elapsed().as_nanos() as u64, predicted);
-        answer
-    }
-
     fn diag(&self) -> BackendDiag {
         let planner = self.planner();
         BackendDiag {
@@ -1120,6 +1042,7 @@ impl Backend for AutoBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::search_top_k_with;
 
     fn dataset() -> Dataset {
         Dataset::from_records([
@@ -1196,8 +1119,8 @@ mod tests {
                 owned.search_counting(&q.text, q.threshold)
             );
             assert_eq!(
-                borrowed.search_top_k_with(&q.text, 3, 8),
-                owned.search_top_k_with(&q.text, 3, 8)
+                search_top_k_with(|radius| borrowed.search_counting(&q.text, radius), 3, 8),
+                search_top_k_with(|radius| owned.search_counting(&q.text, radius), 3, 8)
             );
         }
         assert_eq!(borrowed.plan_counts(), owned.plan_counts());
@@ -1262,7 +1185,8 @@ mod tests {
                 choice.name()
             );
         }
-        // A released arm is built again by whoever asks for it first.
+        // A released arm is built again when something asks for it —
+        // which, the table being what routes, only a replan can.
         assert_eq!(auto.run_workload(&w), oracle(&ds, &w));
         for choice in AutoBackend::DEFAULT_CANDIDATES {
             let (matches, _) = auto.probe_arm(choice, b"Berlin", 1);
@@ -1428,8 +1352,8 @@ mod tests {
         let ds = dataset();
         let auto = AutoBackend::new(&ds, 1);
         let scan = ScanBackend::new(SequentialScan::new(&ds), SeqVariant::V4Flat);
-        let (a, _) = auto.search_top_k_with(b"Berlim", 3, 8);
-        let (b, _) = scan.search_top_k_with(b"Berlim", 3, 8);
+        let (a, _) = search_top_k_with(|radius| auto.search_counting(b"Berlim", radius), 3, 8);
+        let (b, _) = search_top_k_with(|radius| scan.search_counting(b"Berlim", radius), 3, 8);
         assert_eq!(a, b);
         assert_eq!(a[0].id, 0);
     }
@@ -1454,15 +1378,82 @@ mod tests {
         assert!(nanos > 0, "routed queries are timed into the grid");
     }
 
+    /// A top-k is a series of threshold queries, so it moves the same
+    /// counters a `QUERY` moves, once per radius probed: `plan_counts`
+    /// counts probes, not requests.
     #[test]
-    fn auto_topk_records_into_the_topk_cells() {
+    fn a_topk_ticks_one_decision_per_probe_and_feeds_the_class_cells() {
         let ds = dataset();
         let auto = AutoBackend::new(&ds, 1);
-        let (top, _) = auto.search_top_k_with(b"Berlim", 3, 8);
+        let snapshot = auto.planner().snapshot().clone();
+        let query = b"Berlim";
+        let mut radii = Vec::new();
+        let (top, _) = search_top_k_with(
+            |radius| {
+                radii.push(radius);
+                auto.search_counting(query, radius)
+            },
+            3,
+            8,
+        );
         assert_eq!(top[0].id, 0);
-        let samples = auto.observations().topk_samples();
-        let total: u64 = samples.iter().map(|c| c.count).sum();
-        assert_eq!(total, 1, "one deepening run = one top-k observation");
+        assert!(radii.len() > 1, "three matches need more than the exact probe");
+        let probes = radii.len() as u64;
+        let routed: u64 = auto.plan_counts().iter().map(|(_, c)| c).sum();
+        assert_eq!(routed, probes);
+        let mut expected = vec![0u64; NUM_LEN_CLASSES * (MAX_K_CLASS as usize + 1)];
+        for &radius in &radii {
+            expected[QueryClass::of(&snapshot, query.len(), radius).table_index()] += 1;
+        }
+        let filled: Vec<u64> = auto
+            .observations()
+            .class_samples()
+            .iter()
+            .map(|row| row.iter().map(|cell| cell.count).sum())
+            .collect();
+        assert_eq!(filled, expected, "each radius lands in its own (length class, k) cell");
+        assert_eq!(auto.observations().total(), probes);
+    }
+
+    #[test]
+    fn released_arms_stay_released_under_topk() {
+        use crate::presets;
+        let preset = presets::city(4_000);
+        let ds = &preset.dataset;
+        // The race builds every arm; its table depends on the clock, so
+        // pin the one every served dataset ends up with (V8 wherever the
+        // race did not measure something faster) before releasing.
+        let mut auto = AutoBackend::calibrated(ds, 1, &AutoBackend::default_probe(ds));
+        auto.set_planner(Planner::with_multipliers(
+            auto.planner().snapshot().clone(),
+            &AutoBackend::DEFAULT_CANDIDATES,
+            &[(BackendChoice::ScanBitParallel, 1e-9)],
+        ));
+        auto.release_unrouted();
+        let v8 = ScanBackend::new(SequentialScan::new(ds), SeqVariant::V8BitParallel);
+        for i in 0..40 {
+            // Evenly spaced records, so mixed lengths; every other one
+            // with its first byte replaced.
+            let mut query = ds.get((i * ds.len() / 40) as u32).to_vec();
+            if i % 2 == 1 && !query.is_empty() {
+                query[0] = b'#';
+            }
+            let count = [1, 5, 100][i % 3];
+            assert_eq!(
+                search_top_k_with(|radius| auto.search_counting(&query, radius), count, 16).0,
+                search_top_k_with(|radius| v8.search_counting(&query, radius), count, 16).0,
+                "top-{count} of record {i}"
+            );
+        }
+        let planner = auto.planner();
+        for choice in AutoBackend::DEFAULT_CANDIDATES {
+            assert_eq!(
+                auto.arms[choice.index()].get().is_some(),
+                planner.decisions().iter().any(|d| d.chosen == choice),
+                "{}: a top-k asks only for arms the table routes to",
+                choice.name()
+            );
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use sharded::{
 };
 pub use planner::{
     BackendChoice, CellSample, CostEstimate, Observation, PlanDecision, Planner, QueryClass,
-    TopkDecision, MIN_CELL_OBSERVATIONS,
+    MIN_CELL_OBSERVATIONS,
 };
 pub use join::{CrossPair, JoinPair};
 pub use passjoin::{

@@ -662,6 +662,7 @@ mod tests {
     use super::*;
     use crate::backend::Probe;
     use crate::engine::{build_backend_with, EngineKind};
+    use crate::topk::search_top_k_with;
     use simsearch_data::Match;
     use simsearch_scan::SeqVariant;
 
@@ -856,12 +857,12 @@ mod tests {
         let globals: Vec<RecordId> = survivors.iter().map(|(id, _)| *id).collect();
         let v1 = build_backend_with(&data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
         for k in [1usize, 3, 10] {
-            let (want_local, _) = v1.search_top_k_with(b"Bern", k, 16);
+            let (want_local, _) = search_top_k_with(|r| v1.search_counting(b"Bern", r), k, 16);
             let want: Vec<Match> = want_local
                 .iter()
                 .map(|m| Match::new(globals[m.id as usize], m.distance))
                 .collect();
-            let (got, _) = engine.search_top_k_with(b"Bern", k, 16);
+            let (got, _) = search_top_k_with(|r| engine.search_counting(b"Bern", r), k, 16);
             assert_eq!(got, want, "k={k}");
         }
     }

@@ -323,21 +323,6 @@ impl CellSample {
     }
 }
 
-/// A top-k routing decision: computed per query (the deepening curve
-/// depends on `count` and `max_radius`, which the 51-row threshold
-/// table does not key on), kept in the same explainable shape as
-/// [`PlanDecision`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TopkDecision {
-    /// The winning backend.
-    pub chosen: BackendChoice,
-    /// All candidate estimates, ascending by cost (ties broken by
-    /// [`BackendChoice::ALL`] order).
-    pub estimates: Vec<CostEstimate>,
-    /// Whether top-k calibration multipliers were applied.
-    pub calibrated: bool,
-}
-
 /// The planner: a snapshot, a candidate set, per-backend calibration
 /// multipliers (global and per query class), and the precomputed
 /// decision table.
@@ -348,10 +333,6 @@ pub struct Planner {
     /// Per-class multiplier rows, indexed by `QueryClass::table_index`;
     /// classes the probe never covered hold the backend's global ratio.
     class_multipliers: Vec<[f64; BackendChoice::COUNT]>,
-    /// Per-arm multipliers for the top-k deepening curve — its
-    /// re-entrant radius growth has a different shape than any single
-    /// threshold class, so it gets its own correction.
-    topk_multipliers: [f64; BackendChoice::COUNT],
     calibrated: bool,
     table: Vec<PlanDecision>,
 }
@@ -389,13 +370,7 @@ impl Planner {
             multipliers[choice.index()] = m;
         }
         let rows = NUM_LEN_CLASSES * (MAX_K_CLASS as usize + 1);
-        Self::from_rows(
-            snapshot,
-            candidates,
-            vec![multipliers; rows],
-            [1.0; BackendChoice::COUNT],
-            !measured.is_empty(),
-        )
+        Self::from_rows(snapshot, candidates, vec![multipliers; rows], !measured.is_empty())
     }
 
     /// Builds a planner calibrated from per-query probe timings.
@@ -454,7 +429,6 @@ impl Planner {
             snapshot,
             candidates,
             class_multipliers,
-            [1.0; BackendChoice::COUNT],
             !observations.is_empty(),
         )
     }
@@ -468,9 +442,7 @@ impl Planner {
     /// to the arm's pooled ratio across all classes, and arms the
     /// workload never routed to keep 1.0.
     ///
-    /// `cells` is indexed `[QueryClass::table_index()][choice.index()]`;
-    /// `topk` holds one pooled cell per arm for the iterative-deepening
-    /// curve (see [`Planner::decide_topk`]).
+    /// `cells` is indexed `[QueryClass::table_index()][choice.index()]`.
     ///
     /// Every multiplier is positive and finite by construction, and
     /// bounded by the cell's total nanoseconds (each query contributes
@@ -486,7 +458,6 @@ impl Planner {
         snapshot: StatsSnapshot,
         candidates: &[BackendChoice],
         cells: &[[CellSample; BackendChoice::COUNT]],
-        topk: &[CellSample; BackendChoice::COUNT],
         min_count: u64,
     ) -> Self {
         let rows = NUM_LEN_CLASSES * (MAX_K_CLASS as usize + 1);
@@ -514,24 +485,14 @@ impl Planner {
                 std::array::from_fn(|i| trusted(row[i]).unwrap_or(fallback[i]))
             })
             .collect();
-        let topk_multipliers: [f64; BackendChoice::COUNT] =
-            std::array::from_fn(|i| trusted(topk[i]).unwrap_or(fallback[i]));
-        let calibrated = pooled.iter().any(|arm| arm.count >= min_count.max(1))
-            || topk.iter().any(|arm| arm.count >= min_count.max(1));
-        Self::from_rows(
-            snapshot,
-            candidates,
-            class_multipliers,
-            topk_multipliers,
-            calibrated,
-        )
+        let calibrated = pooled.iter().any(|arm| arm.count >= min_count.max(1));
+        Self::from_rows(snapshot, candidates, class_multipliers, calibrated)
     }
 
     fn from_rows(
         snapshot: StatsSnapshot,
         candidates: &[BackendChoice],
         class_multipliers: Vec<[f64; BackendChoice::COUNT]>,
-        topk_multipliers: [f64; BackendChoice::COUNT],
         calibrated: bool,
     ) -> Self {
         assert!(!candidates.is_empty(), "planner needs at least one candidate");
@@ -539,7 +500,6 @@ impl Planner {
             snapshot,
             candidates: candidates.to_vec(),
             class_multipliers,
-            topk_multipliers,
             calibrated,
             table: Vec::new(),
         };
@@ -591,100 +551,6 @@ impl Planner {
     /// The per-class multiplier rows, in [`QueryClass::all`] order.
     pub fn class_multipliers(&self) -> &[[f64; BackendChoice::COUNT]] {
         &self.class_multipliers
-    }
-
-    /// The per-arm top-k curve multipliers.
-    pub fn topk_multipliers(&self) -> &[f64; BackendChoice::COUNT] {
-        &self.topk_multipliers
-    }
-
-    /// The radius sequence iterative deepening probes for a given
-    /// `max_radius`: 0, then doubling with a floor of +1, clamped —
-    /// exactly the loop in [`crate::topk::search_top_k_with`]. The cost
-    /// model must sum over this sequence, not a single radius: a top-k
-    /// call re-enters the backend once per scheduled radius.
-    pub fn topk_schedule(max_radius: u32) -> Vec<u32> {
-        let mut schedule = vec![0u32];
-        let mut radius = 0u32;
-        while radius < max_radius {
-            radius = (radius * 2).clamp(radius + 1, max_radius);
-            schedule.push(radius);
-        }
-        schedule
-    }
-
-    /// Estimated cost of a full top-k deepening run on one backend:
-    /// the static hint summed over every scheduled radius up to the
-    /// expected stopping point — the first radius whose length-filter
-    /// survivor count reaches `count` (deepening stops as soon as
-    /// `count` matches exist, and survivors bound matches from above) —
-    /// scaled by the arm's top-k multiplier. Distinct from
-    /// [`Planner::cost`]: a threshold query pays one probe, a top-k
-    /// query pays a re-entrant series whose late, wide radii dominate.
-    pub fn topk_cost(
-        &self,
-        choice: BackendChoice,
-        query_len: usize,
-        count: usize,
-        max_radius: u32,
-    ) -> f64 {
-        self.topk_static_units(choice, query_len, count, max_radius)
-            * self.topk_multipliers[choice.index()]
-    }
-
-    /// The unscaled deepening cost — what [`Planner::topk_cost`] is
-    /// before the arm's multiplier. Routed backends record this as the
-    /// predicted-units side of a top-k observation, so the derived
-    /// multiplier stays a measured-over-predicted ratio.
-    pub fn topk_static_units(
-        &self,
-        choice: BackendChoice,
-        query_len: usize,
-        count: usize,
-        max_radius: u32,
-    ) -> f64 {
-        let mut total = 0.0;
-        for radius in Self::topk_schedule(max_radius) {
-            total += static_cost(&self.snapshot, choice, query_len, radius);
-            let survivors = self.snapshot.length_survivors(query_len, radius);
-            if count > 0 && survivors as usize >= count {
-                break;
-            }
-        }
-        total
-    }
-
-    /// Routes a whole top-k deepening run to one backend — the top-k
-    /// twin of [`Planner::decide`], computed per query because the
-    /// curve depends on `count` and `max_radius`, which the threshold
-    /// table does not key on. May disagree with the threshold-table
-    /// decision for the same query length; the parity suite checks the
-    /// routed arm's answers against the exhaustive oracle either way.
-    pub fn decide_topk(
-        &self,
-        query_len: usize,
-        count: usize,
-        max_radius: u32,
-    ) -> TopkDecision {
-        let mut estimates: Vec<CostEstimate> = self
-            .candidates
-            .iter()
-            .map(|&choice| CostEstimate {
-                choice,
-                cost: self.topk_cost(choice, query_len, count, max_radius),
-            })
-            .collect();
-        estimates.sort_by(|a, b| {
-            a.cost
-                .partial_cmp(&b.cost)
-                .expect("cost hints are finite")
-                .then(a.choice.index().cmp(&b.choice.index()))
-        });
-        TopkDecision {
-            chosen: estimates[0].choice,
-            estimates,
-            calibrated: self.calibrated,
-        }
     }
 
     /// Every recorded decision, in [`QueryClass::all`] order.
@@ -983,13 +849,11 @@ mod tests {
         let class = QueryClass::of(&snap, 4, 1);
         let rows = NUM_LEN_CLASSES * (MAX_K_CLASS as usize + 1);
         let mut cells = vec![[CellSample::default(); BackendChoice::COUNT]; rows];
-        let topk = [CellSample::default(); BackendChoice::COUNT];
         cells[class.table_index()][winner.index()] = cell(1_000_000_000, 1_000, 1);
         let thin = Planner::with_class_samples(
             snap.clone(),
             &BackendChoice::ALL,
             &cells,
-            &topk,
             8,
         );
         assert_eq!(thin.decide(4, 1).chosen, winner, "thin cell must not flip");
@@ -999,7 +863,6 @@ mod tests {
             snap,
             &BackendChoice::ALL,
             &cells,
-            &topk,
             8,
         );
         assert!(fat.is_calibrated());
@@ -1023,7 +886,6 @@ mod tests {
             snap,
             &BackendChoice::ALL,
             &cells,
-            &[CellSample::default(); BackendChoice::COUNT],
             8,
         );
         // Pooled: 8 observations at ratio 10^6 — trusted, applied to
@@ -1043,54 +905,10 @@ mod tests {
             snap,
             &BackendChoice::ALL,
             &vec![[CellSample::default(); BackendChoice::COUNT]; rows],
-            &[CellSample::default(); BackendChoice::COUNT],
             MIN_CELL_OBSERVATIONS,
         );
         assert!(!b.is_calibrated());
         assert_eq!(a.decisions(), b.decisions());
-    }
-
-    #[test]
-    fn topk_schedule_mirrors_the_deepening_loop() {
-        assert_eq!(Planner::topk_schedule(0), vec![0]);
-        assert_eq!(Planner::topk_schedule(1), vec![0, 1]);
-        assert_eq!(Planner::topk_schedule(3), vec![0, 1, 2, 3]);
-        assert_eq!(Planner::topk_schedule(16), vec![0, 1, 2, 4, 8, 16]);
-        assert_eq!(Planner::topk_schedule(20), vec![0, 1, 2, 4, 8, 16, 20]);
-    }
-
-    #[test]
-    fn topk_cost_sums_the_schedule_and_uses_its_own_multipliers() {
-        let snap = snapshot_of(&["Berlin", "Bern", "Bonn", "Ulm"]);
-        let planner = Planner::new(snap.clone(), &BackendChoice::ALL);
-        // Oversized count: no stopping radius, so the cost is exactly
-        // the sum of static hints over the whole schedule.
-        let by_hand: f64 = Planner::topk_schedule(8)
-            .into_iter()
-            .map(|r| static_cost(&snap, BackendChoice::ScanFlat, 6, r))
-            .sum();
-        let modeled = planner.topk_cost(BackendChoice::ScanFlat, 6, 1_000, 8);
-        assert!((by_hand - modeled).abs() < 1e-9);
-        // A top-k-only slowdown must reroute TOPK without touching the
-        // threshold table.
-        let rows = NUM_LEN_CLASSES * (MAX_K_CLASS as usize + 1);
-        let cells = vec![[CellSample::default(); BackendChoice::COUNT]; rows];
-        let static_topk = planner.decide_topk(6, 2, 8).chosen;
-        let mut topk = [CellSample::default(); BackendChoice::COUNT];
-        topk[static_topk.index()] = cell(8_000_000_000, 8_000, 8);
-        let skewed = Planner::with_class_samples(
-            snap,
-            &BackendChoice::ALL,
-            &cells,
-            &topk,
-            8,
-        );
-        assert_ne!(skewed.decide_topk(6, 2, 8).chosen, static_topk);
-        assert_eq!(
-            skewed.decide(6, 2).chosen,
-            planner.decide(6, 2).chosen,
-            "threshold table must not piggyback on the top-k curve"
-        );
     }
 
     #[test]

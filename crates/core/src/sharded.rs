@@ -658,6 +658,7 @@ impl MutableBackend for ShardedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::search_top_k_with;
     use simsearch_data::QueryRecord;
     use simsearch_scan::{SeqVariant, SequentialScan};
 
@@ -788,8 +789,8 @@ mod tests {
         let sharded = ShardedBackend::with_probe(&ds, 3, ShardBy::Len, 1, Probe::Static);
         let flat = crate::backend::ScanBackend::new(SequentialScan::new(&ds), SeqVariant::V4Flat);
         for count in [1, 3, 20] {
-            let (a, _) = sharded.search_top_k_with(b"Berlim", count, 8);
-            let (b, _) = flat.search_top_k_with(b"Berlim", count, 8);
+            let (a, _) = search_top_k_with(|r| sharded.search_counting(b"Berlim", r), count, 8);
+            let (b, _) = search_top_k_with(|r| flat.search_counting(b"Berlim", r), count, 8);
             assert_eq!(a, b, "count {count}");
         }
     }

@@ -5,12 +5,19 @@
 //! application has to find all relevant results") usually want *the best
 //! few* suggestions rather than a fixed radius. This module answers that
 //! by iterative deepening over the threshold: radius 0, then doubling,
-//! until `count` matches exist — each probe reuses the ordinary
-//! threshold search, so the result provably contains the true `count`
-//! nearest records.
+//! until `count` matches exist — each probe is an ordinary threshold
+//! query, so the result provably contains the true `count` nearest
+//! records.
+//!
+//! There is one deepening loop, [`search_top_k_with`], and no engine has
+//! a top-k path of its own: a probe is whatever the engine does for a
+//! threshold query. Under a planner-routed engine that means every
+//! radius is routed by the decision table, counted and timed into its
+//! own `(length class, k)` cell like any `QUERY`; under a sharded or live
+//! engine every radius fans out and merges like any `QUERY`.
 
 use crate::engine::SearchEngine;
-use simsearch_data::Match;
+use simsearch_data::{Match, MatchSet};
 
 /// The `count` records nearest to `query`, ordered by
 /// `(distance, record id)`. At most `max_radius` is explored: if fewer
@@ -36,24 +43,33 @@ pub fn search_top_k(
     count: usize,
     max_radius: u32,
 ) -> Vec<Match> {
-    search_top_k_with(|radius| engine.search(query, radius), count, max_radius)
+    let backend = engine.backend();
+    search_top_k_with(
+        |radius| backend.search_counting(query, radius),
+        count,
+        max_radius,
+    )
+    .0
 }
 
-/// The iterative-deepening loop behind [`search_top_k`], generic over
-/// the threshold-search probe. Callers that are not a [`SearchEngine`]
-/// (the serving layer answers through a prepared scan that also counts
-/// DP cells) reuse the deepening logic through this entry point.
+/// The iterative-deepening loop: `probe(radius)` answers one threshold
+/// query and reports the DP cells it computed (what
+/// [`crate::Backend::search_counting`] returns); the result is the
+/// `count` nearest matches plus the cells summed over every probe — the
+/// daemon's `TOPK` path.
 pub fn search_top_k_with(
-    mut probe: impl FnMut(u32) -> simsearch_data::MatchSet,
+    mut probe: impl FnMut(u32) -> (MatchSet, u64),
     count: usize,
     max_radius: u32,
-) -> Vec<Match> {
+) -> (Vec<Match>, u64) {
     if count == 0 {
-        return Vec::new();
+        return (Vec::new(), 0);
     }
+    let mut cells = 0u64;
     let mut radius = 0u32;
     loop {
-        let found = probe(radius);
+        let (found, counted) = probe(radius);
+        cells += counted;
         if found.len() >= count || radius >= max_radius {
             // All records with distance ≤ radius are present, so the
             // `count` smallest of them are the global top-k (any record
@@ -61,7 +77,7 @@ pub fn search_top_k_with(
             let mut matches: Vec<Match> = found.iter().copied().collect();
             matches.sort_unstable_by_key(|m| (m.distance, m.id));
             matches.truncate(count);
-            return matches;
+            return (matches, cells);
         }
         radius = (radius * 2).clamp(radius + 1, max_radius);
     }

@@ -5,14 +5,14 @@
 //! configured [`EngineKind`] to the one engine factory (calibrating
 //! planner-driven kinds with their default probe), prepares the result
 //! once at startup, and every request reuses the prepared state. Every
-//! capability — DP-cell counting, top-k deepening, replanning, mutation
-//! — is a trait method with a no-op default, so the wrapper holds
+//! capability — DP-cell counting, replanning, mutation — is a trait
+//! method with a no-op default, so the wrapper holds
 //! exactly one engine and never asks what kind it is.
 
 use crate::metrics::Metrics;
 use simsearch_core::{
-    build_backend_with, pass_join_with_stats, Backend, EngineKind, JoinPair, JoinStats, LiveStats,
-    MutableBackend, Probe, Strategy,
+    build_backend_with, pass_join_with_stats, search_top_k_with, Backend, EngineKind, JoinPair,
+    JoinStats, LiveStats, MutableBackend, Probe, Strategy,
 };
 use simsearch_data::{Dataset, Match, MatchSet};
 
@@ -85,10 +85,10 @@ impl<'a> ServedEngine<'a> {
         self.backend.search_counting(query, k)
     }
 
-    /// Top-k search by iterative deepening, accumulating DP cells over
-    /// the deepening probes.
+    /// Top-k search by iterative deepening: every radius is one
+    /// [`ServedEngine::search`], DP cells summed over the probes.
     pub fn topk(&self, query: &[u8], count: usize, max_radius: u32) -> (Vec<Match>, u64) {
-        self.backend.search_top_k_with(query, count, max_radius)
+        search_top_k_with(|radius| self.search(query, radius), count, max_radius)
     }
 
     /// `(backend name, queries routed)` counters when the engine is

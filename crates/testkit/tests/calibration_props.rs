@@ -11,7 +11,7 @@
 //!    absurd cell cannot produce an unrepresentable cost.
 //! 3. **Scale invariance** — multiplying every latency by a common
 //!    power of two (a clock-unit change) leaves the argmin arm of every
-//!    query class, and the top-k routing, unchanged.
+//!    query class unchanged.
 //! 4. **Pooled fallback** — a cell with fewer than `min_count`
 //!    observations does not speak for itself: its multiplier is the
 //!    arm's pooled ratio across all classes, or exactly 1.0 when the
@@ -42,7 +42,7 @@ fn mix(state: &mut u64) -> u64 {
 
 /// A synthetic observation grid: sparse (many empty cells), noisy, and
 /// with per-query predicted units ≥ 1 — the shape a live grid has.
-fn synthetic_grid(seed: u64) -> (Vec<[CellSample; ARMS]>, [CellSample; ARMS]) {
+fn synthetic_grid(seed: u64) -> Vec<[CellSample; ARMS]> {
     let mut s = seed;
     let cell = |state: &mut u64| {
         let count = mix(state) % 24; // 0 = unobserved cell
@@ -57,11 +57,9 @@ fn synthetic_grid(seed: u64) -> (Vec<[CellSample; ARMS]>, [CellSample; ARMS]) {
             count,
         }
     };
-    let cells: Vec<[CellSample; ARMS]> = (0..ROWS)
+    (0..ROWS)
         .map(|_| std::array::from_fn(|_| cell(&mut s)))
-        .collect();
-    let topk: [CellSample; ARMS] = std::array::from_fn(|_| cell(&mut s));
-    (cells, topk)
+        .collect()
 }
 
 #[test]
@@ -72,30 +70,20 @@ fn multipliers_are_positive_and_bounded() {
         &gen::zip(gen::u64_any(), gen::u64_any()),
         |(seed, min_raw)| {
             let min_count = 1 + min_raw % 16;
-            let (cells, topk) = synthetic_grid(*seed);
+            let cells = synthetic_grid(*seed);
             let planner = Planner::with_class_samples(
                 snapshot(),
                 &AutoBackend::DEFAULT_CANDIDATES,
                 &cells,
-                &topk,
                 min_count,
             );
-            let total_nanos: u64 = cells
-                .iter()
-                .flatten()
-                .chain(topk.iter())
-                .map(|c| c.nanos)
-                .sum();
+            let total_nanos: u64 = cells.iter().flatten().map(|c| c.nanos).sum();
             let bound = (total_nanos as f64).max(1.0);
             for (row, multipliers) in planner.class_multipliers().iter().enumerate() {
                 for (arm, &m) in multipliers.iter().enumerate() {
                     prop_assert!(m.is_finite() && m > 0.0, "cell [{row}][{arm}] = {m}");
                     prop_assert!(m <= bound, "cell [{row}][{arm}] = {m} > {bound}");
                 }
-            }
-            for (arm, &m) in planner.topk_multipliers().iter().enumerate() {
-                prop_assert!(m.is_finite() && m > 0.0, "topk [{arm}] = {m}");
-                prop_assert!(m <= bound, "topk [{arm}] = {m} > {bound}");
             }
             Ok(())
         },
@@ -109,7 +97,7 @@ fn scaling_every_latency_preserves_every_decision() {
         Config::cases(128).seed(0x00CA_1B02),
         &gen::zip(gen::u64_any(), gen::usize_in(1..13)),
         |(seed, shift)| {
-            let (cells, topk) = synthetic_grid(*seed);
+            let cells = synthetic_grid(*seed);
             // A clock-unit change: every nanosecond figure × 2^shift.
             // Power-of-two scaling is exact in f64, so every ratio —
             // and thus every cost comparison — scales uniformly.
@@ -121,33 +109,17 @@ fn scaling_every_latency_preserves_every_decision() {
                 .iter()
                 .map(|row| std::array::from_fn(|i| scale(&row[i])))
                 .collect();
-            let scaled_topk: [CellSample; ARMS] = std::array::from_fn(|i| scale(&topk[i]));
-            let build = |cells: &[[CellSample; ARMS]], topk: &[CellSample; ARMS]| {
-                Planner::with_class_samples(
-                    snapshot(),
-                    &AutoBackend::DEFAULT_CANDIDATES,
-                    cells,
-                    topk,
-                    4,
-                )
+            let build = |cells: &[[CellSample; ARMS]]| {
+                Planner::with_class_samples(snapshot(), &AutoBackend::DEFAULT_CANDIDATES, cells, 4)
             };
-            let base = build(&cells, &topk);
-            let scaled = build(&scaled_cells, &scaled_topk);
+            let base = build(&cells);
+            let scaled = build(&scaled_cells);
             for (a, b) in base.decisions().iter().zip(scaled.decisions()) {
                 prop_assert_eq!(
                     a.chosen,
                     b.chosen,
                     "class {:?} rerouted by a unit change",
                     a.class
-                );
-            }
-            for (len, count, radius) in [(4usize, 1usize, 4u32), (8, 10, 8), (40, 100, 16)] {
-                prop_assert_eq!(
-                    base.decide_topk(len, count, radius).chosen,
-                    scaled.decide_topk(len, count, radius).chosen,
-                    "topk len={} count={} rerouted by a unit change",
-                    len,
-                    count
                 );
             }
             Ok(())
@@ -163,7 +135,7 @@ fn thin_cells_fall_back_to_the_pooled_arm_ratio() {
         &gen::zip3(gen::u64_any(), gen::usize_in(0..ROWS), gen::usize_in(0..ARMS)),
         |(seed, row, arm)| {
             let min_count = 8u64;
-            let (mut cells, topk) = synthetic_grid(*seed);
+            let mut cells = synthetic_grid(*seed);
             // Make the chosen cell *thin*: observed, but below the
             // trust threshold — it must not speak for itself.
             cells[*row][*arm] = CellSample {
@@ -175,7 +147,6 @@ fn thin_cells_fall_back_to_the_pooled_arm_ratio() {
                 snapshot(),
                 &AutoBackend::DEFAULT_CANDIDATES,
                 &cells,
-                &topk,
                 min_count,
             );
             // The pooled ratio, replicated with the same arithmetic:
@@ -208,22 +179,19 @@ fn an_unobserved_arm_keeps_the_neutral_multiplier() {
         Config::cases(64).seed(0x00CA_1B04),
         &gen::zip(gen::u64_any(), gen::usize_in(0..ARMS)),
         |(seed, arm)| {
-            let (mut cells, mut topk) = synthetic_grid(*seed);
+            let mut cells = synthetic_grid(*seed);
             for row in &mut cells {
                 row[*arm] = CellSample::default();
             }
-            topk[*arm] = CellSample::default();
             let planner = Planner::with_class_samples(
                 snapshot(),
                 &AutoBackend::DEFAULT_CANDIDATES,
                 &cells,
-                &topk,
                 8,
             );
             for row in planner.class_multipliers() {
                 prop_assert_eq!(row[*arm], 1.0, "never-routed arm stays neutral");
             }
-            prop_assert_eq!(planner.topk_multipliers()[*arm], 1.0);
             Ok(())
         },
     );

@@ -19,8 +19,8 @@
 //!    surviving-id table.
 
 use simsearch_core::{
-    build_backend_with, Backend, EngineKind, LiveEngine, LiveStats, LsmConfig, MutableBackend,
-    Probe, SeqVariant, ShardBy, ShardedBackend, Strategy,
+    build_backend_with, search_top_k_with, Backend, EngineKind, LiveEngine, LiveStats, LsmConfig,
+    MutableBackend, Probe, SeqVariant, ShardBy, ShardedBackend, Strategy,
 };
 use simsearch_data::{Alphabet, CityGenerator, Dataset, Match, MatchSet, WorkloadSpec};
 use simsearch_testkit::{check, gen, prop_assert, prop_assert_eq, Config, Gen, Shrink};
@@ -191,12 +191,14 @@ fn replay_on(engine: &dyn MutableBackend, memtable_cap: usize, ops: &[Op]) -> Re
             }
             Op::TopK(text, k) => {
                 let (oracle, globals) = v1_rebuild(&survivors);
-                let (want_local, _) = oracle.search_top_k_with(text, *k as usize, 16);
+                let (want_local, _) =
+                    search_top_k_with(|r| oracle.search_counting(text, r), *k as usize, 16);
                 let want: Vec<Match> = want_local
                     .iter()
                     .map(|m| Match::new(globals[m.id as usize], m.distance))
                     .collect();
-                let (got, _) = engine.search_top_k_with(text, *k as usize, 16);
+                let (got, _) =
+                    search_top_k_with(|r| engine.search_counting(text, r), *k as usize, 16);
                 prop_assert_eq!(
                     got,
                     want,

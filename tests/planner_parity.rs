@@ -15,7 +15,7 @@
 //!    output and static routing are reproducible run-to-run.
 
 use simsearch_core::{
-    AutoBackend, Backend, BackendChoice, CellSample, EngineKind, Planner, SearchEngine,
+    search_top_k, search_top_k_with, AutoBackend, Backend, EngineKind, Planner, SearchEngine,
     SeqVariant, Strategy,
 };
 use simsearch_data::{Alphabet, CityGenerator, Dataset, DnaGenerator, StatsSnapshot, WorkloadSpec};
@@ -105,74 +105,21 @@ fn calibrated_diag_reports_the_plan() {
     assert!(!plan.decisions.is_empty());
 }
 
-/// The top-k cost model: iterative deepening is routed by its own
-/// curve ([`Planner::decide_topk`]), not the threshold table — the
-/// decision may differ per (count, radius), but whatever arm it picks
-/// must answer byte-identically to the exhaustive V1 deepening.
+/// Top-k is iterative deepening over threshold queries, each radius
+/// routed by the decision table: whatever arms the radii go to, the
+/// result must be byte-identical to the exhaustive V1 deepening.
 #[test]
 fn topk_routing_matches_the_exhaustive_oracle_for_every_count() {
     let dataset = CityGenerator::new(0xC17E_7E57).generate(400);
     let workload = workload_for(&dataset);
     let oracle = SearchEngine::build(&dataset, EngineKind::Scan(SeqVariant::V1Base));
     let auto = AutoBackend::calibrated(&dataset, 1, &workload.prefix(16));
-    let planner = auto.planner();
     for (i, q) in workload.queries.iter().take(120).enumerate() {
         for count in [1usize, 10, 100] {
-            let (want, _) = oracle.backend().search_top_k_with(&q.text, count, 16);
-            let (got, _) = auto.search_top_k_with(&q.text, count, 16);
+            let want = search_top_k(&oracle, &q.text, count, 16);
+            let (got, _) = search_top_k_with(|r| auto.search_counting(&q.text, r), count, 16);
             assert_eq!(got, want, "query {i} count={count}: routed arm diverged");
-            // The decision itself: deterministic, within the candidate
-            // roster, and free to disagree with the threshold table.
-            let d = planner.decide_topk(q.text.len(), count, 16);
-            assert_eq!(d.chosen, planner.decide_topk(q.text.len(), count, 16).chosen);
-            assert!(planner.candidates().contains(&d.chosen), "{:?}", d.chosen);
         }
-    }
-}
-
-/// Force the two curves apart with synthetic measurements: an arm that
-/// is observed blazing fast for thresholds but terrible under
-/// deepening must win `decide` and lose `decide_topk` — proof the
-/// top-k curve is modelled separately, not derived from the table.
-#[test]
-fn the_topk_curve_is_its_own_cost_model() {
-    let dataset = CityGenerator::new(0xC17E_7E57).generate(400);
-    let snapshot = simsearch_data::StatsSnapshot::compute(&dataset);
-    let rows = Planner::new(snapshot.clone(), &AutoBackend::DEFAULT_CANDIDATES)
-        .decisions()
-        .len();
-    let fast = CellSample { nanos: 1, predicted: 1_000_000_000, count: 64 };
-    let slow = CellSample { nanos: 1_000_000_000_000, predicted: 1, count: 64 };
-    let flat = BackendChoice::ScanFlat.index();
-    let radix = BackendChoice::Radix.index();
-    // Thresholds: flat measured ~1e-9×, radix ~1e12×. Deepening: the
-    // exact opposite.
-    let mut row = [CellSample::default(); BackendChoice::COUNT];
-    row[flat] = fast;
-    row[radix] = slow;
-    let cells = vec![row; rows];
-    let mut topk = [CellSample::default(); BackendChoice::COUNT];
-    topk[flat] = slow;
-    topk[radix] = fast;
-    let planner = Planner::with_class_samples(
-        snapshot,
-        &AutoBackend::DEFAULT_CANDIDATES,
-        &cells,
-        &topk,
-        8,
-    );
-    assert!(planner.is_calibrated());
-    for (query_len, k, count) in [(4usize, 1u32, 1usize), (8, 2, 10), (12, 3, 100)] {
-        assert_eq!(
-            planner.decide(query_len, k).chosen,
-            BackendChoice::ScanFlat,
-            "len={query_len} k={k}: the threshold table trusts the fast arm"
-        );
-        assert_eq!(
-            planner.decide_topk(query_len, count, 8).chosen,
-            BackendChoice::Radix,
-            "len={query_len} count={count}: the deepening curve routes away"
-        );
     }
 }
 

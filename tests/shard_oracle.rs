@@ -12,8 +12,8 @@
 //! per-arm decision counters sum to exactly the workload size.
 
 use simsearch_core::{
-    build_backend_with, Backend, EngineKind, Probe, SearchEngine, SeqVariant, ShardBy,
-    ShardedBackend, Strategy,
+    build_backend_with, search_top_k_with, Backend, EngineKind, Probe, SearchEngine, SeqVariant,
+    ShardBy, ShardedBackend, Strategy,
 };
 use simsearch_data::{Alphabet, Dataset, CityGenerator, DnaGenerator, MatchSet, WorkloadSpec};
 
@@ -154,8 +154,10 @@ fn sharded_topk_matches_unsharded_for_every_k() {
                         // (≤ 50 records per shard) while the global
                         // answer still fills up — the cross-shard
                         // deepening must agree anyway.
-                        let (want, _) = unsharded.search_top_k_with(&q.text, k, 16);
-                        let (got, _) = backend.search_top_k_with(&q.text, k, 16);
+                        let (want, _) =
+                            search_top_k_with(|r| unsharded.search_counting(&q.text, r), k, 16);
+                        let (got, _) =
+                            search_top_k_with(|r| backend.search_counting(&q.text, r), k, 16);
                         assert_eq!(
                             got,
                             want,
@@ -182,7 +184,7 @@ fn topk_k_exceeding_single_shard_capacity_is_exercised() {
     let per_shard_cap = dataset.len().div_ceil(8);
     let mut exercised = false;
     for q in workload.queries.iter().take(40) {
-        let (got, _) = backend.search_top_k_with(&q.text, 100, 16);
+        let (got, _) = search_top_k_with(|r| backend.search_counting(&q.text, r), 100, 16);
         if got.len() > per_shard_cap {
             exercised = true;
             break;
