@@ -141,7 +141,21 @@ drain_daemon() {
     serve_pid=
 }
 
-"$SIMSEARCH" generate --kind city --count 2000 --seed 7 --out "$smoke_dir/city.data"
+"$SIMSEARCH" generate --kind city --count 2000 --seed 7 --out "$smoke_dir/city.data" \
+    --queries "$smoke_dir/city.q" --query-count 100
+# Sharded search goes through the same engine factory as unsharded: a
+# shard arm is a routing choice, never a correctness one (`trie` shards
+# run radix's arm), so both sharded outputs are the unsharded radix
+# output byte for byte.
+search_city() {
+    "$SIMSEARCH" search --data "$smoke_dir/city.data" --queries "$smoke_dir/city.q" "$@"
+}
+search_city --backend radix >"$smoke_dir/radix.out"
+search_city --backend trie --shards 4 >"$smoke_dir/trie4.out"
+search_city --backend radix --shards 4 >"$smoke_dir/radix4.out"
+cmp "$smoke_dir/radix.out" "$smoke_dir/trie4.out"
+cmp "$smoke_dir/radix.out" "$smoke_dir/radix4.out"
+
 boot_daemon --data "$smoke_dir/city.data"
 "$SIMSEARCH" client --port "$port" --send 'HEALTH' | grep -qx 'OK healthy'
 "$SIMSEARCH" client --port "$port" --send 'QUERY 2 Berlin' | grep -q '^OK '
@@ -285,8 +299,9 @@ drain_daemon
 
 # Live-ingest serve smoke: a --live daemon accepts INSERT/DELETE over
 # the wire, the mutations are immediately visible to QUERY, and STATS
-# carries the LSM gauges (memtable_len / segments / compactions), still
-# as valid JSON.
+# carries the LSM gauges (memtable_len / segments / compactions) and the
+# live record count (2,000 seeds + 2 inserts − 1 delete), still as valid
+# JSON.
 boot_daemon --data "$smoke_dir/city.data" --live --memtable-cap 64
 # The record uses bytes (#, digits) outside the city generator's
 # alphabet, so the exact-match query can only ever hit the insert.
@@ -295,10 +310,12 @@ boot_daemon --data "$smoke_dir/city.data" --live --memtable-cap 64
 "$SIMSEARCH" client --port "$port" --send 'DELETE 2000' | grep -qx 'OK deleted'
 "$SIMSEARCH" client --port "$port" --send 'DELETE 2000' | grep -qx 'OK absent'
 "$SIMSEARCH" client --port "$port" --send 'QUERY 0 zz#live-smoke-9' | grep -qx 'OK 0'
+"$SIMSEARCH" client --port "$port" --send 'INSERT zz#live-smoke-10' | grep -qx 'OK id=2001'
 stats=$("$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS')
 echo "$stats" | grep -q '"memtable_len"'
 echo "$stats" | grep -q '"segments"'
 echo "$stats" | grep -q '"compactions"'
+echo "$stats" | grep -q '"records": 2001,'
 drain_daemon
 
 # Sharded-live serve smoke: --live composes with --shards — 4 hash-
@@ -329,6 +346,7 @@ echo "$stats" | grep -q '"s3\.memtable_len"'
 echo "$stats" | grep -q '"memtable_len"'
 echo "$stats" | grep -q '"replans": '
 echo "$stats" | grep -q '"plan_epoch": '
+echo "$stats" | grep -q '"records": 2012,'
 drain_daemon
 
 # A len partitioner cannot route live inserts: the daemon must refuse

@@ -3,9 +3,7 @@
 
 use simsearch_bench::experiments::{CITY_IDX_BEST_THREADS, CITY_SEQ_BEST_THREADS};
 use simsearch_bench::Scale;
-use simsearch_core::{
-    Backend, EngineKind, IdxVariant, Probe, SearchEngine, SeqVariant, ShardBy, ShardedBackend,
-};
+use simsearch_core::{EngineKind, IdxVariant, Probe, SearchEngine, SeqVariant, ShardBy};
 use simsearch_testkit::bench::Harness;
 
 fn main() {
@@ -39,20 +37,28 @@ fn main() {
     // The adaptive planner, calibrated on this very workload (probe cost
     // is build cost, mirroring index construction) and given the same
     // thread budget as the best fixed competitor.
-    let auto = SearchEngine::build_auto(&preset.dataset, CITY_IDX_BEST_THREADS, Some(&workload));
+    let auto = SearchEngine::build_with(
+        &preset.dataset,
+        EngineKind::Auto {
+            threads: CITY_IDX_BEST_THREADS,
+        },
+        Probe::Workload(&workload),
+    );
     // The same calibrated planning, but per length-partitioned shard:
     // four planners, each calibrated on the same workload and
     // specialized to its own length band, fanned out under the same
     // thread budget (narrow bands let the shard-level length prune skip
     // non-intersecting shards).
-    let sharded_auto = ShardedBackend::with_probe(
+    let sharded_auto = SearchEngine::build_with(
         &preset.dataset,
-        4,
-        ShardBy::Len,
-        CITY_IDX_BEST_THREADS,
+        EngineKind::Sharded {
+            shards: 4,
+            by: ShardBy::Len,
+            threads: CITY_IDX_BEST_THREADS,
+            arm: None,
+        },
         Probe::Workload(&workload),
     );
-    sharded_auto.prepare();
     let mut group = h.group("fig6_city_best");
     group.set_workload("city", preset.dataset.len(), workload.len(), "0, 1, 2, 3");
     group.bench("best_scan", || best_scan.run(&workload));
@@ -60,7 +66,7 @@ fn main() {
     group.bench("best_index_modern", || best_index_modern.run(&workload));
     group.bench("best_scan_v8", || best_scan_v8.run(&workload));
     group.bench("auto", || auto.run(&workload));
-    group.bench("sharded_auto", || sharded_auto.run_workload(&workload));
+    group.bench("sharded_auto", || sharded_auto.run(&workload));
     if let Some(counts) = auto.plan_counts() {
         group.set_plan_decisions(&counts);
     }

@@ -3,9 +3,7 @@
 
 use simsearch_bench::experiments::{DNA_IDX_BEST_THREADS, DNA_SEQ_BEST_THREADS};
 use simsearch_bench::Scale;
-use simsearch_core::{
-    Backend, EngineKind, IdxVariant, Probe, SearchEngine, SeqVariant, ShardBy, ShardedBackend,
-};
+use simsearch_core::{EngineKind, IdxVariant, Probe, SearchEngine, SeqVariant, ShardBy};
 use simsearch_testkit::bench::Harness;
 
 fn main() {
@@ -39,7 +37,13 @@ fn main() {
     // The adaptive planner, calibrated on this very workload (probe cost
     // is build cost, mirroring index construction) and given the same
     // thread budget as the best fixed competitor.
-    let auto = SearchEngine::build_auto(&preset.dataset, DNA_IDX_BEST_THREADS, Some(&workload));
+    let auto = SearchEngine::build_with(
+        &preset.dataset,
+        EngineKind::Auto {
+            threads: DNA_IDX_BEST_THREADS,
+        },
+        Probe::Workload(&workload),
+    );
     // The same calibrated planning, but per length-partitioned shard,
     // each planner calibrated on the same workload. DNA shards coarser
     // than city (2-way, not 4-way): reads span only 89..112 bytes while
@@ -47,14 +51,16 @@ fn main() {
     // the shard-level prune never fires — and the index arms' per-probe
     // cost (tree-top descent, q-gram extraction) does not shrink with
     // shard size, so each extra shard is a fixed per-query tax.
-    let sharded_auto = ShardedBackend::with_probe(
+    let sharded_auto = SearchEngine::build_with(
         &preset.dataset,
-        2,
-        ShardBy::Len,
-        DNA_IDX_BEST_THREADS,
+        EngineKind::Sharded {
+            shards: 2,
+            by: ShardBy::Len,
+            threads: DNA_IDX_BEST_THREADS,
+            arm: None,
+        },
         Probe::Workload(&workload),
     );
-    sharded_auto.prepare();
     let mut group = h.group("fig7_dna_best");
     group.set_workload("dna", preset.dataset.len(), workload.len(), "0, 4, 8, 16");
     group.bench("best_scan", || best_scan.run(&workload));
@@ -62,7 +68,7 @@ fn main() {
     group.bench("best_index_modern", || best_index_modern.run(&workload));
     group.bench("best_scan_v8", || best_scan_v8.run(&workload));
     group.bench("auto", || auto.run(&workload));
-    group.bench("sharded_auto", || sharded_auto.run_workload(&workload));
+    group.bench("sharded_auto", || sharded_auto.run(&workload));
     if let Some(counts) = auto.plan_counts() {
         group.set_plan_decisions(&counts);
     }

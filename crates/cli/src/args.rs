@@ -191,9 +191,10 @@ pub fn pool(threads: usize) -> Strategy {
 }
 
 /// The one engine-name table, in the order `USAGE` lists the names.
-/// `scan` and `scan-base` share the flat shard arm — shard-local
-/// scheduling is the sharded backend's job, and the naive rung exists
-/// only as an unsharded baseline.
+/// `scan` and `scan-base` share the flat shard arm, and `trie` shares
+/// `radix`'s — shard-local scheduling is the sharded backend's job, and
+/// the naive rung and the uncompressed trie exist only as unsharded
+/// baselines.
 static ENGINES: [EngineRow; 8] = [
     ("auto", &[], EngineChoice::Auto, None, |threads| EngineKind::Auto { threads }),
     ("scan", &[], EngineChoice::Scan, Some(BackendChoice::ScanFlat), |threads| {
@@ -216,7 +217,7 @@ static ENGINES: [EngineRow; 8] = [
         Some(BackendChoice::ScanBitParallel),
         |_| EngineKind::Scan(SeqVariant::V8BitParallel),
     ),
-    ("trie", &[], EngineChoice::Trie, Some(BackendChoice::Trie), |_| {
+    ("trie", &[], EngineChoice::Trie, Some(BackendChoice::Radix), |_| {
         EngineKind::Index(IdxVariant::I1BaseTrie)
     }),
     ("radix", &[], EngineChoice::Radix, Some(BackendChoice::Radix), |threads| {

@@ -8,8 +8,8 @@ mod args;
 
 use args::{ClientArgs, Command, ExplainArgs, GenerateArgs, JoinArgs, SearchArgs, ServeArgs};
 use simsearch_core::{
-    build_backend_with, experiment::time, AutoBackend, Backend, EngineKind, PlanDecision, Planner,
-    Probe, ShardedBackend,
+    experiment::time, AutoBackend, Backend, EngineKind, PlanDecision, Planner, Probe, SearchEngine,
+    ShardedBackend,
 };
 use simsearch_data::{io, Alphabet, CityGenerator, DnaGenerator, MatchSet, WorkloadSpec};
 use simsearch_data::{Dataset, DatasetStats, StatsSnapshot, CITY_THRESHOLDS, DNA_THRESHOLDS};
@@ -62,27 +62,21 @@ fn run_search(a: SearchArgs) -> Result<(), String> {
             shards: a.shards,
             by: a.shard_by,
             threads: a.threads,
+            arm: a.engine.shard_arm(),
         }
     } else {
         a.engine.engine_kind(a.threads)
     };
-    let (backend, build_time) = time(|| {
-        let backend: Box<dyn Backend + '_> = match a.engine.shard_arm() {
-            Some(arm) if a.shards >= 2 => Box::new(ShardedBackend::with_fixed_arm(
-                &dataset, a.shards, a.shard_by, a.threads, arm,
-            )),
-            _ => build_backend_with(&dataset, kind, Probe::Workload(&probe)),
-        };
-        backend.prepare();
-        backend
-    });
-    let (results, query_time) = time(|| backend.run_workload(&workload));
+    let (engine, build_time) =
+        time(|| SearchEngine::build_with(&dataset, kind, Probe::Workload(&probe)));
+    let (results, query_time) = time(|| engine.run(&workload));
+    let backend = engine.backend();
     // Unsharded engines keep their paper-style kind label; a sharded
     // composite names its own layout.
     let name = if a.shards >= 2 {
         backend.name()
     } else {
-        kind.name()
+        engine.name()
     };
     eprintln!(
         "{name}: {} records, {} queries; build {:.3}s, query {:.3}s",
@@ -175,6 +169,7 @@ fn run_serve(a: ServeArgs) -> Result<(), String> {
             shards: a.shards,
             by: a.shard_by,
             threads: 1,
+            arm: None,
         }
     } else {
         a.engine.engine_kind(1)

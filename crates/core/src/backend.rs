@@ -540,7 +540,7 @@ impl ObservationGrid {
 }
 
 /// How a planner-driven engine calibrates at build time — the third
-/// argument of [`crate::engine::build_backend_with`].
+/// argument of [`crate::engine::SearchEngine::build_with`].
 #[derive(Debug, Clone, Copy)]
 pub enum Probe<'w> {
     /// No probe: purely static, deterministic planning.
@@ -668,16 +668,8 @@ fn fair_share_race(
 }
 
 impl<'a> AutoBackend<'a> {
-    /// The default candidate set: the backends with distinct asymptotic
-    /// profiles (the uncompressed trie duplicates the radix tree's, at
-    /// a higher per-node cost).
-    pub const DEFAULT_CANDIDATES: [BackendChoice; 5] = [
-        BackendChoice::ScanFlat,
-        BackendChoice::ScanSorted,
-        BackendChoice::ScanBitParallel,
-        BackendChoice::Radix,
-        BackendChoice::Qgram,
-    ];
+    /// The default candidate set: every arm.
+    pub const DEFAULT_CANDIDATES: [BackendChoice; 5] = BackendChoice::ALL;
 
     /// Builds an auto backend with purely static (deterministic)
     /// planning over the default candidates.
@@ -876,9 +868,6 @@ impl<'a> AutoBackend<'a> {
                 BackendChoice::ScanBitParallel => {
                     self.sorted_view().prepare_signature();
                     Arm::ScanBitParallel
-                }
-                BackendChoice::Trie => {
-                    Arm::Index(Structure::Trie(simsearch_index::trie::build(dataset)))
                 }
                 BackendChoice::Radix => {
                     Arm::Index(Structure::Radix(simsearch_index::radix::build(dataset)))
@@ -1457,12 +1446,16 @@ mod tests {
     }
 
     #[test]
-    fn sorted_scan_counts_cells() {
+    fn sorted_scans_count_cells_and_flat_scans_report_zero() {
         let ds = dataset();
-        let sorted = ScanBackend::new(SequentialScan::new(&ds), SeqVariant::V7SortedPrefix);
-        sorted.prepare();
-        let (_, cells) = sorted.search_counting(b"Berlin", 2);
-        assert!(cells > 0);
+        let cells = |variant| {
+            let scan = ScanBackend::new(SequentialScan::new(&ds), variant);
+            scan.prepare();
+            scan.search_counting(b"Berlin", 2).1
+        };
+        assert!(cells(SeqVariant::V7SortedPrefix) > 0);
+        assert!(cells(SeqVariant::V8BitParallel) > 0);
+        assert_eq!(cells(SeqVariant::V4Flat), 0);
     }
 
     #[test]

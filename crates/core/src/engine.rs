@@ -1,17 +1,17 @@
 //! The unified search engine: every solution of the paper (and every
 //! extension) behind one build/search interface.
 //!
-//! [`build_backend_with`] is the one factory: it maps an
+//! [`SearchEngine::build_with`] is the one constructor: it maps an
 //! [`EngineKind`] (plus, for planner-driven kinds, a calibration
-//! [`Probe`]) to one [`Backend`] trait object, and the serving layer,
-//! the CLI and the benches all build through it. [`SearchEngine`] is
-//! the thin workload runner over that object — build, prepare, run —
-//! that the paper-protocol call sites use.
+//! [`Probe`]) to one prepared [`Backend`] trait object. The serving
+//! daemon, the CLI, the benches and the oracles all hold the
+//! [`SearchEngine`] it returns.
 
 use crate::backend::{
     AutoBackend, Backend, BackendDiag, IndexBackend, Probe, ScanBackend,
 };
 use crate::lsm::{LiveEngine, LsmConfig};
+use crate::planner::BackendChoice;
 use crate::sharded::{ShardBy, ShardedBackend};
 use simsearch_data::{Dataset, MatchSet, Workload};
 use simsearch_distance::KernelKind;
@@ -92,9 +92,10 @@ pub enum EngineKind {
         threads: usize,
     },
     /// Partitioned execution: the dataset is split into shards, each
-    /// with its own planner-driven backend over its own statistics;
-    /// queries fan out and per-shard results are k-way merged. Every
-    /// shard calibrates as the factory's [`Probe`] says.
+    /// with its own backend over its own records; queries fan out and
+    /// per-shard results are k-way merged. Unless pinned to one `arm`,
+    /// every shard runs its own planner, calibrated as the factory's
+    /// [`Probe`] says.
     Sharded {
         /// Number of shards (clamped to ≥ 1).
         shards: usize,
@@ -102,6 +103,9 @@ pub enum EngineKind {
         by: ShardBy,
         /// Worker threads for fan-out and workload execution.
         threads: usize,
+        /// The one arm every shard runs; `None` gives every shard its
+        /// own planner.
+        arm: Option<BackendChoice>,
     },
     /// Live ingest: an LSM-shaped [`LiveEngine`]
     /// (append-only memtable + tombstones in front of immutable sorted
@@ -132,7 +136,7 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Checks constraints that [`build_backend_with`] would otherwise panic
+    /// Checks constraints that [`SearchEngine::build_with`] would otherwise panic
     /// on — currently only [`EngineKind::ShardedLive`] has any (the
     /// `len` partitioner with ≥ 2 shards, a zero memtable cap, > 256
     /// shards). Callers that build from untrusted input (the CLI, the
@@ -175,7 +179,11 @@ impl EngineKind {
                 shards,
                 by,
                 threads,
-            } => format!("sharded[s={shards}/{}/threads={threads}]", by.name()),
+                arm,
+            } => {
+                let arm = arm.map_or(String::new(), |arm| format!("/{}", arm.name()));
+                format!("sharded[s={shards}/{}{arm}/threads={threads}]", by.name())
+            }
             EngineKind::Live { memtable_cap } => format!("live[lsm/cap={memtable_cap}]"),
             EngineKind::ShardedLive {
                 shards,
@@ -190,10 +198,10 @@ impl EngineKind {
     }
 }
 
-/// The one factory: maps an [`EngineKind`] to its trait-object backend.
-/// `probe` says how the planner-driven kinds ([`EngineKind::Auto`],
-/// [`EngineKind::Sharded`]) calibrate; every other kind ignores it.
-pub fn build_backend_with<'a>(
+/// Maps an [`EngineKind`] to its trait-object backend. `probe` says how
+/// the planner-driven kinds ([`EngineKind::Auto`], [`EngineKind::Sharded`]
+/// without a pinned arm) calibrate; every other kind ignores it.
+fn build_backend_with<'a>(
     dataset: &'a Dataset,
     kind: EngineKind,
     probe: Probe<'_>,
@@ -223,9 +231,11 @@ pub fn build_backend_with<'a>(
             shards,
             by,
             threads,
-        } => Box::new(ShardedBackend::with_probe(
-            dataset, shards, by, threads, probe,
-        )),
+            arm,
+        } => Box::new(match arm {
+            Some(arm) => ShardedBackend::with_fixed_arm(dataset, shards, by, threads, arm),
+            None => ShardedBackend::with_probe(dataset, shards, by, threads, probe),
+        }),
         EngineKind::Live { memtable_cap } => Box::new(LiveEngine::from_dataset(
             dataset,
             LsmConfig { memtable_cap },
@@ -244,8 +254,8 @@ pub fn build_backend_with<'a>(
     }
 }
 
-/// A built and prepared backend plus the kind it was built from: the
-/// thin workload runner the benches and the paper-protocol tests use.
+/// A built and prepared backend plus the kind it was built from: the one
+/// engine handle the daemon, the CLI, the benches and the oracles hold.
 pub struct SearchEngine<'a> {
     kind: EngineKind,
     backend: Box<dyn Backend + 'a>,
@@ -263,22 +273,16 @@ impl<'a> SearchEngine<'a> {
     /// [`SearchEngine::build`] with an explicit calibration probe for
     /// the planner-driven kinds (run through every candidate arm at
     /// build time — like index construction, the cost is excluded from
-    /// query timing).
-    fn build_with(dataset: &'a Dataset, kind: EngineKind, probe: Probe<'_>) -> Self {
+    /// query timing). The daemon passes [`Probe::Default`], the CLI and
+    /// the benches a prefix of the workload they are about to run.
+    ///
+    /// Panics on an invalid [`EngineKind::ShardedLive`]; run
+    /// [`EngineKind::validate`] first when the kind comes from untrusted
+    /// input.
+    pub fn build_with(dataset: &'a Dataset, kind: EngineKind, probe: Probe<'_>) -> Self {
         let backend = build_backend_with(dataset, kind, probe);
         backend.prepare();
         Self { kind, backend }
-    }
-
-    /// Builds a planner-driven engine, calibrated on `probe` when one
-    /// is given and statically planned otherwise.
-    pub fn build_auto(
-        dataset: &'a Dataset,
-        threads: usize,
-        probe: Option<&Workload>,
-    ) -> Self {
-        let probe = probe.map_or(Probe::Static, Probe::Workload);
-        Self::build_with(dataset, EngineKind::Auto { threads }, probe)
     }
 
     /// The engine's kind.
@@ -291,11 +295,17 @@ impl<'a> SearchEngine<'a> {
         self.kind.name()
     }
 
-    /// The backend behind the engine (`explain` and the top-k tests
+    /// The backend behind the engine (the daemon and the top-k tests
     /// reach trait-level methods — cell counting, top-k, the capability
     /// hooks — through this).
     pub fn backend(&self) -> &dyn Backend {
         self.backend.as_ref()
+    }
+
+    /// The backend, mutably — for [`Backend::release_unrouted`], which a
+    /// daemon with no replan tick calls once after the build.
+    pub fn backend_mut(&mut self) -> &mut (dyn Backend + 'a) {
+        self.backend.as_mut()
     }
 
     /// Answers one query.
@@ -333,6 +343,7 @@ impl<'a> SearchEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::search_top_k;
     use simsearch_data::QueryRecord;
 
     fn dataset() -> Dataset {
@@ -368,21 +379,37 @@ mod tests {
                 shards: 1,
                 by: crate::sharded::ShardBy::Len,
                 threads: 1,
+                arm: None,
             },
             EngineKind::Sharded {
                 shards: 3,
                 by: crate::sharded::ShardBy::Len,
                 threads: 2,
+                arm: None,
             },
             EngineKind::Sharded {
                 shards: 3,
                 by: crate::sharded::ShardBy::Hash,
                 threads: 1,
+                arm: None,
             },
             EngineKind::Sharded {
                 shards: 16,
                 by: crate::sharded::ShardBy::Hash,
                 threads: 2,
+                arm: None,
+            },
+            EngineKind::Sharded {
+                shards: 3,
+                by: crate::sharded::ShardBy::Hash,
+                threads: 1,
+                arm: Some(BackendChoice::Radix),
+            },
+            EngineKind::Sharded {
+                shards: 4,
+                by: crate::sharded::ShardBy::Len,
+                threads: 2,
+                arm: Some(BackendChoice::ScanBitParallel),
             },
             EngineKind::Live { memtable_cap: 4 },
             EngineKind::ShardedLive {
@@ -402,19 +429,30 @@ mod tests {
 
     #[test]
     fn every_engine_agrees_on_single_queries() {
+        // Every kind under every calibration probe: the daemon builds
+        // with `Probe::Default`, the CLI and the benches with a workload.
         let ds = dataset();
-        let engines: Vec<SearchEngine> = all_kinds()
-            .into_iter()
-            .map(|k| SearchEngine::build(&ds, k))
-            .collect();
-        for q in ["Berlin", "Urm", "", "Xyz"] {
-            for k in 0..4 {
-                let expected = engines[0].search(q.as_bytes(), k);
-                for e in &engines[1..] {
+        let reference = SearchEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
+        let workload = Workload {
+            queries: vec![QueryRecord::new("Berlin", 1), QueryRecord::new("Ulm", 0)],
+        };
+        for probe in [Probe::Static, Probe::Default, Probe::Workload(&workload)] {
+            for kind in all_kinds() {
+                let e = SearchEngine::build_with(&ds, kind, probe);
+                for text in ["Berlin", "Urm", "", "Xyz"] {
+                    let q = text.as_bytes();
+                    for k in 0..4 {
+                        assert_eq!(
+                            e.search(q, k),
+                            reference.search(q, k),
+                            "engine {} {probe:?} q={text} k={k}",
+                            e.name()
+                        );
+                    }
                     assert_eq!(
-                        e.search(q.as_bytes(), k),
-                        expected,
-                        "engine {} q={q} k={k}",
+                        search_top_k(&e, q, 3, 16),
+                        search_top_k(&reference, q, 3, 16),
+                        "engine {} {probe:?} q={text} top-3",
                         e.name()
                     );
                 }
@@ -523,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn build_auto_agrees_with_the_oracle_with_and_without_probe() {
+    fn auto_agrees_with_the_oracle_with_and_without_probe() {
         let ds = dataset();
         let workload = Workload {
             queries: vec![
@@ -534,10 +572,10 @@ mod tests {
         };
         let reference = SearchEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
         let expected = reference.run(&workload);
-        for probe in [None, Some(&workload)] {
-            let auto = SearchEngine::build_auto(&ds, 2, probe);
+        for probe in [Probe::Static, Probe::Workload(&workload)] {
+            let auto = SearchEngine::build_with(&ds, EngineKind::Auto { threads: 2 }, probe);
             assert_eq!(auto.kind(), EngineKind::Auto { threads: 2 });
-            assert_eq!(auto.run(&workload), expected, "probe {:?}", probe.is_some());
+            assert_eq!(auto.run(&workload), expected, "{probe:?}");
         }
     }
 

@@ -11,11 +11,11 @@
 //! * [`planner`] — the adaptive [`planner::Planner`]: cost hints from
 //!   dataset statistics, one explainable [`planner::PlanDecision`] per
 //!   query class;
-//! * [`engine`] — [`engine::build_backend_with`], the one factory from
-//!   an [`engine::EngineKind`] to a backend (each scan rung (§3), each
-//!   index rung (§4), the q-gram baseline, the planner, shards, live
-//!   ingest), and [`engine::SearchEngine`], the thin workload runner
-//!   over it;
+//! * [`engine`] — [`engine::SearchEngine`], the one engine handle:
+//!   [`engine::SearchEngine::build_with`] maps an [`engine::EngineKind`]
+//!   (each scan rung (§3), each index rung (§4), the q-gram baseline,
+//!   the planner, shards, live ingest) to a prepared backend, which the
+//!   daemon, the CLI, the benches and the oracles all hold;
 //! * [`verify`] — cross-validation of engines against a reference
 //!   (§3.7 / §4.4 correctness methodology);
 //! * [`experiment`] — wall-clock measurement of 100/500/1,000-query
@@ -51,7 +51,7 @@ pub use backend::{
     AutoBackend, Backend, BackendDiag, FilteredScanBackend, IndexBackend, ObservationGrid,
     PlanReport, Probe,
 };
-pub use engine::{build_backend_with, EngineKind, IdxVariant, SearchEngine};
+pub use engine::{EngineKind, IdxVariant, SearchEngine};
 pub use lsm::{LiveEngine, LiveStats, LsmConfig, MutableBackend};
 pub use sharded::{
     merge_match_sets, partition_ids, remap_to_global, route_record, ShardBy, ShardStats,

@@ -660,8 +660,7 @@ impl MutableBackend for LiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Probe;
-    use crate::engine::{build_backend_with, EngineKind};
+    use crate::engine::{EngineKind, SearchEngine};
     use crate::topk::search_top_k_with;
     use simsearch_data::Match;
     use simsearch_scan::SeqVariant;
@@ -671,7 +670,7 @@ mod tests {
     fn oracle(survivors: &[(RecordId, Vec<u8>)], query: &[u8], k: u32) -> MatchSet {
         let data = Dataset::from_records(survivors.iter().map(|(_, r)| r.as_slice()));
         let globals: Vec<RecordId> = survivors.iter().map(|(id, _)| *id).collect();
-        let v1 = build_backend_with(&data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
+        let v1 = SearchEngine::build(&data, EngineKind::Scan(SeqVariant::V1Base));
         remap_to_global(&v1.search(query, k), &globals)
     }
 
@@ -712,7 +711,7 @@ mod tests {
     fn seeded_engine_matches_its_source_dataset() {
         let data = Dataset::from_records(["Berlin", "Bern", "", "Ulm", "Bonn"]);
         let engine = LiveEngine::from_dataset(&data, LsmConfig::default());
-        let v1 = build_backend_with(&data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
+        let v1 = SearchEngine::build(&data, EngineKind::Scan(SeqVariant::V1Base));
         for q in ["Bern", "", "Urm"] {
             for k in 0..4 {
                 assert_eq!(
@@ -855,7 +854,8 @@ mod tests {
         survivors.retain(|(id, _)| *id != 2);
         let data = Dataset::from_records(survivors.iter().map(|(_, r)| r.as_slice()));
         let globals: Vec<RecordId> = survivors.iter().map(|(id, _)| *id).collect();
-        let v1 = build_backend_with(&data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
+        let v1 = SearchEngine::build(&data, EngineKind::Scan(SeqVariant::V1Base));
+        let v1 = v1.backend();
         for k in [1usize, 3, 10] {
             let (want_local, _) = search_top_k_with(|r| v1.search_counting(b"Bern", r), k, 16);
             let want: Vec<Match> = want_local

@@ -16,7 +16,7 @@
 //! — which the planner-parity property tests rely on. Because the model
 //! is shaped after the paper's machine, not this one, a planner can
 //! additionally be built with *calibration multipliers* measured by a
-//! micro-probe at build time (see `SearchEngine::build_auto`); the
+//! micro-probe at build time (see `SearchEngine::build_with`); the
 //! probe runs real queries through each candidate and scales the hints
 //! by observed cost, the same way index construction is paid at build
 //! time and excluded from query timing.
@@ -51,8 +51,6 @@ pub enum BackendChoice {
     /// over: more candidates survive, and each lives more columns before
     /// its decisive diagonal passes `k`.
     ScanBitParallel,
-    /// Uncompressed prefix tree with modern pruning.
-    Trie,
     /// Compressed (radix) tree with modern pruning.
     Radix,
     /// Inverted q-gram index (count filter + verification).
@@ -62,11 +60,10 @@ pub enum BackendChoice {
 impl BackendChoice {
     /// Every choice, in a fixed order (ties in the cost model resolve
     /// to the earlier entry).
-    pub const ALL: [BackendChoice; 6] = [
+    pub const ALL: [BackendChoice; 5] = [
         BackendChoice::ScanFlat,
         BackendChoice::ScanSorted,
         BackendChoice::ScanBitParallel,
-        BackendChoice::Trie,
         BackendChoice::Radix,
         BackendChoice::Qgram,
     ];
@@ -80,7 +77,6 @@ impl BackendChoice {
             BackendChoice::ScanFlat => "scan-flat",
             BackendChoice::ScanSorted => "scan-sorted",
             BackendChoice::ScanBitParallel => "scan-bitparallel",
-            BackendChoice::Trie => "trie",
             BackendChoice::Radix => "radix",
             BackendChoice::Qgram => "qgram",
         }
@@ -228,7 +224,6 @@ pub fn static_cost(
     // (cache misses) — the constant that makes tries lose on short
     // strings despite their pruning, exactly the paper's §5 story.
     const HOP_RADIX: f64 = 32.0;
-    const HOP_TRIE: f64 = 48.0;
     match choice {
         BackendChoice::ScanFlat => n * PROBE + cand * verify,
         BackendChoice::ScanSorted => n * (PROBE + 2.0) + cand * verify * (1.0 - shared),
@@ -254,9 +249,6 @@ pub fn static_cost(
         }
         BackendChoice::Radix => {
             cand * prune * ((1.0 - shared) * verify + HOP_RADIX)
-        }
-        BackendChoice::Trie => {
-            cand * prune * ((1.0 - shared) * verify * 1.5 + HOP_TRIE)
         }
         BackendChoice::Qgram => {
             let gram_len = 2.0; // the workspace's q-gram baseline uses q = 2
@@ -637,11 +629,6 @@ mod tests {
         let dna = StatsSnapshot::compute(&presets::dna(2000).dataset);
         let city_scan = static_cost(&city, BackendChoice::ScanFlat, 10, 2);
         let city_radix = static_cost(&city, BackendChoice::Radix, 10, 2);
-        let city_trie = static_cost(&city, BackendChoice::Trie, 10, 2);
-        assert!(
-            city_scan < city_trie,
-            "city: scan {city_scan} should beat trie {city_trie}"
-        );
         assert!(
             city_scan < city_radix,
             "city: scan {city_scan} should beat radix {city_radix}"

@@ -20,7 +20,9 @@
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use crate::engine::ServedEngine;
+use simsearch_core::{pass_join_with_stats, search_top_k_with, Backend, Strategy};
+use simsearch_data::Dataset;
+
 use crate::metrics::Metrics;
 use crate::protocol::{matches_response, Response, JOIN_CHUNK_PAIRS};
 
@@ -191,15 +193,17 @@ impl Drop for Permit<'_> {
     }
 }
 
-/// Admits one request and executes it on the calling thread. `Ok` is
-/// the reply frames, in order, produced under a permit that is already
-/// released — the caller writes them; `Err` is the refusal (`BUSY` or
-/// `TIMEOUT`) to write instead of executing.
+/// Admits one request and executes it on the calling thread against
+/// `backend` (and, for `JOIN`, the frozen seed `dataset` it was built
+/// from). `Ok` is the reply frames, in order, produced under a permit
+/// that is already released — the caller writes them; `Err` is the
+/// refusal (`BUSY` or `TIMEOUT`) to write instead of executing.
 pub(crate) fn run_request(
     work: &Work,
     text: &[u8],
     permits: &Permits,
-    engine: &ServedEngine<'_>,
+    backend: &dyn Backend,
+    dataset: &Dataset,
     cfg: &BatchConfig,
     metrics: &Metrics,
 ) -> Result<Vec<Response>, Response> {
@@ -207,7 +211,7 @@ pub(crate) fn run_request(
     let admitted = Instant::now();
     let _permit = permits.admit(admitted + cfg.deadline, metrics)?;
     metrics.batches.inc();
-    let frames = execute_one(work, text, engine, cfg, metrics);
+    let frames = execute_one(work, text, backend, dataset, cfg, metrics);
     metrics
         .latency_ns
         .observe(admitted.elapsed().as_nanos() as u64);
@@ -217,7 +221,8 @@ pub(crate) fn run_request(
 fn execute_one(
     work: &Work,
     text: &[u8],
-    engine: &ServedEngine<'_>,
+    backend: &dyn Backend,
+    dataset: &Dataset,
     cfg: &BatchConfig,
     metrics: &Metrics,
 ) -> Vec<Response> {
@@ -228,27 +233,36 @@ fn execute_one(
     let mut cells = 0;
     let frames = match *work {
         Work::Query { k } => {
-            let (matches, counted) = engine.search(text, k);
+            let (matches, counted) = backend.search_counting(text, k);
             cells = counted;
             vec![matches_response(&matches)]
         }
         Work::TopK { count } => {
-            let (matches, counted) = engine.topk(text, count as usize, cfg.topk_max_radius);
+            let (matches, counted) = search_top_k_with(
+                |radius| backend.search_counting(text, radius),
+                count as usize,
+                cfg.topk_max_radius,
+            );
             cells = counted;
             vec![Response::Matches(matches)]
         }
-        Work::Insert => vec![match engine.writer() {
+        Work::Insert => vec![match backend.as_mutable() {
             Some(w) => Response::Inserted(w.insert(text)),
             None => read_only(),
         }],
-        Work::Delete { id } => vec![match engine.writer() {
+        Work::Delete { id } => vec![match backend.as_mutable() {
             Some(w) => Response::Deleted {
                 existed: w.delete(id),
             },
             None => read_only(),
         }],
-        Work::Join { k } => match engine.join(k) {
-            Some((pairs, stats)) => {
+        // Live engines refuse: their records shift under the join. A
+        // served join runs sequentially — like the search kernels, it
+        // draws its concurrency from the connection handlers rather than
+        // nesting a pool per request.
+        Work::Join { k } => match backend.as_mutable() {
+            None => {
+                let (pairs, stats) = pass_join_with_stats(dataset, k, Strategy::Sequential);
                 metrics.joins.inc();
                 metrics.join_pairs_emitted.add(stats.pairs_emitted);
                 metrics
@@ -266,7 +280,7 @@ fn execute_one(
                     .chain(chunks.map(|chunk| Response::JoinPairs(chunk.to_vec())))
                     .collect()
             }
-            None => vec![Response::Error(
+            Some(_) => vec![Response::Error(
                 "JOIN requires a frozen dataset (not servable on a --live engine)".into(),
             )],
         },
@@ -283,8 +297,7 @@ fn execute_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simsearch_core::EngineKind;
-    use simsearch_data::Dataset;
+    use simsearch_core::{EngineKind, SearchEngine};
     use simsearch_scan::SeqVariant;
 
     fn far() -> Instant {
@@ -365,6 +378,8 @@ mod tests {
         assert!(permits.try_acquire().is_some());
     }
 
+    const CORPUS: [&str; 4] = ["Berlin", "Bern", "Bonn", "Ulm"];
+
     /// Runs each request through `run_request` on a thread of its own,
     /// all sharing `cfg.threads` permits the way connection handlers do;
     /// replies come back in request order.
@@ -372,17 +387,26 @@ mod tests {
         cfg: &BatchConfig,
         requests: &[(Work, &str)],
     ) -> (Metrics, Vec<Result<Vec<Response>, Response>>) {
-        let ds = Dataset::from_records(["Berlin", "Bern", "Bonn", "Ulm"]);
-        let engine = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V1Base));
+        harness_on(EngineKind::Scan(SeqVariant::V1Base), cfg, requests)
+    }
+
+    fn harness_on(
+        kind: EngineKind,
+        cfg: &BatchConfig,
+        requests: &[(Work, &str)],
+    ) -> (Metrics, Vec<Result<Vec<Response>, Response>>) {
+        let ds = Dataset::from_records(CORPUS);
+        let engine = SearchEngine::build(&ds, kind);
         let metrics = Metrics::new();
         let permits = Permits::new(cfg.threads, cfg.queue_capacity);
         let replies = std::thread::scope(|s| {
             let handles: Vec<_> = requests
                 .iter()
                 .map(|(work, text)| {
-                    let (permits, engine, metrics) = (&permits, &engine, &metrics);
+                    let (permits, backend, ds, metrics) =
+                        (&permits, engine.backend(), &ds, &metrics);
                     s.spawn(move || {
-                        run_request(work, text.as_bytes(), permits, engine, cfg, metrics)
+                        run_request(work, text.as_bytes(), permits, backend, ds, cfg, metrics)
                     })
                 })
                 .collect();
@@ -475,5 +499,37 @@ mod tests {
             2,
             "one outcome per join, not per frame"
         );
+    }
+
+    #[test]
+    fn join_streams_the_nested_loop_pairs_and_live_engines_refuse() {
+        let cfg = BatchConfig {
+            threads: 1,
+            ..BatchConfig::default()
+        };
+        let (metrics, replies) = harness(&cfg, &[(Work::Join { k: 2 }, "")]);
+        let streamed: Vec<_> = replies[0]
+            .as_ref()
+            .expect("executed")
+            .iter()
+            .filter_map(|frame| match frame {
+                Response::JoinPairs(chunk) => Some(chunk.iter().copied()),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        let corpus = Dataset::from_records(CORPUS);
+        assert_eq!(streamed, simsearch_core::join::nested_loop_join(&corpus, 2));
+        assert_eq!(metrics.joins.get(), 1);
+        assert_eq!(metrics.join_pairs_emitted.get(), streamed.len() as u64);
+
+        let live = EngineKind::Live { memtable_cap: 4 };
+        let (metrics, replies) = harness_on(live, &cfg, &[(Work::Join { k: 1 }, "")]);
+        assert!(
+            matches!(replies[0].as_deref(), Ok([Response::Error(_)])),
+            "{replies:?}"
+        );
+        assert_eq!(metrics.joins.get(), 0);
+        assert_eq!(metrics.replied_error.get(), 1);
     }
 }

@@ -8,7 +8,10 @@
 //! of a fixed number of execution permits), refuses load it cannot
 //! carry (`BUSY`, never a hang), and reports latency histograms
 //! through `STATS` in the same JSON shape the testkit bench harness
-//! emits.
+//! emits. The engine is the
+//! [`SearchEngine`](simsearch_core::SearchEngine) that
+//! `SearchEngine::build_with` returns, held as it is: every verb calls
+//! the `Backend` trait behind it, and [`Metrics`] mirrors its counters.
 //!
 //! Start a server and talk to it:
 //!
@@ -38,7 +41,6 @@
 
 pub mod batch;
 pub mod client;
-mod engine;
 pub mod json;
 pub mod metrics;
 pub mod protocol;

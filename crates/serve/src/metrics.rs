@@ -13,6 +13,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use simsearch_core::{Backend, LiveStats};
+
 /// A monotone event counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -329,6 +331,89 @@ impl Metrics {
         Self::default()
     }
 
+    /// Mirrors the engine's replanning state: the current plan epoch and
+    /// (for unsharded planner engines) the pooled per-arm observed
+    /// nanoseconds the next replan will derive its multipliers from.
+    pub fn publish_replan(&self, backend: &dyn Backend) {
+        self.plan_epoch.set(backend.plan_epoch());
+        if let Some(nanos) = backend.arm_nanos() {
+            self.arm_nanos.publish(&nanos);
+        }
+    }
+
+    /// Mirrors the engine's routing and structural state; the connection
+    /// handlers call it after every executed request. `plan_decisions`
+    /// gets the cross-shard aggregate per arm plus one `s{i}.{arm}` entry
+    /// per shard and arm, `shard_matches` per-shard cumulative match
+    /// counts, and live engines their LSM gauges (aggregate, plus
+    /// `s{i}.*` per shard — the aggregates are sums over shards, so the
+    /// per-shard entries sum to them by construction). Each shard is read
+    /// once, and the label strings are built by the first call only —
+    /// later calls store values.
+    pub fn publish(&self, backend: &dyn Backend) {
+        let shards = backend.shard_stats();
+        let per_shard = shards.as_deref().unwrap_or_default();
+        if let Some(total) = backend.plan_counts() {
+            let shard_counts = |i: usize| per_shard[i].plan_counts.iter().flatten();
+            self.plan_decisions.publish_values(
+                || {
+                    let mut labels: Vec<String> =
+                        total.iter().map(|(arm, _)| arm.to_string()).collect();
+                    for i in 0..per_shard.len() {
+                        labels.extend(shard_counts(i).map(|(arm, _)| format!("s{i}.{arm}")));
+                    }
+                    labels
+                },
+                total
+                    .iter()
+                    .map(|&(_, routed)| routed)
+                    .chain((0..per_shard.len()).flat_map(|i| shard_counts(i).map(|&(_, c)| c))),
+            );
+        }
+        if shards.is_some() {
+            self.shard_matches.publish_values(
+                || (0..per_shard.len()).map(|i| format!("s{i}")).collect(),
+                per_shard.iter().map(|s| s.matches),
+            );
+        }
+        let Some(writer) = backend.as_mutable() else {
+            return;
+        };
+        let live_shards = || per_shard.iter().filter_map(|s| s.live.as_ref());
+        let stats = match shards {
+            Some(_) => live_shards().fold(LiveStats::default(), |mut sum, s| {
+                sum.accumulate(s);
+                sum
+            }),
+            None => writer.live_stats(),
+        };
+        self.memtable_len.set(stats.memtable_len);
+        self.segments.set(stats.segments);
+        self.tombstones.set(stats.tombstones);
+        self.compactions.set(stats.compactions);
+        self.inserts.set(stats.inserts);
+        self.deletes.set(stats.deletes);
+        if shards.is_some() {
+            self.live_shards.publish_values(
+                || {
+                    (0..per_shard.len())
+                        .flat_map(|i| {
+                            ["memtable_len", "segments", "tombstones"]
+                                .map(|gauge| format!("s{i}.{gauge}"))
+                        })
+                        .collect()
+                },
+                live_shards().flat_map(|s| {
+                    [
+                        s.memtable_len as u64,
+                        s.segments as u64,
+                        s.tombstones as u64,
+                    ]
+                }),
+            );
+        }
+    }
+
     /// Renders the `STATS` snapshot: single-line JSON in the testkit
     /// bench trajectory shape (`schema` = `simsearch-bench-v2`, a
     /// `workload` object, and histogram summaries under `results`),
@@ -420,7 +505,139 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simsearch_core::{EngineKind, Probe, SearchEngine, SeqVariant, ShardBy};
     use simsearch_data::rng::Xoshiro256;
+    use simsearch_data::Dataset;
+
+    fn dataset() -> Dataset {
+        Dataset::from_records(["Berlin", "Bern", "Bonn", "Ulm", "Berlingen", ""])
+    }
+
+    /// The daemon's build: calibrated with the default probe.
+    fn served(ds: &Dataset, kind: EngineKind) -> SearchEngine<'_> {
+        SearchEngine::build_with(ds, kind, Probe::Default)
+    }
+
+    #[test]
+    fn publish_replan_mirrors_the_plan_epoch_and_arm_nanos() {
+        let ds = dataset();
+        let auto = served(&ds, EngineKind::Auto { threads: 1 });
+        let backend = auto.backend();
+        for _ in 0..simsearch_core::MIN_CELL_OBSERVATIONS {
+            let _ = backend.search_counting(b"Berlin", 1);
+        }
+        assert_eq!(backend.replan(), 1, "grid filled: the swap is accepted");
+        let metrics = Metrics::new();
+        metrics.publish_replan(backend);
+        assert_eq!(metrics.plan_epoch.get(), 1);
+        let nanos = metrics.arm_nanos.snapshot();
+        assert!(
+            nanos.iter().any(|(_, n)| *n > 0),
+            "observed latencies are nonzero: {nanos:?}"
+        );
+        metrics.publish(backend);
+        let routed: u64 = metrics
+            .plan_decisions
+            .snapshot()
+            .iter()
+            .map(|(_, c)| c)
+            .sum();
+        assert_eq!(routed, simsearch_core::MIN_CELL_OBSERVATIONS);
+        // A fixed engine has no planner: nothing to mirror.
+        let fixed = Metrics::new();
+        fixed.publish_replan(served(&ds, EngineKind::Scan(SeqVariant::V4Flat)).backend());
+        assert_eq!(fixed.plan_epoch.get(), 0);
+        assert!(fixed.arm_nanos.is_empty());
+    }
+
+    #[test]
+    fn publish_mirrors_per_shard_decisions_and_matches() {
+        let ds = dataset();
+        let sharded = served(
+            &ds,
+            EngineKind::Sharded {
+                shards: 3,
+                by: ShardBy::Len,
+                threads: 1,
+                arm: None,
+            },
+        );
+        let found = sharded.search(b"Berlin", 2).len() as u64;
+        let metrics = Metrics::new();
+        metrics.publish(sharded.backend());
+        let decisions = metrics.plan_decisions.snapshot();
+        assert!(
+            decisions.iter().any(|(n, _)| n.starts_with("s0.")),
+            "per-shard plan_decisions published: {decisions:?}"
+        );
+        let matches = metrics.shard_matches.snapshot();
+        assert_eq!(matches.len(), 3);
+        assert!(matches.iter().all(|(n, _)| n.starts_with('s')));
+        assert_eq!(matches.iter().map(|(_, c)| c).sum::<u64>(), found);
+        assert!(
+            metrics.live_shards.is_empty(),
+            "frozen shards have no LSM gauges"
+        );
+    }
+
+    #[test]
+    fn publish_mirrors_live_gauges_and_frozen_engines_leave_them() {
+        let ds = dataset();
+        let live = served(&ds, EngineKind::Live { memtable_cap: 2 });
+        let writer = live
+            .backend()
+            .as_mutable()
+            .expect("live engines accept writes");
+        let id = writer.insert("Bärlin".as_bytes());
+        assert!(writer.delete(id));
+        assert!(!writer.delete(id));
+        let metrics = Metrics::new();
+        metrics.publish(live.backend());
+        assert_eq!(metrics.segments.get(), 1, "seed flushed to one segment");
+        assert_eq!(metrics.inserts.get(), ds.len() as u64 + 1);
+        assert_eq!(metrics.deletes.get(), 1);
+        let frozen = Metrics::new();
+        frozen.publish(served(&ds, EngineKind::Scan(SeqVariant::V4Flat)).backend());
+        assert_eq!(frozen.segments.get(), 0);
+        assert!(frozen.plan_decisions.is_empty() && frozen.shard_matches.is_empty());
+    }
+
+    #[test]
+    fn publish_mirrors_per_shard_live_gauges_that_sum_to_the_aggregates() {
+        let ds = dataset();
+        let engine = served(
+            &ds,
+            EngineKind::ShardedLive {
+                shards: 4,
+                by: ShardBy::Hash,
+                threads: 1,
+                memtable_cap: 2,
+            },
+        );
+        let writer = engine
+            .backend()
+            .as_mutable()
+            .expect("sharded-live engines accept writes");
+        let id = writer.insert("Bärlin".as_bytes());
+        assert_eq!(writer.insert(b"Ulmen"), id + 1, "one global id space");
+        assert!(writer.delete(id));
+        let metrics = Metrics::new();
+        metrics.publish(engine.backend());
+        assert_eq!(metrics.inserts.get(), ds.len() as u64 + 2);
+        assert_eq!(metrics.deletes.get(), 1);
+        let per_shard = metrics.live_shards.snapshot();
+        assert_eq!(per_shard.len(), 4 * 3, "three gauges per shard");
+        let sum = |suffix: &str| -> u64 {
+            per_shard
+                .iter()
+                .filter(|(n, _)| n.ends_with(suffix))
+                .map(|(_, c)| c)
+                .sum()
+        };
+        assert_eq!(sum(".memtable_len"), metrics.memtable_len.get() as u64);
+        assert_eq!(sum(".segments"), metrics.segments.get() as u64);
+        assert_eq!(sum(".tombstones"), metrics.tombstones.get() as u64);
+    }
 
     #[test]
     fn bucket_mapping_is_monotone_and_total() {

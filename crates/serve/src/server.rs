@@ -30,11 +30,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use simsearch_core::EngineKind;
+use simsearch_core::{Backend, EngineKind, Probe, SearchEngine};
 use simsearch_data::Dataset;
 
 use crate::batch::{run_request, BatchConfig, Permits, Work};
-use crate::engine::ServedEngine;
 use crate::metrics::Metrics;
 use crate::protocol::{encode_response, parse_request, ProtocolError, Request, Response, MAX_LINE_BYTES};
 
@@ -164,7 +163,11 @@ pub fn spawn(dataset: Dataset, kind: EngineKind, config: ServerConfig) -> std::i
 
 /// Per-server state every connection handler borrows.
 struct Shared<'a> {
-    engine: &'a ServedEngine<'a>,
+    /// The one engine: every verb and every tick goes through its
+    /// backend and the backend's capability hooks.
+    engine: &'a SearchEngine<'a>,
+    /// The seed dataset the engine was built from — `JOIN` runs over it.
+    dataset: &'a Dataset,
     /// The `batch.threads` execution permits.
     permits: Permits,
     config: &'a ServerConfig,
@@ -181,15 +184,20 @@ fn run(
     metrics: &Metrics,
     shutdown: &AtomicBool,
 ) {
-    let mut engine = ServedEngine::build(dataset, kind);
+    // Built (and prepared) once: planner-driven kinds calibrate with a
+    // micro-probe drawn from the dataset (each shard from its own
+    // records), so build cost lands here and not in the first request.
+    // `spawn` validated the kind.
+    let mut engine = SearchEngine::build_with(dataset, kind, Probe::Default);
     if config.replan_interval.is_none() {
         // No tick will ever swap the build-time table: the arms it does
         // not route to are the larger part of a calibrated engine.
-        engine.release_unrouted();
+        engine.backend_mut().release_unrouted();
     }
-    engine.publish_replan(metrics);
+    metrics.publish_replan(engine.backend());
     let shared = &Shared {
         engine: &engine,
+        dataset,
         permits: Permits::new(config.batch.threads.max(1), config.batch.queue_capacity),
         config,
         metrics,
@@ -207,7 +215,7 @@ fn run(
         // The self-tuning tick polls the shutdown flag between short
         // sleeps, so a long interval never delays the drain.
         if let Some(interval) = config.replan_interval {
-            scope.spawn(move || replan_loop(shared.engine, interval, metrics, shutdown));
+            scope.spawn(move || replan_loop(shared.engine.backend(), interval, metrics, shutdown));
         }
         while !shutdown.load(Ordering::Acquire) {
             match listener.accept() {
@@ -238,11 +246,12 @@ fn run(
 
 /// The background self-tuning loop: every `interval`, re-derive the
 /// decision tables from the live observation grids and swap them in
-/// ([`ServedEngine::replan`]), then mirror `plan_epoch` and the pooled
-/// per-arm latencies into the metrics registry. Sleeps in short slices
-/// so shutdown is never blocked behind a long interval.
+/// ([`Backend::replan`]; engines without a tunable planner swap
+/// nothing), then mirror `plan_epoch` and the pooled per-arm latencies
+/// into the metrics registry. Sleeps in short slices so shutdown is
+/// never blocked behind a long interval.
 fn replan_loop(
-    engine: &ServedEngine<'_>,
+    backend: &dyn Backend,
     interval: Duration,
     metrics: &Metrics,
     shutdown: &AtomicBool,
@@ -255,11 +264,11 @@ fn replan_loop(
             continue;
         }
         next = Instant::now() + interval;
-        let swapped = engine.replan();
+        let swapped = backend.replan();
         if swapped > 0 {
             metrics.replans.add(swapped);
         }
-        engine.publish_replan(metrics);
+        metrics.publish_replan(backend);
     }
 }
 
@@ -388,15 +397,24 @@ fn handle_connection(stream: TcpStream, shared: &Shared<'_>) {
                 write_frame(&mut writer, &Response::Error(e.to_string()))
             }
             Ok(Request::Health) => write_frame(&mut writer, &Response::Healthy),
-            Ok(Request::Stats) => write_frame(
-                &mut writer,
-                &Response::Stats(shared.metrics.stats_json(
-                    shared.engine.name(),
-                    &shared.config.dataset_label,
-                    shared.engine.records(),
-                    shared.started,
-                )),
-            ),
+            Ok(Request::Stats) => {
+                // A live engine counts what INSERT and DELETE left; a
+                // frozen one, its seed.
+                let records = shared
+                    .engine
+                    .backend()
+                    .as_mutable()
+                    .map_or(shared.dataset.len(), |w| w.live_stats().live_records);
+                write_frame(
+                    &mut writer,
+                    &Response::Stats(shared.metrics.stats_json(
+                        &shared.engine.name(),
+                        &shared.config.dataset_label,
+                        records,
+                        shared.started,
+                    )),
+                )
+            }
             Ok(Request::Shutdown) => {
                 let _ = write_frame(&mut writer, &Response::Bye);
                 shared.shutdown.store(true, Ordering::Release);
@@ -433,12 +451,22 @@ fn serve(
 ) -> std::io::Result<()> {
     let Shared {
         engine,
+        dataset,
         permits,
         config,
         metrics,
         ..
     } = shared;
-    let frames = match run_request(&work, text, permits, engine, &config.batch, metrics) {
+    let backend = engine.backend();
+    let frames = match run_request(
+        &work,
+        text,
+        permits,
+        backend,
+        dataset,
+        &config.batch,
+        metrics,
+    ) {
         Ok(frames) => frames,
         Err(refusal) => return write_frame(writer, &refusal),
     };
@@ -450,13 +478,13 @@ fn serve(
     // `threads`, keeps the memtable bounded without a dedicated
     // compaction thread; the gate inside the engine serialises
     // concurrent steps.
-    if let Some(live) = engine.writer() {
+    if let Some(live) = backend.as_mutable() {
         let _permit = permits.acquire();
         live.maybe_compact();
     }
     // Refresh the routing counters (with per-shard breakdowns) and the
     // live engines' structural gauges after each request so `STATS`
     // stays near-live.
-    engine.publish(metrics);
+    metrics.publish(backend);
     written
 }

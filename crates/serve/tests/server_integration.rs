@@ -188,3 +188,32 @@ fn health_and_stats_on_idle_server() {
     assert!(json.contains("\"records\": 200"), "{json}");
     server.shutdown();
 }
+
+/// `STATS` `records` follows the live record count: after two INSERTs
+/// and one DELETE a `--live` daemon, sharded or not, reports the seed
+/// plus one.
+#[test]
+fn live_stats_records_count_inserts_and_deletes() {
+    let preset = presets::city(200);
+    let seed = preset.dataset.len();
+    let live = [
+        EngineKind::Live { memtable_cap: 64 },
+        EngineKind::ShardedLive {
+            shards: 4,
+            by: simsearch_core::ShardBy::Hash,
+            threads: 1,
+            memtable_cap: 64,
+        },
+    ];
+    for kind in live {
+        let server = Loopback::spawn_default(preset.dataset.clone(), kind);
+        let mut client = server.client();
+        let first = client.insert(b"zz#live-records-1").expect("insert");
+        client.insert(b"zz#live-records-2").expect("insert");
+        assert!(client.delete(first).expect("delete"));
+        let json = client.stats_json().expect("stats");
+        let want = format!("\"records\": {}", seed + 1);
+        assert!(json.contains(&want), "{}: {json}", kind.name());
+        server.shutdown();
+    }
+}

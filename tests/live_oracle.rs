@@ -19,8 +19,8 @@
 //!    surviving-id table.
 
 use simsearch_core::{
-    build_backend_with, search_top_k_with, Backend, EngineKind, LiveEngine, LiveStats, LsmConfig,
-    MutableBackend, Probe, SeqVariant, ShardBy, ShardedBackend, Strategy,
+    search_top_k_with, Backend, EngineKind, LiveEngine, LiveStats, LsmConfig, MutableBackend,
+    SearchEngine, SeqVariant, ShardBy, ShardedBackend, Strategy,
 };
 use simsearch_data::{Alphabet, CityGenerator, Dataset, Match, MatchSet, WorkloadSpec};
 use simsearch_testkit::{check, gen, prop_assert, prop_assert_eq, Config, Gen, Shrink};
@@ -77,14 +77,14 @@ fn op_gen() -> Gen<Op> {
 fn v1_rebuild(survivors: &[(u32, Vec<u8>)]) -> (Box<dyn Backend + 'static>, Vec<u32>) {
     let data: Dataset = survivors.iter().map(|(_, r)| r.as_slice()).collect();
     let globals: Vec<u32> = survivors.iter().map(|(id, _)| *id).collect();
-    // `build_backend_with` borrows the dataset; the V1 scan clones what it
+    // `SearchEngine::build` borrows the dataset; the V1 scan clones what it
     // needs, but keep ownership simple by leaking nothing: rebuild per
     // call sites below are all short-lived.
     let backend = build_backend_owned(data);
     (backend, globals)
 }
 
-/// A V1 backend that owns its dataset (the borrowed `build_backend_with`
+/// A V1 backend that owns its dataset (the borrowed `SearchEngine::build`
 /// tied to a stack-local `Dataset` can't escape the function).
 fn build_backend_owned(data: Dataset) -> Box<dyn Backend + 'static> {
     struct Owned {
@@ -95,14 +95,19 @@ fn build_backend_owned(data: Dataset) -> Box<dyn Backend + 'static> {
             "v1-rebuild".into()
         }
         fn search(&self, query: &[u8], k: u32) -> MatchSet {
-            build_backend_with(&self.data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static).search(query, k)
+            SearchEngine::build(&self.data, EngineKind::Scan(SeqVariant::V1Base))
+                .backend()
+                .search(query, k)
         }
         fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-            build_backend_with(&self.data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static)
+            SearchEngine::build(&self.data, EngineKind::Scan(SeqVariant::V1Base))
+                .backend()
                 .search_counting(query, k)
         }
         fn diag(&self) -> simsearch_core::BackendDiag {
-            build_backend_with(&self.data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static).diag()
+            SearchEngine::build(&self.data, EngineKind::Scan(SeqVariant::V1Base))
+                .backend()
+                .diag()
         }
     }
     Box::new(Owned { data })
@@ -381,7 +386,8 @@ fn every_executor_agrees_on_a_churned_engine() {
         let globals: Vec<u32> = survivors.iter().map(|(id, _)| *id).collect();
         let alphabet = Alphabet::from_corpus(data.records());
         let workload = WorkloadSpec::new(&[1, 2, 3], 1_000, 0x0A07_0B0E).generate(&data, &alphabet);
-        let oracle = build_backend_with(&data, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
+        let oracle = SearchEngine::build(&data, EngineKind::Scan(SeqVariant::V1Base));
+        let oracle = oracle.backend();
         let baseline: Vec<MatchSet> = oracle
             .run_workload(&workload)
             .into_iter()
@@ -410,7 +416,8 @@ fn the_registered_live_kind_builds_the_same_engine() {
     // `EngineKind::Live` must route through the same LSM machinery as a
     // hand-built engine: identical answers, a live-flavored diag.
     let data = CityGenerator::new(0xC17E_7E57).generate(100);
-    let registered = build_backend_with(&data, EngineKind::Live { memtable_cap: 8 }, Probe::Static);
+    let registered = SearchEngine::build(&data, EngineKind::Live { memtable_cap: 8 });
+    let registered = registered.backend();
     let direct = LiveEngine::from_dataset(&data, LsmConfig { memtable_cap: 8 });
     assert_eq!(registered.name(), direct.name());
     for q in [&b"abc"[..], b"", b"dAB -"] {
@@ -427,7 +434,7 @@ fn the_registered_sharded_live_kind_builds_the_same_engine() {
     // `EngineKind::ShardedLive` must route through `ShardedBackend::live`
     // exactly: identical answers and an identical composite name.
     let data = CityGenerator::new(0xC17E_7E57).generate(100);
-    let registered = build_backend_with(
+    let registered = SearchEngine::build(
         &data,
         EngineKind::ShardedLive {
             shards: 4,
@@ -435,8 +442,8 @@ fn the_registered_sharded_live_kind_builds_the_same_engine() {
             threads: 2,
             memtable_cap: 8,
         },
-        Probe::Static,
     );
+    let registered = registered.backend();
     let direct = ShardedBackend::live(&data, 4, ShardBy::Hash, 2, LsmConfig { memtable_cap: 8 })
         .expect("valid config");
     assert_eq!(registered.name(), Backend::name(&direct));

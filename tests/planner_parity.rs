@@ -15,8 +15,8 @@
 //!    output and static routing are reproducible run-to-run.
 
 use simsearch_core::{
-    search_top_k, search_top_k_with, AutoBackend, Backend, EngineKind, Planner, SearchEngine,
-    SeqVariant, Strategy,
+    search_top_k, search_top_k_with, AutoBackend, Backend, EngineKind, Planner, Probe,
+    SearchEngine, SeqVariant, Strategy,
 };
 use simsearch_data::{Alphabet, CityGenerator, Dataset, DnaGenerator, StatsSnapshot, WorkloadSpec};
 use simsearch_testkit::{check, gen, prop_assert, prop_assert_eq, Config, Gen};
@@ -59,8 +59,10 @@ fn auto_matches_the_v1_oracle_under_every_executor() {
         let baseline = oracle.run(&workload);
         // Static planning and probe-calibrated planning may route the
         // same query differently; both must be invisible in the results.
-        let static_auto = SearchEngine::build_auto(&dataset, 1, None);
-        let calibrated = SearchEngine::build_auto(&dataset, 1, Some(&workload.prefix(16)));
+        let auto = EngineKind::Auto { threads: 1 };
+        let static_auto = SearchEngine::build_with(&dataset, auto, Probe::Static);
+        let calibrated =
+            SearchEngine::build_with(&dataset, auto, Probe::Workload(&workload.prefix(16)));
         for (label, engine) in [("static", &static_auto), ("calibrated", &calibrated)] {
             for strategy in all_strategies() {
                 assert_eq!(
@@ -78,7 +80,11 @@ fn auto_matches_the_v1_oracle_under_every_executor() {
 fn plan_decision_counters_account_for_every_query() {
     for (name, dataset) in presets() {
         let workload = workload_for(&dataset);
-        let engine = SearchEngine::build_auto(&dataset, 1, Some(&workload.prefix(16)));
+        let engine = SearchEngine::build_with(
+            &dataset,
+            EngineKind::Auto { threads: 1 },
+            Probe::Workload(&workload.prefix(16)),
+        );
         let runs = 3u64;
         for _ in 0..runs {
             let _ = engine.run(&workload);

@@ -12,8 +12,8 @@
 //! per-arm decision counters sum to exactly the workload size.
 
 use simsearch_core::{
-    build_backend_with, search_top_k_with, Backend, EngineKind, Probe, SearchEngine, SeqVariant,
-    ShardBy, ShardedBackend, Strategy,
+    search_top_k_with, Backend, EngineKind, Probe, SearchEngine, SeqVariant, ShardBy,
+    ShardedBackend, Strategy,
 };
 use simsearch_data::{Alphabet, Dataset, CityGenerator, DnaGenerator, MatchSet, WorkloadSpec};
 
@@ -141,7 +141,8 @@ fn per_shard_decision_counters_sum_to_the_workload() {
 #[test]
 fn sharded_topk_matches_unsharded_for_every_k() {
     for (name, dataset) in presets() {
-        let unsharded = build_backend_with(&dataset, EngineKind::Scan(SeqVariant::V4Flat), Probe::Static);
+        let unsharded = SearchEngine::build(&dataset, EngineKind::Scan(SeqVariant::V4Flat));
+        let unsharded = unsharded.backend();
         let workload = workload_for(&dataset);
         for shards in [3usize, 8] {
             for by in PARTITIONERS {
@@ -201,7 +202,8 @@ fn empty_and_oversharded_datasets_answer_like_the_oracle() {
     // S > |X|: five records, eight shards — some shards are empty and
     // the fan-out must still union correctly.
     let dataset = Dataset::from_records(["Berlin", "Bern", "", "Ulm", "Bonn"]);
-    let oracle = build_backend_with(&dataset, EngineKind::Scan(SeqVariant::V1Base), Probe::Static);
+    let oracle = SearchEngine::build(&dataset, EngineKind::Scan(SeqVariant::V1Base));
+    let oracle = oracle.backend();
     for by in PARTITIONERS {
         let backend = ShardedBackend::with_probe(&dataset, 8, by, 2, Probe::Static);
         for q in ["Bern", "", "Urm"] {

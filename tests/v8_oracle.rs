@@ -16,7 +16,7 @@
 //!    under both partitioners.
 
 use simsearch_core::{
-    AutoBackend, Backend, BackendChoice, EngineKind, SearchEngine, SeqVariant, ShardBy,
+    AutoBackend, Backend, BackendChoice, EngineKind, Probe, SearchEngine, SeqVariant, ShardBy,
     ShardedBackend, Strategy,
 };
 use simsearch_data::{Alphabet, CityGenerator, Dataset, DnaGenerator, WorkloadSpec};
@@ -78,8 +78,10 @@ fn planners_with_the_bitparallel_arm_match_the_v1_oracle() {
             AutoBackend::DEFAULT_CANDIDATES.contains(&BackendChoice::ScanBitParallel),
             "the planner's candidate set includes the V8 arm"
         );
-        let static_auto = SearchEngine::build_auto(&dataset, 1, None);
-        let calibrated = SearchEngine::build_auto(&dataset, 1, Some(&workload.prefix(16)));
+        let auto = EngineKind::Auto { threads: 1 };
+        let static_auto = SearchEngine::build_with(&dataset, auto, Probe::Static);
+        let calibrated =
+            SearchEngine::build_with(&dataset, auto, Probe::Workload(&workload.prefix(16)));
         for (label, engine) in [("static", &static_auto), ("calibrated", &calibrated)] {
             for strategy in all_strategies() {
                 assert_eq!(
