@@ -87,11 +87,12 @@ done
 # The bit-parallel snapshots count what candidate selection does before
 # the kernel runs (the occupancy planes on city names, the segment
 # postings on DNA): records the length filter admits, and how many of
-# them reach the kernel.
+# them reach the kernel; on DNA per threshold as well.
 for snapshot in BENCH_ablation_bitparallel_city.json BENCH_ablation_bitparallel_dna.json; do
     grep -q '"length_admitted": [1-9]' "$snapshot"
     grep -q '"v8_candidates": [1-9]' "$snapshot"
 done
+grep -q '"v8_candidates_k16": [0-9]' BENCH_ablation_bitparallel_dna.json
 # The join snapshot is the three-rung-plus-PASS bench's: no counter or
 # row of the retired MinJoin rung may survive a republish (`min_ns` is
 # every row's fastest sample and stays).

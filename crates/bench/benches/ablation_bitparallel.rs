@@ -15,7 +15,10 @@
 //! wall-clock alone cannot show it — and with what candidate selection
 //! does before the kernel runs: `length_admitted` records pass the
 //! length filter, `v8_candidates` of them reach the kernel (the
-//! occupancy planes on city names, the segment postings on DNA).
+//! occupancy planes on city names, the segment postings on DNA), and
+//! `v8_candidates_k<k>` splits that by threshold.
+
+use std::collections::BTreeMap;
 
 use simsearch_bench::Scale;
 use simsearch_core::{EngineKind, KernelKind, SearchEngine, SeqVariant, Strategy};
@@ -54,11 +57,16 @@ fn main() {
         let mut v7_cells = 0u64;
         let (mut v8_words, mut v8_reused, mut v8_cells) = (0u64, 0u64, 0u64);
         let (mut length_admitted, mut v8_candidates) = (0u64, 0u64);
+        let mut candidates_by_k = BTreeMap::<u32, u64>::new();
         for q in &workload.queries {
             length_admitted += (0..sv.len())
                 .filter(|&pos| sv.record_len(pos).abs_diff(q.text.len()) <= q.threshold as usize)
                 .count() as u64;
-            sv.for_each_candidate(&q.text, q.threshold, 0..sv.len(), |_, _| v8_candidates += 1);
+            let reached = candidates_by_k.entry(q.threshold).or_default();
+            sv.for_each_candidate(&q.text, q.threshold, 0..sv.len(), |_, _| {
+                v8_candidates += 1;
+                *reached += 1;
+            });
             v7_cells += v7_search_view(&sv, &q.text, q.threshold).1;
             let mut dp = MyersStackKernel::new(&q.text, q.threshold);
             let _ = v8_scan_view_range(&sv, &mut dp, &q.text, q.threshold, 0..sv.len());
@@ -69,14 +77,20 @@ fn main() {
         let group_name = format!("ablation_bitparallel_{name}");
         let mut group = h.group(&group_name);
         group.set_workload(name, preset.dataset.len(), workload.len(), thresholds);
-        group.set_counters(&[
+        let by_k: Vec<(String, u64)> = candidates_by_k
+            .into_iter()
+            .map(|(k, reached)| (format!("v8_candidates_k{k}"), reached))
+            .collect();
+        let mut counters = vec![
             ("v7_dp_cells", v7_cells),
             ("v8_words_advanced", v8_words),
             ("v8_words_reused", v8_reused),
             ("v8_cells_equivalent", v8_cells),
             ("length_admitted", length_admitted),
             ("v8_candidates", v8_candidates),
-        ]);
+        ];
+        counters.extend(by_k.iter().map(|(name, reached)| (name.as_str(), *reached)));
+        group.set_counters(&counters);
         group.bench("v7_sorted_prefix", || v7.run(&workload));
         group.bench("myers_restart", || myers_restart.run(&workload));
         group.bench("v8_bitparallel", || v8.run(&workload));

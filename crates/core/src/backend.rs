@@ -89,12 +89,15 @@ pub trait Backend: Send + Sync {
 
     /// Frees what the engine built and its current routing never uses —
     /// a calibration race builds every candidate arm to time it, and on
-    /// 50,000 reads the three arms its table never picks are 33 of the
-    /// engine's 42 MB. For a host that will never call
-    /// [`Backend::replan`] (a daemon without the self-tuning tick): the
-    /// table is then fixed for life and every request — a `TOPK`'s
-    /// radii included — is routed by it, so only a replan can ask for a
-    /// released arm again. Default no-op.
+    /// 50,000 reads the three arms no query can be routed to are 33 of
+    /// the engine's 42 MB (the radix trie wins only rows of queries too
+    /// short or too long for any read to be within their `k ≤ 16`, which
+    /// the length prune answers). For a host that will never
+    /// call [`Backend::replan`] (a daemon without the self-tuning tick):
+    /// the table is then fixed for life and every request — a `TOPK`'s
+    /// radii included — is routed by it, so only a replan, or a query
+    /// past the table's last threshold row that reaches lengths the row
+    /// itself does not, can ask for a released arm again. Default no-op.
     fn release_unrouted(&mut self) {}
 
     /// Answers one threshold query — the seam every oracle compares.
@@ -928,9 +931,26 @@ impl Backend for AutoBackend<'_> {
     }
 
     fn release_unrouted(&mut self) {
+        // Only the rows a query can reach past the length prune in
+        // `search_counting` route anything: lengths within `k` of the
+        // records' band, at the row's own threshold (an empty dataset
+        // prunes every query). The length class is monotone in the
+        // query's length, so per threshold that is the run of rows
+        // between the band's two ends.
         let planner = self.planner();
+        let snapshot = planner.snapshot();
+        let mut routed = [false; BackendChoice::COUNT];
+        for k in (0..=MAX_K_CLASS).filter(|_| snapshot.records > 0) {
+            let shortest = snapshot.min_len.saturating_sub(k) as usize;
+            let longest = (snapshot.max_len + k) as usize;
+            let first = planner.decide(shortest, k).class.table_index();
+            let last = planner.decide(longest, k).class.table_index();
+            for row in (first..=last).step_by(MAX_K_CLASS as usize + 1) {
+                routed[planner.decisions()[row].chosen.index()] = true;
+            }
+        }
         for choice in planner.candidates() {
-            if planner.decisions().iter().all(|d| d.chosen != *choice) {
+            if !routed[choice.index()] {
                 self.arms[choice.index()].take();
             }
         }
@@ -1181,6 +1201,68 @@ mod tests {
             let (matches, _) = auto.probe_arm(choice, b"Berlin", 1);
             assert_eq!(matches, auto.search(b"Berlin", 1), "{}", choice.name());
             assert!(built(&auto, choice));
+        }
+    }
+
+    #[test]
+    fn release_unrouted_keeps_exactly_the_arms_a_query_can_reach() {
+        // Reads of 90–110 symbols: a row whose every query the length
+        // prune answers (short ones, long ones at small k) routes nothing,
+        // whatever arm it names. Checked against every query length and
+        // threshold of the table, not against the ends of the band.
+        let ds = simsearch_data::DnaGenerator::new(3)
+            .genome_len(10_000)
+            .generate(300);
+        // The static table, the race's, and one where V8 wins every row
+        // but the short ones — the shape the served DNA table has.
+        let pinned = AutoBackend::new(&ds, 1);
+        pinned.set_planner(Planner::with_multipliers(
+            pinned.planner().snapshot().clone(),
+            &AutoBackend::DEFAULT_CANDIDATES,
+            &[(BackendChoice::ScanBitParallel, 1e-3)],
+        ));
+        let tables = [
+            AutoBackend::new(&ds, 1),
+            AutoBackend::calibrated(&ds, 1, &AutoBackend::default_probe(&ds)),
+            pinned,
+        ];
+        for (table, mut auto) in tables.into_iter().enumerate() {
+            auto.prepare();
+            auto.release_unrouted();
+            let planner = auto.planner();
+            let snapshot = planner.snapshot();
+            let mut reachable = [false; BackendChoice::COUNT];
+            for k in 0..=MAX_K_CLASS {
+                for len in 0..=snapshot.max_len as usize + 40 {
+                    let pruned = len + (k as usize) < snapshot.min_len as usize
+                        || len.saturating_sub(k as usize) > snapshot.max_len as usize;
+                    if !pruned {
+                        reachable[planner.decide(len, k).chosen.index()] = true;
+                    }
+                }
+            }
+            for choice in AutoBackend::DEFAULT_CANDIDATES {
+                assert_eq!(
+                    auto.arms[choice.index()].get().is_some(),
+                    reachable[choice.index()],
+                    "table {table}: {}",
+                    choice.name()
+                );
+            }
+            if table == 2 {
+                let radix = BackendChoice::Radix;
+                assert!(planner.decisions().iter().any(|d| d.chosen == radix));
+                assert!(
+                    auto.arms[radix.index()].get().is_none(),
+                    "the trie is released"
+                );
+            }
+            // Whatever was released, every answer is still the oracle's —
+            // a short query at k = 60 included, which may rebuild an arm.
+            let mut w = workload();
+            w.queries.push(QueryRecord::new(ds.get(7).to_vec(), 16));
+            w.queries.push(QueryRecord::new(&ds.get(7)[..30], 60));
+            assert_eq!(auto.run_workload(&w), oracle(&ds, &w));
         }
     }
 

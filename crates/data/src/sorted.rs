@@ -30,10 +30,10 @@
 //! planes are not built; what the same lazy cell builds there instead is
 //! PASS-JOIN's pigeonhole partition used for search: every record long
 //! enough is cut into [`SEGMENTS`] even segments, and `ed(q, x) ≤ k`
-//! leaves at least `SEGMENTS − k` of them verbatim in the query, each
-//! within a shift the edits around it allow. The segments are kept as
-//! hashed, fingerprinted postings ([`SegmentPostings`]) and only the
-//! records collecting that many hits reach the kernel.
+//! leaves at least [`HITS`] of any `k + HITS` of them verbatim in the
+//! query, each within a shift the edits around it allow. The segments are
+//! kept as hashed, fingerprinted postings ([`SegmentPostings`]) and only
+//! the records collecting that many hits reach the kernel.
 
 use crate::dataset::{Dataset, RecordId};
 use crate::partition::even_partition;
@@ -163,9 +163,35 @@ impl Signature {
 /// filter alone.
 const SEGMENT_TAU: u32 = 16;
 
-/// Segments a record is cut into: `τ + 1`, so `k ≤ τ` edits leave at
-/// least `SEGMENTS − k` of them untouched.
-const SEGMENTS: usize = SEGMENT_TAU as usize + 1;
+/// Segment hits a record must collect to reach the kernel, at every
+/// threshold the postings serve. The pigeonhole alone would let one do
+/// at `k = τ`, and one verbatim five- or six-symbol segment is shared by
+/// ≈ 5 % of unrelated reads; three are shared by next to none.
+const HITS: usize = 3;
+
+/// Segments a record is cut into: `τ + HITS`, so that `k ≤ τ` edits
+/// leave at least `HITS` of any `k + HITS` of them untouched.
+const SEGMENTS: usize = SEGMENT_TAU as usize + HITS;
+
+// The posting key's tag holds the ordinal in five bits.
+const _: () = assert!(SEGMENTS <= 32);
+
+/// Start and length of segment `ordinal` of a `len`-byte record.
+#[inline]
+fn segment(len: usize, ordinal: usize) -> (usize, usize) {
+    even_partition(len, SEGMENTS as u32 - 1, ordinal)
+}
+
+/// The `j`-th ordinal a query probes: the outermost two first, then
+/// inwards from both ends — the narrowest shift windows first.
+#[inline]
+fn probed_ordinal(j: usize) -> usize {
+    if j.is_multiple_of(2) {
+        j / 2
+    } else {
+        SEGMENTS - 1 - j / 2
+    }
+}
 
 /// FNV-1a over the bytes of one segment (or query substring).
 #[inline]
@@ -196,9 +222,9 @@ fn segment_key(len: usize, ordinal: usize, bytes_hash: u64) -> u64 {
 /// into `2^⌈log₂ 2n⌉` buckets and each `u32` posting packs the sorted
 /// position (high `⌈log₂ n⌉` bits) with a fingerprint of the same hash
 /// in the spare low bits — 16 of them on 50,000 reads. The fingerprint
-/// is what makes plain buckets usable: 565k distinct keys share 131k
-/// buckets on that set, and without it every key in a bucket answers for
-/// every other (k = 16 survivors 4,968 → 33,013 when this was sized). A `HashMap` keyed by
+/// is what makes plain buckets usable: several distinct keys share each
+/// bucket, and without it every key in a bucket answers for every other
+/// (DESIGN §13 measures what that costs). A `HashMap` keyed by
 /// the segment bytes is exact, but builds 16× slower and probes 3×
 /// slower. Collisions that get past the fingerprint only ever *add*
 /// hits, so the filter stays sound: it may over-admit, the kernel decides.
@@ -254,7 +280,7 @@ impl SegmentPostings {
         let for_each_segment = |each: &mut dyn FnMut(usize, u64)| {
             for (pos, record) in sorted.records().enumerate().filter(|(_, r)| cut(r)) {
                 for ordinal in 0..SEGMENTS {
-                    let (start, len) = even_partition(record.len(), SEGMENT_TAU, ordinal);
+                    let (start, len) = segment(record.len(), ordinal);
                     let bytes = hash_bytes(&record[start..start + len]);
                     each(pos, segment_key(record.len(), ordinal, bytes));
                 }
@@ -294,8 +320,8 @@ impl SegmentPostings {
     /// Marks, in `marks` (bit `pos − 64 ⌊range.start / 64⌋`), every
     /// position in `range` the pigeonhole cannot rule out of
     /// `ed(query, record) ≤ k`, for `1 ≤ k ≤ SEGMENT_TAU`: the records
-    /// too short to cut, and those with at least `SEGMENTS − k` segment
-    /// hits.
+    /// too short to cut, and those with [`HITS`] segment hits among the
+    /// `k + HITS` ordinals probed.
     ///
     /// Charge each edit of an optimal alignment to the segment of the
     /// record `x` (length `l`) it falls in. A segment no edit touches, at
@@ -305,15 +331,18 @@ impl SegmentPostings {
     /// untouched segments moreover have no more edits before them than
     /// segments before them, and likewise after (walk `edits before −
     /// segments before` along the record: it starts at 0, ends below
-    /// `k − τ`, and only an untouched segment steps it down, by one — so
-    /// every level from 0 to `k − τ` is left by one; DESIGN §13). Ordinal
-    /// `i` is therefore probed at the shifts with `|s| ≤ i`, `|(|q| − l)
-    /// − s| ≤ τ − i` and `|s| + |(|q| − l) − s| ≤ k` only: PASS-JOIN's
-    /// multi-match-aware windows, for every `k ≤ τ`. A repeated substring
-    /// or a collision adds hits, never removes one.
+    /// `k − SEGMENTS + 1`, and only an untouched segment steps it down, by
+    /// one — so every level from 0 to `k − SEGMENTS + 1` is left by one;
+    /// DESIGN §13). Call those *good*: ordinal `i` is probed at the shifts
+    /// with `|s| ≤ i`, `|(|q| − l) − s| ≤ SEGMENTS − 1 − i` and `|s| +
+    /// |(|q| − l) − s| ≤ k` only — PASS-JOIN's multi-match-aware windows,
+    /// for every `k ≤ τ` — and a good segment is found in its window. Any
+    /// `k + HITS` ordinals miss at most `k` of the good ones, so only
+    /// those with the narrowest windows are probed: the outermost, one
+    /// shift each, then inwards from both ends. A repeated substring or a
+    /// collision adds hits, never removes one.
     fn mark(&self, query: &[u8], k: u32, range: &Range<usize>, marks: &mut [u64]) {
         let (qlen, k_len) = (query.len(), k as usize);
-        let need = (SEGMENTS - k_len) as u8;
         let first = range.start / LANES * LANES;
         let mut set = |pos: usize| marks[(pos - first) / LANES] |= 1 << (pos % LANES);
         let at = self
@@ -340,9 +369,9 @@ impl SegmentPostings {
                 sub[(len - shortest) * stride + start] = hash_bytes(window);
             }
         }
-        // Hits per position, counted up to `need` only (a position can
-        // collect hundreds); with one hit needed the mark is the count.
-        let mut hits = vec![0u8; if need > 1 { range.len() } else { 0 }];
+        // Hits per position, counted up to `HITS` only (a position can
+        // collect hundreds).
+        let mut hits = vec![0u8; range.len()];
         let fp_mask = (1u32 << self.fp_bits) - 1;
         let mut keys: Vec<u64> = Vec::with_capacity(SEGMENTS * SEGMENTS);
         let mut spans: Vec<(u32, u32)> = Vec::with_capacity(SEGMENTS * SEGMENTS);
@@ -353,8 +382,8 @@ impl SegmentPostings {
             let slack = ((k_len - delta.unsigned_abs()) / 2) as isize;
             let (lo, hi) = (delta.min(0) - slack, delta.max(0) + slack);
             keys.clear();
-            for ordinal in 0..SEGMENTS {
-                let (p, len) = even_partition(l, SEGMENT_TAU, ordinal);
+            for ordinal in (0..k_len + HITS).map(probed_ordinal) {
+                let (p, len) = segment(l, ordinal);
                 if len > qlen {
                     continue;
                 }
@@ -385,14 +414,11 @@ impl SegmentPostings {
                     if (posting ^ key as u32) & fp_mask != 0 || !range.contains(&pos) {
                         continue;
                     }
-                    if need > 1 {
-                        let count = &mut hits[pos - range.start];
-                        *count += u8::from(*count < need);
-                        if *count < need {
-                            continue;
-                        }
+                    let count = &mut hits[pos - range.start];
+                    *count += u8::from(*count < HITS as u8);
+                    if *count == HITS as u8 {
+                        set(pos);
                     }
-                    set(pos);
                 }
             }
         }
@@ -604,8 +630,8 @@ impl SortedView {
     /// view carries a selection aid (built here on first use; see the
     /// module docs) — either lacks at most `k` of the query's buckets and
     /// occupies at most `k` the query does not, or, for `k` from 1 to
-    /// [`SEGMENT_TAU`], is too short to cut or shares at least
-    /// `SEGMENTS − k` of its segments with the query.
+    /// [`SEGMENT_TAU`], is too short to cut or shares [`HITS`] of the
+    /// `k + HITS` segments probed with the query.
     pub fn for_each_candidate(
         &self,
         query: &[u8],
@@ -830,8 +856,8 @@ mod tests {
             "a_narrower_fingerprint_only_adds_visits",
             Config::cases(60).seed(0x0050_47ED),
             &gen::zip(
-                gen::vec_of(gen::dna_string(17..60), 1..80),
-                gen::mutated(gen::dna_string(17..60), 0..9, gen::DNA),
+                gen::vec_of(gen::dna_string(SEGMENTS..60), 1..80),
+                gen::mutated(gen::dna_string(SEGMENTS..60), 0..9, gen::DNA),
             ),
             |(words, (source, query, _))| {
                 let mut records: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
@@ -859,6 +885,39 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    #[test]
+    fn a_read_needs_three_verbatim_segments_among_the_narrowest_windows() {
+        // A 95-symbol read (19 segments of 5) over ACGT, queried with an
+        // `N` written into the middle of chosen segments: only the
+        // segments left alone can hit.
+        use crate::rng::Xoshiro256;
+        let mut rng = Xoshiro256::seed_from_u64(7);
+        let read: Vec<u8> = (0..95).map(|_| *rng.choose(b"ACGT")).collect();
+        let sv = SortedView::build(&Dataset::from_records([&read]));
+        let visited = |spoiled: &[usize], k: u32| {
+            let mut query = read.clone();
+            for &ordinal in spoiled {
+                query[5 * ordinal + 2] = b'N';
+            }
+            let mut visited = false;
+            sv.for_each_candidate(&query, k, 0..1, |_, _| visited = true);
+            visited
+        };
+        for k in 1..=SEGMENT_TAU as usize {
+            let probed: Vec<usize> = (0..k + HITS).map(probed_ordinal).collect();
+            // `k` edits, all in probed segments: exactly three hits left.
+            assert!(visited(&probed[..k], k as u32), "k = {k}");
+            // One edit more leaves two, and the segments no query at `k`
+            // probes do not count, however many are verbatim.
+            assert!(!visited(&probed[..=k], k as u32), "k = {k}");
+        }
+        assert_eq!(probed_ordinal(0), 0);
+        assert_eq!(probed_ordinal(1), SEGMENTS - 1);
+        let mut all: Vec<usize> = (0..SEGMENTS).map(probed_ordinal).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..SEGMENTS).collect::<Vec<_>>());
     }
 
     #[test]

@@ -295,7 +295,7 @@ fn random_string(rng: &mut Xoshiro256, alphabet: &[u8], len: Range<usize>) -> Ve
 /// `(records, queries with thresholds, two range cuts)`: reads of
 /// 0..=140 symbols off one 300-symbol genome, so that they overlap as
 /// sequencing reads do — with records too short to cut, records of
-/// exactly 17 (one-symbol segments), duplicates, empty strings and
+/// exactly 19 (one-symbol segments), duplicates, empty strings and
 /// unrelated strings mixed in — and queries that are a record with at
 /// most `k` edits, spread out or in one burst (every edit inside one
 /// segment: the case the shift windows are tightest on), or unrelated;
@@ -308,11 +308,11 @@ fn reads_case(alphabet: &'static [u8]) -> Gen<(Vec<Vec<u8>>, Vec<(Vec<u8>, u32)>
         let mut records: Vec<Vec<u8>> = Vec::new();
         for _ in 0..rng.index(100) {
             let record = match rng.index(10) {
-                0 => random_string(rng, alphabet, 0..17),
+                0 => random_string(rng, alphabet, 0..19),
                 1 => random_string(rng, alphabet, 0..141),
                 2 if !records.is_empty() => rng.choose(&records).clone(),
                 kind => {
-                    let len = if kind == 3 { 17 } else { 17 + rng.index(124) };
+                    let len = if kind == 3 { 19 } else { 17 + rng.index(124) };
                     let start = rng.index(genome.len() - len + 1);
                     let errors = rng.index(3);
                     apply_random_edits(rng, &genome[start..start + len], errors, &symbols)
@@ -492,10 +492,10 @@ fn one_selection_aid_a_view_and_its_bytes_are_accounted() {
     assert_eq!(city.postings_bytes(), 0, "a city view cuts no record");
     assert_eq!(dna.signature_bytes(), 0, "a DNA view stores no planes");
     // 45 records hash into 2^⌈log₂ 90⌉ = 128 buckets (129 offsets), 40
-    // are cut into 17 postings each and 5 are listed as short.
-    assert_eq!(dna.postings_bytes(), (129 + 40 * 17 + 5) * 4);
-    // Records all shorter than 17: nothing to cut, nothing built.
-    let short = SortedView::build(&Dataset::from_records(["ACGT", "ACGTACGTACGTACGT", ""]));
+    // are cut into 19 postings each and 5 are listed as short.
+    assert_eq!(dna.postings_bytes(), (129 + 40 * 19 + 5) * 4);
+    // Records all shorter than 19: nothing to cut, nothing built.
+    let short = SortedView::build(&Dataset::from_records(["ACGT", "ACGTACGTACGTACGTAC", ""]));
     short.prepare_signature();
     assert_eq!((short.signature_bytes(), short.postings_bytes()), (0, 0));
 }
