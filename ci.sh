@@ -10,11 +10,12 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 # The bit-parallel kernels and the sorted view's sliced candidate
 # selection are shift/mask/popcount arithmetic whose edge cases
-# (`1 << 64`, `row % 64` at a block seam, `!0 << (start - base)` and
-# `!0 >> (base + 64 - end)` at a range's first and last word, the segment
-# postings' `position << fp_bits | fingerprint` packing) panic under the
-# dev profile's overflow checks but wrap silently in the release codegen
-# the daemon and the benchmark run, so their oracles must hold there too.
+# (`1 << 64`, `row % 64` at a Myers block seam, `!0 << lo` and
+# `!0 >> (64 - hi)` at a range's first and last word, a block's last,
+# partial eight words, the segment postings' `position << fp_bits |
+# fingerprint` packing) panic under the dev profile's overflow checks but
+# wrap silently in the release codegen the daemon and the benchmark run,
+# so their oracles must hold there too.
 cargo test -q --offline --release -p simsearch-data -p simsearch-distance -p simsearch-scan
 # A bench file without a [[bench]] entry is a bench that silently never
 # runs (and an entry without a file fails only when someone asks for
@@ -87,12 +88,15 @@ done
 # The bit-parallel snapshots count what candidate selection does before
 # the kernel runs (the occupancy planes on city names, the segment
 # postings on DNA): records the length filter admits, and how many of
-# them reach the kernel; on DNA per threshold as well.
+# them reach the kernel, per threshold as well; on city names the
+# selection alone is timed as its own row.
 for snapshot in BENCH_ablation_bitparallel_city.json BENCH_ablation_bitparallel_dna.json; do
     grep -q '"length_admitted": [1-9]' "$snapshot"
     grep -q '"v8_candidates": [1-9]' "$snapshot"
 done
 grep -q '"v8_candidates_k16": [0-9]' BENCH_ablation_bitparallel_dna.json
+grep -q '"v8_candidates_k3": [0-9]' BENCH_ablation_bitparallel_city.json
+grep -q '"name": "v8_selection"' BENCH_ablation_bitparallel_city.json
 # The join snapshot is the three-rung-plus-PASS bench's: no counter or
 # row of the retired MinJoin rung may survive a republish (`min_ns` is
 # every row's fastest sample and stays).

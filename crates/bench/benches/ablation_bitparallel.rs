@@ -6,7 +6,11 @@
 //! * `myers_restart` — bit-parallel Myers, but restarted from scratch
 //!   on every record (flat scan order, no reuse);
 //! * `v8_bitparallel` — Myers blocks over the sorted arena, resumed at
-//!   64-cell block granularity from the running LCP floor.
+//!   64-cell block granularity from the running LCP floor;
+//!
+//! and, beside them, `v8_selection`: V8's candidate selection alone
+//! (`SortedView::for_each_candidate` with a counting visitor, the same
+//! queries), so that V8's time splits into selection and kernel.
 //!
 //! The committed JSON also carries a `counters` object with the
 //! words-vs-cells accounting of one full workload pass: V7's scalar DP
@@ -94,6 +98,13 @@ fn main() {
         group.bench("v7_sorted_prefix", || v7.run(&workload));
         group.bench("myers_restart", || myers_restart.run(&workload));
         group.bench("v8_bitparallel", || v8.run(&workload));
+        group.bench("v8_selection", || {
+            let mut reached = 0usize;
+            for q in &workload.queries {
+                sv.for_each_candidate(&q.text, q.threshold, 0..sv.len(), |_, _| reached += 1);
+            }
+            reached
+        });
         group.finish();
         h.publish_snapshot(&group_name);
     }

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p simsearch-bench --release --bin reproduce            # everything, default scale
 //! cargo run -p simsearch-bench --release --bin reproduce -- --table 3
-//! cargo run -p simsearch-bench --release --bin reproduce -- --figure 6
+//! cargo run -p simsearch-bench --release --bin reproduce -- --figure 6  # and V8's time, split
 //! cargo run -p simsearch-bench --release --bin reproduce -- --scale 0.25
 //! cargo run -p simsearch-bench --release --bin reproduce -- --full  # paper-size datasets
 //! ```
@@ -224,6 +224,7 @@ fn main() -> ExitCode {
                         ex::CITY_IDX_BEST_THREADS,
                         "Figure 6. Comparison of the best sequential with the best index-based solution (city names)",
                     ));
+                    print_table(&ex::v8_split_table(c, 1_000));
                 }
             }
             7 => {

@@ -505,6 +505,96 @@ pub fn diagnostics_table(preset: &Preset, queries: usize) -> Table {
     t
 }
 
+/// Where a V8 query's time goes, per threshold, on one thread: candidate
+/// selection alone ([`SortedView::for_each_candidate`] with a counting
+/// visitor) against the whole query (`v8_search_view`), the kernel being
+/// the difference, and the whole query against the modern-pruning radix
+/// trie on the same queries. The view's selection aid is built first,
+/// outside the clock; each figure is the fastest of five passes over the
+/// queries of that threshold, the three taking their passes in turn so
+/// that a slow phase of the host charges all of them alike.
+pub fn v8_split_table(preset: &Preset, queries: usize) -> Table {
+    use simsearch_data::SortedView;
+    use std::collections::BTreeMap;
+    use std::time::Instant;
+    let prefix = preset.workload.prefix(queries.min(preset.workload.len()));
+    let sv = SortedView::build(&preset.dataset);
+    sv.prepare_signature();
+    let radix = simsearch_index::radix::build(&preset.dataset);
+    let mut by_k = BTreeMap::<u32, Vec<&[u8]>>::new();
+    for q in prefix.iter() {
+        by_k.entry(q.threshold).or_default().push(&q.text);
+    }
+    // Milliseconds a query for each of `runs`, fastest of five passes.
+    type Run<'a> = &'a dyn Fn(&[u8]);
+    let per_query = |texts: &[&[u8]], runs: [Run; 3]| {
+        let mut best = [f64::INFINITY; 3];
+        for _ in 0..5 {
+            for (run, best) in runs.iter().zip(&mut best) {
+                let clock = Instant::now();
+                texts.iter().for_each(|text| run(text));
+                *best = best.min(clock.elapsed().as_secs_f64() * 1e3 / texts.len() as f64);
+            }
+        }
+        best
+    };
+    let mut headers = vec!["one thread".to_string()];
+    headers.extend(
+        by_k.iter()
+            .map(|(k, texts)| format!("k={k} ({}q)", texts.len())),
+    );
+    let refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let mut t = Table::new(
+        format!(
+            "V8 selection vs kernel ({}, {} records)",
+            preset.name,
+            sv.len()
+        ),
+        &refs,
+    );
+    let mut rows: [Vec<String>; 6] = Default::default();
+    for (&k, texts) in &by_k {
+        let mut reached = 0usize;
+        for text in texts {
+            sv.for_each_candidate(text, k, 0..sv.len(), |_, _| reached += 1);
+        }
+        let [selection, whole, index] = per_query(
+            texts,
+            [
+                &|text| {
+                    let mut count = 0usize;
+                    sv.for_each_candidate(text, k, 0..sv.len(), |_, _| count += 1);
+                    std::hint::black_box(count);
+                },
+                &|text| {
+                    std::hint::black_box(simsearch_scan::v8_search_view(&sv, text, k));
+                },
+                &|text| {
+                    std::hint::black_box(radix.search(text, k));
+                },
+            ],
+        );
+        rows[0].push(format!("{:.1}", reached as f64 / texts.len() as f64));
+        rows[1].push(format!("{selection:.4}"));
+        rows[2].push(format!("{:.4}", (whole - selection).max(0.0)));
+        rows[3].push(format!("{whole:.4}"));
+        rows[4].push(format!("{index:.4}"));
+        rows[5].push(format_percent(whole / index));
+    }
+    let labels = [
+        "V8: reach the kernel / query",
+        "V8: selection ms / query",
+        "V8: kernel ms / query (difference)",
+        "V8: whole query ms / query",
+        "radix trie, modern pruning ms / query",
+        "V8 / radix time",
+    ];
+    for (label, cells) in labels.into_iter().zip(rows) {
+        t.push_row(label, cells);
+    }
+    t
+}
+
 /// Per-threshold breakdown table: the best scan vs both index modes,
 /// one row per approach, one column per threshold in the workload.
 pub fn per_threshold_table(preset: &Preset, queries: usize, pool_threads: usize) -> Table {
@@ -670,6 +760,14 @@ mod tests {
         let t = per_threshold_table(&city, 12, 2);
         assert_eq!(t.rows.len(), 3);
         // Thresholds 0..=3 all occur in the first 12 queries.
+        assert_eq!(t.headers.len(), 5);
+    }
+
+    #[test]
+    fn v8_split_table_has_one_column_per_threshold() {
+        let (city, _) = tiny();
+        let t = v8_split_table(&city, 12);
+        assert_eq!(t.rows.len(), 6);
         assert_eq!(t.headers.len(), 5);
     }
 

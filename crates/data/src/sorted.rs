@@ -22,9 +22,11 @@
 //! `b` is a bitmap over sorted positions of the records occupying bucket
 //! `b`, and `|S(x)|` is stored the same way (plane `v`: the records
 //! occupying at least `v` buckets), so a query evaluates both
-//! differences for 64 records at a time with a few word operations per
-//! plane — its own ≈ 9 bucket planes and `k + 1` size planes — and no
-//! per-record popcount.
+//! differences with a few word operations per plane — its own ≈ 9 bucket
+//! planes and `k + 1` size planes — and no per-record popcount. The
+//! sweep takes the planes a block of eight words at a time: 512 records,
+//! a cache line's worth (64 bytes) of each plane it reads, as fixed-width
+//! `[u64; 8]` rows that the compiler turns into vector operations.
 //!
 //! Over a tiny alphabet (DNA) every record occupies every bucket and the
 //! planes are not built; what the same lazy cell builds there instead is
@@ -42,6 +44,10 @@ use std::sync::OnceLock;
 
 /// Positions per plane word.
 const LANES: usize = 64;
+
+/// Plane words the signature sweeps at a time: 512 positions, a cache
+/// line's worth (64 bytes) of every plane read.
+const BLOCK: usize = 8;
 
 /// Buckets a byte can hash to: the bits of one `u64` set.
 const BUCKETS: usize = 64;
@@ -113,9 +119,26 @@ impl Signature {
         Some(Self { planes, words })
     }
 
-    /// Lanes of word `w` whose records the signature cannot rule out:
-    /// those lacking at most `k` of `query_set`'s buckets and occupying
-    /// at most `k` buckets outside it, among the lanes in `alive`.
+    /// Runs `sweep(planes, stride, from)` over the last block, from word
+    /// `w` on, which runs past the planes' last word: over a zero-filled
+    /// copy of what is left of each plane. Out of line so that the copy's
+    /// 8 KB stay out of the sweep's own stack frame, whose every call
+    /// (a DNA or an exact-match one too) would otherwise probe two pages.
+    #[inline(never)]
+    fn last_block<R>(&self, w: usize, sweep: impl FnOnce(&[u64], usize, usize) -> R) -> R {
+        let mut tail = [0u64; 2 * BUCKETS * BLOCK];
+        for (p, rest) in self.planes.chunks_exact(self.words).enumerate() {
+            let rest = &rest[w..];
+            tail[p * BLOCK..][..rest.len()].copy_from_slice(rest);
+        }
+        sweep(&tail, BLOCK, 0)
+    }
+
+    /// Lanes of the block of eight words starting at word `from` of
+    /// `planes` (plane `p` at `planes[p * stride..]`) whose records the
+    /// signature cannot rule out: those lacking at most `k` of the planes
+    /// in `buckets` and occupying at most `k` buckets outside them, among
+    /// the lanes in `alive`.
     ///
     /// With `a = |S(q) ∖ S(x)|`, the other difference is `|S(x) ∖ S(q)| =
     /// |S(x)| − |S(q)| + a`, so both are at most `k` exactly when `a +
@@ -127,32 +150,50 @@ impl Signature {
     ///
     /// The width is a compile-time constant so that the counter lives in
     /// registers: with a run-time width every addition went through the
-    /// stack, and the sweep took 1.3–2× as long at `k` from 1 to 3.
+    /// stack, and the sweep took 1.3–2× as long at `k` from 1 to 3. The
+    /// block is a fixed eight words so that each operation is on `[u64;
+    /// 8]`, which the compiler turns into vector operations (DESIGN §13,
+    /// *Why eight words at a time*).
     fn survivors<const BITS: usize>(
-        &self,
-        w: usize,
-        query_set: u64,
+        planes: &[u64],
+        stride: usize,
+        from: usize,
+        buckets: &[usize],
         larger: Range<usize>,
         k: u32,
-        mut alive: u64,
-    ) -> u64 {
-        let start = (1u64 << BITS) - 1 - u64::from(k);
-        let mut counter: [u64; BITS] =
-            std::array::from_fn(|bit| 0u64.wrapping_sub(start >> bit & 1));
-        // Adds one to the lanes of `carry`; returns those that overflow.
-        let mut add = |mut carry: u64| {
-            for plane in &mut counter {
-                (*plane, carry) = (*plane ^ carry, *plane & carry);
-            }
-            carry
+        mut alive: [u64; BLOCK],
+    ) -> [u64; BLOCK] {
+        let row = |plane: usize| -> [u64; BLOCK] {
+            planes[plane * stride + from..][..BLOCK]
+                .try_into()
+                .expect("a block is eight words")
         };
-        let mut rest = query_set;
-        while rest != 0 {
-            alive &= !add(!self.planes[rest.trailing_zeros() as usize * self.words + w]);
-            rest &= rest - 1;
+        let start = (1u64 << BITS) - 1 - u64::from(k);
+        let mut counter: [[u64; BLOCK]; BITS] =
+            std::array::from_fn(|bit| [0u64.wrapping_sub(start >> bit & 1); BLOCK]);
+        // Adds one to the lanes of `carry`, then drops from `alive` those
+        // that overflow. (As a closure it was left out of line at some
+        // widths, and scalar there.)
+        #[inline(always)]
+        fn add<const BITS: usize>(
+            counter: &mut [[u64; BLOCK]; BITS],
+            alive: &mut [u64; BLOCK],
+            mut carry: [u64; BLOCK],
+        ) {
+            for plane in counter {
+                for (lanes, carry) in plane.iter_mut().zip(&mut carry) {
+                    (*lanes, *carry) = (*lanes ^ *carry, *lanes & *carry);
+                }
+            }
+            for (alive, carry) in alive.iter_mut().zip(carry) {
+                *alive &= !carry;
+            }
+        }
+        for &bucket in buckets {
+            add(&mut counter, &mut alive, row(bucket).map(|lanes| !lanes));
         }
         for plane in larger {
-            alive &= !add(self.planes[plane * self.words + w]);
+            add(&mut counter, &mut alive, row(plane));
         }
         alive
     }
@@ -698,9 +739,19 @@ impl SortedView {
             }
         };
         let query_set = bucket_set(query);
+        // The query's buckets, listed once (on the stack: a `Vec` here
+        // cost the sweep 4–5 % at k = 1).
+        let mut listed = [0usize; BUCKETS];
+        let (mut rest, mut count) = (query_set, 0);
+        while rest != 0 {
+            listed[count] = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            count += 1;
+        }
+        let buckets = &listed[..count];
         // The size planes that count against a record: `|S(x)| ≥ v` for
         // `v` from `|S(q)| + 1`, as many as are stored and can matter.
-        let larger = BUCKETS + query_set.count_ones() as usize;
+        let larger = BUCKETS + buckets.len();
         let larger = larger..(sig.planes.len() / sig.words).min(larger + k_len + 1);
         // `k < 64` here, so the counter needs at most six planes.
         let survivors = [
@@ -712,17 +763,31 @@ impl SortedView {
             Signature::survivors::<5>,
             Signature::survivors::<6>,
         ][(u32::BITS - k.leading_zeros()) as usize];
-        for w in start / LANES..end.div_ceil(LANES) {
-            let base = w * LANES;
-            // Lanes of this word inside the range.
-            let mut alive = !0u64;
-            if base < start {
-                alive &= !0 << (start - base);
+        let block_survivors = |planes: &[u64], stride: usize, from: usize, alive| {
+            survivors(planes, stride, from, buckets, larger.clone(), k, alive)
+        };
+        for w in (start / LANES..end.div_ceil(LANES)).step_by(BLOCK) {
+            // Lanes of each word inside the range.
+            let alive = std::array::from_fn(|i| {
+                let base = (w + i) * LANES;
+                let lo = start.saturating_sub(base);
+                let hi = end.saturating_sub(base).min(LANES);
+                if lo < hi {
+                    !0 >> (LANES - hi) & !0 << lo
+                } else {
+                    0
+                }
+            });
+            let block = if w + BLOCK <= sig.words {
+                block_survivors(&sig.planes, sig.words, w, alive)
+            } else {
+                sig.last_block(w, |planes, stride, from| {
+                    block_survivors(planes, stride, from, alive)
+                })
+            };
+            for (i, lanes) in block.into_iter().enumerate() {
+                visit_word((w + i) * LANES, lanes);
             }
-            if base + LANES > end {
-                alive &= !0 >> (base + LANES - end);
-            }
-            visit_word(base, survivors(sig, w, query_set, larger.clone(), k, alive));
         }
     }
 

@@ -418,20 +418,88 @@ fn views_with_planes_visit_what_the_signature_admits() {
             let n = sv.len();
             for k in [0u32, 1, 2, 3, 16, 17, 63] {
                 for range in [0..n, n / 3..n - n / 4] {
-                    let expected: Vec<usize> = range
-                        .clone()
-                        .filter(|&pos| {
-                            let (q, x) = (bucket_set(query), bucket_set(sv.get(pos)));
-                            sv.record_len(pos).abs_diff(query.len()) <= k as usize
-                                && (q & !x).count_ones().max((x & !q).count_ones()) <= k
-                                && (k > 0 || sv.get(pos) == query.as_slice())
-                        })
-                        .collect();
+                    let expected = signature_admitted(&sv, query, k, range.clone());
                     prop_assert_eq!(visited(&sv, query, k, range), expected, "k = {}", k);
                 }
             }
             prop_assert!(sv.signature_bytes() > 0);
             prop_assert_eq!(sv.postings_bytes(), 0, "a view with planes cuts no record");
+            Ok(())
+        },
+    );
+}
+
+/// What the planes branch admits, spelled out per record — length,
+/// buckets lacked, buckets in excess — and, at `k = 0`, inside the equal
+/// range.
+fn signature_admitted(sv: &SortedView, query: &[u8], k: u32, range: Range<usize>) -> Vec<usize> {
+    let q = bucket_set(query);
+    range
+        .filter(|&pos| {
+            let x = bucket_set(sv.get(pos));
+            sv.record_len(pos).abs_diff(query.len()) <= k as usize
+                && (q & !x).count_ones().max((x & !q).count_ones()) <= k
+                && (k > 0 || sv.get(pos) == query)
+        })
+        .collect()
+}
+
+#[test]
+fn views_with_planes_visit_what_the_signature_admits_across_block_seams() {
+    // The planes are swept eight words (512 positions) at a time, the
+    // last, partial block through a zero-filled copy: views one short of,
+    // exactly at and one past a block, two blocks and a lane, and one of
+    // random size, under ranges that start and end inside a block, inside
+    // a word, within one word, and empty.
+    let word = gen::weighted(vec![
+        (12, gen::bytes_from(gen::NAMES, 0..14)),
+        (2, gen::bytes_from(gen::NAMES, 14..30)),
+    ]);
+    check(
+        "views_with_planes_visit_what_the_signature_admits_across_block_seams",
+        Config::cases(12).seed(SEED),
+        &gen::zip3(
+            gen::vec_of(word.clone(), 1_500..1_501),
+            gen::mutated(word, 0..4, gen::NAMES),
+            gen::usize_in(600..1_501),
+        ),
+        |(words, (source, query, _), random)| {
+            for size in [511, 512, 513, 1_025, *random] {
+                let mut records: Vec<&[u8]> = words[..size - 1].iter().map(Vec::as_slice).collect();
+                records.push(source);
+                let sv = SortedView::build(&Dataset::from_records(&records));
+                let n = sv.len();
+                let ranges = [
+                    0..n,
+                    n / 3..n - n / 4,
+                    37..300,
+                    // One block's length from inside a word: nine words,
+                    // the second block's first lanes only.
+                    3 * 64 + 5..3 * 64 + 5 + 512,
+                    507..582,
+                    130..140,
+                    n - 3..n,
+                    // The last whole word.
+                    n - n % 64 - 64..n - n % 64,
+                    n / 2..n / 2,
+                    n..n,
+                ];
+                for k in [0u32, 1, 2, 3, 16, 17, 63] {
+                    for range in ranges.iter().map(|r| r.start.min(n)..r.end.min(n)) {
+                        let expected = signature_admitted(&sv, query, k, range.clone());
+                        prop_assert_eq!(
+                            visited(&sv, query, k, range.clone()),
+                            expected,
+                            "{} records, k = {}, {:?}",
+                            n,
+                            k,
+                            range
+                        );
+                    }
+                    check_candidates(&sv, query, k, 0..n)?;
+                }
+                prop_assert!(sv.signature_bytes() > 0);
+            }
             Ok(())
         },
     );
