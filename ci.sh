@@ -12,8 +12,8 @@ cargo test -q --offline --workspace
 # selection are shift/mask/popcount arithmetic whose edge cases
 # (`1 << 64`, `row % 64` at a Myers block seam, `!0 << lo` and
 # `!0 >> (64 - hi)` at a range's first and last word, a block's last,
-# partial eight words, the segment postings' `position << fp_bits |
-# fingerprint` packing) panic under the dev profile's overflow checks but
+# partial eight words, a pair-set word's first and last lanes, the
+# segment postings' `position << fp_bits | fingerprint` packing) panic under the dev profile's overflow checks but
 # wrap silently in the release codegen the daemon and the benchmark run,
 # so their oracles must hold there too.
 cargo test -q --offline --release -p simsearch-data -p simsearch-distance -p simsearch-scan
@@ -86,16 +86,18 @@ for snapshot in BENCH_fig6_city_best.json BENCH_fig7_dna_best.json \
     test -f "$snapshot"
 done
 # The bit-parallel snapshots count what candidate selection does before
-# the kernel runs (the occupancy planes on city names, the segment
-# postings on DNA): records the length filter admits, and how many of
-# them reach the kernel, per threshold as well; on city names the
-# selection alone is timed as its own row.
+# the kernel runs (the occupancy planes and the bigram column on city
+# names, the segment postings on DNA): records the length filter admits,
+# and how many of them reach the kernel, per threshold as well; on city
+# names how many pass the planes and the length filter before the bigram
+# column, and the selection alone is timed as its own row.
 for snapshot in BENCH_ablation_bitparallel_city.json BENCH_ablation_bitparallel_dna.json; do
     grep -q '"length_admitted": [1-9]' "$snapshot"
     grep -q '"v8_candidates": [1-9]' "$snapshot"
 done
 grep -q '"v8_candidates_k16": [0-9]' BENCH_ablation_bitparallel_dna.json
 grep -q '"v8_candidates_k3": [0-9]' BENCH_ablation_bitparallel_city.json
+grep -q '"v8_plane_survivors_k3": [0-9]' BENCH_ablation_bitparallel_city.json
 grep -q '"name": "v8_selection"' BENCH_ablation_bitparallel_city.json
 # The join snapshot is the three-rung-plus-PASS bench's: no counter or
 # row of the retired MinJoin rung may survive a republish (`min_ns` is

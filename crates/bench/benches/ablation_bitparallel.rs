@@ -19,13 +19,18 @@
 //! wall-clock alone cannot show it — and with what candidate selection
 //! does before the kernel runs: `length_admitted` records pass the
 //! length filter, `v8_candidates` of them reach the kernel (the
-//! occupancy planes on city names, the segment postings on DNA), and
-//! `v8_candidates_k<k>` splits that by threshold.
+//! occupancy planes and the bigram column on city names, the segment
+//! postings on DNA), and `v8_candidates_k<k>` splits that by threshold.
+//! Where the view carries planes, `v8_plane_survivors_k<k>` counts what
+//! the planes and the length filter alone admit — the candidates before
+//! the bigram column ([`plane_survivors`]).
 
 use std::collections::BTreeMap;
 
+use simsearch_bench::experiments::plane_survivors;
 use simsearch_bench::Scale;
 use simsearch_core::{EngineKind, KernelKind, SearchEngine, SeqVariant, Strategy};
+use simsearch_data::sorted::occupancy_set;
 use simsearch_data::SortedView;
 use simsearch_distance::MyersStackKernel;
 use simsearch_scan::{v7_search_view, v8_scan_view_range};
@@ -62,7 +67,11 @@ fn main() {
         let (mut v8_words, mut v8_reused, mut v8_cells) = (0u64, 0u64, 0u64);
         let (mut length_admitted, mut v8_candidates) = (0u64, 0u64);
         let mut candidates_by_k = BTreeMap::<u32, u64>::new();
+        let mut planes_by_k = BTreeMap::<u32, u64>::new();
+        let sets: Vec<u64> = sv.sorted_dataset().records().map(occupancy_set).collect();
         for q in &workload.queries {
+            *planes_by_k.entry(q.threshold).or_default() +=
+                plane_survivors(&sv, &sets, &q.text, q.threshold) as u64;
             length_admitted += (0..sv.len())
                 .filter(|&pos| sv.record_len(pos).abs_diff(q.text.len()) <= q.threshold as usize)
                 .count() as u64;
@@ -81,10 +90,17 @@ fn main() {
         let group_name = format!("ablation_bitparallel_{name}");
         let mut group = h.group(&group_name);
         group.set_workload(name, preset.dataset.len(), workload.len(), thresholds);
-        let by_k: Vec<(String, u64)> = candidates_by_k
+        let mut by_k: Vec<(String, u64)> = candidates_by_k
             .into_iter()
             .map(|(k, reached)| (format!("v8_candidates_k{k}"), reached))
             .collect();
+        if sv.signature_bytes() > 0 {
+            by_k.extend(
+                planes_by_k
+                    .into_iter()
+                    .map(|(k, passed)| (format!("v8_plane_survivors_k{k}"), passed)),
+            );
+        }
         let mut counters = vec![
             ("v7_dp_cells", v7_cells),
             ("v8_words_advanced", v8_words),

@@ -505,14 +505,42 @@ pub fn diagnostics_table(preset: &Preset, queries: usize) -> Table {
     t
 }
 
+/// The positions of `sv` that the occupancy planes and the length filter
+/// alone admit for `query` at `k` (at `k = 0`, inside the equal range),
+/// spelled out record by record from `sets`, the [`occupancy_set`] of
+/// every sorted position: what reached V8's kernel before the bigram
+/// column, the step of the selection funnel between the length filter
+/// and the candidates.
+///
+/// [`occupancy_set`]: simsearch_data::sorted::occupancy_set
+pub fn plane_survivors(
+    sv: &simsearch_data::SortedView,
+    sets: &[u64],
+    query: &[u8],
+    k: u32,
+) -> usize {
+    let query_set = simsearch_data::sorted::occupancy_set(query);
+    (0..sv.len())
+        .filter(|&pos| {
+            let set = sets[pos];
+            sv.record_len(pos).abs_diff(query.len()) <= k as usize
+                && (query_set & !set).count_ones() <= k
+                && (set & !query_set).count_ones() <= k
+                && (k > 0 || sv.get(pos) == query)
+        })
+        .count()
+}
+
 /// Where a V8 query's time goes, per threshold, on one thread: candidate
 /// selection alone ([`SortedView::for_each_candidate`] with a counting
-/// visitor) against the whole query (`v8_search_view`), the kernel being
-/// the difference, and the whole query against the modern-pruning radix
-/// trie on the same queries. The view's selection aid is built first,
-/// outside the clock; each figure is the fastest of five passes over the
-/// queries of that threshold, the three taking their passes in turn so
-/// that a slow phase of the host charges all of them alike.
+/// visitor; beside the candidates it hands on, the [`plane_survivors`]
+/// that the bigram column tests) against the whole query
+/// (`v8_search_view`), the kernel being the difference, and the whole
+/// query against the modern-pruning radix trie on the same queries. The
+/// view's selection aid is built first, outside the clock; each figure
+/// is the fastest of five passes over the queries of that threshold, the
+/// three taking their passes in turn so that a slow phase of the host
+/// charges all of them alike.
 pub fn v8_split_table(preset: &Preset, queries: usize) -> Table {
     use simsearch_data::SortedView;
     use std::collections::BTreeMap;
@@ -552,10 +580,16 @@ pub fn v8_split_table(preset: &Preset, queries: usize) -> Table {
         ),
         &refs,
     );
-    let mut rows: [Vec<String>; 6] = Default::default();
+    let sets: Vec<u64> = sv
+        .sorted_dataset()
+        .records()
+        .map(simsearch_data::sorted::occupancy_set)
+        .collect();
+    let mut rows: [Vec<String>; 7] = Default::default();
     for (&k, texts) in &by_k {
-        let mut reached = 0usize;
+        let (mut planes, mut reached) = (0usize, 0usize);
         for text in texts {
+            planes += plane_survivors(&sv, &sets, text, k);
             sv.for_each_candidate(text, k, 0..sv.len(), |_, _| reached += 1);
         }
         let [selection, whole, index] = per_query(
@@ -574,14 +608,16 @@ pub fn v8_split_table(preset: &Preset, queries: usize) -> Table {
                 },
             ],
         );
-        rows[0].push(format!("{:.1}", reached as f64 / texts.len() as f64));
-        rows[1].push(format!("{selection:.4}"));
-        rows[2].push(format!("{:.4}", (whole - selection).max(0.0)));
-        rows[3].push(format!("{whole:.4}"));
-        rows[4].push(format!("{index:.4}"));
-        rows[5].push(format_percent(whole / index));
+        rows[0].push(format!("{:.1}", planes as f64 / texts.len() as f64));
+        rows[1].push(format!("{:.1}", reached as f64 / texts.len() as f64));
+        rows[2].push(format!("{selection:.4}"));
+        rows[3].push(format!("{:.4}", (whole - selection).max(0.0)));
+        rows[4].push(format!("{whole:.4}"));
+        rows[5].push(format!("{index:.4}"));
+        rows[6].push(format_percent(whole / index));
     }
     let labels = [
+        "V8: pass planes and length / query",
         "V8: reach the kernel / query",
         "V8: selection ms / query",
         "V8: kernel ms / query (difference)",
@@ -767,7 +803,7 @@ mod tests {
     fn v8_split_table_has_one_column_per_threshold() {
         let (city, _) = tiny();
         let t = v8_split_table(&city, 12);
-        assert_eq!(t.rows.len(), 6);
+        assert_eq!(t.rows.len(), 7);
         assert_eq!(t.headers.len(), 5);
     }
 

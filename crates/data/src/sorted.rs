@@ -28,6 +28,15 @@
 //! a cache line's worth (64 bytes) of each plane it reads, as fixed-width
 //! `[u64; 8]` rows that the compiler turns into vector operations.
 //!
+//! The planes count *which* symbols a record holds, not their order.
+//! Beside them the signature keeps one word a record, `P(x)`: the bigrams
+//! of `⊥ x ⊤` hashed into 64 buckets ([`bigram_set`]). One edit removes
+//! at most two bigrams of the padded string and adds at most two, so
+//! `ed(q, x) ≤ k` leaves at most `2k` buckets of `P(q)` outside `P(x)`
+//! and as many the other way. Each plane survivor is tested against that
+//! bound — two popcounts on one word — before its length is, its shared
+//! prefix is worked out or the kernel sees it.
+//!
 //! Over a tiny alphabet (DNA) every record occupies every bucket and the
 //! planes are not built; what the same lazy cell builds there instead is
 //! PASS-JOIN's pigeonhole partition used for search: every record long
@@ -64,18 +73,47 @@ const TINY_ALPHABET_BUCKETS: u32 = 8;
 /// is read off the two records instead of folded over the `lcp` column.
 const LCP_FOLD_GAP: usize = 8;
 
-/// `S(bytes)`: the buckets (`0..64`) the bytes hash to, as a bit set.
+/// `S(bytes)`: the buckets (`0..64`) the bytes hash to, as a bit set —
+/// the set the occupancy planes store transposed. One edit adds at most
+/// one bucket and removes at most one.
 #[inline]
-fn bucket_set(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0, |set, &b| {
-        set | 1 << (u32::from(b).wrapping_mul(0x9E37_79B1) >> 26)
-    })
+pub fn occupancy_set(bytes: &[u8]) -> u64 {
+    sets(bytes).0
 }
 
-/// The occupancy signature of every record in a view, transposed: 64
-/// bucket planes and one size plane per bucket the fullest record
-/// occupies, a bit a record each — 11 bytes a record on 400,000 city
-/// names, whose fullest occupies 24.
+/// `P(bytes)`: the buckets (`0..64`) the bigrams of `⊥ bytes ⊤` hash to,
+/// as a bit set — the set the signature's pair column stores, one word a
+/// record. The end markers are symbols 256 and 257, outside every byte,
+/// so the empty string has one bigram, `⊥⊤`. One edit adds at most two
+/// buckets and removes at most two.
+#[inline]
+pub fn bigram_set(bytes: &[u8]) -> u64 {
+    sets(bytes).1
+}
+
+/// `(S(bytes), P(bytes))` in one pass over the bytes: byte `b` goes to
+/// bucket `h(b) >> 26` and bigram `ab` to `(h(a) ^ g(b)) >> 26`, with
+/// `h` and `g` multiplications by two odd constants — so each byte's
+/// `h` serves both sets.
+#[inline]
+fn sets(bytes: &[u8]) -> (u64, u64) {
+    let h = |symbol: u32| symbol.wrapping_mul(0x9E37_79B1);
+    let g = |symbol: u32| symbol.wrapping_mul(0x85EB_CA6B);
+    let (mut occupied, mut pairs, mut prev) = (0u64, 0u64, h(256));
+    for &b in bytes {
+        let hb = h(u32::from(b));
+        occupied |= 1 << (hb >> 26);
+        pairs |= 1 << ((prev ^ g(u32::from(b))) >> 26);
+        prev = hb;
+    }
+    (occupied, pairs | 1 << ((prev ^ g(257)) >> 26))
+}
+
+/// The signature of every record in a view: its occupancy set,
+/// transposed — 64 bucket planes and one size plane per bucket the
+/// fullest record occupies, a bit a record each — and its bigram set, a
+/// word a record. 19 bytes a record on 400,000 city names, whose fullest
+/// occupies 24 buckets: 11 of planes, 8 of pair column.
 #[derive(Clone, Debug)]
 struct Signature {
     /// `planes[p * words + w]`, bit `i`, speaks of the record at sorted
@@ -85,15 +123,18 @@ struct Signature {
     planes: Vec<u64>,
     /// Words per plane, `⌈len / 64⌉`.
     words: usize,
+    /// `pairs[pos]` = [`bigram_set`] of the record at sorted `pos`.
+    pairs: Vec<u64>,
 }
 
 impl Signature {
-    /// Builds the planes, or `None` over a tiny alphabet
-    /// ([`TINY_ALPHABET_BUCKETS`]; decided before anything is allocated).
+    /// Builds the planes and the pair column in one pass over the arena,
+    /// or `None` over a tiny alphabet ([`TINY_ALPHABET_BUCKETS`]; decided
+    /// before anything is allocated).
     fn build(sorted: &Dataset) -> Option<Self> {
         let mut union = 0u64;
         let tiny = sorted.records().all(|record| {
-            union |= bucket_set(record);
+            union |= occupancy_set(record);
             union.count_ones() <= TINY_ALPHABET_BUCKETS
         });
         if tiny {
@@ -101,10 +142,12 @@ impl Signature {
         }
         let words = sorted.len().div_ceil(LANES);
         let mut planes = vec![0u64; 2 * BUCKETS * words];
+        let mut pairs = Vec::with_capacity(sorted.len());
         let mut largest = 0;
         for (pos, record) in sorted.records().enumerate() {
             let (w, lane) = (pos / LANES, 1u64 << (pos % LANES));
-            let mut set = bucket_set(record);
+            let (mut set, record_pairs) = sets(record);
+            pairs.push(record_pairs);
             let mut size = 0;
             while set != 0 {
                 planes[set.trailing_zeros() as usize * words + w] |= lane;
@@ -116,7 +159,11 @@ impl Signature {
         }
         planes.truncate((BUCKETS + largest) * words);
         planes.shrink_to_fit();
-        Some(Self { planes, words })
+        Some(Self {
+            planes,
+            words,
+            pairs,
+        })
     }
 
     /// Runs `sweep(planes, stride, from)` over the last block, from word
@@ -620,11 +667,12 @@ impl SortedView {
             .get_or_init(|| Selection::build(&self.sorted))
     }
 
-    /// Heap bytes the occupancy signature holds right now: 0 until the
-    /// first V8 use of this view, and for good over a tiny alphabet.
+    /// Heap bytes the signature holds right now — planes and pair column:
+    /// 0 until the first V8 use of this view, and for good over a tiny
+    /// alphabet.
     pub fn signature_bytes(&self) -> usize {
         match self.selection.get() {
-            Some(Selection::Planes(sig)) => sig.planes.len() * 8,
+            Some(Selection::Planes(sig)) => (sig.planes.len() + sig.pairs.len()) * 8,
             _ => 0,
         }
     }
@@ -669,8 +717,9 @@ impl SortedView {
     /// At `k = 0` the range is first narrowed to the query's equal range.
     /// Every record visited passes the length filter, and — where the
     /// view carries a selection aid (built here on first use; see the
-    /// module docs) — either lacks at most `k` of the query's buckets and
-    /// occupies at most `k` the query does not, or, for `k` from 1 to
+    /// module docs) — either lacks at most `k` of the query's buckets,
+    /// occupies at most `k` the query does not and differs from it in at
+    /// most `2k` bigram buckets either way, or, for `k` from 1 to
     /// [`SEGMENT_TAU`], is too short to cut or shares [`HITS`] of the
     /// `k + HITS` segments probed with the query.
     pub fn for_each_candidate(
@@ -738,7 +787,7 @@ impl SortedView {
                 return;
             }
         };
-        let query_set = bucket_set(query);
+        let query_set = occupancy_set(query);
         // The query's buckets, listed once (on the stack: a `Vec` here
         // cost the sweep 4–5 % at k = 1).
         let mut listed = [0usize; BUCKETS];
@@ -763,6 +812,23 @@ impl SortedView {
             Signature::survivors::<5>,
             Signature::survivors::<6>,
         ][(u32::BITS - k.leading_zeros()) as usize];
+        // The lanes of `alive` (positions `base..base + 64`) whose bigram
+        // set differs from the query's by at most `2k` buckets either way
+        // (one edit adds at most two buckets to `P` and removes at most
+        // two): every lane is tested, none is branched on.
+        let (query_pairs, most) = (bigram_set(query), 2 * k);
+        let pairs_near = |base: usize, mut alive: u64| {
+            let mut lanes = alive;
+            while lanes != 0 {
+                let lane = lanes.trailing_zeros();
+                lanes &= lanes - 1;
+                let pairs = sig.pairs[base + lane as usize];
+                let far = ((query_pairs & !pairs).count_ones() > most)
+                    | ((pairs & !query_pairs).count_ones() > most);
+                alive &= !(u64::from(far) << lane);
+            }
+            alive
+        };
         let block_survivors = |planes: &[u64], stride: usize, from: usize, alive| {
             survivors(planes, stride, from, buckets, larger.clone(), k, alive)
         };
@@ -786,7 +852,8 @@ impl SortedView {
                 })
             };
             for (i, lanes) in block.into_iter().enumerate() {
-                visit_word((w + i) * LANES, lanes);
+                let base = (w + i) * LANES;
+                visit_word(base, pairs_near(base, lanes));
             }
         }
     }
@@ -887,7 +954,8 @@ mod tests {
         let bit = |plane: usize, pos: usize| sig.planes[plane * 3 + pos / 64] >> (pos % 64) & 1;
         let mut largest = 0;
         for pos in 0..sv.len() {
-            let set = bucket_set(sv.get(pos));
+            assert_eq!(sig.pairs[pos], bigram_set(sv.get(pos)), "pos {pos}");
+            let set = occupancy_set(sv.get(pos));
             let size = set.count_ones() as usize;
             for bucket in 0..64 {
                 assert_eq!(bit(bucket, pos), set >> bucket & 1, "pos {pos}");
@@ -903,7 +971,8 @@ mod tests {
             "no plane is all zeros"
         );
         assert!((0..64 + largest).all(|plane| sig.planes[plane * 3 + 2] >> 2 == 0));
-        assert_eq!(sv.signature_bytes(), sig.planes.len() * 8);
+        assert_eq!(sig.pairs.len(), sv.len(), "one pair word a record");
+        assert_eq!(sv.signature_bytes(), (sig.planes.len() + sv.len()) * 8);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! invariants the V7 sorted-prefix scan's correctness rests on — and
 //! candidate selection is sound: no record within `k` of the query is
 //! filtered out, whatever the alphabet, the range or the threshold —
-//! by the occupancy planes over a large alphabet, by the segment
-//! postings over a tiny one, by the equal range at `k = 0`.
+//! by the occupancy planes and the bigram column over a large alphabet,
+//! by the segment postings over a tiny one, by the equal range at
+//! `k = 0`.
 
 use simsearch_data::generate::apply_random_edits;
+use simsearch_data::sorted::{bigram_set, occupancy_set};
 use simsearch_data::{Alphabet, Dataset, SortedView};
 use simsearch_distance::levenshtein;
 use simsearch_testkit::{
@@ -263,8 +265,9 @@ fn the_signature_is_built_on_first_use_and_never_over_a_tiny_alphabet() {
     ));
     assert_eq!(city.signature_bytes(), 0, "nothing is built with the view");
     city.for_each_candidate(b"abc", 1, 0..city.len(), |_, _| {});
-    // One word a plane: 64 buckets, and set sizes 1 to 3.
-    assert_eq!(city.signature_bytes(), (64 + 3) * 8);
+    // One word a plane: 64 buckets, and set sizes 1 to 3; and one pair
+    // word a record.
+    assert_eq!(city.signature_bytes(), (64 + 3 + city.len()) * 8);
     // Five symbols occupy five buckets: no planes, now or later.
     let dna = SortedView::build(&Dataset::from_records(["ACGT", "NNNN", "ACGN"]));
     dna.prepare_signature();
@@ -394,18 +397,11 @@ fn segment_postings_are_sound_on_acgnt() {
     segment_postings_are_sound_over("segment_postings_are_sound_on_acgnt", gen::DNA);
 }
 
-/// The bucket a byte hashes to in the occupancy signature.
-fn bucket_set(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0, |set, &b| {
-        set | 1 << (u32::from(b).wrapping_mul(0x9E37_79B1) >> 26)
-    })
-}
-
 #[test]
 fn views_with_planes_visit_what_the_signature_admits() {
     // The planes branch spelled out per record — length, buckets lacked,
-    // buckets in excess — is what the parent commit visits; at k = 0,
-    // inside the equal range.
+    // buckets in excess, bigram buckets either way — is what the sweep
+    // visits; at k = 0, inside the equal range.
     check(
         "views_with_planes_visit_what_the_signature_admits",
         Config::cases(40).seed(SEED),
@@ -430,15 +426,19 @@ fn views_with_planes_visit_what_the_signature_admits() {
 }
 
 /// What the planes branch admits, spelled out per record — length,
-/// buckets lacked, buckets in excess — and, at `k = 0`, inside the equal
-/// range.
+/// buckets lacked, buckets in excess, at most `2k` bigram buckets either
+/// way — and, at `k = 0`, inside the equal range.
 fn signature_admitted(sv: &SortedView, query: &[u8], k: u32, range: Range<usize>) -> Vec<usize> {
-    let q = bucket_set(query);
+    let (q, q_pairs) = (occupancy_set(query), bigram_set(query));
     range
         .filter(|&pos| {
-            let x = bucket_set(sv.get(pos));
+            let (x, x_pairs) = (occupancy_set(sv.get(pos)), bigram_set(sv.get(pos)));
             sv.record_len(pos).abs_diff(query.len()) <= k as usize
                 && (q & !x).count_ones().max((x & !q).count_ones()) <= k
+                && (q_pairs & !x_pairs)
+                    .count_ones()
+                    .max((x_pairs & !q_pairs).count_ones())
+                    <= 2 * k
                 && (k > 0 || sv.get(pos) == query)
         })
         .collect()
@@ -501,6 +501,69 @@ fn views_with_planes_visit_what_the_signature_admits_across_block_seams() {
                 prop_assert!(sv.signature_bytes() > 0);
             }
             Ok(())
+        },
+    );
+}
+
+/// `(x, q)`: a name over [`gen::NAMES`] — empty, random, or one or two
+/// symbols repeated, so that bigrams repeat — and the same name after
+/// 0..=6 substitutions, insertions and deletions, each at the first
+/// byte, at the last or anywhere.
+fn edited_name() -> Gen<(Vec<u8>, Vec<u8>)> {
+    Gen::new(|rng| {
+        let name = match rng.index(4) {
+            0 => Vec::new(),
+            1 => random_string(rng, gen::NAMES, 1..3).repeat(1 + rng.index(6)),
+            _ => random_string(rng, gen::NAMES, 1..20),
+        };
+        let mut edited = name.clone();
+        for _ in 0..rng.index(7) {
+            let (len, symbol) = (edited.len(), *rng.choose(gen::NAMES));
+            let insert = len == 0 || rng.chance(1.0 / 3.0);
+            // The last position an edit of this kind can take.
+            let last = if insert { len } else { len - 1 };
+            let at = match rng.index(3) {
+                0 => 0,
+                1 => last,
+                _ => rng.index(last + 1),
+            };
+            if insert {
+                edited.insert(at, symbol);
+            } else if rng.chance(0.5) {
+                edited[at] = symbol;
+            } else {
+                edited.remove(at);
+            }
+        }
+        (name, edited)
+    })
+}
+
+#[test]
+fn bigram_sets_differ_by_at_most_two_buckets_an_edit() {
+    // One edit removes at most two bigrams of `⊥ x ⊤` and adds at most
+    // two, and hashing only merges buckets: `ed(q, x) = d` leaves at most
+    // `2d` buckets of either set outside the other. The sweep applies
+    // that bound to the query it is given, so `x` is visited at `k = d`
+    // (the three-symbol records give the view its planes).
+    check(
+        "bigram_sets_differ_by_at_most_two_buckets_an_edit",
+        Config::cases(400).seed(SEED),
+        &edited_name(),
+        |(x, q)| {
+            let d = levenshtein(q, x);
+            let (p_q, p_x) = (bigram_set(q), bigram_set(x));
+            prop_assert!(
+                (p_q & !p_x).count_ones() <= 2 * d && (p_x & !p_q).count_ones() <= 2 * d,
+                "ed = {}: {:064b} against {:064b}",
+                d,
+                p_q,
+                p_x
+            );
+            let mut records: Vec<&[u8]> = gen::NAMES.chunks(3).collect();
+            records.push(x);
+            let sv = SortedView::build(&Dataset::from_records(&records));
+            check_candidates(&sv, q, d, 0..sv.len())
         },
     );
 }
