@@ -62,7 +62,7 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 #   v8_oracle           the Myers-block sweep — as an engine, as a
 #                       planner arm, pinned per shard — is
 #                       byte-identical to V1 on both alphabets.
-#   join_oracle         PASS-JOIN — the one partition join, under every
+#   join_oracle         PASS-JOIN — the one join, under every
 #                       executor × thread count — returns the
 #                       nested-loop join's pair list pair-for-pair,
 #                       including the degenerate inputs.
@@ -99,11 +99,16 @@ grep -q '"v8_candidates_k16": [0-9]' BENCH_ablation_bitparallel_dna.json
 grep -q '"v8_candidates_k3": [0-9]' BENCH_ablation_bitparallel_city.json
 grep -q '"v8_plane_survivors_k3": [0-9]' BENCH_ablation_bitparallel_city.json
 grep -q '"name": "v8_selection"' BENCH_ablation_bitparallel_city.json
-# The join snapshot is the three-rung-plus-PASS bench's: no counter or
-# row of the retired MinJoin rung may survive a republish (`min_ns` is
-# every row's fastest sample and stays).
+# The join snapshot has two rows, the nested-loop reference and
+# PASS-JOIN: no row or counter of a retired join may survive a republish
+# — the MinJoin rung's counters (`min_ns` is every row's fastest sample
+# and stays) or the length-sorted join's row.
 if grep -Eq '"min_(join|candidates_verified|fallback_records)"' BENCH_ablation_join_city.json; then
     echo "BENCH_ablation_join_city.json still carries a MinJoin entry" >&2
+    exit 1
+fi
+if grep -q '"name": "length_sorted"' BENCH_ablation_join_city.json; then
+    echo "BENCH_ablation_join_city.json still carries the length-sorted join" >&2
     exit 1
 fi
 

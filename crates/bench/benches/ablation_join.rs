@@ -1,9 +1,8 @@
 //! Ablation: similarity self-join strategies on the city-names profile
-//! (the venue's join competition track). Three rungs at k = 1:
+//! (the venue's join competition track). Two rows at k = 1:
 //!
-//! * `nested_loop` — every unordered pair through the banded kernel;
-//! * `length_sorted` — sort by length, verify only inside the ±k
-//!   length window;
+//! * `nested_loop` — every unordered pair within the length filter
+//!   through the early-abort kernel;
 //! * `pass_join` — PASS-JOIN: even k+1 partitions, inverted segment
 //!   index, substring-selection probing.
 //!
@@ -12,7 +11,7 @@
 //! below the quadratic pair count is the point of the rung, and
 //! wall-clock alone cannot show it.
 
-use simsearch_core::join::{nested_loop_join, sorted_join};
+use simsearch_core::join::nested_loop_join;
 use simsearch_core::{pass_join_with_stats, presets, Strategy};
 use simsearch_testkit::bench::Harness;
 
@@ -37,7 +36,6 @@ fn main() {
         ("pass_seg_postings", pass_stats.seg_postings),
     ]);
     group.bench("nested_loop", || nested_loop_join(ds, k));
-    group.bench("length_sorted", || sorted_join(ds, k));
     group.bench("pass_join", || {
         pass_join_with_stats(ds, k, Strategy::Sequential).0
     });

@@ -119,10 +119,7 @@ pub struct JoinArgs {
     pub k: u32,
     /// Output file; stdout when absent.
     pub output: Option<PathBuf>,
-    /// Join algorithm: "pass" (partition-based PASS-JOIN, the
-    /// default), "sorted", "index" or "nested".
-    pub algo: String,
-    /// Pool threads (sorted and pass).
+    /// Pool threads.
     pub threads: usize,
 }
 
@@ -307,8 +304,7 @@ USAGE:
   simsearch generate --kind city|dna --count N [--seed S] --out FILE
                      [--queries FILE] [--query-count N]
   simsearch stats --data FILE
-  simsearch join --data FILE --k N [--output FILE]
-                 [--algo pass|sorted|index|nested] [--threads N]
+  simsearch join --data FILE --k N [--output FILE] [--threads N]
   simsearch verify --results FILE --expected FILE
   simsearch serve --data FILE [--backend NAME] [--threads N] [--port P]
                   [--port-file FILE] [--queue-capacity N] [--deadline-ms N]
@@ -514,7 +510,6 @@ fn parse_join(rest: &[String]) -> Result<JoinArgs, String> {
     let mut data = None;
     let mut k = None;
     let mut output = None;
-    let mut algo = "pass".to_string();
     let mut threads = 1usize;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
@@ -522,13 +517,6 @@ fn parse_join(rest: &[String]) -> Result<JoinArgs, String> {
             "--data" => data = Some(PathBuf::from(value(&mut it, "--data")?)),
             "--k" => k = Some(int_value(&mut it, "--k", "an integer")?),
             "--output" => output = Some(PathBuf::from(value(&mut it, "--output")?)),
-            "--algo" => {
-                let v = value(&mut it, "--algo")?;
-                if !["pass", "sorted", "index", "nested"].contains(&v.as_str()) {
-                    return Err(format!("unknown join algorithm '{v}'"));
-                }
-                algo = v.clone();
-            }
             "--threads" => threads = positive_value(&mut it, "--threads", "a positive integer")?,
             other => return Err(format!("unknown flag '{other}'")),
         }
@@ -537,7 +525,6 @@ fn parse_join(rest: &[String]) -> Result<JoinArgs, String> {
         data: data.ok_or("join requires --data")?,
         k: k.ok_or("join requires --k")?,
         output,
-        algo,
         threads,
     })
 }
@@ -559,7 +546,7 @@ fn parse_serve(rest: &[String]) -> Result<ServeArgs, String> {
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--data" | "--dataset" => data = Some(PathBuf::from(value(&mut it, "--data")?)),
+            "--data" | "--dataset" => data = Some(PathBuf::from(value(&mut it, flag)?)),
             "--engine" | "--backend" => engine = EngineChoice::parse(value(&mut it, flag)?)?,
             "--threads" => threads = positive_value(&mut it, "--threads", "an integer")?,
             "--port" => port = int_value(&mut it, "--port", "an integer in 0..=65535")?,
@@ -733,32 +720,21 @@ mod tests {
 
     #[test]
     fn parses_join_and_verify() {
-        let cmd = parse(&v(&["join", "--data", "d.txt", "--k", "2", "--algo", "index"])).unwrap();
+        let cmd = parse(&v(&["join", "--data", "d.txt", "--k", "2"])).unwrap();
         match cmd {
             Command::Join(j) => {
                 assert_eq!(j.k, 2);
-                assert_eq!(j.algo, "index");
                 assert_eq!(j.threads, 1);
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        let cmd = parse(&v(&["join", "--data", "d", "--k", "1"])).unwrap();
-        assert!(
-            matches!(cmd, Command::Join(j) if j.algo == "pass"),
-            "the default"
-        );
-        for algo in ["sorted", "nested", "pass"] {
-            let cmd = parse(&v(&["join", "--data", "d", "--k", "1", "--algo", algo])).unwrap();
-            match cmd {
-                Command::Join(j) => assert_eq!(j.algo, algo),
-                other => panic!("wrong parse: {other:?}"),
-            }
-        }
         let cmd = parse(&v(&["verify", "--results", "a", "--expected", "b"])).unwrap();
         assert!(matches!(cmd, Command::Verify { .. }));
-        for algo in ["quantum", "minjoin"] {
-            assert!(parse(&v(&["join", "--data", "d", "--k", "1", "--algo", algo])).is_err());
-        }
+        // PASS-JOIN is the only join: there is no algorithm to select.
+        assert_eq!(
+            parse(&v(&["join", "--data", "d", "--k", "1", "--algo", "pass"])).unwrap_err(),
+            "unknown flag '--algo'"
+        );
         assert!(parse(&v(&["verify", "--results", "a"])).is_err());
     }
 
@@ -911,6 +887,12 @@ mod tests {
     #[test]
     fn serve_and_client_reject_bad_input() {
         assert!(parse(&v(&["serve"])).is_err()); // missing --data
+        for flag in ["--data", "--dataset"] {
+            assert_eq!(
+                parse(&v(&["serve", flag])).unwrap_err(),
+                format!("{flag} needs a value")
+            );
+        }
         assert!(parse(&v(&["serve", "--data", "d", "--threads", "0"])).is_err());
         // `serve` has no coalescing knobs: a handler executes what it read.
         for gone in ["--batch-size", "--max-delay-ms"] {

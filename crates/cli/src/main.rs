@@ -261,19 +261,11 @@ fn run_generate(g: GenerateArgs) -> Result<(), String> {
 }
 
 fn run_join(j: JoinArgs) -> Result<(), String> {
-    use simsearch_core::join::{index_join, nested_loop_join, parallel_sorted_join};
     use simsearch_core::parallel_pass_join;
     let dataset = io::read_dataset(&j.data).map_err(|e| format!("reading {:?}: {e}", j.data))?;
-    let strategy = args::pool(j.threads);
-    let (pairs, wall) = time(|| match j.algo.as_str() {
-        "nested" => nested_loop_join(&dataset, j.k),
-        "index" => index_join(&dataset, j.k),
-        "sorted" => parallel_sorted_join(&dataset, j.k, strategy),
-        _ => parallel_pass_join(&dataset, j.k, strategy),
-    });
+    let (pairs, wall) = time(|| parallel_pass_join(&dataset, j.k, args::pool(j.threads)));
     eprintln!(
-        "{} join, k = {}: {} pairs in {:.3}s",
-        j.algo,
+        "pass join, k = {}: {} pairs in {:.3}s",
         j.k,
         pairs.len(),
         wall.as_secs_f64()

@@ -51,20 +51,22 @@ fn generate_search_verify_round_trip() {
         .expect("spawn verify");
     assert!(status.success(), "scan and radix result files differ");
 
-    // Join runs and emits well-formed triples.
+    // Join emits exactly the nested-loop reference's pairs over the same
+    // file, one `left<TAB>right<TAB>distance` line each.
     let output = bin()
-        .args(["join", "--data", data.to_str().unwrap(), "--k", "1"])
+        .args(["join", "--data", data.to_str().unwrap(), "--k", "1", "--threads", "2"])
         .output()
         .expect("spawn join");
     assert!(output.status.success());
-    for line in String::from_utf8_lossy(&output.stdout).lines() {
-        let parts: Vec<&str> = line.split('\t').collect();
-        assert_eq!(parts.len(), 3, "malformed join line {line:?}");
-        let l: u32 = parts[0].parse().unwrap();
-        let r: u32 = parts[1].parse().unwrap();
-        let d: u32 = parts[2].parse().unwrap();
-        assert!(l < r && d <= 1);
-    }
+    let dataset = simsearch_data::io::read_dataset(&data).unwrap();
+    let expected: String = simsearch_core::join::nested_loop_join(&dataset, 1)
+        .iter()
+        .map(|p| format!("{}\t{}\t{}\n", p.left, p.right, p.distance))
+        .collect();
+    assert!(!expected.is_empty(), "the corpus has near-duplicate pairs");
+    assert_eq!(String::from_utf8_lossy(&output.stdout), expected);
+    let summary = format!("pass join, k = 1: {} pairs in ", expected.lines().count());
+    assert!(String::from_utf8_lossy(&output.stderr).starts_with(&summary));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,25 +1,30 @@
 //! String similarity self-join: all record pairs within edit distance
-//! `k`.
+//! `k` — the venue's other competition track (the EDBT/ICDT 2013
+//! *String Similarity Search/Join* competition the paper was written
+//! for).
 //!
-//! The venue of the paper was the EDBT/ICDT 2013 *String Similarity
-//! Search/Join* competition; this module covers the join half with the
-//! same contenders the paper pits against each other:
+//! [`pass_join`] is exact PASS-JOIN (Li et al.): every record is split
+//! into `k + 1` even segments, an inverted index maps `(record length,
+//! segment position, segment bytes)` to record ids, and each record
+//! probes the index with the substrings selected by the position/length
+//! filters. By pigeonhole, `k` edits can corrupt at most `k` of `k + 1`
+//! segments, so one segment of the shorter string always survives
+//! verbatim inside the longer — candidate generation is lossless and
+//! the banded kernel keeps it exact.
 //!
-//! * [`nested_loop_join`] — the quadratic baseline (with the length
-//!   filter), the oracle for the others;
-//! * [`sorted_join`] — the paper's §6 "sorting" idea applied to joins:
-//!   records sorted by length, so each record only meets the window of
-//!   records within `±k` length;
-//! * [`index_join`] — probe a compressed trie with every record, the
-//!   index-based contender;
-//! * [`parallel_sorted_join`] — the sorted join under a fixed pool.
-//!
-//! All functions return pairs `(left, right)` with `left < right`,
-//! sorted, so results are directly comparable.
+//! [`nested_loop_join`] is the quadratic reference (with the length
+//! filter) PASS-JOIN is gated against pair-for-pair
+//! (`tests/join_oracle.rs`). Both return pairs `(left, right)` with
+//! `left < right`, sorted, so results are directly comparable.
 
+use std::collections::HashMap;
+
+// One partition function for the join's segment index and the sorted
+// view's segment postings: it lives beside the view.
+pub use simsearch_data::even_partitions;
 use simsearch_data::{Dataset, RecordId};
 use simsearch_distance::{ed_within_banded_with, ed_within_early_abort_with};
-use simsearch_parallel::{run_queries, Strategy};
+use simsearch_parallel::{chunk_ranges, run_queries, Strategy};
 
 /// One matching pair of a self-join (`left < right`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -32,7 +37,7 @@ pub struct JoinPair {
     pub distance: u32,
 }
 
-pub(crate) fn normalize(mut pairs: Vec<JoinPair>) -> Vec<JoinPair> {
+fn normalize(mut pairs: Vec<JoinPair>) -> Vec<JoinPair> {
     pairs.sort_unstable();
     pairs.dedup();
     pairs
@@ -63,156 +68,182 @@ pub fn nested_loop_join(dataset: &Dataset, k: u32) -> Vec<JoinPair> {
     normalize(out)
 }
 
-/// Length-sorted self-join: after sorting by length, a record only has to
-/// meet the contiguous window of records whose length differs by at most
-/// `k` (the paper's §6 "pre-sorting by length" answered for joins).
+/// Counters describing one partition-join execution, surfaced through
+/// the daemon's `STATS` JSON.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JoinStats {
+    /// Result pairs emitted (after normalization).
+    pub pairs_emitted: u64,
+    /// Candidate pairs handed to the verification kernel (after
+    /// candidate dedup).
+    pub candidates_verified: u64,
+    /// Distinct keys in the inverted segment index.
+    pub seg_buckets: u64,
+    /// Postings in the inverted segment index (one per record per
+    /// segment).
+    pub seg_postings: u64,
+}
+
+/// Inverted segment index: `(record length, segment position, segment
+/// bytes)` → ids of the records that carry that segment there. Borrowed
+/// straight from the dataset arena — building it copies nothing.
+struct SegmentIndex<'a> {
+    buckets: HashMap<(u32, u32, &'a [u8]), Vec<RecordId>>,
+    postings: u64,
+}
+
+fn build_segment_index(dataset: &Dataset, k: u32) -> SegmentIndex<'_> {
+    let mut buckets: HashMap<(u32, u32, &[u8]), Vec<RecordId>> = HashMap::new();
+    let mut postings = 0u64;
+    for (id, record) in dataset.iter() {
+        for (seg, &(start, len)) in even_partitions(record.len(), k).iter().enumerate() {
+            buckets
+                .entry((record.len() as u32, seg as u32, &record[start..start + len]))
+                .or_default()
+                .push(id);
+            postings += 1;
+        }
+    }
+    SegmentIndex { buckets, postings }
+}
+
+/// Probes the index with one record, appending verified pairs to `out`.
+/// Returns the number of candidates verified.
+///
+/// Each unordered pair is generated exactly once: the longer record
+/// probes for the shorter's segments (`l ≤ lr`), and at equal length
+/// only candidates with a smaller id are accepted.
+fn probe_record(
+    dataset: &Dataset,
+    index: &SegmentIndex<'_>,
+    i: RecordId,
+    k: u32,
+    rows: &mut Vec<u32>,
+    cand: &mut Vec<RecordId>,
+    out: &mut Vec<JoinPair>,
+) -> u64 {
+    let r = dataset.get(i);
+    let lr = r.len();
+    cand.clear();
+    for l in lr.saturating_sub(k as usize)..=lr {
+        let delta = (lr - l) as isize;
+        for (seg, (p, li)) in even_partitions(l, k).iter().copied().enumerate() {
+            // Substring selection (the multi-match-aware position
+            // filter): if ed ≤ k, some error-free segment `seg` of the
+            // shorter string has at most `seg` edits before it and at
+            // most `k − seg` after, so its copy inside `r` starts
+            // within both windows below.
+            let p = p as isize;
+            let seg_i = seg as isize;
+            let slack = k as isize - seg_i;
+            let lo = (p - seg_i).max(p + delta - slack).max(0);
+            let hi = (p + seg_i).min(p + delta + slack).min((lr - li) as isize);
+            let mut pos = lo;
+            while pos <= hi {
+                let sub = &r[pos as usize..pos as usize + li];
+                if let Some(ids) = index.buckets.get(&(l as u32, seg as u32, sub)) {
+                    if l < lr {
+                        cand.extend_from_slice(ids);
+                    } else {
+                        // Same length: ids are in ascending order, keep
+                        // the prefix below the probe so each pair is
+                        // counted by its larger id only.
+                        let cut = ids.partition_point(|&j| j < i);
+                        cand.extend_from_slice(&ids[..cut]);
+                    }
+                }
+                pos += 1;
+            }
+        }
+    }
+    cand.sort_unstable();
+    cand.dedup();
+    for &j in cand.iter() {
+        if let Some(d) = ed_within_banded_with(rows, dataset.get(j), r, k) {
+            out.push(JoinPair {
+                left: i.min(j),
+                right: i.max(j),
+                distance: d,
+            });
+        }
+    }
+    cand.len() as u64
+}
+
+/// How many contiguous probe/verify chunks to fan a join out into: a
+/// few chunks per worker so the dynamic executors can balance, one for
+/// the sequential path.
+fn job_count(strategy: Strategy, n: usize) -> usize {
+    let threads = match strategy {
+        Strategy::Sequential => 1,
+        Strategy::ThreadPerQuery => 8,
+        Strategy::FixedPool { threads } | Strategy::WorkQueue { threads } => threads,
+        Strategy::Adaptive { max_threads } => max_threads,
+    };
+    (threads * 4).clamp(1, n.max(1))
+}
+
+/// Exact PASS-JOIN under the given executor strategy, with its
+/// [`JoinStats`].
+pub fn pass_join_with_stats(
+    dataset: &Dataset,
+    k: u32,
+    strategy: Strategy,
+) -> (Vec<JoinPair>, JoinStats) {
+    let index = build_segment_index(dataset, k);
+    let n = dataset.len();
+    // Fan the probe side out in contiguous id ranges (§11's data-chunk
+    // scheduling — one level of parallelism, no nested pools); each
+    // range keeps its DP rows and candidate scratch across records.
+    let jobs = chunk_ranges(n, job_count(strategy, n));
+    let jobs = &jobs;
+    let index = &index;
+    let chunks: Vec<(Vec<JoinPair>, u64)> = run_queries(strategy, jobs.len(), |c| {
+        let mut rows = Vec::new();
+        let mut cand = Vec::new();
+        let mut out = Vec::new();
+        let mut verified = 0u64;
+        for i in jobs[c].clone() {
+            verified += probe_record(dataset, index, i as RecordId, k, &mut rows, &mut cand, &mut out);
+        }
+        (out, verified)
+    });
+    let mut pairs = Vec::new();
+    let mut verified = 0u64;
+    for (chunk, v) in chunks {
+        pairs.extend(chunk);
+        verified += v;
+    }
+    let pairs = normalize(pairs);
+    let stats = JoinStats {
+        pairs_emitted: pairs.len() as u64,
+        candidates_verified: verified,
+        seg_buckets: index.buckets.len() as u64,
+        seg_postings: index.postings,
+    };
+    (pairs, stats)
+}
+
+/// Exact PASS-JOIN, sequential.
+///
 /// # Examples
 ///
 /// ```
-/// use simsearch_core::join::sorted_join;
+/// use simsearch_core::join::pass_join;
 /// use simsearch_data::Dataset;
 ///
 /// let ds = Dataset::from_records(["Bonn", "Born", "Ulm"]);
-/// let pairs = sorted_join(&ds, 1);
+/// let pairs = pass_join(&ds, 1);
 /// assert_eq!(pairs.len(), 1);
 /// assert_eq!((pairs[0].left, pairs[0].right, pairs[0].distance), (0, 1, 1));
 /// ```
-pub fn sorted_join(dataset: &Dataset, k: u32) -> Vec<JoinPair> {
-    let order = length_order(dataset);
-    let mut rows = Vec::new();
-    let mut out = Vec::new();
-    for (pos, &i) in order.iter().enumerate() {
-        let a = dataset.get(i);
-        for &j in &order[pos + 1..] {
-            let b = dataset.get(j);
-            if b.len() - a.len() > k as usize {
-                break; // sorted: every later record is longer still
-            }
-            if let Some(d) = ed_within_banded_with(&mut rows, a, b, k) {
-                out.push(JoinPair {
-                    left: i.min(j),
-                    right: i.max(j),
-                    distance: d,
-                });
-            }
-        }
-    }
-    normalize(out)
+pub fn pass_join(dataset: &Dataset, k: u32) -> Vec<JoinPair> {
+    pass_join_with_stats(dataset, k, Strategy::Sequential).0
 }
 
-/// Index-based self-join: build the compressed trie once and probe it
-/// with every record; a pair is kept by its smaller side only.
-pub fn index_join(dataset: &Dataset, k: u32) -> Vec<JoinPair> {
-    let radix = simsearch_index::radix::build(dataset);
-    let mut out = Vec::new();
-    for (i, record) in dataset.iter() {
-        for m in radix.search(record, k).iter() {
-            if m.id > i {
-                out.push(JoinPair {
-                    left: i,
-                    right: m.id,
-                    distance: m.distance,
-                });
-            }
-        }
-    }
-    normalize(out)
-}
-
-/// [`sorted_join`] with the probe loop distributed over an executor
-/// strategy.
-pub fn parallel_sorted_join(dataset: &Dataset, k: u32, strategy: Strategy) -> Vec<JoinPair> {
-    let order = length_order(dataset);
-    let order = &order;
-    let chunks: Vec<Vec<JoinPair>> = run_queries(strategy, order.len(), |pos| {
-        let i = order[pos];
-        let a = dataset.get(i);
-        let mut rows = Vec::new();
-        let mut local = Vec::new();
-        for &j in &order[pos + 1..] {
-            let b = dataset.get(j);
-            if b.len() - a.len() > k as usize {
-                break;
-            }
-            if let Some(d) = ed_within_banded_with(&mut rows, a, b, k) {
-                local.push(JoinPair {
-                    left: i.min(j),
-                    right: i.max(j),
-                    distance: d,
-                });
-            }
-        }
-        local
-    });
-    normalize(chunks.into_iter().flatten().collect())
-}
-
-/// One matching pair of an R×S join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CrossPair {
-    /// Record id in the left dataset.
-    pub left: RecordId,
-    /// Record id in the right dataset.
-    pub right: RecordId,
-    /// Edit distance between the two records.
-    pub distance: u32,
-}
-
-/// R×S similarity join: all pairs `(l ∈ left, r ∈ right)` with
-/// `ed(l, r) ≤ k`, via an index on the right side probed by every left
-/// record (the standard index-nested-loop join). Pairs are sorted by
-/// `(left, right)`.
-pub fn cross_index_join(
-    left: &Dataset,
-    right: &Dataset,
-    k: u32,
-    strategy: Strategy,
-) -> Vec<CrossPair> {
-    let radix = simsearch_index::radix::build(right);
-    let chunks: Vec<Vec<CrossPair>> = run_queries(strategy, left.len(), |i| {
-        let l = i as RecordId;
-        radix
-            .search(left.get(l), k)
-            .iter()
-            .map(|m| CrossPair {
-                left: l,
-                right: m.id,
-                distance: m.distance,
-            })
-            .collect()
-    });
-    let mut pairs: Vec<CrossPair> = chunks.into_iter().flatten().collect();
-    pairs.sort_unstable();
-    pairs
-}
-
-/// Quadratic R×S reference join.
-pub fn cross_nested_loop_join(left: &Dataset, right: &Dataset, k: u32) -> Vec<CrossPair> {
-    let mut rows = Vec::new();
-    let mut out = Vec::new();
-    for (l, a) in left.iter() {
-        for (r, b) in right.iter() {
-            if a.len().abs_diff(b.len()) > k as usize {
-                continue;
-            }
-            if let Some(d) = ed_within_early_abort_with(&mut rows, a, b, k) {
-                out.push(CrossPair {
-                    left: l,
-                    right: r,
-                    distance: d,
-                });
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Record ids sorted by (length, id).
-fn length_order(dataset: &Dataset) -> Vec<RecordId> {
-    let mut order: Vec<RecordId> = (0..dataset.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| (dataset.record_len(i), i));
-    order
+/// [`pass_join`] under an executor strategy.
+pub fn parallel_pass_join(dataset: &Dataset, k: u32, strategy: Strategy) -> Vec<JoinPair> {
+    pass_join_with_stats(dataset, k, strategy).0
 }
 
 #[cfg(test)]
@@ -245,56 +276,16 @@ mod tests {
     }
 
     #[test]
-    fn all_join_algorithms_agree() {
-        let ds = sample();
-        for k in 0..4 {
-            let reference = nested_loop_join(&ds, k);
-            assert_eq!(sorted_join(&ds, k), reference, "sorted, k={k}");
-            assert_eq!(index_join(&ds, k), reference, "index, k={k}");
-            assert_eq!(
-                parallel_sorted_join(&ds, k, Strategy::FixedPool { threads: 3 }),
-                reference,
-                "parallel, k={k}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_and_singleton_datasets() {
         assert!(nested_loop_join(&Dataset::new(), 2).is_empty());
         let one = Dataset::from_records(["solo"]);
-        assert!(sorted_join(&one, 2).is_empty());
-        assert!(index_join(&one, 2).is_empty());
-    }
-
-    #[test]
-    fn cross_join_matches_nested_loop() {
-        let left = Dataset::from_records(["Bern", "Ulm", "Xxx"]);
-        let right = Dataset::from_records(["Berlin", "Bern", "Ulmen", "Born"]);
-        for k in 0..4 {
-            assert_eq!(
-                cross_index_join(&left, &right, k, Strategy::Sequential),
-                cross_nested_loop_join(&left, &right, k),
-                "k={k}"
-            );
-        }
-        let pairs = cross_index_join(&left, &right, 1, Strategy::FixedPool { threads: 2 });
-        assert!(pairs.contains(&CrossPair { left: 0, right: 1, distance: 0 }));
-        assert!(pairs.contains(&CrossPair { left: 0, right: 3, distance: 1 }));
-    }
-
-    #[test]
-    fn cross_join_with_empty_sides() {
-        let ds = Dataset::from_records(["x"]);
-        let empty = Dataset::new();
-        assert!(cross_index_join(&empty, &ds, 2, Strategy::Sequential).is_empty());
-        assert!(cross_index_join(&ds, &empty, 2, Strategy::Sequential).is_empty());
+        assert!(pass_join(&one, 2).is_empty());
     }
 
     #[test]
     fn zero_threshold_joins_exact_duplicates_only() {
         let ds = Dataset::from_records(["x", "x", "y", "x"]);
-        let pairs = sorted_join(&ds, 0);
+        let pairs = pass_join(&ds, 0);
         assert_eq!(
             pairs,
             vec![
@@ -303,5 +294,68 @@ mod tests {
                 JoinPair { left: 1, right: 3, distance: 0 },
             ]
         );
+    }
+
+    #[test]
+    fn pass_join_agrees_with_nested_loop_on_sample() {
+        let ds = sample();
+        for k in 0..4 {
+            let reference = nested_loop_join(&ds, k);
+            assert_eq!(pass_join(&ds, k), reference, "pass, k={k}");
+            assert_eq!(
+                parallel_pass_join(&ds, k, Strategy::FixedPool { threads: 3 }),
+                reference,
+                "parallel pass, k={k}"
+            );
+        }
+    }
+
+    /// Exhaustive cross-check on a dense space of tiny strings, where
+    /// every edge of the substring-selection windows gets exercised:
+    /// all strings over {a, b} up to length 5, k up to 3.
+    #[test]
+    fn pass_join_is_exact_on_the_dense_binary_cube() {
+        let mut records: Vec<String> = vec![String::new()];
+        let mut frontier = vec![String::new()];
+        for _ in 0..5 {
+            let mut next = Vec::new();
+            for s in &frontier {
+                for c in ['a', 'b'] {
+                    let mut t = s.clone();
+                    t.push(c);
+                    next.push(t);
+                }
+            }
+            records.extend(next.iter().cloned());
+            frontier = next;
+        }
+        let ds = Dataset::from_records(records.iter().map(|s| s.as_str()));
+        for k in 0..4 {
+            let reference = nested_loop_join(&ds, k);
+            assert_eq!(pass_join(&ds, k), reference, "pass, k={k}");
+        }
+    }
+
+    #[test]
+    fn stats_account_for_the_run() {
+        let ds = sample();
+        let (pairs, stats) = pass_join_with_stats(&ds, 1, Strategy::Sequential);
+        assert_eq!(stats.pairs_emitted, pairs.len() as u64);
+        assert!(stats.candidates_verified >= stats.pairs_emitted);
+        // 8 records × 2 segments each.
+        assert_eq!(stats.seg_postings, 16);
+        assert!(stats.seg_buckets > 0 && stats.seg_buckets <= 16);
+    }
+
+    #[test]
+    fn degenerate_inputs() {
+        assert!(pass_join(&Dataset::new(), 2).is_empty());
+        let one = Dataset::from_records(["solo"]);
+        assert!(pass_join(&one, 2).is_empty());
+        // k beyond every length: all pairs match.
+        let tiny = Dataset::from_records(["a", "bc", ""]);
+        let reference = nested_loop_join(&tiny, 9);
+        assert_eq!(reference.len(), 3);
+        assert_eq!(pass_join(&tiny, 9), reference);
     }
 }

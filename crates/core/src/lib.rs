@@ -23,9 +23,8 @@
 //! * [`report`] — table rendering in the shape of the paper's appendix;
 //! * [`presets`] — the standard synthetic datasets and workloads;
 //! * [`join`] — the similarity self-join (the venue's other competition
-//!   track), scan- and index-based;
-//! * [`passjoin`] — the sub-quadratic join tier: exact PASS-JOIN over
-//!   an inverted segment index;
+//!   track): exact PASS-JOIN over an inverted segment index, and the
+//!   nested-loop reference it is tested against;
 //! * [`topk`] — nearest-neighbour search by iterative deepening;
 //! * [`lsm`] — live ingest: [`lsm::LiveEngine`] puts an append-only
 //!   memtable and tombstone set in front of immutable sorted segments, so
@@ -39,7 +38,6 @@ pub mod engine;
 pub mod experiment;
 pub mod join;
 pub mod lsm;
-pub mod passjoin;
 pub mod planner;
 pub mod presets;
 pub mod report;
@@ -61,9 +59,8 @@ pub use planner::{
     BackendChoice, CellSample, CostEstimate, Observation, PlanDecision, Planner, QueryClass,
     MIN_CELL_OBSERVATIONS,
 };
-pub use join::{CrossPair, JoinPair};
-pub use passjoin::{
-    even_partitions, parallel_pass_join, pass_join, pass_join_with_stats, JoinStats,
+pub use join::{
+    even_partitions, parallel_pass_join, pass_join, pass_join_with_stats, JoinPair, JoinStats,
 };
 pub use topk::{search_top_k, search_top_k_with};
 pub use experiment::{

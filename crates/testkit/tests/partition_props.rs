@@ -1,5 +1,5 @@
 //! Property tests for the partition scheme behind the similarity join
-//! (`simsearch_core::passjoin`) and the sorted view's segment postings:
+//! (`simsearch_core::join`) and the sorted view's segment postings:
 //! PASS-JOIN's even k+1 split.
 //!
 //! The partitioner's contract is purely structural — segments tile the

@@ -2,14 +2,15 @@
 //! competition the paper was written for: find *all pairs* of records
 //! within edit distance k (e.g. deduplicating a gazetteer).
 //!
-//! Compares the three join strategies and prints a sample of the
-//! discovered near-duplicate pairs.
+//! Times PASS-JOIN, sequential and on a pool of four threads, against
+//! the nested-loop oracle and prints a sample of the discovered
+//! near-duplicate pairs.
 //!
 //! ```sh
 //! cargo run --release --example similarity_join
 //! ```
 
-use simsearch::core::join::{index_join, nested_loop_join, parallel_sorted_join, sorted_join};
+use simsearch::core::join::{nested_loop_join, parallel_pass_join, pass_join};
 use simsearch::core::{experiment::time, Strategy};
 use simsearch::core::presets;
 
@@ -19,21 +20,18 @@ fn main() {
     println!("joining {} city names at k = 1 ...\n", ds.len());
 
     let (reference, t_nested) = time(|| nested_loop_join(ds, 1));
-    let (sorted, t_sorted) = time(|| sorted_join(ds, 1));
-    let (indexed, t_index) = time(|| index_join(ds, 1));
+    let (pass, t_pass) = time(|| pass_join(ds, 1));
     let (parallel, t_par) = time(|| {
-        parallel_sorted_join(ds, 1, Strategy::FixedPool { threads: 4 })
+        parallel_pass_join(ds, 1, Strategy::FixedPool { threads: 4 })
     });
-    assert_eq!(sorted, reference, "sorted join diverged");
-    assert_eq!(indexed, reference, "index join diverged");
-    assert_eq!(parallel, reference, "parallel join diverged");
+    assert_eq!(pass, reference, "PASS-JOIN diverged");
+    assert_eq!(parallel, reference, "parallel PASS-JOIN diverged");
 
     println!("{:<22} {:>10}", "algorithm", "time");
     for (name, t) in [
         ("nested loop", t_nested),
-        ("length-sorted", t_sorted),
-        ("index (radix probe)", t_index),
-        ("sorted + pool(4)", t_par),
+        ("PASS-JOIN", t_pass),
+        ("PASS-JOIN + pool(4)", t_par),
     ] {
         println!("{:<22} {:>8.1} ms", name, t.as_secs_f64() * 1e3);
     }
