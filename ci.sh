@@ -361,6 +361,25 @@ echo "$stats" | grep -q '"plan_epoch": '
 echo "$stats" | grep -q '"records": 2012,'
 drain_daemon
 
+# Compaction over the wire: two live shards with an 8-slot memtable take
+# 40 inserts, so each one flushes and merges while it serves. STATS must
+# count at least two compaction steps, and the first insert, long out
+# of its memtable, must still answer its exact-match query and delete
+# once.
+boot_daemon --data "$smoke_dir/city.data" --live --shards 2 --memtable-cap 8
+i=0
+while [ "$i" -lt 40 ]; do
+    "$SIMSEARCH" client --port "$port" --send "INSERT zz#compact-$i" >/dev/null
+    i=$((i + 1))
+done
+stats=$("$SIMSEARCH" client --port "$port" --check-stats-json --send 'STATS')
+compactions=$(echo "$stats" | grep -o '"compactions": [0-9]*' | grep -o '[0-9]*$')
+test "$compactions" -ge 2
+"$SIMSEARCH" client --port "$port" --send 'QUERY 0 zz#compact-0' | grep -qx 'OK 1 2000:0'
+"$SIMSEARCH" client --port "$port" --send 'DELETE 2000' | grep -qx 'OK deleted'
+"$SIMSEARCH" client --port "$port" --send 'DELETE 2000' | grep -qx 'OK absent'
+drain_daemon
+
 # A len partitioner cannot route live inserts: the daemon must refuse
 # to boot, with a message naming the fix, before binding a port.
 if "$SIMSEARCH" serve --data "$smoke_dir/city.data" --live --shards 2 \

@@ -16,8 +16,9 @@
 //!   ([`simsearch_scan::v7_search_view`] for short records,
 //!   [`simsearch_scan::v8_search_view`] for long ones);
 //! * reads union memtable-first results across segments with the
-//!   sharded executor's k-way [`merge_match_sets`] over disjoint,
-//!   strictly-increasing global-id tables ([`remap_to_global`]).
+//!   sharded executor's k-way [`merge_match_sets`]: a segment's view
+//!   holds its records under their global ids, so it answers in them,
+//!   and only the memtable's slots are remapped ([`remap_to_global`]).
 //!
 //! # Id space and tombstones
 //!
@@ -26,10 +27,10 @@
 //! in exactly one place (the memtable or one segment), which is what
 //! makes the k-way merge's disjointness invariant hold. Deletes are
 //! tombstones: the id goes into a set that masks memtable slots before
-//! the kernel runs and filters segment results after remapping.
-//! Tombstones always refer to physically present records — compaction
-//! is the only thing that makes a record vanish, and it removes the
-//! tombstones it elides in the same atomic swap.
+//! the kernel runs and filters segment results after it. Tombstones
+//! always refer to physically present records — compaction is the only
+//! thing that makes a record vanish, and it removes the tombstones it
+//! elides in the same atomic swap.
 //!
 //! # Snapshot semantics
 //!
@@ -44,14 +45,19 @@
 //! [`LiveEngine::maybe_compact`] runs one step: **memtable → segment**
 //! when the memtable reaches [`LsmConfig::memtable_cap`], otherwise the
 //! first two segments sharing a size tier (⌊log₂ len⌋) merge
-//! **segment × segment**. Both elide tombstoned records. The expensive
-//! part — sorting a new [`SortedView`] — happens *outside* the lock on
-//! cloned data; the installed swap is a write-lock critical section, so
-//! concurrent readers see either the old or the new segment set,
-//! atomically. A `Mutex` serialises compactors, which is what makes the
-//! plan→build→swap sequence sound: writers may append to the memtable
-//! or add tombstones while a compaction builds, but nothing else can
-//! remove the frozen prefix or restructure the segment list under it.
+//! **segment × segment**. Both elide tombstoned records, and both build
+//! the new [`SortedView`] with [`SortedView::from_records`] from borrowed
+//! `(id, record)` pairs: a flush from the memtable's live slots (a
+//! snapshot of it, taken under the read lock), a merge from the two
+//! input views' [`SortedView::iter`] chained, so no merge routine is
+//! needed and each record is copied once, into the new arena. That
+//! build happens *outside* the lock; the installed swap is a write-lock
+//! critical section, so concurrent readers see either the old or the new
+//! segment set, atomically. A `Mutex` serialises compactors, which is
+//! what makes the plan→build→swap sequence sound: writers may append to
+//! the memtable or add tombstones while a compaction builds, but nothing
+//! else can remove the frozen prefix or restructure the segment list
+//! under it.
 
 use crate::backend::{Backend, BackendDiag};
 use crate::sharded::{merge_match_sets, remap_to_global};
@@ -159,61 +165,53 @@ impl SegmentArm {
     }
 }
 
-/// One immutable sorted segment: a prepared [`SortedView`], the kernel
-/// that sweeps it, and the strictly-increasing table mapping its local
-/// ids to global ids.
+/// One immutable sorted segment: a prepared [`SortedView`] over its
+/// records under their global ids, those ids ascending, and the kernel
+/// that sweeps it.
 struct Segment {
-    /// The segment's records, local ids `0..n` in ascending global-id
-    /// order (so `globals` is strictly increasing and remapping a local
-    /// result preserves id order — the merge invariant).
-    data: Dataset,
-    /// The prepared sorted view over `data`.
+    /// The segment's records, sorted, each under its global id — so a
+    /// sweep answers in global ids.
     view: SortedView,
-    /// Local id `i` ↔ global id `globals[i]`.
-    globals: Vec<RecordId>,
+    /// The view's permutation, ascending: what `delete` searches and
+    /// `tier` counts.
+    ids: Vec<RecordId>,
     /// The kernel this segment answers with, from its own mean record
     /// length.
     arm: SegmentArm,
 }
 
 impl Segment {
-    /// Builds a segment from records already in ascending global-id
-    /// order. Returns `None` for the empty set (no empty segments are
-    /// ever installed).
-    fn build(data: Dataset, globals: Vec<RecordId>) -> Option<Arc<Self>> {
-        debug_assert_eq!(data.len(), globals.len());
-        debug_assert!(globals.windows(2).all(|w| w[0] < w[1]));
-        if globals.is_empty() {
+    /// Builds a segment from `(global id, record)` pairs in any order.
+    /// Returns `None` for the empty set (no empty segments are ever
+    /// installed).
+    fn build<'r>(records: impl IntoIterator<Item = (RecordId, &'r [u8])>) -> Option<Arc<Self>> {
+        let view = SortedView::from_records(records);
+        if view.is_empty() {
             return None;
         }
-        let view = SortedView::build(&data);
-        let arm = SegmentArm::for_mean_len(data.arena_len() / globals.len());
+        let mut ids = view.permutation().to_vec();
+        ids.sort_unstable();
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        let arm = SegmentArm::for_mean_len(view.sorted_dataset().arena_len() / ids.len());
         if arm == SegmentArm::BitParallel {
             // Built with the segment, not inside its first query.
             view.prepare_signature();
         }
-        Some(Arc::new(Self {
-            data,
-            view,
-            globals,
-            arm,
-        }))
+        Some(Arc::new(Self { view, ids, arm }))
     }
 
     /// Size tier for segment×segment compaction: ⌊log₂ len⌋.
     fn tier(&self) -> u32 {
-        usize::BITS - 1 - self.globals.len().leading_zeros()
+        usize::BITS - 1 - self.ids.len().leading_zeros()
     }
 
-    /// Search with the segment's arm, remapped to global ids
-    /// (tombstones are the caller's concern — they filter *after*
-    /// remapping).
+    /// Search with the segment's arm, in global ids (tombstones are the
+    /// caller's concern).
     fn search(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        let (local, cells) = match self.arm {
+        match self.arm {
             SegmentArm::Sorted => v7_search_view(&self.view, query, k),
             SegmentArm::BitParallel => v8_search_view(&self.view, query, k),
-        };
-        (remap_to_global(&local, &self.globals), cells)
+        }
     }
 }
 
@@ -308,41 +306,33 @@ impl LiveEngine {
     /// `i`, and the whole load is flushed into one prepared segment so
     /// serving starts on the sorted sweep rather than a giant memtable.
     pub fn from_dataset(dataset: &Dataset, cfg: LsmConfig) -> Self {
-        let globals: Vec<RecordId> = (0..dataset.len() as u32).collect();
-        let next_id = dataset.len() as u32;
-        Self::seeded(dataset.clone(), globals, next_id, cfg)
+        let ids: Vec<RecordId> = (0..dataset.len() as u32).collect();
+        Self::seeded(dataset, &ids, dataset.len() as u32, cfg)
     }
 
     /// Seeds an engine holding an arbitrary slice of a larger id space:
-    /// `data` record `i` gets global id `globals[i]` (strictly
-    /// increasing), and fresh inserts continue from `next_id`. This is
-    /// how a sharded composite loads each shard with its partition of
-    /// the seed dataset while keeping one global id space.
-    pub fn seeded(
-        data: Dataset,
-        globals: Vec<RecordId>,
-        next_id: RecordId,
-        cfg: LsmConfig,
-    ) -> Self {
-        assert_eq!(data.len(), globals.len(), "one global id per record");
+    /// the records of `dataset` named by `ids` (strictly increasing),
+    /// each under its own id, and fresh inserts continue from `next_id`.
+    /// This is how a sharded composite loads each shard with its
+    /// partition of the seed dataset while keeping one global id space.
+    pub fn seeded(dataset: &Dataset, ids: &[RecordId], next_id: RecordId, cfg: LsmConfig) -> Self {
         assert!(
-            globals.windows(2).all(|w| w[0] < w[1]),
-            "seed globals must be strictly increasing"
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "seed ids must be strictly increasing"
         );
         assert!(
-            globals.last().is_none_or(|&g| g < next_id),
+            ids.last().is_none_or(|&g| g < next_id),
             "next_id must be past every seeded id"
         );
-        let seeded = globals.len() as u64;
         let engine = Self::new(cfg);
         {
             let mut inner = engine.inner.write().expect("lsm lock");
             inner.next_id = next_id;
-            if let Some(segment) = Segment::build(data, globals) {
+            if let Some(segment) = Segment::build(ids.iter().map(|&id| (id, dataset.get(id)))) {
                 inner.segments.push(segment);
             }
         }
-        engine.inserts.store(seeded, Ordering::Relaxed);
+        engine.inserts.store(ids.len() as u64, Ordering::Relaxed);
         engine
     }
 
@@ -389,7 +379,7 @@ impl LiveEngine {
             || inner
                 .segments
                 .iter()
-                .any(|s| s.globals.binary_search(&id).is_ok());
+                .any(|s| s.ids.binary_search(&id).is_ok());
         if !present {
             return false;
         }
@@ -413,17 +403,12 @@ impl LiveEngine {
         parts.push(remap_to_global(&mem_local, &inner.mem_ids));
         let mut cells = 0u64;
         for segment in &inner.segments {
-            let (remapped, segment_cells) = segment.search(query, k);
+            let (found, segment_cells) = segment.search(query, k);
             cells += segment_cells;
             // Segments hold tombstoned records until compaction elides
-            // them; filter after remapping to global ids.
-            parts.push(MatchSet::from_unsorted(
-                remapped
-                    .iter()
-                    .filter(|m| !inner.tombstones.contains(&m.id))
-                    .copied()
-                    .collect(),
-            ));
+            // them.
+            let live = found.iter().filter(|m| !inner.tombstones.contains(&m.id));
+            parts.push(live.copied().collect());
         }
         (merge_match_sets(&parts), cells)
     }
@@ -431,7 +416,7 @@ impl LiveEngine {
     /// A point-in-time summary (one read-lock acquisition).
     pub fn stats(&self) -> LiveStats {
         let inner = self.inner.read().expect("lsm lock");
-        let segment_records: usize = inner.segments.iter().map(|s| s.globals.len()).sum();
+        let segment_records: usize = inner.segments.iter().map(|s| s.ids.len()).sum();
         LiveStats {
             memtable_len: inner.mem_ids.len(),
             segments: inner.segments.len(),
@@ -502,28 +487,16 @@ impl LiveEngine {
 
         // Build the replacement segment lock-free, then swap.
         match plan {
-            Plan::Flush {
-                frozen,
-                ids,
-                tombs,
-            } => {
+            Plan::Flush { frozen, ids, tombs } => {
                 let frozen_len = ids.len();
-                let mut data = Dataset::with_capacity(frozen.len(), frozen.arena_len());
-                let mut globals = Vec::with_capacity(frozen.len());
-                let mut elided: Vec<RecordId> = Vec::new();
-                // Memtable slots are already in ascending global-id
-                // order; tombstoned slots are elided here and their
-                // tombstones dropped at swap time.
-                for (slot, id) in ids.iter().enumerate() {
-                    if tombs.contains(id) {
-                        elided.push(*id);
-                    } else {
-                        data.push(frozen.get(slot as u32));
-                        globals.push(*id);
-                    }
-                }
-                let segment = Segment::build(data, globals);
-
+                // Tombstoned slots are elided here and their tombstones
+                // dropped at swap time.
+                let segment = Segment::build(
+                    ids.iter()
+                        .enumerate()
+                        .filter(|(_, id)| !tombs.contains(id))
+                        .map(|(slot, &id)| (id, frozen.get(slot as u32))),
+                );
                 let mut inner = self.inner.write().expect("lsm lock");
                 // The compaction gate guarantees the frozen prefix is
                 // still the memtable's prefix: writers only append.
@@ -537,70 +510,42 @@ impl LiveEngine {
                 if let Some(segment) = segment {
                     inner.segments.push(segment);
                 }
-                for id in &elided {
+                for id in ids.iter().filter(|id| tombs.contains(id)) {
                     inner.tombstones.remove(id);
                 }
                 self.compactions.fetch_add(1, Ordering::Relaxed);
-                true
             }
             Plan::Merge { a, b, tombs } => {
-                // Two-pointer merge of two strictly-increasing id
-                // tables (disjoint by the one-place-per-id invariant),
-                // eliding tombstoned records.
-                let mut data =
-                    Dataset::with_capacity(a.data.len() + b.data.len(), a.data.arena_len() + b.data.arena_len());
-                let mut globals = Vec::with_capacity(a.globals.len() + b.globals.len());
-                let mut elided: Vec<RecordId> = Vec::new();
-                let (mut i, mut j) = (0usize, 0usize);
-                loop {
-                    let take_a = match (a.globals.get(i), b.globals.get(j)) {
-                        (Some(x), Some(y)) => x < y,
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => break,
-                    };
-                    let (seg, pos) = if take_a { (&*a, i) } else { (&*b, j) };
-                    let id = seg.globals[pos];
-                    if tombs.contains(&id) {
-                        elided.push(id);
-                    } else {
-                        data.push(seg.data.get(pos as u32));
-                        globals.push(id);
-                    }
-                    if take_a {
-                        i += 1;
-                    } else {
-                        j += 1;
-                    }
-                }
-                let merged = Segment::build(data, globals);
-
+                // Both inputs' records, minus the tombstoned ones: their
+                // view is the merged segment.
+                let merged = Segment::build(
+                    a.view
+                        .iter()
+                        .chain(b.view.iter())
+                        .filter(|(id, _)| !tombs.contains(id)),
+                );
                 let mut inner = self.inner.write().expect("lsm lock");
                 // Only compaction restructures the segment list, and
                 // the gate serialises compactions — both inputs must
                 // still be installed.
-                let pos_a = inner
-                    .segments
-                    .iter()
-                    .position(|s| Arc::ptr_eq(s, &a))
-                    .expect("merge input a vanished");
-                inner.segments.remove(pos_a);
-                let pos_b = inner
-                    .segments
-                    .iter()
-                    .position(|s| Arc::ptr_eq(s, &b))
-                    .expect("merge input b vanished");
-                inner.segments.remove(pos_b);
+                for input in [&a, &b] {
+                    let pos = inner
+                        .segments
+                        .iter()
+                        .position(|s| Arc::ptr_eq(s, input))
+                        .expect("merge input vanished");
+                    inner.segments.remove(pos);
+                }
                 if let Some(merged) = merged {
                     inner.segments.push(merged);
                 }
-                for id in &elided {
+                for id in a.ids.iter().chain(&b.ids).filter(|id| tombs.contains(id)) {
                     inner.tombstones.remove(id);
                 }
                 self.compactions.fetch_add(1, Ordering::Relaxed);
-                true
             }
         }
+        true
     }
 }
 
@@ -620,11 +565,14 @@ impl Backend for LiveEngine {
     fn diag(&self) -> BackendDiag {
         let stats = self.stats();
         let inner = self.inner.read().expect("lsm lock");
-        let bytes: usize = inner.mem.arena_len()
+        // The memtable's arena, offsets and ids; each segment's view and
+        // ids.
+        let memtable = inner.mem.arena_len() + 4 * (inner.mem.len() + 1) + 4 * inner.mem_ids.len();
+        let bytes = memtable
             + inner
                 .segments
                 .iter()
-                .map(|s| s.data.arena_len() * 2 + s.globals.len() * 4)
+                .map(|s| s.view.heap_bytes() + 4 * s.ids.len())
                 .sum::<usize>();
         BackendDiag {
             name: self.name(),
@@ -662,7 +610,6 @@ mod tests {
     use super::*;
     use crate::engine::{EngineKind, SearchEngine};
     use crate::topk::search_top_k_with;
-    use simsearch_data::Match;
     use simsearch_scan::SeqVariant;
 
     /// The oracle: a fresh V1 engine over the surviving records, its
@@ -784,6 +731,65 @@ mod tests {
     }
 
     #[test]
+    fn a_merged_segment_is_the_view_of_its_survivors() {
+        // Two flushes of four, with "Ulm" and "Bern" in both; one record
+        // of each flush is tombstoned before the two segments merge.
+        let words: [&[u8]; 8] = [
+            b"Ulm", b"Bern", b"Berlin", b"", b"Bern", b"Bonn", b"Ulm", b"Ulmen",
+        ];
+        let engine = LiveEngine::new(LsmConfig { memtable_cap: 4 });
+        for w in words {
+            engine.insert(w);
+            if engine.stats().memtable_len == 4 {
+                assert!(engine.maybe_compact(), "flush at cap");
+            }
+        }
+        assert!(engine.delete(2) && engine.delete(7));
+        assert_eq!(engine.compact_to_quiescence(), 1, "one merge");
+        {
+            let inner = engine.inner.read().expect("lsm lock");
+            let [merged] = &inner.segments[..] else {
+                panic!("{} segments", inner.segments.len());
+            };
+            let fresh = SortedView::from_records(
+                (0u32..).zip(words).filter(|(id, _)| ![2, 7].contains(id)),
+            );
+            assert!(merged.view.iter().eq(fresh.iter()), "ids and records");
+            assert!((0..fresh.len()).all(|pos| merged.view.lcp(pos) == fresh.lcp(pos)));
+            assert!(merged.ids.windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(merged.ids, [0, 1, 3, 4, 5, 6]);
+            assert_eq!(inner.tombstones.len(), 0, "both elided");
+        }
+        assert!(engine.delete(4), "an id the merge moved");
+        assert!(!engine.delete(4));
+        assert_eq!(engine.search(b"Bern", 0).ids(), vec![1]);
+    }
+
+    #[test]
+    fn diag_counts_the_bytes_the_engine_holds() {
+        // "name0" to "name999": 6,890 bytes of arena in one V7 segment,
+        // which builds no signature.
+        let data = Dataset::from_records((0..1000).map(|i| format!("name{i}")));
+        let engine = LiveEngine::from_dataset(&data, LsmConfig::default());
+        // The view's arena, 1,001 offsets, perm, lcp and lens; the
+        // segment's ids; the empty memtable's one offset.
+        let seeded = 6_890 + 4 * 1_001 + 3 * 4 * 1_000 + 4 * 1_000 + 4;
+        assert_eq!(engine.diag().structure, Some((1, seeded)));
+        // An insert: six bytes of arena, one offset, one id.
+        engine.insert(b"Berlin");
+        assert_eq!(engine.diag().structure, Some((1, seeded + 6 + 4 + 4)));
+        // A V8 segment counts the signature it built with itself.
+        let long: Vec<Vec<u8>> = (0..100).map(|i| vec![b'a' + i % 26; 100]).collect();
+        let engine = LiveEngine::from_dataset(&Dataset::from_records(&long), LsmConfig::default());
+        let signature = engine.inner.read().expect("lsm lock").segments[0]
+            .view
+            .signature_bytes();
+        assert!(signature > 0);
+        let held = 100 * 100 + 4 * 101 + 3 * 4 * 100 + signature + 4 * 100 + 4;
+        assert_eq!(engine.diag().structure, Some((1, held)));
+    }
+
+    #[test]
     fn a_segment_picks_its_kernel_from_its_own_record_lengths() {
         // Long records over a wide alphabet: every flushed or merged
         // segment takes the bit-parallel arm — and builds its signature
@@ -820,7 +826,7 @@ mod tests {
         assert!(engine.delete(2), "tombstone a segment record");
         survivors.retain(|(id, _)| *id != 2);
         agrees(&engine, &survivors, "two segments + memtable");
-        assert_eq!(engine.compact_to_quiescence(), 1, "the same-tier pair merges");
+        assert_eq!(engine.compact_to_quiescence(), 1, "one merge");
         {
             let inner = engine.inner.read().expect("live lock");
             assert_eq!(inner.segments.len(), 1);
@@ -852,16 +858,8 @@ mod tests {
         }
         assert!(engine.delete(2));
         survivors.retain(|(id, _)| *id != 2);
-        let data = Dataset::from_records(survivors.iter().map(|(_, r)| r.as_slice()));
-        let globals: Vec<RecordId> = survivors.iter().map(|(id, _)| *id).collect();
-        let v1 = SearchEngine::build(&data, EngineKind::Scan(SeqVariant::V1Base));
-        let v1 = v1.backend();
         for k in [1usize, 3, 10] {
-            let (want_local, _) = search_top_k_with(|r| v1.search_counting(b"Bern", r), k, 16);
-            let want: Vec<Match> = want_local
-                .iter()
-                .map(|m| Match::new(globals[m.id as usize], m.distance))
-                .collect();
+            let (want, _) = search_top_k_with(|r| (oracle(&survivors, b"Bern", r), 0), k, 16);
             let (got, _) = search_top_k_with(|r| engine.search_counting(b"Bern", r), k, 16);
             assert_eq!(got, want, "k={k}");
         }

@@ -366,22 +366,19 @@ impl ShardedBackend {
         }
         // Seed partition: the same pure routing function every later
         // insert uses, so a restart re-routes identically.
-        let mut parts: Vec<(Dataset, Vec<RecordId>)> =
-            (0..s).map(|_| (Dataset::new(), Vec::new())).collect();
+        let mut parts: Vec<Vec<RecordId>> = vec![Vec::new(); s];
         let mut owner = Vec::with_capacity(dataset.len());
-        for id in 0..dataset.len() as u32 {
-            let record = dataset.get(id);
+        for (id, record) in dataset.iter() {
             let target = route_record(record, s);
             owner.push(target as u8);
-            parts[target].0.push(record);
-            parts[target].1.push(id);
+            parts[target].push(id);
         }
         let next_id = dataset.len() as u32;
         let shards = parts
-            .into_iter()
-            .map(|(data, globals)| {
+            .iter()
+            .map(|ids| {
                 Shard::new(ShardEngine::Live(LiveEngine::seeded(
-                    data, globals, next_id, cfg,
+                    dataset, ids, next_id, cfg,
                 )))
             })
             .collect();

@@ -539,9 +539,10 @@ impl Selection {
 /// A dataset re-ordered lexicographically, with adjacency metadata.
 ///
 /// Positions (`0..len()`) address records in *sorted* order; every match
-/// is translated back to the insertion-order [`RecordId`] via
-/// [`SortedView::original_id`], so result sets stay comparable with every
-/// other engine.
+/// is translated back to its record's [`RecordId`] via
+/// [`SortedView::original_id`] — the insertion index for
+/// [`SortedView::build`], the caller's id for [`SortedView::from_records`]
+/// — so result sets stay comparable with every other engine.
 ///
 /// # Examples
 ///
@@ -559,7 +560,9 @@ impl Selection {
 pub struct SortedView {
     /// Records remapped into one contiguous arena in sorted order.
     sorted: Dataset,
-    /// `perm[pos]` = insertion-order id of the record at sorted `pos`.
+    /// `perm[pos]` = id of the record at sorted `pos`: its insertion
+    /// index for [`SortedView::build`], the caller's for
+    /// [`SortedView::from_records`].
     perm: Vec<RecordId>,
     /// `lcp[pos]` = length of the longest common prefix of the records at
     /// sorted positions `pos - 1` and `pos`; `lcp[0] = 0`.
@@ -584,24 +587,47 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 }
 
 impl SortedView {
-    /// Sorts the dataset (ties broken by insertion id, so the permutation
-    /// is deterministic), remaps the arena, and computes the LCP array.
+    /// The view of a whole dataset, record `i` under id `i`:
+    /// [`SortedView::from_records`] over [`Dataset::iter`].
     pub fn build(dataset: &Dataset) -> Self {
-        let mut perm: Vec<RecordId> = (0..dataset.len() as u32).collect();
-        perm.sort_by(|&a, &b| dataset.get(a).cmp(dataset.get(b)).then(a.cmp(&b)));
-        let mut sorted = Dataset::with_capacity(dataset.len(), dataset.arena_len());
-        let mut lcp = Vec::with_capacity(dataset.len());
-        let mut lens = Vec::with_capacity(dataset.len());
-        for (pos, &id) in perm.iter().enumerate() {
-            let record = dataset.get(id);
-            lcp.push(if pos == 0 {
-                0
-            } else {
-                common_prefix(sorted.get(pos as u32 - 1), record) as u32
-            });
+        Self::from_records(dataset.iter())
+    }
+
+    /// Sorts `(id, record)` pairs by record, ties broken by id (so the
+    /// permutation is deterministic whatever order they come in), copies
+    /// the records into one arena in that order and computes the LCP
+    /// array. The ids are the caller's: they come back from
+    /// [`SortedView::original_id`] and out of every sweep unchanged. Two
+    /// views' [`SortedView::iter`] chained give the view of their union,
+    /// as a fresh build over it would.
+    pub fn from_records<'r>(records: impl IntoIterator<Item = (RecordId, &'r [u8])>) -> Self {
+        let mut pairs: Vec<(&[u8], RecordId)> = records
+            .into_iter()
+            .map(|(id, record)| (record, id))
+            .collect();
+        // Pairs that compare equal are identical, so the unstable sort's
+        // order is the stable one; and it allocates nothing.
+        pairs.sort_unstable();
+        let bytes = pairs.iter().map(|(record, _)| record.len()).sum();
+        let mut sorted = Dataset::with_capacity(pairs.len(), bytes);
+        let mut perm = Vec::with_capacity(pairs.len());
+        let mut lcp = Vec::with_capacity(pairs.len());
+        let mut lens = Vec::with_capacity(pairs.len());
+        let mut prev: &[u8] = &[];
+        for &(record, id) in &pairs {
+            perm.push(id);
+            lcp.push(common_prefix(prev, record) as u32);
             lens.push(record.len() as u32);
             sorted.push(record);
+            prev = record;
         }
+        // Shrunk rather than freed: glibc raises its mmap threshold for
+        // good when it frees a mapped block larger than the threshold (a
+        // shrink is an `mremap`), and one such free — this buffer, 24
+        // bytes a record, or a stable sort's scratch — kept 16 MB more of
+        // the `dna_serve` set-up resident (DESIGN §12).
+        pairs.clear();
+        pairs.shrink_to(1);
         Self {
             sorted,
             perm,
@@ -641,14 +667,14 @@ impl SortedView {
         self.lcp[pos] as usize
     }
 
-    /// Translates a sorted position back to the insertion-order id.
+    /// Translates a sorted position back to its record's id.
     #[inline]
     pub fn original_id(&self, pos: usize) -> RecordId {
         self.perm[pos]
     }
 
-    /// The permutation table: `permutation()[pos]` is the insertion-order
-    /// id of the record at sorted position `pos`.
+    /// The permutation table: `permutation()[pos]` is the id of the
+    /// record at sorted position `pos`.
     pub fn permutation(&self) -> &[RecordId] {
         &self.perm
     }
@@ -685,6 +711,14 @@ impl SortedView {
             Some(Selection::Postings(postings)) => postings.bytes(),
             _ => 0,
         }
+    }
+
+    /// Heap bytes the view holds right now: the arena and its offsets,
+    /// `perm`, `lcp` and `lens`, plus [`SortedView::signature_bytes`] and
+    /// [`SortedView::postings_bytes`].
+    pub fn heap_bytes(&self) -> usize {
+        let columns = 4 * (self.len() + 1) + 12 * self.len();
+        self.sorted.arena_len() + columns + self.signature_bytes() + self.postings_bytes()
     }
 
     /// The positions in `range` whose records equal `query`: two binary
@@ -863,7 +897,8 @@ impl SortedView {
         &self.sorted
     }
 
-    /// Iterates `(original_id, record)` pairs in sorted order.
+    /// Iterates `(original_id, record)` pairs in sorted order — the input
+    /// shape of [`SortedView::from_records`].
     pub fn iter(&self) -> impl Iterator<Item = (RecordId, &[u8])> + '_ {
         (0..self.len()).map(move |pos| (self.perm[pos], self.get(pos)))
     }

@@ -1,6 +1,8 @@
 //! Property tests for [`SortedView`]: the permutation is a bijection,
 //! the LCP array is exact, and id translation round-trips — the
-//! invariants the V7 sorted-prefix scan's correctness rests on — and
+//! invariants the V7 sorted-prefix scan's correctness rests on — a view
+//! built from records in any order, or from two views chained, sweeps
+//! like a fresh build over the same records, and
 //! candidate selection is sound: no record within `k` of the query is
 //! filtered out, whatever the alphabet, the range or the threshold —
 //! by the occupancy planes and the bigram column over a large alphabet,
@@ -94,18 +96,83 @@ fn id_translation_round_trips() {
     );
 }
 
+/// Checks that `got` sweeps exactly like `want`: the same records in the
+/// same order, the same `lcp` column and the same `(pos, shared)` visits
+/// for every query at `k` from 0 to 3. The ids are the caller's to
+/// compare.
+fn sweeps_alike(got: &SortedView, want: &SortedView, queries: &[&[u8]]) -> TestResult {
+    prop_assert_eq!(got.len(), want.len());
+    for pos in 0..want.len() {
+        let at = |sv: &SortedView| (sv.get(pos).to_vec(), sv.lcp(pos), sv.record_len(pos));
+        prop_assert_eq!(at(got), at(want), "pos {}", pos);
+    }
+    let visits = |sv: &SortedView, query: &[u8], k: u32| {
+        let mut visits = Vec::new();
+        sv.for_each_candidate(query, k, 0..sv.len(), |pos, shared| {
+            visits.push((pos, shared))
+        });
+        visits
+    };
+    for (query, k) in queries.iter().flat_map(|&q| (0..=3).map(move |k| (q, k))) {
+        prop_assert_eq!(visits(got, query, k), visits(want, query, k), "k = {}", k);
+    }
+    Ok(())
+}
+
 #[test]
-fn build_is_deterministic() {
+fn from_records_is_build_in_any_order_and_over_any_merge() {
     check(
-        "build_is_deterministic",
-        Config::cases(30).seed(SEED),
-        &corpus(),
-        |words| {
-            let ds = Dataset::from_records(words);
-            let a = SortedView::build(&ds);
-            let b = SortedView::build(&ds);
-            prop_assert_eq!(a.permutation(), b.permutation());
-            Ok(())
+        "from_records_is_build_in_any_order_and_over_any_merge",
+        Config::cases(120).seed(SEED),
+        // Names, which carry the occupancy planes, or DNA reads, which
+        // carry the segment postings once one is long enough to cut.
+        &gen::zip(
+            gen::one_of(vec![
+                gen::vec_of(gen::bytes_from(gen::NAMES, 0..12), 0..60),
+                gen::vec_of(gen::dna_string(0..40), 0..60),
+            ]),
+            gen::u64_any(),
+        ),
+        |(words, seed)| {
+            let mut rng = Xoshiro256::seed_from_u64(*seed);
+            // Every other word twice: duplicates, which the split below
+            // puts into both inputs as often as not.
+            let mut records: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
+            records.extend(words.iter().step_by(2).map(Vec::as_slice));
+            let ds = Dataset::from_records(&records);
+            let built = SortedView::build(&ds);
+            let mut queries: Vec<&[u8]> = records.iter().take(3).copied().collect();
+            queries.extend([&b""[..], b"aB"]);
+
+            // Any input order.
+            let mut pairs: Vec<(u32, &[u8])> = ds.iter().collect();
+            rng.shuffle(&mut pairs);
+            let shuffled = SortedView::from_records(pairs);
+            prop_assert_eq!(shuffled.permutation(), built.permutation());
+            sweeps_alike(&shuffled, &built, &queries)?;
+
+            // Two views under sparse ids — either may be empty — chained,
+            // minus none, some or all of the ids.
+            let pairs: Vec<(u32, &[u8])> = ds.iter().map(|(id, r)| (3 * id + 7, r)).collect();
+            let (into_a, dropped) = (rng.index(5), [0, 1, 3][rng.index(3)]);
+            let (a, b): (Vec<_>, Vec<_>) = pairs.iter().partition(|_| rng.index(4) < into_a);
+            let (a, b) = (SortedView::from_records(a), SortedView::from_records(b));
+            let gone: Vec<u32> = pairs
+                .iter()
+                .map(|p| p.0)
+                .filter(|_| rng.index(3) < dropped)
+                .collect();
+            let kept = |&(id, _): &(u32, &[u8])| gone.binary_search(&id).is_err();
+            let merged = SortedView::from_records(a.iter().chain(b.iter()).filter(kept));
+            let survivors: Vec<(u32, &[u8])> = pairs.into_iter().filter(kept).collect();
+            let rebuilt = SortedView::build(&Dataset::from_records(survivors.iter().map(|p| p.1)));
+            let ids: Vec<u32> = rebuilt
+                .permutation()
+                .iter()
+                .map(|&i| survivors[i as usize].0)
+                .collect();
+            prop_assert_eq!(merged.permutation(), &ids[..]);
+            sweeps_alike(&merged, &rebuilt, &queries)
         },
     );
 }

@@ -14,7 +14,7 @@ use simsearch_distance::{
     RowStackMode,
 };
 use simsearch_filters::FilterChain;
-use simsearch_parallel::{chunk_ranges, run_queries, Strategy};
+use simsearch_parallel::{run_queries, Strategy};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -125,65 +125,11 @@ impl<'a> SequentialScan<'a> {
         })
     }
 
-    /// Executes a workload under rung V7 with an explicit executor —
-    /// query-level parallelism; every query owns its row stack, so all
-    /// strategies are trivially race-free.
-    pub fn run_v7(&self, strategy: Strategy, workload: &Workload) -> Vec<MatchSet> {
-        self.prepare(SeqVariant::V7SortedPrefix);
-        run_queries(strategy, workload.len(), |i| {
-            let q = &workload.queries[i];
-            self.v7_search(&q.text, q.threshold).0
-        })
-    }
-
     /// Rung V7 for one query: walk the sorted view once, resuming the
     /// row-stack DP at the running LCP minimum. Returns the matches and
     /// the number of DP cells computed (for diagnostics).
     pub fn v7_search(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
         v7_search_view(self.sorted_view(), query, k)
-    }
-
-    /// Rung V7 with intra-query data parallelism: the sorted view is cut
-    /// into `chunks` contiguous ranges ([`chunk_ranges`]) and each range
-    /// is scanned with its own row stack — DP state restarts (shared
-    /// prefix 0) at every chunk boundary, so any executor is correct.
-    pub fn v7_search_parallel(
-        &self,
-        query: &[u8],
-        k: u32,
-        strategy: Strategy,
-        chunks: usize,
-    ) -> MatchSet {
-        let sv = self.sorted_view();
-        let ranges = chunk_ranges(sv.len(), chunks.max(1));
-        let parts = run_queries(strategy, ranges.len(), |i| {
-            let mut dp = RowStackKernel::new(RowStackMode::Banded, query, k);
-            self.v7_scan_range(&mut dp, query, k, ranges[i].clone())
-        });
-        MatchSet::from_unsorted(parts.into_iter().flatten().collect())
-    }
-
-    /// The V7 inner loop over one contiguous range of sorted positions.
-    /// Delegates to [`v7_scan_view_range`] over the lazily built view.
-    fn v7_scan_range(
-        &self,
-        dp: &mut RowStackKernel,
-        query: &[u8],
-        k: u32,
-        range: Range<usize>,
-    ) -> Vec<Match> {
-        v7_scan_view_range(self.sorted_view(), dp, query, k, range)
-    }
-
-    /// Executes a workload under rung V8 with an explicit executor —
-    /// query-level parallelism; every query compiles its own Peq table
-    /// and block stack, so all strategies are trivially race-free.
-    pub fn run_v8(&self, strategy: Strategy, workload: &Workload) -> Vec<MatchSet> {
-        self.prepare(SeqVariant::V8BitParallel);
-        run_queries(strategy, workload.len(), |i| {
-            let q = &workload.queries[i];
-            self.v8_search(&q.text, q.threshold).0
-        })
     }
 
     /// Rung V8 for one query: sweep the sorted view once with the
@@ -192,27 +138,6 @@ impl<'a> SequentialScan<'a> {
     /// cells the advanced words represent (for diagnostics).
     pub fn v8_search(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
         v8_search_view(self.sorted_view(), query, k)
-    }
-
-    /// Rung V8 with intra-query data parallelism: the sorted view is cut
-    /// into `chunks` contiguous ranges ([`chunk_ranges`]) and each range
-    /// is swept with its own Peq table and block stack — DP state
-    /// restarts (shared prefix 0) at every chunk boundary, so any
-    /// executor is correct.
-    pub fn v8_search_parallel(
-        &self,
-        query: &[u8],
-        k: u32,
-        strategy: Strategy,
-        chunks: usize,
-    ) -> MatchSet {
-        let sv = self.sorted_view();
-        let ranges = chunk_ranges(sv.len(), chunks.max(1));
-        let parts = run_queries(strategy, ranges.len(), |i| {
-            let mut dp = MyersStackKernel::new(query, k);
-            v8_scan_view_range(sv, &mut dp, query, k, ranges[i].clone())
-        });
-        MatchSet::from_unsorted(parts.into_iter().flatten().collect())
     }
 
     /// Rung 1: owned copies of query and candidate per comparison, naive
@@ -552,42 +477,24 @@ mod tests {
         assert!(scan.owned.get().is_some());
     }
 
-    #[test]
-    fn v7_agrees_under_every_executor_and_chunking() {
-        let ds = dataset();
-        let scan = SequentialScan::new(&ds);
-        let workload = Workload {
-            queries: vec![
-                QueryRecord::new("Berlin", 2),
-                QueryRecord::new("Ulm", 1),
-                QueryRecord::new("", 1),
-                QueryRecord::new("zzz", 3),
-            ],
-        };
-        let baseline = scan.run(SeqVariant::V1Base, &workload);
-        for strategy in [
-            Strategy::Sequential,
-            Strategy::ThreadPerQuery,
-            Strategy::FixedPool { threads: 3 },
-            Strategy::WorkQueue { threads: 3 },
-            Strategy::Adaptive { max_threads: 3 },
-        ] {
-            assert_eq!(scan.run_v7(strategy, &workload), baseline, "{}", strategy.name());
-            for chunks in [1, 2, 7, 64] {
-                for (q, expected) in workload.queries.iter().zip(&baseline) {
-                    assert_eq!(
-                        &scan.v7_search_parallel(&q.text, q.threshold, strategy, chunks),
-                        expected,
-                        "{} chunks={chunks}",
-                        strategy.name()
-                    );
-                }
-            }
-        }
+    /// The V7 and V8 sweeps of `sv` cut into `chunks` ranges
+    /// (`chunk_ranges`), a fresh kernel on each: every cut a range start
+    /// and a range end, where the shared prefix restarts from nothing.
+    fn chunked(sv: &SortedView, query: &[u8], k: u32, chunks: usize) -> [MatchSet; 2] {
+        let ranges = simsearch_parallel::chunk_ranges(sv.len(), chunks);
+        let v7 = ranges.iter().flat_map(|range| {
+            let mut dp = RowStackKernel::new(RowStackMode::Banded, query, k);
+            v7_scan_view_range(sv, &mut dp, query, k, range.clone())
+        });
+        let v8 = ranges.iter().flat_map(|range| {
+            let mut dp = MyersStackKernel::new(query, k);
+            v8_scan_view_range(sv, &mut dp, query, k, range.clone())
+        });
+        [v7.collect(), v8.collect()]
     }
 
     #[test]
-    fn v8_agrees_under_every_executor_and_chunking() {
+    fn v7_and_v8_agree_under_every_executor_and_chunking() {
         let ds = dataset();
         let scan = SequentialScan::new(&ds);
         let workload = Workload {
@@ -606,16 +513,19 @@ mod tests {
             Strategy::WorkQueue { threads: 3 },
             Strategy::Adaptive { max_threads: 3 },
         ] {
-            assert_eq!(scan.run_v8(strategy, &workload), baseline, "{}", strategy.name());
-            for chunks in [1, 2, 7, 64] {
-                for (q, expected) in workload.queries.iter().zip(&baseline) {
-                    assert_eq!(
-                        &scan.v8_search_parallel(&q.text, q.threshold, strategy, chunks),
-                        expected,
-                        "{} chunks={chunks}",
-                        strategy.name()
-                    );
-                }
+            for variant in [SeqVariant::V7SortedPrefix, SeqVariant::V8BitParallel] {
+                let got = run_queries(strategy, workload.len(), |i| {
+                    let q = &workload.queries[i];
+                    scan.search_one(variant, &q.text, q.threshold)
+                });
+                assert_eq!(got, baseline, "{variant:?} under {}", strategy.name());
+            }
+        }
+        for chunks in [1, 2, 7, 64] {
+            for (q, expected) in workload.queries.iter().zip(&baseline) {
+                let [v7, v8] = chunked(scan.sorted_view(), &q.text, q.threshold, chunks);
+                assert_eq!(&v7, expected, "V7 chunks={chunks}");
+                assert_eq!(&v8, expected, "V8 chunks={chunks}");
             }
         }
     }
@@ -666,11 +576,9 @@ mod tests {
                         let context = format!("{} symbols, {size} records, k={k}", alphabet.len());
                         assert_eq!(scan.v8_search(q, k).0, expected, "{context} q={q:?}");
                         for chunks in [3, 7, 65] {
-                            assert_eq!(
-                                scan.v8_search_parallel(q, k, Strategy::Sequential, chunks),
-                                expected,
-                                "{context} chunks={chunks} q={q:?}"
-                            );
+                            let [v7, v8] = chunked(scan.sorted_view(), q, k, chunks);
+                            assert_eq!(v7, expected, "V7 {context} chunks={chunks} q={q:?}");
+                            assert_eq!(v8, expected, "{context} chunks={chunks} q={q:?}");
                         }
                     }
                 }
@@ -679,28 +587,28 @@ mod tests {
     }
 
     #[test]
-    fn v8_reuses_words_across_shared_prefixes() {
-        // Records with long shared prefixes: block resume must advance
-        // fewer words than restarting every record at the empty stack.
+    fn v7_and_v8_reuse_work_across_shared_prefixes() {
+        // Records with long shared prefixes: resuming at the shared prefix
+        // must cost V7 fewer cells and V8 fewer words than restarting
+        // every record from scratch (one range per record).
         let ds = Dataset::from_records([
             "prefix_aaa", "prefix_aab", "prefix_abb", "prefix_bbb", "prefix_bbc",
         ]);
-        let scan = SequentialScan::new(&ds);
-        let sv = scan.sorted_view();
-        let mut reuse = MyersStackKernel::new(b"prefix_abc", 3);
-        v8_scan_view_range(sv, &mut reuse, b"prefix_abc", 3, 0..sv.len());
-        let mut scratch_words = 0;
-        for pos in 0..sv.len() {
-            let mut dp = MyersStackKernel::new(b"prefix_abc", 3);
-            v8_scan_view_range(sv, &mut dp, b"prefix_abc", 3, pos..pos + 1);
-            scratch_words += dp.words_advanced();
-        }
-        assert!(
-            reuse.words_advanced() < scratch_words,
-            "reuse {} vs scratch {scratch_words}",
-            reuse.words_advanced()
-        );
-        assert!(reuse.words_reused() > 0);
+        let sv = SortedView::build(&ds);
+        let (query, k) = (b"prefix_abc", 3);
+        let sweep = |range: Range<usize>| {
+            let mut v7 = RowStackKernel::new(RowStackMode::Banded, query, k);
+            let mut v8 = MyersStackKernel::new(query, k);
+            v7_scan_view_range(&sv, &mut v7, query, k, range.clone());
+            v8_scan_view_range(&sv, &mut v8, query, k, range);
+            (v7.cells_computed(), v8.words_advanced(), v8.words_reused())
+        };
+        let (cells, words, reused) = sweep(0..sv.len());
+        let scratch = (0..sv.len()).map(|pos| sweep(pos..pos + 1));
+        let (scratch_cells, scratch_words) = scratch.fold((0, 0), |(c, w), s| (c + s.0, w + s.1));
+        assert!(cells < scratch_cells, "V7 {cells} vs {scratch_cells}");
+        assert!(words < scratch_words, "V8 {words} vs {scratch_words}");
+        assert!(reused > 0);
     }
 
     #[test]
@@ -856,27 +764,6 @@ mod tests {
         }
         assert_eq!(sv.signature_bytes(), 0);
         assert!(sv.postings_bytes() > 0);
-    }
-
-    #[test]
-    fn v7_counts_fewer_cells_than_it_would_from_scratch() {
-        // Records with long shared prefixes: LCP reuse must save cells
-        // versus restarting every record at row zero (chunks = n).
-        let ds = Dataset::from_records([
-            "prefix_aaa", "prefix_aab", "prefix_abb", "prefix_bbb", "prefix_bbc",
-        ]);
-        let scan = SequentialScan::new(&ds);
-        let (_, reused_cells) = scan.v7_search(b"prefix_abc", 3);
-        let mut scratch_cells = 0;
-        for pos in 0..scan.sorted_view().len() {
-            let mut dp = RowStackKernel::new(RowStackMode::Banded, b"prefix_abc", 3);
-            scan.v7_scan_range(&mut dp, b"prefix_abc", 3, pos..pos + 1);
-            scratch_cells += dp.cells_computed();
-        }
-        assert!(
-            reused_cells < scratch_cells,
-            "reuse {reused_cells} vs scratch {scratch_cells}"
-        );
     }
 
     #[test]

@@ -207,6 +207,7 @@ fn scan_and_indexes_agree_on_dna_workload() {
 
 #[test]
 fn v7_matches_the_v1_oracle_under_every_executor() {
+    use simsearch_core::{EngineKind, SearchEngine};
     use simsearch_parallel::Strategy;
     use simsearch_scan::{SeqVariant, SequentialScan};
 
@@ -218,6 +219,7 @@ fn v7_matches_the_v1_oracle_under_every_executor() {
         assert_eq!(workload.len(), 1_000);
         let scan = SequentialScan::new(&dataset);
         let baseline = scan.run(SeqVariant::V1Base, &workload);
+        let v7 = SearchEngine::build(&dataset, EngineKind::Scan(SeqVariant::V7SortedPrefix));
         let mut strategies = vec![Strategy::Sequential, Strategy::ThreadPerQuery];
         for threads in [1, 4, 8] {
             strategies.push(Strategy::FixedPool { threads });
@@ -226,7 +228,7 @@ fn v7_matches_the_v1_oracle_under_every_executor() {
         }
         for strategy in strategies {
             assert_eq!(
-                scan.run_v7(strategy, &workload),
+                v7.run_with_strategy(&workload, strategy),
                 baseline,
                 "{name} under {}",
                 strategy.name()
