@@ -771,9 +771,10 @@ mod tests {
         // which builds no signature.
         let data = Dataset::from_records((0..1000).map(|i| format!("name{i}")));
         let engine = LiveEngine::from_dataset(&data, LsmConfig::default());
-        // The view's arena, 1,001 offsets, perm, lcp and lens; the
-        // segment's ids; the empty memtable's one offset.
-        let seeded = 6_890 + 4 * 1_001 + 3 * 4 * 1_000 + 4 * 1_000 + 4;
+        // The view's arena, 1,001 offsets, perm, lcp and the band table
+        // (lengths 0 to 8); the segment's ids; the empty memtable's one
+        // offset.
+        let seeded = 6_890 + 4 * 1_001 + 2 * 4 * 1_000 + 4 * 9 + 4 * 1_000 + 4;
         assert_eq!(engine.diag().structure, Some((1, seeded)));
         // An insert: six bytes of arena, one offset, one id.
         engine.insert(b"Berlin");
@@ -785,7 +786,7 @@ mod tests {
             .view
             .signature_bytes();
         assert!(signature > 0);
-        let held = 100 * 100 + 4 * 101 + 3 * 4 * 100 + signature + 4 * 100 + 4;
+        let held = 100 * 100 + 4 * 101 + 2 * 4 * 100 + 4 * 102 + signature + 4 * 100 + 4;
         assert_eq!(engine.diag().structure, Some((1, held)));
     }
 

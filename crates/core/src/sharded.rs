@@ -483,9 +483,17 @@ impl Backend for ShardedBackend {
     }
 
     fn diag(&self) -> BackendDiag {
+        // What the shards' own structures hold, summed (a shard that owns
+        // none counts nothing).
+        let bytes = self
+            .shard_diags()
+            .iter()
+            .filter_map(|d| d.structure)
+            .map(|(_, bytes)| bytes)
+            .sum();
         BackendDiag {
             name: self.name(),
-            structure: Some((self.shards.len(), 0)),
+            structure: Some((self.shards.len(), bytes)),
             filters: vec!["length", "frequency"],
             plan: None,
         }
@@ -759,6 +767,19 @@ mod tests {
         let total_matches: u64 = stats.iter().map(|s| s.matches).sum();
         let expected_matches: usize = oracle(&ds, &w).iter().map(MatchSet::len).sum();
         assert_eq!(total_matches, expected_matches as u64);
+    }
+
+    #[test]
+    fn a_live_composite_counts_the_bytes_its_shards_hold() {
+        let preset = crate::presets::city(100_000);
+        let engine =
+            ShardedBackend::live(&preset.dataset, 2, ShardBy::Hash, 1, LsmConfig::default())
+                .expect("two hash-routed live shards");
+        let held: usize = (0..2)
+            .map(|i| engine.live_shard(i).diag().structure.expect("a live shard").1)
+            .sum();
+        assert!(held > 100_000, "the shards hold the names");
+        assert_eq!(engine.diag().structure, Some((2, held)));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`freq`] — frequency vectors (paper §6 future work, used by the
 //!   filter crate);
 //! * [`packed`] — 3-bit DNA dictionary compression (paper §6 future work);
-//! * [`sorted`] — lexicographically sorted arena view with an LCP array
+//! * [`sorted`] — length-major sorted arena view with an LCP array
 //!   (the V7 sorted-prefix scan's preprocessing) and the candidate
 //!   selection of the V8 sweep;
 //! * [`partition`] — PASS-JOIN's even partition, shared by the view's

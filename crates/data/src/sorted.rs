@@ -1,17 +1,23 @@
-//! Lexicographically sorted view of a [`Dataset`] with an LCP array.
+//! Length-major sorted view of a [`Dataset`] with an LCP array.
 //!
 //! The paper's trie amortizes DP work across shared prefixes; that
 //! amortization does not require a tree, only *adjacency* of shared
 //! prefixes — which a sorted flat arena provides with strictly
-//! sequential memory access (the same ordering insight sort-based
-//! methods like PASS-JOIN exploit). [`SortedView`] is the one-time
-//! preprocessing behind the V7 scan rung: a permutation table, a
+//! sequential memory access. [`SortedView`] is the one-time
+//! preprocessing behind the V7 and V8 scan rungs: a permutation table, a
 //! remapped contiguous arena in sorted order, and the longest-common-
 //! prefix length between each pair of adjacent records, so a scanner
 //! can resume a row-stack DP at `lcp[i]` instead of row zero.
 //!
+//! The order is PASS-JOIN's: by length first, then by bytes. The paper's
+//! first cut is the length filter `||x| − |y|| > k` (condition (6)),
+//! which its trie applies as a range through per-node length bounds;
+//! here it is a range of positions, [`SortedView::length_band`], read off
+//! a table of where each length starts. A sweep visits that band only
+//! and never tests a record's length.
+//!
 //! The view also selects a sweep's candidates
-//! ([`SortedView::for_each_candidate`]): the length filter, and — built
+//! ([`SortedView::for_each_candidate`]): the length band, and — built
 //! on the first V8 use of a view over a large enough alphabet — a
 //! bit-sliced *occupancy signature*, the paper's §6 frequency-vector
 //! filter generalised from five vowels to every symbol. Each byte hashes
@@ -34,8 +40,8 @@
 //! at most two bigrams of the padded string and adds at most two, so
 //! `ed(q, x) ≤ k` leaves at most `2k` buckets of `P(q)` outside `P(x)`
 //! and as many the other way. Each plane survivor is tested against that
-//! bound — two popcounts on one word — before its length is, its shared
-//! prefix is worked out or the kernel sees it.
+//! bound — two popcounts on one word — before its shared prefix is
+//! worked out or the kernel sees it.
 //!
 //! Over a tiny alphabet (DNA) every record occupies every bucket and the
 //! planes are not built; what the same lazy cell builds there instead is
@@ -65,12 +71,13 @@ const BUCKETS: usize = 64;
 /// total* carries no signature. On such an alphabet (DNA: `ACGTN`, five
 /// buckets) nearly every record occupies every bucket, the filter
 /// rejects next to nothing and its sweep is pure overhead — so
-/// [`SortedView::for_each_candidate`] runs the length filter alone
+/// [`SortedView::for_each_candidate`] runs the length band alone
 /// there. A property of the data, observed once at build time.
 const TINY_ALPHABET_BUCKETS: u32 = 8;
 
-/// Past this gap between two consecutive candidates, their shared prefix
-/// is read off the two records instead of folded over the `lcp` column.
+/// Past this gap between two consecutive candidates of one length, their
+/// shared prefix is read off the two records instead of folded over the
+/// `lcp` column.
 const LCP_FOLD_GAP: usize = 8;
 
 /// `S(bytes)`: the buckets (`0..64`) the bytes hash to, as a bit set —
@@ -248,7 +255,7 @@ impl Signature {
 
 /// The largest threshold the segment postings serve — the paper's
 /// largest DNA threshold (Table I). Past it a sweep runs the length
-/// filter alone.
+/// band alone.
 const SEGMENT_TAU: u32 = 16;
 
 /// Segment hits a record must collect to reach the kernel, at every
@@ -523,7 +530,7 @@ enum Selection {
     /// A tiny alphabet ([`TINY_ALPHABET_BUCKETS`]) and records long
     /// enough to cut: the segment postings.
     Postings(SegmentPostings),
-    /// Neither: the length filter alone.
+    /// Neither: the length band alone.
     LengthOnly,
 }
 
@@ -536,13 +543,15 @@ impl Selection {
     }
 }
 
-/// A dataset re-ordered lexicographically, with adjacency metadata.
+/// A dataset re-ordered by length and then by bytes, with adjacency
+/// metadata.
 ///
 /// Positions (`0..len()`) address records in *sorted* order; every match
 /// is translated back to its record's [`RecordId`] via
 /// [`SortedView::original_id`] — the insertion index for
 /// [`SortedView::build`], the caller's id for [`SortedView::from_records`]
-/// — so result sets stay comparable with every other engine.
+/// — so result sets stay comparable with every other engine. The records
+/// of one length are contiguous ([`SortedView::length_band`]).
 ///
 /// # Examples
 ///
@@ -551,10 +560,12 @@ impl Selection {
 ///
 /// let ds = Dataset::from_records(["Ulm", "Bern", "Berlin"]);
 /// let sv = SortedView::build(&ds);
-/// assert_eq!(sv.get(0), b"Berlin");
+/// assert_eq!(sv.get(0), b"Ulm"); // the shortest first
 /// assert_eq!(sv.get(1), b"Bern");
-/// assert_eq!(sv.lcp(1), 3); // "Ber" shared with "Berlin"
-/// assert_eq!(sv.original_id(0), 2); // "Berlin" was inserted third
+/// assert_eq!(sv.get(2), b"Berlin");
+/// assert_eq!(sv.lcp(2), 3); // "Ber" shared with "Bern"
+/// assert_eq!(sv.original_id(2), 2); // "Berlin" was inserted third
+/// assert_eq!(sv.length_band(4, 1), 0..2); // lengths 3 to 5
 /// ```
 #[derive(Clone, Debug)]
 pub struct SortedView {
@@ -567,10 +578,10 @@ pub struct SortedView {
     /// `lcp[pos]` = length of the longest common prefix of the records at
     /// sorted positions `pos - 1` and `pos`; `lcp[0] = 0`.
     lcp: Vec<u32>,
-    /// `lens[pos]` = record length at sorted `pos`, densely packed so a
-    /// length-filter sweep touches 16 records per cache line instead of
-    /// striding through the (twice as wide) offsets table.
-    lens: Vec<u32>,
+    /// `bands[l]` = the first sorted position whose record is at least
+    /// `l` long, for `l` from 0 to one past the longest record (whose
+    /// entry is `len()`): one entry for the empty view.
+    bands: Vec<u32>,
     /// The selection aid — occupancy planes or segment postings: unset
     /// until the first V8 use (a view only V7 sweeps never pays for it).
     /// Boxed to keep the cell out of the view itself: a `&SortedView`
@@ -593,13 +604,14 @@ impl SortedView {
         Self::from_records(dataset.iter())
     }
 
-    /// Sorts `(id, record)` pairs by record, ties broken by id (so the
-    /// permutation is deterministic whatever order they come in), copies
-    /// the records into one arena in that order and computes the LCP
-    /// array. The ids are the caller's: they come back from
-    /// [`SortedView::original_id`] and out of every sweep unchanged. Two
-    /// views' [`SortedView::iter`] chained give the view of their union,
-    /// as a fresh build over it would.
+    /// Sorts `(id, record)` pairs by record length, then by record bytes,
+    /// ties broken by id (so the permutation is deterministic whatever
+    /// order they come in), copies the records into one arena in that
+    /// order and computes the LCP array and the length bands. The ids are
+    /// the caller's: they come back from [`SortedView::original_id`] and
+    /// out of every sweep unchanged. Two views' [`SortedView::iter`]
+    /// chained give the view of their union, as a fresh build over it
+    /// would.
     pub fn from_records<'r>(records: impl IntoIterator<Item = (RecordId, &'r [u8])>) -> Self {
         let mut pairs: Vec<(&[u8], RecordId)> = records
             .into_iter()
@@ -607,20 +619,23 @@ impl SortedView {
             .collect();
         // Pairs that compare equal are identical, so the unstable sort's
         // order is the stable one; and it allocates nothing.
-        pairs.sort_unstable();
+        pairs.sort_unstable_by(|(a, a_id), (b, b_id)| (a.len(), a, a_id).cmp(&(b.len(), b, b_id)));
         let bytes = pairs.iter().map(|(record, _)| record.len()).sum();
         let mut sorted = Dataset::with_capacity(pairs.len(), bytes);
         let mut perm = Vec::with_capacity(pairs.len());
         let mut lcp = Vec::with_capacity(pairs.len());
-        let mut lens = Vec::with_capacity(pairs.len());
+        let mut bands = Vec::with_capacity(pairs.last().map_or(0, |(record, _)| record.len()) + 2);
         let mut prev: &[u8] = &[];
-        for &(record, id) in &pairs {
+        for (pos, &(record, id)) in pairs.iter().enumerate() {
             perm.push(id);
             lcp.push(common_prefix(prev, record) as u32);
-            lens.push(record.len() as u32);
+            // This record starts every length up to its own that no
+            // earlier record reaches.
+            bands.resize(bands.len().max(record.len() + 1), pos as u32);
             sorted.push(record);
             prev = record;
         }
+        bands.push(pairs.len() as u32);
         // Shrunk rather than freed: glibc raises its mmap threshold for
         // good when it frees a mapped block larger than the threshold (a
         // shrink is an `mremap`), and one such free — this buffer, 24
@@ -632,7 +647,7 @@ impl SortedView {
             sorted,
             perm,
             lcp,
-            lens,
+            bands,
             selection: Box::default(),
         }
     }
@@ -665,6 +680,17 @@ impl SortedView {
     #[inline]
     pub fn lcp(&self, pos: usize) -> usize {
         self.lcp[pos] as usize
+    }
+
+    /// The positions whose records are within `k` of `qlen` in length —
+    /// the only ones the length filter `||x| − |q|| ≤ k` admits — as one
+    /// contiguous run: two lookups in the band table.
+    #[inline]
+    pub fn length_band(&self, qlen: usize, k: u32) -> Range<usize> {
+        // Lengths past the longest record start where it ends.
+        let at = |l: usize| self.bands[l.min(self.bands.len() - 1)] as usize;
+        let k = k as usize;
+        at(qlen.saturating_sub(k))..at(qlen.saturating_add(k).saturating_add(1))
     }
 
     /// Translates a sorted position back to its record's id.
@@ -714,15 +740,16 @@ impl SortedView {
     }
 
     /// Heap bytes the view holds right now: the arena and its offsets,
-    /// `perm`, `lcp` and `lens`, plus [`SortedView::signature_bytes`] and
-    /// [`SortedView::postings_bytes`].
+    /// `perm`, `lcp` and the band table, plus
+    /// [`SortedView::signature_bytes`] and [`SortedView::postings_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        let columns = 4 * (self.len() + 1) + 12 * self.len();
+        let columns = 4 * (self.len() + 1) + 8 * self.len() + 4 * self.bands.len();
         self.sorted.arena_len() + columns + self.signature_bytes() + self.postings_bytes()
     }
 
-    /// The positions in `range` whose records equal `query`: two binary
-    /// searches over the sorted arena (duplicates are adjacent).
+    /// The positions in `range` — inside the band of `query`'s length —
+    /// whose records equal `query`: two binary searches over records of
+    /// one length, which are in byte order (duplicates are adjacent).
     fn equal_range(&self, query: &[u8], range: Range<usize>) -> Range<usize> {
         // First position in `lo..hi` whose record is not `below`.
         let bound = |mut lo: usize, mut hi: usize, below: fn(&[u8], &[u8]) -> bool| {
@@ -745,13 +772,17 @@ impl SortedView {
     /// `range` whose record the filters cannot rule out of
     /// `ed(query, record) ≤ k`, where `shared` is the exact common-prefix
     /// length of that record and the previously visited one (0 for the
-    /// first) — the minimum of `lcp` over the positions skipped in
-    /// between, which is all a resumable kernel may adopt.
+    /// first) — all a resumable kernel may adopt. Between two records of
+    /// one length it is the minimum of `lcp` over the positions in
+    /// between; across a length boundary that minimum is only a lower
+    /// bound, and the two records are compared.
     ///
-    /// At `k = 0` the range is first narrowed to the query's equal range.
-    /// Every record visited passes the length filter, and — where the
-    /// view carries a selection aid (built here on first use; see the
-    /// module docs) — either lacks at most `k` of the query's buckets,
+    /// The range is first cut to the query's [`SortedView::length_band`],
+    /// so every record visited passes the length filter and no record
+    /// outside the band is looked at; at `k = 0` it is then narrowed to
+    /// the query's equal range. Where the view carries a selection aid
+    /// (built here on first use; see the module docs), every record
+    /// visited moreover either lacks at most `k` of the query's buckets,
     /// occupies at most `k` the query does not and differs from it in at
     /// most `2k` bigram buckets either way, or, for `k` from 1 to
     /// [`SEGMENT_TAU`], is too short to cut or shares [`HITS`] of the
@@ -763,26 +794,29 @@ impl SortedView {
         range: Range<usize>,
         mut visit: impl FnMut(usize, usize),
     ) {
+        let band = self.length_band(query.len(), k);
+        let end = range.end.min(band.end);
+        let range = range.start.max(band.start).min(end)..end;
         let range = if k == 0 {
             self.equal_range(query, range)
         } else {
             range
         };
         let (start, end) = (range.start, range.end);
-        let (qlen, k_len) = (query.len(), k as usize);
-        // Hands the lanes of `alive` (positions `base..base + 64`) that
-        // pass the length filter to `visit`, in ascending order.
+        let k_len = k as usize;
+        // Hands the lanes of `alive` (positions `base..base + 64`) to
+        // `visit`, in ascending order.
         let mut last: Option<usize> = None;
         let mut visit_word = |base: usize, mut alive: u64| {
             while alive != 0 {
                 let pos = base + alive.trailing_zeros() as usize;
                 alive &= alive - 1;
-                if (self.lens[pos] as usize).abs_diff(qlen) > k_len {
-                    continue;
-                }
                 let shared = match last {
                     None => 0,
-                    Some(prev) if pos - prev <= LCP_FOLD_GAP => {
+                    Some(prev)
+                        if pos - prev <= LCP_FOLD_GAP
+                            && self.record_len(prev) == self.record_len(pos) =>
+                    {
                         let gap = &self.lcp[prev + 1..=pos];
                         gap.iter().fold(u32::MAX, |min, &l| min.min(l)) as usize
                     }
@@ -806,17 +840,10 @@ impl SortedView {
                 return;
             }
             _ => {
-                // `shared` carries the minimum LCP since the last visited
-                // record: the first in a range restarts from nothing.
-                let mut shared = 0usize;
+                // Every record of the band, each after its neighbour: the
+                // first in a range restarts from nothing.
                 for pos in range {
-                    if pos > start {
-                        shared = shared.min(self.lcp(pos));
-                    }
-                    if (self.lens[pos] as usize).abs_diff(qlen) <= k_len {
-                        visit(pos, shared);
-                        shared = usize::MAX;
-                    }
+                    visit(pos, if pos > start { self.lcp(pos) } else { 0 });
                 }
                 return;
             }
@@ -916,8 +943,7 @@ mod tests {
     fn records_come_out_sorted_with_exact_lcp() {
         let sv = view(&["Ulm", "Berlin", "Bern", "", "Berlingen", "Ulm"]);
         let order: Vec<&[u8]> = (0..sv.len()).map(|p| sv.get(p)).collect();
-        let mut expected = order.clone();
-        expected.sort();
+        let expected: [&[u8]; 6] = [b"", b"Ulm", b"Ulm", b"Bern", b"Berlin", b"Berlingen"];
         assert_eq!(order, expected);
         assert_eq!(sv.lcp(0), 0);
         for pos in 1..sv.len() {
@@ -959,15 +985,6 @@ mod tests {
         assert_eq!(sv.get(0), b"");
         assert_eq!(sv.lcp(1), 0);
         assert_eq!(sv.record_len(2), 1);
-    }
-
-    #[test]
-    fn lengths_table_matches_record_len() {
-        let sv = view(&["Ulm", "Berlin", "", "Bern"]);
-        assert_eq!(sv.lens.len(), sv.len());
-        for pos in 0..sv.len() {
-            assert_eq!(sv.lens[pos] as usize, sv.record_len(pos), "pos {pos}");
-        }
     }
 
     #[test]

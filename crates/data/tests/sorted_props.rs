@@ -57,7 +57,11 @@ fn view_is_sorted_and_lcp_is_exact() {
             }
             for pos in 1..sv.len() {
                 let (a, b) = (sv.get(pos - 1), sv.get(pos));
-                prop_assert!(a <= b, "records out of order at {}", pos);
+                prop_assert!(
+                    (a.len(), a) <= (b.len(), b),
+                    "records out of order at {}",
+                    pos
+                );
                 let true_lcp = a.iter().zip(b).take_while(|(x, y)| x == y).count();
                 prop_assert_eq!(sv.lcp(pos), true_lcp, "lcp wrong at {}", pos);
                 // The LCP never exceeds either neighbour's length.
@@ -184,8 +188,9 @@ const THRESHOLDS: [u32; 9] = [0, 1, 2, 3, 5, 16, 63, 64, 70];
 
 /// Runs candidate selection over `range` and checks everything a sweep
 /// relies on: positions strictly ascending and inside the range, `shared`
-/// the exact common prefix with the previous candidate (the minimum of
-/// `lcp` over the gap), and no record within `k` of `query` left out.
+/// the exact common prefix with the previous candidate (between records
+/// of one length, the minimum of `lcp` over the gap), and no record
+/// within `k` of `query` left out.
 fn check_candidates(sv: &SortedView, query: &[u8], k: u32, range: Range<usize>) -> TestResult {
     let mut visited: Vec<(usize, usize)> = Vec::new();
     sv.for_each_candidate(query, k, range.clone(), |pos, shared| {
@@ -200,7 +205,9 @@ fn check_candidates(sv: &SortedView, query: &[u8], k: u32, range: Range<usize>) 
                 prop_assert!(prev < pos, "{} visited after {}", pos, prev);
                 let (a, b) = (sv.get(prev), sv.get(pos));
                 let exact = a.iter().zip(b).take_while(|(x, y)| x == y).count();
-                prop_assert_eq!((prev + 1..=pos).map(|p| sv.lcp(p)).min(), Some(exact));
+                if a.len() == b.len() {
+                    prop_assert_eq!((prev + 1..=pos).map(|p| sv.lcp(p)).min(), Some(exact));
+                }
                 exact
             }
         };
@@ -309,20 +316,70 @@ fn bytes_sharing_a_bucket_never_cost_a_match() {
 #[test]
 fn resume_depth_is_exact_on_both_sides_of_the_gap_switch() {
     // Three candidates for "xyzxyz1" at k = 1, separated by 7 and then
-    // by 8 filtered-out records (gaps of 8 and 9 positions): the first
-    // gap folds the `lcp` column, the second compares the two records.
-    let mut records: Vec<String> = Vec::new();
-    for (candidate, fillers) in [("xyzxyz1", 7), ("xyzxyz3", 8), ("xyzxyz5", 0)] {
-        records.push(candidate.into());
-        records.extend((0..fillers).map(|i| format!("{candidate}_abcdefg{i}")));
-    }
+    // by 8 filtered-out records of the same length (gaps of 8 and 9
+    // positions): the first gap folds the `lcp` column, the second
+    // compares the two records. Every filler lacks the query's "1" and
+    // holds four bytes it does not.
+    let mut records: Vec<String> = vec!["xyzAyz1".into(), "xyzxyz1".into(), "xyzzyz1".into()];
+    records.extend((0..7).map(|i| format!("xyzBQR{i}")));
+    records.extend((0..8).map(|i| format!("xyzyQR{i}")));
     let sv = SortedView::build(&Dataset::from_records(&records));
     let mut visited = Vec::new();
     sv.for_each_candidate(b"xyzxyz1", 1, 0..sv.len(), |pos, shared| {
         visited.push((pos, shared))
     });
-    assert_eq!(visited, [(0, 0), (8, 6), (17, 6)]);
+    assert!(records.iter().all(|r| r.len() == 7), "one length");
+    assert_eq!(visited, [(0, 0), (8, 3), (17, 3)]);
+    assert_eq!(sv.get(8), b"xyzxyz1");
     check_candidates(&sv, b"xyzxyz1", 1, 0..sv.len()).unwrap();
+}
+
+#[test]
+fn resume_depth_is_exact_across_a_length_boundary() {
+    // "abc" and "abcd" are consecutive candidates for "abcd" at k = 1 on
+    // either side of the length boundary, with "abz" filtered out between
+    // them. `lcp` falls to 2 on both sides of "abz", but the two
+    // candidates share three bytes: the minimum over the gap would only
+    // be a lower bound. The digits, outside the band, give the view its
+    // planes.
+    let sv = SortedView::build(&Dataset::from_records(["abcd", "abz", "abc", "0123456789"]));
+    assert_eq!((sv.get(1), sv.lcp(1), sv.lcp(2)), (&b"abz"[..], 2, 2));
+    let mut visited = Vec::new();
+    sv.for_each_candidate(b"abcd", 1, 0..sv.len(), |pos, shared| {
+        visited.push((pos, shared))
+    });
+    assert_eq!(visited, [(0, 0), (2, 3)]);
+    check_candidates(&sv, b"abcd", 1, 0..sv.len()).unwrap();
+}
+
+#[test]
+fn the_length_band_is_exactly_the_records_within_k_in_length() {
+    check(
+        "the_length_band_is_exactly_the_records_within_k_in_length",
+        Config::default().seed(SEED),
+        &corpus(),
+        |words| {
+            let sv = SortedView::build(&Dataset::from_records(words));
+            let longest = words.iter().map(Vec::len).max().unwrap_or(0);
+            for qlen in 0..=longest + 2 {
+                for k in THRESHOLDS {
+                    let within: Vec<usize> = (0..sv.len())
+                        .filter(|&pos| sv.record_len(pos).abs_diff(qlen) <= k as usize)
+                        .collect();
+                    let band = sv.length_band(qlen, k);
+                    prop_assert!(band.start <= band.end && band.end <= sv.len());
+                    prop_assert_eq!(
+                        band.clone().collect::<Vec<_>>(),
+                        within,
+                        "|q| = {}, k = {}",
+                        qlen,
+                        k
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]

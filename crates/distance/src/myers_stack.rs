@@ -46,7 +46,7 @@ const W: usize = 64;
 
 /// A resumable blocked bit-parallel DP for one `(query, k)` pair,
 /// applied to a stream of candidates arriving with their shared-prefix
-/// lengths (a lexicographically sorted arena's LCP array).
+/// lengths (a sorted arena's LCP array).
 ///
 /// # Examples
 ///
@@ -181,8 +181,9 @@ impl MyersStackKernel {
     /// checkpoint stack needs to reach.
     ///
     /// A sorted-arena sweep knows the *next* candidate's LCP before it
-    /// processes the current one, and no later resume can ever reuse
-    /// more than that many bytes (the running LCP minimum only shrinks).
+    /// processes the current one, and no later resume within one run of
+    /// byte-ordered records can reuse more than that many bytes (the
+    /// running LCP minimum only shrinks).
     /// Passing that lookahead as `keep_limit` lets the kernel checkpoint
     /// only the reusable prefix and advance the candidate's tail in a
     /// single column that is dropped afterwards — no per-byte pushes —

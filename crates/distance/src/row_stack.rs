@@ -3,10 +3,10 @@
 //! [`crate::incremental::IncrementalDp`] amortizes DP rows across shared
 //! prefixes during *trie descent*. [`RowStackKernel`] generalizes the
 //! same row stack to any sequence of candidates presented with their
-//! shared-prefix lengths — in particular a lexicographically sorted flat
-//! arena, where `lcp[i]` between adjacent records plays the role the
-//! trie's edges play. For candidate *i + 1* the kernel pops the stack to
-//! `lcp[i + 1]` and recomputes only the suffix rows, which hands the
+//! shared-prefix lengths — in particular a sorted flat arena (by length,
+//! then by bytes), where `lcp[i]` between adjacent records plays the role
+//! the trie's edges play. For candidate *i + 1* the kernel pops the stack
+//! to `lcp[i + 1]` and recomputes only the suffix rows, which hands the
 //! sequential scan the trie's only structural advantage (paper eqs.
 //! (9)/(10)) while keeping strictly sequential memory access.
 //!

@@ -3,8 +3,8 @@
 //! The paper's sequential-scan side (§3): the six-rung optimization
 //! ladder that turns a naive full-matrix scan into the solution that
 //! beats the index on short strings, plus two extensions: the V7
-//! sorted-prefix scan (LCP-resumable row-stack DP over a
-//! lexicographically sorted arena) and the V8 bit-parallel sweep (the
+//! sorted-prefix scan (LCP-resumable row-stack DP over an arena sorted
+//! by length, then by bytes) and the V8 bit-parallel sweep (the
 //! same sorted arena, with the DP column packed into Myers words and
 //! checkpointed at 64-cell block granularity).
 //!

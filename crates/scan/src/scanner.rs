@@ -125,17 +125,19 @@ impl<'a> SequentialScan<'a> {
         })
     }
 
-    /// Rung V7 for one query: walk the sorted view once, resuming the
-    /// row-stack DP at the running LCP minimum. Returns the matches and
-    /// the number of DP cells computed (for diagnostics).
+    /// Rung V7 for one query: walk the query's length band of the sorted
+    /// view once, resuming the row-stack DP at each record's LCP with its
+    /// neighbour. Returns the matches and the number of DP cells
+    /// computed (for diagnostics).
     pub fn v7_search(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
         v7_search_view(self.sorted_view(), query, k)
     }
 
     /// Rung V8 for one query: sweep the sorted view once with the
     /// blocked bit-parallel stack kernel, resuming whole Myers words at
-    /// the running LCP minimum. Returns the matches and the number of DP
-    /// cells the advanced words represent (for diagnostics).
+    /// each candidate's shared prefix with the last. Returns the matches
+    /// and the number of DP cells the advanced words represent (for
+    /// diagnostics).
     pub fn v8_search(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
         v8_search_view(self.sorted_view(), query, k)
     }
@@ -306,7 +308,8 @@ pub fn flat_search_where(
 }
 
 /// Rung V7 for one query over an externally owned [`SortedView`]: walk
-/// the view once, resuming the row-stack DP at the running LCP minimum.
+/// the query's length band once, resuming the row-stack DP at each
+/// record's LCP with its neighbour.
 /// Returns the matches and the number of DP cells computed.
 ///
 /// This is the reusable core behind [`SequentialScan::v7_search`],
@@ -321,10 +324,10 @@ pub fn v7_search_view(sv: &SortedView, query: &[u8], k: u32) -> (MatchSet, u64) 
 /// The V7 inner loop over one contiguous range of sorted positions in
 /// `sv`.
 ///
-/// `stack_lcp` carries the minimum LCP seen since the last record the
-/// kernel actually processed — records skipped by the length filter
-/// still constrain how much of the stack the next record may reuse
-/// (the LCP range-minimum property).
+/// The range is first cut to the query's length band
+/// ([`SortedView::length_band`]): every record left passes the length
+/// filter, so the kernel processes each one right after its neighbour
+/// and resumes at their exact shared prefix, `lcp[pos]`.
 pub fn v7_scan_view_range(
     sv: &SortedView,
     dp: &mut RowStackKernel,
@@ -333,26 +336,21 @@ pub fn v7_scan_view_range(
     range: Range<usize>,
 ) -> Vec<Match> {
     let mut out = Vec::new();
-    let start = range.start;
-    // The first record in a range restarts from row zero.
-    let mut stack_lcp = 0usize;
-    for pos in range {
-        if pos > start {
-            stack_lcp = stack_lcp.min(sv.lcp(pos));
-        }
-        if sv.record_len(pos).abs_diff(query.len()) > k as usize {
-            continue;
-        }
-        if let Some(d) = dp.resume(sv.get(pos), stack_lcp) {
+    let band = sv.length_band(query.len(), k);
+    let start = range.start.max(band.start);
+    for pos in start..range.end.min(band.end) {
+        // The first record in a range restarts from row zero.
+        let shared = if pos > start { sv.lcp(pos) } else { 0 };
+        if let Some(d) = dp.resume(sv.get(pos), shared) {
             out.push(Match::new(sv.original_id(pos), d));
         }
-        stack_lcp = usize::MAX;
     }
     out
 }
 
 /// Rung V8 for one query over an externally owned [`SortedView`]: one
-/// bit-parallel sweep, resuming Myers blocks at the running LCP minimum.
+/// bit-parallel sweep, resuming Myers blocks at each candidate's shared
+/// prefix with the last.
 /// Returns the matches and the number of DP cells the advanced words
 /// represent (`|query|` per candidate byte processed — the same unit V7
 /// reports, so diagnostics stay comparable).
@@ -370,12 +368,11 @@ pub fn v8_search_view(sv: &SortedView, query: &[u8], k: u32) -> (MatchSet, u64) 
 /// `sv`.
 ///
 /// The kernel only sees the survivors of the view's candidate selection
-/// ([`SortedView::for_each_candidate`]: the length filter and, over a
-/// large enough alphabet, the bit-sliced occupancy signature), each with
-/// its exact shared prefix with the previous survivor — records the
+/// ([`SortedView::for_each_candidate`]: the query's length band and, over
+/// a large enough alphabet, the bit-sliced occupancy signature), each
+/// with its exact shared prefix with the previous survivor — records the
 /// filters skipped still constrain how much of the block stack the next
-/// one may reuse (the same LCP range-minimum discipline as the scalar V7
-/// loop).
+/// one may reuse.
 pub fn v8_scan_view_range(
     sv: &SortedView,
     dp: &mut MyersStackKernel,
@@ -384,13 +381,19 @@ pub fn v8_scan_view_range(
     range: Range<usize>,
 ) -> Vec<Match> {
     let mut out = Vec::new();
-    let end = range.end;
+    let end = range.end.min(sv.length_band(query.len(), k).end);
     sv.for_each_candidate(query, k, range, |pos, shared| {
-        // Lookahead bound: no later record in this range can resume
+        // Lookahead bound: no later record of this length can resume
         // deeper than the next record's LCP (the running minimum only
         // shrinks), so the kernel checkpoints only that many columns
-        // and runs the candidate's tail unstacked.
-        let keep_limit = if pos + 1 < end { sv.lcp(pos + 1) } else { 0 };
+        // and runs the candidate's tail unstacked. The last record of a
+        // length keeps them all: the next length's records are not in
+        // byte order after it, and may share any prefix of it.
+        let keep_limit = match pos + 1 {
+            next if next >= end => 0,
+            next if sv.record_len(next) == sv.record_len(pos) => sv.lcp(next),
+            _ => usize::MAX,
+        };
         if let Some(d) = dp.resume_bounded(sv.get(pos), shared, keep_limit) {
             out.push(Match::new(sv.original_id(pos), d));
         }

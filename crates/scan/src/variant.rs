@@ -25,16 +25,17 @@ pub enum SeqVariant {
         threads: usize,
     },
     /// Rung 7 (extension beyond the paper): sorted-prefix scan. A
-    /// one-time lexicographic sort gives the flat arena the trie's only
-    /// structural advantage — adjacency of shared prefixes — and a
+    /// one-time sort — by length, then by bytes — gives the flat arena the
+    /// trie's two structural advantages — adjacency of shared prefixes,
+    /// and the length filter as a range of positions — and a
     /// resumable row-stack DP pops to `lcp[i]` between records instead
     /// of recomputing from row zero.
     V7SortedPrefix,
     /// Rung 8 (extension): bit-parallel sweep. V7's sorted arena and LCP
     /// resume, but the DP column is packed into ⌈m/64⌉ Myers words — the
-    /// query's Peq masks are compiled once, the dense lengths column
-    /// drives the filter, and the stack checkpoints whole 64-cell blocks
-    /// instead of scalar rows.
+    /// query's Peq masks are compiled once, the view's length band and
+    /// candidate selection drive the filter, and the stack checkpoints
+    /// whole 64-cell blocks instead of scalar rows.
     V8BitParallel,
 }
 
