@@ -168,10 +168,12 @@ search_city --backend radix --shards 4 >"$smoke_dir/radix4.out"
 cmp "$smoke_dir/radix.out" "$smoke_dir/trie4.out"
 cmp "$smoke_dir/radix.out" "$smoke_dir/radix4.out"
 # The two sorted-arena sweeps visit only each query's length band (V7
-# every record of it, V8 the candidates it selects there): both are the
-# radix output byte for byte, on one thread and on two.
+# every record of it, V8 the candidates it selects there), and the
+# uncompressed trie (rung I1) shares the radix trie's preorder layout
+# with one-byte edges: all three are the radix output byte for byte, on
+# one thread and on two.
 for threads in 1 2; do
-    for backend in scan-sorted scan-bitparallel; do
+    for backend in trie scan-sorted scan-bitparallel; do
         search_city --backend "$backend" --threads "$threads" >"$smoke_dir/$backend.out"
         cmp "$smoke_dir/radix.out" "$smoke_dir/$backend.out"
     done

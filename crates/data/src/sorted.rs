@@ -334,9 +334,9 @@ struct SegmentPostings {
     bucket_shift: u32,
     /// Low bits of a posting (and of the hash) that are fingerprint.
     fp_bits: u32,
-    /// Sorted positions of the records too short to cut, ascending: they
-    /// have no postings and pass on length alone.
-    short: Vec<u32>,
+    /// The first sorted position of a record long enough to cut: the
+    /// records before it have no postings and pass on length alone.
+    cut_from: usize,
     /// Lengths of the shortest and longest record that was cut: no other
     /// length is worth probing.
     cut_lens: (usize, usize),
@@ -348,21 +348,16 @@ impl SegmentPostings {
     /// offsets). A counting sort — count, prefix-sum, fill in ascending
     /// position — with `starts` as the only working memory.
     /// `max_fp_bits` caps the fingerprint width (tests force 0).
-    fn build(sorted: &Dataset, max_fp_bits: u32) -> Option<Self> {
-        let n = sorted.len();
-        let cut = |record: &[u8]| record.len() >= SEGMENTS;
-        let short: Vec<u32> = (0..n as u32)
-            .filter(|&pos| sorted.record_len(pos) < SEGMENTS)
-            .collect();
-        let cut_lens = sorted
-            .records()
-            .map(<[u8]>::len)
-            .filter(|&len| len >= SEGMENTS)
-            .fold(None, |lens, len| match lens {
-                None => Some((len, len)),
-                Some((lo, hi)) => Some((len.min(lo), len.max(hi))),
-            })?;
-        let total = u32::try_from((n - short.len()).checked_mul(SEGMENTS)?).ok()?;
+    fn build(view: &SortedView, max_fp_bits: u32) -> Option<Self> {
+        let n = view.len();
+        // Length-major order: the records to cut are the view's tail,
+        // from the band of length `SEGMENTS` on.
+        let cut_from = view.length_band(SEGMENTS, 0).start;
+        if cut_from == n {
+            return None;
+        }
+        let cut_lens = (view.record_len(cut_from), view.record_len(n - 1));
+        let total = u32::try_from((n - cut_from).checked_mul(SEGMENTS)?).ok()?;
         // Positions are below `n ≤ 2^32`; at least one bit of them, so
         // that `fp_bits < 32` and the shifts below are in range.
         let pos_bits = (u64::BITS - (n as u64 - 1).leading_zeros()).max(1);
@@ -373,7 +368,8 @@ impl SegmentPostings {
         // Calls `each(position, key hash)` for every segment of every cut
         // record, in ascending position.
         let for_each_segment = |each: &mut dyn FnMut(usize, u64)| {
-            for (pos, record) in sorted.records().enumerate().filter(|(_, r)| cut(r)) {
+            for pos in cut_from..n {
+                let record = view.get(pos);
                 for ordinal in 0..SEGMENTS {
                     let (start, len) = segment(record.len(), ordinal);
                     let bytes = hash_bytes(&record[start..start + len]);
@@ -402,14 +398,14 @@ impl SegmentPostings {
             postings,
             bucket_shift,
             fp_bits,
-            short,
+            cut_from,
             cut_lens,
         })
     }
 
     /// Heap bytes held.
     fn bytes(&self) -> usize {
-        (self.starts.len() + self.postings.len() + self.short.len()) * 4
+        (self.starts.len() + self.postings.len()) * 4
     }
 
     /// Marks, in `marks` (bit `pos − 64 ⌊range.start / 64⌋`), every
@@ -440,14 +436,7 @@ impl SegmentPostings {
         let (qlen, k_len) = (query.len(), k as usize);
         let first = range.start / LANES * LANES;
         let mut set = |pos: usize| marks[(pos - first) / LANES] |= 1 << (pos % LANES);
-        let at = self
-            .short
-            .partition_point(|&pos| (pos as usize) < range.start);
-        self.short[at..]
-            .iter()
-            .map(|&pos| pos as usize)
-            .take_while(|&pos| pos < range.end)
-            .for_each(&mut set);
+        (range.start..range.end.min(self.cut_from)).for_each(&mut set);
         let lens =
             qlen.saturating_sub(k_len).max(self.cut_lens.0)..=(qlen + k_len).min(self.cut_lens.1);
         if lens.is_empty() {
@@ -535,11 +524,11 @@ enum Selection {
 }
 
 impl Selection {
-    fn build(sorted: &Dataset) -> Self {
-        if let Some(signature) = Signature::build(sorted) {
+    fn build(view: &SortedView) -> Self {
+        if let Some(signature) = Signature::build(&view.sorted) {
             return Self::Planes(signature);
         }
-        SegmentPostings::build(sorted, u32::BITS).map_or(Self::LengthOnly, Self::Postings)
+        SegmentPostings::build(view, u32::BITS).map_or(Self::LengthOnly, Self::Postings)
     }
 }
 
@@ -716,7 +705,7 @@ impl SortedView {
 
     fn selection(&self) -> &Selection {
         self.selection
-            .get_or_init(|| Selection::build(&self.sorted))
+            .get_or_init(|| Selection::build(self))
     }
 
     /// Heap bytes the signature holds right now — planes and pair column:
@@ -1051,7 +1040,7 @@ mod tests {
                 let ds = Dataset::from_records(&records);
                 let full = SortedView::build(&ds);
                 let bare = SortedView::build(&ds);
-                let postings = SegmentPostings::build(&bare.sorted, 0).expect("records to cut");
+                let postings = SegmentPostings::build(&bare, 0).expect("records to cut");
                 prop_assert!(postings.fp_bits == 0);
                 prop_assert!(bare.selection.set(Selection::Postings(postings)).is_ok());
                 for k in [1, 4, 8, 12, 16] {

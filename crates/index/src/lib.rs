@@ -7,6 +7,7 @@
 //!   with per-node min/max subtree lengths and incremental-DP descent;
 //! * [`radix`] — the paper's compressed index (§4.2): radix trie with
 //!   labelled edges;
+//! * [`tree`] — the flat preorder layout both prefix trees are stored in;
 //! * [`qgram`] — inverted q-gram filter-and-verify baseline from the
 //!   surrounding literature.
 //!
@@ -21,6 +22,7 @@
 pub mod qgram;
 pub mod radix;
 pub mod trace;
+pub mod tree;
 pub mod trie;
 
 pub use qgram::QgramIndex;
