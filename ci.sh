@@ -23,12 +23,25 @@ cargo test -q --offline --release -p simsearch-data -p simsearch-distance -p sim
 bench_files=$(ls crates/bench/benches/*.rs | sed 's|.*/||; s|\.rs$||' | sort)
 bench_entries=$(sed -n '/^\[\[bench\]\]/{n;s/^name = "\(.*\)"$/\1/p;}' crates/bench/Cargo.toml | sort)
 test "$bench_files" = "$bench_entries"
+# Every bench backs a committed snapshot: each target publishes one,
+# except `paper_tables`, whose Tables II–IX are the reproduction's
+# (`reproduce`) and get their snapshot at the paper's Table I scale.
+for bench in crates/bench/benches/*.rs; do
+    case "$bench" in */paper_tables.rs) continue ;; esac
+    if ! grep -q 'publish_snapshot' "$bench"; then
+        echo "$bench publishes no snapshot" >&2
+        exit 1
+    fi
+done
 # Bench binaries run in single-iteration smoke mode under `cargo test`
 # (no --bench flag), keeping every bench code path compile- and
 # run-checked without measuring.
 cargo test -q --offline --benches -p simsearch-bench
 cargo test -q --offline --bench ablation_lcp_reuse -p simsearch-bench
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Documentation builds warning-free: no link to a private or missing
+# item survives a rename or a deletion.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # What the oracle suites inside `cargo test --workspace` above prove
 # (the root package is a workspace member, so every one of them has
@@ -82,7 +95,7 @@ cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
 for snapshot in BENCH_fig6_city_best.json BENCH_fig7_dna_best.json \
     BENCH_ablation_lcp_reuse_city.json BENCH_ablation_lcp_reuse_dna.json \
     BENCH_ablation_bitparallel_city.json BENCH_ablation_bitparallel_dna.json \
-    BENCH_ablation_join_city.json; do
+    BENCH_ablation_join_city.json BENCH_ablation_executors_dna.json; do
     test -f "$snapshot"
 done
 # The bit-parallel snapshots count what candidate selection does before

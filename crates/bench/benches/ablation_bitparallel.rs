@@ -29,10 +29,10 @@ use std::collections::BTreeMap;
 
 use simsearch_bench::experiments::plane_survivors;
 use simsearch_bench::Scale;
-use simsearch_core::{EngineKind, KernelKind, SearchEngine, SeqVariant, Strategy};
+use simsearch_core::{EngineKind, SearchEngine, SeqVariant};
 use simsearch_data::sorted::occupancy_set;
-use simsearch_data::SortedView;
-use simsearch_distance::MyersStackKernel;
+use simsearch_data::{Dataset, Match, MatchSet, QueryRecord, SortedView, Workload};
+use simsearch_distance::{MyersAny, MyersStackKernel};
 use simsearch_scan::{v7_search_view, v8_scan_view_range};
 use simsearch_testkit::bench::Harness;
 
@@ -48,17 +48,17 @@ fn main() {
             &preset.dataset,
             EngineKind::Scan(SeqVariant::V7SortedPrefix),
         );
-        let myers_restart = SearchEngine::build(
-            &preset.dataset,
-            EngineKind::ScanCustom {
-                kernel: KernelKind::Myers,
-                strategy: Strategy::Sequential,
-            },
-        );
         let v8 = SearchEngine::build(
             &preset.dataset,
             EngineKind::Scan(SeqVariant::V8BitParallel),
         );
+        if !h.measuring() {
+            assert_eq!(
+                myers_restart(&preset.dataset, &workload),
+                v7.run(&workload),
+                "{name}: the restarted Myers scan disagrees with V7"
+            );
+        }
         // One accounting pass outside the timed loop: total scalar DP
         // cells for V7 vs words advanced/reused (and their row-equivalent
         // cells) for V8, over the same sorted view and workload.
@@ -112,7 +112,9 @@ fn main() {
         counters.extend(by_k.iter().map(|(name, reached)| (name.as_str(), *reached)));
         group.set_counters(&counters);
         group.bench("v7_sorted_prefix", || v7.run(&workload));
-        group.bench("myers_restart", || myers_restart.run(&workload));
+        group.bench("myers_restart", || {
+            myers_restart(&preset.dataset, &workload)
+        });
         group.bench("v8_bitparallel", || v8.run(&workload));
         group.bench("v8_selection", || {
             let mut reached = 0usize;
@@ -124,4 +126,30 @@ fn main() {
         group.finish();
         h.publish_snapshot(&group_name);
     }
+}
+
+/// Bit-parallel Myers restarted on every record: the flat scan in
+/// record order, the length filter, then the pattern compiled once per
+/// query and run from row zero over each survivor.
+fn myers_restart(dataset: &Dataset, workload: &Workload) -> Vec<MatchSet> {
+    let run = |q: &QueryRecord| {
+        let (query, k) = (&q.text, q.threshold);
+        let myers = MyersAny::new(query);
+        let matches: Vec<Match> = (0..dataset.len() as u32)
+            .filter(|&id| dataset.record_len(id).abs_diff(query.len()) <= k as usize)
+            .filter_map(|id| {
+                let record = dataset.get(id);
+                let d = match &myers {
+                    Some(myers) => myers.within(record, k)?,
+                    // An empty pattern has no bit-parallel form: the
+                    // distance is the record's length, which the length
+                    // filter bounded.
+                    None => record.len() as u32,
+                };
+                Some(Match::new(id, d))
+            })
+            .collect();
+        MatchSet::from_unsorted(matches)
+    };
+    workload.queries.iter().map(run).collect()
 }

@@ -2,10 +2,11 @@
 //! fixed static partition vs the dynamic work queue vs the adaptive
 //! master/slave pool. The DNA threshold cycle (0/4/8/16) makes query
 //! costs vary by orders of magnitude, which is exactly the imbalance the
-//! paper's §3.6 worries about.
+//! paper's §3.6 worries about. Every strategy runs the same rung-4 flat
+//! scan; only the scheduling differs.
 
 use simsearch_bench::Scale;
-use simsearch_core::{EngineKind, KernelKind, SearchEngine, Strategy};
+use simsearch_core::{EngineKind, SearchEngine, SeqVariant, Strategy};
 use simsearch_testkit::bench::Harness;
 
 fn main() {
@@ -19,16 +20,15 @@ fn main() {
         Strategy::WorkQueue { threads: 4 },
         Strategy::Adaptive { max_threads: 4 },
     ];
-    let mut group = h.group("ablation_executors_dna");
+    let engine = SearchEngine::build(&preset.dataset, EngineKind::Scan(SeqVariant::V4Flat));
+    let group_name = "ablation_executors_dna";
+    let mut group = h.group(group_name);
+    group.set_workload("dna", preset.dataset.len(), workload.len(), "0, 4, 8, 16");
     for strategy in strategies {
-        let engine = SearchEngine::build(
-            &preset.dataset,
-            EngineKind::ScanCustom {
-                kernel: KernelKind::EarlyAbort,
-                strategy,
-            },
-        );
-        group.bench(&strategy.name(), || engine.run(&workload));
+        group.bench(&strategy.name(), || {
+            engine.run_with_strategy(&workload, strategy)
+        });
     }
     group.finish();
+    h.publish_snapshot(group_name);
 }

@@ -532,9 +532,9 @@ pub fn plane_survivors(
 }
 
 /// Where a V8 query's time goes, per threshold, on one thread: candidate
-/// selection alone ([`SortedView::for_each_candidate`] with a counting
-/// visitor; beside the candidates it hands on, the [`plane_survivors`]
-/// that the bigram column tests) against the whole query
+/// selection alone ([`simsearch_data::SortedView::for_each_candidate`]
+/// with a counting visitor; beside the candidates it hands on, the
+/// [`plane_survivors`] that the bigram column tests) against the whole query
 /// (`v8_search_view`), the kernel being the difference, and the whole
 /// query against the modern-pruning radix trie on the same queries. The
 /// view's selection aid is built first, outside the clock; each figure

@@ -26,7 +26,6 @@ use simsearch_data::alphabet::{DNA_SYMBOLS, VOWEL_SYMBOLS};
 use simsearch_data::{
     Alphabet, Dataset, MatchSet, QueryRecord, SortedView, StatsSnapshot, Workload,
 };
-use simsearch_distance::KernelKind;
 use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter};
 use simsearch_index::{QgramIndex, RadixTrie, Trie};
 use simsearch_parallel::{auto_strategy, run_queries, Strategy};
@@ -203,73 +202,45 @@ fn standard_chain(dataset: &Dataset) -> FilterChain {
         .push(FrequencyFilter::build(dataset, tracked_symbols(dataset)))
 }
 
-/// What a [`ScanBackend`] sweeps with.
-#[derive(Clone, Copy)]
-enum Sweep {
-    /// A rung of the paper's ladder, under the rung's own scheduling.
-    Rung(SeqVariant),
-    /// The flat scan with an explicit kernel/executor pair (ablations).
-    Kernel(KernelKind, Strategy),
-}
-
-/// A sequential scan behind the trait: a rung of the paper's ladder
+/// A sequential scan behind the trait: one rung of the paper's ladder
 /// (V7 and V8 included — they count DP cells through
-/// [`Backend::search_counting`]) or the flat scan with an explicit
-/// kernel/executor pair.
+/// [`Backend::search_counting`]).
 pub struct ScanBackend<'a> {
     scan: SequentialScan<'a>,
-    sweep: Sweep,
+    variant: SeqVariant,
 }
 
 impl<'a> ScanBackend<'a> {
     /// Wraps a scan (possibly already prepared) at one rung.
     pub fn new(scan: SequentialScan<'a>, variant: SeqVariant) -> Self {
-        let sweep = Sweep::Rung(variant);
-        Self { scan, sweep }
-    }
-
-    /// Wraps a scan as the flat sweep with the given kernel and
-    /// executor.
-    pub fn with_kernel(scan: SequentialScan<'a>, kernel: KernelKind, strategy: Strategy) -> Self {
-        let sweep = Sweep::Kernel(kernel, strategy);
-        Self { scan, sweep }
+        Self { scan, variant }
     }
 }
 
 impl Backend for ScanBackend<'_> {
     fn name(&self) -> String {
-        match self.sweep {
-            Sweep::Rung(variant) => format!("scan[{}]", variant.label()),
-            Sweep::Kernel(kernel, strategy) => {
-                format!("scan[{}/{}]", kernel.name(), strategy.name())
-            }
-        }
+        format!("scan[{}]", self.variant.label())
     }
 
     fn prepare(&self) {
-        if let Sweep::Rung(variant) = self.sweep {
-            self.scan.prepare(variant);
-        }
+        self.scan.prepare(self.variant);
     }
 
     fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        match self.sweep {
-            Sweep::Rung(variant) => self.scan.search_one(variant, query, k),
-            Sweep::Kernel(kernel, _) => self.scan.kernel_search(kernel, query, k),
-        }
+        self.scan.search_one(self.variant, query, k)
     }
 
     fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        match self.sweep {
-            Sweep::Rung(SeqVariant::V7SortedPrefix) => self.scan.v7_search(query, k),
-            Sweep::Rung(SeqVariant::V8BitParallel) => self.scan.v8_search(query, k),
+        match self.variant {
+            SeqVariant::V7SortedPrefix => self.scan.v7_search(query, k),
+            SeqVariant::V8BitParallel => self.scan.v8_search(query, k),
             _ => (self.search(query, k), 0),
         }
     }
 
     fn diag(&self) -> BackendDiag {
-        let filters = match self.sweep {
-            Sweep::Rung(SeqVariant::V1Base) => vec![],
+        let filters = match self.variant {
+            SeqVariant::V1Base => vec![],
             _ => vec!["length"],
         };
         BackendDiag {
@@ -282,11 +253,10 @@ impl Backend for ScanBackend<'_> {
 
     /// Each rung keeps exactly the scheduling the paper prescribes.
     fn preferred_strategy(&self) -> Strategy {
-        match self.sweep {
-            Sweep::Rung(SeqVariant::V5ThreadPerQuery) => Strategy::ThreadPerQuery,
-            Sweep::Rung(SeqVariant::V6Pool { threads }) => Strategy::FixedPool { threads },
-            Sweep::Rung(_) => Strategy::Sequential,
-            Sweep::Kernel(_, strategy) => strategy,
+        match self.variant {
+            SeqVariant::V5ThreadPerQuery => Strategy::ThreadPerQuery,
+            SeqVariant::V6Pool { threads } => Strategy::FixedPool { threads },
+            _ => Strategy::Sequential,
         }
     }
 }

@@ -14,7 +14,6 @@ use crate::lsm::{LiveEngine, LsmConfig};
 use crate::planner::BackendChoice;
 use crate::sharded::{ShardBy, ShardedBackend};
 use simsearch_data::{Dataset, MatchSet, Workload};
-use simsearch_distance::KernelKind;
 use simsearch_parallel::Strategy;
 use simsearch_scan::{SeqVariant, SequentialScan};
 
@@ -62,19 +61,13 @@ impl IdxVariant {
 pub enum EngineKind {
     /// A rung of the sequential-scan ladder (§3).
     Scan(SeqVariant),
-    /// A flat scan with an explicit kernel/executor pair (ablations).
-    ScanCustom {
-        /// Bounded-distance kernel.
-        kernel: KernelKind,
-        /// Workload executor.
-        strategy: Strategy,
-    },
     /// A rung of the index ladder (§4), with the paper's own pruning
     /// (full-width rows + prefix condition (9)/(10)).
     Index(IdxVariant),
     /// A rung of the index ladder with *modern* pruning (banded rows,
     /// row-minimum lemma, mid-edge abandonment) — an extension whose
-    /// effect the `ablation_pruning` benchmark measures.
+    /// effect the `best_index_paper` / `best_index_modern` rows of the
+    /// `fig6_city_best` and `fig7_dna_best` benchmarks measure.
     IndexModern(IdxVariant),
     /// Inverted q-gram index baseline.
     Qgram {
@@ -168,9 +161,6 @@ impl EngineKind {
     pub fn name(&self) -> String {
         match self {
             EngineKind::Scan(v) => format!("scan[{}]", v.label()),
-            EngineKind::ScanCustom { kernel, strategy } => {
-                format!("scan[{}/{}]", kernel.name(), strategy.name())
-            }
             EngineKind::Index(v) => format!("index[{}]", v.label()),
             EngineKind::IndexModern(v) => format!("index-modern[{}]", v.label()),
             EngineKind::Qgram { q, strategy } => format!("qgram[q={q}/{}]", strategy.name()),
@@ -208,11 +198,6 @@ fn build_backend_with<'a>(
 ) -> Box<dyn Backend + 'a> {
     match kind {
         EngineKind::Scan(v) => Box::new(ScanBackend::new(SequentialScan::new(dataset), v)),
-        EngineKind::ScanCustom { kernel, strategy } => Box::new(ScanBackend::with_kernel(
-            SequentialScan::new(dataset),
-            kernel,
-            strategy,
-        )),
         EngineKind::Index(v) | EngineKind::IndexModern(v) => {
             let paper = matches!(kind, EngineKind::Index(_));
             Box::new(match v {
@@ -359,10 +344,6 @@ mod tests {
             EngineKind::Scan(SeqVariant::V6Pool { threads: 2 }),
             EngineKind::Scan(SeqVariant::V7SortedPrefix),
             EngineKind::Scan(SeqVariant::V8BitParallel),
-            EngineKind::ScanCustom {
-                kernel: KernelKind::Banded,
-                strategy: Strategy::WorkQueue { threads: 2 },
-            },
             EngineKind::Index(IdxVariant::I1BaseTrie),
             EngineKind::Index(IdxVariant::I2Compressed),
             EngineKind::Index(IdxVariant::I3Pool { threads: 2 }),

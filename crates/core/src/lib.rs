@@ -74,6 +74,5 @@ pub use verify::{compare_results, cross_validate, Mismatch};
 pub use simsearch_data::{
     Dataset, Match, MatchSet, QueryRecord, RecordId, StatsSnapshot, Workload,
 };
-pub use simsearch_distance::KernelKind;
 pub use simsearch_parallel::Strategy;
 pub use simsearch_scan::SeqVariant;

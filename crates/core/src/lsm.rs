@@ -156,7 +156,8 @@ impl SegmentArm {
         // operations fitting the benchmark's window, each leaving
         // inserted records, shadow-set entries and latency samples
         // behind. The rule changes once that workload's resident set no
-        // longer scales with its throughput (see ROADMAP).
+        // longer scales with its throughput (DESIGN §16, *Live shards
+        // derive, they do not tick*).
         if mean_len >= 64 {
             SegmentArm::BitParallel
         } else {

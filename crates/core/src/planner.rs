@@ -240,9 +240,9 @@ pub fn static_cost(
             // (almost always one). On a large alphabet `cand` is an upper
             // bound too: the view's occupancy signature hands the kernel
             // a few percent of the length filter's survivors.
-            // Deliberately left uncalibrated — see ROADMAP item 1. Still
-            // the arm that wins long strings and high thresholds, where
-            // `band` blows the others up.
+            // Deliberately left uncalibrated (DESIGN §13, *Planner
+            // arm*). Still the arm that wins long strings and high
+            // thresholds, where `band` blows the others up.
             const WORD_EQ: f64 = 1.0;
             let blocks = (q / 64.0).ceil().max(1.0);
             n * (PROBE + 2.0) + cand * (1.0 - shared) * q.max(1.0) * blocks * WORD_EQ

@@ -17,7 +17,6 @@
 //! * [`io`] — competition-format file readers/writers;
 //! * [`freq`] — frequency vectors (paper §6 future work, used by the
 //!   filter crate);
-//! * [`packed`] — 3-bit DNA dictionary compression (paper §6 future work);
 //! * [`sorted`] — length-major sorted arena view with an LCP array
 //!   (the V7 sorted-prefix scan's preprocessing) and the candidate
 //!   selection of the V8 sweep;
@@ -37,7 +36,6 @@ pub mod freq;
 pub mod generate;
 pub mod io;
 pub mod matches;
-pub mod packed;
 pub mod partition;
 pub mod rng;
 pub mod sorted;
@@ -49,7 +47,6 @@ pub use dataset::{Dataset, RecordId};
 pub use freq::FreqVector;
 pub use generate::{CityGenerator, DnaGenerator};
 pub use matches::{Match, MatchSet};
-pub use packed::{PackedDataset, PackedSeq};
 pub use partition::{even_partition, even_partitions};
 pub use rng::Xoshiro256;
 pub use sorted::SortedView;

@@ -46,10 +46,10 @@
 //! Over a tiny alphabet (DNA) every record occupies every bucket and the
 //! planes are not built; what the same lazy cell builds there instead is
 //! PASS-JOIN's pigeonhole partition used for search: every record long
-//! enough is cut into [`SEGMENTS`] even segments, and `ed(q, x) ≤ k`
-//! leaves at least [`HITS`] of any `k + HITS` of them verbatim in the
+//! enough is cut into `SEGMENTS` even segments, and `ed(q, x) ≤ k`
+//! leaves at least `HITS` of any `k + HITS` of them verbatim in the
 //! query, each within a shift the edits around it allow. The segments are
-//! kept as hashed, fingerprinted postings ([`SegmentPostings`]) and only
+//! kept as hashed, fingerprinted postings (`SegmentPostings`) and only
 //! the records collecting that many hits reach the kernel.
 
 use crate::dataset::{Dataset, RecordId};
@@ -774,7 +774,7 @@ impl SortedView {
     /// visited moreover either lacks at most `k` of the query's buckets,
     /// occupies at most `k` the query does not and differs from it in at
     /// most `2k` bigram buckets either way, or, for `k` from 1 to
-    /// [`SEGMENT_TAU`], is too short to cut or shares [`HITS`] of the
+    /// `SEGMENT_TAU`, is too short to cut or shares `HITS` of the
     /// `k + HITS` segments probed with the query.
     pub fn for_each_candidate(
         &self,

@@ -1,9 +1,7 @@
 //! Property tests for the data substrate: serialization round trips,
-//! packing, workload construction and filter-bound soundness.
+//! workload construction and filter-bound soundness.
 
-use simsearch_data::{
-    io, Alphabet, Dataset, FreqVector, PackedSeq, QueryRecord, Workload, WorkloadSpec,
-};
+use simsearch_data::{io, Alphabet, Dataset, FreqVector, QueryRecord, Workload, WorkloadSpec};
 use simsearch_testkit::{check, gen, prop_assert, prop_assert_eq, Config, Gen};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,24 +75,6 @@ fn query_file_round_trip() {
             let back = io::read_queries(&path).unwrap();
             std::fs::remove_file(&path).unwrap();
             prop_assert_eq!(back, w);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn packing_round_trips() {
-    check(
-        "packing_round_trips",
-        Config::default().seed(SEED),
-        &dna(),
-        |seq| {
-            let p = PackedSeq::pack(seq).unwrap();
-            prop_assert_eq!(&p.unpack(), seq);
-            prop_assert_eq!(p.len(), seq.len());
-            for (i, &b) in seq.iter().enumerate() {
-                prop_assert_eq!(p.get(i), b);
-            }
             Ok(())
         },
     );

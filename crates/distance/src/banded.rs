@@ -7,9 +7,6 @@
 //! Combined with a per-row minimum early abort this gives
 //! `O((2k + 1) · |x|)` time — the asymptotically right kernel for the DNA
 //! workload, where `|x| ≈ 100` and `k ≤ 16`.
-//!
-//! The ablation benchmark `ablation_kernels` quantifies the gain over the
-//! paper's full-width early-abort kernel.
 
 /// Computes whether `ed(x, y) ≤ k`, returning the distance when it is.
 /// Only the diagonal band `|i − j| ≤ k` is computed; `buf` holds the two

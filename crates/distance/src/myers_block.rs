@@ -8,7 +8,7 @@
 //!
 //! The score is tracked along the *decisive diagonal* — the one through
 //! `D[m][n]`, i.e. cells `D[j+Δ][j]` with `Δ = m − n` — rather than along
-//! the bottom row. [`advance_block`] reports the diagonal-zero vector
+//! the bottom row. `advance_block` reports the diagonal-zero vector
 //! `D0` (bit `i` set iff `D[i+1][j+1] = D[i][j]`), so one step down the
 //! diagonal costs one shift-and-mask: `s += 1 − bit_{j+Δ}(D0)`, starting
 //! from `|Δ|` at the column where the diagonal enters the matrix. Values

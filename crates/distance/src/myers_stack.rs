@@ -18,7 +18,7 @@
 //! D[i][j]+1}`, so its values never decrease (the paper's §3.2, eqs.
 //! (6)/(7)): the candidate is dead as soon as one exceeds `k`, and the
 //! value at `j = n` is the distance. One step costs one bit of
-//! [`crate::myers_block::advance_block`]'s `D0` vector. At a resume depth
+//! `myers_block::advance_block`'s `D0` vector. At a resume depth
 //! `d` the value needs no stored score: `D[0][d] = d`, and the vertical
 //! deltas of the checkpointed column sum to `D[d+Δ][d] = d +
 //! popcount(pv & low) − popcount(mv & low)` over its lowest `d+Δ` bits —

@@ -10,9 +10,6 @@ use simsearch_distance::{
     incremental::IncrementalDp,
     myers_block::{MyersAny, MyersBlock},
     myers_stack::MyersStackKernel,
-    packed::{ed_within_packed_with, query_codes},
-    two_row::levenshtein_two_row,
-    BoundedKernel, KernelKind,
 };
 use simsearch_testkit::{
     assert_all_kernels_agree, check, gen, prop_assert, prop_assert_eq, Config, Gen,
@@ -31,19 +28,6 @@ fn byte_string() -> Gen<Vec<u8>> {
 /// DNA strings long enough to cross the 64-byte Myers block boundary.
 fn dna_string() -> Gen<Vec<u8>> {
     gen::dna_string(0..150)
-}
-
-#[test]
-fn two_row_equals_full() {
-    check(
-        "two_row_equals_full",
-        Config::default(),
-        &gen::zip(byte_string(), byte_string()),
-        |(x, y)| {
-            prop_assert_eq!(levenshtein_two_row(x, y), levenshtein(x, y));
-            Ok(())
-        },
-    );
 }
 
 #[test]
@@ -123,28 +107,10 @@ fn myers_within_equals_full() {
     );
 }
 
-#[test]
-fn all_bounded_kernels_agree() {
-    check(
-        "all_bounded_kernels_agree",
-        Config::default(),
-        &gen::zip3(small_string(), small_string(), gen::u32_in(0..6)),
-        |(x, y, k)| {
-            let truth = levenshtein(x, y);
-            let want = (truth <= *k).then_some(truth);
-            for kind in KernelKind::ALL {
-                let mut kernel = BoundedKernel::compile(kind, x, *k);
-                prop_assert_eq!(kernel.within(y), want, "kernel {}", kind.name());
-            }
-            Ok(())
-        },
-    );
-}
-
 // ---- cross-kernel oracle (satellite 1) ----
 //
-// Every kernel in the workspace — full, two_row, banded, early_abort,
-// myers, myers_block, packed — must agree on 1,000 seeded random
+// Every kernel in the workspace — full, banded, early_abort, myers,
+// myers_block — must agree on 1,000 seeded random
 // (query, candidate, k) triples per alphabet. Bounded variants are held
 // to their ≤k contract against the full-matrix truth.
 
@@ -164,8 +130,7 @@ fn cross_kernel_oracle_city() {
 
 #[test]
 fn cross_kernel_oracle_dna() {
-    // Lengths up to 150 exercise MyersBlock's multi-word path, and the
-    // DNA alphabet makes the packed 3-bit kernel participate.
+    // Lengths up to 150 exercise MyersBlock's multi-word path.
     check(
         "cross_kernel_oracle_dna",
         Config::cases(1_000).seed(0xD2A_0AC1),
@@ -506,25 +471,6 @@ fn incremental_prune_is_sound() {
             if pruned {
                 prop_assert!(levenshtein(x, y) > *k);
             }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn packed_equals_banded() {
-    check(
-        "packed_equals_banded",
-        Config::default(),
-        &gen::zip3(dna_string(), dna_string(), gen::u32_in(0..20)),
-        |(x, y, k)| {
-            let qc = query_codes(x).unwrap();
-            let p = simsearch_data::PackedSeq::pack(y).unwrap();
-            let mut buf = Vec::new();
-            prop_assert_eq!(
-                ed_within_packed_with(&mut buf, &qc, &p, *k),
-                ed_within_banded(x, y, *k)
-            );
             Ok(())
         },
     );

@@ -8,8 +8,7 @@
 //! gathered by merging the query grams' posting lists with a reusable
 //! per-record counter, then verified with the banded kernel. When the
 //! required count is ≤ 0 (short queries or large `k`) the filter is
-//! vacuous and the search degrades to a length-filtered scan — the
-//! crossover the `ablation_qgram` benchmark measures.
+//! vacuous and the search degrades to a length-filtered scan.
 
 use simsearch_data::{Dataset, Match, MatchSet, RecordId};
 use simsearch_distance::ed_within_banded_with;
@@ -60,12 +59,17 @@ impl QgramIndex {
         self.postings.len()
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Heap footprint in bytes: every posting list's allocated capacity,
+    /// plus the map's table — one `(gram, list header)` slot and one
+    /// control byte per entry of capacity.
     pub fn memory_bytes(&self) -> usize {
-        self.postings
+        let lists: usize = self
+            .postings
             .values()
-            .map(|v| v.len() * std::mem::size_of::<RecordId>() + std::mem::size_of::<u64>())
-            .sum()
+            .map(|v| v.capacity() * std::mem::size_of::<RecordId>())
+            .sum();
+        let slot = std::mem::size_of::<(u64, Vec<RecordId>)>() + 1;
+        lists + self.postings.capacity() * slot
     }
 
     /// Returns every record of `dataset` within edit distance `k` of
@@ -252,5 +256,20 @@ mod tests {
         assert_eq!(idx.distinct_grams(), 3);
         assert!(idx.memory_bytes() > 0);
         assert_eq!(idx.q(), 2);
+    }
+
+    #[test]
+    fn memory_bytes_counts_list_headers_and_map_slots() {
+        // Below this, the report leaves out what every posting list's
+        // header (24 bytes) costs beside its gram key (8 bytes).
+        let ds = Dataset::from_records(["Berlin", "Bern", "Bonn", "Ulm", "Berlingen", "Bernau"]);
+        let idx = QgramIndex::build(&ds, 2);
+        let ids: usize = idx.postings.values().map(Vec::len).sum();
+        let floor = ids * 4 + idx.distinct_grams() * (8 + 24);
+        assert!(
+            idx.memory_bytes() >= floor,
+            "{} < {floor}",
+            idx.memory_bytes()
+        );
     }
 }

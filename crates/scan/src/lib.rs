@@ -9,8 +9,7 @@
 //! checkpointed at 64-cell block granularity).
 //!
 //! * [`variant::SeqVariant`] — the rungs, labelled as in Tables III/VII;
-//! * [`scanner::SequentialScan`] — one engine executing any rung, plus
-//!   kernel/executor combinations beyond the paper for ablations.
+//! * [`scanner::SequentialScan`] — one engine executing any rung.
 //!
 //! Every rung returns normalized [`simsearch_data::MatchSet`]s, and the
 //! crate's tests assert all rungs agree with each other and with brute

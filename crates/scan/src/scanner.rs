@@ -10,8 +10,7 @@ use crate::variant::SeqVariant;
 use simsearch_data::{Dataset, Match, MatchSet, SortedView, Workload};
 use simsearch_distance::{
     ed_within_banded_with, ed_within_early_abort, ed_within_early_abort_with,
-    levenshtein_naive_alloc, BoundedKernel, KernelKind, MyersStackKernel, RowStackKernel,
-    RowStackMode,
+    levenshtein_naive_alloc, MyersStackKernel, RowStackKernel, RowStackMode,
 };
 use simsearch_filters::FilterChain;
 use simsearch_parallel::{run_queries, Strategy};
@@ -107,21 +106,6 @@ impl<'a> SequentialScan<'a> {
         run_queries(strategy, workload.len(), |i| {
             let q = &workload.queries[i];
             self.search_one(variant, &q.text, q.threshold)
-        })
-    }
-
-    /// Extension beyond the paper's ladder: executes a workload with an
-    /// arbitrary kernel/executor combination (used by the ablation
-    /// benchmarks).
-    pub fn run_with(
-        &self,
-        kernel: KernelKind,
-        strategy: Strategy,
-        workload: &Workload,
-    ) -> Vec<MatchSet> {
-        run_queries(strategy, workload.len(), |i| {
-            let q = &workload.queries[i];
-            self.kernel_search(kernel, &q.text, q.threshold)
         })
     }
 
@@ -238,41 +222,6 @@ impl<'a> SequentialScan<'a> {
             let q = &workload.queries[i];
             self.search_filtered(chain, &q.text, q.threshold)
         })
-    }
-
-    /// Flat scan with a selectable kernel (ablation extension): one
-    /// query of [`SequentialScan::run_with`].
-    pub fn kernel_search(&self, kernel: KernelKind, query: &[u8], k: u32) -> MatchSet {
-        let mut out = Vec::new();
-        let n = self.dataset.len() as u32;
-        match kernel {
-            KernelKind::EarlyAbort => return self.flat_search(query, k),
-            KernelKind::Banded => {
-                let mut rows = Vec::new();
-                for id in 0..n {
-                    if self.dataset.record_len(id).abs_diff(query.len()) > k as usize {
-                        continue;
-                    }
-                    if let Some(d) =
-                        ed_within_banded_with(&mut rows, query, self.dataset.get(id), k)
-                    {
-                        out.push(Match::new(id, d));
-                    }
-                }
-            }
-            KernelKind::Myers => {
-                let mut kernel = BoundedKernel::compile(KernelKind::Myers, query, k);
-                for id in 0..n {
-                    if self.dataset.record_len(id).abs_diff(query.len()) > k as usize {
-                        continue;
-                    }
-                    if let Some(d) = kernel.within(self.dataset.get(id)) {
-                        out.push(Match::new(id, d));
-                    }
-                }
-            }
-        }
-        MatchSet::from_unsorted(out)
     }
 }
 
@@ -767,31 +716,6 @@ mod tests {
         }
         assert_eq!(sv.signature_bytes(), 0);
         assert!(sv.postings_bytes() > 0);
-    }
-
-    #[test]
-    fn kernel_extensions_agree_with_the_ladder() {
-        let ds = dataset();
-        let scan = SequentialScan::new(&ds);
-        let workload = Workload {
-            queries: vec![QueryRecord::new("Berlin", 2), QueryRecord::new("", 1)],
-        };
-        let baseline = scan.run(SeqVariant::V4Flat, &workload);
-        for kernel in KernelKind::ALL {
-            for strategy in [
-                Strategy::Sequential,
-                Strategy::FixedPool { threads: 2 },
-                Strategy::WorkQueue { threads: 2 },
-            ] {
-                assert_eq!(
-                    scan.run_with(kernel, strategy, &workload),
-                    baseline,
-                    "kernel {} strategy {}",
-                    kernel.name(),
-                    strategy.name()
-                );
-            }
-        }
     }
 
     #[test]

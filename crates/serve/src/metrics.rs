@@ -72,7 +72,7 @@ const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 /// nanoseconds, queue depths — any non-negative quantity).
 ///
 /// `observe` is three relaxed atomic RMWs; `quantile` walks at most
-/// [`BUCKETS`] counters. Quantiles are upper bounds of the hit bucket,
+/// `BUCKETS` counters. Quantiles are upper bounds of the hit bucket,
 /// so `quantile(q)` ≥ the true q-quantile and overshoots by at most one
 /// sub-bucket width (6.25% relative, exact below 16).
 pub struct Histogram {

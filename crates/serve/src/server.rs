@@ -1,7 +1,7 @@
 //! `simsearchd`: the TCP server — accept loop, connection handlers,
 //! admission control, and graceful drain-on-shutdown.
 //!
-//! Thread architecture (everything is joined before [`run`] returns —
+//! Thread architecture (everything is joined before `run` returns —
 //! no detached threads):
 //!
 //! ```text

@@ -12,9 +12,9 @@
 //! * [`gen`] — value generators driven by the workspace's own
 //!   [`simsearch_data::Xoshiro256`] PRNG: arbitrary bytes, city-like
 //!   ASCII strings, DNA strings, corpora, edit-budget mutations;
-//! * [`shrink`] — the [`Shrink`](shrink::Shrink) trait the runner uses
+//! * [`shrink`] — the [`Shrink`] trait the runner uses
 //!   to simplify failing inputs;
-//! * [`bench`] — a lightweight benchmark harness (warmup + N timed
+//! * [`bench`](mod@bench) — a lightweight benchmark harness (warmup + N timed
 //!   samples, median/p95, `BENCH_<group>.json` trajectory output)
 //!   that replaces criterion for the `crates/bench` targets;
 //! * [`loopback`] — a serving harness that boots `simsearchd` on an

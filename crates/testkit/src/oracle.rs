@@ -1,7 +1,7 @@
 //! Cross-variant equivalence oracles.
 //!
 //! The workspace implements the same two computations many times over —
-//! bounded edit distance (seven kernels) and threshold search (a scan
+//! bounded edit distance (five kernels) and threshold search (a scan
 //! ladder plus four index families). These helpers assert that every
 //! variant agrees with the slow, obviously-correct reference, and they
 //! return [`TestResult`] so property tests can shrink a disagreement to
@@ -11,13 +11,10 @@ use crate::prop::TestResult;
 use simsearch_core::{
     cross_validate, EngineKind, IdxVariant, SearchEngine, SeqVariant, Strategy,
 };
-use simsearch_data::packed::PackedSeq;
 use simsearch_data::{Dataset, Workload};
-use simsearch_distance::packed::{ed_within_packed_with, query_codes};
-use simsearch_distance::two_row::levenshtein_two_row;
 use simsearch_distance::{
-    ed_within_banded, ed_within_early_abort, levenshtein, levenshtein_naive_alloc, BoundedKernel,
-    KernelKind, Myers64, MyersAny, MyersBlock,
+    ed_within_banded, ed_within_early_abort, levenshtein, levenshtein_naive_alloc, Myers64,
+    MyersAny, MyersBlock,
 };
 
 fn disagree(kernel: &str, query: &[u8], candidate: &[u8], k: u32, want: &str, got: &str) -> String {
@@ -55,11 +52,10 @@ fn check_bounded(
 /// `(query, candidate, k)` triple.
 ///
 /// The full-matrix DP ([`levenshtein`]) is the ground truth. Unbounded
-/// kernels (`naive_alloc`, `two_row`, Myers `distance`) must reproduce
-/// its value exactly; bounded kernels (`early_abort`, `banded`, the
-/// [`BoundedKernel`] trio, Myers `within`, and — for DNA inputs — the
-/// packed kernel) honour the ≤k contract: `Some(d)` with the true
-/// distance when `d ≤ k`, `None` otherwise.
+/// kernels (`naive_alloc`, Myers `distance`) must reproduce its value
+/// exactly; bounded kernels (`early_abort`, `banded`, Myers `within`)
+/// honour the ≤k contract: `Some(d)` with the true distance when
+/// `d ≤ k`, `None` otherwise.
 pub fn assert_all_kernels_agree(query: &[u8], candidate: &[u8], k: u32) -> TestResult {
     let truth = levenshtein(query, candidate);
     let want = (truth <= k).then_some(truth);
@@ -74,17 +70,6 @@ pub fn assert_all_kernels_agree(query: &[u8], candidate: &[u8], k: u32) -> TestR
             k,
             &truth.to_string(),
             &naive.to_string(),
-        ));
-    }
-    let two = levenshtein_two_row(query, candidate);
-    if two != truth {
-        return Err(disagree(
-            "two_row",
-            query,
-            candidate,
-            k,
-            &truth.to_string(),
-            &two.to_string(),
         ));
     }
 
@@ -105,19 +90,6 @@ pub fn assert_all_kernels_agree(query: &[u8], candidate: &[u8], k: u32) -> TestR
         want,
         ed_within_banded(query, candidate, k),
     )?;
-
-    // The compiled per-query kernels, every kind.
-    for kind in KernelKind::ALL {
-        let mut kernel = BoundedKernel::compile(kind, query, k);
-        check_bounded(
-            &format!("BoundedKernel::{}", kind.name()),
-            query,
-            candidate,
-            k,
-            want,
-            kernel.within(candidate),
-        )?;
-    }
 
     // Bit-parallel kernels (defined for non-empty patterns only).
     if let Some(m) = MyersAny::new(query) {
@@ -161,19 +133,6 @@ pub fn assert_all_kernels_agree(query: &[u8], candidate: &[u8], k: u32) -> TestR
             ));
         }
         check_bounded("myers_block/within", query, candidate, k, want, m.within(candidate, k))?;
-    }
-
-    // Packed DNA kernel, when both sides are representable in 3 bits.
-    if let (Some(codes), Some(packed)) = (query_codes(query), PackedSeq::pack(candidate)) {
-        let mut buf = Vec::new();
-        check_bounded(
-            "packed",
-            query,
-            candidate,
-            k,
-            want,
-            ed_within_packed_with(&mut buf, &codes, &packed, k),
-        )?;
     }
 
     Ok(())

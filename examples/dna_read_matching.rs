@@ -2,9 +2,8 @@
 //! non-natural-language workload (reads of length ≈100 over
 //! `{A, C, G, N, T}`, thresholds up to k = 16).
 //!
-//! Demonstrates the threshold/selectivity trade-off, the dictionary
-//! compression of §6 (3-bit packing), and the scan-vs-index comparison
-//! on long small-alphabet strings.
+//! Demonstrates the threshold/selectivity trade-off and the
+//! scan-vs-index comparison on long small-alphabet strings.
 //!
 //! ```sh
 //! cargo run --release --example dna_read_matching
@@ -12,7 +11,6 @@
 
 use simsearch::core::{experiment::time, EngineKind, IdxVariant, SearchEngine, SeqVariant};
 use simsearch::core::presets;
-use simsearch::data::PackedDataset;
 
 fn main() {
     let preset = presets::dna(2_000);
@@ -20,15 +18,6 @@ fn main() {
         "read set: {} reads, mean length {:.1}",
         preset.dataset.len(),
         preset.dataset.arena_len() as f64 / preset.dataset.len() as f64
-    );
-
-    // §6 dictionary compression: 3 bits per symbol.
-    let packed = PackedDataset::pack(&preset.dataset).expect("reads are over ACGNT");
-    println!(
-        "3-bit packing: {} -> {} bytes ({:.1}% of raw)",
-        preset.dataset.arena_len(),
-        packed.storage_bytes(),
-        100.0 * packed.storage_bytes() as f64 / preset.dataset.arena_len() as f64
     );
 
     // Threshold sweep on one read: how selectivity falls with k.

@@ -3,20 +3,12 @@
 //! the paper's correctness methodology.
 
 use simsearch::core::presets;
-use simsearch::core::{
-    cross_validate, EngineKind, IdxVariant, KernelKind, SearchEngine, SeqVariant, Strategy,
-};
+use simsearch::core::{cross_validate, EngineKind, IdxVariant, SearchEngine, SeqVariant, Strategy};
 
 fn all_engine_kinds() -> Vec<EngineKind> {
     let mut kinds = Vec::new();
     for v in SeqVariant::ladder_extended(3) {
         kinds.push(EngineKind::Scan(v));
-    }
-    for kernel in KernelKind::ALL {
-        kinds.push(EngineKind::ScanCustom {
-            kernel,
-            strategy: Strategy::WorkQueue { threads: 2 },
-        });
     }
     for v in IdxVariant::ladder(3) {
         kinds.push(EngineKind::Index(v));
