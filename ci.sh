@@ -15,8 +15,13 @@ cargo test -q --offline --workspace
 # partial eight words, a pair-set word's first and last lanes, the
 # segment postings' `position << fp_bits | fingerprint` packing) panic under the dev profile's overflow checks but
 # wrap silently in the release codegen the daemon and the benchmark run,
-# so their oracles must hold there too.
-cargo test -q --offline --release -p simsearch-data -p simsearch-distance -p simsearch-scan
+# so their oracles must hold there too. The unbounded shape of the
+# row-stack kernel, which the paper's tree descents run, is such
+# arithmetic as well (`usize::MAX / 4` band, `u32::MAX / 4` cap,
+# saturating band ends), and the kernel is the V7 scan's too: the index
+# crate's descent tests run here beside the scan's.
+cargo test -q --offline --release -p simsearch-data -p simsearch-distance -p simsearch-scan \
+    -p simsearch-index
 # A bench file without a [[bench]] entry is a bench that silently never
 # runs (and an entry without a file fails only when someone asks for
 # it): the two lists must be the same set.

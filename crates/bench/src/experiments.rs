@@ -416,7 +416,7 @@ pub fn index_sizes(preset: &Preset) -> Table {
 /// tries, nodes visited and subtrees pruned. This table is what lets
 /// EXPERIMENTS.md explain the prune-mode flip rather than just report it.
 pub fn diagnostics_table(preset: &Preset, queries: usize) -> Table {
-    use simsearch_distance::counted::ed_within_early_abort_counted;
+    use simsearch_distance::early_abort::ed_within_early_abort_counted;
     let prefix = preset.workload.prefix(queries.min(preset.workload.len()));
     let n = prefix.len() as f64;
     let mut t = Table::new(
@@ -670,16 +670,6 @@ pub fn per_threshold_table(preset: &Preset, queries: usize, pool_threads: usize)
         );
     }
     t
-}
-
-/// Scan-vs-index percentage summary (§5.5/§5.8 prose numbers).
-pub fn summary_comparison(scan: &[Measurement], index: &[Measurement]) -> String {
-    let ratios: Vec<String> = scan
-        .iter()
-        .zip(index.iter())
-        .map(|(s, i)| format!("{} / {}", format_secs(s.secs()), format_secs(i.secs())))
-        .collect();
-    ratios.join(", ")
 }
 
 #[cfg(test)]

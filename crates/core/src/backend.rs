@@ -1022,6 +1022,7 @@ impl Backend for AutoBackend<'_> {
 mod tests {
     use super::*;
     use crate::topk::search_top_k_with;
+    use crate::{EngineKind, SearchEngine};
 
     fn dataset() -> Dataset {
         Dataset::from_records([
@@ -1041,8 +1042,7 @@ mod tests {
     }
 
     fn oracle(ds: &Dataset, w: &Workload) -> Vec<MatchSet> {
-        let scan = SequentialScan::new(ds);
-        scan.run(SeqVariant::V1Base, w)
+        SearchEngine::build(ds, EngineKind::Scan(SeqVariant::V1Base)).run(w)
     }
 
     #[test]

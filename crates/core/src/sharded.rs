@@ -664,6 +664,7 @@ impl MutableBackend for ShardedBackend {
 mod tests {
     use super::*;
     use crate::topk::search_top_k_with;
+    use crate::{EngineKind, SearchEngine};
     use simsearch_data::QueryRecord;
     use simsearch_scan::{SeqVariant, SequentialScan};
 
@@ -685,7 +686,7 @@ mod tests {
     }
 
     fn oracle(ds: &Dataset, w: &Workload) -> Vec<MatchSet> {
-        SequentialScan::new(ds).run(SeqVariant::V1Base, w)
+        SearchEngine::build(ds, EngineKind::Scan(SeqVariant::V1Base)).run(w)
     }
 
     #[test]

@@ -67,12 +67,6 @@ impl Xoshiro256 {
         result
     }
 
-    /// Returns the next 32-bit output (upper half of the 64-bit output,
-    /// which has the best statistical quality in the xoshiro family).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniform value in `[0, bound)` using Lemire's unbiased
     /// multiply-shift rejection method.
     ///

@@ -21,16 +21,25 @@
 /// Computes whether `ed(x, y) ≤ k`, returning the distance when it is and
 /// `None` otherwise (possibly after aborting early). Uses `buf` as the
 /// reusable two-row DP state.
-pub fn ed_within_early_abort_with(
+#[inline]
+pub fn ed_within_early_abort_with(buf: &mut Vec<u32>, x: &[u8], y: &[u8], k: u32) -> Option<u32> {
+    ed_within_early_abort_counted(buf, x, y, k).0
+}
+
+/// [`ed_within_early_abort_with`], additionally returning the number of
+/// DP cells computed — the quantity every optimization in the paper
+/// (early abort, banding, pruning) is trying to reduce. A pair the length
+/// filter rejects costs no cells.
+pub fn ed_within_early_abort_counted(
     buf: &mut Vec<u32>,
     x: &[u8],
     y: &[u8],
     k: u32,
-) -> Option<u32> {
+) -> (Option<u32>, u64) {
     // (5): length filter.
     let d = x.len().abs_diff(y.len());
     if d > k as usize {
-        return None;
+        return (None, 0);
     }
     let cols = y.len() + 1;
     buf.clear();
@@ -63,13 +72,14 @@ pub fn ed_within_early_abort_with(
         };
         if let Some(j) = decisive_j {
             if j < cols && curr[j] > k {
-                return None;
+                // Rows 1..=i, `cols` cells each.
+                return (None, (i * cols) as u64);
             }
         }
         std::mem::swap(&mut prev, &mut curr);
     }
     let result = prev[cols - 1];
-    (result <= k).then_some(result)
+    ((result <= k).then_some(result), (x.len() * cols) as u64)
 }
 
 /// Convenience wrapper with a throwaway buffer.
@@ -129,5 +139,36 @@ mod tests {
         assert_eq!(ed_within_early_abort(b"", b"", 0), Some(0));
         assert_eq!(ed_within_early_abort(b"", b"ab", 2), Some(2));
         assert_eq!(ed_within_early_abort(b"", b"ab", 1), None);
+    }
+
+    #[test]
+    fn counted_early_abort_matches_uncounted() {
+        let words: &[&[u8]] = &[
+            b"", b"a", b"Berlin", b"Bern", b"AGGCGT", b"AGAGT", b"kitten",
+        ];
+        let mut buf = Vec::new();
+        for &x in words {
+            for &y in words {
+                for k in 0..5 {
+                    let (r, cells) = ed_within_early_abort_counted(&mut buf, x, y, k);
+                    assert_eq!(r, ed_within_early_abort(x, y, k));
+                    if x.len().abs_diff(y.len()) > k as usize {
+                        assert_eq!(cells, 0, "length filter must not compute cells");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_abort_counts_reflect_the_abort() {
+        // Dissimilar strings: the abort fires early, so far fewer cells
+        // than the full |x|·|y| table.
+        let x = vec![b'A'; 100];
+        let y = vec![b'T'; 100];
+        let mut buf = Vec::new();
+        let (r, cells) = ed_within_early_abort_counted(&mut buf, &x, &y, 4);
+        assert_eq!(r, None);
+        assert!(cells < 101 * 20, "abort did not fire early: {cells}");
     }
 }

@@ -7,9 +7,9 @@ use simsearch_distance::{
     banded::ed_within_banded,
     early_abort::ed_within_early_abort,
     full::{levenshtein, levenshtein_naive_alloc},
-    incremental::IncrementalDp,
     myers_block::{MyersAny, MyersBlock},
     myers_stack::MyersStackKernel,
+    row_stack::RowStackKernel,
 };
 use simsearch_testkit::{
     assert_all_kernels_agree, check, gen, prop_assert, prop_assert_eq, Config, Gen,
@@ -110,7 +110,7 @@ fn myers_within_equals_full() {
 // ---- cross-kernel oracle (satellite 1) ----
 //
 // Every kernel in the workspace — full, banded, early_abort, myers,
-// myers_block — must agree on 1,000 seeded random
+// myers_block, row_stack — must agree on 1,000 seeded random
 // (query, candidate, k) triples per alphabet. Bounded variants are held
 // to their ≤k contract against the full-matrix truth.
 
@@ -438,7 +438,7 @@ fn incremental_fully_pushed_equals_full() {
         Config::default(),
         &gen::zip3(small_string(), small_string(), gen::u32_in(0..6)),
         |(x, y, k)| {
-            let mut dp = IncrementalDp::new(x, *k);
+            let mut dp = RowStackKernel::new(x, *k);
             for &c in y {
                 dp.push(c);
             }
@@ -459,7 +459,7 @@ fn incremental_prune_is_sound() {
         |(x, y, k)| {
             // If the prune fires at any prefix of y, then no extension of
             // that prefix — in particular y itself — may be within k.
-            let mut dp = IncrementalDp::new(x, *k);
+            let mut dp = RowStackKernel::new(x, *k);
             let mut pruned = false;
             for &c in y {
                 dp.push(c);

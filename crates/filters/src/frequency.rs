@@ -33,11 +33,6 @@ impl FrequencyFilter {
         &self.tracked
     }
 
-    /// The precomputed vector of record `id`.
-    pub fn vector_of(&self, id: RecordId) -> &FreqVector {
-        &self.vectors[id as usize]
-    }
-
     /// Whether record `id` can be within distance `k` of a query whose
     /// vector is `query_vec`.
     #[inline]

@@ -15,7 +15,7 @@ use crate::tree::PrefixTree;
 pub use crate::tree::{NodeId, ROOT};
 use simsearch_data::{Dataset, Match, MatchSet};
 use simsearch_distance::prefix_bound::completion_tolerance;
-use simsearch_distance::IncrementalDp;
+use simsearch_distance::RowStackKernel;
 
 /// A compressed (radix) prefix tree over a dataset.
 ///
@@ -50,7 +50,7 @@ impl RadixTrie {
 
     /// [`RadixTrie::search_paper`] with work counters.
     pub fn search_paper_traced(&self, query: &[u8], k: u32) -> (MatchSet, SearchTrace) {
-        let mut dp = IncrementalDp::new_unbounded(query, k);
+        let mut dp = RowStackKernel::new_unbounded(query, k);
         let mut out = Vec::new();
         let mut trace = SearchTrace::default();
         self.descend_paper(ROOT, query.len(), &mut dp, &mut out, &mut trace);
@@ -61,7 +61,7 @@ impl RadixTrie {
         &self,
         node: NodeId,
         qlen: usize,
-        dp: &mut IncrementalDp,
+        dp: &mut RowStackKernel,
         out: &mut Vec<Match>,
         trace: &mut SearchTrace,
     ) {

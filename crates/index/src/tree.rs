@@ -14,7 +14,7 @@
 
 use simsearch_data::{Dataset, Match, MatchSet, RecordId};
 use simsearch_distance::prefix_bound::length_interval_bound;
-use simsearch_distance::IncrementalDp;
+use simsearch_distance::RowStackKernel;
 
 use crate::trace::SearchTrace;
 
@@ -222,7 +222,7 @@ impl<const COMPRESSED: bool> PrefixTree<COMPRESSED> {
 
     /// [`PrefixTree::search`] with work counters.
     pub fn search_traced(&self, query: &[u8], k: u32) -> (MatchSet, SearchTrace) {
-        let mut dp = IncrementalDp::new(query, k);
+        let mut dp = RowStackKernel::new(query, k);
         let mut out = Vec::new();
         let mut trace = SearchTrace::default();
         self.descend(ROOT, query.len(), &mut dp, &mut out, &mut trace);
@@ -233,7 +233,7 @@ impl<const COMPRESSED: bool> PrefixTree<COMPRESSED> {
         &self,
         node: NodeId,
         qlen: usize,
-        dp: &mut IncrementalDp,
+        dp: &mut RowStackKernel,
         out: &mut Vec<Match>,
         trace: &mut SearchTrace,
     ) {
@@ -267,7 +267,7 @@ impl<const COMPRESSED: bool> PrefixTree<COMPRESSED> {
 
     /// Reports the records ending at `node` when the DP's full row says
     /// they are within the threshold.
-    pub(crate) fn emit(&self, node: NodeId, dp: &IncrementalDp, out: &mut Vec<Match>) {
+    pub(crate) fn emit(&self, node: NodeId, dp: &RowStackKernel, out: &mut Vec<Match>) {
         let records = self.records(node);
         if !records.is_empty() {
             if let Some(d) = dp.distance() {

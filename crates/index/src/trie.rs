@@ -7,7 +7,7 @@
 //!
 //! * **Row prune** — once every cell of the current DP row exceeds `k`,
 //!   no completion below the node can match
-//!   ([`simsearch_distance::IncrementalDp::can_extend`]); this is the
+//!   ([`simsearch_distance::RowStackKernel::can_extend`]); this is the
 //!   sound form of the paper's prefix condition (eq. (9)).
 //! * **Length prune** — the node's min/max subtree lengths bound the
 //!   achievable final distance from below
@@ -19,7 +19,7 @@ use crate::tree::PrefixTree;
 pub use crate::tree::{NodeId, ROOT};
 use simsearch_data::{Dataset, Match, MatchSet};
 use simsearch_distance::prefix_bound::completion_tolerance;
-use simsearch_distance::IncrementalDp;
+use simsearch_distance::RowStackKernel;
 
 /// An uncompressed prefix tree over a dataset.
 pub type Trie = PrefixTree<false>;
@@ -46,7 +46,7 @@ impl Trie {
 
     /// [`Trie::search_paper`] with work counters.
     pub fn search_paper_traced(&self, query: &[u8], k: u32) -> (MatchSet, SearchTrace) {
-        let mut dp = IncrementalDp::new_unbounded(query, k);
+        let mut dp = RowStackKernel::new_unbounded(query, k);
         let mut out = Vec::new();
         let mut trace = SearchTrace::default();
         self.descend_paper(ROOT, query.len(), &mut dp, &mut out, &mut trace);
@@ -57,7 +57,7 @@ impl Trie {
         &self,
         node: NodeId,
         qlen: usize,
-        dp: &mut IncrementalDp,
+        dp: &mut RowStackKernel,
         out: &mut Vec<Match>,
         trace: &mut SearchTrace,
     ) {

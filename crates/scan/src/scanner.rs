@@ -10,7 +10,7 @@ use crate::variant::SeqVariant;
 use simsearch_data::{Dataset, Match, MatchSet, SortedView, Workload};
 use simsearch_distance::{
     ed_within_banded_with, ed_within_early_abort, ed_within_early_abort_with,
-    levenshtein_naive_alloc, MyersStackKernel, RowStackKernel, RowStackMode,
+    levenshtein_naive_alloc, MyersStackKernel, RowStackKernel,
 };
 use simsearch_filters::FilterChain;
 use simsearch_parallel::{run_queries, Strategy};
@@ -94,19 +94,6 @@ impl<'a> SequentialScan<'a> {
             SeqVariant::V7SortedPrefix => self.v7_search(query, k).0,
             SeqVariant::V8BitParallel => self.v8_search(query, k).0,
         }
-    }
-
-    /// Executes a workload under the given rung, one result set per query.
-    pub fn run(&self, variant: SeqVariant, workload: &Workload) -> Vec<MatchSet> {
-        let strategy = match variant {
-            SeqVariant::V5ThreadPerQuery => Strategy::ThreadPerQuery,
-            SeqVariant::V6Pool { threads } => Strategy::FixedPool { threads },
-            _ => Strategy::Sequential,
-        };
-        run_queries(strategy, workload.len(), |i| {
-            let q = &workload.queries[i];
-            self.search_one(variant, &q.text, q.threshold)
-        })
     }
 
     /// Rung V7 for one query: walk the query's length band of the sorted
@@ -265,7 +252,7 @@ pub fn flat_search_where(
 /// exposed so callers that own their view (per-shard backends, tools)
 /// can run the sorted-prefix scan without borrowing a scanner.
 pub fn v7_search_view(sv: &SortedView, query: &[u8], k: u32) -> (MatchSet, u64) {
-    let mut dp = RowStackKernel::new(RowStackMode::Banded, query, k);
+    let mut dp = RowStackKernel::new(query, k);
     let out = v7_scan_view_range(sv, &mut dp, query, k, 0..sv.len());
     (MatchSet::from_unsorted(out), dp.cells_computed())
 }
@@ -362,6 +349,14 @@ mod tests {
         ])
     }
 
+    /// One result set per query of `w`, each answered by `variant`.
+    fn answer_all(scan: &SequentialScan, variant: SeqVariant, w: &Workload) -> Vec<MatchSet> {
+        w.queries
+            .iter()
+            .map(|q| scan.search_one(variant, &q.text, q.threshold))
+            .collect()
+    }
+
     fn brute_force(ds: &Dataset, q: &[u8], k: u32) -> MatchSet {
         ds.iter()
             .filter_map(|(id, r)| {
@@ -401,9 +396,9 @@ mod tests {
                 QueryRecord::new("zzz", 3),
             ],
         };
-        let baseline = scan.run(SeqVariant::V1Base, &workload);
+        let baseline = answer_all(&scan, SeqVariant::V1Base, &workload);
         for v in SeqVariant::ladder_extended(4).into_iter().skip(1) {
-            assert_eq!(scan.run(v, &workload), baseline, "variant {v:?}");
+            assert_eq!(answer_all(&scan, v, &workload), baseline, "variant {v:?}");
         }
     }
 
@@ -435,7 +430,7 @@ mod tests {
     fn chunked(sv: &SortedView, query: &[u8], k: u32, chunks: usize) -> [MatchSet; 2] {
         let ranges = simsearch_parallel::chunk_ranges(sv.len(), chunks);
         let v7 = ranges.iter().flat_map(|range| {
-            let mut dp = RowStackKernel::new(RowStackMode::Banded, query, k);
+            let mut dp = RowStackKernel::new(query, k);
             v7_scan_view_range(sv, &mut dp, query, k, range.clone())
         });
         let v8 = ranges.iter().flat_map(|range| {
@@ -457,7 +452,7 @@ mod tests {
                 QueryRecord::new("zzz", 3),
             ],
         };
-        let baseline = scan.run(SeqVariant::V1Base, &workload);
+        let baseline = answer_all(&scan, SeqVariant::V1Base, &workload);
         for strategy in [
             Strategy::Sequential,
             Strategy::ThreadPerQuery,
@@ -549,7 +544,7 @@ mod tests {
         let sv = SortedView::build(&ds);
         let (query, k) = (b"prefix_abc", 3);
         let sweep = |range: Range<usize>| {
-            let mut v7 = RowStackKernel::new(RowStackMode::Banded, query, k);
+            let mut v7 = RowStackKernel::new(query, k);
             let mut v8 = MyersStackKernel::new(query, k);
             v7_scan_view_range(&sv, &mut v7, query, k, range.clone());
             v8_scan_view_range(&sv, &mut v8, query, k, range);
@@ -745,7 +740,7 @@ mod tests {
         let w = Workload {
             queries: vec![QueryRecord::new("Berlin", 2), QueryRecord::new("", 1)],
         };
-        let expected = scan.run(SeqVariant::V1Base, &w);
+        let expected = answer_all(&scan, SeqVariant::V1Base, &w);
         for strategy in [Strategy::Sequential, Strategy::FixedPool { threads: 2 }] {
             assert_eq!(scan.run_filtered(&chains[2], strategy, &w), expected);
         }
@@ -757,6 +752,6 @@ mod tests {
         let scan = SequentialScan::new(&ds);
         assert!(scan.search_one(SeqVariant::V4Flat, b"x", 2).is_empty());
         let empty = Workload::default();
-        assert!(scan.run(SeqVariant::V6Pool { threads: 4 }, &empty).is_empty());
+        assert!(answer_all(&scan, SeqVariant::V6Pool { threads: 4 }, &empty).is_empty());
     }
 }

@@ -23,7 +23,8 @@ use std::time::{Duration, Instant};
 /// Identifier of the JSON trajectory format this harness writes.
 ///
 /// v2 extends v1 with an optional `workload` object (dataset name,
-/// record/query counts, threshold description) and, when that metadata
+/// record/query counts, threshold description, the core count the
+/// samples were taken on) and, when that metadata
 /// is present, a derived `throughput_qps` field per result. Both
 /// additions are optional, so v1 files remain a strict subset and
 /// readers of either version can consume v2 output.
@@ -295,9 +296,12 @@ impl Group<'_> {
         out.push_str(&format!("  \"schema\": \"{JSON_SCHEMA}\",\n"));
         out.push_str(&format!("  \"group\": \"{}\",\n", escape(&self.name)));
         if let Some(w) = &self.workload {
+            // The cores the medians were taken on: an executor or
+            // thread sweep reads differently on 2 cores than on 16.
+            let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
             out.push_str(&format!(
                 "  \"workload\": {{\"dataset\": \"{}\", \"records\": {}, \
-                 \"queries\": {}, \"thresholds\": \"{}\"}},\n",
+                 \"queries\": {}, \"thresholds\": \"{}\", \"nproc\": {nproc}}},\n",
                 escape(&w.dataset),
                 w.records,
                 w.queries,
@@ -475,12 +479,15 @@ mod tests {
         g.finish();
         let json = std::fs::read_to_string(dir.join("BENCH_unit_workload.json")).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
         for needle in [
-            "\"workload\": {\"dataset\": \"city\", \"records\": 400, \
-             \"queries\": 50, \"thresholds\": \"k in 0..=3\"}",
-            "throughput_qps",
+            format!(
+                "\"workload\": {{\"dataset\": \"city\", \"records\": 400, \
+                 \"queries\": 50, \"thresholds\": \"k in 0..=3\", \"nproc\": {nproc}}}"
+            ),
+            "throughput_qps".to_string(),
         ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
+            assert!(json.contains(&needle), "missing {needle} in:\n{json}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Cross-variant equivalence oracles.
 //!
 //! The workspace implements the same two computations many times over —
-//! bounded edit distance (five kernels) and threshold search (a scan
+//! bounded edit distance (six kernels) and threshold search (a scan
 //! ladder plus four index families). These helpers assert that every
 //! variant agrees with the slow, obviously-correct reference, and they
 //! return [`TestResult`] so property tests can shrink a disagreement to
@@ -14,7 +14,7 @@ use simsearch_core::{
 use simsearch_data::{Dataset, Workload};
 use simsearch_distance::{
     ed_within_banded, ed_within_early_abort, levenshtein, levenshtein_naive_alloc, Myers64,
-    MyersAny, MyersBlock,
+    MyersAny, MyersBlock, RowStackKernel,
 };
 
 fn disagree(kernel: &str, query: &[u8], candidate: &[u8], k: u32, want: &str, got: &str) -> String {
@@ -53,9 +53,9 @@ fn check_bounded(
 ///
 /// The full-matrix DP ([`levenshtein`]) is the ground truth. Unbounded
 /// kernels (`naive_alloc`, Myers `distance`) must reproduce its value
-/// exactly; bounded kernels (`early_abort`, `banded`, Myers `within`)
-/// honour the ≤k contract: `Some(d)` with the true distance when
-/// `d ≤ k`, `None` otherwise.
+/// exactly; bounded kernels (`early_abort`, `banded`, Myers `within`,
+/// the row stack) honour the ≤k contract: `Some(d)` with the true
+/// distance when `d ≤ k`, `None` otherwise.
 pub fn assert_all_kernels_agree(query: &[u8], candidate: &[u8], k: u32) -> TestResult {
     let truth = levenshtein(query, candidate);
     let want = (truth <= k).then_some(truth);
@@ -89,6 +89,37 @@ pub fn assert_all_kernels_agree(query: &[u8], candidate: &[u8], k: u32) -> TestR
         k,
         want,
         ed_within_banded(query, candidate, k),
+    )?;
+
+    // The row stack that the tree descents and the V7 scan share: the
+    // candidate pushed whole in both row shapes, and resumed after the
+    // query itself, at their shared prefix, as a sorted sweep would.
+    for (shape, mut dp) in [
+        ("row_stack/banded", RowStackKernel::new(query, k)),
+        (
+            "row_stack/unbounded",
+            RowStackKernel::new_unbounded(query, k),
+        ),
+    ] {
+        for &c in candidate {
+            dp.push(c);
+        }
+        check_bounded(shape, query, candidate, k, want, dp.distance())?;
+    }
+    let mut dp = RowStackKernel::new(query, k);
+    dp.resume(query, 0);
+    let shared = query
+        .iter()
+        .zip(candidate)
+        .take_while(|(a, b)| a == b)
+        .count();
+    check_bounded(
+        "row_stack/resume",
+        query,
+        candidate,
+        k,
+        want,
+        dp.resume(candidate, shared),
     )?;
 
     // Bit-parallel kernels (defined for non-empty patterns only).

@@ -209,7 +209,7 @@ fn scan_and_indexes_agree_on_dna_workload() {
 fn v7_matches_the_v1_oracle_under_every_executor() {
     use simsearch_core::{EngineKind, SearchEngine};
     use simsearch_parallel::Strategy;
-    use simsearch_scan::{SeqVariant, SequentialScan};
+    use simsearch_scan::SeqVariant;
 
     let city = CityGenerator::new(0xC17E_7E57).generate(400);
     let dna = DnaGenerator::new(0xD7A_7E57).genome_len(4_000).generate(250);
@@ -217,8 +217,8 @@ fn v7_matches_the_v1_oracle_under_every_executor() {
         let alphabet = Alphabet::from_corpus(dataset.records());
         let workload = WorkloadSpec::new(&[1, 2, 3], 1_000, 0x0007_5047_ED00).generate(&dataset, &alphabet);
         assert_eq!(workload.len(), 1_000);
-        let scan = SequentialScan::new(&dataset);
-        let baseline = scan.run(SeqVariant::V1Base, &workload);
+        let baseline =
+            SearchEngine::build(&dataset, EngineKind::Scan(SeqVariant::V1Base)).run(&workload);
         let v7 = SearchEngine::build(&dataset, EngineKind::Scan(SeqVariant::V7SortedPrefix));
         let mut strategies = vec![Strategy::Sequential, Strategy::ThreadPerQuery];
         for threads in [1, 4, 8] {
